@@ -26,11 +26,9 @@ from .dynamics import (
     unitary_from_hamiltonian,
 )
 from .linear_tomo import (
-    DualFrame,
     LinearProcessMap,
     NotAFrame,
     apply_linear_map,
-    compute_duals,
     map_diagnostics,
     reconstruct_linear_map,
 )
@@ -48,14 +46,12 @@ from .prep import (
     prepare_projective,
     prepare_stochastic,
 )
-from .records import Dataset, MissingRecord, TomographyRecord
+from .records import Dataset, Fit, MissingRecord, TomographyRecord, fit
 from .verify import (
     TWELVE_STATE_LABELS,
     VerificationReport,
-    bilinear_consistency_residuals,
     classify,
     gamma_completeness,
-    linear_sum_rule_residuals,
     twelve_state_inputs,
 )
 

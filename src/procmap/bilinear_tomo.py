@@ -19,18 +19,19 @@ The nine-projection qubit protocol determines every element combination of M
 needed to predict the output state and outcome probability for an arbitrary
 prepared projector; one extra mixed-state preparation (via a generalized
 measurement) additionally resolves <1|M|1> so that mixed inputs can be
-predicted too.
+predicted too.  Both are solved by one least-squares fit of gamma*Q.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import jsonio
+from .prep import ZeroProbabilityOutcome
 from .qstate import IDENTITY_2, PAULIS, hermiticity_residual, pauli_decompose, state_from_bloch
-from .records import MissingRecord, TomographyRecord, record_map
+from .records import MissingRecord, TomographyRecord, fit, record_map
 
 SQRT2 = float(np.sqrt(2.0))
 
@@ -50,12 +51,10 @@ _BLOCH_BY_LABEL = {
     "6+": (0.0, 1.0 / SQRT2, 1.0 / SQRT2),
     "6-": (0.0, -1.0 / SQRT2, -1.0 / SQRT2),
 }
-# The pair labels used to solve each cross term Z_jk.
-_CROSS_LABELS = {(1, 2): "4+", (1, 3): "5+", (2, 3): "6+"}
 CROSS_PAIRS = ((1, 2), (1, 3), (2, 3))
 
 
-class ZeroGamma(Exception):
+class ZeroGamma(ZeroProbabilityOutcome):
     """A protocol record carries a vanishing outcome probability."""
 
 
@@ -98,14 +97,10 @@ class BilinearProcessMap:
         return bool(np.array_equal(np.conj(self.m), self.m.transpose(1, 0, 4, 5, 2, 3)))
 
     def to_json(self) -> dict:
+        """Blocks m[:, :, x, p, y, q] in row-major (x, p, y, q) order."""
         n = self.dim
-        blocks = []
-        for x in range(n):
-            for p in range(n):
-                for y in range(n):
-                    for q in range(n):
-                        blocks.append(jsonio.matrix_to_json(self.m[:, :, x, p, y, q]))
-        return {"dim": int(n), "blocks": blocks}
+        blocks = np.moveaxis(self.m.reshape(n, n, n**4), 2, 0)
+        return {"dim": int(n), "blocks": [jsonio.matrix_to_json(b) for b in blocks]}
 
     @staticmethod
     def from_json(obj: dict) -> "BilinearProcessMap":
@@ -113,14 +108,7 @@ class BilinearProcessMap:
         blocks = obj["blocks"]
         if len(blocks) != n**4:
             raise ValueError(f"expected {n**4} blocks, got {len(blocks)}")
-        m = np.zeros((n,) * 6, dtype=complex)
-        i = 0
-        for x in range(n):
-            for p in range(n):
-                for y in range(n):
-                    for q in range(n):
-                        m[:, :, x, p, y, q] = jsonio.matrix_from_json(blocks[i])
-                        i += 1
+        m = np.stack([jsonio.matrix_from_json(b) for b in blocks], axis=2).reshape((n,) * 6)
         return BilinearProcessMap(dim=n, m=m)
 
 
@@ -205,55 +193,34 @@ def element_table_from_map(bmap: BilinearProcessMap) -> MElementTable:
     return MElementTable(diag_plus=diag_plus, linear=linear, cross=cross, unit_unit=unit)
 
 
-def _gamma_q(rec: TomographyRecord) -> np.ndarray:
-    if rec.gamma <= 0:
-        raise ZeroGamma(f"record {rec.label!r} has gamma = {rec.gamma}")
-    return rec.gamma * np.asarray(rec.output, dtype=complex)
-
-
 def solve_M_elements(records, mixed_record: TomographyRecord | None = None) -> MElementTable:
     """Solve the element combinations of M from the nine protocol records.
 
-    Simultaneously solving the (+)/(-) pairs gives the diagonal-plus and
-    linear combinations; the diagonal-direction records then eliminate the
-    known terms from the 4+/5+/6+ equations to expose each cross term.  When
-    a mixed-state record (Bloch norm < 1) is supplied, <1|M|1> is solved as
-    well.
+    One least-squares fit (`records.fit` at degree 2) expresses gamma*Q as a
+    sesquilinear form in the prepared projector.  The nine projectors pin down
+    exactly the combinations in MElementTable, so they are read off the
+    min-norm solution by `element_table_from_map`.  When a mixed-state record
+    (Bloch norm < 1) is fitted as well, <1|M|1> is resolved too.
     """
     recs = record_map(records)
     missing = [label for label in NINE_STATE_LABELS if label not in recs]
     if missing:
         raise MissingRecord(f"protocol records missing labels: {', '.join(missing)}")
-
-    gq = {label: _gamma_q(recs[label]) for label in NINE_STATE_LABELS}
-    diag_plus = tuple(2.0 * (gq[f"{j}+"] + gq[f"{j}-"]) for j in (1, 2, 3))
-    linear = tuple(2.0 * (gq[f"{j}+"] - gq[f"{j}-"]) for j in (1, 2, 3))
-    cross = {}
-    for j, k in CROSS_PAIRS:
-        pair = gq[_CROSS_LABELS[(j, k)]]
-        cross[(j, k)] = (
-            8.0 * pair
-            - diag_plus[j - 1]
-            - diag_plus[k - 1]
-            - SQRT2 * linear[j - 1]
-            - SQRT2 * linear[k - 1]
-        )
-
-    unit_unit = None
+    fitted = [recs[label] for label in NINE_STATE_LABELS]
     if mixed_record is not None:
         _, half_p = pauli_decompose(mixed_record.input)
-        p = 2.0 * half_p
-        norm_sq = float(np.dot(p, p))
-        if norm_sq >= 1.0 - 1e-10:
+        if 4.0 * float(np.dot(half_p, half_p)) >= 1.0 - 1e-10:
             raise ValueError("mixed-state record must have Bloch norm strictly below 1")
-        rhs = 4.0 * _gamma_q(mixed_record)
-        for j in range(3):
-            rhs = rhs - p[j] ** 2 * diag_plus[j] - p[j] * linear[j]
-        for j, k in CROSS_PAIRS:
-            rhs = rhs - p[j - 1] * p[k - 1] * cross[(j, k)]
-        unit_unit = rhs / (1.0 - norm_sq)
+        fitted.append(mixed_record)
+    for rec in fitted:
+        if rec.gamma <= 0:
+            raise ZeroGamma(f"record {rec.label!r} has gamma = {rec.gamma}")
 
-    return MElementTable(diag_plus=diag_plus, linear=linear, cross=cross, unit_unit=unit_unit)
+    n = fitted[0].input.shape[0]
+    # coef[(r'',r',s'',s'), (r,s)] holds m[r, s, r'', r', s'', s'].
+    m = fit(fitted, degree=2).coef.reshape((n,) * 6).transpose(4, 5, 0, 1, 2, 3)
+    table = element_table_from_map(BilinearProcessMap(dim=n, m=m))
+    return table if mixed_record is not None else replace(table, unit_unit=None)
 
 
 def predict_output(table: MElementTable, p) -> tuple[float, np.ndarray]:

@@ -2,8 +2,9 @@
 
 stdout carries JSON only; human diagnostics go to stderr (ANSI-colored on a
 terminal unless PROCMAP_NO_COLOR is set).  Exit codes: 0 success, 2 malformed
-config, 3 zero-probability preparation, 4 missing record labels, 5 input
-states that do not form a tomography frame.
+config or dataset (including non-finite numbers and system dimensions other
+than 2), 3 zero-probability preparation or a dataset record with gamma = 0,
+4 missing record labels, 5 input states that do not form a tomography frame.
 """
 
 from __future__ import annotations
@@ -126,7 +127,8 @@ def _tomo_bilinear(dataset: Dataset) -> dict:
     table = solve_M_elements(records, mixed_record=mixed)
     payload = {"mode": "bilinear", "elements": table.to_json()}
     scenario = _embedded_scenario(dataset)
-    if scenario is not None:
+    # The oracle models preparation by measurement only.
+    if scenario is not None and scenario.prep_method == "measurement":
         oracle = element_table_from_map(build_M_from_dynamics(scenario.spec()))
         deviation = 0.0
         for got, want in zip(table.diag_plus + table.linear, oracle.diag_plus + oracle.linear):

@@ -70,7 +70,7 @@ def matrix_to_json(mat: np.ndarray) -> dict:
 
 
 def matrix_from_json(obj: dict) -> np.ndarray:
-    """Decode the matrix encoding produced by `matrix_to_json`."""
+    """Decode the matrix encoding produced by `matrix_to_json`; entries must be finite."""
     try:
         rows = int(obj["rows"])
         cols = int(obj["cols"])
@@ -85,4 +85,6 @@ def matrix_from_json(obj: dict) -> np.ndarray:
     for i, pair in enumerate(data):
         re, im = pair
         flat[i] = complex(float(re), float(im))
+    if not np.isfinite(flat).all():
+        raise ValueError("matrix JSON contains non-finite values")
     return flat.reshape(rows, cols)

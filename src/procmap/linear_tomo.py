@@ -1,10 +1,12 @@
-"""Dual-frame linear process tomography, map application, and map diagnostics.
+"""Least-squares linear process tomography, map application, and map diagnostics.
 
 The process map Lambda is stored as an N^2 x N^2 Hermitian matrix with row
 composite index (r*N + r') and column composite index (s*N + s'), matching
-the layout of the displayed maps it is tested against; entry (rr', ss') is
-sum_n Q(n)[r,s] * conj(dual(n)[r',s']).  Acting on a state contracts the
-primed indices: out[r,s] = sum_{r's'} Lambda[rr',ss'] rho[r',s'].
+the layout of the displayed maps it is tested against.  Acting on a state
+contracts the primed indices: out[r,s] = sum_{r's'} Lambda[rr',ss'] rho[r',s'].
+Reconstruction fits the outputs as a linear function of the inputs
+(`records.fit` at degree 1); with exactly N^2 independent inputs this equals
+the dual-frame solution, and more records are fitted in the least-squares sense.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import numpy as np
 
 from . import jsonio
 from .qstate import dagger, hermiticity_residual
-from .records import TomographyRecord
+from .records import fit
 
 LAYOUT_TAG = "rrp-ssp"
 
@@ -50,70 +52,26 @@ class LinearProcessMap:
         return LinearProcessMap(dim=int(obj["dim"]), mat=jsonio.matrix_from_json(obj["lam"]))
 
 
-@dataclass(frozen=True)
-class DualFrame:
-    """Tomography inputs together with their Hilbert-Schmidt duals."""
-
-    inputs: tuple[np.ndarray, ...]
-    duals: tuple[np.ndarray, ...]
-
-    def biorthogonality_residual(self) -> float:
-        k = len(self.inputs)
-        res = 0.0
-        for m in range(k):
-            for n in range(k):
-                val = np.trace(dagger(self.duals[m]) @ self.inputs[n])
-                res = max(res, abs(val - (1.0 if m == n else 0.0)))
-        return float(res)
-
-
-def compute_duals(inputs) -> DualFrame:
-    """Duals of the input states under the Hilbert-Schmidt scalar product.
-
-    Inverts the Gram matrix G[m,n] = Tr[P(m)' P(n)]; requires exactly N^2
-    linearly independent inputs.
-    """
-    inputs = tuple(np.asarray(p, dtype=complex) for p in inputs)
-    if not inputs:
-        raise NotAFrame("no input states supplied")
-    n = inputs[0].shape[0]
-    if any(p.shape != (n, n) for p in inputs):
-        raise NotAFrame("input states have inconsistent dimensions")
-    k = len(inputs)
-    if k != n * n:
-        raise NotAFrame(f"need exactly {n * n} input states for dimension {n}, got {k}")
-    gram = np.empty((k, k), dtype=complex)
-    for m in range(k):
-        for j in range(k):
-            gram[m, j] = np.trace(dagger(inputs[m]) @ inputs[j])
-    if np.linalg.cond(gram) > 1e12:
-        raise NotAFrame("input states are not linearly independent (singular Gram matrix)")
-    ginv = np.linalg.inv(gram)
-    duals = tuple(
-        sum(ginv[j, m] * inputs[j] for j in range(k))
-        for m in range(k)
-    )
-    frame = DualFrame(inputs=inputs, duals=duals)
-    res = frame.biorthogonality_residual()
-    if res > 1e-10:
-        raise NotAFrame(f"computed duals violate biorthogonality (residual {res:.3e})")
-    return frame
+MAX_FRAME_COND = 1e12
 
 
 def reconstruct_linear_map(records) -> LinearProcessMap:
-    """Process map from exactly N^2 (input, output) record pairs.
+    """Process map fitted by least squares to N^2 or more (input, output) records.
 
-    Overdetermined record sets are rejected; least-squares fitting is out of
-    scope for this tool.
+    Raises NotAFrame unless the inputs span all N x N matrices with a design
+    condition number of at most MAX_FRAME_COND.
     """
     records = list(records)
     if not records:
         raise NotAFrame("no records supplied")
     n = records[0].input.shape[0]
-    frame = compute_duals([rec.input for rec in records])
-    lam4 = np.zeros((n, n, n, n), dtype=complex)
-    for rec, dual in zip(records, frame.duals):
-        lam4 += np.einsum("rs,pq->rpsq", np.asarray(rec.output, dtype=complex), np.conj(dual))
+    if any(np.shape(m) != (n, n) for rec in records for m in (rec.input, rec.output)):
+        raise NotAFrame("records have inconsistent dimensions")
+    result = fit(records, degree=1)
+    if result.rank < n * n or result.cond > MAX_FRAME_COND:
+        raise NotAFrame(f"inputs are not a tomography frame (rank {result.rank} of {n * n}, cond {result.cond:.3e})")
+    # coef[(r',s'), (r,s)] is the weight of rho[r',s'] in out[r,s].
+    lam4 = result.coef.reshape(n, n, n, n).transpose(2, 0, 3, 1)
     return LinearProcessMap(dim=n, mat=lam4.reshape(n * n, n * n))
 
 

@@ -254,52 +254,31 @@ def build_dilation(meas: GeneralizedMeasurement) -> tuple[np.ndarray, tuple[int,
     """Dilation unitary realizing `meas` with two ancillas of sizes (mu, N^2).
 
     Basis ordering |r, j, alpha> with composite index r*(mu*N^2) + j*N^2 + alpha.
-    Columns for |r', 0, 0> are fixed by the measurement; the remaining columns
-    are completed by Gram-Schmidt over standard basis vectors in index order,
-    skipping vectors whose residual norm falls below 1e-10.
+    Columns for |r', 0, 0> are fixed by the measurement; the remaining columns,
+    in index order, complete the unitary from a QR factorization of
+    [fixed columns | identity].
     """
     meas.validate()
     n, mu, n2 = _dilation_dims(meas)
     dim = n * mu * n2
 
-    def idx(r: int, j: int, alpha: int) -> int:
-        return r * (mu * n2) + j * n2 + alpha
+    blocks = np.zeros((n, mu, n2, n), dtype=complex)  # [r, j, alpha, r']
+    for j, omap in enumerate(meas.outcomes):
+        if len(omap.kraus) > n2:
+            raise InvalidMeasurement("an outcome map has more than N^2 Kraus terms")
+        for alpha, (w, c) in enumerate(zip(omap.weights, omap.kraus)):
+            blocks[:, j, alpha, :] = np.sqrt(w) * c
+    fixed = blocks.reshape(dim, n)
 
-    fixed_cols = np.zeros((dim, n), dtype=complex)
-    for rp in range(n):
-        col = np.zeros(dim, dtype=complex)
-        for j, omap in enumerate(meas.outcomes):
-            for alpha, (w, c) in enumerate(zip(omap.weights, omap.kraus)):
-                if alpha >= n2:
-                    raise InvalidMeasurement("an outcome map has more than N^2 Kraus terms")
-                coeff = np.sqrt(w)
-                for r in range(n):
-                    col[idx(r, j, alpha)] += coeff * c[r, rp]
-        fixed_cols[:, rp] = col
-
-    basis = [fixed_cols[:, rp] for rp in range(n)]
-    for k in range(dim):
-        if len(basis) == dim:
-            break
-        vec = np.zeros(dim, dtype=complex)
-        vec[k] = 1.0
-        for _ in range(2):  # re-orthogonalize for unitarity well below 1e-12
-            for b in basis:
-                vec = vec - np.vdot(b, vec) * b
-        norm = np.linalg.norm(vec)
-        if norm < 1e-10:
-            continue
-        basis.append(vec / norm)
-    if len(basis) != dim:
-        raise InvalidMeasurement("failed to complete the dilation unitary")
-
-    w_mat = np.zeros((dim, dim), dtype=complex)
-    fixed_positions = {idx(rp, 0, 0) for rp in range(n)}
-    for rp in range(n):
-        w_mat[:, idx(rp, 0, 0)] = basis[rp]
-    fill = (c for c in range(dim) if c not in fixed_positions)
-    for vec, col in zip(basis[n:], fill):
-        w_mat[:, col] = vec
+    q, r = np.linalg.qr(np.hstack([fixed, np.eye(dim)]))
+    # The fixed columns are orthonormal, so r[:n, :n] is diagonal with unit
+    # moduli; undoing those phases makes q[:, :n] reproduce them.
+    phases = np.diag(r)[:n]
+    q[:, :n] *= phases / np.abs(phases)
+    fixed_positions = np.arange(n) * (mu * n2)
+    w_mat = np.empty((dim, dim), dtype=complex)
+    w_mat[:, fixed_positions] = q[:, :n]
+    w_mat[:, np.setdiff1d(np.arange(dim), fixed_positions)] = q[:, n:]
     validate_unitary(w_mat, tol=1e-12)
     return w_mat, (mu, n2)
 

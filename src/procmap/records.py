@@ -1,7 +1,8 @@
-"""Tomography records and datasets: the unit of ingestion and protocol solving."""
+"""Tomography records and datasets, and the least-squares fit every protocol solves."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,11 +33,14 @@ class TomographyRecord:
 
     @staticmethod
     def from_json(obj: dict) -> "TomographyRecord":
+        gamma = float(obj["gamma"])
+        if not math.isfinite(gamma):
+            raise ValueError(f"record {obj['label']!r} has non-finite gamma {gamma!r}")
         return TomographyRecord(
             label=str(obj["label"]),
             input=jsonio.matrix_from_json(obj["input"]),
             output=jsonio.matrix_from_json(obj["output"]),
-            gamma=float(obj["gamma"]),
+            gamma=gamma,
         )
 
 
@@ -86,3 +90,44 @@ def record_map(records) -> dict[str, TomographyRecord]:
             raise ValueError(f"duplicate record label {rec.label!r}")
         out[rec.label] = rec
     return out
+
+
+@dataclass(frozen=True)
+class Fit:
+    """Least-squares fit of record outputs as a polynomial in the record inputs.
+
+    coef[i, (r*N + s)] is the coefficient of design column i in output entry
+    [r, s]; residuals holds each record's max-abs misfit, keyed by label.
+    """
+
+    coef: np.ndarray
+    residuals: dict[str, float]
+    rank: int
+    cond: float
+
+
+def fit(records, degree: int) -> Fit:
+    """One least-squares fit over all records.
+
+    Degree 1 fits Q against vec(P) (Q linear in the input P); degree 2 fits
+    gamma*Q against conj(vec P) (x) vec(P) (gamma*Q sesquilinear in P).  The
+    coefficients are the min-norm solution; `cond` is the condition number of
+    the design over its nonzero singular values.
+    """
+    if degree not in (1, 2):
+        raise ValueError(f"fit degree must be 1 or 2, got {degree}")
+    records = list(records)
+    k = len(records)
+    design = np.array([rec.input for rec in records], dtype=complex).reshape(k, -1)
+    target = np.array([rec.output for rec in records], dtype=complex).reshape(k, -1)
+    if degree == 2:
+        design = (np.conj(design)[:, :, None] * design[:, None, :]).reshape(k, -1)
+        target = np.array([rec.gamma for rec in records])[:, None] * target
+    coef, _, rank, sv = np.linalg.lstsq(design, target, rcond=None)
+    misfit = np.max(np.abs(design @ coef - target), axis=1)
+    return Fit(
+        coef=coef,
+        residuals={rec.label: float(m) for rec, m in zip(records, misfit)},
+        rank=int(rank),
+        cond=float(sv[0] / sv[rank - 1]) if rank else math.inf,
+    )

@@ -27,7 +27,6 @@ from .dynamics import (
 from .prep import (
     GeneralizedMeasurement,
     OutcomeMap,
-    PreparedState,
     apply_pin_map,
     prepare_generalized,
     prepare_projective,
@@ -85,8 +84,10 @@ def parse_scenario(obj: dict, name: str = "scenario") -> Scenario:
     try:
         dim_sys = int(obj.get("dimA", 2))
         dim_env = int(obj.get("dimB", 2))
-        if dim_sys <= 0 or dim_env <= 0:
-            raise ScenarioError("dimA and dimB must be positive")
+        if dim_sys != 2:
+            raise ScenarioError(f"dimA must be 2, got {dim_sys}: every protocol is qubit-only")
+        if dim_env <= 0:
+            raise ScenarioError("dimB must be positive")
 
         ham_obj = obj["hamiltonian"]
         if ham_obj == "heisenberg":
@@ -212,9 +213,7 @@ def _prepare_for_label(sc: Scenario, label: str):
         # gamma0, so the true input is not the assumed projector.
         phi = sc.phi if sc.phi is not None else np.array([[1, 0], [0, 0]], dtype=complex)
         v = rotation_between(ket_from_projector(phi), ket_from_projector(target))
-        big = tensor(v, np.eye(sc.dim_env))
-        joint = big @ sc.gamma0 @ big.conj().T
-        return PreparedState(joint=joint, gamma=1.0, label=label)
+        return prepare_stochastic(sc.gamma0, v, label=label)
     if sc.prep_method == "generalized":
         outcome = sc.generalized_labels.index(label)
         return prepare_generalized(sc.gamma0, sc.dim_sys, sc.dim_env, sc.measurement, outcome, label=label)

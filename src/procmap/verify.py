@@ -1,11 +1,13 @@
 """Linear vs bi-linear process verification from a 12-projection experiment.
 
 Twelve inputs grouped into six orthonormal pairs over-determine both map
-families: a linear process must satisfy eight sum rules among the outputs,
-and a bi-linear process must satisfy three consistency equations among the
-probability-weighted outputs.  The classifier tests linearity first, because
-a linear process with unit outcome probabilities trivially satisfies the
-bi-linear equations as well.
+families.  The outputs Q are fitted as a linear function of the input
+projector (4 free coefficient matrices, 8 redundant records), and the
+probability-weighted outputs gamma*Q as a sesquilinear form in it (9 free,
+3 redundant); each record's misfit is reported, and a family is accepted
+when every misfit is within tolerance.  The classifier tests linearity first,
+because a linear process with unit outcome probabilities fits the bi-linear
+form exactly as well.
 """
 
 from __future__ import annotations
@@ -14,17 +16,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bilinear_tomo import SQRT2, state_of_label
-from .records import MissingRecord, record_map
+from .bilinear_tomo import state_of_label
+from .records import MissingRecord, fit, record_map
 
 TWELVE_STATE_LABELS = (
     "1+", "1-", "2+", "2-", "3+", "3-",
     "4+", "4-", "5+", "5-", "6+", "6-",
 )
 PAIR_DIRECTIONS = ("1", "2", "3", "4", "5", "6")
-
-LINEAR_RULE_NAMES = ("Q2-", "Q3-", "Q4+", "Q4-", "Q5+", "Q5-", "Q6+", "Q6-")
-BILINEAR_RULE_NAMES = ("GQ4-", "GQ5-", "GQ6-")
+REPORT_SCHEMA = 2
 
 DEFAULT_TOL_LINEAR = 1e-6
 DEFAULT_TOL_BILINEAR = 1e-6
@@ -42,48 +42,6 @@ def _require(records) -> dict[str, np.ndarray]:
     if missing:
         raise MissingRecord(f"verification needs all 12 labels; missing: {', '.join(missing)}")
     return recs
-
-
-def linear_sum_rule_residuals(records) -> dict[str, float]:
-    """Max-abs entry of (LHS - RHS) for each of the eight output sum rules."""
-    recs = _require(records)
-    q = {label: np.asarray(recs[label].output, dtype=complex) for label in TWELVE_STATE_LABELS}
-    base = q["1+"] + q["1-"]
-    combos = {
-        "Q2-": (q["2-"], base - q["2+"]),
-        "Q3-": (q["3-"], base - q["3+"]),
-        "Q4+": (q["4+"], 0.5 * base + (q["2+"] - q["1-"]) / SQRT2),
-        "Q4-": (q["4-"], 0.5 * base - (q["2+"] - q["1-"]) / SQRT2),
-        "Q5+": (q["5+"], 0.5 * base + (q["3+"] - q["1-"]) / SQRT2),
-        "Q5-": (q["5-"], 0.5 * base - (q["3+"] - q["1-"]) / SQRT2),
-        "Q6+": (q["6+"], 0.5 * base + (q["2+"] + q["3+"] - base) / SQRT2),
-        "Q6-": (q["6-"], 0.5 * base - (q["2+"] + q["3+"] - base) / SQRT2),
-    }
-    return {name: float(np.max(np.abs(lhs - rhs))) for name, (lhs, rhs) in combos.items()}
-
-
-def bilinear_consistency_residuals(records) -> dict[str, float]:
-    """Max-abs entry of (LHS - RHS) for the three bi-linear consistency equations.
-
-    Each equation predicts the probability-weighted output of an opposite
-    diagonal projector from the nine protocol records.
-    """
-    recs = _require(records)
-    gq = {
-        label: recs[label].gamma * np.asarray(recs[label].output, dtype=complex)
-        for label in TWELVE_STATE_LABELS
-    }
-    residuals = {}
-    for name, (j, k), minus_label, plus_label in (
-        ("GQ4-", (1, 2), "4-", "4+"),
-        ("GQ5-", (1, 3), "5-", "5+"),
-        ("GQ6-", (2, 3), "6-", "6+"),
-    ):
-        rhs = (
-            gq[f"{j}-"] - gq[f"{j}+"] + gq[f"{k}-"] - gq[f"{k}+"]
-        ) / SQRT2 + gq[plus_label]
-        residuals[name] = float(np.max(np.abs(gq[minus_label] - rhs)))
-    return residuals
 
 
 def gamma_completeness(records) -> dict[str, float]:
@@ -106,6 +64,7 @@ class VerificationReport:
 
     def to_json(self) -> dict:
         return {
+            "schema": REPORT_SCHEMA,
             "verdict": self.verdict,
             "linear_residuals": {k: float(v) for k, v in self.linear_residuals.items()},
             "bilinear_residuals": {k: float(v) for k, v in self.bilinear_residuals.items()},
@@ -122,12 +81,16 @@ def classify(
 ) -> VerificationReport:
     """Classify a 12-record experiment as Linear, Bilinear, or Neither.
 
-    Gamma-completeness deviations are reported (and warned about above
-    GAMMA_WARN_THRESHOLD) but gate only data quality, never the verdict.
+    The residuals are the per-record misfits of the degree-1 and degree-2
+    fits over the twelve records.  Gamma-completeness deviations are reported
+    (and warned about above GAMMA_WARN_THRESHOLD) but gate only data quality,
+    never the verdict.
     """
-    linear = linear_sum_rule_residuals(records)
-    bilinear = bilinear_consistency_residuals(records)
-    gammas = gamma_completeness(records)
+    recs = _require(records)
+    twelve = [recs[label] for label in TWELVE_STATE_LABELS]
+    linear = fit(twelve, degree=1).residuals
+    bilinear = fit(twelve, degree=2).residuals
+    gammas = gamma_completeness(twelve)
 
     if all(v <= tol_linear for v in linear.values()):
         verdict = "Linear"

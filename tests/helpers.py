@@ -1,15 +1,25 @@
-"""Shared test oracles, independent of the library code paths they check."""
+"""Shared test oracles, independent of the library code paths they check.
+
+Besides scenario builders this holds the hand-derived solutions that the
+library replaced by one least-squares fit: the Hilbert-Schmidt dual frame of
+linear tomography, and the eight linear sum rules and three bi-linear
+consistency equations of the 12-state verification protocol.
+"""
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from procmap.bilinear_tomo import state_of_label
+from procmap.bilinear_tomo import SQRT2, state_of_label
 from procmap.dynamics import ProcessSpec, correlated_pair_state, heisenberg_hamiltonian, unitary_from_hamiltonian
+from procmap.linear_tomo import NotAFrame
 from procmap.prep import prepare_projective, prepare_stochastic, apply_pin_map
-from procmap.records import TomographyRecord
+from procmap.qstate import dagger
+from procmap.records import MissingRecord, TomographyRecord, record_map
+from procmap.verify import TWELVE_STATE_LABELS
 
 T_DEMO = math.pi / 8.0
 A2_DEMO = 0.5
@@ -111,3 +121,103 @@ def stochastic_records(spec: ProcessSpec, labels) -> list[TomographyRecord]:
         q = brute_force_output(spec.u, prepared.joint, spec.dim_sys, spec.dim_env)
         out.append(TomographyRecord(label=label, input=p, output=q, gamma=prepared.gamma))
     return out
+
+
+@dataclass(frozen=True)
+class DualFrame:
+    """Tomography inputs together with their Hilbert-Schmidt duals."""
+
+    inputs: tuple[np.ndarray, ...]
+    duals: tuple[np.ndarray, ...]
+
+    def biorthogonality_residual(self) -> float:
+        k = len(self.inputs)
+        res = 0.0
+        for m in range(k):
+            for n in range(k):
+                val = np.trace(dagger(self.duals[m]) @ self.inputs[n])
+                res = max(res, abs(val - (1.0 if m == n else 0.0)))
+        return float(res)
+
+
+def compute_duals(inputs) -> DualFrame:
+    """Duals of the input states under the Hilbert-Schmidt scalar product.
+
+    Inverts the Gram matrix G[m,n] = Tr[P(m)' P(n)]; requires exactly N^2
+    linearly independent inputs.
+    """
+    inputs = tuple(np.asarray(p, dtype=complex) for p in inputs)
+    if not inputs:
+        raise NotAFrame("no input states supplied")
+    n = inputs[0].shape[0]
+    if any(p.shape != (n, n) for p in inputs):
+        raise NotAFrame("input states have inconsistent dimensions")
+    k = len(inputs)
+    if k != n * n:
+        raise NotAFrame(f"need exactly {n * n} input states for dimension {n}, got {k}")
+    gram = np.empty((k, k), dtype=complex)
+    for m in range(k):
+        for j in range(k):
+            gram[m, j] = np.trace(dagger(inputs[m]) @ inputs[j])
+    if np.linalg.cond(gram) > 1e12:
+        raise NotAFrame("input states are not linearly independent (singular Gram matrix)")
+    ginv = np.linalg.inv(gram)
+    duals = tuple(
+        sum(ginv[j, m] * inputs[j] for j in range(k))
+        for m in range(k)
+    )
+    frame = DualFrame(inputs=inputs, duals=duals)
+    res = frame.biorthogonality_residual()
+    if res > 1e-10:
+        raise NotAFrame(f"computed duals violate biorthogonality (residual {res:.3e})")
+    return frame
+
+
+def _require(records) -> dict[str, np.ndarray]:
+    recs = record_map(records)
+    missing = [label for label in TWELVE_STATE_LABELS if label not in recs]
+    if missing:
+        raise MissingRecord(f"verification needs all 12 labels; missing: {', '.join(missing)}")
+    return recs
+
+
+def linear_sum_rule_residuals(records) -> dict[str, float]:
+    """Max-abs entry of (LHS - RHS) for each of the eight output sum rules."""
+    recs = _require(records)
+    q = {label: np.asarray(recs[label].output, dtype=complex) for label in TWELVE_STATE_LABELS}
+    base = q["1+"] + q["1-"]
+    combos = {
+        "Q2-": (q["2-"], base - q["2+"]),
+        "Q3-": (q["3-"], base - q["3+"]),
+        "Q4+": (q["4+"], 0.5 * base + (q["2+"] - q["1-"]) / SQRT2),
+        "Q4-": (q["4-"], 0.5 * base - (q["2+"] - q["1-"]) / SQRT2),
+        "Q5+": (q["5+"], 0.5 * base + (q["3+"] - q["1-"]) / SQRT2),
+        "Q5-": (q["5-"], 0.5 * base - (q["3+"] - q["1-"]) / SQRT2),
+        "Q6+": (q["6+"], 0.5 * base + (q["2+"] + q["3+"] - base) / SQRT2),
+        "Q6-": (q["6-"], 0.5 * base - (q["2+"] + q["3+"] - base) / SQRT2),
+    }
+    return {name: float(np.max(np.abs(lhs - rhs))) for name, (lhs, rhs) in combos.items()}
+
+
+def bilinear_consistency_residuals(records) -> dict[str, float]:
+    """Max-abs entry of (LHS - RHS) for the three bi-linear consistency equations.
+
+    Each equation predicts the probability-weighted output of an opposite
+    diagonal projector from the nine protocol records.
+    """
+    recs = _require(records)
+    gq = {
+        label: recs[label].gamma * np.asarray(recs[label].output, dtype=complex)
+        for label in TWELVE_STATE_LABELS
+    }
+    residuals = {}
+    for name, (j, k), minus_label, plus_label in (
+        ("GQ4-", (1, 2), "4-", "4+"),
+        ("GQ5-", (1, 3), "5-", "5+"),
+        ("GQ6-", (2, 3), "6-", "6+"),
+    ):
+        rhs = (
+            gq[f"{j}-"] - gq[f"{j}+"] + gq[f"{k}-"] - gq[f"{k}+"]
+        ) / SQRT2 + gq[plus_label]
+        residuals[name] = float(np.max(np.abs(gq[minus_label] - rhs)))
+    return residuals

@@ -1,0 +1,110 @@
+"""The CLI surface through `main(argv)`: exit codes, one-line diagnostics, oracle block."""
+
+import json
+
+import pytest
+
+from procmap import jsonio
+from procmap.cli import (
+    EXIT_BAD_CONFIG,
+    EXIT_MISSING_LABELS,
+    EXIT_NOT_A_FRAME,
+    EXIT_OK,
+    EXIT_ZERO_PROBABILITY,
+    main,
+)
+from procmap.scenarios import LINEAR4_LABELS, demo_scenario_config
+
+
+def run(argv, capsys):
+    """Exit code and stderr of one CLI call; a failure must be a one-line diagnostic."""
+    code = main([str(a) for a in argv])
+    err = capsys.readouterr().err
+    if code != EXIT_OK:
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+    return code, err
+
+
+def simulate(tmp_path, capsys, demo="measurement-correlated", **overrides):
+    """Simulate a demo scenario through the CLI; returns the parsed dataset JSON."""
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(jsonio.dumps({**demo_scenario_config(demo), **overrides}))
+    dataset = tmp_path / "dataset.json"
+    assert run(["simulate", scenario, "--out", dataset], capsys) == (EXIT_OK, "")
+    return json.loads(dataset.read_text())
+
+
+def write_dataset(tmp_path, obj):
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(obj))  # json writes NaN literally, as a hand-edited file might
+    return path
+
+
+def test_simulate_tomo_verify_succeed(tmp_path, capsys):
+    simulate(tmp_path, capsys)
+    dataset = tmp_path / "dataset.json"
+    for argv in (
+        ["tomo", dataset, "--mode", "linear"],
+        ["tomo", dataset, "--mode", "bilinear"],
+        ["verify", dataset],
+    ):
+        assert run(argv, capsys)[0] == EXIT_OK
+
+
+def test_non_finite_matrix_entry_is_bad_config(tmp_path, capsys):
+    obj = simulate(tmp_path, capsys)
+    obj["records"][0]["output"]["data"][0][0] = float("nan")
+    path = write_dataset(tmp_path, obj)
+    for mode in ("linear", "bilinear"):
+        assert run(["tomo", path, "--mode", mode], capsys)[0] == EXIT_BAD_CONFIG
+
+
+def test_non_finite_gamma_is_bad_config(tmp_path, capsys):
+    obj = simulate(tmp_path, capsys)
+    obj["records"][3]["gamma"] = float("nan")
+    assert run(["verify", write_dataset(tmp_path, obj)], capsys)[0] == EXIT_BAD_CONFIG
+
+
+def test_zero_gamma_record_exits_3(tmp_path, capsys):
+    obj = simulate(tmp_path, capsys)
+    obj["records"][0]["gamma"] = 0.0
+    path = write_dataset(tmp_path, obj)
+    assert run(["tomo", path, "--mode", "bilinear"], capsys)[0] == EXIT_ZERO_PROBABILITY
+
+
+def test_qudit_system_is_bad_config(tmp_path, capsys):
+    scenario = tmp_path / "qutrit.json"
+    scenario.write_text(jsonio.dumps({**demo_scenario_config("imperfect-pin"), "dimA": 3}))
+    code, err = run(["simulate", scenario], capsys)
+    assert code == EXIT_BAD_CONFIG
+    assert "dimA" in err
+
+
+def test_missing_label_exits_4(tmp_path, capsys):
+    obj = simulate(tmp_path, capsys)
+    obj["records"] = [r for r in obj["records"] if r["label"] != "6-"]
+    assert run(["verify", write_dataset(tmp_path, obj)], capsys)[0] == EXIT_MISSING_LABELS
+
+
+def test_equal_linear_inputs_are_not_a_frame(tmp_path, capsys):
+    obj = simulate(tmp_path, capsys)
+    first = next(r for r in obj["records"] if r["label"] == LINEAR4_LABELS[0])
+    for rec in obj["records"]:
+        if rec["label"] in LINEAR4_LABELS:
+            rec["input"] = first["input"]
+    path = write_dataset(tmp_path, obj)
+    assert run(["tomo", path, "--mode", "linear"], capsys)[0] == EXIT_NOT_A_FRAME
+
+
+@pytest.mark.parametrize(
+    "demo, emitted",
+    [("measurement-correlated", True), ("stochastic-heisenberg", False), ("imperfect-pin", False)],
+)
+def test_oracle_comparison_only_for_measurement_preparation(demo, emitted, tmp_path, capsys):
+    simulate(tmp_path, capsys, demo=demo)
+    out = tmp_path / "bilinear.json"
+    assert run(["tomo", tmp_path / "dataset.json", "--mode", "bilinear", "--out", out], capsys)[0] == EXIT_OK
+    payload = json.loads(out.read_text())
+    assert ("oracle_comparison" in payload) == emitted
+    if emitted:
+        assert payload["oracle_comparison"]["max_element_deviation"] < 1e-10

@@ -8,6 +8,7 @@ from helpers import (
     brute_force_output,
     closed_form_lambda_m,
     closed_form_lambda_s,
+    compute_duals,
     measured_records,
     rand_density,
     stochastic_records,
@@ -18,7 +19,6 @@ from procmap.linear_tomo import (
     LinearProcessMap,
     NotAFrame,
     apply_linear_map,
-    compute_duals,
     map_diagnostics,
     reconstruct_linear_map,
 )

@@ -1,17 +1,22 @@
 import numpy as np
 import pytest
 
-from helpers import measured_records, rand_density, stochastic_records, va_spec
+from helpers import (
+    bilinear_consistency_residuals,
+    linear_sum_rule_residuals,
+    measured_records,
+    rand_density,
+    stochastic_records,
+    va_spec,
+)
 from procmap.bilinear_tomo import state_of_label
 from procmap.dynamics import ProcessSpec
 from procmap.qstate import SIGMA_1, bloch_vector, is_projector, state_from_bloch, tensor
 from procmap.records import MissingRecord, TomographyRecord
 from procmap.verify import (
     TWELVE_STATE_LABELS,
-    bilinear_consistency_residuals,
     classify,
     gamma_completeness,
-    linear_sum_rule_residuals,
     twelve_state_inputs,
 )
 
@@ -102,7 +107,9 @@ def test_classify_linear():
 def test_classify_bilinear():
     report = classify(measured_records(va_spec(), TWELVE_STATE_LABELS), tol_linear=1e-10, tol_bilinear=1e-10)
     assert report.verdict == "Bilinear"
-    assert max(report.linear_residuals.values()) >= 0.1
+    # The per-record misfit of the linear fit is 0.083 here; the hand rules
+    # (checked in test_measurement_scenario_breaks_sum_rules) reach 0.2.
+    assert max(report.linear_residuals.values()) >= 0.05
     assert max(report.bilinear_residuals.values()) <= 1e-10
 
 
@@ -149,11 +156,10 @@ def test_residuals_invariant_under_pair_relabeling():
 def test_report_json_shape():
     report = classify(measured_records(va_spec(), TWELVE_STATE_LABELS))
     payload = report.to_json()
+    assert payload["schema"] == 2
     assert payload["verdict"] == "Bilinear"
-    assert set(payload["linear_residuals"]) == {
-        "Q2-", "Q3-", "Q4+", "Q4-", "Q5+", "Q5-", "Q6+", "Q6-",
-    }
-    assert set(payload["bilinear_residuals"]) == {"GQ4-", "GQ5-", "GQ6-"}
+    assert list(payload["linear_residuals"]) == list(TWELVE_STATE_LABELS)
+    assert list(payload["bilinear_residuals"]) == list(TWELVE_STATE_LABELS)
     assert set(payload["gamma_completeness"]) == set("123456")
     assert payload["thresholds"] == {"linear": 1e-6, "bilinear": 1e-6}
     assert payload["warnings"] == []
