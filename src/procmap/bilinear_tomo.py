@@ -122,7 +122,9 @@ def build_M_from_dynamics(spec) -> BilinearProcessMap:
     na, nb = spec.dim_sys, spec.dim_env
     u4 = np.asarray(spec.u, dtype=complex).reshape(na, nb, na, nb)
     g4 = np.asarray(spec.gamma0, dtype=complex).reshape(na, nb, na, nb)
-    raw = np.einsum("repa,xayb,seqb->rsxpyq", u4, g4, np.conj(u4))
+    # raw[r,s,x,p,y,q] = sum_{e,a,b} u4[r,e,p,a] g4[x,a,y,b] conj(u4[s,e,q,b]), as two BLAS products
+    ug = np.tensordot(u4, g4, axes=([3], [1]))
+    raw = np.tensordot(ug, np.conj(u4), axes=([1, 5], [1, 3])).transpose(0, 4, 2, 1, 3, 5)
     m = 0.5 * (raw + np.conj(raw).transpose(1, 0, 4, 5, 2, 3))
     return BilinearProcessMap(dim=na, m=m)
 

@@ -94,7 +94,8 @@ def run_process(spec: ProcessSpec, prepared: PreparedState) -> np.ndarray:
 def dynamical_map_fixed_env(u: np.ndarray, tau: np.ndarray) -> LinearProcessMap:
     """Linear map rho -> Tr_env[U (rho x tau) U'] in process-map storage.
 
-    Materialized by feeding the matrix-unit basis through the dynamics.
+    lam4[r,r',s,s'] = sum_{e,a,b} U[(r,e),(r',a)] tau[a,b] conj(U[(s,e),(s',b)]),
+    the output for the matrix unit |r'><s'|.
     """
     u = np.asarray(u, dtype=complex)
     tau = np.asarray(tau, dtype=complex)
@@ -102,13 +103,8 @@ def dynamical_map_fixed_env(u: np.ndarray, tau: np.ndarray) -> LinearProcessMap:
     if u.shape[0] % dim_env:
         raise ValueError("unitary dimension is not a multiple of the environment dimension")
     dim_sys = u.shape[0] // dim_env
-    lam4 = np.zeros((dim_sys, dim_sys, dim_sys, dim_sys), dtype=complex)
-    for rp in range(dim_sys):
-        for sp in range(dim_sys):
-            unit = np.zeros((dim_sys, dim_sys), dtype=complex)
-            unit[rp, sp] = 1.0
-            evolved = u @ tensor(unit, tau) @ dagger(u)
-            out = partial_trace_env(evolved, dim_sys, dim_env)
-            lam4[:, rp, :, sp] = out
+    u4 = u.reshape(dim_sys, dim_env, dim_sys, dim_env)
+    ut = np.tensordot(u4, tau, axes=([3], [0]))
+    lam4 = np.tensordot(ut, np.conj(u4), axes=([1, 3], [1, 3]))
     mat = lam4.reshape(dim_sys * dim_sys, dim_sys * dim_sys)
     return LinearProcessMap(dim=dim_sys, mat=mat)

@@ -3,10 +3,21 @@
 Every float is written with 17 significant digits so that doubles survive a
 serialize/parse round trip bit-exactly, and so repeated runs produce
 byte-identical artifacts.
+
+A float table (a non-empty list or tuple of equally long, non-empty lists or
+tuples whose every leaf is a Python `float`, such as the `data` block of
+`matrix_to_json` or a large matrix carried in a scenario) is written with a
+single `%`-format over all its leaves instead of one `format_float` call per
+leaf.  Its bytes are exactly those the per-element path would write: `%.17g`
+is `format(x, ".17g")`, and the integral values below 1e17 in magnitude, the
+only ones where `format_float` appends ".0", get a `%.1f` slot instead.
+Every other value, including tables holding ints, bools or numpy scalars,
+takes the per-element path.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from typing import Any
@@ -40,6 +51,8 @@ def _emit(obj: Any, indent: int, level: int) -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
+        if _is_float_table(obj):
+            return _emit_float_table(obj, indent, level)
         items = [_emit(v, indent, level + 1) for v in obj]
         return "[\n" + ",\n".join(pad + it for it in items) + "\n" + close_pad + "]"
     if isinstance(obj, dict):
@@ -52,6 +65,40 @@ def _emit(obj: Any, indent: int, level: int) -> str:
             parts.append(pad + json.dumps(key) + ": " + _emit(value, indent, level + 1))
         return "{\n" + ",\n".join(parts) + "\n" + close_pad + "}"
     raise TypeError(f"cannot serialize object of type {type(obj).__name__}")
+
+
+def _is_float_table(rows: list | tuple) -> bool:
+    """True when `rows` holds lists or tuples of one common non-zero length, all of floats."""
+    return (
+        set(map(type, rows)) <= {list, tuple}
+        and len(set(map(len, rows))) == 1
+        and len(rows[0]) > 0
+        and set(map(type, itertools.chain.from_iterable(rows))) == {float}
+    )
+
+
+def _emit_float_table(rows: list | tuple, indent: int, level: int) -> str:
+    """The per-element layout of a float table, written by one `%`-format."""
+    flat = tuple(itertools.chain.from_iterable(rows))
+    bad = next(itertools.filterfalse(math.isfinite, flat), None)
+    if bad is not None:
+        format_float(bad)  # raises the non-finite error
+    pad = " " * (indent * (level + 1))
+    leaf_pad = " " * (indent * (level + 2))
+    close_pad = " " * (indent * level)
+    ncols = len(rows[0])
+
+    def row_template(slots) -> str:
+        return pad + "[\n" + ",\n".join(leaf_pad + slot for slot in slots) + "\n" + pad + "]"
+
+    # Every row shares one template; only a row holding an integral value gets
+    # its own, with "%.1f" exactly where format_float would append ".0".
+    templates = [row_template(["%.17g"] * ncols)] * len(rows)
+    for i in itertools.compress(range(len(flat)), map(float.is_integer, flat)):
+        templates[i // ncols] = row_template(
+            "%.1f" if x.is_integer() and abs(x) < 1e17 else "%.17g" for x in rows[i // ncols]
+        )
+    return ("[\n" + ",\n".join(templates) + "\n" + close_pad + "]") % flat
 
 
 def dumps(obj: Any, indent: int = 2) -> str:
@@ -81,10 +128,9 @@ def matrix_from_json(obj: dict) -> np.ndarray:
         raise ValueError(f"matrix dimensions must be positive, got {rows}x{cols}")
     if len(data) != rows * cols:
         raise ValueError(f"matrix data length {len(data)} != rows*cols = {rows * cols}")
-    flat = np.empty(rows * cols, dtype=complex)
-    for i, pair in enumerate(data):
-        re, im = pair
-        flat[i] = complex(float(re), float(im))
-    if not np.isfinite(flat).all():
+    pairs = np.array(data, dtype=float)
+    if pairs.shape != (rows * cols, 2):
+        raise ValueError(f"matrix data must be {rows * cols} [re, im] pairs, got shape {pairs.shape}")
+    if not np.isfinite(pairs).all():
         raise ValueError("matrix JSON contains non-finite values")
-    return flat.reshape(rows, cols)
+    return pairs.view(complex)[:, 0].reshape(rows, cols)

@@ -128,6 +128,7 @@ def parse_scenario(obj: dict, name: str = "scenario") -> Scenario:
                 phi = jsonio.matrix_from_json(prep_obj["phi"])
         elif method == "generalized":
             measurement = GeneralizedMeasurement.from_json(prep_obj["measurement"])
+            measurement.validate()
             generalized_labels = tuple(str(x) for x in prep_obj["labels"])
             expected = PROTOCOL_LABELS[protocol]
             if sorted(generalized_labels) != sorted(expected):

@@ -3,11 +3,15 @@
 Besides scenario builders this holds the hand-derived solutions that the
 library replaced by one least-squares fit: the Hilbert-Schmidt dual frame of
 linear tomography, and the eight linear sum rules and three bi-linear
-consistency equations of the 12-state verification protocol.
+consistency equations of the 12-state verification protocol.  It also keeps
+the per-element paths that bulk operations replaced: the one-call-per-float
+JSON emitter, the entry-by-entry matrix decoder, the einsum contraction of
+the process tensor and the matrix-unit loop of the fixed-environment map.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 
@@ -17,7 +21,7 @@ from procmap.bilinear_tomo import SQRT2, state_of_label
 from procmap.dynamics import ProcessSpec, correlated_pair_state, heisenberg_hamiltonian, unitary_from_hamiltonian
 from procmap.linear_tomo import NotAFrame
 from procmap.prep import prepare_projective, prepare_stochastic, apply_pin_map
-from procmap.qstate import dagger
+from procmap.qstate import dagger, partial_trace_env, tensor
 from procmap.records import MissingRecord, TomographyRecord, record_map
 from procmap.verify import TWELVE_STATE_LABELS
 
@@ -221,3 +225,94 @@ def bilinear_consistency_residuals(records) -> dict[str, float]:
         ) / SQRT2 + gq[plus_label]
         residuals[name] = float(np.max(np.abs(gq[minus_label] - rhs)))
     return residuals
+
+
+def reference_format_float(x: float) -> str:
+    """Render a finite double with enough digits to round-trip exactly."""
+    if not math.isfinite(x):
+        raise ValueError(f"cannot serialize non-finite float {x!r}")
+    text = format(float(x), ".17g")
+    if not any(c in text for c in ".eE"):
+        text += ".0"  # keep JSON type float; preserves -0.0 through a round trip
+    return text
+
+
+def _reference_emit(obj, indent: int, level: int) -> str:
+    pad = " " * (indent * (level + 1))
+    close_pad = " " * (indent * level)
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool) or isinstance(obj, np.bool_):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return reference_format_float(float(obj))
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        items = [_reference_emit(v, indent, level + 1) for v in obj]
+        return "[\n" + ",\n".join(pad + it for it in items) + "\n" + close_pad + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        parts = []
+        for key, value in obj.items():
+            if not isinstance(key, str):
+                raise TypeError(f"JSON object keys must be strings, got {key!r}")
+            parts.append(pad + json.dumps(key) + ": " + _reference_emit(value, indent, level + 1))
+        return "{\n" + ",\n".join(parts) + "\n" + close_pad + "}"
+    raise TypeError(f"cannot serialize object of type {type(obj).__name__}")
+
+
+def reference_dumps(obj, indent: int = 2) -> str:
+    """The per-element emitter: one format_float call per float."""
+    return _reference_emit(obj, indent, 0) + "\n"
+
+
+def reference_matrix_from_json(obj: dict) -> np.ndarray:
+    """Entry-by-entry decode of the {"rows", "cols", "data"} matrix encoding."""
+    try:
+        rows = int(obj["rows"])
+        cols = int(obj["cols"])
+        data = obj["data"]
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed matrix JSON: {exc}") from exc
+    if rows <= 0 or cols <= 0:
+        raise ValueError(f"matrix dimensions must be positive, got {rows}x{cols}")
+    if len(data) != rows * cols:
+        raise ValueError(f"matrix data length {len(data)} != rows*cols = {rows * cols}")
+    flat = np.empty(rows * cols, dtype=complex)
+    for i, pair in enumerate(data):
+        re, im = pair
+        flat[i] = complex(float(re), float(im))
+    if not np.isfinite(flat).all():
+        raise ValueError("matrix JSON contains non-finite values")
+    return flat.reshape(rows, cols)
+
+
+def reference_raw_M(spec: ProcessSpec) -> np.ndarray:
+    """Unsymmetrized process tensor m[r,s,x,p,y,q] by one three-operand einsum."""
+    na, nb = spec.dim_sys, spec.dim_env
+    u4 = np.asarray(spec.u, dtype=complex).reshape(na, nb, na, nb)
+    g4 = np.asarray(spec.gamma0, dtype=complex).reshape(na, nb, na, nb)
+    return np.einsum("repa,xayb,seqb->rsxpyq", u4, g4, np.conj(u4))
+
+
+def reference_dynamical_map(u: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    """Fixed-environment map matrix by feeding each matrix unit through the dynamics."""
+    u = np.asarray(u, dtype=complex)
+    tau = np.asarray(tau, dtype=complex)
+    dim_env = tau.shape[0]
+    dim_sys = u.shape[0] // dim_env
+    lam4 = np.zeros((dim_sys, dim_sys, dim_sys, dim_sys), dtype=complex)
+    for rp in range(dim_sys):
+        for sp in range(dim_sys):
+            unit = np.zeros((dim_sys, dim_sys), dtype=complex)
+            unit[rp, sp] = 1.0
+            evolved = u @ tensor(unit, tau) @ dagger(u)
+            out = partial_trace_env(evolved, dim_sys, dim_env)
+            lam4[:, rp, :, sp] = out
+    return lam4.reshape(dim_sys * dim_sys, dim_sys * dim_sys)

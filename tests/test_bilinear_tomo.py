@@ -8,6 +8,7 @@ from helpers import (
     rand_density,
     rand_unit_bloch,
     rand_unitary,
+    reference_raw_M,
     va_spec,
 )
 from procmap.bilinear_tomo import (
@@ -68,6 +69,15 @@ def test_build_m_matches_loop_oracle():
     bmap = build_M_from_dynamics(ProcessSpec(2, 2, u, gamma0))
     oracle = loop_build_m(u, gamma0, 2, 2)
     assert np.max(np.abs(bmap.m - oracle)) < 1e-13
+
+
+@pytest.mark.parametrize("nb", [1, 2, 8, 32])
+def test_build_m_matches_einsum_oracle(nb):
+    rng = np.random.default_rng(46 + nb)
+    spec = ProcessSpec(2, nb, rand_unitary(rng, 2 * nb), rand_density(rng, 2 * nb))
+    bmap = build_M_from_dynamics(spec)
+    assert np.max(np.abs(bmap.m - reference_raw_M(spec))) < 1e-13
+    assert bmap.hermiticity_residual() == 0.0
 
 
 def test_build_m_identity_unitary_collapse():

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from procmap import jsonio
@@ -13,7 +14,9 @@ from procmap.cli import (
     EXIT_ZERO_PROBABILITY,
     main,
 )
+from procmap.qstate import bloch_vector
 from procmap.scenarios import LINEAR4_LABELS, demo_scenario_config
+from procmap.verify import TWELVE_STATE_LABELS
 
 
 def run(argv, capsys):
@@ -80,6 +83,24 @@ def test_qudit_system_is_bad_config(tmp_path, capsys):
     assert "dimA" in err
 
 
+def test_incomplete_generalized_measurement_is_bad_config(tmp_path, capsys):
+    half = jsonio.matrix_to_json(0.5 * np.eye(2))
+    outcome = {"weights": [1.0], "kraus": [half]}
+    config = {
+        **demo_scenario_config("stochastic-heisenberg"),
+        "preparation": {
+            "method": "generalized",
+            "measurement": {"outcomes": [outcome] * len(TWELVE_STATE_LABELS)},
+            "labels": list(TWELVE_STATE_LABELS),
+        },
+    }
+    scenario = tmp_path / "incomplete.json"
+    scenario.write_text(jsonio.dumps(config))
+    code, err = run(["simulate", scenario], capsys)
+    assert code == EXIT_BAD_CONFIG
+    assert "trace-preserving" in err
+
+
 def test_missing_label_exits_4(tmp_path, capsys):
     obj = simulate(tmp_path, capsys)
     obj["records"] = [r for r in obj["records"] if r["label"] != "6-"]
@@ -108,3 +129,32 @@ def test_oracle_comparison_only_for_measurement_preparation(demo, emitted, tmp_p
     assert ("oracle_comparison" in payload) == emitted
     if emitted:
         assert payload["oracle_comparison"]["max_element_deviation"] < 1e-10
+
+
+def simulate_shots(tmp_path, capsys, shots, seed, name):
+    """Finite-shot `simulate` of the measurement demo; returns the dataset file's text."""
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(jsonio.dumps(demo_scenario_config("measurement-correlated")))
+    out = tmp_path / name
+    argv = ["simulate", scenario, "--shots", shots, "--seed", seed, "--out", out]
+    assert run(argv, capsys) == (EXIT_OK, "")
+    return out.read_text()
+
+
+def test_finite_shot_dataset_is_seeded(tmp_path, capsys):
+    first = simulate_shots(tmp_path, capsys, 1000, 7, "a.json")
+    assert simulate_shots(tmp_path, capsys, 1000, 7, "b.json") == first
+    assert simulate_shots(tmp_path, capsys, 1000, 8, "c.json") != first
+    metadata = json.loads(first)["metadata"]
+    assert (metadata["shots"], metadata["seed"]) == ("1000", "7")
+
+
+def test_finite_shot_outputs_are_shot_counts(tmp_path, capsys):
+    obj = json.loads(simulate_shots(tmp_path, capsys, 1000, 7, "dataset.json"))
+    gammas = {}
+    for rec in obj["records"]:
+        ups = 500.0 * bloch_vector(jsonio.matrix_from_json(rec["output"])) + 500.0
+        assert np.max(np.abs(ups - np.round(ups))) < 1e-9, rec["label"]
+        gammas[rec["label"]] = rec["gamma"]
+    for direction in "123456":
+        assert gammas[f"{direction}+"] + gammas[f"{direction}-"] == pytest.approx(1.0, abs=1e-12)

@@ -9,6 +9,7 @@ from helpers import (
     closed_form_lambda_s,
     rand_density,
     rand_unitary,
+    reference_dynamical_map,
     va_spec,
 )
 from procmap.dynamics import (
@@ -159,3 +160,12 @@ def test_fixed_env_map_matches_brute_force():
         rho = rand_density(rng, 2)
         direct = brute_force_output(u, tensor(rho, tau), 2, 2)
         assert np.max(np.abs(apply_linear_map(lam, rho) - direct)) < 1e-12
+
+
+@pytest.mark.parametrize("dim_env", [1, 2, 4])
+def test_fixed_env_map_matches_matrix_unit_loop(dim_env):
+    rng = np.random.default_rng(26 + dim_env)
+    u = rand_unitary(rng, 2 * dim_env)
+    tau = rand_density(rng, dim_env)
+    lam = dynamical_map_fixed_env(u, tau)
+    assert np.max(np.abs(lam.mat - reference_dynamical_map(u, tau))) < 1e-13

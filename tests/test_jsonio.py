@@ -1,0 +1,110 @@
+"""The JSON layer against its per-element oracles: float-table emit and array decode."""
+
+import json
+import math
+
+import numpy as np
+import pytest
+
+from helpers import rand_density, reference_dumps, reference_matrix_from_json
+from procmap import jsonio
+
+
+def wide_scenario(dim_env: int = 64) -> dict:
+    """A dimB = 64 scenario as a parsed JSON file holds it: two 128x128 matrices of float pairs."""
+    rng = np.random.default_rng(3)
+    d = 2 * dim_env
+    a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    scenario = {
+        "dimA": 2,
+        "dimB": dim_env,
+        "hamiltonian": jsonio.matrix_to_json((a + a.conj().T) / (2.0 * math.sqrt(d))),
+        "t": 0.7,
+        "gamma0": jsonio.matrix_to_json(rand_density(rng, d)),
+        "preparation": {"method": "measurement"},
+        "protocol": "verify12",
+        "mixed_bloch": [0.25, -0.25, 0.0],
+    }
+    return json.loads(json.dumps(scenario))
+
+
+@pytest.mark.parametrize("indent", [0, 2])
+def test_wide_scenario_matches_oracle(indent):
+    scenario = wide_scenario()
+    assert jsonio.dumps(scenario, indent=indent) == reference_dumps(scenario, indent=indent)
+
+
+@pytest.mark.parametrize("indent", [0, 2, 4])
+def test_random_exponents_match_oracle(indent):
+    rng = np.random.default_rng(5)
+    mantissa = rng.uniform(-10.0, 10.0, size=3000)
+    exponent = rng.integers(-300, 301, size=3000)
+    values = (mantissa * 10.0 ** exponent.astype(float)).tolist()
+    for ncols in (1, 2, 3):
+        rows = [values[i : i + ncols] for i in range(0, 3000 - 2, ncols)]
+        assert jsonio.dumps(rows, indent=indent) == reference_dumps(rows, indent=indent)
+
+
+EDGE_VALUES = [
+    0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+    1e15, 1e16, -1e16, 9.999999999999998e16, 1e17, -1e17, 1e18, -1e18, 123456789012345.0,
+    2.0**53, 2.0**53 + 2.0, 0.5, -2.5, 1e-5, 1e-4, 0.1,
+]
+
+
+@pytest.mark.parametrize("indent", [0, 2, 4])
+@pytest.mark.parametrize("ncols", [1, 2, 3])
+def test_edge_values_match_oracle(indent, ncols):
+    values = EDGE_VALUES + [float(k) for k in range(-50, 50, 7)]
+    rows = [values[i : i + ncols] for i in range(0, len(values) - ncols + 1, ncols)]
+    for obj in (rows, tuple(tuple(r) for r in rows), {"data": rows, "t": 0.5}):
+        assert jsonio.dumps(obj, indent=indent) == reference_dumps(obj, indent=indent)
+
+
+@pytest.mark.parametrize(
+    "odd",
+    [1, True, None, np.float64(0.25), "0.25", [0.25, 0.5]],
+    ids=["int", "bool", "none", "np.float64", "str", "nested"],
+)
+def test_tables_with_other_leaves_fall_back(odd):
+    rows = [[0.5, -1.0], [odd, 2.0], [3e-9, 4.0]]
+    for indent in (0, 2):
+        assert jsonio.dumps(rows, indent=indent) == reference_dumps(rows, indent=indent)
+
+
+def test_ragged_and_scalar_lists_fall_back():
+    for obj in ([[0.5, 1.0], [2.0]], [[], []], [0.5, 1.0], [[0.5], (1.0,)], [[[0.5, 1.0]], [[2.0, 3.0]]]):
+        assert jsonio.dumps(obj) == reference_dumps(obj)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_float_in_table_raises(bad):
+    with pytest.raises(ValueError, match="non-finite"):
+        jsonio.dumps([[0.5, 1.0], [2.0, bad]])
+
+
+def test_matrix_decode_is_bit_identical_to_loop():
+    rng = np.random.default_rng(9)
+    for rows, cols in ((1, 1), (2, 2), (3, 5), (128, 128)):
+        obj = jsonio.matrix_to_json(rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols)))
+        obj["data"][0] = [-0.0, 5e-324]
+        got = jsonio.matrix_from_json(obj)
+        want = reference_matrix_from_json(obj)
+        assert got.shape == want.shape == (rows, cols)
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        [[1.0, 0.0], [1.0]],
+        [[1.0, 0.0], [1.0, 0.0, 0.0]],
+        [[1.0, 0.0]],
+        [[1.0, math.nan], [0.0, 0.0]],
+        [1.0, 0.0],
+    ],
+    ids=["ragged", "triple", "short", "nan", "flat"],
+)
+def test_malformed_matrix_data_raises(data):
+    with pytest.raises(ValueError):
+        jsonio.matrix_from_json({"rows": 1, "cols": 2, "data": data})
