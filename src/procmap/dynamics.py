@@ -28,14 +28,18 @@ from .qstate import (
 
 @dataclass(frozen=True)
 class ProcessSpec:
-    """An unknown process: joint unitary u acting on system x environment with initial gamma0."""
+    """An unknown process: joint unitary u acting on system x environment with initial gamma0.
+
+    Construction raises ValueError unless u is unitary and gamma0 is a density
+    matrix, both of the joint dimension.
+    """
 
     dim_sys: int
     dim_env: int
     u: np.ndarray
     gamma0: np.ndarray
 
-    def validate(self) -> None:
+    def __post_init__(self):
         d = self.dim_sys * self.dim_env
         if self.u.shape != (d, d):
             raise ValueError(f"unitary has shape {self.u.shape}, expected ({d}, {d})")

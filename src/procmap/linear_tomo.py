@@ -44,13 +44,6 @@ class LinearProcessMap:
     def to_json(self) -> dict:
         return {"dim": int(self.dim), "layout": LAYOUT_TAG, "lam": jsonio.matrix_to_json(self.mat)}
 
-    @staticmethod
-    def from_json(obj: dict) -> "LinearProcessMap":
-        layout = obj.get("layout", LAYOUT_TAG)
-        if layout != LAYOUT_TAG:
-            raise ValueError(f"unsupported linear map layout {layout!r}")
-        return LinearProcessMap(dim=int(obj["dim"]), mat=jsonio.matrix_from_json(obj["lam"]))
-
 
 MAX_FRAME_COND = 1e12
 

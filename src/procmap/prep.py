@@ -84,22 +84,13 @@ class GeneralizedMeasurement:
         return float(np.max(np.abs(acc - np.eye(n))))
 
     def validate(self, tol: float = STATE_TOL) -> None:
+        if not self.outcomes or not all(outcome.kraus for outcome in self.outcomes):
+            raise InvalidMeasurement("a measurement needs outcomes, each with a Kraus operator")
         res = self.completeness_residual()
         if res > tol:
             raise InvalidMeasurement(
                 f"measurement maps do not sum to a trace-preserving map (residual {res:.3e})"
             )
-
-    def to_json(self) -> dict:
-        return {
-            "outcomes": [
-                {
-                    "weights": [float(w) for w in outcome.weights],
-                    "kraus": [jsonio.matrix_to_json(c) for c in outcome.kraus],
-                }
-                for outcome in self.outcomes
-            ]
-        }
 
     @staticmethod
     def from_json(obj: dict) -> "GeneralizedMeasurement":

@@ -36,12 +36,16 @@ class TomographyRecord:
         gamma = float(obj["gamma"])
         if not math.isfinite(gamma):
             raise ValueError(f"record {obj['label']!r} has non-finite gamma {gamma!r}")
-        return TomographyRecord(
+        record = TomographyRecord(
             label=str(obj["label"]),
             input=jsonio.matrix_from_json(obj["input"]),
             output=jsonio.matrix_from_json(obj["output"]),
             gamma=gamma,
         )
+        shapes = {record.input.shape, record.output.shape}
+        if shapes != {(2, 2)}:
+            raise ValueError(f"record {record.label!r} has shapes {sorted(shapes)}; every protocol is qubit-only")
+        return record
 
 
 @dataclass(frozen=True)
@@ -78,7 +82,10 @@ class Dataset:
     @staticmethod
     def from_json(obj: dict) -> "Dataset":
         records = tuple(TomographyRecord.from_json(r) for r in obj["records"])
-        metadata = {str(k): str(v) for k, v in obj.get("metadata", {}).items()}
+        metadata = obj.get("metadata", {})
+        if not isinstance(metadata, dict):
+            raise ValueError(f"metadata must be a JSON object, got {type(metadata).__name__}")
+        metadata = {str(k): str(v) for k, v in metadata.items()}
         return Dataset(records=records, metadata=metadata)
 
 

@@ -59,7 +59,7 @@ class Scenario:
     name: str
     dim_sys: int
     dim_env: int
-    hamiltonian: np.ndarray
+    spec: ProcessSpec
     t: float
     gamma0: np.ndarray
     protocol: str
@@ -74,13 +74,16 @@ class Scenario:
     seed: int | None = None
     raw: dict = field(default_factory=dict, compare=False)
 
-    def spec(self) -> ProcessSpec:
-        u = unitary_from_hamiltonian(self.hamiltonian, self.t)
-        return ProcessSpec(dim_sys=self.dim_sys, dim_env=self.dim_env, u=u, gamma0=self.gamma0)
+
+def _require_object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ScenarioError(f"{what} must be a JSON object, got {type(value).__name__}")
+    return value
 
 
 def parse_scenario(obj: dict, name: str = "scenario") -> Scenario:
     """Validate and expand a scenario JSON object; raises ScenarioError."""
+    _require_object(obj, "a scenario")
     try:
         dim_sys = int(obj.get("dimA", 2))
         dim_env = int(obj.get("dimB", 2))
@@ -97,18 +100,22 @@ def parse_scenario(obj: dict, name: str = "scenario") -> Scenario:
         else:
             hamiltonian = jsonio.matrix_from_json(ham_obj)
         t = float(obj.get("t", 0.0))
+        if not math.isfinite(t):
+            raise ScenarioError(f"t must be finite, got {t}")
 
         g_obj = obj["gamma0"]
         if isinstance(g_obj, dict) and "bloch_a" in g_obj:
             gamma0 = correlated_pair_state(g_obj["bloch_a"], float(g_obj.get("c23", 0.0)))
         else:
             gamma0 = jsonio.matrix_from_json(g_obj)
+        u = unitary_from_hamiltonian(hamiltonian, t)
+        spec = ProcessSpec(dim_sys=dim_sys, dim_env=dim_env, u=u, gamma0=gamma0)
 
         protocol = str(obj.get("protocol", "verify12"))
         if protocol not in PROTOCOL_LABELS:
             raise ScenarioError(f"unknown protocol {protocol!r}; expected one of {sorted(PROTOCOL_LABELS)}")
 
-        prep_obj = obj.get("preparation", {"method": "stochastic"})
+        prep_obj = _require_object(obj.get("preparation", {"method": "stochastic"}), "preparation")
         method = str(prep_obj.get("method", "stochastic"))
         if method not in PREPARATION_METHODS:
             raise ScenarioError(f"unknown preparation method {method!r}")
@@ -141,8 +148,8 @@ def parse_scenario(obj: dict, name: str = "scenario") -> Scenario:
         mixed_bloch = None
         if "mixed_bloch" in obj:
             mixed_bloch = np.asarray(obj["mixed_bloch"], dtype=float)
-            if mixed_bloch.shape != (3,):
-                raise ScenarioError("mixed_bloch must be a 3-vector")
+            if mixed_bloch.shape != (3,) or not np.all(np.isfinite(mixed_bloch)):
+                raise ScenarioError("mixed_bloch must be a finite 3-vector")
             if float(np.dot(mixed_bloch, mixed_bloch)) >= 1.0:
                 raise ScenarioError("mixed_bloch must have norm strictly below 1")
             if method != "measurement":
@@ -154,12 +161,14 @@ def parse_scenario(obj: dict, name: str = "scenario") -> Scenario:
             raise ScenarioError("shots must be positive")
         seed = obj.get("seed")
         seed = int(seed) if seed is not None else None
+        if seed is not None and seed < 0:
+            raise ScenarioError("seed must be non-negative")
 
         return Scenario(
             name=name,
             dim_sys=dim_sys,
             dim_env=dim_env,
-            hamiltonian=hamiltonian,
+            spec=spec,
             t=t,
             gamma0=gamma0,
             protocol=protocol,
@@ -252,8 +261,7 @@ def _degraded_gammas(rng: np.random.Generator, sc: Scenario, exact: dict[str, fl
 
 def simulate_scenario(sc: Scenario) -> Dataset:
     """Run the preparation + process pipeline for every protocol label."""
-    spec = sc.spec()
-    spec.validate()
+    spec = sc.spec
     labels = list(PROTOCOL_LABELS[sc.protocol])
     prepared = [_prepare_for_label(sc, label) for label in labels]
     records = []

@@ -84,7 +84,9 @@ def classify(
     The residuals are the per-record misfits of the degree-1 and degree-2
     fits over the twelve records.  Gamma-completeness deviations are reported
     (and warned about above GAMMA_WARN_THRESHOLD) but gate only data quality,
-    never the verdict.
+    never the verdict.  When every record has gamma = 1 the preparation was
+    not selective, so the completeness check does not apply and gives no
+    warnings.
     """
     recs = _require(records)
     twelve = [recs[label] for label in TWELVE_STATE_LABELS]
@@ -99,10 +101,11 @@ def classify(
     else:
         verdict = "Neither"
 
+    selective = any(rec.gamma != 1.0 for rec in twelve)
     warnings = tuple(
         f"gamma completeness violated in direction {d}: deviation {dev:+.4f}"
         for d, dev in gammas.items()
-        if abs(dev) > GAMMA_WARN_THRESHOLD
+        if selective and abs(dev) > GAMMA_WARN_THRESHOLD
     )
     return VerificationReport(
         linear_residuals=linear,

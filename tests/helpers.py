@@ -7,6 +7,8 @@ consistency equations of the 12-state verification protocol.  It also keeps
 the per-element paths that bulk operations replaced: the one-call-per-float
 JSON emitter, the entry-by-entry matrix decoder, the einsum contraction of
 the process tensor and the matrix-unit loop of the fixed-environment map.
+Last come the field-by-field bi-linear element table and its prediction loop,
+which the stacked table and its probe contraction replaced.
 """
 
 from __future__ import annotations
@@ -17,11 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from procmap.bilinear_tomo import SQRT2, state_of_label
+from procmap.bilinear_tomo import CROSS_PAIRS, SQRT2, MixedWithoutUnitUnit, ZeroGamma, basis_element, state_of_label
 from procmap.dynamics import ProcessSpec, correlated_pair_state, heisenberg_hamiltonian, unitary_from_hamiltonian
 from procmap.linear_tomo import NotAFrame
 from procmap.prep import prepare_projective, prepare_stochastic, apply_pin_map
-from procmap.qstate import dagger, partial_trace_env, tensor
+from procmap.qstate import IDENTITY_2, PAULIS, dagger, partial_trace_env, tensor
 from procmap.records import MissingRecord, TomographyRecord, record_map
 from procmap.verify import TWELVE_STATE_LABELS
 
@@ -316,3 +318,63 @@ def reference_dynamical_map(u: np.ndarray, tau: np.ndarray) -> np.ndarray:
             out = partial_trace_env(evolved, dim_sys, dim_env)
             lam4[:, rp, :, sp] = out
     return lam4.reshape(dim_sys * dim_sys, dim_sys * dim_sys)
+
+
+@dataclass(frozen=True)
+class HandElementTable:
+    """The bi-linear element table as one field per combination.
+
+    diag_plus[j]  = <1|M|1> + <sigma_j|M|sigma_j>
+    linear[j]     = <1|M|sigma_j> + <sigma_j|M|1>
+    cross[(j,k)]  = <sigma_j|M|sigma_k> + <sigma_k|M|sigma_j>
+    unit_unit     = <1|M|1>
+    """
+
+    diag_plus: tuple[np.ndarray, np.ndarray, np.ndarray]
+    linear: tuple[np.ndarray, np.ndarray, np.ndarray]
+    cross: dict[tuple[int, int], np.ndarray]
+    unit_unit: np.ndarray | None = None
+
+    def stacked(self) -> np.ndarray:
+        """The fields in the order of `MElementTable.elements`."""
+        mats = list(self.diag_plus) + list(self.linear) + [self.cross[jk] for jk in CROSS_PAIRS]
+        if self.unit_unit is not None:
+            mats.append(self.unit_unit)
+        return np.array(mats)
+
+
+def reference_element_table(bmap) -> HandElementTable:
+    """Element table by direct contraction of M with the {1, sigma_j} basis."""
+    unit = basis_element(bmap, IDENTITY_2, IDENTITY_2)
+    diag_plus = tuple(unit + basis_element(bmap, s, s) for s in PAULIS)
+    linear = tuple(
+        basis_element(bmap, IDENTITY_2, s) + basis_element(bmap, s, IDENTITY_2) for s in PAULIS
+    )
+    cross = {}
+    for j, k in CROSS_PAIRS:
+        sj, sk = PAULIS[j - 1], PAULIS[k - 1]
+        cross[(j, k)] = basis_element(bmap, sj, sk) + basis_element(bmap, sk, sj)
+    return HandElementTable(diag_plus=diag_plus, linear=linear, cross=cross, unit_unit=unit)
+
+
+def reference_predict_output(table: HandElementTable, p) -> tuple[float, np.ndarray]:
+    """Outcome probability and output state for Bloch vector p, term by term."""
+    p = np.asarray(p, dtype=float)
+    norm_sq = float(np.dot(p, p))
+    pure = abs(norm_sq - 1.0) <= 1e-10
+    if not pure and table.unit_unit is None:
+        raise MixedWithoutUnitUnit(
+            f"Bloch norm {np.sqrt(norm_sq):.6f} < 1 but the table has no <1|M|1> element"
+        )
+    four_gq = np.zeros((2, 2), dtype=complex)
+    if not pure:
+        four_gq += (1.0 - norm_sq) * table.unit_unit
+    for j in range(3):
+        four_gq += p[j] ** 2 * table.diag_plus[j] + p[j] * table.linear[j]
+    for j, k in CROSS_PAIRS:
+        four_gq += p[j - 1] * p[k - 1] * table.cross[(j, k)]
+    gamma = float(np.trace(four_gq).real) / 4.0
+    if gamma <= 1e-12:
+        raise ZeroGamma(f"predicted outcome probability {gamma:.3e} is not positive")
+    q = four_gq / (4.0 * gamma)
+    return gamma, 0.5 * (q + np.conj(q).T)

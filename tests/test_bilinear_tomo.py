@@ -1,3 +1,6 @@
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,9 +11,12 @@ from helpers import (
     rand_density,
     rand_unit_bloch,
     rand_unitary,
+    reference_element_table,
+    reference_predict_output,
     reference_raw_M,
     va_spec,
 )
+from procmap import jsonio
 from procmap.bilinear_tomo import (
     CROSS_PAIRS,
     NINE_STATE_LABELS,
@@ -37,7 +43,7 @@ from procmap.qstate import (
     state_from_bloch,
     tensor,
 )
-from procmap.records import MissingRecord, TomographyRecord
+from procmap.records import MissingRecord, TomographyRecord, fit
 
 
 def loop_build_m(u: np.ndarray, gamma0: np.ndarray, na: int, nb: int) -> np.ndarray:
@@ -190,10 +196,8 @@ def test_solve_elements_matches_direct_contractions():
     records = measured_records(spec, NINE_STATE_LABELS)
     table = solve_M_elements(records)
     direct = element_table_from_map(build_M_from_dynamics(spec))
-    for got, want in zip(table.diag_plus + table.linear, direct.diag_plus + direct.linear):
-        assert np.max(np.abs(got - want)) < 1e-10
-    for jk in CROSS_PAIRS:
-        assert np.max(np.abs(table.cross[jk] - direct.cross[jk])) < 1e-10
+    assert table.elements.shape == (9, 2, 2)
+    assert np.max(np.abs(table.elements - direct.elements[:9])) < 1e-10
     assert table.unit_unit is None
     assert table.hermiticity_residual() < 1e-10
 
@@ -213,8 +217,8 @@ def test_solve_elements_identity_process_hand_algebra():
         minus = state_from_bloch([-a for a in axis])
         d_want = 2.0 * (plus @ rho @ plus + minus @ rho @ minus)
         y_want = 2.0 * (plus @ rho @ plus - minus @ rho @ minus)
-        assert np.max(np.abs(table.diag_plus[j - 1] - d_want)) < 1e-12
-        assert np.max(np.abs(table.linear[j - 1] - y_want)) < 1e-12
+        assert np.max(np.abs(table.elements[j - 1] - d_want)) < 1e-12
+        assert np.max(np.abs(table.elements[j + 2] - y_want)) < 1e-12
 
 
 def test_cross_term_coefficient_form():
@@ -223,13 +227,13 @@ def test_cross_term_coefficient_form():
     records = {rec.label: rec for rec in measured_records(spec, NINE_STATE_LABELS)}
     table = solve_M_elements(records.values())
     sqrt2 = np.sqrt(2.0)
-    for (j, k), pair_label in zip(CROSS_PAIRS, ("4+", "5+", "6+")):
+    for i, ((j, k), pair_label) in enumerate(zip(CROSS_PAIRS, ("4+", "5+", "6+"))):
         terms = -2.0 * (1.0 + sqrt2) * records[f"{j}+"].gamma * records[f"{j}+"].output
         terms = terms - 2.0 * (1.0 - sqrt2) * records[f"{j}-"].gamma * records[f"{j}-"].output
         terms = terms - 2.0 * (1.0 + sqrt2) * records[f"{k}+"].gamma * records[f"{k}+"].output
         terms = terms - 2.0 * (1.0 - sqrt2) * records[f"{k}-"].gamma * records[f"{k}-"].output
         terms = terms + 8.0 * records[pair_label].gamma * records[pair_label].output
-        assert np.max(np.abs(table.cross[(j, k)] - terms)) < 1e-12
+        assert np.max(np.abs(table.elements[6 + i] - terms)) < 1e-12
 
 
 def test_solve_elements_requires_all_labels():
@@ -296,20 +300,62 @@ def test_mixed_record_resolves_unit_unit():
         assert np.max(np.abs(q - gq / gamma_direct)) < 1e-10
 
 
-def test_bilinear_map_json_roundtrip():
-    spec = va_spec()
-    bmap = build_M_from_dynamics(spec)
-    back = BilinearProcessMap.from_json(bmap.to_json())
-    assert back.dim == 2
-    assert np.array_equal(back.m, bmap.m)
-
-
 def test_element_table_json_roundtrip():
     spec = va_spec()
     table = element_table_from_map(build_M_from_dynamics(spec))
-    back = MElementTable.from_json(table.to_json())
-    for got, want in zip(back.diag_plus + back.linear, table.diag_plus + table.linear):
-        assert np.array_equal(got, want)
-    for jk in CROSS_PAIRS:
-        assert np.array_equal(back.cross[jk], table.cross[jk])
-    assert np.array_equal(back.unit_unit, table.unit_unit)
+    obj = json.loads(jsonio.dumps(table.to_json()))
+    assert list(obj) == ["D", "Y", "Z", "unit_unit"]
+    assert list(obj["Z"]) == ["12", "13", "23"]
+    mats = obj["D"] + obj["Y"] + [obj["Z"][f"{j}{k}"] for j, k in CROSS_PAIRS] + [obj["unit_unit"]]
+    back = np.array([jsonio.matrix_from_json(m) for m in mats])
+    assert np.array_equal(back, table.elements)
+    assert "unit_unit" not in MElementTable(table.elements[:9]).to_json()
+
+
+@pytest.mark.parametrize("nb", [1, 2, 8])
+def test_stacked_table_matches_hand_oracle(nb):
+    rng = np.random.default_rng(50 + nb)
+    for _ in range(20):
+        bmap = build_M_from_dynamics(ProcessSpec(2, nb, rand_unitary(rng, 2 * nb), rand_density(rng, 2 * nb)))
+        table = element_table_from_map(bmap)
+        assert table.elements.shape == (10, 2, 2)
+        assert np.max(np.abs(table.elements - reference_element_table(bmap).stacked())) < 1e-13
+        assert table.hermiticity_residual() < 1e-13
+
+
+@pytest.mark.parametrize("with_mixed", [False, True])
+def test_solved_table_matches_hand_oracle(with_mixed):
+    spec = va_spec()
+    records = measured_records(spec, NINE_STATE_LABELS)
+    mixed = None
+    if with_mixed:
+        x = state_from_bloch([0.5, 0.0, 0.0])
+        big_x = tensor(x, IDENTITY_2)
+        gq = brute_force_output(spec.u, big_x @ spec.gamma0 @ big_x, 2, 2)
+        mixed = TomographyRecord("mixed", x, gq / np.trace(gq).real, np.trace(gq).real)
+    table = solve_M_elements(records, mixed_record=mixed)
+    # The hand algebra applied to the tensor the same degree-2 fit stands for.
+    fitted = records + ([mixed] if with_mixed else [])
+    m = fit(fitted, degree=2).coef.reshape((2,) * 6).transpose(4, 5, 0, 1, 2, 3)
+    want = reference_element_table(BilinearProcessMap(dim=2, m=m)).stacked()[: len(fitted)]
+    assert table.elements.shape == (len(fitted), 2, 2)
+    assert np.max(np.abs(table.elements - want)) < 1e-13
+
+
+def test_predict_output_matches_hand_oracle():
+    rng = np.random.default_rng(51)
+    bmap = build_M_from_dynamics(ProcessSpec(2, 2, rand_unitary(rng, 4), rand_density(rng, 4)))
+    table = element_table_from_map(bmap)
+    hand = reference_element_table(bmap)
+    pure_table = MElementTable(table.elements[:9])
+    pure_hand = replace(hand, unit_unit=None)
+    mixed = [rng.uniform(-0.5, 0.5, size=3) for _ in range(20)]
+    for v in [rand_unit_bloch(rng) for _ in range(100)] + mixed:
+        cases = [(table, hand)] + ([(pure_table, pure_hand)] if abs(np.dot(v, v) - 1.0) < 1e-10 else [])
+        for got_table, want_table in cases:
+            gamma, q = predict_output(got_table, v)
+            gamma_want, q_want = reference_predict_output(want_table, v)
+            assert abs(gamma - gamma_want) < 1e-12
+            assert np.max(np.abs(q - q_want)) < 1e-12
+    with pytest.raises(MixedWithoutUnitUnit):
+        predict_output(pure_table, mixed[0])

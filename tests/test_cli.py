@@ -101,6 +101,58 @@ def test_incomplete_generalized_measurement_is_bad_config(tmp_path, capsys):
     assert "trace-preserving" in err
 
 
+MEASUREMENT = demo_scenario_config("measurement-correlated")
+PINNED = demo_scenario_config("imperfect-pin")
+STOCHASTIC = demo_scenario_config("stochastic-heisenberg")
+BAD_SCENARIOS = {
+    "top-level-array": [STOCHASTIC],
+    "preparation-string": {**MEASUREMENT, "preparation": "measurement"},
+    "t-nan": {**MEASUREMENT, "t": float("nan")},
+    "t-infinity": {**MEASUREMENT, "t": float("inf")},
+    "mixed-bloch-nan": {**MEASUREMENT, "mixed_bloch": [float("nan"), 0.0, 0.0]},
+    "dimB-3-with-4x4-hamiltonian": {**PINNED, "dimB": 3},
+    "gamma0-3x3": {**PINNED, "gamma0": jsonio.matrix_to_json(np.eye(3) / 3.0)},
+    "non-hermitian-hamiltonian": {**PINNED, "hamiltonian": jsonio.matrix_to_json(np.triu(np.ones((4, 4))))},
+    "negative-gamma0": {**PINNED, "gamma0": jsonio.matrix_to_json(np.diag([1.5, -0.5, 0.0, 0.0]))},
+    "negative-seed": {**STOCHASTIC, "shots": 100, "seed": -1},
+    "empty-measurement": {
+        **STOCHASTIC,
+        "preparation": {"method": "generalized", "measurement": {"outcomes": []}, "labels": []},
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SCENARIOS))
+def test_malformed_scenario_is_bad_config(case, tmp_path, capsys):
+    scenario = tmp_path / "bad.json"
+    scenario.write_text(json.dumps(BAD_SCENARIOS[case]))  # json writes NaN and Infinity literally
+    assert run(["simulate", scenario], capsys)[0] == EXIT_BAD_CONFIG
+
+
+def resize_records(obj, labels, dim):
+    """Replace the input and output of the labeled records by dim x dim identities."""
+    for rec in obj["records"]:
+        if rec["label"] in labels:
+            rec["input"] = rec["output"] = jsonio.matrix_to_json(np.eye(dim))
+    return obj
+
+
+@pytest.mark.parametrize(
+    "edit, commands",
+    [
+        (lambda obj: resize_records(obj, TWELVE_STATE_LABELS + ("mixed",), 1), ["verify"]),
+        (lambda obj: resize_records(obj, ("2+",), 3), ["verify", "bilinear"]),
+        (lambda obj: {**obj, "metadata": [1]}, ["verify", "linear", "bilinear"]),
+    ],
+    ids=["all-1x1", "one-3x3", "metadata-list"],
+)
+def test_malformed_dataset_is_bad_config(edit, commands, tmp_path, capsys):
+    path = write_dataset(tmp_path, edit(simulate(tmp_path, capsys)))
+    for command in commands:
+        argv = ["verify", path] if command == "verify" else ["tomo", path, "--mode", command]
+        assert run(argv, capsys)[0] == EXIT_BAD_CONFIG
+
+
 def test_missing_label_exits_4(tmp_path, capsys):
     obj = simulate(tmp_path, capsys)
     obj["records"] = [r for r in obj["records"] if r["label"] != "6-"]

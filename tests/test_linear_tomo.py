@@ -172,11 +172,3 @@ def test_diagnostics_lambda_s():
     assert np.allclose(diag.eigenvalues, [0.25, 0.25, 0.25, 1.25], atol=1e-12)
     assert diag.min_eigenvalue >= -1e-12
 
-
-def test_map_json_roundtrip():
-    lam = LinearProcessMap(dim=2, mat=closed_form_lambda_m(T_DEMO, 0.5, 0.3))
-    back = LinearProcessMap.from_json(lam.to_json())
-    assert back.dim == 2
-    assert np.array_equal(back.mat, lam.mat)
-    with pytest.raises(ValueError):
-        LinearProcessMap.from_json({"dim": 2, "layout": "other", "lam": lam.to_json()["lam"]})

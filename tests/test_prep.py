@@ -1,7 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 from helpers import rand_density, va_spec
+from procmap import jsonio
 from procmap.prep import (
     GeneralizedMeasurement,
     InvalidMeasurement,
@@ -259,7 +262,13 @@ def test_generalized_outcome_probabilities_sum_to_one():
 def test_generalized_json_roundtrip():
     rng = np.random.default_rng(12)
     meas = random_measurement(rng, 3)
-    back = GeneralizedMeasurement.from_json(meas.to_json())
+    obj = {
+        "outcomes": [
+            {"weights": list(outcome.weights), "kraus": [jsonio.matrix_to_json(c) for c in outcome.kraus]}
+            for outcome in meas.outcomes
+        ]
+    }
+    back = GeneralizedMeasurement.from_json(json.loads(jsonio.dumps(obj)))
     assert back.completeness_residual() < 1e-12
     for a, b in zip(meas.outcomes, back.outcomes):
         assert a.weights == b.weights
