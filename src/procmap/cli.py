@@ -65,41 +65,47 @@ def _write_output(payload: dict, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _load_json(path: str) -> dict:
+def _load_json(path: str) -> tuple[str, dict]:
+    """The file's exact text, decoded as UTF-8, and the JSON object it holds."""
     try:
-        with open(path) as handle:
-            obj = json.load(handle)
+        text = Path(path).read_bytes().decode("utf-8")
+        obj = json.loads(text)
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
     except (OSError, json.JSONDecodeError) as exc:
         raise ScenarioError(f"cannot read JSON from {path}: {exc}") from exc
     if not isinstance(obj, dict):
         raise ScenarioError(f"{path} does not hold a JSON object")
-    return obj
+    return text, obj
 
 
 def _load_dataset(path: str) -> Dataset:
-    obj = _load_json(path)
+    _, obj = _load_json(path)
     try:
         return Dataset.from_json(obj)
     except (KeyError, TypeError, ValueError) as exc:
         raise ScenarioError(f"malformed dataset {path}: {exc}") from exc
 
 
-def _embedded_scenario(dataset: Dataset):
+def _oracle_scenario(dataset: Dataset):
+    """The embedded scenario, if it prepares by measurement: the only preparation the oracle models."""
     text = dataset.metadata.get("scenario_json", "")
-    if not text.strip():
+    # The metadata names the preparation, so other datasets decode nothing.
+    if dataset.metadata.get("preparation") != "measurement" or not text.strip():
         return None
     try:
-        return parse_scenario(json.loads(text), name=dataset.metadata.get("scenario", "embedded"))
+        scenario = parse_scenario(json.loads(text), name=dataset.metadata.get("scenario", "embedded"))
     except (ScenarioError, json.JSONDecodeError):
         return None
+    return scenario if scenario.prep_method == "measurement" else None
 
 
 def cmd_simulate(args) -> int:
-    obj = _load_json(args.scenario)
+    text, obj = _load_json(args.scenario)
     for key in ("shots", "seed"):
         if getattr(args, key) is not None:
             obj[key] = getattr(args, key)
-    dataset = simulate_scenario(parse_scenario(obj, name=Path(args.scenario).stem))
+    dataset = simulate_scenario(parse_scenario(obj, name=Path(args.scenario).stem, text=text))
     _write_output(dataset.to_json(), args.out)
     return EXIT_OK
 
@@ -118,9 +124,8 @@ def _tomo_bilinear(dataset: Dataset) -> dict:
         mixed = dataset.get(MIXED_LABEL)
     table = solve_M_elements(records, mixed_record=mixed)
     payload = {"mode": "bilinear", "elements": table.to_json()}
-    scenario = _embedded_scenario(dataset)
-    # The oracle models preparation by measurement only.
-    if scenario is not None and scenario.prep_method == "measurement":
+    scenario = _oracle_scenario(dataset)
+    if scenario is not None:
         oracle = element_table_from_map(build_M_from_dynamics(scenario.spec))
         deviation = np.max(np.abs(table.elements - oracle.elements[: len(table.elements)]))
         payload["oracle_comparison"] = {"max_element_deviation": float(deviation)}
@@ -164,7 +169,7 @@ def cmd_demo(args) -> int:
     out_dir = Path(args.out or args.name)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    scenario = parse_scenario(config, name=args.name)
+    scenario = parse_scenario(config, name=args.name, text=jsonio.dumps(config, indent=0))
     dataset = simulate_scenario(scenario)
     (out_dir / "scenario.json").write_text(jsonio.dumps(config))
     (out_dir / "dataset.json").write_text(jsonio.dumps(dataset.to_json()))

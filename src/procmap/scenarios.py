@@ -6,12 +6,16 @@ protocol labels in order, prepares each input, runs the process, and collects
 (input, output, gamma) records.  An optional finite-shot mode degrades the
 exact probabilities and outputs to multinomial estimates from a seeded
 generator.
+
+The dataset embeds the scenario's JSON text as given (`metadata.scenario_json`),
+so its sha256 is that of the scenario file.  Shot-count and seed overrides are
+not written into that text; they live in the `shots` and `seed` metadata.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -72,7 +76,9 @@ class Scenario:
     mixed_bloch: np.ndarray | None = None
     shots: int | None = None
     seed: int | None = None
-    raw: dict = field(default_factory=dict, compare=False)
+    # The JSON text the scenario was decoded from, embedded verbatim in the
+    # dataset; `shots` and `seed` above may override what it says.
+    text: str = ""
 
 
 def _require_object(value, what: str) -> dict:
@@ -81,8 +87,8 @@ def _require_object(value, what: str) -> dict:
     return value
 
 
-def parse_scenario(obj: dict, name: str = "scenario") -> Scenario:
-    """Validate and expand a scenario JSON object; raises ScenarioError."""
+def parse_scenario(obj: dict, name: str = "scenario", text: str = "") -> Scenario:
+    """Validate and expand a scenario JSON object decoded from `text`; raises ScenarioError."""
     _require_object(obj, "a scenario")
     try:
         dim_sys = int(obj.get("dimA", 2))
@@ -99,6 +105,9 @@ def parse_scenario(obj: dict, name: str = "scenario") -> Scenario:
             hamiltonian = heisenberg_hamiltonian()
         else:
             hamiltonian = jsonio.matrix_from_json(ham_obj)
+            joint = (dim_sys * dim_env,) * 2
+            if hamiltonian.shape != joint:
+                raise ScenarioError(f"hamiltonian has shape {hamiltonian.shape}, expected {joint}")
         t = float(obj.get("t", 0.0))
         if not math.isfinite(t):
             raise ScenarioError(f"t must be finite, got {t}")
@@ -181,7 +190,7 @@ def parse_scenario(obj: dict, name: str = "scenario") -> Scenario:
             mixed_bloch=mixed_bloch,
             shots=shots,
             seed=seed,
-            raw=dict(obj),
+            text=text,
         )
     except ScenarioError:
         raise
@@ -290,7 +299,7 @@ def simulate_scenario(sc: Scenario) -> Dataset:
         "t": jsonio.format_float(sc.t),
         "shots": "exact" if sc.shots is None else str(sc.shots),
         "seed": "" if sc.seed is None else str(sc.seed),
-        "scenario_json": jsonio.dumps(sc.raw, indent=0) if sc.raw else "",
+        "scenario_json": sc.text,
     }
     return Dataset(records=tuple(records), metadata=metadata)
 

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from procmap import jsonio
+from procmap import cli, jsonio
 from procmap.cli import (
     EXIT_BAD_CONFIG,
     EXIT_MISSING_LABELS,
@@ -15,7 +15,7 @@ from procmap.cli import (
     main,
 )
 from procmap.qstate import bloch_vector
-from procmap.scenarios import LINEAR4_LABELS, demo_scenario_config
+from procmap.scenarios import LINEAR4_LABELS, demo_scenario_config, parse_scenario
 from procmap.verify import TWELVE_STATE_LABELS
 
 
@@ -122,11 +122,38 @@ BAD_SCENARIOS = {
 }
 
 
+# A word the one-line diagnostic of each malformed scenario must contain.
+BAD_SCENARIO_WORDS = {
+    "top-level-array": "JSON object",
+    "preparation-string": "preparation",
+    "t-nan": "t must be finite",
+    "t-infinity": "t must be finite",
+    "mixed-bloch-nan": "mixed_bloch",
+    "dimB-3-with-4x4-hamiltonian": "hamiltonian",
+    "gamma0-3x3": "gamma0",
+    "non-hermitian-hamiltonian": "Hermitian",
+    "negative-gamma0": "negative eigenvalue",
+    "negative-seed": "seed",
+    "empty-measurement": "outcomes",
+}
+
+
 @pytest.mark.parametrize("case", sorted(BAD_SCENARIOS))
 def test_malformed_scenario_is_bad_config(case, tmp_path, capsys):
     scenario = tmp_path / "bad.json"
     scenario.write_text(json.dumps(BAD_SCENARIOS[case]))  # json writes NaN and Infinity literally
-    assert run(["simulate", scenario], capsys)[0] == EXIT_BAD_CONFIG
+    code, err = run(["simulate", scenario], capsys)
+    assert code == EXIT_BAD_CONFIG
+    assert BAD_SCENARIO_WORDS[case] in err
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+def test_non_utf8_input_is_bad_config(command, tmp_path, capsys):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe" + "{}".encode("utf-16-le"))
+    code, err = run([command, path], capsys)
+    assert code == EXIT_BAD_CONFIG
+    assert "UTF-8" in err
 
 
 def resize_records(obj, labels, dim):
@@ -181,6 +208,58 @@ def test_oracle_comparison_only_for_measurement_preparation(demo, emitted, tmp_p
     assert ("oracle_comparison" in payload) == emitted
     if emitted:
         assert payload["oracle_comparison"]["max_element_deviation"] < 1e-10
+
+
+@pytest.mark.parametrize("demo", ["measurement-correlated", "stochastic-heisenberg", "imperfect-pin"])
+def test_oracle_decodes_only_measurement_datasets(demo, tmp_path, capsys, monkeypatch):
+    simulate(tmp_path, capsys, demo=demo)
+    calls = []
+
+    def counting_parse(*args, **kwargs):
+        calls.append(args)
+        return parse_scenario(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "parse_scenario", counting_parse)
+    assert run(["tomo", tmp_path / "dataset.json", "--mode", "bilinear"], capsys)[0] == EXIT_OK
+    assert len(calls) == (demo == "measurement-correlated")
+
+
+@pytest.mark.parametrize("shot_args", [[], ["--shots", 1000, "--seed", 7]], ids=["exact", "shots"])
+def test_dataset_embeds_the_scenario_file_verbatim(shot_args, tmp_path, capsys):
+    config = {**PINNED, "t": 0.1, "note": "γ₀ = 0.7 |0⟩⟨0| ⊗ 1/2 + 0.3 χ"}
+    # The stdlib's shortest-repr floats, non-ASCII text and CRLF line ends are
+    # none of them what procmap would write.
+    text = json.dumps(config, indent=1, ensure_ascii=False).replace("\n", "\r\n")
+    assert text not in (jsonio.dumps(json.loads(text)), jsonio.dumps(json.loads(text), indent=0))
+    scenario = tmp_path / "scenario.json"
+    scenario.write_bytes(text.encode("utf-8"))
+    dataset = tmp_path / "dataset.json"
+    assert run(["simulate", scenario, "--out", dataset, *shot_args], capsys) == (EXIT_OK, "")
+    metadata = json.loads(dataset.read_text())["metadata"]
+    assert metadata["scenario_json"].encode("utf-8") == scenario.read_bytes()
+    assert (metadata["shots"], metadata["seed"]) == (("1000", "7") if shot_args else ("exact", ""))
+
+
+def test_oracle_holds_on_a_random_wide_measurement_scenario(tmp_path, capsys):
+    rng = np.random.default_rng(8)
+    dim = 2 * 8
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    g = a @ a.conj().T
+    config = {
+        "dimA": 2,
+        "dimB": 8,
+        "hamiltonian": jsonio.matrix_to_json(a + a.conj().T),
+        "t": 0.3,
+        "gamma0": jsonio.matrix_to_json(g / np.trace(g).real),
+        "preparation": {"method": "measurement"},
+        "protocol": "verify12",
+    }
+    scenario = tmp_path / "wide.json"
+    scenario.write_text(json.dumps(config))  # the stdlib's shortest-repr floats, not procmap's
+    dataset, out = tmp_path / "dataset.json", tmp_path / "bilinear.json"
+    assert run(["simulate", scenario, "--out", dataset], capsys) == (EXIT_OK, "")
+    assert run(["tomo", dataset, "--mode", "bilinear", "--out", out], capsys)[0] == EXIT_OK
+    assert json.loads(out.read_text())["oracle_comparison"]["max_element_deviation"] < 1e-10
 
 
 def simulate_shots(tmp_path, capsys, shots, seed, name):
