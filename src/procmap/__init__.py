@@ -10,10 +10,8 @@ from .bilinear_tomo import (
     BilinearProcessMap,
     MElementTable,
     NINE_STATE_LABELS,
-    apply_bilinear,
     build_M_from_dynamics,
     element_table_from_map,
-    nine_state_inputs,
     predict_output,
     solve_M_elements,
 )
@@ -25,6 +23,7 @@ from .dynamics import (
     run_process,
     unitary_from_hamiltonian,
 )
+from .errors import ProcmapError
 from .linear_tomo import (
     LinearProcessMap,
     NotAFrame,
@@ -39,9 +38,6 @@ from .prep import (
     PreparedState,
     ZeroProbabilityOutcome,
     apply_pin_map,
-    build_dilation,
-    measure_generalized_via_dilation,
-    measure_generalized_via_maps,
     prepare_generalized,
     prepare_projective,
     prepare_stochastic,
@@ -52,7 +48,6 @@ from .verify import (
     VerificationReport,
     classify,
     gamma_completeness,
-    twelve_state_inputs,
 )
 
 __version__ = "0.1.0"

@@ -12,8 +12,8 @@ tensor built from the joint unitary and the initial system-environment state:
 
 stored here as an ndarray m[r, s, r'', r', s'', s'].  Composite indices pack
 the system index first: (i, a) -> i * dim_env + a.  The stored tensor is
-Hermitian in the exact sense conj(m[r,s,x,p,y,q]) = m[s,r,y,q,x,p] and has
-unit trace sum_{r,p,x} m[r,r,x,p,x,p].
+Hermitian in the exact sense conj(m[r,s,x,p,y,q]) = m[s,r,y,q,x,p], and its
+full trace sum_{r,p,x} m[r,r,x,p,x,p] is the system dimension, not 1.
 
 The nine-projection qubit protocol determines every element combination of M
 needed to predict the output state and outcome probability for an arbitrary
@@ -62,17 +62,8 @@ class MixedWithoutUnitUnit(Exception):
     """Prediction for a mixed preparation requires the <1|M|1> element."""
 
 
-def bloch_of_label(label: str) -> np.ndarray:
-    return np.asarray(_BLOCH_BY_LABEL[label], dtype=float)
-
-
 def state_of_label(label: str) -> np.ndarray:
-    return state_from_bloch(bloch_of_label(label))
-
-
-def nine_state_inputs() -> list[np.ndarray]:
-    """The nine protocol projectors, ordered as NINE_STATE_LABELS."""
-    return [state_of_label(label) for label in NINE_STATE_LABELS]
+    return state_from_bloch(_BLOCH_BY_LABEL[label])
 
 
 @dataclass(frozen=True)
@@ -86,15 +77,6 @@ class BilinearProcessMap:
         n = self.dim
         if self.m.shape != (n,) * 6:
             raise ValueError(f"tensor has shape {self.m.shape}, expected {(n,) * 6}")
-
-    def trace(self) -> complex:
-        return complex(np.einsum("rrxpxp->", self.m))
-
-    def hermiticity_residual(self) -> float:
-        return float(np.max(np.abs(np.conj(self.m) - self.m.transpose(1, 0, 4, 5, 2, 3))))
-
-    def is_exactly_hermitian(self) -> bool:
-        return bool(np.array_equal(np.conj(self.m), self.m.transpose(1, 0, 4, 5, 2, 3)))
 
 
 def build_M_from_dynamics(spec) -> BilinearProcessMap:
@@ -111,16 +93,6 @@ def build_M_from_dynamics(spec) -> BilinearProcessMap:
     raw = np.tensordot(ug, np.conj(u4), axes=([1, 5], [1, 3])).transpose(0, 4, 2, 1, 3, 5)
     m = 0.5 * (raw + np.conj(raw).transpose(1, 0, 4, 5, 2, 3))
     return BilinearProcessMap(dim=na, m=m)
-
-
-def basis_element(bmap: BilinearProcessMap, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix element <A|M|B>[r,s] = sum conj(A[r'',r']) m[r,s,r'',r',s'',s'] B[s'',s']."""
-    return np.einsum("xp,rsxpyq,yq->rs", np.conj(np.asarray(a, dtype=complex)), bmap.m, np.asarray(b, dtype=complex))
-
-
-def apply_bilinear(bmap: BilinearProcessMap, p: np.ndarray) -> np.ndarray:
-    """Unnormalized output gamma*Q = <P|M|P>; callers normalize by its trace."""
-    return basis_element(bmap, p, p)
 
 
 _BASIS = (IDENTITY_2,) + PAULIS
@@ -162,9 +134,6 @@ class MElementTable:
     @property
     def unit_unit(self) -> np.ndarray | None:
         return self.elements[9] if len(self.elements) > 9 else None
-
-    def hermiticity_residual(self) -> float:
-        return float(np.max(np.abs(self.elements - np.conj(self.elements).transpose(0, 2, 1))))
 
     def to_json(self) -> dict:
         mats = [jsonio.matrix_to_json(m) for m in self.elements]

@@ -1,10 +1,13 @@
 """Command-line surface: simulate, tomo, verify, and demo.
 
 stdout carries JSON only; human diagnostics go to stderr (ANSI-colored on a
-terminal unless PROCMAP_NO_COLOR is set).  Exit codes: 0 success, 2 malformed
-config or dataset (including non-finite numbers and system dimensions other
-than 2), 3 zero-probability preparation or a dataset record with gamma = 0,
-4 missing record labels, 5 input states that do not form a tomography frame.
+terminal unless PROCMAP_NO_COLOR is set).  Exit codes, each the `exit_code`
+of the `ProcmapError` subclasses named:
+  0  success
+  2  ScenarioError, InvalidMeasurement: malformed config or dataset
+  3  ZeroProbabilityOutcome, ZeroGamma: zero-probability preparation or record
+  4  MissingRecord: missing record labels
+  5  NotAFrame: input states that do not form a tomography frame
 """
 
 from __future__ import annotations
@@ -24,10 +27,10 @@ from .bilinear_tomo import (
     element_table_from_map,
     solve_M_elements,
 )
-from .linear_tomo import NotAFrame, apply_linear_map, map_diagnostics, reconstruct_linear_map
-from .prep import ZeroProbabilityOutcome
+from .errors import EXIT_OK, ProcmapError
+from .linear_tomo import apply_linear_map, map_diagnostics, reconstruct_linear_map
 from .qstate import bloch_vector
-from .records import Dataset, MissingRecord
+from .records import Dataset
 from .scenarios import (
     DEMO_NAMES,
     LINEAR4_LABELS,
@@ -38,12 +41,6 @@ from .scenarios import (
     simulate_scenario,
 )
 from .verify import TWELVE_STATE_LABELS, classify
-
-EXIT_OK = 0
-EXIT_BAD_CONFIG = 2
-EXIT_ZERO_PROBABILITY = 3
-EXIT_MISSING_LABELS = 4
-EXIT_NOT_A_FRAME = 5
 
 
 def _use_color() -> bool:
@@ -88,15 +85,19 @@ def _load_dataset(path: str) -> Dataset:
 
 
 def _oracle_scenario(dataset: Dataset):
-    """The embedded scenario, if it prepares by measurement: the only preparation the oracle models."""
+    """The embedded scenario, if it prepares by measurement: the only preparation the oracle models.
+
+    An empty `scenario_json` means no oracle; one that does not decode to a
+    valid scenario is a malformed dataset.
+    """
     text = dataset.metadata.get("scenario_json", "")
     # The metadata names the preparation, so other datasets decode nothing.
     if dataset.metadata.get("preparation") != "measurement" or not text.strip():
         return None
     try:
         scenario = parse_scenario(json.loads(text), name=dataset.metadata.get("scenario", "embedded"))
-    except (ScenarioError, json.JSONDecodeError):
-        return None
+    except (ProcmapError, json.JSONDecodeError) as exc:
+        raise ScenarioError(f"dataset metadata scenario_json is not a valid scenario: {exc}") from exc
     return scenario if scenario.prep_method == "measurement" else None
 
 
@@ -275,18 +276,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ScenarioError as exc:
+    except ProcmapError as exc:
         _diag(str(exc))
-        return EXIT_BAD_CONFIG
-    except ZeroProbabilityOutcome as exc:
-        _diag(str(exc))
-        return EXIT_ZERO_PROBABILITY
-    except MissingRecord as exc:
-        _diag(str(exc))
-        return EXIT_MISSING_LABELS
-    except NotAFrame as exc:
-        _diag(str(exc))
-        return EXIT_NOT_A_FRAME
+        return exc.exit_code
 
 
 if __name__ == "__main__":

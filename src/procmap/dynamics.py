@@ -46,7 +46,7 @@ class ProcessSpec:
         if self.gamma0.shape != (d, d):
             raise ValueError(f"gamma0 has shape {self.gamma0.shape}, expected ({d}, {d})")
         validate_unitary(self.u)
-        validate_density_matrix(self.gamma0)
+        validate_density_matrix(self.gamma0, what="gamma0")
 
 
 def heisenberg_hamiltonian() -> np.ndarray:
@@ -76,7 +76,7 @@ def correlated_pair_state(bloch_a, c23: float) -> np.ndarray:
 
 def unitary_from_hamiltonian(h: np.ndarray, t: float) -> np.ndarray:
     """exp(-i h t) computed through the Hermitian eigendecomposition of h."""
-    w, v = eig_hermitian(h, tol=1e-10)
+    w, v = eig_hermitian(h, tol=1e-10, what="hamiltonian")
     u = (v * np.exp(-1j * w * t)) @ dagger(v)
     validate_unitary(u, tol=1e-12)
     return u

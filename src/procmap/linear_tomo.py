@@ -16,14 +16,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jsonio
+from .errors import EXIT_NOT_A_FRAME, ProcmapError
 from .qstate import dagger, hermiticity_residual
 from .records import fit
 
 LAYOUT_TAG = "rrp-ssp"
 
 
-class NotAFrame(Exception):
+class NotAFrame(ProcmapError):
     """The supplied input states do not form an invertible tomography frame."""
+
+    exit_code = EXIT_NOT_A_FRAME
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,8 @@
 
 Covers the stochastic route (pin map to a fixed pure state followed by a
 unitary rotation), preparation by von Neumann measurement (projection with
-renormalization), and generalized measurements given as sets of positive
-trace-reducing maps, including their realization as a dilation unitary plus
-a von Neumann readout on an ancilla.
+renormalization), and preparation by one outcome of a generalized measurement
+given as a set of positive trace-reducing maps acting on the system factor.
 """
 
 from __future__ import annotations
@@ -14,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jsonio
+from .errors import EXIT_ZERO_PROBABILITY, ProcmapError
 from .qstate import (
     STATE_TOL,
     dagger,
@@ -26,11 +26,13 @@ from .qstate import (
 ZERO_PROBABILITY_TOL = 1e-12
 
 
-class ZeroProbabilityOutcome(Exception):
+class ZeroProbabilityOutcome(ProcmapError):
     """The requested preparation outcome has (numerically) zero probability."""
 
+    exit_code = EXIT_ZERO_PROBABILITY
 
-class InvalidMeasurement(ValueError):
+
+class InvalidMeasurement(ProcmapError):
     """A generalized measurement violates the completeness condition."""
 
 
@@ -49,12 +51,6 @@ class OutcomeMap:
             raise ValueError("weights and kraus lists must have equal length")
         if any(w < 0 for w in self.weights):
             raise ValueError("outcome-map weights must be nonnegative")
-
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(np.asarray(rho, dtype=complex))
-        for w, c in zip(self.weights, self.kraus):
-            out += w * (c @ rho @ dagger(c))
-        return out
 
 
 @dataclass(frozen=True)
@@ -117,18 +113,11 @@ def _check_pure(target: np.ndarray, tol: float) -> None:
         raise ValueError("pin target must be a pure state (largest eigenvalue 1)")
 
 
-def apply_pin_map(
-    gamma0: np.ndarray,
-    dim_sys: int,
-    dim_env: int,
-    target: np.ndarray,
-    env_state: np.ndarray | None = None,
-) -> np.ndarray:
+def apply_pin_map(gamma0: np.ndarray, dim_sys: int, dim_env: int, target: np.ndarray) -> np.ndarray:
     """Pin the system to a fixed pure state, decoupling it from the environment.
 
-    The resulting joint is target (x) tau.  By default tau is the environment
-    marginal of gamma0; pass `env_state` to realize a pin map with a different
-    fixed environment state.
+    The resulting joint is target (x) tau, where tau is the environment
+    marginal of gamma0.
     """
     gamma0 = np.asarray(gamma0, dtype=complex)
     d = dim_sys * dim_env
@@ -138,8 +127,7 @@ def apply_pin_map(
     if target.shape != (dim_sys, dim_sys):
         raise ValueError("pin target dimension does not match the system")
     _check_pure(target, STATE_TOL)
-    tau = partial_trace_sys(gamma0, dim_sys, dim_env) if env_state is None else env_state
-    return tensor(target, tau)
+    return tensor(target, partial_trace_sys(gamma0, dim_sys, dim_env))
 
 
 def prepare_stochastic(joint_pinned: np.ndarray, v: np.ndarray, label: str = "") -> PreparedState:
@@ -214,84 +202,10 @@ def perpendicular_ket(ket: np.ndarray) -> np.ndarray:
     return np.array([-np.conj(ket[1]), np.conj(ket[0])])
 
 
-def rotation_between(phi_ket: np.ndarray, psi_ket: np.ndarray) -> np.ndarray:
-    """Qubit unitary V with V|phi> = |psi>, built as |psi><phi| + |psi_perp><phi_perp|."""
-    phi = np.asarray(phi_ket, dtype=complex)
-    psi = np.asarray(psi_ket, dtype=complex)
-    v = np.outer(psi, np.conj(phi)) + np.outer(perpendicular_ket(psi), np.conj(perpendicular_ket(phi)))
+def rotation_between(from_ket: np.ndarray, to_ket: np.ndarray) -> np.ndarray:
+    """Qubit unitary V with V|a> = |b>, built as |b><a| + |b_perp><a_perp|."""
+    a = np.asarray(from_ket, dtype=complex)
+    b = np.asarray(to_ket, dtype=complex)
+    v = np.outer(b, np.conj(a)) + np.outer(perpendicular_ket(b), np.conj(perpendicular_ket(a)))
     validate_unitary(v)
     return v
-
-
-def measure_generalized_via_maps(
-    rho: np.ndarray, meas: GeneralizedMeasurement, outcome: int
-) -> tuple[float, np.ndarray]:
-    """Outcome probability and collapsed state from the trace-reducing maps."""
-    meas.validate()
-    unnormalized = meas.outcomes[outcome].apply(np.asarray(rho, dtype=complex))
-    prob = float(np.trace(unnormalized).real)
-    if prob < ZERO_PROBABILITY_TOL:
-        raise ZeroProbabilityOutcome(f"outcome {outcome} has probability {prob:.3e}")
-    return prob, unnormalized / prob
-
-
-def _dilation_dims(meas: GeneralizedMeasurement) -> tuple[int, int, int]:
-    n = meas.dim
-    mu = meas.num_outcomes
-    return n, mu, n * n
-
-
-def build_dilation(meas: GeneralizedMeasurement) -> tuple[np.ndarray, tuple[int, int]]:
-    """Dilation unitary realizing `meas` with two ancillas of sizes (mu, N^2).
-
-    Basis ordering |r, j, alpha> with composite index r*(mu*N^2) + j*N^2 + alpha.
-    Columns for |r', 0, 0> are fixed by the measurement; the remaining columns,
-    in index order, complete the unitary from a QR factorization of
-    [fixed columns | identity].
-    """
-    meas.validate()
-    n, mu, n2 = _dilation_dims(meas)
-    dim = n * mu * n2
-
-    blocks = np.zeros((n, mu, n2, n), dtype=complex)  # [r, j, alpha, r']
-    for j, omap in enumerate(meas.outcomes):
-        if len(omap.kraus) > n2:
-            raise InvalidMeasurement("an outcome map has more than N^2 Kraus terms")
-        for alpha, (w, c) in enumerate(zip(omap.weights, omap.kraus)):
-            blocks[:, j, alpha, :] = np.sqrt(w) * c
-    fixed = blocks.reshape(dim, n)
-
-    q, r = np.linalg.qr(np.hstack([fixed, np.eye(dim)]))
-    # The fixed columns are orthonormal, so r[:n, :n] is diagonal with unit
-    # moduli; undoing those phases makes q[:, :n] reproduce them.
-    phases = np.diag(r)[:n]
-    q[:, :n] *= phases / np.abs(phases)
-    fixed_positions = np.arange(n) * (mu * n2)
-    w_mat = np.empty((dim, dim), dtype=complex)
-    w_mat[:, fixed_positions] = q[:, :n]
-    w_mat[:, np.setdiff1d(np.arange(dim), fixed_positions)] = q[:, n:]
-    validate_unitary(w_mat, tol=1e-12)
-    return w_mat, (mu, n2)
-
-
-def measure_generalized_via_dilation(
-    rho: np.ndarray, meas: GeneralizedMeasurement, outcome: int
-) -> tuple[float, np.ndarray]:
-    """Outcome probability and collapsed state via the dilation + von Neumann route.
-
-    Must agree with `measure_generalized_via_maps` within 1e-10 on both the
-    probability and the post-measurement state.
-    """
-    n, mu, n2 = _dilation_dims(meas)
-    w_mat, _ = build_dilation(meas)
-    ancilla = np.zeros((mu * n2, mu * n2), dtype=complex)
-    ancilla[0, 0] = 1.0  # |0,0><0,0|
-    chi = w_mat @ tensor(np.asarray(rho, dtype=complex), ancilla) @ dagger(w_mat)
-    # Von Neumann readout of the first ancilla, then trace out both ancillas.
-    blocks = chi.reshape(n, mu, n2, n, mu, n2)
-    selected = blocks[:, outcome, :, :, outcome, :]
-    unnormalized = np.einsum("rasa->rs", selected)
-    prob = float(np.trace(unnormalized).real)
-    if prob < ZERO_PROBABILITY_TOL:
-        raise ZeroProbabilityOutcome(f"outcome {outcome} has probability {prob:.3e}")
-    return prob, unnormalized / prob

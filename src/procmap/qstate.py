@@ -91,29 +91,29 @@ def hermiticity_residual(mat: np.ndarray) -> float:
     return float(np.max(np.abs(mat - dagger(mat)))) if mat.size else 0.0
 
 
-def eig_hermitian(mat: np.ndarray, tol: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and eigenvector columns of a Hermitian matrix."""
+def eig_hermitian(mat: np.ndarray, tol: float = 1e-8, what: str = "matrix") -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (ascending) and eigenvector columns of a Hermitian matrix; errors name `what`."""
     mat = np.asarray(mat, dtype=complex)
     if hermiticity_residual(mat) > tol:
-        raise ValueError("matrix is not Hermitian within tolerance")
+        raise ValueError(f"{what} is not Hermitian within tolerance")
     w, v = np.linalg.eigh(mat)
     return w, v
 
 
-def validate_density_matrix(rho: np.ndarray, tol: float = STATE_TOL) -> None:
-    """Raise ValueError unless rho is Hermitian, unit-trace, and positive within tol."""
+def validate_density_matrix(rho: np.ndarray, tol: float = STATE_TOL, what: str = "density matrix") -> None:
+    """Raise ValueError, naming `what`, unless rho is Hermitian, unit-trace, and positive within tol."""
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise ValueError(f"density matrix must be square, got shape {rho.shape}")
+        raise ValueError(f"{what} must be square, got shape {rho.shape}")
     res = hermiticity_residual(rho)
     if res > tol:
-        raise ValueError(f"density matrix not Hermitian (residual {res:.3e})")
+        raise ValueError(f"{what} not Hermitian (residual {res:.3e})")
     tr = np.trace(rho)
     if abs(tr - 1.0) > tol:
-        raise ValueError(f"density matrix trace {tr:.12g} != 1")
+        raise ValueError(f"{what} trace {tr:.12g} != 1")
     w = np.linalg.eigvalsh(0.5 * (rho + dagger(rho)))
     if w[0] < -tol:
-        raise ValueError(f"density matrix has negative eigenvalue {w[0]:.3e}")
+        raise ValueError(f"{what} has negative eigenvalue {w[0]:.3e}")
 
 
 def validate_unitary(u: np.ndarray, tol: float = UNITARY_TOL) -> None:

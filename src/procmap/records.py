@@ -8,10 +8,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import jsonio
+from .errors import EXIT_MISSING_LABELS, ProcmapError
 
 
-class MissingRecord(Exception):
+class MissingRecord(ProcmapError):
     """A protocol step requires a record label that the dataset does not contain."""
+
+    exit_code = EXIT_MISSING_LABELS
 
 
 @dataclass(frozen=True)
@@ -34,8 +37,9 @@ class TomographyRecord:
     @staticmethod
     def from_json(obj: dict) -> "TomographyRecord":
         gamma = float(obj["gamma"])
-        if not math.isfinite(gamma):
-            raise ValueError(f"record {obj['label']!r} has non-finite gamma {gamma!r}")
+        # An outcome probability; the allowance above 1 is for rounding only.
+        if not 0.0 <= gamma <= 1.0 + 1e-12:
+            raise ValueError(f"record {obj['label']!r} has gamma {gamma!r} outside [0, 1]")
         record = TomographyRecord(
             label=str(obj["label"]),
             input=jsonio.matrix_from_json(obj["input"]),

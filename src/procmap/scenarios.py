@@ -28,6 +28,7 @@ from .dynamics import (
     run_process,
     unitary_from_hamiltonian,
 )
+from .errors import ProcmapError
 from .prep import (
     GeneralizedMeasurement,
     OutcomeMap,
@@ -49,28 +50,32 @@ PROTOCOL_LABELS = {
     "verify12": TWELVE_STATE_LABELS,
 }
 
-PREPARATION_METHODS = ("stochastic", "measurement", "rotation_only", "generalized")
+# The `preparation` keys each method reads; parse_scenario rejects any other.
+PREPARATION_KEYS = {
+    "stochastic": {"method"},
+    "measurement": {"method"},
+    "rotation_only": {"method"},
+    "generalized": {"method", "measurement", "labels"},
+}
+
+# |0><0|: the pin target of stochastic preparation, and the state that
+# rotation-only preparation assumes it starts from.
+ZERO_STATE = np.array([[1, 0], [0, 0]], dtype=complex)
 
 MIXED_LABEL = "mixed"
 
 
-class ScenarioError(ValueError):
+class ScenarioError(ProcmapError):
     """Malformed scenario configuration."""
 
 
 @dataclass(frozen=True)
 class Scenario:
     name: str
-    dim_sys: int
-    dim_env: int
     spec: ProcessSpec
     t: float
-    gamma0: np.ndarray
     protocol: str
     prep_method: str
-    pin_target: np.ndarray | None = None
-    env_tau: np.ndarray | None = None
-    phi: np.ndarray | None = None
     measurement: GeneralizedMeasurement | None = None
     generalized_labels: tuple[str, ...] = ()
     mixed_bloch: np.ndarray | None = None
@@ -87,12 +92,22 @@ def _require_object(value, what: str) -> dict:
     return value
 
 
+def _integer(obj: dict, key: str, default: int | None) -> int | None:
+    """obj[key] when it is a JSON integer (not a bool), else `default` when absent."""
+    value = obj.get(key, default)
+    if value is None and default is None:
+        return None
+    if type(value) is not int:
+        raise ScenarioError(f"{key} must be a JSON integer, got {value!r}")
+    return value
+
+
 def parse_scenario(obj: dict, name: str = "scenario", text: str = "") -> Scenario:
     """Validate and expand a scenario JSON object decoded from `text`; raises ScenarioError."""
     _require_object(obj, "a scenario")
     try:
-        dim_sys = int(obj.get("dimA", 2))
-        dim_env = int(obj.get("dimB", 2))
+        dim_sys = _integer(obj, "dimA", 2)
+        dim_env = _integer(obj, "dimB", 2)
         if dim_sys != 2:
             raise ScenarioError(f"dimA must be 2, got {dim_sys}: every protocol is qubit-only")
         if dim_env <= 0:
@@ -108,7 +123,10 @@ def parse_scenario(obj: dict, name: str = "scenario", text: str = "") -> Scenari
             joint = (dim_sys * dim_env,) * 2
             if hamiltonian.shape != joint:
                 raise ScenarioError(f"hamiltonian has shape {hamiltonian.shape}, expected {joint}")
-        t = float(obj.get("t", 0.0))
+        t = obj.get("t", 0.0)
+        if type(t) not in (int, float):
+            raise ScenarioError(f"t must be a JSON number, got {t!r}")
+        t = float(t)
         if not math.isfinite(t):
             raise ScenarioError(f"t must be finite, got {t}")
 
@@ -126,23 +144,15 @@ def parse_scenario(obj: dict, name: str = "scenario", text: str = "") -> Scenari
 
         prep_obj = _require_object(obj.get("preparation", {"method": "stochastic"}), "preparation")
         method = str(prep_obj.get("method", "stochastic"))
-        if method not in PREPARATION_METHODS:
+        if method not in PREPARATION_KEYS:
             raise ScenarioError(f"unknown preparation method {method!r}")
+        unread = sorted(set(prep_obj) - PREPARATION_KEYS[method])
+        if unread:
+            raise ScenarioError(f"preparation key {unread[0]!r} is not read by method {method!r}")
 
-        pin_target = None
-        env_tau = None
-        phi = None
         measurement = None
         generalized_labels: tuple[str, ...] = ()
-        if method == "stochastic":
-            if "pin_target" in prep_obj:
-                pin_target = jsonio.matrix_from_json(prep_obj["pin_target"])
-            if "env_tau" in prep_obj:
-                env_tau = jsonio.matrix_from_json(prep_obj["env_tau"])
-        elif method == "rotation_only":
-            if "phi" in prep_obj:
-                phi = jsonio.matrix_from_json(prep_obj["phi"])
-        elif method == "generalized":
+        if method == "generalized":
             measurement = GeneralizedMeasurement.from_json(prep_obj["measurement"])
             measurement.validate()
             generalized_labels = tuple(str(x) for x in prep_obj["labels"])
@@ -164,27 +174,19 @@ def parse_scenario(obj: dict, name: str = "scenario", text: str = "") -> Scenari
             if method != "measurement":
                 raise ScenarioError("mixed_bloch requires the measurement preparation method")
 
-        shots = obj.get("shots")
-        shots = int(shots) if shots is not None else None
+        shots = _integer(obj, "shots", None)
         if shots is not None and shots <= 0:
             raise ScenarioError("shots must be positive")
-        seed = obj.get("seed")
-        seed = int(seed) if seed is not None else None
+        seed = _integer(obj, "seed", None)
         if seed is not None and seed < 0:
             raise ScenarioError("seed must be non-negative")
 
         return Scenario(
             name=name,
-            dim_sys=dim_sys,
-            dim_env=dim_env,
             spec=spec,
             t=t,
-            gamma0=gamma0,
             protocol=protocol,
             prep_method=method,
-            pin_target=pin_target,
-            env_tau=env_tau,
-            phi=phi,
             measurement=measurement,
             generalized_labels=generalized_labels,
             mixed_bloch=mixed_bloch,
@@ -192,7 +194,7 @@ def parse_scenario(obj: dict, name: str = "scenario", text: str = "") -> Scenari
             seed=seed,
             text=text,
         )
-    except ScenarioError:
+    except ProcmapError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ScenarioError(f"malformed scenario: {exc}") from exc
@@ -220,22 +222,21 @@ def _mixed_preparation_measurement(target: np.ndarray) -> GeneralizedMeasurement
 
 def _prepare_for_label(sc: Scenario, label: str):
     target = state_of_label(label)
+    spec = sc.spec
     if sc.prep_method == "stochastic":
-        pin = sc.pin_target if sc.pin_target is not None else np.array([[1, 0], [0, 0]], dtype=complex)
-        pinned = apply_pin_map(sc.gamma0, sc.dim_sys, sc.dim_env, pin, env_state=sc.env_tau)
-        v = rotation_between(ket_from_projector(pin), ket_from_projector(target))
+        pinned = apply_pin_map(spec.gamma0, spec.dim_sys, spec.dim_env, ZERO_STATE)
+        v = rotation_between(ket_from_projector(ZERO_STATE), ket_from_projector(target))
         return prepare_stochastic(pinned, v, label=label)
     if sc.prep_method == "measurement":
-        return prepare_projective(sc.gamma0, sc.dim_sys, sc.dim_env, target, label=label)
+        return prepare_projective(spec.gamma0, spec.dim_sys, spec.dim_env, target, label=label)
     if sc.prep_method == "rotation_only":
         # Imperfect-pin preparation: the rotation is applied directly to
         # gamma0, so the true input is not the assumed projector.
-        phi = sc.phi if sc.phi is not None else np.array([[1, 0], [0, 0]], dtype=complex)
-        v = rotation_between(ket_from_projector(phi), ket_from_projector(target))
-        return prepare_stochastic(sc.gamma0, v, label=label)
+        v = rotation_between(ket_from_projector(ZERO_STATE), ket_from_projector(target))
+        return prepare_stochastic(spec.gamma0, v, label=label)
     if sc.prep_method == "generalized":
         outcome = sc.generalized_labels.index(label)
-        return prepare_generalized(sc.gamma0, sc.dim_sys, sc.dim_env, sc.measurement, outcome, label=label)
+        return prepare_generalized(spec.gamma0, spec.dim_sys, spec.dim_env, sc.measurement, outcome, label=label)
     raise ScenarioError(f"unsupported preparation method {sc.prep_method!r}")
 
 
@@ -283,7 +284,7 @@ def simulate_scenario(sc: Scenario) -> Dataset:
     if sc.mixed_bloch is not None:
         x = state_from_bloch(sc.mixed_bloch)
         meas = _mixed_preparation_measurement(x)
-        prep_state = prepare_generalized(sc.gamma0, sc.dim_sys, sc.dim_env, meas, 0, label=MIXED_LABEL)
+        prep_state = prepare_generalized(spec.gamma0, spec.dim_sys, spec.dim_env, meas, 0, label=MIXED_LABEL)
         q = run_process(spec, prep_state)
         records.append(TomographyRecord(label=MIXED_LABEL, input=x, output=q, gamma=prep_state.gamma))
 
@@ -318,10 +319,9 @@ IMPERFECT_PIN_T = 0.8
 
 
 def _imperfect_pin_gamma0() -> np.ndarray:
-    phi = np.array([[1, 0], [0, 0]], dtype=complex)
     tau = 0.5 * np.eye(2, dtype=complex)
     chi = correlated_pair_state([0.0, 0.0, 0.0], IMPERFECT_PIN_CHI_C23)
-    return IMPERFECT_PIN_PURE_WEIGHT * tensor(phi, tau) + (1 - IMPERFECT_PIN_PURE_WEIGHT) * chi
+    return IMPERFECT_PIN_PURE_WEIGHT * tensor(ZERO_STATE, tau) + (1 - IMPERFECT_PIN_PURE_WEIGHT) * chi
 
 
 def _imperfect_pin_hamiltonian() -> np.ndarray:

@@ -14,10 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .bilinear_tomo import state_of_label
-from .records import MissingRecord, fit, record_map
+from .records import MissingRecord, TomographyRecord, fit, record_map
 
 TWELVE_STATE_LABELS = (
     "1+", "1-", "2+", "2-", "3+", "3-",
@@ -31,12 +28,7 @@ DEFAULT_TOL_BILINEAR = 1e-6
 GAMMA_WARN_THRESHOLD = 0.02
 
 
-def twelve_state_inputs() -> list[np.ndarray]:
-    """The nine protocol projectors plus the three opposite diagonal projectors."""
-    return [state_of_label(label) for label in TWELVE_STATE_LABELS]
-
-
-def _require(records) -> dict[str, np.ndarray]:
+def _require(records) -> dict[str, TomographyRecord]:
     recs = record_map(records)
     missing = [label for label in TWELVE_STATE_LABELS if label not in recs]
     if missing:

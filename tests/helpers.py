@@ -7,8 +7,11 @@ consistency equations of the 12-state verification protocol.  It also keeps
 the per-element paths that bulk operations replaced: the one-call-per-float
 JSON emitter, the entry-by-entry matrix decoder, the einsum contraction of
 the process tensor and the matrix-unit loop of the fixed-environment map.
-Last come the field-by-field bi-linear element table and its prediction loop,
-which the stacked table and its probe contraction replaced.
+Then come the field-by-field bi-linear element table and its prediction loop,
+which the stacked table and its probe contraction replaced, and the matrix
+element <A|M|B> they are built from.  Last is the dilation of a generalized
+measurement: a unitary on system x ancillas followed by a von Neumann readout
+of an ancilla, the independent route to `prep.prepare_generalized`.
 """
 
 from __future__ import annotations
@@ -19,11 +22,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from procmap.bilinear_tomo import CROSS_PAIRS, SQRT2, MixedWithoutUnitUnit, ZeroGamma, basis_element, state_of_label
+from procmap.bilinear_tomo import CROSS_PAIRS, SQRT2, MixedWithoutUnitUnit, ZeroGamma, state_of_label
 from procmap.dynamics import ProcessSpec, correlated_pair_state, heisenberg_hamiltonian, unitary_from_hamiltonian
 from procmap.linear_tomo import NotAFrame
-from procmap.prep import prepare_projective, prepare_stochastic, apply_pin_map
-from procmap.qstate import IDENTITY_2, PAULIS, dagger, partial_trace_env, tensor
+from procmap.prep import InvalidMeasurement, prepare_projective, prepare_stochastic, apply_pin_map
+from procmap.qstate import IDENTITY_2, PAULIS, dagger, partial_trace_env, tensor, validate_unitary
 from procmap.records import MissingRecord, TomographyRecord, record_map
 from procmap.verify import TWELVE_STATE_LABELS
 
@@ -343,6 +346,14 @@ class HandElementTable:
         return np.array(mats)
 
 
+def basis_element(bmap, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Matrix element <A|M|B>[r,s] = sum conj(A[r'',r']) m[r,s,r'',r',s'',s'] B[s'',s'].
+
+    <P|M|P> is the unnormalized output gamma*Q of the preparation P.
+    """
+    return np.einsum("xp,rsxpyq,yq->rs", np.conj(np.asarray(a, dtype=complex)), bmap.m, np.asarray(b, dtype=complex))
+
+
 def reference_element_table(bmap) -> HandElementTable:
     """Element table by direct contraction of M with the {1, sigma_j} basis."""
     unit = basis_element(bmap, IDENTITY_2, IDENTITY_2)
@@ -378,3 +389,67 @@ def reference_predict_output(table: HandElementTable, p) -> tuple[float, np.ndar
         raise ZeroGamma(f"predicted outcome probability {gamma:.3e} is not positive")
     q = four_gq / (4.0 * gamma)
     return gamma, 0.5 * (q + np.conj(q).T)
+
+
+def _dilation_dims(meas) -> tuple[int, int, int]:
+    n = meas.dim
+    mu = meas.num_outcomes
+    return n, mu, n * n
+
+
+def build_dilation(meas) -> tuple[np.ndarray, tuple[int, int]]:
+    """Dilation unitary realizing `meas` with two ancillas of sizes (mu, N^2).
+
+    Basis ordering |r, j, alpha> with composite index r*(mu*N^2) + j*N^2 + alpha.
+    Columns for |r', 0, 0> are fixed by the measurement; the remaining columns,
+    in index order, complete the unitary from a QR factorization of
+    [fixed columns | identity].
+    """
+    meas.validate()
+    n, mu, n2 = _dilation_dims(meas)
+    dim = n * mu * n2
+
+    blocks = np.zeros((n, mu, n2, n), dtype=complex)  # [r, j, alpha, r']
+    for j, omap in enumerate(meas.outcomes):
+        if len(omap.kraus) > n2:
+            raise InvalidMeasurement("an outcome map has more than N^2 Kraus terms")
+        for alpha, (w, c) in enumerate(zip(omap.weights, omap.kraus)):
+            blocks[:, j, alpha, :] = np.sqrt(w) * c
+    fixed = blocks.reshape(dim, n)
+
+    q, r = np.linalg.qr(np.hstack([fixed, np.eye(dim)]))
+    # The fixed columns are orthonormal, so r[:n, :n] is diagonal with unit
+    # moduli; undoing those phases makes q[:, :n] reproduce them.
+    phases = np.diag(r)[:n]
+    q[:, :n] *= phases / np.abs(phases)
+    fixed_positions = np.arange(n) * (mu * n2)
+    w_mat = np.empty((dim, dim), dtype=complex)
+    w_mat[:, fixed_positions] = q[:, :n]
+    w_mat[:, np.setdiff1d(np.arange(dim), fixed_positions)] = q[:, n:]
+    validate_unitary(w_mat, tol=1e-12)
+    return w_mat, (mu, n2)
+
+
+def measure_generalized_via_dilation(joint: np.ndarray, dim_env: int, meas, outcome: int) -> tuple[float, np.ndarray]:
+    """Outcome probability and collapsed joint state via the dilation + von Neumann route.
+
+    The system factor of the (system x environment) joint state meets two
+    ancillas in |0, 0>; the dilation unitary acts on system x ancillas, the
+    first ancilla is read out and both are traced out.  The full space is
+    ordered (system, ancillas, environment), so the unitary is W (x) 1.
+    """
+    n, mu, n2 = _dilation_dims(meas)
+    w_mat, _ = build_dilation(meas)
+    ancilla = np.zeros((mu * n2, mu * n2), dtype=complex)
+    ancilla[0, 0] = 1.0  # |0,0><0,0|
+    joint4 = np.asarray(joint, dtype=complex).reshape(n, dim_env, n, dim_env)
+    dim = n * mu * n2 * dim_env
+    full = np.einsum("rasb,jk->rjaskb", joint4, ancilla).reshape(dim, dim)
+    big_w = tensor(w_mat, np.eye(dim_env))
+    chi = big_w @ full @ dagger(big_w)
+    # Von Neumann readout of the first ancilla, then trace out both ancillas.
+    blocks = chi.reshape(n, mu, n2, dim_env, n, mu, n2, dim_env)
+    selected = blocks[:, outcome, :, :, :, outcome, :, :]
+    unnormalized = np.einsum("rxasxb->rasb", selected).reshape(n * dim_env, n * dim_env)
+    prob = float(np.trace(unnormalized).real)
+    return prob, unnormalized / prob

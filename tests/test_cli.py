@@ -1,21 +1,30 @@
 """The CLI surface through `main(argv)`: exit codes, one-line diagnostics, oracle block."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import procmap
 from procmap import cli, jsonio
-from procmap.cli import (
+from procmap.bilinear_tomo import ZeroGamma
+from procmap.cli import main
+from procmap.errors import (
     EXIT_BAD_CONFIG,
     EXIT_MISSING_LABELS,
     EXIT_NOT_A_FRAME,
     EXIT_OK,
     EXIT_ZERO_PROBABILITY,
-    main,
 )
+from procmap.linear_tomo import NotAFrame
+from procmap.prep import InvalidMeasurement, ZeroProbabilityOutcome
 from procmap.qstate import bloch_vector
-from procmap.scenarios import LINEAR4_LABELS, demo_scenario_config, parse_scenario
+from procmap.records import MissingRecord
+from procmap.scenarios import LINEAR4_LABELS, ScenarioError, demo_scenario_config, parse_scenario
 from procmap.verify import TWELVE_STATE_LABELS
 
 
@@ -119,10 +128,21 @@ BAD_SCENARIOS = {
         **STOCHASTIC,
         "preparation": {"method": "generalized", "measurement": {"outcomes": []}, "labels": []},
     },
+    "dimA-float": {**PINNED, "dimA": 2.0},
+    "dimB-float": {**PINNED, "dimB": 2.5},
+    "shots-true": {**STOCHASTIC, "shots": True},
+    "shots-float": {**STOCHASTIC, "shots": 1.5},
+    "seed-string": {**STOCHASTIC, "shots": 100, "seed": "7"},
+    "t-string": {**MEASUREMENT, "t": "1"},
+    "t-true": {**MEASUREMENT, "t": True},
+    "pin-target": {**STOCHASTIC, "preparation": {"method": "stochastic", "pin_target": jsonio.matrix_to_json(np.eye(2))}},
+    "env-tau": {**STOCHASTIC, "preparation": {"method": "stochastic", "env_tau": jsonio.matrix_to_json(np.eye(2) / 2)}},
+    "phi": {**PINNED, "preparation": {"method": "rotation_only", "phi": jsonio.matrix_to_json(np.eye(2))}},
+    "labels-without-generalized": {**MEASUREMENT, "preparation": {"method": "measurement", "labels": []}},
 }
 
 
-# A word the one-line diagnostic of each malformed scenario must contain.
+# The words the one-line diagnostic of each malformed scenario must contain.
 BAD_SCENARIO_WORDS = {
     "top-level-array": "JSON object",
     "preparation-string": "preparation",
@@ -131,10 +151,21 @@ BAD_SCENARIO_WORDS = {
     "mixed-bloch-nan": "mixed_bloch",
     "dimB-3-with-4x4-hamiltonian": "hamiltonian",
     "gamma0-3x3": "gamma0",
-    "non-hermitian-hamiltonian": "Hermitian",
-    "negative-gamma0": "negative eigenvalue",
+    "non-hermitian-hamiltonian": ("Hermitian", "hamiltonian"),
+    "negative-gamma0": ("negative eigenvalue", "gamma0"),
     "negative-seed": "seed",
     "empty-measurement": "outcomes",
+    "dimA-float": "dimA",
+    "dimB-float": "dimB",
+    "shots-true": "shots",
+    "shots-float": "shots",
+    "seed-string": "seed",
+    "t-string": "t must be a JSON number",
+    "t-true": "t must be a JSON number",
+    "pin-target": "pin_target",
+    "env-tau": "env_tau",
+    "phi": "'phi'",
+    "labels-without-generalized": "labels",
 }
 
 
@@ -144,7 +175,8 @@ def test_malformed_scenario_is_bad_config(case, tmp_path, capsys):
     scenario.write_text(json.dumps(BAD_SCENARIOS[case]))  # json writes NaN and Infinity literally
     code, err = run(["simulate", scenario], capsys)
     assert code == EXIT_BAD_CONFIG
-    assert BAD_SCENARIO_WORDS[case] in err
+    words = BAD_SCENARIO_WORDS[case]
+    assert all(word in err for word in (words if isinstance(words, tuple) else (words,))), err
 
 
 @pytest.mark.parametrize("command", ["simulate", "verify"])
@@ -154,6 +186,12 @@ def test_non_utf8_input_is_bad_config(command, tmp_path, capsys):
     code, err = run([command, path], capsys)
     assert code == EXIT_BAD_CONFIG
     assert "UTF-8" in err
+
+
+def set_gamma(obj, label, gamma):
+    """Give the labeled record the outcome probability `gamma`."""
+    next(rec for rec in obj["records"] if rec["label"] == label)["gamma"] = gamma
+    return obj
 
 
 def resize_records(obj, labels, dim):
@@ -170,8 +208,10 @@ def resize_records(obj, labels, dim):
         (lambda obj: resize_records(obj, TWELVE_STATE_LABELS + ("mixed",), 1), ["verify"]),
         (lambda obj: resize_records(obj, ("2+",), 3), ["verify", "bilinear"]),
         (lambda obj: {**obj, "metadata": [1]}, ["verify", "linear", "bilinear"]),
+        (lambda obj: set_gamma(obj, "1+", 7.0), ["verify", "linear", "bilinear"]),
+        (lambda obj: set_gamma(obj, "1+", -0.5), ["verify", "linear", "bilinear"]),
     ],
-    ids=["all-1x1", "one-3x3", "metadata-list"],
+    ids=["all-1x1", "one-3x3", "metadata-list", "gamma-7", "gamma-negative"],
 )
 def test_malformed_dataset_is_bad_config(edit, commands, tmp_path, capsys):
     path = write_dataset(tmp_path, edit(simulate(tmp_path, capsys)))
@@ -208,6 +248,21 @@ def test_oracle_comparison_only_for_measurement_preparation(demo, emitted, tmp_p
     assert ("oracle_comparison" in payload) == emitted
     if emitted:
         assert payload["oracle_comparison"]["max_element_deviation"] < 1e-10
+
+
+@pytest.mark.parametrize(
+    "text, code", [("{", EXIT_BAD_CONFIG), ("[]", EXIT_BAD_CONFIG), ("", EXIT_OK)], ids=["brace", "array", "empty"]
+)
+def test_corrupt_embedded_scenario_is_bad_config(text, code, tmp_path, capsys):
+    obj = simulate(tmp_path, capsys)
+    obj["metadata"]["scenario_json"] = text
+    out = tmp_path / "bilinear.json"
+    got, err = run(["tomo", write_dataset(tmp_path, obj), "--mode", "bilinear", "--out", out], capsys)
+    assert got == code
+    if code == EXIT_OK:  # an empty scenario_json means no oracle
+        assert "oracle_comparison" not in json.loads(out.read_text())
+    else:
+        assert "scenario_json" in err
 
 
 @pytest.mark.parametrize("demo", ["measurement-correlated", "stochastic-heisenberg", "imperfect-pin"])
@@ -289,3 +344,30 @@ def test_finite_shot_outputs_are_shot_counts(tmp_path, capsys):
         gammas[rec["label"]] = rec["gamma"]
     for direction in "123456":
         assert gammas[f"{direction}+"] + gammas[f"{direction}-"] == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "error, code",
+    [
+        (ScenarioError, EXIT_BAD_CONFIG),
+        (InvalidMeasurement, EXIT_BAD_CONFIG),
+        (ZeroProbabilityOutcome, EXIT_ZERO_PROBABILITY),
+        (ZeroGamma, EXIT_ZERO_PROBABILITY),
+        (MissingRecord, EXIT_MISSING_LABELS),
+        (NotAFrame, EXIT_NOT_A_FRAME),
+    ],
+)
+def test_each_error_carries_its_exit_code(error, code):
+    assert issubclass(error, procmap.ProcmapError)
+    assert error.exit_code == code
+
+
+def test_demo_loads_no_scipy(tmp_path):
+    # numpy is the only dependency; scipy may be installed, but nothing may import it.
+    env = {**os.environ, "PYTHONPATH": str(Path(procmap.__file__).resolve().parents[1])}
+    argv = [sys.executable, "-X", "importtime", "-m", "procmap.cli", "demo", "imperfect-pin", "--out", tmp_path / "demo"]
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")}
+    assert {"numpy", "procmap.scenarios"} <= imported
+    assert not [name for name in imported if name.split(".")[0] == "scipy"]

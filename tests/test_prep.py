@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from helpers import rand_density, va_spec
+from helpers import build_dilation, measure_generalized_via_dilation, rand_density, va_spec
 from procmap import jsonio
 from procmap.prep import (
     GeneralizedMeasurement,
@@ -11,9 +11,6 @@ from procmap.prep import (
     OutcomeMap,
     ZeroProbabilityOutcome,
     apply_pin_map,
-    build_dilation,
-    measure_generalized_via_dilation,
-    measure_generalized_via_maps,
     perpendicular_ket,
     prepare_generalized,
     prepare_projective,
@@ -95,13 +92,6 @@ def test_pin_map_rejects_mixed_target():
     rng = np.random.default_rng(3)
     with pytest.raises(ValueError):
         apply_pin_map(rand_density(rng, 4), 2, 2, 0.5 * IDENTITY_2)
-
-
-def test_pin_map_env_override():
-    rng = np.random.default_rng(4)
-    tau = rand_density(rng, 2)
-    pinned = apply_pin_map(rand_density(rng, 4), 2, 2, P3_PLUS, env_state=tau)
-    assert np.max(np.abs(partial_trace_sys(pinned, 2, 2) - tau)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -222,9 +212,9 @@ def test_generalized_identity_map():
     meas = GeneralizedMeasurement(outcomes=(OutcomeMap(weights=(1.0,), kraus=(IDENTITY_2,)),))
     rng = np.random.default_rng(10)
     rho = rand_density(rng, 2)
-    prob, post = measure_generalized_via_maps(rho, meas, 0)
-    assert abs(prob - 1.0) < 1e-12
-    assert np.max(np.abs(post - rho)) < 1e-12
+    prepared = prepare_generalized(rho, 2, 1, meas, 0)
+    assert abs(prepared.gamma - 1.0) < 1e-12
+    assert np.max(np.abs(prepared.joint - rho)) < 1e-12
 
 
 def test_generalized_projective_on_mixed():
@@ -235,9 +225,9 @@ def test_generalized_projective_on_mixed():
         )
     )
     for j, target in ((0, np.diag([1.0, 0.0])), (1, np.diag([0.0, 1.0]))):
-        prob, post = measure_generalized_via_maps(0.5 * IDENTITY_2, meas, j)
-        assert abs(prob - 0.5) < 1e-12
-        assert np.max(np.abs(post - target)) < 1e-12
+        prepared = prepare_generalized(0.5 * IDENTITY_2, 2, 1, meas, j)
+        assert abs(prepared.gamma - 0.5) < 1e-12
+        assert np.max(np.abs(prepared.joint - target)) < 1e-12
 
 
 def test_generalized_completeness_check():
@@ -247,6 +237,8 @@ def test_generalized_completeness_check():
     with pytest.raises(InvalidMeasurement):
         bad.validate()
     with pytest.raises(InvalidMeasurement):
+        prepare_generalized(0.5 * IDENTITY_2, 2, 1, bad, 0)
+    with pytest.raises(InvalidMeasurement):
         build_dilation(bad)
 
 
@@ -254,8 +246,8 @@ def test_generalized_outcome_probabilities_sum_to_one():
     rng = np.random.default_rng(11)
     for _ in range(10):
         meas = random_measurement(rng, int(rng.integers(1, 5)))
-        rho = rand_density(rng, 2)
-        total = sum(measure_generalized_via_maps(rho, meas, j)[0] for j in range(meas.num_outcomes))
+        gamma0 = rand_density(rng, 4)
+        total = sum(prepare_generalized(gamma0, 2, 2, meas, j).gamma for j in range(meas.num_outcomes))
         assert abs(total - 1.0) < 1e-10
 
 
@@ -333,21 +325,24 @@ def test_dilation_matches_von_neumann():
     rng = np.random.default_rng(14)
     rho = rand_density(rng, 2)
     for j in range(2):
-        prob, post = measure_generalized_via_dilation(rho, meas, j)
+        prob, post = measure_generalized_via_dilation(rho, 1, meas, j)
         born = np.trace(rho @ np.diag([1.0 - j, float(j)])).real
         assert abs(prob - born) < 1e-12
         assert np.max(np.abs(post - np.diag([1.0 - j, float(j)]))) < 1e-10
 
 
 def test_dilation_route_equivalence_50_random():
+    # The dilation acts on the system factor of a joint state, so it checks
+    # prepare_generalized, the route simulation runs, with an environment too.
     rng = np.random.default_rng(2024)
-    for _ in range(50):
-        meas = random_measurement(rng, int(rng.integers(1, 5)))
-        rho = rand_density(rng, 2)
-        w, _ = build_dilation(meas)
-        assert np.max(np.abs(w.conj().T @ w - np.eye(w.shape[0]))) < 1e-12
-        for j in range(meas.num_outcomes):
-            p1, s1 = measure_generalized_via_maps(rho, meas, j)
-            p2, s2 = measure_generalized_via_dilation(rho, meas, j)
-            assert abs(p1 - p2) < 1e-10
-            assert np.max(np.abs(s1 - s2)) < 1e-10
+    for dim_env in (1, 2, 3):
+        for _ in range(50):
+            meas = random_measurement(rng, int(rng.integers(1, 5)))
+            gamma0 = rand_density(rng, 2 * dim_env)
+            w, _ = build_dilation(meas)
+            assert np.max(np.abs(w.conj().T @ w - np.eye(w.shape[0]))) < 1e-12
+            for j in range(meas.num_outcomes):
+                prepared = prepare_generalized(gamma0, 2, dim_env, meas, j)
+                prob, post = measure_generalized_via_dilation(gamma0, dim_env, meas, j)
+                assert abs(prepared.gamma - prob) < 1e-12
+                assert np.max(np.abs(prepared.joint - post)) < 1e-12

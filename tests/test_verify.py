@@ -17,12 +17,11 @@ from procmap.verify import (
     TWELVE_STATE_LABELS,
     classify,
     gamma_completeness,
-    twelve_state_inputs,
 )
 
 
 def test_twelve_state_inputs_golden():
-    states = twelve_state_inputs()
+    states = [state_of_label(label) for label in TWELVE_STATE_LABELS]
     assert len(states) == 12
     by_label = dict(zip(TWELVE_STATE_LABELS, states))
     assert np.allclose(
