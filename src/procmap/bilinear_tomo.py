@@ -29,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jsonio
+from .errors import ProcmapError
 from .prep import ZeroProbabilityOutcome
 from .qstate import IDENTITY_2, PAULIS, pauli_decompose, state_from_bloch
 from .records import MissingRecord, TomographyRecord, fit, record_map
@@ -56,6 +57,10 @@ CROSS_PAIRS = ((1, 2), (1, 3), (2, 3))
 
 class ZeroGamma(ZeroProbabilityOutcome):
     """A protocol record carries a vanishing outcome probability."""
+
+
+class NotStrictlyMixed(ProcmapError):
+    """The mixed-state record's input is pure, so it cannot resolve <1|M|1>."""
 
 
 class MixedWithoutUnitUnit(Exception):
@@ -106,8 +111,9 @@ def _probe(*pairs) -> np.ndarray:
 # Row i reads table element i off M in the layout m16[(r'',r',s'',s'), (r,s)] =
 # m[r, s, r'', r', s'', s'], which is also the layout of the degree-2 fit coefficients.
 # The products below use np.einsum, not `@`: with numpy's bundled OpenBLAS 0.3.31 on an
-# AVX-512 Xeon, one small complex `@` here made the json.loads that follows in
-# `tomo --mode bilinear` take 68 ms instead of 43 ms on a dimB = 64 scenario.
+# AVX-512 Xeon, one small complex `@` slows the pure-Python JSON work after it (a
+# json.loads of a dimB = 64 scenario took 68 ms instead of 43 ms), and `simulate`
+# writes its dataset right after this contraction.
 _PROBES = np.array(
     [_probe((0, 0), (j, j)) for j in (1, 2, 3)]
     + [_probe((0, j), (j, 0)) for j in (1, 2, 3)]
@@ -166,8 +172,11 @@ def solve_M_elements(records, mixed_record: TomographyRecord | None = None) -> M
     fitted = [recs[label] for label in NINE_STATE_LABELS]
     if mixed_record is not None:
         _, half_p = pauli_decompose(mixed_record.input)
-        if 4.0 * float(np.dot(half_p, half_p)) >= 1.0 - 1e-10:
-            raise ValueError("mixed-state record must have Bloch norm strictly below 1")
+        norm_sq = 4.0 * float(np.dot(half_p, half_p))
+        if norm_sq >= 1.0 - 1e-10:
+            raise NotStrictlyMixed(
+                f"record {mixed_record.label!r} has input Bloch norm {np.sqrt(norm_sq):.6f}, not strictly below 1"
+            )
         fitted.append(mixed_record)
     for rec in fitted:
         if rec.gamma <= 0:

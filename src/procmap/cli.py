@@ -4,10 +4,15 @@ stdout carries JSON only; human diagnostics go to stderr (ANSI-colored on a
 terminal unless PROCMAP_NO_COLOR is set).  Exit codes, each the `exit_code`
 of the `ProcmapError` subclasses named:
   0  success
-  2  ScenarioError, InvalidMeasurement: malformed config or dataset
+  2  ScenarioError, InvalidMeasurement, NotStrictlyMixed: malformed config or dataset
   3  ZeroProbabilityOutcome, ZeroGamma: zero-probability preparation or record
   4  MissingRecord: missing record labels
   5  NotAFrame: input states that do not form a tomography frame
+
+`tomo --mode bilinear` reports its fit's deviation from the dataset's `oracle`
+table (`oracle_comparison`), which `simulate` writes for measurement preparation
+only; a dataset without `oracle` gets no comparison.  `metadata.scenario_json`
+is provenance only: no command decodes it.
 """
 
 from __future__ import annotations
@@ -21,6 +26,8 @@ from pathlib import Path
 import numpy as np
 
 from . import jsonio
+# build_M_from_dynamics and element_table_from_map stay bound here, unused, so
+# that perfbench/tracer.py can wrap every bi-linear layer under procmap.cli.
 from .bilinear_tomo import (
     NINE_STATE_LABELS,
     build_M_from_dynamics,
@@ -43,12 +50,8 @@ from .scenarios import (
 from .verify import TWELVE_STATE_LABELS, classify
 
 
-def _use_color() -> bool:
-    return sys.stderr.isatty() and not os.environ.get("PROCMAP_NO_COLOR")
-
-
 def _diag(message: str) -> None:
-    if _use_color():
+    if sys.stderr.isatty() and not os.environ.get("PROCMAP_NO_COLOR"):
         sys.stderr.write(f"\x1b[31merror:\x1b[0m {message}\n")
     else:
         sys.stderr.write(f"error: {message}\n")
@@ -84,23 +87,6 @@ def _load_dataset(path: str) -> Dataset:
         raise ScenarioError(f"malformed dataset {path}: {exc}") from exc
 
 
-def _oracle_scenario(dataset: Dataset):
-    """The embedded scenario, if it prepares by measurement: the only preparation the oracle models.
-
-    An empty `scenario_json` means no oracle; one that does not decode to a
-    valid scenario is a malformed dataset.
-    """
-    text = dataset.metadata.get("scenario_json", "")
-    # The metadata names the preparation, so other datasets decode nothing.
-    if dataset.metadata.get("preparation") != "measurement" or not text.strip():
-        return None
-    try:
-        scenario = parse_scenario(json.loads(text), name=dataset.metadata.get("scenario", "embedded"))
-    except (ProcmapError, json.JSONDecodeError) as exc:
-        raise ScenarioError(f"dataset metadata scenario_json is not a valid scenario: {exc}") from exc
-    return scenario if scenario.prep_method == "measurement" else None
-
-
 def cmd_simulate(args) -> int:
     text, obj = _load_json(args.scenario)
     for key in ("shots", "seed"):
@@ -119,16 +105,11 @@ def _tomo_linear(dataset: Dataset) -> dict:
 
 
 def _tomo_bilinear(dataset: Dataset) -> dict:
-    records = dataset.subset(NINE_STATE_LABELS)
-    mixed = None
-    if MIXED_LABEL in dataset.labels():
-        mixed = dataset.get(MIXED_LABEL)
-    table = solve_M_elements(records, mixed_record=mixed)
+    mixed = dataset.get(MIXED_LABEL) if MIXED_LABEL in dataset.labels() else None
+    table = solve_M_elements(dataset.subset(NINE_STATE_LABELS), mixed_record=mixed)
     payload = {"mode": "bilinear", "elements": table.to_json()}
-    scenario = _oracle_scenario(dataset)
-    if scenario is not None:
-        oracle = element_table_from_map(build_M_from_dynamics(scenario.spec))
-        deviation = np.max(np.abs(table.elements - oracle.elements[: len(table.elements)]))
+    if dataset.oracle is not None:
+        deviation = np.max(np.abs(table.elements - dataset.oracle[: len(table.elements)]))
         payload["oracle_comparison"] = {"max_element_deviation": float(deviation)}
     return payload
 
@@ -165,6 +146,24 @@ def _demo_counterexample(dataset: Dataset, lam) -> dict:
     }
 
 
+# Each demo's `notes` in analysis.json.
+DEMO_NOTES = {
+    "stochastic-heisenberg": (
+        "Pin-then-rotate preparation with an exchange-coupled environment; "
+        "the process is exactly linear."
+    ),
+    "measurement-correlated": (
+        "Preparation by von Neumann measurement on a correlated pair; the linear "
+        "fit mispredicts held-out inputs while the bi-linear description is exact."
+    ),
+    "imperfect-pin": (
+        "Rotation-only preparation on a 70/30 mixture of a pinned product state "
+        "and an entangled remainder; the assumed-linear fit has negative eigenvalues. "
+        "All parameters other than the 70% population weight are repository constants."
+    ),
+}
+
+
 def cmd_demo(args) -> int:
     config = demo_scenario_config(args.name)
     out_dir = Path(args.out or args.name)
@@ -172,68 +171,37 @@ def cmd_demo(args) -> int:
 
     scenario = parse_scenario(config, name=args.name, text=jsonio.dumps(config, indent=0))
     dataset = simulate_scenario(scenario)
-    (out_dir / "scenario.json").write_text(jsonio.dumps(config))
-    (out_dir / "dataset.json").write_text(jsonio.dumps(dataset.to_json()))
-
     lam = reconstruct_linear_map(dataset.subset(LINEAR4_LABELS))
-    diag = map_diagnostics(lam)
-    (out_dir / "linear_map.json").write_text(
-        jsonio.dumps({"map": lam.to_json(), "diagnostics": diag.to_json()})
-    )
-
-    mixed = dataset.get(MIXED_LABEL) if MIXED_LABEL in dataset.labels() else None
-    table = solve_M_elements(dataset.subset(NINE_STATE_LABELS), mixed_record=mixed)
-    (out_dir / "m_elements.json").write_text(jsonio.dumps(table.to_json()))
-
+    diag = map_diagnostics(lam).to_json()
     report = classify(dataset.subset(TWELVE_STATE_LABELS))
-    (out_dir / "report.json").write_text(jsonio.dumps(report.to_json()))
-
     analysis = {
         "demo": args.name,
         "verdict": report.verdict,
-        "min_eigenvalue": diag.to_json()["min_eigenvalue"],
-        "notes": _demo_notes(args.name),
+        "min_eigenvalue": diag["min_eigenvalue"],
+        "notes": DEMO_NOTES[args.name],
     }
     if args.name == "measurement-correlated":
         analysis["counterexample"] = _demo_counterexample(dataset, lam)
-    (out_dir / "analysis.json").write_text(jsonio.dumps(analysis))
+    artifacts = {
+        "scenario.json": config,
+        "dataset.json": dataset.to_json(),
+        "linear_map.json": {"map": lam.to_json(), "diagnostics": diag},
+        "m_elements.json": _tomo_bilinear(dataset)["elements"],
+        "report.json": report.to_json(),
+        "analysis.json": analysis,
+    }
+    for name, obj in artifacts.items():
+        (out_dir / name).write_text(jsonio.dumps(obj))
 
     summary = {
         "demo": args.name,
         "out_dir": str(out_dir),
         "verdict": report.verdict,
-        "min_eigenvalue": diag.to_json()["min_eigenvalue"],
-        "files": [
-            "scenario.json",
-            "dataset.json",
-            "linear_map.json",
-            "m_elements.json",
-            "report.json",
-            "analysis.json",
-        ],
+        "min_eigenvalue": diag["min_eigenvalue"],
+        "files": list(artifacts),
     }
     sys.stdout.write(jsonio.dumps(summary))
     return EXIT_OK
-
-
-def _demo_notes(name: str) -> str:
-    if name == "stochastic-heisenberg":
-        return (
-            "Pin-then-rotate preparation with an exchange-coupled environment; "
-            "the process is exactly linear."
-        )
-    if name == "measurement-correlated":
-        return (
-            "Preparation by von Neumann measurement on a correlated pair; the linear "
-            "fit mispredicts held-out inputs while the bi-linear description is exact."
-        )
-    if name == "imperfect-pin":
-        return (
-            "Rotation-only preparation on a 70/30 mixture of a pinned product state "
-            "and an entangled remainder; the assumed-linear fit has negative eigenvalues. "
-            "All parameters other than the 70% population weight are repository constants."
-        )
-    return ""
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -57,11 +57,11 @@ def heisenberg_hamiltonian() -> np.ndarray:
     return h
 
 
-def correlated_pair_state(bloch_a, c23: float) -> np.ndarray:
+def correlated_pair_state(bloch_a, c23: float, what: str = "density matrix") -> np.ndarray:
     """Two-qubit state (1/4)(1x1 + sum_j a_j sigma_j x 1 + c23 sigma_2 x sigma_3).
 
     Separable but classically correlated with the environment for c23 != 0.
-    Raises if the chosen coefficients do not give a valid state.
+    Raises ValueError, naming `what`, if the coefficients do not give a valid state.
     """
     bloch_a = np.asarray(bloch_a, dtype=float)
     eye = np.eye(2, dtype=complex)
@@ -70,7 +70,7 @@ def correlated_pair_state(bloch_a, c23: float) -> np.ndarray:
         gamma += a_j * tensor(sigma, eye)
     gamma += c23 * tensor(PAULIS[1], PAULIS[2])
     gamma = 0.25 * gamma
-    validate_density_matrix(gamma)
+    validate_density_matrix(gamma, what=what)
     return gamma
 
 

@@ -107,12 +107,6 @@ class PreparedState:
     label: str = ""
 
 
-def _check_pure(target: np.ndarray, tol: float) -> None:
-    w = np.linalg.eigvalsh(np.asarray(target, dtype=complex))
-    if abs(w[-1] - 1.0) > tol or abs(np.sum(w) - 1.0) > tol:
-        raise ValueError("pin target must be a pure state (largest eigenvalue 1)")
-
-
 def apply_pin_map(gamma0: np.ndarray, dim_sys: int, dim_env: int, target: np.ndarray) -> np.ndarray:
     """Pin the system to a fixed pure state, decoupling it from the environment.
 
@@ -126,7 +120,9 @@ def apply_pin_map(gamma0: np.ndarray, dim_sys: int, dim_env: int, target: np.nda
     target = np.asarray(target, dtype=complex)
     if target.shape != (dim_sys, dim_sys):
         raise ValueError("pin target dimension does not match the system")
-    _check_pure(target, STATE_TOL)
+    w = np.linalg.eigvalsh(target)
+    if abs(w[-1] - 1.0) > STATE_TOL or abs(np.sum(w) - 1.0) > STATE_TOL:
+        raise ValueError("pin target must be a pure state (largest eigenvalue 1)")
     return tensor(target, partial_trace_sys(gamma0, dim_sys, dim_env))
 
 

@@ -36,7 +36,9 @@ class TomographyRecord:
 
     @staticmethod
     def from_json(obj: dict) -> "TomographyRecord":
-        gamma = float(obj["gamma"])
+        gamma = obj["gamma"]
+        if type(gamma) not in (int, float):
+            raise ValueError(f"record {obj['label']!r} has gamma {gamma!r}, not a JSON number")
         # An outcome probability; the allowance above 1 is for rounding only.
         if not 0.0 <= gamma <= 1.0 + 1e-12:
             raise ValueError(f"record {obj['label']!r} has gamma {gamma!r} outside [0, 1]")
@@ -44,7 +46,7 @@ class TomographyRecord:
             label=str(obj["label"]),
             input=jsonio.matrix_from_json(obj["input"]),
             output=jsonio.matrix_from_json(obj["output"]),
-            gamma=gamma,
+            gamma=float(gamma),
         )
         shapes = {record.input.shape, record.output.shape}
         if shapes != {(2, 2)}:
@@ -54,10 +56,15 @@ class TomographyRecord:
 
 @dataclass(frozen=True)
 class Dataset:
-    """An ordered set of uniquely labeled tomography records plus free-form metadata."""
+    """An ordered set of uniquely labeled tomography records plus free-form metadata.
+
+    `oracle` is None or the exact element table of the true process, (10, 2, 2) in
+    `MElementTable` order; its JSON is one 10 x 4 matrix, row i element i flattened.
+    """
 
     records: tuple[TomographyRecord, ...]
     metadata: dict[str, str] = field(default_factory=dict)
+    oracle: np.ndarray | None = None
 
     def __post_init__(self):
         labels = [r.label for r in self.records]
@@ -78,10 +85,13 @@ class Dataset:
         return [self.get(label) for label in labels]
 
     def to_json(self) -> dict:
-        return {
+        out = {
             "records": [r.to_json() for r in self.records],
             "metadata": {k: str(v) for k, v in self.metadata.items()},
         }
+        if self.oracle is not None:
+            out["oracle"] = jsonio.matrix_to_json(self.oracle.reshape(10, 4))
+        return out
 
     @staticmethod
     def from_json(obj: dict) -> "Dataset":
@@ -90,7 +100,16 @@ class Dataset:
         if not isinstance(metadata, dict):
             raise ValueError(f"metadata must be a JSON object, got {type(metadata).__name__}")
         metadata = {str(k): str(v) for k, v in metadata.items()}
-        return Dataset(records=records, metadata=metadata)
+        oracle = None
+        if "oracle" in obj:
+            try:
+                oracle = jsonio.matrix_from_json(obj["oracle"])
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"oracle: {exc}") from exc
+            if oracle.shape != (10, 4):
+                raise ValueError(f"oracle has shape {oracle.shape}, expected (10, 4)")
+            oracle = oracle.reshape(10, 2, 2)
+        return Dataset(records=records, metadata=metadata, oracle=oracle)
 
 
 def record_map(records) -> dict[str, TomographyRecord]:

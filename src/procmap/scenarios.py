@@ -8,8 +8,11 @@ exact probabilities and outputs to multinomial estimates from a seeded
 generator.
 
 The dataset embeds the scenario's JSON text as given (`metadata.scenario_json`),
-so its sha256 is that of the scenario file.  Shot-count and seed overrides are
-not written into that text; they live in the `shots` and `seed` metadata.
+so its sha256 is that of the scenario file; it is provenance only, and nothing
+decodes it again.  Shot-count and seed overrides live in the `shots` and `seed`
+metadata, not in that text.  A measurement-prepared dataset also carries
+`oracle`, the exact element table of the true process, computed here from the
+`ProcessSpec` already in hand; other preparations carry none.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jsonio
-from .bilinear_tomo import NINE_STATE_LABELS, state_of_label
+from .bilinear_tomo import NINE_STATE_LABELS, build_M_from_dynamics, element_table_from_map, state_of_label
 from .dynamics import (
     ProcessSpec,
     correlated_pair_state,
@@ -102,6 +105,16 @@ def _integer(obj: dict, key: str, default: int | None) -> int | None:
     return value
 
 
+def _number(obj: dict, key: str, default: float) -> float:
+    """obj[key] when it is a finite JSON number (not a bool), else `default` when absent."""
+    value = obj.get(key, default)
+    if type(value) not in (int, float):
+        raise ScenarioError(f"{key} must be a JSON number, got {value!r}")
+    if not math.isfinite(value):
+        raise ScenarioError(f"{key} must be finite, got {value}")
+    return float(value)
+
+
 def parse_scenario(obj: dict, name: str = "scenario", text: str = "") -> Scenario:
     """Validate and expand a scenario JSON object decoded from `text`; raises ScenarioError."""
     _require_object(obj, "a scenario")
@@ -123,16 +136,11 @@ def parse_scenario(obj: dict, name: str = "scenario", text: str = "") -> Scenari
             joint = (dim_sys * dim_env,) * 2
             if hamiltonian.shape != joint:
                 raise ScenarioError(f"hamiltonian has shape {hamiltonian.shape}, expected {joint}")
-        t = obj.get("t", 0.0)
-        if type(t) not in (int, float):
-            raise ScenarioError(f"t must be a JSON number, got {t!r}")
-        t = float(t)
-        if not math.isfinite(t):
-            raise ScenarioError(f"t must be finite, got {t}")
+        t = _number(obj, "t", 0.0)
 
         g_obj = obj["gamma0"]
         if isinstance(g_obj, dict) and "bloch_a" in g_obj:
-            gamma0 = correlated_pair_state(g_obj["bloch_a"], float(g_obj.get("c23", 0.0)))
+            gamma0 = correlated_pair_state(g_obj["bloch_a"], _number(g_obj, "c23", 0.0), what="gamma0")
         else:
             gamma0 = jsonio.matrix_from_json(g_obj)
         u = unitary_from_hamiltonian(hamiltonian, t)
@@ -256,16 +264,13 @@ def _degraded_gammas(rng: np.random.Generator, sc: Scenario, exact: dict[str, fl
     est = dict(exact)
     if sc.prep_method != "measurement":
         return est
-    labels = set(exact)
     for d in "123456":
         plus, minus = f"{d}+", f"{d}-"
-        if plus in labels and minus in labels:
+        if plus in exact:
             ups = rng.binomial(shots, min(max(exact[plus], 0.0), 1.0))
             est[plus] = ups / shots
-            est[minus] = 1.0 - ups / shots
-        elif plus in labels:
-            ups = rng.binomial(shots, min(max(exact[plus], 0.0), 1.0))
-            est[plus] = ups / shots
+            if minus in exact:
+                est[minus] = 1.0 - ups / shots
     return est
 
 
@@ -302,7 +307,10 @@ def simulate_scenario(sc: Scenario) -> Dataset:
         "seed": "" if sc.seed is None else str(sc.seed),
         "scenario_json": sc.text,
     }
-    return Dataset(records=tuple(records), metadata=metadata)
+    oracle = None
+    if sc.prep_method == "measurement":  # the only preparation the bi-linear map describes
+        oracle = element_table_from_map(build_M_from_dynamics(spec)).elements
+    return Dataset(records=tuple(records), metadata=metadata, oracle=oracle)
 
 
 # ---------------------------------------------------------------------------
@@ -322,10 +330,6 @@ def _imperfect_pin_gamma0() -> np.ndarray:
     tau = 0.5 * np.eye(2, dtype=complex)
     chi = correlated_pair_state([0.0, 0.0, 0.0], IMPERFECT_PIN_CHI_C23)
     return IMPERFECT_PIN_PURE_WEIGHT * tensor(ZERO_STATE, tau) + (1 - IMPERFECT_PIN_PURE_WEIGHT) * chi
-
-
-def _imperfect_pin_hamiltonian() -> np.ndarray:
-    return tensor(SIGMA_1, SIGMA_3)
 
 
 DEMO_NAMES = ("stochastic-heisenberg", "measurement-correlated", "imperfect-pin")
@@ -359,7 +363,7 @@ def demo_scenario_config(name: str) -> dict:
         return {
             "dimA": 2,
             "dimB": 2,
-            "hamiltonian": jsonio.matrix_to_json(_imperfect_pin_hamiltonian()),
+            "hamiltonian": jsonio.matrix_to_json(tensor(SIGMA_1, SIGMA_3)),
             "t": IMPERFECT_PIN_T,
             "gamma0": jsonio.matrix_to_json(_imperfect_pin_gamma0()),
             "preparation": {"method": "rotation_only"},

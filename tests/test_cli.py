@@ -11,7 +11,7 @@ import pytest
 
 import procmap
 from procmap import cli, jsonio
-from procmap.bilinear_tomo import ZeroGamma
+from procmap.bilinear_tomo import NotStrictlyMixed, ZeroGamma
 from procmap.cli import main
 from procmap.errors import (
     EXIT_BAD_CONFIG,
@@ -139,6 +139,10 @@ BAD_SCENARIOS = {
     "env-tau": {**STOCHASTIC, "preparation": {"method": "stochastic", "env_tau": jsonio.matrix_to_json(np.eye(2) / 2)}},
     "phi": {**PINNED, "preparation": {"method": "rotation_only", "phi": jsonio.matrix_to_json(np.eye(2))}},
     "labels-without-generalized": {**MEASUREMENT, "preparation": {"method": "measurement", "labels": []}},
+    "c23-string": {**MEASUREMENT, "gamma0": {"bloch_a": [0.0, 0.5, 0.0], "c23": "0.3"}},
+    "c23-true": {**MEASUREMENT, "gamma0": {"bloch_a": [0.0, 0.5, 0.0], "c23": True}},
+    "c23-nan": {**MEASUREMENT, "gamma0": {"bloch_a": [0.0, 0.5, 0.0], "c23": float("nan")}},
+    "bloch-a-not-a-state": {**MEASUREMENT, "gamma0": {"bloch_a": [0, 2.0, 0]}},
 }
 
 
@@ -166,6 +170,10 @@ BAD_SCENARIO_WORDS = {
     "env-tau": "env_tau",
     "phi": "'phi'",
     "labels-without-generalized": "labels",
+    "c23-string": "c23 must be a JSON number",
+    "c23-true": "c23 must be a JSON number",
+    "c23-nan": "c23 must be finite",
+    "bloch-a-not-a-state": ("negative eigenvalue", "gamma0"),
 }
 
 
@@ -203,21 +211,25 @@ def resize_records(obj, labels, dim):
 
 
 @pytest.mark.parametrize(
-    "edit, commands",
+    "edit, commands, word",
     [
-        (lambda obj: resize_records(obj, TWELVE_STATE_LABELS + ("mixed",), 1), ["verify"]),
-        (lambda obj: resize_records(obj, ("2+",), 3), ["verify", "bilinear"]),
-        (lambda obj: {**obj, "metadata": [1]}, ["verify", "linear", "bilinear"]),
-        (lambda obj: set_gamma(obj, "1+", 7.0), ["verify", "linear", "bilinear"]),
-        (lambda obj: set_gamma(obj, "1+", -0.5), ["verify", "linear", "bilinear"]),
+        (lambda obj: resize_records(obj, TWELVE_STATE_LABELS + ("mixed",), 1), ["verify"], "shapes"),
+        (lambda obj: resize_records(obj, ("2+",), 3), ["verify", "bilinear"], "shapes"),
+        (lambda obj: {**obj, "metadata": [1]}, ["verify", "linear", "bilinear"], "metadata"),
+        (lambda obj: set_gamma(obj, "1+", 7.0), ["verify", "linear", "bilinear"], "gamma"),
+        (lambda obj: set_gamma(obj, "1+", -0.5), ["verify", "linear", "bilinear"], "gamma"),
+        (lambda obj: set_gamma(obj, "1+", True), ["verify", "linear", "bilinear"], "gamma"),
+        (lambda obj: set_gamma(obj, "1+", "0.5"), ["verify", "linear", "bilinear"], "gamma"),
     ],
-    ids=["all-1x1", "one-3x3", "metadata-list", "gamma-7", "gamma-negative"],
+    ids=["all-1x1", "one-3x3", "metadata-list", "gamma-7", "gamma-negative", "gamma-true", "gamma-string"],
 )
-def test_malformed_dataset_is_bad_config(edit, commands, tmp_path, capsys):
+def test_malformed_dataset_is_bad_config(edit, commands, word, tmp_path, capsys):
     path = write_dataset(tmp_path, edit(simulate(tmp_path, capsys)))
     for command in commands:
         argv = ["verify", path] if command == "verify" else ["tomo", path, "--mode", command]
-        assert run(argv, capsys)[0] == EXIT_BAD_CONFIG
+        code, err = run(argv, capsys)
+        assert code == EXIT_BAD_CONFIG
+        assert word in err, err
 
 
 def test_missing_label_exits_4(tmp_path, capsys):
@@ -250,24 +262,54 @@ def test_oracle_comparison_only_for_measurement_preparation(demo, emitted, tmp_p
         assert payload["oracle_comparison"]["max_element_deviation"] < 1e-10
 
 
-@pytest.mark.parametrize(
-    "text, code", [("{", EXIT_BAD_CONFIG), ("[]", EXIT_BAD_CONFIG), ("", EXIT_OK)], ids=["brace", "array", "empty"]
-)
-def test_corrupt_embedded_scenario_is_bad_config(text, code, tmp_path, capsys):
-    obj = simulate(tmp_path, capsys)
-    obj["metadata"]["scenario_json"] = text
+def tomo_bilinear_output(tmp_path, capsys, obj):
+    """`tomo --mode bilinear` on the dataset `obj`; returns (exit code, stderr, output file text)."""
     out = tmp_path / "bilinear.json"
-    got, err = run(["tomo", write_dataset(tmp_path, obj), "--mode", "bilinear", "--out", out], capsys)
-    assert got == code
-    if code == EXIT_OK:  # an empty scenario_json means no oracle
-        assert "oracle_comparison" not in json.loads(out.read_text())
+    out.unlink(missing_ok=True)
+    code, err = run(["tomo", write_dataset(tmp_path, obj), "--mode", "bilinear", "--out", out], capsys)
+    return code, err, out.read_text() if code == EXIT_OK else None
+
+
+@pytest.mark.parametrize("text", ["{", "[]", ""], ids=["brace", "array", "empty"])
+def test_corrupt_embedded_scenario_is_ignored(text, tmp_path, capsys):
+    # scenario_json is provenance only: tomo's output does not depend on it.
+    obj = simulate(tmp_path, capsys)
+    code, _, want = tomo_bilinear_output(tmp_path, capsys, obj)
+    assert code == EXIT_OK and "oracle_comparison" in json.loads(want)
+    obj["metadata"]["scenario_json"] = text
+    assert tomo_bilinear_output(tmp_path, capsys, obj) == (EXIT_OK, "", want)
+
+
+@pytest.mark.parametrize(
+    "oracle",
+    [
+        "oracle",
+        {"rows": 9, "cols": 4, "data": [[0.0, 0.0]] * 36},
+        {"rows": 10, "cols": 4, "data": [[float("nan"), 0.0]] + [[0.0, 0.0]] * 39},
+        {"rows": 10, "cols": 4},
+        None,
+    ],
+    ids=["string", "9x4", "nan", "no-data", "absent"],
+)
+def test_malformed_oracle_is_bad_config(oracle, tmp_path, capsys):
+    obj = simulate(tmp_path, capsys)
+    assert (obj["oracle"]["rows"], obj["oracle"]["cols"]) == (10, 4)
+    if oracle is None:
+        del obj["oracle"]
     else:
-        assert "scenario_json" in err
+        obj["oracle"] = oracle
+    code, err, out = tomo_bilinear_output(tmp_path, capsys, obj)
+    if oracle is None:  # no oracle means no comparison, as for other preparations
+        assert code == EXIT_OK and "oracle_comparison" not in json.loads(out)
+    else:
+        assert code == EXIT_BAD_CONFIG
+        assert "oracle" in err, err
 
 
 @pytest.mark.parametrize("demo", ["measurement-correlated", "stochastic-heisenberg", "imperfect-pin"])
 def test_oracle_decodes_only_measurement_datasets(demo, tmp_path, capsys, monkeypatch):
-    simulate(tmp_path, capsys, demo=demo)
+    # simulate stores the oracle; tomo decodes that matrix and never the embedded scenario.
+    assert ("oracle" in simulate(tmp_path, capsys, demo=demo)) == (demo == "measurement-correlated")
     calls = []
 
     def counting_parse(*args, **kwargs):
@@ -276,7 +318,27 @@ def test_oracle_decodes_only_measurement_datasets(demo, tmp_path, capsys, monkey
 
     monkeypatch.setattr(cli, "parse_scenario", counting_parse)
     assert run(["tomo", tmp_path / "dataset.json", "--mode", "bilinear"], capsys)[0] == EXIT_OK
-    assert len(calls) == (demo == "measurement-correlated")
+    assert calls == []
+
+
+def test_stored_oracle_detects_a_perturbed_record(tmp_path, capsys):
+    # The oracle comes from (U, gamma0), not from the records, so it still checks the fit.
+    obj = simulate(tmp_path, capsys)
+    record = next(rec for rec in obj["records"] if rec["label"] == "4+")
+    record["output"]["data"][1][0] += 1e-3  # Re Q[0, 1] and Re Q[1, 0]: Q stays Hermitian
+    record["output"]["data"][2][0] += 1e-3
+    code, _, out = tomo_bilinear_output(tmp_path, capsys, obj)
+    assert code == EXIT_OK
+    assert json.loads(out)["oracle_comparison"]["max_element_deviation"] > 1e-4
+
+
+def test_pure_mixed_record_is_bad_config(tmp_path, capsys):
+    obj = simulate(tmp_path, capsys)
+    records = {rec["label"]: rec for rec in obj["records"]}
+    records["mixed"]["input"] = records["1+"]["input"]
+    code, err, _ = tomo_bilinear_output(tmp_path, capsys, obj)
+    assert code == EXIT_BAD_CONFIG
+    assert "'mixed'" in err, err
 
 
 @pytest.mark.parametrize("shot_args", [[], ["--shots", 1000, "--seed", 7]], ids=["exact", "shots"])
@@ -352,6 +414,7 @@ def test_finite_shot_outputs_are_shot_counts(tmp_path, capsys):
         (ScenarioError, EXIT_BAD_CONFIG),
         (InvalidMeasurement, EXIT_BAD_CONFIG),
         (ZeroProbabilityOutcome, EXIT_ZERO_PROBABILITY),
+        (NotStrictlyMixed, EXIT_BAD_CONFIG),
         (ZeroGamma, EXIT_ZERO_PROBABILITY),
         (MissingRecord, EXIT_MISSING_LABELS),
         (NotAFrame, EXIT_NOT_A_FRAME),

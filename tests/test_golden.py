@@ -1,6 +1,8 @@
 """Golden demo bundles: `procmap demo` must keep reproducing the committed artifacts.
 
-The scenario and dataset files are pinned byte for byte.  The analysis
+The scenario and dataset files are pinned byte for byte.  The measurement
+demo's dataset also carries `oracle`; without that key it must re-emit to the
+bytes it had before the key existed, so its records and metadata are unchanged.  The analysis
 artifacts are compared against the copies under tests/golden/<demo>/ with a
 1e-12 tolerance on every float and exact equality on every other value; in
 report.json the per-record fit residuals and the schema tag are not compared.
@@ -12,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from procmap import jsonio
 from procmap.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -24,12 +27,16 @@ PINNED_SHA256 = {
     },
     "measurement-correlated": {
         "scenario.json": "3631560f0de98946dcf5c959d305cb4b23ef82379a0283af9d83ebf51cbf4263",
-        "dataset.json": "63c4aeafb70a8e7a9c3df3ac699584280887c3fdfe2673d36d14904d2b53cdcc",
+        "dataset.json": "cef339d896c405cfb029489835c7934db5853b54be93203b2ad68832ea7dbb66",
     },
     "imperfect-pin": {
         "scenario.json": "1265e79c4f6b6c9a5d7f38c536c6719fc72abadf29264bcb31c679519c6ed044",
         "dataset.json": "c087a25c2ee996f60d73ca999401fd9afc738f04199a6ef1cc93522d4851b477",
     },
+}
+# sha256 of dataset.json with its `oracle` key dropped: the digest pinned before the key was added.
+WITHOUT_ORACLE_SHA256 = {
+    "measurement-correlated": "63c4aeafb70a8e7a9c3df3ac699584280887c3fdfe2673d36d14904d2b53cdcc",
 }
 VERDICTS = {
     "stochastic-heisenberg": "Linear",
@@ -64,6 +71,14 @@ def test_demo_bundle_matches_golden(demo, tmp_path, capsys):
 
     for name, digest in PINNED_SHA256[demo].items():
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+    dataset = json.loads((out / "dataset.json").read_text())
+    oracle = dataset.pop("oracle", None)
+    assert (oracle is not None) == (demo in WITHOUT_ORACLE_SHA256)
+    if oracle is not None:
+        assert (oracle["rows"], oracle["cols"]) == (10, 4)
+        digest = hashlib.sha256(jsonio.dumps(dataset).encode()).hexdigest()
+        assert digest == WITHOUT_ORACLE_SHA256[demo]
 
     for name in ("linear_map.json", "m_elements.json", "analysis.json"):
         got = json.loads((out / name).read_text())

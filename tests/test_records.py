@@ -26,6 +26,17 @@ def test_dataset_json_round_trip_is_exact():
         assert got.output.tobytes() == np.asarray(want.output, dtype=complex).tobytes()
 
 
+def test_dataset_oracle_json_round_trip_is_exact():
+    rng = np.random.default_rng(3)
+    oracle = rng.normal(size=(10, 2, 2)) + 1j * rng.normal(size=(10, 2, 2))
+    dataset = Dataset(records=demo_dataset().records, oracle=oracle)
+    obj = json.loads(jsonio.dumps(dataset.to_json()))
+    assert (obj["oracle"]["rows"], obj["oracle"]["cols"]) == (10, 4)
+    assert Dataset.from_json(obj).oracle.tobytes() == oracle.tobytes()
+    assert "oracle" not in demo_dataset().to_json()
+    assert Dataset.from_json(demo_dataset().to_json()).oracle is None
+
+
 def test_duplicate_labels_raise():
     rec = demo_dataset().records[0]
     with pytest.raises(ValueError, match="unique"):
