@@ -4,7 +4,10 @@ stdout carries JSON only; human diagnostics go to stderr (ANSI-colored on a
 terminal unless PROCMAP_NO_COLOR is set).  Exit codes, each the `exit_code`
 of the `ProcmapError` subclasses named:
   0  success
-  2  ScenarioError, InvalidMeasurement, NotStrictlyMixed: malformed config or dataset
+  2  ScenarioError, InvalidMeasurement, NotStrictlyMixed: malformed config or dataset;
+     ProcmapError itself: a --tol-linear or --tol-bilinear that is not a finite
+     non-negative number, or an --out that cannot be written (a missing
+     directory, or for `demo` an existing file)
   3  ZeroProbabilityOutcome, ZeroGamma: zero-probability preparation or record
   4  MissingRecord: missing record labels
   5  NotAFrame: input states that do not form a tomography frame
@@ -18,7 +21,9 @@ is provenance only: no command decodes it.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -57,10 +62,17 @@ def _diag(message: str) -> None:
         sys.stderr.write(f"error: {message}\n")
 
 
+def _write_text(path: Path, text: str) -> None:
+    try:
+        path.write_text(text)
+    except OSError as exc:
+        raise ProcmapError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def _write_output(payload: dict, out: str | None) -> None:
     text = jsonio.dumps(payload)
     if out:
-        Path(out).write_text(text)
+        _write_text(Path(out), text)
     else:
         sys.stdout.write(text)
 
@@ -122,6 +134,9 @@ def cmd_tomo(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    for option, tol in (("--tol-linear", args.tol_linear), ("--tol-bilinear", args.tol_bilinear)):
+        if not (math.isfinite(tol) and tol >= 0):
+            raise ProcmapError(f"{option} must be a finite non-negative number, got {tol}")
     dataset = _load_dataset(args.dataset)
     report = classify(
         dataset.subset(TWELVE_STATE_LABELS),
@@ -167,7 +182,10 @@ DEMO_NOTES = {
 def cmd_demo(args) -> int:
     config = demo_scenario_config(args.name)
     out_dir = Path(args.out or args.name)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ProcmapError(f"cannot write {out_dir}: {exc.strerror or exc}") from exc
 
     scenario = parse_scenario(config, name=args.name, text=jsonio.dumps(config, indent=0))
     dataset = simulate_scenario(scenario)
@@ -191,7 +209,7 @@ def cmd_demo(args) -> int:
         "analysis.json": analysis,
     }
     for name, obj in artifacts.items():
-        (out_dir / name).write_text(jsonio.dumps(obj))
+        _write_text(out_dir / name, jsonio.dumps(obj))
 
     summary = {
         "demo": args.name,
@@ -239,9 +257,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Parsing leaves the parser as it was, so one serves every call in a process.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ProcmapError as exc:

@@ -64,6 +64,7 @@ PREPARATION_KEYS = {
 # |0><0|: the pin target of stochastic preparation, and the state that
 # rotation-only preparation assumes it starts from.
 ZERO_STATE = np.array([[1, 0], [0, 0]], dtype=complex)
+ZERO_KET = ket_from_projector(ZERO_STATE)
 
 MIXED_LABEL = "mixed"
 
@@ -105,14 +106,29 @@ def _integer(obj: dict, key: str, default: int | None) -> int | None:
     return value
 
 
+def _finite(value, what: str) -> float:
+    """`value` as a float when it is a finite JSON number (not a bool); errors name `what`."""
+    if type(value) not in (int, float):
+        raise ScenarioError(f"{what} must be a JSON number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ScenarioError(f"{what} must be finite, got {value}")
+    return number
+
+
 def _number(obj: dict, key: str, default: float) -> float:
     """obj[key] when it is a finite JSON number (not a bool), else `default` when absent."""
-    value = obj.get(key, default)
-    if type(value) not in (int, float):
-        raise ScenarioError(f"{key} must be a JSON number, got {value!r}")
-    if not math.isfinite(value):
-        raise ScenarioError(f"{key} must be finite, got {value}")
-    return float(value)
+    return _finite(obj.get(key, default), key)
+
+
+def _bloch(value, what: str) -> np.ndarray:
+    """A list of exactly three finite JSON numbers, as a float vector; errors name `what`."""
+    if not isinstance(value, list) or len(value) != 3:
+        raise ScenarioError(f"{what} must be a list of three JSON numbers, got {value!r}")
+    return np.array([_finite(x, f"{what}[{i}]") for i, x in enumerate(value)])
 
 
 def parse_scenario(obj: dict, name: str = "scenario", text: str = "") -> Scenario:
@@ -140,7 +156,8 @@ def parse_scenario(obj: dict, name: str = "scenario", text: str = "") -> Scenari
 
         g_obj = obj["gamma0"]
         if isinstance(g_obj, dict) and "bloch_a" in g_obj:
-            gamma0 = correlated_pair_state(g_obj["bloch_a"], _number(g_obj, "c23", 0.0), what="gamma0")
+            bloch_a = _bloch(g_obj["bloch_a"], "gamma0.bloch_a")
+            gamma0 = correlated_pair_state(bloch_a, _number(g_obj, "c23", 0.0), what="gamma0")
         else:
             gamma0 = jsonio.matrix_from_json(g_obj)
         u = unitary_from_hamiltonian(hamiltonian, t)
@@ -174,9 +191,7 @@ def parse_scenario(obj: dict, name: str = "scenario", text: str = "") -> Scenari
 
         mixed_bloch = None
         if "mixed_bloch" in obj:
-            mixed_bloch = np.asarray(obj["mixed_bloch"], dtype=float)
-            if mixed_bloch.shape != (3,) or not np.all(np.isfinite(mixed_bloch)):
-                raise ScenarioError("mixed_bloch must be a finite 3-vector")
+            mixed_bloch = _bloch(obj["mixed_bloch"], "mixed_bloch")
             if float(np.dot(mixed_bloch, mixed_bloch)) >= 1.0:
                 raise ScenarioError("mixed_bloch must have norm strictly below 1")
             if method != "measurement":
@@ -228,19 +243,18 @@ def _mixed_preparation_measurement(target: np.ndarray) -> GeneralizedMeasurement
     )
 
 
-def _prepare_for_label(sc: Scenario, label: str):
-    target = state_of_label(label)
+def _prepare_for_label(sc: Scenario, label: str, target: np.ndarray, pinned: np.ndarray | None):
+    """Prepare the input `target` of `label`; `pinned` is the stochastic pin of gamma0."""
     spec = sc.spec
     if sc.prep_method == "stochastic":
-        pinned = apply_pin_map(spec.gamma0, spec.dim_sys, spec.dim_env, ZERO_STATE)
-        v = rotation_between(ket_from_projector(ZERO_STATE), ket_from_projector(target))
+        v = rotation_between(ZERO_KET, ket_from_projector(target))
         return prepare_stochastic(pinned, v, label=label)
     if sc.prep_method == "measurement":
         return prepare_projective(spec.gamma0, spec.dim_sys, spec.dim_env, target, label=label)
     if sc.prep_method == "rotation_only":
         # Imperfect-pin preparation: the rotation is applied directly to
         # gamma0, so the true input is not the assumed projector.
-        v = rotation_between(ket_from_projector(ZERO_STATE), ket_from_projector(target))
+        v = rotation_between(ZERO_KET, ket_from_projector(target))
         return prepare_stochastic(spec.gamma0, v, label=label)
     if sc.prep_method == "generalized":
         outcome = sc.generalized_labels.index(label)
@@ -277,14 +291,16 @@ def _degraded_gammas(rng: np.random.Generator, sc: Scenario, exact: dict[str, fl
 def simulate_scenario(sc: Scenario) -> Dataset:
     """Run the preparation + process pipeline for every protocol label."""
     spec = sc.spec
-    labels = list(PROTOCOL_LABELS[sc.protocol])
-    prepared = [_prepare_for_label(sc, label) for label in labels]
+    # The pin gives |0><0| (x) Tr_S gamma0 whatever the label, so it runs once.
+    pinned = None
+    if sc.prep_method == "stochastic":
+        pinned = apply_pin_map(spec.gamma0, spec.dim_sys, spec.dim_env, ZERO_STATE)
     records = []
-    for label, prep_state in zip(labels, prepared):
+    for label in PROTOCOL_LABELS[sc.protocol]:
+        target = state_of_label(label)
+        prep_state = _prepare_for_label(sc, label, target, pinned)
         q = run_process(spec, prep_state)
-        records.append(
-            TomographyRecord(label=label, input=state_of_label(label), output=q, gamma=prep_state.gamma)
-        )
+        records.append(TomographyRecord(label=label, input=target, output=q, gamma=prep_state.gamma))
 
     if sc.mixed_bloch is not None:
         x = state_from_bloch(sc.mixed_bloch)

@@ -24,7 +24,13 @@ from procmap.linear_tomo import NotAFrame
 from procmap.prep import InvalidMeasurement, ZeroProbabilityOutcome
 from procmap.qstate import bloch_vector
 from procmap.records import MissingRecord
-from procmap.scenarios import LINEAR4_LABELS, ScenarioError, demo_scenario_config, parse_scenario
+from procmap.scenarios import (
+    LINEAR4_LABELS,
+    ScenarioError,
+    demo_scenario_config,
+    parse_scenario,
+    simulate_scenario,
+)
 from procmap.verify import TWELVE_STATE_LABELS
 
 
@@ -143,6 +149,11 @@ BAD_SCENARIOS = {
     "c23-true": {**MEASUREMENT, "gamma0": {"bloch_a": [0.0, 0.5, 0.0], "c23": True}},
     "c23-nan": {**MEASUREMENT, "gamma0": {"bloch_a": [0.0, 0.5, 0.0], "c23": float("nan")}},
     "bloch-a-not-a-state": {**MEASUREMENT, "gamma0": {"bloch_a": [0, 2.0, 0]}},
+    "bloch-a-two-entries": {**MEASUREMENT, "gamma0": {"bloch_a": [0.0, 0.5], "c23": 0.3}},
+    "bloch-a-four-entries": {**MEASUREMENT, "gamma0": {"bloch_a": [0.0, 0.5, 0.0, 0.2], "c23": 0.3}},
+    "bloch-a-string-and-bool": {**MEASUREMENT, "gamma0": {"bloch_a": ["0.1", False, 0], "c23": 0.3}},
+    "mixed-bloch-string-and-bool": {**MEASUREMENT, "mixed_bloch": ["0.1", False, 0]},
+    "t-integer-beyond-float": {**MEASUREMENT, "t": 10**400},
 }
 
 
@@ -174,6 +185,11 @@ BAD_SCENARIO_WORDS = {
     "c23-true": "c23 must be a JSON number",
     "c23-nan": "c23 must be finite",
     "bloch-a-not-a-state": ("negative eigenvalue", "gamma0"),
+    "bloch-a-two-entries": "gamma0.bloch_a must be a list of three",
+    "bloch-a-four-entries": "gamma0.bloch_a must be a list of three",
+    "bloch-a-string-and-bool": "gamma0.bloch_a[0] must be a JSON number",
+    "mixed-bloch-string-and-bool": "mixed_bloch[0] must be a JSON number",
+    "t-integer-beyond-float": "t must be finite",
 }
 
 
@@ -230,6 +246,61 @@ def test_malformed_dataset_is_bad_config(edit, commands, word, tmp_path, capsys)
         code, err = run(argv, capsys)
         assert code == EXIT_BAD_CONFIG
         assert word in err, err
+
+
+@pytest.mark.parametrize(
+    "option, value",
+    [("--tol-linear", "nan"), ("--tol-linear", "-1"), ("--tol-bilinear", "inf"), ("--tol-bilinear", "-0.5")],
+)
+def test_tolerance_must_be_finite_and_non_negative(option, value, tmp_path, capsys):
+    simulate(tmp_path, capsys)
+    code, err = run(["verify", tmp_path / "dataset.json", option, value], capsys)
+    assert code == EXIT_BAD_CONFIG
+    assert option in err, err
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["simulate", "{scenario}", "--out", "{missing}"],
+        ["tomo", "{dataset}", "--mode", "linear", "--out", "{missing}"],
+        ["tomo", "{dataset}", "--mode", "bilinear", "--out", "{missing}"],
+        ["verify", "{dataset}", "--out", "{missing}"],
+        ["verify", "{dataset}", "--out", "{directory}"],
+        ["demo", "imperfect-pin", "--out", "{dataset}"],
+    ],
+    ids=["simulate-missing-dir", "linear-missing-dir", "bilinear-missing-dir", "verify-missing-dir",
+         "verify-directory", "demo-onto-a-file"],
+)
+def test_unwritable_out_is_bad_config(command, tmp_path, capsys):
+    simulate(tmp_path, capsys)
+    paths = {
+        "scenario": tmp_path / "scenario.json",
+        "dataset": tmp_path / "dataset.json",
+        "missing": tmp_path / "missing" / "x.json",
+        "directory": tmp_path,
+    }
+    code, err = run([arg.format(**paths) for arg in command], capsys)
+    assert code == EXIT_BAD_CONFIG
+    assert "cannot write" in err, err
+
+
+def test_one_parser_serves_every_call_in_a_process(tmp_path, capsys):
+    # Options given to one call must not carry over to the next.
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(jsonio.dumps(MEASUREMENT))
+    shots, exact = tmp_path / "shots.json", tmp_path / "exact.json"
+    assert run(["simulate", scenario, "--shots", 1000, "--seed", 7, "--out", shots], capsys) == (EXIT_OK, "")
+    assert run(["simulate", scenario, "--out", exact], capsys) == (EXIT_OK, "")
+    assert json.loads(shots.read_text())["metadata"]["shots"] == "1000"
+    fresh = simulate_scenario(parse_scenario(MEASUREMENT, name="scenario", text=scenario.read_text()))
+    assert exact.read_text() == jsonio.dumps(fresh.to_json())
+
+    loose, default = tmp_path / "loose.json", tmp_path / "default.json"
+    assert run(["verify", exact, "--tol-linear", 0.5, "--out", loose], capsys) == (EXIT_OK, "")
+    assert run(["verify", exact, "--out", default], capsys) == (EXIT_OK, "")
+    assert json.loads(loose.read_text())["thresholds"]["linear"] == 0.5
+    assert json.loads(default.read_text())["thresholds"] == {"linear": 1e-6, "bilinear": 1e-6}
 
 
 def test_missing_label_exits_4(tmp_path, capsys):

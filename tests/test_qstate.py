@@ -29,6 +29,19 @@ def test_tensor_identity():
     assert np.array_equal(tensor(IDENTITY_2, IDENTITY_2), np.eye(4))
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3, 64])
+def test_tensor_is_bit_identical_to_kron(dim):
+    rng = np.random.default_rng(dim)
+    a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    b = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    a[0, 1] = complex(-0.0, 0.0)
+    a[1, 0] = complex(0.0, -0.0)
+    b[0, 0] = complex(-0.0, -0.0)
+    for x, y in ((a, b), (SIGMA_2, np.eye(dim)), (a.real, b.imag)):
+        expected = np.kron(np.asarray(x, dtype=complex), np.asarray(y, dtype=complex))
+        assert tensor(x, y).tobytes() == expected.tobytes()
+
+
 def test_tensor_sigma2_sigma3():
     expected = np.array(
         [
