@@ -9,7 +9,6 @@ a process as Linear, Bilinear, or Neither from a 12-projection protocol.
 from .bilinear_tomo import (
     BilinearProcessMap,
     MElementTable,
-    NINE_STATE_LABELS,
     build_M_from_dynamics,
     element_table_from_map,
     predict_output,
@@ -42,12 +41,7 @@ from .prep import (
     prepare_projective,
     prepare_stochastic,
 )
-from .records import Dataset, Fit, MissingRecord, TomographyRecord, fit
-from .verify import (
-    TWELVE_STATE_LABELS,
-    VerificationReport,
-    classify,
-    gamma_completeness,
-)
+from .records import NINE_STATE_LABELS, TWELVE_STATE_LABELS, Dataset, Fit, MissingRecord, TomographyRecord, fit
+from .verify import VerificationReport, classify, gamma_completeness
 
 __version__ = "0.1.0"

@@ -19,7 +19,8 @@ The nine-projection qubit protocol determines every element combination of M
 needed to predict the output state and outcome probability for an arbitrary
 prepared projector; one extra mixed-state preparation (via a generalized
 measurement) additionally resolves <1|M|1> so that mixed inputs can be
-predicted too.  Both are solved by one least-squares fit of gamma*Q.
+predicted too.  Both are solved by one least-squares fit of gamma*Q.  The
+protocol labels and their projectors are the protocol table in `records`.
 """
 
 from __future__ import annotations
@@ -31,27 +32,9 @@ import numpy as np
 from . import jsonio
 from .errors import ProcmapError
 from .prep import ZeroProbabilityOutcome
-from .qstate import IDENTITY_2, PAULIS, pauli_decompose, state_from_bloch
-from .records import MissingRecord, TomographyRecord, fit, record_map
+from .qstate import IDENTITY_2, PAULIS, pauli_decompose
+from .records import NINE_STATE_LABELS, TomographyRecord, fit, select
 
-SQRT2 = float(np.sqrt(2.0))
-
-# Bloch vectors of the nine-projection protocol, in protocol order.
-NINE_STATE_LABELS = ("1+", "1-", "2+", "2-", "3+", "3-", "4+", "5+", "6+")
-_BLOCH_BY_LABEL = {
-    "1+": (1.0, 0.0, 0.0),
-    "1-": (-1.0, 0.0, 0.0),
-    "2+": (0.0, 1.0, 0.0),
-    "2-": (0.0, -1.0, 0.0),
-    "3+": (0.0, 0.0, 1.0),
-    "3-": (0.0, 0.0, -1.0),
-    "4+": (1.0 / SQRT2, 1.0 / SQRT2, 0.0),
-    "4-": (-1.0 / SQRT2, -1.0 / SQRT2, 0.0),
-    "5+": (1.0 / SQRT2, 0.0, 1.0 / SQRT2),
-    "5-": (-1.0 / SQRT2, 0.0, -1.0 / SQRT2),
-    "6+": (0.0, 1.0 / SQRT2, 1.0 / SQRT2),
-    "6-": (0.0, -1.0 / SQRT2, -1.0 / SQRT2),
-}
 CROSS_PAIRS = ((1, 2), (1, 3), (2, 3))
 
 
@@ -65,10 +48,6 @@ class NotStrictlyMixed(ProcmapError):
 
 class MixedWithoutUnitUnit(Exception):
     """Prediction for a mixed preparation requires the <1|M|1> element."""
-
-
-def state_of_label(label: str) -> np.ndarray:
-    return state_from_bloch(_BLOCH_BY_LABEL[label])
 
 
 @dataclass(frozen=True)
@@ -165,11 +144,7 @@ def solve_M_elements(records, mixed_record: TomographyRecord | None = None) -> M
     min-norm solution.  When a mixed-state record (Bloch norm < 1) is fitted
     as well, <1|M|1> is resolved too.
     """
-    recs = record_map(records)
-    missing = [label for label in NINE_STATE_LABELS if label not in recs]
-    if missing:
-        raise MissingRecord(f"protocol records missing labels: {', '.join(missing)}")
-    fitted = [recs[label] for label in NINE_STATE_LABELS]
+    fitted = select(records, NINE_STATE_LABELS)
     if mixed_record is not None:
         _, half_p = pauli_decompose(mixed_record.input)
         norm_sq = 4.0 * float(np.dot(half_p, half_p))

@@ -4,7 +4,9 @@ stdout carries JSON only; human diagnostics go to stderr (ANSI-colored on a
 terminal unless PROCMAP_NO_COLOR is set).  Exit codes, each the `exit_code`
 of the `ProcmapError` subclasses named:
   0  success
-  2  ScenarioError, InvalidMeasurement, NotStrictlyMixed: malformed config or dataset;
+  2  ScenarioError, InvalidMeasurement, NotStrictlyMixed: malformed config or dataset,
+     or an input file that is unreadable, not UTF-8 or not JSON (including an integer
+     longer than Python's 4,300-digit decoding limit);
      ProcmapError itself: a --tol-linear or --tol-bilinear that is not a finite
      non-negative number, or an --out that cannot be written (a missing
      directory, or for `demo` an existing file)
@@ -33,26 +35,13 @@ import numpy as np
 from . import jsonio
 # build_M_from_dynamics and element_table_from_map stay bound here, unused, so
 # that perfbench/tracer.py can wrap every bi-linear layer under procmap.cli.
-from .bilinear_tomo import (
-    NINE_STATE_LABELS,
-    build_M_from_dynamics,
-    element_table_from_map,
-    solve_M_elements,
-)
+from .bilinear_tomo import build_M_from_dynamics, element_table_from_map, solve_M_elements
 from .errors import EXIT_OK, ProcmapError
 from .linear_tomo import apply_linear_map, map_diagnostics, reconstruct_linear_map
 from .qstate import bloch_vector
-from .records import Dataset
-from .scenarios import (
-    DEMO_NAMES,
-    LINEAR4_LABELS,
-    MIXED_LABEL,
-    ScenarioError,
-    demo_scenario_config,
-    parse_scenario,
-    simulate_scenario,
-)
-from .verify import TWELVE_STATE_LABELS, classify
+from .records import LINEAR4_LABELS, MIXED_LABEL, NINE_STATE_LABELS, TWELVE_STATE_LABELS, Dataset
+from .scenarios import DEMO_NAMES, ScenarioError, demo_scenario_config, parse_scenario, simulate_scenario
+from .verify import classify
 
 
 def _diag(message: str) -> None:
@@ -84,7 +73,7 @@ def _load_json(path: str) -> tuple[str, dict]:
         obj = json.loads(text)
     except UnicodeDecodeError as exc:
         raise ScenarioError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON, or an integer too long to decode
         raise ScenarioError(f"cannot read JSON from {path}: {exc}") from exc
     if not isinstance(obj, dict):
         raise ScenarioError(f"{path} does not hold a JSON object")

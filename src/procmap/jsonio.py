@@ -119,11 +119,11 @@ def matrix_to_json(mat: np.ndarray) -> dict:
 def matrix_from_json(obj: dict) -> np.ndarray:
     """Decode the matrix encoding produced by `matrix_to_json`; entries must be finite."""
     try:
-        rows = int(obj["rows"])
-        cols = int(obj["cols"])
-        data = obj["data"]
+        rows, cols, data = obj["rows"], obj["cols"], obj["data"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed matrix JSON: {exc}") from exc
+    if type(rows) is not int or type(cols) is not int:
+        raise ValueError(f"matrix rows and cols must be JSON integers, got {rows!r} and {cols!r}")
     if rows <= 0 or cols <= 0:
         raise ValueError(f"matrix dimensions must be positive, got {rows}x{cols}")
     if len(data) != rows * cols:

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import jsonio
 from .errors import EXIT_ZERO_PROBABILITY, ProcmapError
 from .qstate import (
     STATE_TOL,
@@ -83,19 +82,10 @@ class GeneralizedMeasurement:
         if not self.outcomes or not all(outcome.kraus for outcome in self.outcomes):
             raise InvalidMeasurement("a measurement needs outcomes, each with a Kraus operator")
         res = self.completeness_residual()
-        if res > tol:
+        if not res <= tol:  # a NaN residual fails too
             raise InvalidMeasurement(
                 f"measurement maps do not sum to a trace-preserving map (residual {res:.3e})"
             )
-
-    @staticmethod
-    def from_json(obj: dict) -> "GeneralizedMeasurement":
-        outcomes = []
-        for entry in obj["outcomes"]:
-            weights = tuple(float(w) for w in entry["weights"])
-            kraus = tuple(jsonio.matrix_from_json(c) for c in entry["kraus"])
-            outcomes.append(OutcomeMap(weights=weights, kraus=kraus))
-        return GeneralizedMeasurement(outcomes=tuple(outcomes))
 
 
 @dataclass(frozen=True)

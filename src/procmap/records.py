@@ -1,4 +1,14 @@
-"""Tomography records and datasets, and the least-squares fit every protocol solves."""
+"""The tomography protocol, its records and datasets, and the least-squares fit every protocol solves.
+
+Every protocol prepares eigenstates of six Bloch directions, `DIRECTIONS`: the
+Pauli axes 1, 2, 3 and the normalized diagonals 4 = 1+2, 5 = 1+3, 6 = 2+3.
+Label "<d>+" prepares the projector onto +d and "<d>-" the one onto -d
+(`state_of_label`), so each direction's two labels form an orthonormal pair.
+`PROTOCOL_LABELS` names the protocols: verify12, all twelve labels in pair
+order; bilinear9, both labels of 1, 2, 3 and 4+, 5+, 6+; linear4, 1-, 1+, 2+,
+3+.  A bi-linear dataset may add a record labeled `MIXED_LABEL`.  `select`
+looks records up by label.
+"""
 
 from __future__ import annotations
 
@@ -9,6 +19,33 @@ import numpy as np
 
 from . import jsonio
 from .errors import EXIT_MISSING_LABELS, ProcmapError
+from .qstate import state_from_bloch
+
+_DIAGONAL = 1.0 / math.sqrt(2.0)
+DIRECTIONS = {
+    "1": (1.0, 0.0, 0.0),
+    "2": (0.0, 1.0, 0.0),
+    "3": (0.0, 0.0, 1.0),
+    "4": (_DIAGONAL, _DIAGONAL, 0.0),
+    "5": (_DIAGONAL, 0.0, _DIAGONAL),
+    "6": (0.0, _DIAGONAL, _DIAGONAL),
+}
+TWELVE_STATE_LABELS = tuple(f"{d}{sign}" for d in DIRECTIONS for sign in "+-")
+NINE_STATE_LABELS = TWELVE_STATE_LABELS[:6] + ("4+", "5+", "6+")
+LINEAR4_LABELS = ("1-", "1+", "2+", "3+")
+MIXED_LABEL = "mixed"
+PROTOCOL_LABELS = {
+    "linear4": LINEAR4_LABELS,
+    "bilinear9": NINE_STATE_LABELS,
+    "verify12": TWELVE_STATE_LABELS,
+}
+
+
+def state_of_label(label: str) -> np.ndarray:
+    """The projector a protocol label prepares; raises KeyError for any other label."""
+    bloch = np.array(DIRECTIONS[label[:-1]])
+    # 0.0 - b, not -b, so that a zero component stays +0.0.
+    return state_from_bloch({"+": bloch, "-": 0.0 - bloch}[label[-1]])
 
 
 class MissingRecord(ProcmapError):
@@ -67,22 +104,16 @@ class Dataset:
     oracle: np.ndarray | None = None
 
     def __post_init__(self):
-        labels = [r.label for r in self.records]
-        if len(set(labels)) != len(labels):
-            raise ValueError("dataset labels must be unique")
+        select(self.records, ())
 
     def labels(self) -> list[str]:
         return [r.label for r in self.records]
 
     def get(self, label: str) -> TomographyRecord:
-        for rec in self.records:
-            if rec.label == label:
-                return rec
-        raise MissingRecord(f"dataset has no record labeled {label!r}")
+        return select(self.records, (label,))[0]
 
     def subset(self, labels) -> list[TomographyRecord]:
-        """Records for `labels`, in the requested order; raises MissingRecord."""
-        return [self.get(label) for label in labels]
+        return select(self.records, labels)
 
     def to_json(self) -> dict:
         out = {
@@ -112,14 +143,21 @@ class Dataset:
         return Dataset(records=records, metadata=metadata, oracle=oracle)
 
 
-def record_map(records) -> dict[str, TomographyRecord]:
-    """Index records by label, raising on duplicates."""
-    out: dict[str, TomographyRecord] = {}
+def select(records, labels) -> list[TomographyRecord]:
+    """The records labeled `labels`, in that order; records with other labels are ignored.
+
+    Raises ValueError when two records share a label, and MissingRecord naming
+    every label that no record carries.
+    """
+    by_label: dict[str, TomographyRecord] = {}
     for rec in records:
-        if rec.label in out:
-            raise ValueError(f"duplicate record label {rec.label!r}")
-        out[rec.label] = rec
-    return out
+        if rec.label in by_label:
+            raise ValueError(f"record labels must be unique; {rec.label!r} repeats")
+        by_label[rec.label] = rec
+    missing = [label for label in labels if label not in by_label]
+    if missing:
+        raise MissingRecord(f"missing records labeled {', '.join(missing)}")
+    return [by_label[label] for label in labels]
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jsonio
-from .bilinear_tomo import NINE_STATE_LABELS, build_M_from_dynamics, element_table_from_map, state_of_label
+from .bilinear_tomo import build_M_from_dynamics, element_table_from_map
 from .dynamics import (
     ProcessSpec,
     correlated_pair_state,
@@ -42,16 +42,7 @@ from .prep import (
     rotation_between,
 )
 from .qstate import SIGMA_1, SIGMA_3, bloch_vector, ket_from_projector, state_from_bloch, tensor
-from .records import Dataset, TomographyRecord
-from .verify import TWELVE_STATE_LABELS
-
-LINEAR4_LABELS = ("1-", "1+", "2+", "3+")
-
-PROTOCOL_LABELS = {
-    "linear4": LINEAR4_LABELS,
-    "bilinear9": NINE_STATE_LABELS,
-    "verify12": TWELVE_STATE_LABELS,
-}
+from .records import DIRECTIONS, MIXED_LABEL, PROTOCOL_LABELS, Dataset, TomographyRecord, state_of_label
 
 # The `preparation` keys each method reads; parse_scenario rejects any other.
 PREPARATION_KEYS = {
@@ -65,8 +56,6 @@ PREPARATION_KEYS = {
 # rotation-only preparation assumes it starts from.
 ZERO_STATE = np.array([[1, 0], [0, 0]], dtype=complex)
 ZERO_KET = ket_from_projector(ZERO_STATE)
-
-MIXED_LABEL = "mixed"
 
 
 class ScenarioError(ProcmapError):
@@ -131,6 +120,16 @@ def _bloch(value, what: str) -> np.ndarray:
     return np.array([_finite(x, f"{what}[{i}]") for i, x in enumerate(value)])
 
 
+def parse_measurement(obj: dict) -> GeneralizedMeasurement:
+    """A generalized measurement from its JSON; every weight must be a finite JSON number."""
+    outcomes = []
+    for i, entry in enumerate(obj["outcomes"]):
+        weights = tuple(_finite(w, f"measurement outcome {i} weight") for w in entry["weights"])
+        kraus = tuple(jsonio.matrix_from_json(c) for c in entry["kraus"])
+        outcomes.append(OutcomeMap(weights=weights, kraus=kraus))
+    return GeneralizedMeasurement(outcomes=tuple(outcomes))
+
+
 def parse_scenario(obj: dict, name: str = "scenario", text: str = "") -> Scenario:
     """Validate and expand a scenario JSON object decoded from `text`; raises ScenarioError."""
     _require_object(obj, "a scenario")
@@ -178,7 +177,7 @@ def parse_scenario(obj: dict, name: str = "scenario", text: str = "") -> Scenari
         measurement = None
         generalized_labels: tuple[str, ...] = ()
         if method == "generalized":
-            measurement = GeneralizedMeasurement.from_json(prep_obj["measurement"])
+            measurement = parse_measurement(prep_obj["measurement"])
             measurement.validate()
             generalized_labels = tuple(str(x) for x in prep_obj["labels"])
             expected = PROTOCOL_LABELS[protocol]
@@ -278,7 +277,7 @@ def _degraded_gammas(rng: np.random.Generator, sc: Scenario, exact: dict[str, fl
     est = dict(exact)
     if sc.prep_method != "measurement":
         return est
-    for d in "123456":
+    for d in DIRECTIONS:
         plus, minus = f"{d}+", f"{d}-"
         if plus in exact:
             ups = rng.binomial(shots, min(max(exact[plus], 0.0), 1.0))

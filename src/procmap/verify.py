@@ -1,7 +1,8 @@
 """Linear vs bi-linear process verification from a 12-projection experiment.
 
 Twelve inputs grouped into six orthonormal pairs over-determine both map
-families.  The outputs Q are fitted as a linear function of the input
+families; the labels, their projectors and the pairs are the protocol table
+in `records`.  The outputs Q are fitted as a linear function of the input
 projector (4 free coefficient matrices, 8 redundant records), and the
 probability-weighted outputs gamma*Q as a sesquilinear form in it (9 free,
 3 redundant); each record's misfit is reported, and a family is accepted
@@ -14,13 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .records import MissingRecord, TomographyRecord, fit, record_map
+from .records import DIRECTIONS, TWELVE_STATE_LABELS, fit, select
 
-TWELVE_STATE_LABELS = (
-    "1+", "1-", "2+", "2-", "3+", "3-",
-    "4+", "4-", "5+", "5-", "6+", "6-",
-)
-PAIR_DIRECTIONS = ("1", "2", "3", "4", "5", "6")
 REPORT_SCHEMA = 2
 
 DEFAULT_TOL_LINEAR = 1e-6
@@ -28,20 +24,11 @@ DEFAULT_TOL_BILINEAR = 1e-6
 GAMMA_WARN_THRESHOLD = 0.02
 
 
-def _require(records) -> dict[str, TomographyRecord]:
-    recs = record_map(records)
-    missing = [label for label in TWELVE_STATE_LABELS if label not in recs]
-    if missing:
-        raise MissingRecord(f"verification needs all 12 labels; missing: {', '.join(missing)}")
-    return recs
-
-
 def gamma_completeness(records) -> dict[str, float]:
     """Deviation gamma(+) + gamma(-) - 1 for each of the six measurement directions."""
-    recs = _require(records)
-    return {
-        d: float(recs[f"{d}+"].gamma + recs[f"{d}-"].gamma - 1.0) for d in PAIR_DIRECTIONS
-    }
+    twelve = select(records, TWELVE_STATE_LABELS)
+    pairs = zip(DIRECTIONS, twelve[::2], twelve[1::2])
+    return {d: float(plus.gamma + minus.gamma - 1.0) for d, plus, minus in pairs}
 
 
 @dataclass(frozen=True)
@@ -80,8 +67,7 @@ def classify(
     not selective, so the completeness check does not apply and gives no
     warnings.
     """
-    recs = _require(records)
-    twelve = [recs[label] for label in TWELVE_STATE_LABELS]
+    twelve = select(records, TWELVE_STATE_LABELS)
     linear = fit(twelve, degree=1).residuals
     bilinear = fit(twelve, degree=2).residuals
     gammas = gamma_completeness(twelve)

@@ -1,12 +1,14 @@
 """Shared test oracles, independent of the library code paths they check.
 
-Besides scenario builders this holds the hand-derived solutions that the
-library replaced by one least-squares fit: the Hilbert-Schmidt dual frame of
-linear tomography, and the eight linear sum rules and three bi-linear
-consistency equations of the 12-state verification protocol.  It also keeps
-the per-element paths that bulk operations replaced: the one-call-per-float
-JSON emitter, the entry-by-entry matrix decoder, the einsum contraction of
-the process tensor and the matrix-unit loop of the fixed-environment map.
+Besides scenario builders and the hand-written Bloch vector of every protocol
+label (the oracle for `records.state_of_label`), this holds the hand-derived
+solutions that the library replaced by one least-squares fit: the
+Hilbert-Schmidt dual frame of linear tomography, and the eight linear sum
+rules and three bi-linear consistency equations of the 12-state
+verification protocol.  It also keeps the per-element paths that bulk
+operations replaced: the one-call-per-float JSON emitter, the
+entry-by-entry matrix decoder, the einsum contraction of the process tensor
+and the matrix-unit loop of the fixed-environment map.
 Then come the field-by-field bi-linear element table and its prediction loop,
 which the stacked table and its probe contraction replaced, and the matrix
 element <A|M|B> they are built from.  Last is the dilation of a generalized
@@ -22,13 +24,30 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from procmap.bilinear_tomo import CROSS_PAIRS, SQRT2, MixedWithoutUnitUnit, ZeroGamma, state_of_label
+from procmap.bilinear_tomo import CROSS_PAIRS, MixedWithoutUnitUnit, ZeroGamma
 from procmap.dynamics import ProcessSpec, correlated_pair_state, heisenberg_hamiltonian, unitary_from_hamiltonian
 from procmap.linear_tomo import NotAFrame
 from procmap.prep import InvalidMeasurement, prepare_projective, prepare_stochastic, apply_pin_map
 from procmap.qstate import IDENTITY_2, PAULIS, dagger, partial_trace_env, tensor, validate_unitary
-from procmap.records import MissingRecord, TomographyRecord, record_map
-from procmap.verify import TWELVE_STATE_LABELS
+from procmap.records import TWELVE_STATE_LABELS, TomographyRecord, select, state_of_label
+
+SQRT2 = float(np.sqrt(2.0))
+
+# The Bloch vector of every protocol label, written out by hand.
+BLOCH_BY_LABEL = {
+    "1+": (1.0, 0.0, 0.0),
+    "1-": (-1.0, 0.0, 0.0),
+    "2+": (0.0, 1.0, 0.0),
+    "2-": (0.0, -1.0, 0.0),
+    "3+": (0.0, 0.0, 1.0),
+    "3-": (0.0, 0.0, -1.0),
+    "4+": (1.0 / SQRT2, 1.0 / SQRT2, 0.0),
+    "4-": (-1.0 / SQRT2, -1.0 / SQRT2, 0.0),
+    "5+": (1.0 / SQRT2, 0.0, 1.0 / SQRT2),
+    "5-": (-1.0 / SQRT2, 0.0, -1.0 / SQRT2),
+    "6+": (0.0, 1.0 / SQRT2, 1.0 / SQRT2),
+    "6-": (0.0, -1.0 / SQRT2, -1.0 / SQRT2),
+}
 
 T_DEMO = math.pi / 8.0
 A2_DEMO = 0.5
@@ -182,12 +201,8 @@ def compute_duals(inputs) -> DualFrame:
     return frame
 
 
-def _require(records) -> dict[str, np.ndarray]:
-    recs = record_map(records)
-    missing = [label for label in TWELVE_STATE_LABELS if label not in recs]
-    if missing:
-        raise MissingRecord(f"verification needs all 12 labels; missing: {', '.join(missing)}")
-    return recs
+def _require(records) -> dict[str, TomographyRecord]:
+    return dict(zip(TWELVE_STATE_LABELS, select(records, TWELVE_STATE_LABELS)))
 
 
 def linear_sum_rule_residuals(records) -> dict[str, float]:

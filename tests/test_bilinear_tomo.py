@@ -20,7 +20,6 @@ from helpers import (
 from procmap import jsonio
 from procmap.bilinear_tomo import (
     CROSS_PAIRS,
-    NINE_STATE_LABELS,
     BilinearProcessMap,
     MElementTable,
     MixedWithoutUnitUnit,
@@ -29,7 +28,6 @@ from procmap.bilinear_tomo import (
     element_table_from_map,
     predict_output,
     solve_M_elements,
-    state_of_label,
 )
 from procmap.dynamics import ProcessSpec
 from procmap.prep import prepare_projective
@@ -42,7 +40,7 @@ from procmap.qstate import (
     state_from_bloch,
     tensor,
 )
-from procmap.records import MissingRecord, TomographyRecord, fit
+from procmap.records import NINE_STATE_LABELS, MissingRecord, TomographyRecord, fit, state_of_label
 
 
 def loop_build_m(u: np.ndarray, gamma0: np.ndarray, na: int, nb: int) -> np.ndarray:

@@ -23,15 +23,8 @@ from procmap.errors import (
 from procmap.linear_tomo import NotAFrame
 from procmap.prep import InvalidMeasurement, ZeroProbabilityOutcome
 from procmap.qstate import bloch_vector
-from procmap.records import MissingRecord
-from procmap.scenarios import (
-    LINEAR4_LABELS,
-    ScenarioError,
-    demo_scenario_config,
-    parse_scenario,
-    simulate_scenario,
-)
-from procmap.verify import TWELVE_STATE_LABELS
+from procmap.records import LINEAR4_LABELS, TWELVE_STATE_LABELS, MissingRecord
+from procmap.scenarios import ScenarioError, demo_scenario_config, parse_scenario, simulate_scenario
 
 
 def run(argv, capsys):
@@ -119,6 +112,19 @@ def test_incomplete_generalized_measurement_is_bad_config(tmp_path, capsys):
 MEASUREMENT = demo_scenario_config("measurement-correlated")
 PINNED = demo_scenario_config("imperfect-pin")
 STOCHASTIC = demo_scenario_config("stochastic-heisenberg")
+TWELFTH = jsonio.matrix_to_json(np.eye(2) / np.sqrt(12.0))
+
+
+def generalized(*weights):
+    """The stochastic demo prepared by a twelve-outcome measurement whose Kraus operators
+    are all 1/sqrt(12); the first outcome has one per weight in `weights`."""
+    first = {"weights": list(weights), "kraus": [TWELFTH] * len(weights)}
+    outcomes = [first] + [{"weights": [1.0], "kraus": [TWELFTH]}] * 11
+    preparation = {"method": "generalized", "measurement": {"outcomes": outcomes}, "labels": list(TWELVE_STATE_LABELS)}
+    return {**STOCHASTIC, "preparation": preparation}
+
+
+# Each malformed scenario as a JSON value, or as the file's text when json cannot write it.
 BAD_SCENARIOS = {
     "top-level-array": [STOCHASTIC],
     "preparation-string": {**MEASUREMENT, "preparation": "measurement"},
@@ -154,6 +160,9 @@ BAD_SCENARIOS = {
     "bloch-a-string-and-bool": {**MEASUREMENT, "gamma0": {"bloch_a": ["0.1", False, 0], "c23": 0.3}},
     "mixed-bloch-string-and-bool": {**MEASUREMENT, "mixed_bloch": ["0.1", False, 0]},
     "t-integer-beyond-float": {**MEASUREMENT, "t": 10**400},
+    "t-5000-digits": '{"t": ' + "1" * 5000 + "}",
+    "weight-nan": generalized(float("nan")),
+    "weight-string": generalized("0.5", "0.5"),
 }
 
 
@@ -190,13 +199,17 @@ BAD_SCENARIO_WORDS = {
     "bloch-a-string-and-bool": "gamma0.bloch_a[0] must be a JSON number",
     "mixed-bloch-string-and-bool": "mixed_bloch[0] must be a JSON number",
     "t-integer-beyond-float": "t must be finite",
+    "t-5000-digits": "digits",
+    "weight-nan": "weight must be finite",
+    "weight-string": "weight must be a JSON number",
 }
 
 
 @pytest.mark.parametrize("case", sorted(BAD_SCENARIOS))
 def test_malformed_scenario_is_bad_config(case, tmp_path, capsys):
     scenario = tmp_path / "bad.json"
-    scenario.write_text(json.dumps(BAD_SCENARIOS[case]))  # json writes NaN and Infinity literally
+    config = BAD_SCENARIOS[case]
+    scenario.write_text(config if isinstance(config, str) else json.dumps(config))  # json writes NaN and Infinity literally
     code, err = run(["simulate", scenario], capsys)
     assert code == EXIT_BAD_CONFIG
     words = BAD_SCENARIO_WORDS[case]
@@ -212,9 +225,20 @@ def test_non_utf8_input_is_bad_config(command, tmp_path, capsys):
     assert "UTF-8" in err
 
 
+def test_complete_generalized_measurement_simulates(tmp_path, capsys):
+    simulate(tmp_path, capsys, demo="stochastic-heisenberg", **generalized(0.5, 0.5))
+
+
 def set_gamma(obj, label, gamma):
     """Give the labeled record the outcome probability `gamma`."""
     next(rec for rec in obj["records"] if rec["label"] == label)["gamma"] = gamma
+    return obj
+
+
+def set_dims(obj, label, rows, cols):
+    """Give the labeled record's input matrix the `rows` and `cols` fields."""
+    matrix = next(rec for rec in obj["records"] if rec["label"] == label)["input"]
+    matrix.update(rows=rows, cols=cols)
     return obj
 
 
@@ -236,8 +260,11 @@ def resize_records(obj, labels, dim):
         (lambda obj: set_gamma(obj, "1+", -0.5), ["verify", "linear", "bilinear"], "gamma"),
         (lambda obj: set_gamma(obj, "1+", True), ["verify", "linear", "bilinear"], "gamma"),
         (lambda obj: set_gamma(obj, "1+", "0.5"), ["verify", "linear", "bilinear"], "gamma"),
+        (lambda obj: set_dims(obj, "1+", "2", 2.9), ["verify", "linear", "bilinear"], "integers"),
+        (lambda obj: set_dims(obj, "1+", True, 4), ["verify", "linear", "bilinear"], "integers"),
     ],
-    ids=["all-1x1", "one-3x3", "metadata-list", "gamma-7", "gamma-negative", "gamma-true", "gamma-string"],
+    ids=["all-1x1", "one-3x3", "metadata-list", "gamma-7", "gamma-negative", "gamma-true", "gamma-string",
+         "rows-string-cols-float", "rows-true"],
 )
 def test_malformed_dataset_is_bad_config(edit, commands, word, tmp_path, capsys):
     path = write_dataset(tmp_path, edit(simulate(tmp_path, capsys)))

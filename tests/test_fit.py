@@ -10,9 +10,9 @@ from helpers import (
     va_spec,
 )
 from procmap.linear_tomo import reconstruct_linear_map
-from procmap.records import fit
-from procmap.scenarios import DEMO_NAMES, LINEAR4_LABELS, demo_scenario_config, parse_scenario, simulate_scenario
-from procmap.verify import DEFAULT_TOL_BILINEAR, DEFAULT_TOL_LINEAR, TWELVE_STATE_LABELS, classify
+from procmap.records import LINEAR4_LABELS, TWELVE_STATE_LABELS, fit
+from procmap.scenarios import DEMO_NAMES, demo_scenario_config, parse_scenario, simulate_scenario
+from procmap.verify import DEFAULT_TOL_BILINEAR, DEFAULT_TOL_LINEAR, classify
 
 SWEEP_T = np.linspace(0.05, 1.55, 31)
 ZERO = 1e-12

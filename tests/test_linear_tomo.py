@@ -31,8 +31,7 @@ from procmap.qstate import (
     state_from_bloch,
     tensor,
 )
-from procmap.records import TomographyRecord
-from procmap.scenarios import LINEAR4_LABELS
+from procmap.records import LINEAR4_LABELS, TomographyRecord
 
 CHOI_IDENTITY = np.array(
     [[1, 0, 0, 1], [0, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 1]], dtype=complex

@@ -30,6 +30,7 @@ from procmap.qstate import (
     tensor,
     validate_density_matrix,
 )
+from procmap.scenarios import parse_measurement
 
 KET0 = np.array([1, 0], dtype=complex)
 P3_PLUS = np.diag([1.0, 0.0]).astype(complex)
@@ -260,12 +261,18 @@ def test_generalized_json_roundtrip():
             for outcome in meas.outcomes
         ]
     }
-    back = GeneralizedMeasurement.from_json(json.loads(jsonio.dumps(obj)))
+    back = parse_measurement(json.loads(jsonio.dumps(obj)))
     assert back.completeness_residual() < 1e-12
     for a, b in zip(meas.outcomes, back.outcomes):
         assert a.weights == b.weights
         for ka, kb in zip(a.kraus, b.kraus):
             assert np.array_equal(ka, kb)
+
+
+def test_nan_weight_fails_validation():
+    meas = GeneralizedMeasurement(outcomes=(OutcomeMap(weights=(float("nan"),), kraus=(IDENTITY_2,)),))
+    with pytest.raises(InvalidMeasurement, match="nan"):
+        meas.validate()
 
 
 def test_prepare_generalized_pin_to_mixed():

@@ -1,14 +1,22 @@
-"""Tomography records and datasets: JSON round trip, unique labels and lookup."""
+"""The protocol table, tomography records and datasets: JSON round trip, unique labels and lookup."""
 
 import json
 
 import numpy as np
 import pytest
 
-from helpers import measured_records, va_spec
+from helpers import BLOCH_BY_LABEL, measured_records, va_spec
 from procmap import jsonio
-from procmap.records import Dataset, MissingRecord, TomographyRecord
-from procmap.verify import TWELVE_STATE_LABELS
+from procmap.qstate import is_projector, state_from_bloch
+from procmap.records import (
+    DIRECTIONS,
+    TWELVE_STATE_LABELS,
+    Dataset,
+    MissingRecord,
+    TomographyRecord,
+    select,
+    state_of_label,
+)
 
 
 def demo_dataset() -> Dataset:
@@ -54,3 +62,26 @@ def test_get_unknown_label_raises_missing_record():
     assert dataset.get("4-").label == "4-"
     with pytest.raises(MissingRecord, match="mixed"):
         dataset.get("mixed")
+
+
+def test_label_states_match_the_hand_written_bloch_table():
+    assert TWELVE_STATE_LABELS == tuple(BLOCH_BY_LABEL)
+    for label, bloch in BLOCH_BY_LABEL.items():
+        assert state_of_label(label).tobytes() == state_from_bloch(bloch).tobytes(), label
+
+
+def test_each_direction_is_an_orthonormal_pair_of_projectors():
+    for d in DIRECTIONS:
+        plus, minus = state_of_label(f"{d}+"), state_of_label(f"{d}-")
+        assert is_projector(plus) and is_projector(minus)
+        assert np.max(np.abs(plus @ minus)) < 1e-15
+        assert np.max(np.abs(plus + minus - np.eye(2))) < 1e-15
+
+
+def test_select_names_every_missing_label_and_rejects_duplicates():
+    records = demo_dataset().records
+    assert [rec.label for rec in select(reversed(records), ("2-", "1+"))] == ["2-", "1+"]
+    with pytest.raises(MissingRecord, match="mixed, 7[+]"):
+        select(records[:3], ("1+", "mixed", "7+"))
+    with pytest.raises(ValueError, match="unique"):
+        select(records + records[:1], ())

@@ -9,15 +9,10 @@ from helpers import (
     stochastic_records,
     va_spec,
 )
-from procmap.bilinear_tomo import state_of_label
 from procmap.dynamics import ProcessSpec
 from procmap.qstate import SIGMA_1, bloch_vector, is_projector, state_from_bloch, tensor
-from procmap.records import MissingRecord, TomographyRecord
-from procmap.verify import (
-    TWELVE_STATE_LABELS,
-    classify,
-    gamma_completeness,
-)
+from procmap.records import TWELVE_STATE_LABELS, MissingRecord, TomographyRecord, state_of_label
+from procmap.verify import classify, gamma_completeness
 
 
 def test_twelve_state_inputs_golden():
