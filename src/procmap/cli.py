@@ -5,7 +5,8 @@ terminal unless PROCMAP_NO_COLOR is set).  Exit codes, each the `exit_code`
 of the `ProcmapError` subclasses named:
   0  success
   2  ScenarioError, InvalidMeasurement, NotStrictlyMixed: malformed config or dataset,
-     or an input file that is unreadable, not UTF-8 or not JSON (including an integer
+     including a matrix entry that is not a JSON number (a string or a bool), or an
+     input file that is unreadable, not UTF-8 or not JSON (including an integer
      longer than Python's 4,300-digit decoding limit);
      ProcmapError itself: a --tol-linear or --tol-bilinear that is not a finite
      non-negative number, or an --out that cannot be written (a missing
@@ -73,8 +74,10 @@ def _load_json(path: str) -> tuple[str, dict]:
         obj = json.loads(text)
     except UnicodeDecodeError as exc:
         raise ScenarioError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
-    except (OSError, ValueError) as exc:  # ValueError: bad JSON, or an integer too long to decode
+    except (OSError, json.JSONDecodeError) as exc:
         raise ScenarioError(f"cannot read JSON from {path}: {exc}") from exc
+    except ValueError as exc:  # json.loads refuses an integer beyond Python's digit limit
+        raise ScenarioError(f"{path} holds a JSON integer of more than {sys.get_int_max_str_digits()} digits") from exc
     if not isinstance(obj, dict):
         raise ScenarioError(f"{path} does not hold a JSON object")
     return text, obj

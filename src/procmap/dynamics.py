@@ -19,7 +19,6 @@ from .qstate import (
     dagger,
     eig_hermitian,
     hermiticity_residual,
-    partial_trace_env,
     tensor,
     validate_density_matrix,
     validate_unitary,
@@ -88,8 +87,9 @@ def run_process(spec: ProcessSpec, prepared: PreparedState) -> np.ndarray:
     joint = np.asarray(prepared.joint, dtype=complex)
     if joint.shape != (d, d):
         raise ValueError(f"prepared joint has shape {joint.shape}, expected ({d}, {d})")
-    evolved = spec.u @ joint @ dagger(spec.u)
-    out = partial_trace_env(evolved, spec.dim_sys, spec.dim_env)
+    # Tr_env[U J U'][i, j] = sum over (env a, column m) of (U J)[(i, a), m] conj(U[(j, a), m]):
+    # one product U J and one contraction, never forming U J U'.
+    out = (spec.u @ joint).reshape(spec.dim_sys, -1) @ dagger(spec.u.reshape(spec.dim_sys, -1))
     if hermiticity_residual(out) > 1e-12:
         raise ValueError("process output lost hermiticity")
     return 0.5 * (out + dagger(out))

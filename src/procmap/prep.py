@@ -15,6 +15,7 @@ import numpy as np
 from .errors import EXIT_ZERO_PROBABILITY, ProcmapError
 from .qstate import (
     STATE_TOL,
+    conjugate_system,
     dagger,
     is_projector,
     partial_trace_sys,
@@ -123,9 +124,7 @@ def prepare_stochastic(joint_pinned: np.ndarray, v: np.ndarray, label: str = "")
     d = np.asarray(joint_pinned).shape[0]
     if d % dim_sys:
         raise ValueError("joint dimension is not a multiple of the system dimension")
-    dim_env = d // dim_sys
-    big = tensor(v, np.eye(dim_env))
-    return PreparedState(joint=big @ joint_pinned @ dagger(big), gamma=1.0, label=label)
+    return PreparedState(joint=conjugate_system(v, joint_pinned), gamma=1.0, label=label)
 
 
 def prepare_projective(
@@ -144,8 +143,7 @@ def prepare_projective(
     p = np.asarray(p, dtype=complex)
     if not is_projector(p):
         raise ValueError("projective preparation requires a rank-1 projector")
-    big_p = tensor(p, np.eye(dim_env))
-    projected = big_p @ gamma0 @ big_p
+    projected = conjugate_system(p, gamma0)
     gamma = float(np.trace(projected).real)
     if gamma < ZERO_PROBABILITY_TOL:
         raise ZeroProbabilityOutcome(f"preparation {label or 'outcome'} has probability {gamma:.3e}")
@@ -167,13 +165,8 @@ def prepare_generalized(
 ) -> PreparedState:
     """Prepare by a generalized-measurement outcome acting on the system factor."""
     meas.validate()
-    gamma0 = np.asarray(gamma0, dtype=complex)
     omap = meas.outcomes[outcome]
-    acc = np.zeros_like(gamma0)
-    eye_env = np.eye(dim_env)
-    for w, c in zip(omap.weights, omap.kraus):
-        big_c = tensor(c, eye_env)
-        acc += w * (big_c @ gamma0 @ dagger(big_c))
+    acc = sum(w * conjugate_system(c, gamma0) for w, c in zip(omap.weights, omap.kraus))
     gamma = float(np.trace(acc).real)
     if gamma < ZERO_PROBABILITY_TOL:
         raise ZeroProbabilityOutcome(f"preparation {label or 'outcome'} has probability {gamma:.3e}")

@@ -36,17 +36,12 @@ def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
 
 
-def partial_trace_env(joint: np.ndarray, dim_sys: int, dim_env: int) -> np.ndarray:
-    """Trace out the environment of a (dim_sys*dim_env)-dimensional joint operator.
-
-    Composite index convention: (i, alpha) -> i * dim_env + alpha.
-    """
-    joint = np.asarray(joint, dtype=complex)
-    d = dim_sys * dim_env
-    if joint.shape != (d, d):
-        raise ValueError(f"joint has shape {joint.shape}, expected ({d}, {d})")
-    blocks = joint.reshape(dim_sys, dim_env, dim_sys, dim_env)
-    return np.einsum("iaja->ij", blocks)
+def conjugate_system(k: np.ndarray, joint: np.ndarray) -> np.ndarray:
+    """(K x 1) joint (K x 1)' for an operator K on the system factor, without forming K x 1."""
+    k, joint = np.asarray(k, dtype=complex), np.asarray(joint, dtype=complex)
+    for _ in range(2):  # K contracts the system row index; the dagger turns it onto the columns
+        joint = dagger((k @ joint.reshape(k.shape[1], -1)).reshape(joint.shape))
+    return joint
 
 
 def partial_trace_sys(joint: np.ndarray, dim_sys: int, dim_env: int) -> np.ndarray:

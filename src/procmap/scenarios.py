@@ -178,6 +178,8 @@ def parse_scenario(obj: dict, name: str = "scenario", text: str = "") -> Scenari
         generalized_labels: tuple[str, ...] = ()
         if method == "generalized":
             measurement = parse_measurement(prep_obj["measurement"])
+            if any(c.shape != (dim_sys, dim_sys) for outcome in measurement.outcomes for c in outcome.kraus):
+                raise ScenarioError(f"measurement Kraus operators must be {dim_sys}x{dim_sys} (dimA)")
             measurement.validate()
             generalized_labels = tuple(str(x) for x in prep_obj["labels"])
             expected = PROTOCOL_LABELS[protocol]
@@ -273,17 +275,19 @@ def _degrade_record(rng: np.random.Generator, rec: TomographyRecord, shots: int,
 
 
 def _degraded_gammas(rng: np.random.Generator, sc: Scenario, exact: dict[str, float], shots: int) -> dict[str, float]:
-    """Multinomial estimates of the outcome probabilities, per measurement direction."""
+    """Multinomial estimates of the outcome probabilities: per direction, or over all outcomes."""
     est = dict(exact)
-    if sc.prep_method != "measurement":
-        return est
-    for d in DIRECTIONS:
-        plus, minus = f"{d}+", f"{d}-"
-        if plus in exact:
-            ups = rng.binomial(shots, min(max(exact[plus], 0.0), 1.0))
-            est[plus] = ups / shots
-            if minus in exact:
-                est[minus] = 1.0 - ups / shots
+    if sc.prep_method == "generalized":
+        counts = rng.multinomial(shots, [exact[label] for label in sc.generalized_labels])
+        est.update(zip(sc.generalized_labels, (counts / shots).tolist()))
+    elif sc.prep_method == "measurement":
+        for d in DIRECTIONS:
+            plus, minus = f"{d}+", f"{d}-"
+            if plus in exact:
+                ups = rng.binomial(shots, min(max(exact[plus], 0.0), 1.0))
+                est[plus] = ups / shots
+                if minus in exact:
+                    est[minus] = 1.0 - ups / shots
     return est
 
 

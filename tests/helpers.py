@@ -7,8 +7,9 @@ Hilbert-Schmidt dual frame of linear tomography, and the eight linear sum
 rules and three bi-linear consistency equations of the 12-state
 verification protocol.  It also keeps the per-element paths that bulk
 operations replaced: the one-call-per-float JSON emitter, the
-entry-by-entry matrix decoder, the einsum contraction of the process tensor
-and the matrix-unit loop of the fixed-environment map.
+entry-by-entry matrix decoder, the einsum contraction of the process tensor,
+the matrix-unit loop of the fixed-environment map and the einsum partial
+trace over the environment of a fully formed U J U'.
 Then come the field-by-field bi-linear element table and its prediction loop,
 which the stacked table and its probe contraction replaced, and the matrix
 element <A|M|B> they are built from.  Last is the dilation of a generalized
@@ -28,7 +29,7 @@ from procmap.bilinear_tomo import CROSS_PAIRS, MixedWithoutUnitUnit, ZeroGamma
 from procmap.dynamics import ProcessSpec, correlated_pair_state, heisenberg_hamiltonian, unitary_from_hamiltonian
 from procmap.linear_tomo import NotAFrame
 from procmap.prep import InvalidMeasurement, prepare_projective, prepare_stochastic, apply_pin_map
-from procmap.qstate import IDENTITY_2, PAULIS, dagger, partial_trace_env, tensor, validate_unitary
+from procmap.qstate import IDENTITY_2, PAULIS, dagger, tensor, validate_unitary
 from procmap.records import TWELVE_STATE_LABELS, TomographyRecord, select, state_of_label
 
 SQRT2 = float(np.sqrt(2.0))
@@ -69,6 +70,19 @@ def rand_density(rng, d: int) -> np.ndarray:
 def rand_unit_bloch(rng) -> np.ndarray:
     v = rng.normal(size=3)
     return v / np.linalg.norm(v)
+
+
+def partial_trace_env(joint: np.ndarray, dim_sys: int, dim_env: int) -> np.ndarray:
+    """Trace out the environment of a (dim_sys*dim_env)-dimensional joint operator.
+
+    Composite index convention: (i, alpha) -> i * dim_env + alpha.
+    """
+    joint = np.asarray(joint, dtype=complex)
+    d = dim_sys * dim_env
+    if joint.shape != (d, d):
+        raise ValueError(f"joint has shape {joint.shape}, expected ({d}, {d})")
+    blocks = joint.reshape(dim_sys, dim_env, dim_sys, dim_env)
+    return np.einsum("iaja->ij", blocks)
 
 
 def brute_force_env_trace(joint: np.ndarray, dim_sys: int, dim_env: int) -> np.ndarray:

@@ -9,6 +9,7 @@ from helpers import (
     basis_element,
     brute_force_output,
     measured_records,
+    partial_trace_env,
     rand_density,
     rand_unit_bloch,
     rand_unitary,
@@ -36,7 +37,6 @@ from procmap.qstate import (
     bloch_vector,
     hermiticity_residual,
     is_projector,
-    partial_trace_env,
     state_from_bloch,
     tensor,
 )

@@ -163,6 +163,17 @@ BAD_SCENARIOS = {
     "t-5000-digits": '{"t": ' + "1" * 5000 + "}",
     "weight-nan": generalized(float("nan")),
     "weight-string": generalized("0.5", "0.5"),
+    "hamiltonian-string-entry": {
+        **PINNED,
+        "hamiltonian": {**PINNED["hamiltonian"], "data": [["0.5", 0.0]] + PINNED["hamiltonian"]["data"][1:]},
+    },
+    "kraus-1x1": {
+        **STOCHASTIC,
+        "preparation": {
+            **generalized(1.0)["preparation"],
+            "measurement": {"outcomes": [{"weights": [1.0], "kraus": [jsonio.matrix_to_json(np.eye(1) / np.sqrt(12.0))]}] * 12},
+        },
+    },
 }
 
 
@@ -199,9 +210,11 @@ BAD_SCENARIO_WORDS = {
     "bloch-a-string-and-bool": "gamma0.bloch_a[0] must be a JSON number",
     "mixed-bloch-string-and-bool": "mixed_bloch[0] must be a JSON number",
     "t-integer-beyond-float": "t must be finite",
-    "t-5000-digits": "digits",
+    "t-5000-digits": ("bad.json", "more than 4300 digits"),
     "weight-nan": "weight must be finite",
     "weight-string": "weight must be a JSON number",
+    "hamiltonian-string-entry": "entries must be JSON numbers",
+    "kraus-1x1": "Kraus operators must be 2x2",
 }
 
 
@@ -214,6 +227,7 @@ def test_malformed_scenario_is_bad_config(case, tmp_path, capsys):
     assert code == EXIT_BAD_CONFIG
     words = BAD_SCENARIO_WORDS[case]
     assert all(word in err for word in (words if isinstance(words, tuple) else (words,))), err
+    assert "set_int_max_str_digits" not in err, err  # advice no CLI user can follow
 
 
 @pytest.mark.parametrize("command", ["simulate", "verify"])
@@ -242,6 +256,12 @@ def set_dims(obj, label, rows, cols):
     return obj
 
 
+def set_entry(obj, label, pair):
+    """Give the first output entry of the labeled record the [re, im] `pair`."""
+    next(rec for rec in obj["records"] if rec["label"] == label)["output"]["data"][0] = pair
+    return obj
+
+
 def resize_records(obj, labels, dim):
     """Replace the input and output of the labeled records by dim x dim identities."""
     for rec in obj["records"]:
@@ -262,9 +282,10 @@ def resize_records(obj, labels, dim):
         (lambda obj: set_gamma(obj, "1+", "0.5"), ["verify", "linear", "bilinear"], "gamma"),
         (lambda obj: set_dims(obj, "1+", "2", 2.9), ["verify", "linear", "bilinear"], "integers"),
         (lambda obj: set_dims(obj, "1+", True, 4), ["verify", "linear", "bilinear"], "integers"),
+        (lambda obj: set_entry(obj, "1+", ["0.5", True]), ["verify", "linear", "bilinear"], "JSON numbers"),
     ],
     ids=["all-1x1", "one-3x3", "metadata-list", "gamma-7", "gamma-negative", "gamma-true", "gamma-string",
-         "rows-string-cols-float", "rows-true"],
+         "rows-string-cols-float", "rows-true", "entry-string-and-bool"],
 )
 def test_malformed_dataset_is_bad_config(edit, commands, word, tmp_path, capsys):
     path = write_dataset(tmp_path, edit(simulate(tmp_path, capsys)))
@@ -504,6 +525,17 @@ def test_finite_shot_outputs_are_shot_counts(tmp_path, capsys):
         gammas[rec["label"]] = rec["gamma"]
     for direction in "123456":
         assert gammas[f"{direction}+"] + gammas[f"{direction}-"] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_generalized_preparation_gammas_are_shot_counts(tmp_path, capsys):
+    scenario = tmp_path / "generalized.json"
+    scenario.write_text(json.dumps(generalized(1.0)))
+    out = tmp_path / "dataset.json"
+    assert run(["simulate", scenario, "--shots", 100, "--seed", 3, "--out", out], capsys) == (EXIT_OK, "")
+    gammas = [rec["gamma"] for rec in json.loads(out.read_text())["records"]]
+    assert len(gammas) == 12 and len(set(gammas)) > 1  # a draw, not the exact 1/12 each
+    assert all(abs(100.0 * g - round(100.0 * g)) < 1e-9 for g in gammas), gammas
+    assert sum(gammas) == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize(

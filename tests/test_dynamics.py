@@ -106,6 +106,17 @@ def test_measurement_prep_outputs_golden():
         assert np.max(np.abs(out - oracle)) < 1e-13
 
 
+@pytest.mark.parametrize("dim_env", [1, 2, 3, 64])
+def test_run_process_matches_loop_oracle(dim_env):
+    rng = np.random.default_rng(40 + dim_env)
+    d = 2 * dim_env
+    spec = ProcessSpec(2, dim_env, rand_unitary(rng, d), rand_density(rng, d))
+    for _ in range(3):
+        joint = rand_density(rng, d)
+        out = run_process(spec, PreparedState(joint=joint, gamma=1.0))
+        assert np.max(np.abs(out - brute_force_output(spec.u, joint, 2, dim_env))) < 1e-13
+
+
 def test_run_process_output_is_state():
     rng = np.random.default_rng(22)
     for _ in range(10):

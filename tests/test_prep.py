@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from helpers import build_dilation, measure_generalized_via_dilation, rand_density, va_spec
+from helpers import build_dilation, measure_generalized_via_dilation, partial_trace_env, rand_density, va_spec
 from procmap import jsonio
 from procmap.prep import (
     GeneralizedMeasurement,
@@ -24,7 +24,6 @@ from procmap.qstate import (
     SIGMA_3,
     bloch_vector,
     ket_from_projector,
-    partial_trace_env,
     partial_trace_sys,
     state_from_bloch,
     tensor,

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from helpers import partial_trace_env, rand_density, rand_unitary
 from procmap import jsonio
 from procmap.qstate import (
     IDENTITY_2,
@@ -8,10 +9,11 @@ from procmap.qstate import (
     SIGMA_2,
     SIGMA_3,
     bloch_vector,
+    conjugate_system,
+    dagger,
     eig_hermitian,
     is_projector,
     ket_from_projector,
-    partial_trace_env,
     pauli_combination,
     pauli_decompose,
     state_from_bloch,
@@ -19,6 +21,8 @@ from procmap.qstate import (
     validate_density_matrix,
     validate_unitary,
 )
+from procmap.records import state_of_label
+from procmap.scenarios import _mixed_preparation_measurement
 
 CHOI_IDENTITY = np.array(
     [[1, 0, 0, 1], [0, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 1]], dtype=complex
@@ -68,6 +72,23 @@ def test_tensor_properties_random():
         assert np.max(np.abs(tensor(tensor(a, b), c) - tensor(a, tensor(b, c)))) < 1e-12
         assert abs(np.trace(tensor(a, b)) - np.trace(a) * np.trace(b)) < 1e-12
         assert np.max(np.abs(tensor(a + c, b) - tensor(a, b) - tensor(c, b))) < 1e-12
+
+
+@pytest.mark.parametrize("dim_env", [1, 2, 3, 64])
+def test_conjugate_system_matches_dense_kron(dim_env):
+    rng = np.random.default_rng(30 + dim_env)
+    d = 2 * dim_env
+    mixed = _mixed_preparation_measurement(state_from_bloch([0.5, 0.0, 0.0]))
+    operators = [
+        rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)),  # neither Hermitian nor unitary
+        state_of_label("4+"),
+        rand_unitary(rng, 2),
+        *(outcome.kraus[0] for outcome in mixed.outcomes),
+    ]
+    for joint in (rand_density(rng, d), rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))):
+        for k in operators:
+            big = tensor(k, np.eye(dim_env))
+            assert np.max(np.abs(conjugate_system(k, joint) - big @ joint @ dagger(big))) < 1e-13
 
 
 def test_partial_trace_product_state():
