@@ -17,14 +17,15 @@ of the `ProcmapError` subclasses named:
 
 `tomo --mode bilinear` reports its fit's deviation from the dataset's `oracle`
 table (`oracle_comparison`), which `simulate` writes for measurement preparation
-only; a dataset without `oracle` gets no comparison.  `metadata.scenario_json`
-is provenance only: no command decodes it.
+only; a dataset without `oracle` gets no comparison.  `metadata.scenario_sha256`
+is the sha256 of the scenario file's bytes, provenance only: no command reads it.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import hashlib
 import json
 import math
 import os
@@ -52,9 +53,9 @@ def _diag(message: str) -> None:
         sys.stderr.write(f"error: {message}\n")
 
 
-def _write_text(path: Path, text: str) -> None:
+def _write_bytes(path: Path, data: bytes) -> None:
     try:
-        path.write_text(text)
+        path.write_bytes(data)
     except OSError as exc:
         raise ProcmapError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
@@ -62,16 +63,16 @@ def _write_text(path: Path, text: str) -> None:
 def _write_output(payload: dict, out: str | None) -> None:
     text = jsonio.dumps(payload)
     if out:
-        _write_text(Path(out), text)
+        _write_bytes(Path(out), text.encode())
     else:
         sys.stdout.write(text)
 
 
 def _load_json(path: str) -> tuple[str, dict]:
-    """The file's exact text, decoded as UTF-8, and the JSON object it holds."""
+    """The sha256 hex digest of the file's bytes, and the JSON object their UTF-8 text holds."""
     try:
-        text = Path(path).read_bytes().decode("utf-8")
-        obj = json.loads(text)
+        raw = Path(path).read_bytes()
+        obj = json.loads(raw.decode("utf-8"))
     except UnicodeDecodeError as exc:
         raise ScenarioError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
     except (OSError, json.JSONDecodeError) as exc:
@@ -80,7 +81,7 @@ def _load_json(path: str) -> tuple[str, dict]:
         raise ScenarioError(f"{path} holds a JSON integer of more than {sys.get_int_max_str_digits()} digits") from exc
     if not isinstance(obj, dict):
         raise ScenarioError(f"{path} does not hold a JSON object")
-    return text, obj
+    return hashlib.sha256(raw).hexdigest(), obj
 
 
 def _load_dataset(path: str) -> Dataset:
@@ -92,11 +93,11 @@ def _load_dataset(path: str) -> Dataset:
 
 
 def cmd_simulate(args) -> int:
-    text, obj = _load_json(args.scenario)
+    digest, obj = _load_json(args.scenario)
     for key in ("shots", "seed"):
         if getattr(args, key) is not None:
             obj[key] = getattr(args, key)
-    dataset = simulate_scenario(parse_scenario(obj, name=Path(args.scenario).stem, text=text))
+    dataset = simulate_scenario(parse_scenario(obj, name=Path(args.scenario).stem), digest)
     _write_output(dataset.to_json(), args.out)
     return EXIT_OK
 
@@ -179,8 +180,9 @@ def cmd_demo(args) -> int:
     except OSError as exc:
         raise ProcmapError(f"cannot write {out_dir}: {exc.strerror or exc}") from exc
 
-    scenario = parse_scenario(config, name=args.name, text=jsonio.dumps(config, indent=0))
-    dataset = simulate_scenario(scenario)
+    # The dataset's digest is that of the scenario.json written below, byte for byte.
+    scenario_bytes = jsonio.dumps(config).encode()
+    dataset = simulate_scenario(parse_scenario(config, name=args.name), hashlib.sha256(scenario_bytes).hexdigest())
     lam = reconstruct_linear_map(dataset.subset(LINEAR4_LABELS))
     diag = map_diagnostics(lam).to_json()
     report = classify(dataset.subset(TWELVE_STATE_LABELS))
@@ -192,8 +194,8 @@ def cmd_demo(args) -> int:
     }
     if args.name == "measurement-correlated":
         analysis["counterexample"] = _demo_counterexample(dataset, lam)
+    _write_bytes(out_dir / "scenario.json", scenario_bytes)
     artifacts = {
-        "scenario.json": config,
         "dataset.json": dataset.to_json(),
         "linear_map.json": {"map": lam.to_json(), "diagnostics": diag},
         "m_elements.json": _tomo_bilinear(dataset)["elements"],
@@ -201,14 +203,14 @@ def cmd_demo(args) -> int:
         "analysis.json": analysis,
     }
     for name, obj in artifacts.items():
-        _write_text(out_dir / name, jsonio.dumps(obj))
+        _write_bytes(out_dir / name, jsonio.dumps(obj).encode())
 
     summary = {
         "demo": args.name,
         "out_dir": str(out_dir),
         "verdict": report.verdict,
         "min_eigenvalue": diag["min_eigenvalue"],
-        "files": list(artifacts),
+        "files": ["scenario.json", *artifacts],
     }
     sys.stdout.write(jsonio.dumps(summary))
     return EXIT_OK

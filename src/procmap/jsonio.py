@@ -5,8 +5,8 @@ serialize/parse round trip bit-exactly, and so repeated runs produce
 byte-identical artifacts.
 
 `dumps` appends every piece of output to one chunk list and joins it once, so
-no nested value's text (such as a scenario embedded as a string) is copied at
-each enclosing level; strings are quoted as `json.dumps` quotes them.
+no nested value's text is copied at each enclosing level; strings are quoted as
+`json.dumps` quotes them.
 
 A float table (a non-empty list or tuple of equally long, non-empty lists or
 tuples whose every leaf is a Python `float`, such as the `data` block of

@@ -33,7 +33,7 @@ class ZeroProbabilityOutcome(ProcmapError):
 
 
 class InvalidMeasurement(ProcmapError):
-    """A generalized measurement violates the completeness condition."""
+    """A generalized measurement is incomplete, or its Kraus operators do not fit the system."""
 
 
 @dataclass(frozen=True)
@@ -165,6 +165,9 @@ def prepare_generalized(
 ) -> PreparedState:
     """Prepare by a generalized-measurement outcome acting on the system factor."""
     meas.validate()
+    d = dim_sys * dim_env
+    if np.shape(gamma0) != (d, d) or any(c.shape != (dim_sys, dim_sys) for o in meas.outcomes for c in o.kraus):
+        raise InvalidMeasurement(f"Kraus operators must be {dim_sys}x{dim_sys} on a {d}x{d} gamma0")
     omap = meas.outcomes[outcome]
     acc = sum(w * conjugate_system(c, gamma0) for w, c in zip(omap.weights, omap.kraus))
     gamma = float(np.trace(acc).real)

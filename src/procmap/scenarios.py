@@ -7,12 +7,11 @@ protocol labels in order, prepares each input, runs the process, and collects
 exact probabilities and outputs to multinomial estimates from a seeded
 generator.
 
-The dataset embeds the scenario's JSON text as given (`metadata.scenario_json`),
-so its sha256 is that of the scenario file; it is provenance only, and nothing
-decodes it again.  Shot-count and seed overrides live in the `shots` and `seed`
-metadata, not in that text.  A measurement-prepared dataset also carries
-`oracle`, the exact element table of the true process, computed here from the
-`ProcessSpec` already in hand; other preparations carry none.
+The dataset holds the sha256 of the scenario file's bytes (`metadata.scenario_sha256`),
+not the file, so reproducing a dataset needs its scenario file too; nothing reads
+the digest.  Shot-count and seed overrides live in the `shots` and `seed` metadata.
+A measurement-prepared dataset also carries `oracle`, the exact element table of
+the true process, computed here from the `ProcessSpec` already in hand.
 """
 
 from __future__ import annotations
@@ -74,9 +73,6 @@ class Scenario:
     mixed_bloch: np.ndarray | None = None
     shots: int | None = None
     seed: int | None = None
-    # The JSON text the scenario was decoded from, embedded verbatim in the
-    # dataset; `shots` and `seed` above may override what it says.
-    text: str = ""
 
 
 def _require_object(value, what: str) -> dict:
@@ -130,8 +126,8 @@ def parse_measurement(obj: dict) -> GeneralizedMeasurement:
     return GeneralizedMeasurement(outcomes=tuple(outcomes))
 
 
-def parse_scenario(obj: dict, name: str = "scenario", text: str = "") -> Scenario:
-    """Validate and expand a scenario JSON object decoded from `text`; raises ScenarioError."""
+def parse_scenario(obj: dict, name: str = "scenario") -> Scenario:
+    """Validate and expand a scenario JSON object; raises ScenarioError."""
     _require_object(obj, "a scenario")
     try:
         dim_sys = _integer(obj, "dimA", 2)
@@ -193,7 +189,7 @@ def parse_scenario(obj: dict, name: str = "scenario", text: str = "") -> Scenari
         mixed_bloch = None
         if "mixed_bloch" in obj:
             mixed_bloch = _bloch(obj["mixed_bloch"], "mixed_bloch")
-            if float(np.dot(mixed_bloch, mixed_bloch)) >= 1.0:
+            if math.hypot(*mixed_bloch) >= 1.0:  # np.dot would overflow, with a warning, on 1e300
                 raise ScenarioError("mixed_bloch must have norm strictly below 1")
             if method != "measurement":
                 raise ScenarioError("mixed_bloch requires the measurement preparation method")
@@ -216,7 +212,6 @@ def parse_scenario(obj: dict, name: str = "scenario", text: str = "") -> Scenari
             mixed_bloch=mixed_bloch,
             shots=shots,
             seed=seed,
-            text=text,
         )
     except ProcmapError:
         raise
@@ -291,8 +286,8 @@ def _degraded_gammas(rng: np.random.Generator, sc: Scenario, exact: dict[str, fl
     return est
 
 
-def simulate_scenario(sc: Scenario) -> Dataset:
-    """Run the preparation + process pipeline for every protocol label."""
+def simulate_scenario(sc: Scenario, scenario_sha256: str = "") -> Dataset:
+    """Run the pipeline for every protocol label; `scenario_sha256` is the scenario file's digest."""
     spec = sc.spec
     # The pin gives |0><0| (x) Tr_S gamma0 whatever the label, so it runs once.
     pinned = None
@@ -324,7 +319,7 @@ def simulate_scenario(sc: Scenario) -> Dataset:
         "t": jsonio.format_float(sc.t),
         "shots": "exact" if sc.shots is None else str(sc.shots),
         "seed": "" if sc.seed is None else str(sc.seed),
-        "scenario_json": sc.text,
+        "scenario_sha256": scenario_sha256,
     }
     oracle = None
     if sc.prep_method == "measurement":  # the only preparation the bi-linear map describes

@@ -1,9 +1,11 @@
 """The CLI surface through `main(argv)`: exit codes, one-line diagnostics, oracle block."""
 
+import hashlib
 import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -159,6 +161,7 @@ BAD_SCENARIOS = {
     "bloch-a-four-entries": {**MEASUREMENT, "gamma0": {"bloch_a": [0.0, 0.5, 0.0, 0.2], "c23": 0.3}},
     "bloch-a-string-and-bool": {**MEASUREMENT, "gamma0": {"bloch_a": ["0.1", False, 0], "c23": 0.3}},
     "mixed-bloch-string-and-bool": {**MEASUREMENT, "mixed_bloch": ["0.1", False, 0]},
+    "mixed-bloch-1e300": {**MEASUREMENT, "mixed_bloch": [1e300, 0, 0]},
     "t-integer-beyond-float": {**MEASUREMENT, "t": 10**400},
     "t-5000-digits": '{"t": ' + "1" * 5000 + "}",
     "weight-nan": generalized(float("nan")),
@@ -209,6 +212,7 @@ BAD_SCENARIO_WORDS = {
     "bloch-a-four-entries": "gamma0.bloch_a must be a list of three",
     "bloch-a-string-and-bool": "gamma0.bloch_a[0] must be a JSON number",
     "mixed-bloch-string-and-bool": "mixed_bloch[0] must be a JSON number",
+    "mixed-bloch-1e300": "mixed_bloch must have norm strictly below 1",
     "t-integer-beyond-float": "t must be finite",
     "t-5000-digits": ("bad.json", "more than 4300 digits"),
     "weight-nan": "weight must be finite",
@@ -223,8 +227,11 @@ def test_malformed_scenario_is_bad_config(case, tmp_path, capsys):
     scenario = tmp_path / "bad.json"
     config = BAD_SCENARIOS[case]
     scenario.write_text(config if isinstance(config, str) else json.dumps(config))  # json writes NaN and Infinity literally
-    code, err = run(["simulate", scenario], capsys)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, err = run(["simulate", scenario], capsys)
     assert code == EXIT_BAD_CONFIG
+    assert not caught, [str(w.message) for w in caught]  # a warning would be a second stderr line
     words = BAD_SCENARIO_WORDS[case]
     assert all(word in err for word in (words if isinstance(words, tuple) else (words,))), err
     assert "set_int_max_str_digits" not in err, err  # advice no CLI user can follow
@@ -341,7 +348,8 @@ def test_one_parser_serves_every_call_in_a_process(tmp_path, capsys):
     assert run(["simulate", scenario, "--shots", 1000, "--seed", 7, "--out", shots], capsys) == (EXIT_OK, "")
     assert run(["simulate", scenario, "--out", exact], capsys) == (EXIT_OK, "")
     assert json.loads(shots.read_text())["metadata"]["shots"] == "1000"
-    fresh = simulate_scenario(parse_scenario(MEASUREMENT, name="scenario", text=scenario.read_text()))
+    digest = hashlib.sha256(scenario.read_bytes()).hexdigest()
+    fresh = simulate_scenario(parse_scenario(MEASUREMENT, name="scenario"), digest)
     assert exact.read_text() == jsonio.dumps(fresh.to_json())
 
     loose, default = tmp_path / "loose.json", tmp_path / "default.json"
@@ -389,14 +397,29 @@ def tomo_bilinear_output(tmp_path, capsys, obj):
     return code, err, out.read_text() if code == EXIT_OK else None
 
 
-@pytest.mark.parametrize("text", ["{", "[]", ""], ids=["brace", "array", "empty"])
-def test_corrupt_embedded_scenario_is_ignored(text, tmp_path, capsys):
-    # scenario_json is provenance only: tomo's output does not depend on it.
+def assert_tomo_ignores_metadata(tmp_path, capsys, changes):
+    """`tomo --mode bilinear` writes the same bytes after `changes` to the metadata; None deletes a key."""
     obj = simulate(tmp_path, capsys)
     code, _, want = tomo_bilinear_output(tmp_path, capsys, obj)
     assert code == EXIT_OK and "oracle_comparison" in json.loads(want)
-    obj["metadata"]["scenario_json"] = text
+    for key, value in changes.items():
+        if value is None:
+            del obj["metadata"][key]
+        else:
+            obj["metadata"][key] = value
     assert tomo_bilinear_output(tmp_path, capsys, obj) == (EXIT_OK, "", want)
+
+
+@pytest.mark.parametrize("digest", ["not a digest", None], ids=["corrupt", "absent"])
+def test_scenario_digest_is_never_read(digest, tmp_path, capsys):
+    assert_tomo_ignores_metadata(tmp_path, capsys, {"scenario_sha256": digest})
+
+
+@pytest.mark.parametrize("text", ["{", "[]", ""], ids=["brace", "array", "empty"])
+def test_corrupt_embedded_scenario_is_ignored(text, tmp_path, capsys):
+    # A dataset written before the digest carries the scenario text as
+    # `scenario_json`; it still loads, and nothing decodes that text.
+    assert_tomo_ignores_metadata(tmp_path, capsys, {"scenario_sha256": None, "scenario_json": text})
 
 
 @pytest.mark.parametrize(
@@ -461,10 +484,10 @@ def test_pure_mixed_record_is_bad_config(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("shot_args", [[], ["--shots", 1000, "--seed", 7]], ids=["exact", "shots"])
-def test_dataset_embeds_the_scenario_file_verbatim(shot_args, tmp_path, capsys):
+def test_dataset_holds_the_scenario_file_digest(shot_args, tmp_path, capsys):
     config = {**PINNED, "t": 0.1, "note": "γ₀ = 0.7 |0⟩⟨0| ⊗ 1/2 + 0.3 χ"}
     # The stdlib's shortest-repr floats, non-ASCII text and CRLF line ends are
-    # none of them what procmap would write.
+    # none of them what procmap would write, so a digest of a re-encoding would differ.
     text = json.dumps(config, indent=1, ensure_ascii=False).replace("\n", "\r\n")
     assert text not in (jsonio.dumps(json.loads(text)), jsonio.dumps(json.loads(text), indent=0))
     scenario = tmp_path / "scenario.json"
@@ -472,7 +495,8 @@ def test_dataset_embeds_the_scenario_file_verbatim(shot_args, tmp_path, capsys):
     dataset = tmp_path / "dataset.json"
     assert run(["simulate", scenario, "--out", dataset, *shot_args], capsys) == (EXIT_OK, "")
     metadata = json.loads(dataset.read_text())["metadata"]
-    assert metadata["scenario_json"].encode("utf-8") == scenario.read_bytes()
+    assert metadata["scenario_sha256"] == hashlib.sha256(scenario.read_bytes()).hexdigest()
+    assert "scenario_json" not in metadata
     assert (metadata["shots"], metadata["seed"]) == (("1000", "7") if shot_args else ("exact", ""))
 
 

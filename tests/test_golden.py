@@ -1,10 +1,12 @@
 """Golden demo bundles: `procmap demo` must keep reproducing the committed artifacts.
 
-The scenario and dataset files are pinned byte for byte.  The measurement
-demo's dataset also carries `oracle`; without that key it must re-emit to a
-second pinned digest, so a change to its records or metadata shows apart from one
-to the oracle.  The analysis
-artifacts are compared against the copies under tests/golden/<demo>/ with a
+The scenario and dataset files are pinned byte for byte, and each dataset's
+`metadata.scenario_sha256` must be the pinned digest of its bundle's
+scenario.json, so `procmap simulate <bundle>/scenario.json` records the same
+provenance as the demo.  The measurement demo's dataset also carries `oracle`;
+without that key it must re-emit to a second pinned digest, so a change to its
+records or metadata shows apart from one to the oracle.  The analysis artifacts
+are compared against the copies under tests/golden/<demo>/ with a
 1e-12 tolerance on every float and exact equality on every other value; in
 report.json the per-record fit residuals and the schema tag are not compared.
 """
@@ -24,20 +26,20 @@ FLOAT_TOL = 1e-12
 PINNED_SHA256 = {
     "stochastic-heisenberg": {
         "scenario.json": "3ef2811ad75361342966fec9fc572f70aeab9379569a7ff7bbeb576ace535616",
-        "dataset.json": "4fe333591407c60a8f1cb6efd82b37e83bec338ac9a4c07e832a9b1e02b65591",
+        "dataset.json": "45d46ce693113b7ad8deee424b75974451727e4825e78a6bbe46cef0f2ef550f",
     },
     "measurement-correlated": {
         "scenario.json": "3631560f0de98946dcf5c959d305cb4b23ef82379a0283af9d83ebf51cbf4263",
-        "dataset.json": "198818fdaabd8b116a6c373cdda88b5d3730b3de740d5ac95d94511bc85b0f2b",
+        "dataset.json": "25b3b7a0bd5ebf76e5e4450d60c2dfa819a4949f7e1b34a763d23398dfaca006",
     },
     "imperfect-pin": {
         "scenario.json": "1265e79c4f6b6c9a5d7f38c536c6719fc72abadf29264bcb31c679519c6ed044",
-        "dataset.json": "b75cf228373e200388338310c2841f94404bcb98f0081bdd12ac102407c2df2d",
+        "dataset.json": "084b231316c14377f9c663871337fefe1e4b077e40b46b99e541287a4f29d519",
     },
 }
 # sha256 of dataset.json re-emitted with its `oracle` key dropped: its records and metadata alone.
 WITHOUT_ORACLE_SHA256 = {
-    "measurement-correlated": "34a5f1fbe76ade36ecf3d0aaaea3461e29d370b1f8a7ed10f3f127713d5d2d99",
+    "measurement-correlated": "758fb45b249fc3d2f504e066c9898d832bbb57d00a41a18b54a7741b0d32415f",
 }
 VERDICTS = {
     "stochastic-heisenberg": "Linear",
@@ -74,6 +76,7 @@ def test_demo_bundle_matches_golden(demo, tmp_path, capsys):
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
     dataset = json.loads((out / "dataset.json").read_text())
+    assert dataset["metadata"]["scenario_sha256"] == PINNED_SHA256[demo]["scenario.json"]
     oracle = dataset.pop("oracle", None)
     assert (oracle is not None) == (demo in WITHOUT_ORACLE_SHA256)
     if oracle is not None:

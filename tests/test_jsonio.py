@@ -1,5 +1,6 @@
 """The JSON layer against its per-element oracles: float-table emit and array decode."""
 
+import hashlib
 import json
 import math
 
@@ -45,11 +46,22 @@ def emitted_objects(tmp_path_factory):
         assert main(["demo", demo, "--out", str(out / demo)]) == 0
         objects += [json.loads(path.read_text()) for path in sorted((out / demo).iterdir())]
     assert len(objects) == 18
-    text = json.dumps(wide_scenario())
-    dataset = simulate_scenario(parse_scenario(json.loads(text), name="wide", text=text)).to_json()
+    dataset = simulate_scenario(parse_scenario(wide_scenario(), name="wide")).to_json()
     dataset["metadata"]["note"] = "Zustände \u2014 \"quoted\" \\ \t \U0001d4ac"
     dataset["numpy"] = [np.float64(0.25), np.int64(-3), np.bool_(True), np.float32(1.5), [np.float64(1.0), 2.0]]
     return objects + [dataset]
+
+
+def test_wide_dataset_carries_the_scenario_digest_not_its_text(tmp_path):
+    # The dimB = 64 scenario file is about 1.5 MB and its dataset about 14 KB, so
+    # a copy of the scenario in the dataset could not stay under the bound.
+    scenario, dataset = tmp_path / "wide.json", tmp_path / "dataset.json"
+    scenario.write_text(json.dumps(wide_scenario()))
+    assert main(["simulate", str(scenario), "--out", str(dataset)]) == 0
+    assert scenario.stat().st_size > 1_000_000
+    assert dataset.stat().st_size < 32 * 1024
+    metadata = json.loads(dataset.read_text())["metadata"]
+    assert metadata["scenario_sha256"] == hashlib.sha256(scenario.read_bytes()).hexdigest()
 
 
 @pytest.mark.parametrize("indent", [0, 2, 4])

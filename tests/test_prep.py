@@ -242,6 +242,19 @@ def test_generalized_completeness_check():
         build_dilation(bad)
 
 
+@pytest.mark.parametrize(
+    "kraus_dim, gamma0_dim",
+    [(3, 6), (2, 4), (1, 6)],
+    ids=["3x3-kraus", "4x4-gamma0", "1x1-kraus"],
+)
+def test_generalized_rejects_operators_that_do_not_fit_the_system(kraus_dim, gamma0_dim):
+    # dim_sys = 2, dim_env = 3: the Kraus operators must be 2x2 and gamma0 6x6.
+    meas = GeneralizedMeasurement(outcomes=(OutcomeMap(weights=(1.0,), kraus=(np.eye(kraus_dim, dtype=complex),)),))
+    meas.validate()
+    with pytest.raises(InvalidMeasurement, match="2x2 on a 6x6"):
+        prepare_generalized(np.eye(gamma0_dim) / gamma0_dim, 2, 3, meas, 0)
+
+
 def test_generalized_outcome_probabilities_sum_to_one():
     rng = np.random.default_rng(11)
     for _ in range(10):
