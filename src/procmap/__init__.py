@@ -1,9 +1,10 @@
 """Open-system quantum process tomography with explicit state preparation.
 
-Simulates tomography experiments for the two standard preparation procedures
-(stochastic pin-then-rotate and preparation by measurement), reconstructs
-linear and bi-linear process maps from the resulting records, and classifies
-a process as Linear, Bilinear, or Neither from a 12-projection protocol.
+Every input is prepared by one primitive, `prepare_generalized`: an operation
+(`OutcomeMap`) on the system factor of a base state, such as gamma0 or its pin
+(`apply_pin_map`), renormalized by its probability.  Linear and bi-linear
+process maps are reconstructed from the resulting records, and a process is
+classified as Linear, Bilinear, or Neither from a 12-projection protocol.
 """
 
 from .bilinear_tomo import (
@@ -38,8 +39,6 @@ from .prep import (
     ZeroProbabilityOutcome,
     apply_pin_map,
     prepare_generalized,
-    prepare_projective,
-    prepare_stochastic,
 )
 from .records import NINE_STATE_LABELS, TWELVE_STATE_LABELS, Dataset, Fit, MissingRecord, TomographyRecord, fit
 from .verify import VerificationReport, classify, gamma_completeness

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import json
 import math
 import os
@@ -68,8 +67,8 @@ def _write_output(payload: dict, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _load_json(path: str) -> tuple[str, dict]:
-    """The sha256 hex digest of the file's bytes, and the JSON object their UTF-8 text holds."""
+def _load_json(path: str) -> tuple[bytes, dict]:
+    """The file's bytes, and the JSON object their UTF-8 text holds."""
     try:
         raw = Path(path).read_bytes()
         obj = json.loads(raw.decode("utf-8"))
@@ -81,11 +80,17 @@ def _load_json(path: str) -> tuple[str, dict]:
         raise ScenarioError(f"{path} holds a JSON integer of more than {sys.get_int_max_str_digits()} digits") from exc
     if not isinstance(obj, dict):
         raise ScenarioError(f"{path} does not hold a JSON object")
-    return hashlib.sha256(raw).hexdigest(), obj
+    return raw, obj
+
+
+def _sha256(data: bytes) -> str:
+    import hashlib  # here, not at the top: only simulate and demo pay for OpenSSL's _hashlib
+
+    return hashlib.sha256(data).hexdigest()
 
 
 def _load_dataset(path: str) -> Dataset:
-    _, obj = _load_json(path)
+    obj = _load_json(path)[1]
     try:
         return Dataset.from_json(obj)
     except (KeyError, TypeError, ValueError) as exc:
@@ -93,7 +98,9 @@ def _load_dataset(path: str) -> Dataset:
 
 
 def cmd_simulate(args) -> int:
-    digest, obj = _load_json(args.scenario)
+    raw, obj = _load_json(args.scenario)
+    digest = _sha256(raw)
+    del raw  # the scenario's bytes are not kept alive through the simulation
     for key in ("shots", "seed"):
         if getattr(args, key) is not None:
             obj[key] = getattr(args, key)
@@ -182,7 +189,7 @@ def cmd_demo(args) -> int:
 
     # The dataset's digest is that of the scenario.json written below, byte for byte.
     scenario_bytes = jsonio.dumps(config).encode()
-    dataset = simulate_scenario(parse_scenario(config, name=args.name), hashlib.sha256(scenario_bytes).hexdigest())
+    dataset = simulate_scenario(parse_scenario(config, name=args.name), _sha256(scenario_bytes))
     lam = reconstruct_linear_map(dataset.subset(LINEAR4_LABELS))
     diag = map_diagnostics(lam).to_json()
     report = classify(dataset.subset(TWELVE_STATE_LABELS))

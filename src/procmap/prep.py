@@ -1,9 +1,10 @@
-"""State-preparation procedures for open-system experiments.
+"""State preparation for open-system experiments: one operation on a base state.
 
-Covers the stochastic route (pin map to a fixed pure state followed by a
-unitary rotation), preparation by von Neumann measurement (projection with
-renormalization), and preparation by one outcome of a generalized measurement
-given as a set of positive trace-reducing maps acting on the system factor.
+Every preparation is one outcome of an operation on the system factor of a base
+joint state, renormalized by its probability gamma (`prepare_generalized`).  The
+stochastic route rotates the pinned state (`apply_pin_map`) by a unitary, so
+gamma = 1; preparation by von Neumann measurement projects gamma0; a generalized
+measurement applies one outcome's positive trace-reducing map to gamma0.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import numpy as np
 from .errors import EXIT_ZERO_PROBABILITY, ProcmapError
 from .qstate import (
     STATE_TOL,
+    UNITARY_TOL,
     conjugate_system,
     dagger,
     is_projector,
@@ -24,6 +26,7 @@ from .qstate import (
 )
 
 ZERO_PROBABILITY_TOL = 1e-12
+FACTORIZATION_TOL = 1e-12
 
 
 class ZeroProbabilityOutcome(ProcmapError):
@@ -117,63 +120,36 @@ def apply_pin_map(gamma0: np.ndarray, dim_sys: int, dim_env: int, target: np.nda
     return tensor(target, partial_trace_sys(gamma0, dim_sys, dim_env))
 
 
-def prepare_stochastic(joint_pinned: np.ndarray, v: np.ndarray, label: str = "") -> PreparedState:
-    """Rotate a pinned joint state by a system unitary; outcome probability is 1."""
-    validate_unitary(v)
-    dim_sys = v.shape[0]
-    d = np.asarray(joint_pinned).shape[0]
-    if d % dim_sys:
-        raise ValueError("joint dimension is not a multiple of the system dimension")
-    return PreparedState(joint=conjugate_system(v, joint_pinned), gamma=1.0, label=label)
-
-
-def prepare_projective(
-    gamma0: np.ndarray,
-    dim_sys: int,
-    dim_env: int,
-    p: np.ndarray,
-    label: str = "",
-) -> PreparedState:
-    """Prepare by a von Neumann measurement outcome: project and renormalize.
-
-    gamma = Tr[(P x 1) gamma0], the probability of obtaining this input state.
-    Raises ZeroProbabilityOutcome when the experiment never yields this input.
-    """
-    gamma0 = np.asarray(gamma0, dtype=complex)
-    p = np.asarray(p, dtype=complex)
-    if not is_projector(p):
-        raise ValueError("projective preparation requires a rank-1 projector")
-    projected = conjugate_system(p, gamma0)
-    gamma = float(np.trace(projected).real)
-    if gamma < ZERO_PROBABILITY_TOL:
-        raise ZeroProbabilityOutcome(f"preparation {label or 'outcome'} has probability {gamma:.3e}")
-    joint = projected / gamma
-    # The projected joint factorizes as P (x) tau; cross-check both forms.
-    tau = partial_trace_sys(joint, dim_sys, dim_env)
-    if np.max(np.abs(joint - tensor(p, tau))) > 1e-12:
-        raise ValueError("projected joint state does not factorize as P (x) tau")
-    return PreparedState(joint=joint, gamma=gamma, label=label)
-
-
 def prepare_generalized(
-    gamma0: np.ndarray,
-    dim_sys: int,
-    dim_env: int,
-    meas: GeneralizedMeasurement,
-    outcome: int,
-    label: str = "",
+    base: np.ndarray, dim_sys: int, dim_env: int, operation: OutcomeMap, label: str = ""
 ) -> PreparedState:
-    """Prepare by a generalized-measurement outcome acting on the system factor."""
-    meas.validate()
+    """Apply `operation` to the system factor of `base` and renormalize by its probability.
+
+    gamma = Tr[sum_a w_a (C_a x 1) base (C_a x 1)'].  A trace-preserving operation
+    (sum_a w_a C_a'C_a = 1 within UNITARY_TOL) gives gamma = 1.0 exactly and no
+    division.  Raises InvalidMeasurement when the operators do not fit the system
+    and ZeroProbabilityOutcome when the experiment never yields this input.
+    """
     d = dim_sys * dim_env
-    if np.shape(gamma0) != (d, d) or any(c.shape != (dim_sys, dim_sys) for o in meas.outcomes for c in o.kraus):
-        raise InvalidMeasurement(f"Kraus operators must be {dim_sys}x{dim_sys} on a {d}x{d} gamma0")
-    omap = meas.outcomes[outcome]
-    acc = sum(w * conjugate_system(c, gamma0) for w, c in zip(omap.weights, omap.kraus))
+    if not operation.kraus or np.shape(base) != (d, d) or any(c.shape != (dim_sys, dim_sys) for c in operation.kraus):
+        raise InvalidMeasurement(f"Kraus operators must be {dim_sys}x{dim_sys} on a {d}x{d} base state")
+    # A weight of exactly 1.0 multiplies nothing: (1+0j) * z can flip the sign of a zero.
+    terms = [conjugate_system(c, base) if w == 1.0 else w * conjugate_system(c, base)
+             for w, c in zip(operation.weights, operation.kraus)]
+    acc = sum(terms[1:], terms[0])
+    effect = sum(w * (dagger(c) @ c) for w, c in zip(operation.weights, operation.kraus))
+    if np.abs(effect - np.eye(dim_sys)).max() <= UNITARY_TOL:
+        return PreparedState(joint=acc, gamma=1.0, label=label)
     gamma = float(np.trace(acc).real)
     if gamma < ZERO_PROBABILITY_TOL:
         raise ZeroProbabilityOutcome(f"preparation {label or 'outcome'} has probability {gamma:.3e}")
-    return PreparedState(joint=acc / gamma, gamma=gamma, label=label)
+    joint = acc / gamma
+    # A rank-1 projector P leaves P (x) tau; cross-check both forms when P is one to the check's own precision.
+    p = operation.kraus[0]
+    if len(operation.kraus) == 1 and is_projector(p, tol=FACTORIZATION_TOL):
+        if np.max(np.abs(joint - tensor(p, partial_trace_sys(joint, dim_sys, dim_env)))) > FACTORIZATION_TOL:
+            raise ValueError("projected joint state does not factorize as P (x) tau")
+    return PreparedState(joint=joint, gamma=gamma, label=label)
 
 
 def perpendicular_ket(ket: np.ndarray) -> np.ndarray:

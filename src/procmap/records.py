@@ -41,11 +41,14 @@ PROTOCOL_LABELS = {
 }
 
 
+# 0.0 - b, not -b, so that a zero component stays +0.0.
+_STATES = {f"{d}{sign}": state_from_bloch(np.array(b) if sign == "+" else 0.0 - np.array(b))
+           for d, b in DIRECTIONS.items() for sign in "+-"}
+
+
 def state_of_label(label: str) -> np.ndarray:
-    """The projector a protocol label prepares; raises KeyError for any other label."""
-    bloch = np.array(DIRECTIONS[label[:-1]])
-    # 0.0 - b, not -b, so that a zero component stays +0.0.
-    return state_from_bloch({"+": bloch, "-": 0.0 - bloch}[label[-1]])
+    """The projector a protocol label prepares (a fresh copy); raises KeyError for any other label."""
+    return _STATES[label].copy()
 
 
 class MissingRecord(ProcmapError):

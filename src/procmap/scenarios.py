@@ -1,10 +1,14 @@
 """Scenario configs, experiment simulation, and the shipped demo scenarios.
 
 A scenario bundles the process (unitary + initial joint state), a preparation
-method, and a protocol (which input labels to prepare).  Simulation walks the
-protocol labels in order, prepares each input, runs the process, and collects
-(input, output, gamma) records.  An optional finite-shot mode degrades the
-exact probabilities and outputs to multinomial estimates from a seeded
+method, and a protocol (which input labels to prepare).  `operation_of_label`
+is the one table of preparations, each a base state and one operation on its
+system factor for `prep.prepare_generalized`: stochastic, (pinned state, V);
+rotation-only, (gamma0, V); measurement, (gamma0, P); generalized, (gamma0, the
+label's outcome map); the mixed record, (gamma0, X).  Simulation walks the
+protocol labels, then `mixed`, prepares each input, runs the process and
+collects (input, output, gamma) records.  An optional finite-shot mode degrades
+the exact probabilities and outputs to multinomial estimates from a seeded
 generator.
 
 The dataset holds the sha256 of the scenario file's bytes (`metadata.scenario_sha256`),
@@ -31,17 +35,12 @@ from .dynamics import (
     unitary_from_hamiltonian,
 )
 from .errors import ProcmapError
-from .prep import (
-    GeneralizedMeasurement,
-    OutcomeMap,
-    apply_pin_map,
-    prepare_generalized,
-    prepare_projective,
-    prepare_stochastic,
-    rotation_between,
-)
+from .prep import GeneralizedMeasurement, OutcomeMap, apply_pin_map, prepare_generalized, rotation_between
 from .qstate import SIGMA_1, SIGMA_3, bloch_vector, ket_from_projector, state_from_bloch, tensor
 from .records import DIRECTIONS, MIXED_LABEL, PROTOCOL_LABELS, Dataset, TomographyRecord, state_of_label
+
+# Two retired names stay bound here, uncalled, so that perfbench/tracer.py can wrap them.
+prepare_stochastic = prepare_projective = prepare_generalized
 
 # The `preparation` keys each method reads; parse_scenario rejects any other.
 PREPARATION_KEYS = {
@@ -219,43 +218,24 @@ def parse_scenario(obj: dict, name: str = "scenario") -> Scenario:
         raise ScenarioError(f"malformed scenario: {exc}") from exc
 
 
-def _mixed_preparation_measurement(target: np.ndarray) -> GeneralizedMeasurement:
-    """Two-outcome generalized measurement whose first outcome pins to `target`.
+def operation_of_label(sc: Scenario, label: str, pinned: np.ndarray | None) -> tuple[np.ndarray, OutcomeMap]:
+    """The base state and the operation on its system factor that prepare `label`.
 
-    Kraus operators {X, sqrt(1 - X^2)} satisfy completeness; outcome 0 produces
-    the joint (X x 1) gamma0 (X x 1) / gamma, exactly the bi-linear process
-    equation evaluated at the mixed operator X.
+    `pinned` is the stochastic pin of gamma0.  The mixed record applies X itself:
+    X = state_from_bloch(b) has eigenvalues (1 +- |b|)/2 and |b| < 1, so 0 <= X <= 1.
     """
-    x = np.asarray(target, dtype=complex)
-    w, v = np.linalg.eigh(x)
-    if w[0] < 0 or w[-1] > 1:
-        raise ScenarioError("mixed preparation target must satisfy 0 <= X <= 1")
-    rest = (v * np.sqrt(np.clip(1.0 - w**2, 0.0, None))) @ v.conj().T
-    return GeneralizedMeasurement(
-        outcomes=(
-            OutcomeMap(weights=(1.0,), kraus=(x,)),
-            OutcomeMap(weights=(1.0,), kraus=(rest,)),
-        )
-    )
-
-
-def _prepare_for_label(sc: Scenario, label: str, target: np.ndarray, pinned: np.ndarray | None):
-    """Prepare the input `target` of `label`; `pinned` is the stochastic pin of gamma0."""
-    spec = sc.spec
-    if sc.prep_method == "stochastic":
-        v = rotation_between(ZERO_KET, ket_from_projector(target))
-        return prepare_stochastic(pinned, v, label=label)
-    if sc.prep_method == "measurement":
-        return prepare_projective(spec.gamma0, spec.dim_sys, spec.dim_env, target, label=label)
-    if sc.prep_method == "rotation_only":
-        # Imperfect-pin preparation: the rotation is applied directly to
-        # gamma0, so the true input is not the assumed projector.
-        v = rotation_between(ZERO_KET, ket_from_projector(target))
-        return prepare_stochastic(spec.gamma0, v, label=label)
+    gamma0 = sc.spec.gamma0
     if sc.prep_method == "generalized":
-        outcome = sc.generalized_labels.index(label)
-        return prepare_generalized(spec.gamma0, spec.dim_sys, spec.dim_env, sc.measurement, outcome, label=label)
-    raise ScenarioError(f"unsupported preparation method {sc.prep_method!r}")
+        return gamma0, sc.measurement.outcomes[sc.generalized_labels.index(label)]
+    if label == MIXED_LABEL:
+        return gamma0, OutcomeMap(weights=(1.0,), kraus=(state_from_bloch(sc.mixed_bloch),))
+    target = state_of_label(label)
+    if sc.prep_method == "measurement":
+        return gamma0, OutcomeMap(weights=(1.0,), kraus=(target,))
+    # Rotation-only (imperfect-pin) preparation rotates gamma0 itself, so the
+    # true input is not the assumed projector.
+    v = rotation_between(ZERO_KET, ket_from_projector(target))
+    return (pinned if sc.prep_method == "stochastic" else gamma0), OutcomeMap(weights=(1.0,), kraus=(v,))
 
 
 def _degrade_record(rng: np.random.Generator, rec: TomographyRecord, shots: int, gamma: float) -> TomographyRecord:
@@ -293,19 +273,14 @@ def simulate_scenario(sc: Scenario, scenario_sha256: str = "") -> Dataset:
     pinned = None
     if sc.prep_method == "stochastic":
         pinned = apply_pin_map(spec.gamma0, spec.dim_sys, spec.dim_env, ZERO_STATE)
+    labels = PROTOCOL_LABELS[sc.protocol] + ((MIXED_LABEL,) if sc.mixed_bloch is not None else ())
     records = []
-    for label in PROTOCOL_LABELS[sc.protocol]:
-        target = state_of_label(label)
-        prep_state = _prepare_for_label(sc, label, target, pinned)
+    for label in labels:
+        base, operation = operation_of_label(sc, label, pinned)
+        prep_state = prepare_generalized(base, spec.dim_sys, spec.dim_env, operation, label=label)
+        assumed = state_from_bloch(sc.mixed_bloch) if label == MIXED_LABEL else state_of_label(label)
         q = run_process(spec, prep_state)
-        records.append(TomographyRecord(label=label, input=target, output=q, gamma=prep_state.gamma))
-
-    if sc.mixed_bloch is not None:
-        x = state_from_bloch(sc.mixed_bloch)
-        meas = _mixed_preparation_measurement(x)
-        prep_state = prepare_generalized(spec.gamma0, spec.dim_sys, spec.dim_env, meas, 0, label=MIXED_LABEL)
-        q = run_process(spec, prep_state)
-        records.append(TomographyRecord(label=MIXED_LABEL, input=x, output=q, gamma=prep_state.gamma))
+        records.append(TomographyRecord(label=label, input=assumed, output=q, gamma=prep_state.gamma))
 
     if sc.shots is not None:
         rng = np.random.default_rng(sc.seed if sc.seed is not None else 0)

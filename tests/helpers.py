@@ -10,11 +10,15 @@ operations replaced: the one-call-per-float JSON emitter, the
 entry-by-entry matrix decoder, the einsum contraction of the process tensor,
 the matrix-unit loop of the fixed-environment map and the einsum partial
 trace over the environment of a fully formed U J U'.
+The preparation routes that `prep.prepare_generalized` replaced are oracles
+for it: stochastic rotation of a pinned state, projection with the P (x) tau
+cross-check, the completed measurement {X, sqrt(1 - X^2)} of the mixed record,
+and a dense (C x 1) evaluation of any outcome map.
 Then come the field-by-field bi-linear element table and its prediction loop,
 which the stacked table and its probe contraction replaced, and the matrix
 element <A|M|B> they are built from.  Last is the dilation of a generalized
 measurement: a unitary on system x ancillas followed by a von Neumann readout
-of an ancilla, the independent route to `prep.prepare_generalized`.
+of an ancilla, another independent route to `prep.prepare_generalized`.
 """
 
 from __future__ import annotations
@@ -28,8 +32,25 @@ import numpy as np
 from procmap.bilinear_tomo import CROSS_PAIRS, MixedWithoutUnitUnit, ZeroGamma
 from procmap.dynamics import ProcessSpec, correlated_pair_state, heisenberg_hamiltonian, unitary_from_hamiltonian
 from procmap.linear_tomo import NotAFrame
-from procmap.prep import InvalidMeasurement, prepare_projective, prepare_stochastic, apply_pin_map
-from procmap.qstate import IDENTITY_2, PAULIS, dagger, tensor, validate_unitary
+from procmap.prep import (
+    ZERO_PROBABILITY_TOL,
+    GeneralizedMeasurement,
+    InvalidMeasurement,
+    OutcomeMap,
+    PreparedState,
+    ZeroProbabilityOutcome,
+    apply_pin_map,
+)
+from procmap.qstate import (
+    IDENTITY_2,
+    PAULIS,
+    conjugate_system,
+    dagger,
+    is_projector,
+    partial_trace_sys,
+    tensor,
+    validate_unitary,
+)
 from procmap.records import TWELVE_STATE_LABELS, TomographyRecord, select, state_of_label
 
 SQRT2 = float(np.sqrt(2.0))
@@ -135,6 +156,64 @@ def va_spec(t: float = T_DEMO, a2: float = A2_DEMO, c23: float = C23_DEMO) -> Pr
     gamma0 = correlated_pair_state([0.0, a2, 0.0], c23)
     u = unitary_from_hamiltonian(heisenberg_hamiltonian(), t)
     return ProcessSpec(dim_sys=2, dim_env=2, u=u, gamma0=gamma0)
+
+
+def prepare_stochastic(joint_pinned: np.ndarray, v: np.ndarray, label: str = "") -> PreparedState:
+    """Rotate a pinned joint state by a system unitary; outcome probability is 1."""
+    validate_unitary(v)
+    dim_sys = v.shape[0]
+    d = np.asarray(joint_pinned).shape[0]
+    if d % dim_sys:
+        raise ValueError("joint dimension is not a multiple of the system dimension")
+    return PreparedState(joint=conjugate_system(v, joint_pinned), gamma=1.0, label=label)
+
+
+def prepare_projective(gamma0: np.ndarray, dim_sys: int, dim_env: int, p: np.ndarray, label: str = "") -> PreparedState:
+    """Prepare by a von Neumann measurement outcome: project and renormalize.
+
+    gamma = Tr[(P x 1) gamma0], the probability of obtaining this input state.
+    Raises ZeroProbabilityOutcome when the experiment never yields this input.
+    """
+    gamma0 = np.asarray(gamma0, dtype=complex)
+    p = np.asarray(p, dtype=complex)
+    if not is_projector(p):
+        raise ValueError("projective preparation requires a rank-1 projector")
+    projected = conjugate_system(p, gamma0)
+    gamma = float(np.trace(projected).real)
+    if gamma < ZERO_PROBABILITY_TOL:
+        raise ZeroProbabilityOutcome(f"preparation {label or 'outcome'} has probability {gamma:.3e}")
+    joint = projected / gamma
+    # The projected joint factorizes as P (x) tau; cross-check both forms.
+    tau = partial_trace_sys(joint, dim_sys, dim_env)
+    if np.max(np.abs(joint - tensor(p, tau))) > 1e-12:
+        raise ValueError("projected joint state does not factorize as P (x) tau")
+    return PreparedState(joint=joint, gamma=gamma, label=label)
+
+
+def mixed_preparation_measurement(x: np.ndarray) -> GeneralizedMeasurement:
+    """Two-outcome measurement {X, sqrt(1 - X^2)} whose outcome 0 prepares the mixed operator X.
+
+    Outcome 0 produces (X x 1) gamma0 (X x 1) / gamma, the bi-linear process
+    equation evaluated at X; the second Kraus operator only completes the set.
+    """
+    x = np.asarray(x, dtype=complex)
+    w, v = np.linalg.eigh(x)
+    if w[0] < 0 or w[-1] > 1:
+        raise ValueError("mixed preparation target must satisfy 0 <= X <= 1")
+    rest = (v * np.sqrt(np.clip(1.0 - w**2, 0.0, None))) @ v.conj().T
+    return GeneralizedMeasurement(
+        outcomes=(OutcomeMap(weights=(1.0,), kraus=(x,)), OutcomeMap(weights=(1.0,), kraus=(rest,)))
+    )
+
+
+def prepare_dense(base: np.ndarray, dim_env: int, operation: OutcomeMap) -> PreparedState:
+    """sum_a w_a (C_a x 1) base (C_a x 1)' / gamma with every C_a x 1 formed densely."""
+    acc = 0
+    for w, c in zip(operation.weights, operation.kraus):
+        big = tensor(c, np.eye(dim_env))
+        acc = acc + w * (big @ base @ dagger(big))
+    gamma = float(np.trace(acc).real)
+    return PreparedState(joint=acc / gamma, gamma=gamma)
 
 
 def measured_records(spec: ProcessSpec, labels) -> list[TomographyRecord]:

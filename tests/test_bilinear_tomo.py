@@ -31,7 +31,6 @@ from procmap.bilinear_tomo import (
     solve_M_elements,
 )
 from procmap.dynamics import ProcessSpec
-from procmap.prep import prepare_projective
 from procmap.qstate import (
     IDENTITY_2,
     bloch_vector,

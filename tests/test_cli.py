@@ -25,7 +25,7 @@ from procmap.errors import (
 from procmap.linear_tomo import NotAFrame
 from procmap.prep import InvalidMeasurement, ZeroProbabilityOutcome
 from procmap.qstate import bloch_vector
-from procmap.records import LINEAR4_LABELS, TWELVE_STATE_LABELS, MissingRecord
+from procmap.records import LINEAR4_LABELS, TWELVE_STATE_LABELS, MissingRecord, state_of_label
 from procmap.scenarios import ScenarioError, demo_scenario_config, parse_scenario, simulate_scenario
 
 
@@ -248,6 +248,19 @@ def test_non_utf8_input_is_bad_config(command, tmp_path, capsys):
 
 def test_complete_generalized_measurement_simulates(tmp_path, capsys):
     simulate(tmp_path, capsys, demo="stochastic-heisenberg", **generalized(0.5, 0.5))
+
+
+def test_rounded_projector_measurement_simulates(tmp_path, capsys):
+    # The twelve protocol projectors at weight 1/6 each, entries written to 11 digits: projectors
+    # and complete within STATE_TOL, so no P (x) tau cross-check at 1e-12 may reject them.
+    outcomes = []
+    for label in TWELVE_STATE_LABELS:
+        p = np.round(state_of_label(label), 11)
+        outcomes.append({"weights": [1.0 / 6.0], "kraus": [jsonio.matrix_to_json(p)]})
+    measurement = {"outcomes": outcomes}
+    preparation = {"method": "generalized", "measurement": measurement, "labels": list(TWELVE_STATE_LABELS)}
+    obj = simulate(tmp_path, capsys, demo="stochastic-heisenberg", preparation=preparation)
+    assert sum(rec["gamma"] for rec in obj["records"]) == pytest.approx(1.0, abs=1e-9)
 
 
 def set_gamma(obj, label, gamma):
@@ -588,3 +601,11 @@ def test_demo_loads_no_scipy(tmp_path):
     imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")}
     assert {"numpy", "procmap.scenarios"} <= imported
     assert not [name for name in imported if name.split(".")[0] == "scipy"]
+
+
+def test_cli_import_loads_no_hashlib():
+    # Only simulate and demo make a digest, so tomo and verify need not load OpenSSL's _hashlib.
+    env = {**os.environ, "PYTHONPATH": str(Path(procmap.__file__).resolve().parents[1])}
+    code = "import sys, procmap.cli; print(sorted({'hashlib', '_hashlib'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr

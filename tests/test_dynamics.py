@@ -21,7 +21,7 @@ from procmap.dynamics import (
     unitary_from_hamiltonian,
 )
 from procmap.linear_tomo import apply_linear_map
-from procmap.prep import PreparedState, prepare_projective, prepare_stochastic
+from procmap.prep import OutcomeMap, PreparedState, prepare_generalized
 from procmap.qstate import (
     IDENTITY_2,
     SIGMA_1,
@@ -82,7 +82,7 @@ def test_identity_dynamics_with_projective_prep():
     gamma0 = tensor(rand_density(rng, 2), rand_density(rng, 2))
     spec = ProcessSpec(2, 2, np.eye(4, dtype=complex), gamma0)
     p = state_from_bloch([0, 0, 1])
-    prepared = prepare_projective(gamma0, 2, 2, p)
+    prepared = prepare_generalized(gamma0, 2, 2, OutcomeMap(weights=(1.0,), kraus=(p,)))
     out = run_process(spec, prepared)
     assert np.max(np.abs(out - p)) < 1e-12
 
@@ -98,7 +98,8 @@ def test_measurement_prep_outputs_golden():
         (0, 0, 1): [0, 0, 0.5],
     }
     for bloch_in, bloch_out in expected.items():
-        prepared = prepare_projective(spec.gamma0, 2, 2, state_from_bloch(bloch_in))
+        projector = OutcomeMap(weights=(1.0,), kraus=(state_from_bloch(bloch_in),))
+        prepared = prepare_generalized(spec.gamma0, 2, 2, projector)
         out = run_process(spec, prepared)
         assert np.max(np.abs(bloch_vector(out) - np.asarray(bloch_out))) < 1e-12
         # cross-check against the loop-based pipeline oracle

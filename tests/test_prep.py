@@ -3,8 +3,20 @@ import json
 import numpy as np
 import pytest
 
-from helpers import build_dilation, measure_generalized_via_dilation, partial_trace_env, rand_density, va_spec
-from procmap import jsonio
+from helpers import (
+    build_dilation,
+    measure_generalized_via_dilation,
+    mixed_preparation_measurement,
+    partial_trace_env,
+    prepare_dense,
+    prepare_projective,
+    prepare_stochastic,
+    rand_density,
+    rand_unitary,
+    va_spec,
+)
+from procmap import jsonio, prep
+from procmap.dynamics import ProcessSpec
 from procmap.prep import (
     GeneralizedMeasurement,
     InvalidMeasurement,
@@ -13,8 +25,6 @@ from procmap.prep import (
     apply_pin_map,
     perpendicular_ket,
     prepare_generalized,
-    prepare_projective,
-    prepare_stochastic,
     rotation_between,
 )
 from procmap.qstate import (
@@ -29,7 +39,8 @@ from procmap.qstate import (
     tensor,
     validate_density_matrix,
 )
-from procmap.scenarios import parse_measurement
+from procmap.records import MIXED_LABEL, TWELVE_STATE_LABELS, state_of_label
+from procmap.scenarios import ZERO_KET, ZERO_STATE, Scenario, operation_of_label, parse_measurement
 
 KET0 = np.array([1, 0], dtype=complex)
 P3_PLUS = np.diag([1.0, 0.0]).astype(complex)
@@ -212,7 +223,7 @@ def test_generalized_identity_map():
     meas = GeneralizedMeasurement(outcomes=(OutcomeMap(weights=(1.0,), kraus=(IDENTITY_2,)),))
     rng = np.random.default_rng(10)
     rho = rand_density(rng, 2)
-    prepared = prepare_generalized(rho, 2, 1, meas, 0)
+    prepared = prepare_generalized(rho, 2, 1, meas.outcomes[0])
     assert abs(prepared.gamma - 1.0) < 1e-12
     assert np.max(np.abs(prepared.joint - rho)) < 1e-12
 
@@ -225,7 +236,7 @@ def test_generalized_projective_on_mixed():
         )
     )
     for j, target in ((0, np.diag([1.0, 0.0])), (1, np.diag([0.0, 1.0]))):
-        prepared = prepare_generalized(0.5 * IDENTITY_2, 2, 1, meas, j)
+        prepared = prepare_generalized(0.5 * IDENTITY_2, 2, 1, meas.outcomes[j])
         assert abs(prepared.gamma - 0.5) < 1e-12
         assert np.max(np.abs(prepared.joint - target)) < 1e-12
 
@@ -236,8 +247,6 @@ def test_generalized_completeness_check():
     )
     with pytest.raises(InvalidMeasurement):
         bad.validate()
-    with pytest.raises(InvalidMeasurement):
-        prepare_generalized(0.5 * IDENTITY_2, 2, 1, bad, 0)
     with pytest.raises(InvalidMeasurement):
         build_dilation(bad)
 
@@ -252,7 +261,12 @@ def test_generalized_rejects_operators_that_do_not_fit_the_system(kraus_dim, gam
     meas = GeneralizedMeasurement(outcomes=(OutcomeMap(weights=(1.0,), kraus=(np.eye(kraus_dim, dtype=complex),)),))
     meas.validate()
     with pytest.raises(InvalidMeasurement, match="2x2 on a 6x6"):
-        prepare_generalized(np.eye(gamma0_dim) / gamma0_dim, 2, 3, meas, 0)
+        prepare_generalized(np.eye(gamma0_dim) / gamma0_dim, 2, 3, meas.outcomes[0])
+
+
+def test_primitive_rejects_an_operation_without_kraus_operators():
+    with pytest.raises(InvalidMeasurement, match="2x2 on a 4x4"):
+        prepare_generalized(np.eye(4) / 4, 2, 2, OutcomeMap(weights=(), kraus=()))
 
 
 def test_generalized_outcome_probabilities_sum_to_one():
@@ -260,7 +274,7 @@ def test_generalized_outcome_probabilities_sum_to_one():
     for _ in range(10):
         meas = random_measurement(rng, int(rng.integers(1, 5)))
         gamma0 = rand_density(rng, 4)
-        total = sum(prepare_generalized(gamma0, 2, 2, meas, j).gamma for j in range(meas.num_outcomes))
+        total = sum(prepare_generalized(gamma0, 2, 2, meas.outcomes[j]).gamma for j in range(meas.num_outcomes))
         assert abs(total - 1.0) < 1e-10
 
 
@@ -301,12 +315,112 @@ def test_prepare_generalized_pin_to_mixed():
         )
     )
     meas.validate()
-    prepared = prepare_generalized(spec.gamma0, 2, 2, meas, 0)
+    prepared = prepare_generalized(spec.gamma0, 2, 2, meas.outcomes[0])
     big_x = tensor(x, IDENTITY_2)
     expected = big_x @ spec.gamma0 @ big_x
     gamma = np.trace(expected).real
     assert abs(prepared.gamma - gamma) < 1e-12
     assert np.max(np.abs(prepared.joint - expected / gamma)) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the one preparation primitive against the routes it replaced
+# ---------------------------------------------------------------------------
+
+MIXED_BLOCH = np.array([0.3, -0.2, 0.4])
+
+
+def oracle_scenario(rng, method: str, gamma0: np.ndarray, dim_env: int) -> Scenario:
+    spec = ProcessSpec(2, dim_env, rand_unitary(rng, 2 * dim_env), gamma0)
+    generalized = method == "generalized"
+    return Scenario(
+        name=method,
+        spec=spec,
+        t=0.0,
+        protocol="verify12",
+        prep_method=method,
+        measurement=random_measurement(rng, len(TWELVE_STATE_LABELS)) if generalized else None,
+        # A shuffled order, so that the label -> outcome lookup is checked too.
+        generalized_labels=tuple(rng.permutation(TWELVE_STATE_LABELS)) if generalized else (),
+        mixed_bloch=MIXED_BLOCH if method == "measurement" else None,
+    )
+
+
+def oracle_preparation(sc: Scenario, label: str, pinned: np.ndarray):
+    """The retired route of `label`, and whether it must match bit for bit."""
+    gamma0, dim_env = sc.spec.gamma0, sc.spec.dim_env
+    if sc.prep_method == "generalized":
+        return prepare_dense(gamma0, dim_env, sc.measurement.outcomes[sc.generalized_labels.index(label)]), False
+    if label == MIXED_LABEL:
+        return prepare_dense(gamma0, dim_env, mixed_preparation_measurement(state_from_bloch(MIXED_BLOCH)).outcomes[0]), False
+    target = state_of_label(label)
+    if sc.prep_method == "measurement":
+        return prepare_projective(gamma0, 2, dim_env, target, label=label), True
+    v = rotation_between(ZERO_KET, ket_from_projector(target))
+    return prepare_stochastic(pinned if sc.prep_method == "stochastic" else gamma0, v, label=label), True
+
+
+@pytest.mark.parametrize("dim_env", [1, 2, 3, 64])
+def test_primitive_matches_the_retired_routes(dim_env):
+    rng = np.random.default_rng(60 + dim_env)
+    gamma0 = rand_density(rng, 2 * dim_env)
+    pinned = apply_pin_map(gamma0, 2, dim_env, ZERO_STATE)
+    for method in ("stochastic", "rotation_only", "measurement", "generalized"):
+        sc = oracle_scenario(rng, method, gamma0, dim_env)
+        for label in TWELVE_STATE_LABELS + ((MIXED_LABEL,) if sc.mixed_bloch is not None else ()):
+            base, operation = operation_of_label(sc, label, pinned)
+            got = prepare_generalized(base, 2, dim_env, operation, label=label)
+            want, exact = oracle_preparation(sc, label, pinned)
+            if exact:
+                assert got.joint.tobytes() == want.joint.tobytes(), (method, label)
+                assert got.gamma == want.gamma, (method, label)
+            else:
+                assert np.max(np.abs(got.joint - want.joint)) < 1e-15, (method, label)
+                assert abs(got.gamma - want.gamma) < 1e-15, (method, label)
+
+
+def test_trace_preserving_operation_keeps_gamma_one_exactly():
+    rng = np.random.default_rng(15)
+    joint = rand_density(rng, 4)
+    v = rand_unitary(rng, 2)
+    prepared = prepare_generalized(joint, 2, 2, OutcomeMap(weights=(1.0,), kraus=(v,)))
+    assert prepared.gamma == 1.0
+    assert prepared.joint.tobytes() == prep.conjugate_system(v, joint).tobytes()
+
+
+def test_primitive_zero_probability():
+    # System polarized exactly along +y: the -y outcome never occurs.
+    gamma0 = 0.25 * (np.eye(4) + tensor(SIGMA_2, IDENTITY_2))
+    operation = OutcomeMap(weights=(1.0,), kraus=(state_from_bloch([0, -1, 0]),))
+    with pytest.raises(ZeroProbabilityOutcome, match="6-"):
+        prepare_generalized(gamma0, 2, 2, operation, label="6-")
+
+
+def test_factorization_cross_check_runs_for_rank_one_projectors_only(monkeypatch):
+    calls = []
+
+    def broken_trace(joint, dim_sys, dim_env):
+        calls.append(joint.shape)
+        return np.zeros((dim_env, dim_env), dtype=complex)
+
+    monkeypatch.setattr(prep, "partial_trace_sys", broken_trace)
+    gamma0 = va_spec().gamma0
+    for kraus in ((state_from_bloch([0.5, 0, 0]),), (np.diag([1.0, 0.0]), np.diag([0.0, 0.5]))):
+        prepare_generalized(gamma0, 2, 2, OutcomeMap(weights=(1.0,) * len(kraus), kraus=kraus))
+    assert calls == []
+    with pytest.raises(ValueError, match="P \\(x\\) tau"):
+        prepare_generalized(gamma0, 2, 2, OutcomeMap(weights=(0.5,), kraus=(state_of_label("2+"),)))
+    assert calls == [(4, 4)]
+
+
+def test_outcome_map_rejects_negative_weights():
+    with pytest.raises(ValueError, match="nonnegative"):
+        OutcomeMap(weights=(-0.25,), kraus=(IDENTITY_2,))
+
+
+def test_rotation_between_rejects_unnormalized_kets():
+    with pytest.raises(ValueError, match="not unitary"):
+        rotation_between(KET0, 2.0 * KET0)
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +475,7 @@ def test_dilation_route_equivalence_50_random():
             w, _ = build_dilation(meas)
             assert np.max(np.abs(w.conj().T @ w - np.eye(w.shape[0]))) < 1e-12
             for j in range(meas.num_outcomes):
-                prepared = prepare_generalized(gamma0, 2, dim_env, meas, j)
+                prepared = prepare_generalized(gamma0, 2, dim_env, meas.outcomes[j])
                 prob, post = measure_generalized_via_dilation(gamma0, dim_env, meas, j)
                 assert abs(prepared.gamma - prob) < 1e-12
                 assert np.max(np.abs(prepared.joint - post)) < 1e-12

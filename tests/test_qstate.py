@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import partial_trace_env, rand_density, rand_unitary
+from helpers import mixed_preparation_measurement, partial_trace_env, rand_density, rand_unitary
 from procmap import jsonio
 from procmap.qstate import (
     IDENTITY_2,
@@ -22,7 +22,6 @@ from procmap.qstate import (
     validate_unitary,
 )
 from procmap.records import state_of_label
-from procmap.scenarios import _mixed_preparation_measurement
 
 CHOI_IDENTITY = np.array(
     [[1, 0, 0, 1], [0, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 1]], dtype=complex
@@ -78,7 +77,7 @@ def test_tensor_properties_random():
 def test_conjugate_system_matches_dense_kron(dim_env):
     rng = np.random.default_rng(30 + dim_env)
     d = 2 * dim_env
-    mixed = _mixed_preparation_measurement(state_from_bloch([0.5, 0.0, 0.0]))
+    mixed = mixed_preparation_measurement(state_from_bloch([0.5, 0.0, 0.0]))
     operators = [
         rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)),  # neither Hermitian nor unitary
         state_of_label("4+"),
