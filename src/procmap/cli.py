@@ -5,9 +5,9 @@ terminal unless PROCMAP_NO_COLOR is set).  Exit codes, each the `exit_code`
 of the `ProcmapError` subclasses named:
   0  success
   2  ScenarioError, InvalidMeasurement, NotStrictlyMixed: malformed config or dataset,
-     including a matrix entry that is not a JSON number (a string or a bool), or an
-     input file that is unreadable, not UTF-8 or not JSON (including an integer
-     longer than Python's 4,300-digit decoding limit);
+     including a matrix entry that is not a JSON number (a string or a bool), a record
+     state that `Dataset.from_json` does not allow, or an input file that is unreadable,
+     not UTF-8 or not JSON (including an integer over Python's 4,300-digit limit);
      ProcmapError itself: a --tol-linear or --tol-bilinear that is not a finite
      non-negative number, or an --out that cannot be written (a missing
      directory, or for `demo` an existing file)

@@ -55,6 +55,10 @@ class OutcomeMap:
         if any(w < 0 for w in self.weights):
             raise ValueError("outcome-map weights must be nonnegative")
 
+    def effect(self) -> np.ndarray:
+        """sum_a weights[a] * kraus[a]' @ kraus[a], the operator whose expectation is the outcome's probability."""
+        return sum(w * (dagger(c) @ c) for w, c in zip(self.weights, self.kraus))
+
 
 @dataclass(frozen=True)
 class GeneralizedMeasurement:
@@ -75,12 +79,8 @@ class GeneralizedMeasurement:
         return len(self.outcomes)
 
     def completeness_residual(self) -> float:
-        n = self.dim
-        acc = np.zeros((n, n), dtype=complex)
-        for outcome in self.outcomes:
-            for w, c in zip(outcome.weights, outcome.kraus):
-                acc += w * (dagger(c) @ c)
-        return float(np.max(np.abs(acc - np.eye(n))))
+        total = sum(outcome.effect() for outcome in self.outcomes)
+        return float(np.max(np.abs(total - np.eye(self.dim))))
 
     def validate(self, tol: float = STATE_TOL) -> None:
         if not self.outcomes or not all(outcome.kraus for outcome in self.outcomes):
@@ -137,8 +137,7 @@ def prepare_generalized(
     terms = [conjugate_system(c, base) if w == 1.0 else w * conjugate_system(c, base)
              for w, c in zip(operation.weights, operation.kraus)]
     acc = sum(terms[1:], terms[0])
-    effect = sum(w * (dagger(c) @ c) for w, c in zip(operation.weights, operation.kraus))
-    if np.abs(effect - np.eye(dim_sys)).max() <= UNITARY_TOL:
+    if np.abs(operation.effect() - np.eye(dim_sys)).max() <= UNITARY_TOL:
         return PreparedState(joint=acc, gamma=1.0, label=label)
     gamma = float(np.trace(acc).real)
     if gamma < ZERO_PROBABILITY_TOL:

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import jsonio
 from .errors import EXIT_MISSING_LABELS, ProcmapError
-from .qstate import state_from_bloch
+from .qstate import STATE_TOL, state_from_bloch
 
 _DIAGONAL = 1.0 / math.sqrt(2.0)
 DIRECTIONS = {
@@ -143,7 +143,37 @@ class Dataset:
             if oracle.shape != (10, 4):
                 raise ValueError(f"oracle has shape {oracle.shape}, expected (10, 4)")
             oracle = oracle.reshape(10, 2, 2)
+        _check_states(records)
         return Dataset(records=records, metadata=metadata, oracle=oracle)
+
+
+def _check_states(records) -> None:
+    """Raise ValueError naming a record whose input or output is not a state it may hold, within STATE_TOL.
+
+    A protocol label's input must be the projector the label prepares, and any other input a density
+    matrix.  An output must be Hermitian with unit trace but need not be positive: shot estimates can
+    leave the Bloch ball.  One pass checks the stacked (qubit) matrices of all records.
+    """
+    k = len(records)
+    mats = np.array([rec.input for rec in records] + [rec.output for rec in records]).reshape(-1, 2, 2)
+    # Any other label is compared with its own input, so only the density-matrix test can fail it.
+    expected = np.array([_STATES.get(rec.label, rec.input) for rec in records]).reshape(-1, 2, 2)
+    other = np.array([rec.label not in _STATES for rec in records], dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow reads as an infinite deviation
+        adjoint = np.abs(mats - np.conj(mats.transpose(0, 2, 1))).max(axis=(1, 2))
+        hermitian_unit_trace = np.maximum(adjoint, np.abs(np.trace(mats, axis1=1, axis2=2) - 1.0))
+        # For a Hermitian unit-trace qubit matrix, (|Bloch vector| - 1) / 2 is minus its lower eigenvalue.
+        negativity = (np.hypot(np.abs(mats[:k, 0, 0] - mats[:k, 1, 1]), 2.0 * np.abs(mats[:k, 0, 1])) - 1.0) / 2.0
+        tests = (
+            ("input is not the state its label prepares", np.abs(mats[:k] - expected).max(axis=(1, 2))),
+            ("input is not a density matrix", np.where(other, np.maximum(hermitian_unit_trace[:k], negativity), 0.0)),
+            ("output is not Hermitian with unit trace", hermitian_unit_trace[k:]),
+        )
+    for what, deviation in tests:
+        ok = deviation <= STATE_TOL  # a NaN deviation fails too
+        if not ok.all():
+            i = int(np.argmin(ok))
+            raise ValueError(f"record {records[i].label!r} {what} (deviation {deviation[i]:.3e})")
 
 
 def select(records, labels) -> list[TomographyRecord]:

@@ -291,7 +291,7 @@ def simulate_scenario(sc: Scenario, scenario_sha256: str = "") -> Dataset:
         "scenario": sc.name,
         "protocol": sc.protocol,
         "preparation": sc.prep_method,
-        "t": jsonio.format_float(sc.t),
+        "t": repr(sc.t),
         "shots": "exact" if sc.shots is None else str(sc.shots),
         "seed": "" if sc.seed is None else str(sc.seed),
         "scenario_sha256": scenario_sha256,

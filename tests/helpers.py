@@ -6,10 +6,10 @@ solutions that the library replaced by one least-squares fit: the
 Hilbert-Schmidt dual frame of linear tomography, and the eight linear sum
 rules and three bi-linear consistency equations of the 12-state
 verification protocol.  It also keeps the per-element paths that bulk
-operations replaced: the one-call-per-float JSON emitter, the
-entry-by-entry matrix decoder, the einsum contraction of the process tensor,
-the matrix-unit loop of the fixed-environment map and the einsum partial
-trace over the environment of a fully formed U J U'.
+operations replaced: the entry-by-entry matrix decoder, the einsum
+contraction of the process tensor, the matrix-unit loop of the
+fixed-environment map and the einsum partial trace over the environment of a
+fully formed U J U'.
 The preparation routes that `prep.prepare_generalized` replaced are oracles
 for it: stochastic rotation of a pinned state, projection with the P (x) tau
 cross-check, the completed measurement {X, sqrt(1 - X^2)} of the mixed record,
@@ -23,7 +23,6 @@ of an ancilla, another independent route to `prep.prepare_generalized`.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -338,51 +337,6 @@ def bilinear_consistency_residuals(records) -> dict[str, float]:
         ) / SQRT2 + gq[plus_label]
         residuals[name] = float(np.max(np.abs(gq[minus_label] - rhs)))
     return residuals
-
-
-def reference_format_float(x: float) -> str:
-    """Render a finite double with enough digits to round-trip exactly."""
-    if not math.isfinite(x):
-        raise ValueError(f"cannot serialize non-finite float {x!r}")
-    text = format(float(x), ".17g")
-    if not any(c in text for c in ".eE"):
-        text += ".0"  # keep JSON type float; preserves -0.0 through a round trip
-    return text
-
-
-def _reference_emit(obj, indent: int, level: int) -> str:
-    pad = " " * (indent * (level + 1))
-    close_pad = " " * (indent * level)
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool) or isinstance(obj, np.bool_):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return reference_format_float(float(obj))
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = [_reference_emit(v, indent, level + 1) for v in obj]
-        return "[\n" + ",\n".join(pad + it for it in items) + "\n" + close_pad + "]"
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        parts = []
-        for key, value in obj.items():
-            if not isinstance(key, str):
-                raise TypeError(f"JSON object keys must be strings, got {key!r}")
-            parts.append(pad + json.dumps(key) + ": " + _reference_emit(value, indent, level + 1))
-        return "{\n" + ",\n".join(parts) + "\n" + close_pad + "}"
-    raise TypeError(f"cannot serialize object of type {type(obj).__name__}")
-
-
-def reference_dumps(obj, indent: int = 2) -> str:
-    """The per-element emitter: one format_float call per float."""
-    return _reference_emit(obj, indent, 0) + "\n"
 
 
 def reference_matrix_from_json(obj: dict) -> np.ndarray:

@@ -25,7 +25,7 @@ from procmap.errors import (
 from procmap.linear_tomo import NotAFrame
 from procmap.prep import InvalidMeasurement, ZeroProbabilityOutcome
 from procmap.qstate import bloch_vector
-from procmap.records import LINEAR4_LABELS, TWELVE_STATE_LABELS, MissingRecord, state_of_label
+from procmap.records import LINEAR4_LABELS, TWELVE_STATE_LABELS, Dataset, MissingRecord, state_of_label
 from procmap.scenarios import ScenarioError, demo_scenario_config, parse_scenario, simulate_scenario
 
 
@@ -276,9 +276,27 @@ def set_dims(obj, label, rows, cols):
     return obj
 
 
-def set_entry(obj, label, pair):
-    """Give the first output entry of the labeled record the [re, im] `pair`."""
-    next(rec for rec in obj["records"] if rec["label"] == label)["output"]["data"][0] = pair
+def set_data(obj, label, side, entries):
+    """Give the labeled record's `side` matrix the [re, im] pairs `entries`, keyed by row-major index."""
+    data = next(rec for rec in obj["records"] if rec["label"] == label)[side]["data"]
+    for index, pair in entries.items():
+        data[index] = pair
+    return obj
+
+
+def equal_linear_inputs(obj):
+    """Give every linear-protocol record the input of the first."""
+    first = next(r for r in obj["records"] if r["label"] == LINEAR4_LABELS[0])
+    for rec in obj["records"]:
+        if rec["label"] in LINEAR4_LABELS:
+            rec["input"] = first["input"]
+    return obj
+
+
+def input_of_record_1(obj):
+    """Give record 0, labeled 1+, the input of record 1."""
+    assert obj["records"][0]["label"] == "1+"
+    obj["records"][0]["input"] = obj["records"][1]["input"]
     return obj
 
 
@@ -302,10 +320,22 @@ def resize_records(obj, labels, dim):
         (lambda obj: set_gamma(obj, "1+", "0.5"), ["verify", "linear", "bilinear"], "gamma"),
         (lambda obj: set_dims(obj, "1+", "2", 2.9), ["verify", "linear", "bilinear"], "integers"),
         (lambda obj: set_dims(obj, "1+", True, 4), ["verify", "linear", "bilinear"], "integers"),
-        (lambda obj: set_entry(obj, "1+", ["0.5", True]), ["verify", "linear", "bilinear"], "JSON numbers"),
+        (lambda obj: set_data(obj, "1+", "output", {0: ["0.5", True]}), ["verify", "linear", "bilinear"],
+         "JSON numbers"),
+        (lambda obj: set_data(obj, "1+", "input", {0: [7.0, 0.0]}), ["verify", "linear", "bilinear"],
+         "'1+' input is not the state its label prepares"),
+        (lambda obj: set_data(obj, "1+", "output", {0: [7.0, 0.0]}), ["verify", "linear", "bilinear"],
+         "'1+' output is not Hermitian with unit trace"),
+        (lambda obj: set_data(obj, "1+", "output", {1: [0.25, 0.0], 2: [-0.25, 0.0]}), ["verify", "linear", "bilinear"],
+         "'1+' output is not Hermitian with unit trace"),
+        (input_of_record_1, ["verify", "linear", "bilinear"], "'1+' input is not the state its label prepares"),
+        (equal_linear_inputs, ["linear"], "'1+' input is not the state its label prepares"),
+        (lambda obj: set_data(obj, "mixed", "input", {0: [1.5, 0.0], 3: [-0.5, 0.0]}), ["verify", "linear", "bilinear"],
+         "'mixed' input is not a density matrix"),
     ],
     ids=["all-1x1", "one-3x3", "metadata-list", "gamma-7", "gamma-negative", "gamma-true", "gamma-string",
-         "rows-string-cols-float", "rows-true", "entry-string-and-bool"],
+         "rows-string-cols-float", "rows-true", "entry-string-and-bool", "input-7", "output-7", "output-not-hermitian",
+         "input-of-record-1", "equal-linear-inputs", "mixed-input-not-positive"],
 )
 def test_malformed_dataset_is_bad_config(edit, commands, word, tmp_path, capsys):
     path = write_dataset(tmp_path, edit(simulate(tmp_path, capsys)))
@@ -378,14 +408,25 @@ def test_missing_label_exits_4(tmp_path, capsys):
     assert run(["verify", write_dataset(tmp_path, obj)], capsys)[0] == EXIT_MISSING_LABELS
 
 
-def test_equal_linear_inputs_are_not_a_frame(tmp_path, capsys):
-    obj = simulate(tmp_path, capsys)
-    first = next(r for r in obj["records"] if r["label"] == LINEAR4_LABELS[0])
-    for rec in obj["records"]:
-        if rec["label"] in LINEAR4_LABELS:
-            rec["input"] = first["input"]
-    path = write_dataset(tmp_path, obj)
-    assert run(["tomo", path, "--mode", "linear"], capsys)[0] == EXIT_NOT_A_FRAME
+def test_huge_record_input_exits_2_at_once(tmp_path, capsys):
+    # Unchecked, a 1e300 input overflows the bi-linear fit's design and its least-squares solve may never
+    # return; in a subprocess the timeout turns such a hang into a failure.
+    path = write_dataset(tmp_path, set_data(simulate(tmp_path, capsys), "1+", "input", {0: [1e300, 0.0]}))
+    env = {**os.environ, "PYTHONPATH": str(Path(procmap.__file__).resolve().parents[1])}
+    argv = [sys.executable, "-W", "error", "-m", "procmap.cli", "verify", path]
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=10)
+    assert proc.returncode == EXIT_BAD_CONFIG
+    assert proc.stderr.count("\n") == 1 and "'1+' input is not the state its label prepares" in proc.stderr, proc.stderr
+
+
+@pytest.mark.parametrize("demo", ["stochastic-heisenberg", "measurement-correlated", "imperfect-pin"])
+def test_finite_shot_datasets_load(demo):
+    for shots in (1000, 100000):
+        for seed in range(10):
+            config = {**demo_scenario_config(demo), "shots": shots, "seed": seed}
+            dataset = simulate_scenario(parse_scenario(config, name=demo))
+            assert dataset.metadata["shots"] == str(shots)
+            Dataset.from_json(json.loads(jsonio.dumps(dataset.to_json())))
 
 
 @pytest.mark.parametrize(
@@ -499,10 +540,10 @@ def test_pure_mixed_record_is_bad_config(tmp_path, capsys):
 @pytest.mark.parametrize("shot_args", [[], ["--shots", 1000, "--seed", 7]], ids=["exact", "shots"])
 def test_dataset_holds_the_scenario_file_digest(shot_args, tmp_path, capsys):
     config = {**PINNED, "t": 0.1, "note": "γ₀ = 0.7 |0⟩⟨0| ⊗ 1/2 + 0.3 χ"}
-    # The stdlib's shortest-repr floats, non-ASCII text and CRLF line ends are
-    # none of them what procmap would write, so a digest of a re-encoding would differ.
+    # Shortest-repr floats are what procmap writes too, but CRLF line ends, a
+    # one-space indent and non-ASCII text are not, so a digest of a re-encoding would differ.
     text = json.dumps(config, indent=1, ensure_ascii=False).replace("\n", "\r\n")
-    assert text not in (jsonio.dumps(json.loads(text)), jsonio.dumps(json.loads(text), indent=0))
+    assert text != jsonio.dumps(json.loads(text))
     scenario = tmp_path / "scenario.json"
     scenario.write_bytes(text.encode("utf-8"))
     dataset = tmp_path / "dataset.json"
@@ -528,7 +569,7 @@ def test_oracle_holds_on_a_random_wide_measurement_scenario(tmp_path, capsys):
         "protocol": "verify12",
     }
     scenario = tmp_path / "wide.json"
-    scenario.write_text(json.dumps(config))  # the stdlib's shortest-repr floats, not procmap's
+    scenario.write_text(json.dumps(config))  # one line, not procmap's indented layout
     dataset, out = tmp_path / "dataset.json", tmp_path / "bilinear.json"
     assert run(["simulate", scenario, "--out", dataset], capsys) == (EXIT_OK, "")
     assert run(["tomo", dataset, "--mode", "bilinear", "--out", out], capsys)[0] == EXIT_OK

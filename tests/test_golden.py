@@ -25,21 +25,21 @@ FLOAT_TOL = 1e-12
 
 PINNED_SHA256 = {
     "stochastic-heisenberg": {
-        "scenario.json": "3ef2811ad75361342966fec9fc572f70aeab9379569a7ff7bbeb576ace535616",
-        "dataset.json": "45d46ce693113b7ad8deee424b75974451727e4825e78a6bbe46cef0f2ef550f",
+        "scenario.json": "f45c1588ff14b02c0cf72a39e3e3332c2e2a1d2ceac62809fda095d0133587d2",
+        "dataset.json": "251abc0578e57d2d0e38adb45146e46f6109183d897aa3f4c3594f408a7a2d57",
     },
     "measurement-correlated": {
-        "scenario.json": "3631560f0de98946dcf5c959d305cb4b23ef82379a0283af9d83ebf51cbf4263",
-        "dataset.json": "25b3b7a0bd5ebf76e5e4450d60c2dfa819a4949f7e1b34a763d23398dfaca006",
+        "scenario.json": "a74818e94a19980504189c09fd9e917053a1fbc74aa067ba4e93ac93572422f7",
+        "dataset.json": "e5fb70ad7188b36ee463d87cc2b0c6e50b7845e4cc8be92076ae7f18a95996bb",
     },
     "imperfect-pin": {
-        "scenario.json": "1265e79c4f6b6c9a5d7f38c536c6719fc72abadf29264bcb31c679519c6ed044",
-        "dataset.json": "084b231316c14377f9c663871337fefe1e4b077e40b46b99e541287a4f29d519",
+        "scenario.json": "aea588f4c4dfc53382cd40023ec642d8b694661254d6e84028785f623e880a4a",
+        "dataset.json": "71f145f4909c91156c6b3179d1a679d6d37101fa56ed1de5c95f9dc4c4a7d0c3",
     },
 }
 # sha256 of dataset.json re-emitted with its `oracle` key dropped: its records and metadata alone.
 WITHOUT_ORACLE_SHA256 = {
-    "measurement-correlated": "758fb45b249fc3d2f504e066c9898d832bbb57d00a41a18b54a7741b0d32415f",
+    "measurement-correlated": "7f795fdc15065344b20f98fb7511456c2d4ca3637742d31e29085c93d1f5f62d",
 }
 VERDICTS = {
     "stochastic-heisenberg": "Linear",

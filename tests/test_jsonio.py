@@ -1,13 +1,14 @@
-"""The JSON layer against its per-element oracles: float-table emit and array decode."""
+"""The JSON layer: emit round-trips every value bit for bit, and the array decode matches its per-element oracle."""
 
 import hashlib
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
 
-from helpers import rand_density, reference_dumps, reference_matrix_from_json
+from helpers import rand_density, reference_matrix_from_json
 from procmap import jsonio
 from procmap.cli import main
 from procmap.scenarios import DEMO_NAMES, parse_scenario, simulate_scenario
@@ -31,25 +32,52 @@ def wide_scenario(dim_env: int = 64) -> dict:
     return json.loads(json.dumps(scenario))
 
 
-@pytest.mark.parametrize("indent", [0, 2])
-def test_wide_scenario_matches_oracle(indent):
-    scenario = wide_scenario()
-    assert jsonio.dumps(scenario, indent=indent) == reference_dumps(scenario, indent=indent)
+def assert_same_bits(got, want, where="$"):
+    """`got`, as parsed back, holds the values of `want`: floats bit for bit (sign of zero too), tuples as lists."""
+    if isinstance(want, float):
+        assert type(got) is float, f"{where}: {got!r} is not a float"
+        assert struct.pack("<d", got) == struct.pack("<d", want), f"{where}: {got!r} != {want!r}"
+    elif isinstance(want, (list, tuple)):
+        assert type(got) is list and len(got) == len(want), f"{where}: {got!r}"
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert_same_bits(g, w, f"{where}[{i}]")
+    elif isinstance(want, dict):
+        assert type(got) is dict and list(got) == list(want), f"{where}: keys differ"
+        for key in want:
+            assert_same_bits(got[key], want[key], f"{where}.{key}")
+    else:
+        assert type(got) is type(want) and got == want, f"{where}: {got!r} != {want!r}"
+
+
+def assert_round_trip(obj):
+    assert_same_bits(json.loads(jsonio.dumps(obj)), obj)
+
+
+def test_layout_is_two_space_indent_with_ascii_escapes():
+    obj = {"a": [], "b": {}, "c": [0.3, -0.0, 1e16, 5e-324, 2, True, None], "d": {"\u03b3": "\u2014\n"}}
+    assert jsonio.dumps(obj) == (
+        '{\n  "a": [],\n  "b": {},\n  "c": [\n    0.3,\n    -0.0,\n    1e+16,\n    5e-324,\n    2,\n'
+        '    true,\n    null\n  ],\n  "d": {\n    "\\u03b3": "\\u2014\\n"\n  }\n}\n'
+    )
+
+
+def test_wide_scenario_round_trips():
+    assert_round_trip(wide_scenario())
 
 
 @pytest.fixture(scope="module")
-def emitted_objects(tmp_path_factory):
-    """Every artifact of the three demos as read back, and a dimB = 64 dataset with extra leaves."""
+def emitted_texts(tmp_path_factory):
+    """Every artifact file of the three demos, and a dimB = 64 dataset with an escaped note, as text."""
     out = tmp_path_factory.mktemp("demos")
-    objects = []
+    texts = []
     for demo in DEMO_NAMES:
         assert main(["demo", demo, "--out", str(out / demo)]) == 0
-        objects += [json.loads(path.read_text()) for path in sorted((out / demo).iterdir())]
-    assert len(objects) == 18
+        texts += [path.read_text() for path in sorted((out / demo).iterdir())]
+    assert len(texts) == 18
     dataset = simulate_scenario(parse_scenario(wide_scenario(), name="wide")).to_json()
     dataset["metadata"]["note"] = "Zustände \u2014 \"quoted\" \\ \t \U0001d4ac"
-    dataset["numpy"] = [np.float64(0.25), np.int64(-3), np.bool_(True), np.float32(1.5), [np.float64(1.0), 2.0]]
-    return objects + [dataset]
+    assert_round_trip(dataset)
+    return texts + [jsonio.dumps(dataset)]
 
 
 def test_wide_dataset_carries_the_scenario_digest_not_its_text(tmp_path):
@@ -64,21 +92,18 @@ def test_wide_dataset_carries_the_scenario_digest_not_its_text(tmp_path):
     assert metadata["scenario_sha256"] == hashlib.sha256(scenario.read_bytes()).hexdigest()
 
 
-@pytest.mark.parametrize("indent", [0, 2, 4])
-def test_demo_artifacts_and_wide_dataset_match_oracle(indent, emitted_objects):
-    for obj in emitted_objects:
-        assert jsonio.dumps(obj, indent=indent) == reference_dumps(obj, indent=indent)
+def test_demo_artifacts_and_wide_dataset_are_fixed_points(emitted_texts):
+    for text in emitted_texts:
+        assert jsonio.dumps(json.loads(text)) == text
 
 
-@pytest.mark.parametrize("indent", [0, 2, 4])
-def test_random_exponents_match_oracle(indent):
+def test_random_exponents_round_trip():
     rng = np.random.default_rng(5)
     mantissa = rng.uniform(-10.0, 10.0, size=3000)
     exponent = rng.integers(-300, 301, size=3000)
     values = (mantissa * 10.0 ** exponent.astype(float)).tolist()
     for ncols in (1, 2, 3):
-        rows = [values[i : i + ncols] for i in range(0, 3000 - 2, ncols)]
-        assert jsonio.dumps(rows, indent=indent) == reference_dumps(rows, indent=indent)
+        assert_round_trip([values[i : i + ncols] for i in range(0, 3000 - 2, ncols)])
 
 
 EDGE_VALUES = [
@@ -88,13 +113,12 @@ EDGE_VALUES = [
 ]
 
 
-@pytest.mark.parametrize("indent", [0, 2, 4])
 @pytest.mark.parametrize("ncols", [1, 2, 3])
-def test_edge_values_match_oracle(indent, ncols):
+def test_edge_values_round_trip(ncols):
     values = EDGE_VALUES + [float(k) for k in range(-50, 50, 7)]
     rows = [values[i : i + ncols] for i in range(0, len(values) - ncols + 1, ncols)]
     for obj in (rows, tuple(tuple(r) for r in rows), {"data": rows, "t": 0.5}):
-        assert jsonio.dumps(obj, indent=indent) == reference_dumps(obj, indent=indent)
+        assert_round_trip(obj)
 
 
 @pytest.mark.parametrize(
@@ -102,21 +126,26 @@ def test_edge_values_match_oracle(indent, ncols):
     [1, True, None, np.float64(0.25), "0.25", [0.25, 0.5]],
     ids=["int", "bool", "none", "np.float64", "str", "nested"],
 )
-def test_tables_with_other_leaves_fall_back(odd):
-    rows = [[0.5, -1.0], [odd, 2.0], [3e-9, 4.0]]
-    for indent in (0, 2):
-        assert jsonio.dumps(rows, indent=indent) == reference_dumps(rows, indent=indent)
+def test_tables_with_other_leaves_round_trip(odd):
+    assert_round_trip([[0.5, -1.0], [odd, 2.0], [3e-9, 4.0]])
 
 
-def test_ragged_and_scalar_lists_fall_back():
+def test_ragged_and_scalar_lists_round_trip():
     for obj in ([[0.5, 1.0], [2.0]], [[], []], [0.5, 1.0], [[0.5], (1.0,)], [[[0.5, 1.0]], [[2.0, 3.0]]]):
-        assert jsonio.dumps(obj) == reference_dumps(obj)
+        assert_round_trip(obj)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_float_in_table_raises(bad):
-    with pytest.raises(ValueError, match="non-finite"):
-        jsonio.dumps([[0.5, 1.0], [2.0, bad]])
+    for obj in (bad, [[0.5, 1.0], [2.0, bad]], [[0.5, [bad]]], {"data": [0.5], "t": bad}):
+        with pytest.raises(ValueError):
+            jsonio.dumps(obj)
+
+
+@pytest.mark.parametrize("scalar", [np.int64(-3), np.bool_(True), np.float32(1.5)], ids=["int64", "bool_", "float32"])
+def test_numpy_scalars_are_not_serialized(scalar):
+    with pytest.raises(TypeError):
+        jsonio.dumps([0.5, scalar])
 
 
 def test_matrix_decode_is_bit_identical_to_loop():

@@ -418,6 +418,14 @@ def test_outcome_map_rejects_negative_weights():
         OutcomeMap(weights=(-0.25,), kraus=(IDENTITY_2,))
 
 
+def test_outcome_effect_is_the_weighted_sum_of_kraus_products():
+    c = np.array([[0.5, 0.25j], [0.0, 1.0]])
+    outcome = OutcomeMap(weights=(0.5, 2.0), kraus=(SIGMA_1, c))
+    assert np.array_equal(outcome.effect(), 0.5 * IDENTITY_2 + 2.0 * (c.conj().T @ c))
+    complete = mixed_preparation_measurement(np.diag([0.25, 0.5]))
+    assert np.abs(sum(o.effect() for o in complete.outcomes) - IDENTITY_2).max() < 1e-15
+
+
 def test_rotation_between_rejects_unnormalized_kets():
     with pytest.raises(ValueError, match="not unitary"):
         rotation_between(KET0, 2.0 * KET0)
