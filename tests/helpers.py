@@ -6,10 +6,10 @@ solutions that the library replaced by one least-squares fit: the
 Hilbert-Schmidt dual frame of linear tomography, and the eight linear sum
 rules and three bi-linear consistency equations of the 12-state
 verification protocol.  It also keeps the per-element paths that bulk
-operations replaced: the entry-by-entry matrix decoder, the einsum
-contraction of the process tensor, the matrix-unit loop of the
-fixed-environment map and the einsum partial trace over the environment of a
-fully formed U J U'.
+operations replaced: the value-by-value JSON layout (floats by shortest
+repr), the entry-by-entry matrix decoder, the einsum contraction of the
+process tensor, the matrix-unit loop of the fixed-environment map and the
+einsum partial trace over the environment of a fully formed U J U'.
 The preparation routes that `prep.prepare_generalized` replaced are oracles
 for it: stochastic rotation of a pinned state, projection with the P (x) tau
 cross-check, the completed measurement {X, sqrt(1 - X^2)} of the mixed record,
@@ -337,6 +337,61 @@ def bilinear_consistency_residuals(records) -> dict[str, float]:
         ) / SQRT2 + gq[plus_label]
         residuals[name] = float(np.max(np.abs(gq[minus_label] - rhs)))
     return residuals
+
+
+_NAMED_ESCAPES = {'"': '\\"', "\\": "\\\\", "\n": "\\n", "\r": "\\r", "\t": "\\t", "\b": "\\b", "\f": "\\f"}
+
+
+def _ascii_string(text: str) -> str:
+    out = []
+    for ch in text:
+        code = ord(ch)
+        if ch in _NAMED_ESCAPES:
+            out.append(_NAMED_ESCAPES[ch])
+        elif 0x20 <= code <= 0x7E:
+            out.append(ch)
+        elif code > 0xFFFF:  # a UTF-16 surrogate pair
+            code -= 0x10000
+            out.append(f"\\u{0xD800 | code >> 10:04x}\\u{0xDC00 | code & 0x3FF:04x}")
+        else:
+            out.append(f"\\u{code:04x}")
+    return '"' + "".join(out) + '"'
+
+
+def _per_element(obj, indent: int, level: int) -> str:
+    pad = " " * (indent * (level + 1))
+    close_pad = " " * (indent * level)
+    if obj is None:
+        return "null"
+    if obj is True or obj is False:
+        return "true" if obj else "false"
+    if isinstance(obj, int):
+        return str(int(obj))
+    if isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise ValueError(f"cannot serialize non-finite float {obj!r}")
+        return float.__repr__(obj)
+    if isinstance(obj, str):
+        return _ascii_string(obj)
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        items = [pad + _per_element(v, indent, level + 1) for v in obj]
+        return "[\n" + ",\n".join(items) + "\n" + close_pad + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        for key in obj:
+            if not isinstance(key, str):
+                raise TypeError(f"JSON object keys must be strings, got {key!r}")
+        items = [pad + _ascii_string(k) + ": " + _per_element(v, indent, level + 1) for k, v in obj.items()]
+        return "{\n" + ",\n".join(items) + "\n" + close_pad + "}"
+    raise TypeError(f"cannot serialize object of type {type(obj).__name__}")
+
+
+def per_element_dumps(obj, indent: int = 2) -> str:
+    """The layout `jsonio.dumps` writes, built value by value: floats by repr, strings ASCII-escaped."""
+    return _per_element(obj, indent, 0) + "\n"
 
 
 def reference_matrix_from_json(obj: dict) -> np.ndarray:

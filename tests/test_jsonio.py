@@ -1,4 +1,4 @@
-"""The JSON layer: emit round-trips every value bit for bit, and the array decode matches its per-element oracle."""
+"""The JSON layer against its per-element oracles: emit round-trips every value bit for bit in the oracle's layout, and the array decode matches its loop."""
 
 import hashlib
 import json
@@ -8,7 +8,7 @@ import struct
 import numpy as np
 import pytest
 
-from helpers import rand_density, reference_matrix_from_json
+from helpers import per_element_dumps, rand_density, reference_matrix_from_json
 from procmap import jsonio
 from procmap.cli import main
 from procmap.scenarios import DEMO_NAMES, parse_scenario, simulate_scenario
@@ -53,6 +53,14 @@ def assert_round_trip(obj):
     assert_same_bits(json.loads(jsonio.dumps(obj)), obj)
 
 
+def assert_matches_oracle(obj, indent):
+    """`dumps` writes the oracle's text and parses back to the bits of `obj`; the oracle's text at `indent` re-emits to it."""
+    text = jsonio.dumps(obj)
+    assert text == per_element_dumps(obj)
+    assert_same_bits(json.loads(text), obj)
+    assert jsonio.dumps(json.loads(per_element_dumps(obj, indent=indent))) == text
+
+
 def test_layout_is_two_space_indent_with_ascii_escapes():
     obj = {"a": [], "b": {}, "c": [0.3, -0.0, 1e16, 5e-324, 2, True, None], "d": {"\u03b3": "\u2014\n"}}
     assert jsonio.dumps(obj) == (
@@ -61,8 +69,9 @@ def test_layout_is_two_space_indent_with_ascii_escapes():
     )
 
 
-def test_wide_scenario_round_trips():
-    assert_round_trip(wide_scenario())
+@pytest.mark.parametrize("indent", [0, 2])
+def test_wide_scenario_matches_oracle(indent):
+    assert_matches_oracle(wide_scenario(), indent)
 
 
 @pytest.fixture(scope="module")
@@ -92,18 +101,22 @@ def test_wide_dataset_carries_the_scenario_digest_not_its_text(tmp_path):
     assert metadata["scenario_sha256"] == hashlib.sha256(scenario.read_bytes()).hexdigest()
 
 
-def test_demo_artifacts_and_wide_dataset_are_fixed_points(emitted_texts):
+@pytest.mark.parametrize("indent", [0, 2, 4])
+def test_demo_artifacts_and_wide_dataset_match_oracle(indent, emitted_texts):
     for text in emitted_texts:
-        assert jsonio.dumps(json.loads(text)) == text
+        obj = json.loads(text)
+        assert jsonio.dumps(obj) == text  # a fixed point
+        assert_matches_oracle(obj, indent)
 
 
-def test_random_exponents_round_trip():
+@pytest.mark.parametrize("indent", [0, 2, 4])
+def test_random_exponents_match_oracle(indent):
     rng = np.random.default_rng(5)
     mantissa = rng.uniform(-10.0, 10.0, size=3000)
     exponent = rng.integers(-300, 301, size=3000)
     values = (mantissa * 10.0 ** exponent.astype(float)).tolist()
     for ncols in (1, 2, 3):
-        assert_round_trip([values[i : i + ncols] for i in range(0, 3000 - 2, ncols)])
+        assert_matches_oracle([values[i : i + ncols] for i in range(0, 3000 - 2, ncols)], indent)
 
 
 EDGE_VALUES = [
@@ -113,12 +126,13 @@ EDGE_VALUES = [
 ]
 
 
+@pytest.mark.parametrize("indent", [0, 2, 4])
 @pytest.mark.parametrize("ncols", [1, 2, 3])
-def test_edge_values_round_trip(ncols):
+def test_edge_values_match_oracle(indent, ncols):
     values = EDGE_VALUES + [float(k) for k in range(-50, 50, 7)]
     rows = [values[i : i + ncols] for i in range(0, len(values) - ncols + 1, ncols)]
     for obj in (rows, tuple(tuple(r) for r in rows), {"data": rows, "t": 0.5}):
-        assert_round_trip(obj)
+        assert_matches_oracle(obj, indent)
 
 
 @pytest.mark.parametrize(
