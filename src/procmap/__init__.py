@@ -1,8 +1,9 @@
 """Open-system quantum process tomography with explicit state preparation.
 
 Every input is prepared by one primitive, `prepare_generalized`: an operation
-(`OutcomeMap`) on the system factor of a base state, such as gamma0 or its pin
-(`apply_pin_map`), renormalized by its probability.  Linear and bi-linear
+(`OutcomeMap`) on the system factor of the initial joint state gamma0,
+renormalized by its probability; every size is read off the arrays, and the
+system is one qubit (`qstate.DIM_SYS`).  Linear and bi-linear
 process maps are reconstructed from the resulting records, and a process is
 classified as Linear, Bilinear, or Neither from a 12-projection protocol.
 """
@@ -37,7 +38,6 @@ from .prep import (
     OutcomeMap,
     PreparedState,
     ZeroProbabilityOutcome,
-    apply_pin_map,
     prepare_generalized,
 )
 from .records import NINE_STATE_LABELS, TWELVE_STATE_LABELS, Dataset, Fit, MissingRecord, TomographyRecord, fit

@@ -32,7 +32,7 @@ import numpy as np
 from . import jsonio
 from .errors import ProcmapError
 from .prep import ZeroProbabilityOutcome
-from .qstate import IDENTITY_2, PAULIS, pauli_decompose
+from .qstate import DIM_SYS, IDENTITY_2, PAULIS, pauli_decompose
 from .records import NINE_STATE_LABELS, TomographyRecord, fit, select
 
 CROSS_PAIRS = ((1, 2), (1, 3), (2, 3))
@@ -52,15 +52,13 @@ class MixedWithoutUnitUnit(Exception):
 
 @dataclass(frozen=True)
 class BilinearProcessMap:
-    """Dense 6-index process tensor m[r, s, r'', r', s'', s']."""
+    """Dense 6-index process tensor m[r, s, r'', r', s'', s'] of the qubit system."""
 
-    dim: int
     m: np.ndarray
 
     def __post_init__(self):
-        n = self.dim
-        if self.m.shape != (n,) * 6:
-            raise ValueError(f"tensor has shape {self.m.shape}, expected {(n,) * 6}")
+        if self.m.shape != (DIM_SYS,) * 6:
+            raise ValueError(f"tensor has shape {self.m.shape}, expected {(DIM_SYS,) * 6}")
 
 
 def build_M_from_dynamics(spec) -> BilinearProcessMap:
@@ -69,14 +67,14 @@ def build_M_from_dynamics(spec) -> BilinearProcessMap:
     The raw contraction is Hermitian up to rounding; the result is
     symmetrized so the stored hermiticity relation holds bit-exactly.
     """
-    na, nb = spec.dim_sys, spec.dim_env
-    u4 = np.asarray(spec.u, dtype=complex).reshape(na, nb, na, nb)
-    g4 = np.asarray(spec.gamma0, dtype=complex).reshape(na, nb, na, nb)
+    shape4 = (DIM_SYS, spec.dim_env) * 2
+    u4 = np.asarray(spec.u, dtype=complex).reshape(shape4)
+    g4 = np.asarray(spec.gamma0, dtype=complex).reshape(shape4)
     # raw[r,s,x,p,y,q] = sum_{e,a,b} u4[r,e,p,a] g4[x,a,y,b] conj(u4[s,e,q,b]), as two BLAS products
     ug = np.tensordot(u4, g4, axes=([3], [1]))
     raw = np.tensordot(ug, np.conj(u4), axes=([1, 5], [1, 3])).transpose(0, 4, 2, 1, 3, 5)
     m = 0.5 * (raw + np.conj(raw).transpose(1, 0, 4, 5, 2, 3))
-    return BilinearProcessMap(dim=na, m=m)
+    return BilinearProcessMap(m=m)
 
 
 _BASIS = (IDENTITY_2,) + PAULIS

@@ -15,6 +15,7 @@ import numpy as np
 from .linear_tomo import LinearProcessMap
 from .prep import PreparedState
 from .qstate import (
+    DIM_SYS,
     PAULIS,
     dagger,
     eig_hermitian,
@@ -27,25 +28,27 @@ from .qstate import (
 
 @dataclass(frozen=True)
 class ProcessSpec:
-    """An unknown process: joint unitary u acting on system x environment with initial gamma0.
+    """An unknown process: joint unitary u on (qubit) system x environment, initial state gamma0.
 
-    Construction raises ValueError unless u is unitary and gamma0 is a density
-    matrix, both of the joint dimension.
+    The environment's size is read off u.  Construction raises ValueError unless
+    u is unitary on a space whose size is a multiple of DIM_SYS, and gamma0 is a
+    density matrix of the same size.
     """
 
-    dim_sys: int
-    dim_env: int
     u: np.ndarray
     gamma0: np.ndarray
 
     def __post_init__(self):
-        d = self.dim_sys * self.dim_env
-        if self.u.shape != (d, d):
-            raise ValueError(f"unitary has shape {self.u.shape}, expected ({d}, {d})")
-        if self.gamma0.shape != (d, d):
-            raise ValueError(f"gamma0 has shape {self.gamma0.shape}, expected ({d}, {d})")
+        if self.u.shape[0] % DIM_SYS:
+            raise ValueError(f"unitary has shape {self.u.shape}, not a multiple of the system dimension {DIM_SYS}")
+        if self.gamma0.shape != self.u.shape:
+            raise ValueError(f"gamma0 has shape {self.gamma0.shape}, expected {self.u.shape}")
         validate_unitary(self.u)
         validate_density_matrix(self.gamma0, what="gamma0")
+
+    @property
+    def dim_env(self) -> int:
+        return self.u.shape[0] // DIM_SYS
 
 
 def heisenberg_hamiltonian() -> np.ndarray:
@@ -83,14 +86,14 @@ def unitary_from_hamiltonian(h: np.ndarray, t: float) -> np.ndarray:
 
 def run_process(spec: ProcessSpec, prepared: PreparedState) -> np.ndarray:
     """Output state: evolve the prepared joint under spec.u and trace out the environment."""
-    d = spec.dim_sys * spec.dim_env
     joint = np.asarray(prepared.joint, dtype=complex)
-    if joint.shape != (d, d):
-        raise ValueError(f"prepared joint has shape {joint.shape}, expected ({d}, {d})")
+    if joint.shape != spec.u.shape:
+        raise ValueError(f"prepared joint has shape {joint.shape}, expected {spec.u.shape}")
     # Tr_env[U J U'][i, j] = sum over (env a, column m) of (U J)[(i, a), m] conj(U[(j, a), m]):
     # one product U J and one contraction, never forming U J U'.
-    out = (spec.u @ joint).reshape(spec.dim_sys, -1) @ dagger(spec.u.reshape(spec.dim_sys, -1))
-    if hermiticity_residual(out) > 1e-12:
+    out = (spec.u @ joint).reshape(DIM_SYS, -1) @ dagger(spec.u.reshape(DIM_SYS, -1))
+    # The joint was divided by gamma, so its rounding, and the output's, grows like 1/gamma.
+    if hermiticity_residual(out) * prepared.gamma > 1e-12:
         raise ValueError("process output lost hermiticity")
     return 0.5 * (out + dagger(out))
 
@@ -104,11 +107,9 @@ def dynamical_map_fixed_env(u: np.ndarray, tau: np.ndarray) -> LinearProcessMap:
     u = np.asarray(u, dtype=complex)
     tau = np.asarray(tau, dtype=complex)
     dim_env = tau.shape[0]
-    if u.shape[0] % dim_env:
-        raise ValueError("unitary dimension is not a multiple of the environment dimension")
-    dim_sys = u.shape[0] // dim_env
-    u4 = u.reshape(dim_sys, dim_env, dim_sys, dim_env)
+    if u.shape[0] != DIM_SYS * dim_env:
+        raise ValueError(f"unitary dimension is not {DIM_SYS} times the environment dimension")
+    u4 = u.reshape(DIM_SYS, dim_env, DIM_SYS, dim_env)
     ut = np.tensordot(u4, tau, axes=([3], [0]))
     lam4 = np.tensordot(ut, np.conj(u4), axes=([1, 3], [1, 3]))
-    mat = lam4.reshape(dim_sys * dim_sys, dim_sys * dim_sys)
-    return LinearProcessMap(dim=dim_sys, mat=mat)
+    return LinearProcessMap(mat=lam4.reshape(DIM_SYS * DIM_SYS, DIM_SYS * DIM_SYS))

@@ -27,7 +27,7 @@ def matrix_to_json(mat: np.ndarray) -> dict:
     if arr.ndim != 2:
         raise ValueError(f"expected a 2-d matrix, got shape {arr.shape}")
     rows, cols = arr.shape
-    data = [[float(z.real), float(z.imag)] for z in arr.reshape(-1)]
+    data = np.ascontiguousarray(arr).view(float).reshape(-1, 2).tolist()
     return {"rows": int(rows), "cols": int(cols), "data": data}
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import jsonio
 from .errors import EXIT_NOT_A_FRAME, ProcmapError
-from .qstate import dagger, hermiticity_residual
+from .qstate import DIM_SYS, dagger, hermiticity_residual
 from .records import fit
 
 LAYOUT_TAG = "rrp-ssp"
@@ -31,13 +31,12 @@ class NotAFrame(ProcmapError):
 
 @dataclass(frozen=True)
 class LinearProcessMap:
-    """Linear process map in (r,r') x (s,s') storage."""
+    """Linear process map of the qubit system in (r,r') x (s,s') storage."""
 
-    dim: int
     mat: np.ndarray
 
     def __post_init__(self):
-        n2 = self.dim * self.dim
+        n2 = DIM_SYS * DIM_SYS
         if self.mat.shape != (n2, n2):
             raise ValueError(f"map matrix has shape {self.mat.shape}, expected ({n2}, {n2})")
 
@@ -45,7 +44,7 @@ class LinearProcessMap:
         return hermiticity_residual(self.mat)
 
     def to_json(self) -> dict:
-        return {"dim": int(self.dim), "layout": LAYOUT_TAG, "lam": jsonio.matrix_to_json(self.mat)}
+        return {"dim": DIM_SYS, "layout": LAYOUT_TAG, "lam": jsonio.matrix_to_json(self.mat)}
 
 
 MAX_FRAME_COND = 1e12
@@ -68,16 +67,15 @@ def reconstruct_linear_map(records) -> LinearProcessMap:
         raise NotAFrame(f"inputs are not a tomography frame (rank {result.rank} of {n * n}, cond {result.cond:.3e})")
     # coef[(r',s'), (r,s)] is the weight of rho[r',s'] in out[r,s].
     lam4 = result.coef.reshape(n, n, n, n).transpose(2, 0, 3, 1)
-    return LinearProcessMap(dim=n, mat=lam4.reshape(n * n, n * n))
+    return LinearProcessMap(mat=lam4.reshape(n * n, n * n))
 
 
 def apply_linear_map(lam: LinearProcessMap, rho: np.ndarray) -> np.ndarray:
     """Contract the map with a state: out[r,s] = sum Lambda[rr',ss'] rho[r',s']."""
-    n = lam.dim
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (n, n):
-        raise ValueError(f"state has shape {rho.shape}, expected ({n}, {n})")
-    lam4 = lam.mat.reshape(n, n, n, n)
+    if rho.shape != (DIM_SYS, DIM_SYS):
+        raise ValueError(f"state has shape {rho.shape}, expected ({DIM_SYS}, {DIM_SYS})")
+    lam4 = lam.mat.reshape((DIM_SYS,) * 4)
     return np.einsum("rpsq,pq->rs", lam4, rho)
 
 

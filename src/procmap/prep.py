@@ -1,10 +1,11 @@
-"""State preparation for open-system experiments: one operation on a base state.
+"""State preparation for open-system experiments: one operation on gamma0.
 
-Every preparation is one outcome of an operation on the system factor of a base
-joint state, renormalized by its probability gamma (`prepare_generalized`).  The
-stochastic route rotates the pinned state (`apply_pin_map`) by a unitary, so
-gamma = 1; preparation by von Neumann measurement projects gamma0; a generalized
-measurement applies one outcome's positive trace-reducing map to gamma0.
+Every preparation is one outcome of an operation on the system factor of the
+initial joint state gamma0, renormalized by its probability gamma
+(`prepare_generalized`).  Stochastic preparation, a pin then a rotation to |t>,
+is the replacement {|t><0|, |t><1|}, so gamma = 1; rotation-only preparation
+applies a unitary; von Neumann measurement projects; a generalized measurement
+applies one outcome's positive trace-reducing map.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import numpy as np
 
 from .errors import EXIT_ZERO_PROBABILITY, ProcmapError
 from .qstate import (
+    DIM_SYS,
     STATE_TOL,
     UNITARY_TOL,
     conjugate_system,
@@ -71,16 +73,12 @@ class GeneralizedMeasurement:
     outcomes: tuple[OutcomeMap, ...]
 
     @property
-    def dim(self) -> int:
-        return self.outcomes[0].kraus[0].shape[0]
-
-    @property
     def num_outcomes(self) -> int:
         return len(self.outcomes)
 
     def completeness_residual(self) -> float:
         total = sum(outcome.effect() for outcome in self.outcomes)
-        return float(np.max(np.abs(total - np.eye(self.dim))))
+        return float(np.max(np.abs(total - np.eye(len(total)))))
 
     def validate(self, tol: float = STATE_TOL) -> None:
         if not self.outcomes or not all(outcome.kraus for outcome in self.outcomes):
@@ -98,57 +96,38 @@ class PreparedState:
 
     joint: np.ndarray
     gamma: float
-    label: str = ""
 
 
-def apply_pin_map(gamma0: np.ndarray, dim_sys: int, dim_env: int, target: np.ndarray) -> np.ndarray:
-    """Pin the system to a fixed pure state, decoupling it from the environment.
+def prepare_generalized(gamma0: np.ndarray, operation: OutcomeMap, label: str = "") -> PreparedState:
+    """Apply `operation` to the system factor of `gamma0` and renormalize by its probability.
 
-    The resulting joint is target (x) tau, where tau is the environment
-    marginal of gamma0.
-    """
-    gamma0 = np.asarray(gamma0, dtype=complex)
-    d = dim_sys * dim_env
-    if gamma0.shape != (d, d):
-        raise ValueError(f"gamma0 has shape {gamma0.shape}, expected ({d}, {d})")
-    target = np.asarray(target, dtype=complex)
-    if target.shape != (dim_sys, dim_sys):
-        raise ValueError("pin target dimension does not match the system")
-    w = np.linalg.eigvalsh(target)
-    if abs(w[-1] - 1.0) > STATE_TOL or abs(np.sum(w) - 1.0) > STATE_TOL:
-        raise ValueError("pin target must be a pure state (largest eigenvalue 1)")
-    return tensor(target, partial_trace_sys(gamma0, dim_sys, dim_env))
-
-
-def prepare_generalized(
-    base: np.ndarray, dim_sys: int, dim_env: int, operation: OutcomeMap, label: str = ""
-) -> PreparedState:
-    """Apply `operation` to the system factor of `base` and renormalize by its probability.
-
-    gamma = Tr[sum_a w_a (C_a x 1) base (C_a x 1)'].  A trace-preserving operation
+    gamma = Tr[sum_a w_a (C_a x 1) gamma0 (C_a x 1)'].  A trace-preserving operation
     (sum_a w_a C_a'C_a = 1 within UNITARY_TOL) gives gamma = 1.0 exactly and no
-    division.  Raises InvalidMeasurement when the operators do not fit the system
-    and ZeroProbabilityOutcome when the experiment never yields this input.
+    division.  Raises InvalidMeasurement when the operators do not fit the qubit
+    system of gamma0, and ZeroProbabilityOutcome (naming `label`) when the
+    experiment never yields this input.
     """
-    d = dim_sys * dim_env
-    if not operation.kraus or np.shape(base) != (d, d) or any(c.shape != (dim_sys, dim_sys) for c in operation.kraus):
-        raise InvalidMeasurement(f"Kraus operators must be {dim_sys}x{dim_sys} on a {d}x{d} base state")
+    n = len(gamma0)
+    if not operation.kraus or np.shape(gamma0) != (n, n) or n % DIM_SYS or any(
+        c.shape != (DIM_SYS, DIM_SYS) for c in operation.kraus
+    ):
+        raise InvalidMeasurement(f"Kraus operators must be {DIM_SYS}x{DIM_SYS} on a square base state of even size")
     # A weight of exactly 1.0 multiplies nothing: (1+0j) * z can flip the sign of a zero.
-    terms = [conjugate_system(c, base) if w == 1.0 else w * conjugate_system(c, base)
+    terms = [conjugate_system(c, gamma0) if w == 1.0 else w * conjugate_system(c, gamma0)
              for w, c in zip(operation.weights, operation.kraus)]
     acc = sum(terms[1:], terms[0])
-    if np.abs(operation.effect() - np.eye(dim_sys)).max() <= UNITARY_TOL:
-        return PreparedState(joint=acc, gamma=1.0, label=label)
+    if np.abs(operation.effect() - np.eye(DIM_SYS)).max() <= UNITARY_TOL:
+        return PreparedState(joint=acc, gamma=1.0)
     gamma = float(np.trace(acc).real)
     if gamma < ZERO_PROBABILITY_TOL:
         raise ZeroProbabilityOutcome(f"preparation {label or 'outcome'} has probability {gamma:.3e}")
-    joint = acc / gamma
-    # A rank-1 projector P leaves P (x) tau; cross-check both forms when P is one to the check's own precision.
+    # A rank-1 projector P leaves P (x) tau; cross-check both forms when P is one to the check's
+    # own precision.  The check runs before the division by gamma, whose rounding grows like 1/gamma.
     p = operation.kraus[0]
     if len(operation.kraus) == 1 and is_projector(p, tol=FACTORIZATION_TOL):
-        if np.max(np.abs(joint - tensor(p, partial_trace_sys(joint, dim_sys, dim_env)))) > FACTORIZATION_TOL:
+        if np.max(np.abs(acc - tensor(p, partial_trace_sys(acc)))) > FACTORIZATION_TOL:
             raise ValueError("projected joint state does not factorize as P (x) tau")
-    return PreparedState(joint=joint, gamma=gamma, label=label)
+    return PreparedState(joint=acc / gamma, gamma=gamma)
 
 
 def perpendicular_ket(ket: np.ndarray) -> np.ndarray:

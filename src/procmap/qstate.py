@@ -13,6 +13,9 @@ import numpy as np
 STATE_TOL = 1e-10
 UNITARY_TOL = 1e-12
 
+# The system is one qubit; every other size is read off the arrays.
+DIM_SYS = 2
+
 IDENTITY_2 = np.eye(2, dtype=complex)
 
 SIGMA_1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -44,13 +47,10 @@ def conjugate_system(k: np.ndarray, joint: np.ndarray) -> np.ndarray:
     return joint
 
 
-def partial_trace_sys(joint: np.ndarray, dim_sys: int, dim_env: int) -> np.ndarray:
-    """Trace out the system, leaving the environment marginal."""
-    joint = np.asarray(joint, dtype=complex)
-    d = dim_sys * dim_env
-    if joint.shape != (d, d):
-        raise ValueError(f"joint has shape {joint.shape}, expected ({d}, {d})")
-    blocks = joint.reshape(dim_sys, dim_env, dim_sys, dim_env)
+def partial_trace_sys(joint: np.ndarray) -> np.ndarray:
+    """Trace out the qubit system, leaving the environment marginal; the reshape rejects any other shape."""
+    dim_env = len(joint) // DIM_SYS
+    blocks = np.asarray(joint, dtype=complex).reshape(DIM_SYS, dim_env, DIM_SYS, dim_env)
     return np.einsum("iaib->ab", blocks)
 
 

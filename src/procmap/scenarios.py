@@ -2,14 +2,14 @@
 
 A scenario bundles the process (unitary + initial joint state), a preparation
 method, and a protocol (which input labels to prepare).  `operation_of_label`
-is the one table of preparations, each a base state and one operation on its
-system factor for `prep.prepare_generalized`: stochastic, (pinned state, V);
-rotation-only, (gamma0, V); measurement, (gamma0, P); generalized, (gamma0, the
-label's outcome map); the mixed record, (gamma0, X).  Simulation walks the
-protocol labels, then `mixed`, prepares each input, runs the process and
-collects (input, output, gamma) records.  An optional finite-shot mode degrades
-the exact probabilities and outputs to multinomial estimates from a seeded
-generator.
+is the one table of preparations, each one operation on the system factor of
+gamma0 for `prep.prepare_generalized`: stochastic, the pin-then-rotate
+replacement {|t><0|, |t><1|} onto the label's state |t>; rotation-only, V;
+measurement, P; generalized, the label's outcome map; the mixed record, X.
+Simulation walks the protocol labels, then `mixed`, prepares each input, runs
+the process and collects (input, output, gamma) records.  An optional
+finite-shot mode degrades the exact probabilities and outputs to multinomial
+estimates from a seeded generator.
 
 The dataset holds the sha256 of the scenario file's bytes (`metadata.scenario_sha256`),
 not the file, so reproducing a dataset needs its scenario file too; nothing reads
@@ -35,12 +35,12 @@ from .dynamics import (
     unitary_from_hamiltonian,
 )
 from .errors import ProcmapError
-from .prep import GeneralizedMeasurement, OutcomeMap, apply_pin_map, prepare_generalized, rotation_between
-from .qstate import SIGMA_1, SIGMA_3, bloch_vector, ket_from_projector, state_from_bloch, tensor
+from .prep import GeneralizedMeasurement, OutcomeMap, prepare_generalized, rotation_between
+from .qstate import DIM_SYS, SIGMA_1, SIGMA_3, bloch_vector, ket_from_projector, state_from_bloch, tensor
 from .records import DIRECTIONS, MIXED_LABEL, PROTOCOL_LABELS, Dataset, TomographyRecord, state_of_label
 
-# Two retired names stay bound here, uncalled, so that perfbench/tracer.py can wrap them.
-prepare_stochastic = prepare_projective = prepare_generalized
+# Three retired names stay bound here, uncalled, so that perfbench/tracer.py can wrap them.
+apply_pin_map = prepare_stochastic = prepare_projective = prepare_generalized
 
 # The `preparation` keys each method reads; parse_scenario rejects any other.
 PREPARATION_KEYS = {
@@ -50,8 +50,7 @@ PREPARATION_KEYS = {
     "generalized": {"method", "measurement", "labels"},
 }
 
-# |0><0|: the pin target of stochastic preparation, and the state that
-# rotation-only preparation assumes it starts from.
+# |0><0|: the state that rotation-only preparation assumes it starts from.
 ZERO_STATE = np.array([[1, 0], [0, 0]], dtype=complex)
 ZERO_KET = ket_from_projector(ZERO_STATE)
 
@@ -131,19 +130,19 @@ def parse_scenario(obj: dict, name: str = "scenario") -> Scenario:
     try:
         dim_sys = _integer(obj, "dimA", 2)
         dim_env = _integer(obj, "dimB", 2)
-        if dim_sys != 2:
-            raise ScenarioError(f"dimA must be 2, got {dim_sys}: every protocol is qubit-only")
+        if dim_sys != DIM_SYS:
+            raise ScenarioError(f"dimA must be {DIM_SYS}, got {dim_sys}: every protocol is qubit-only")
         if dim_env <= 0:
             raise ScenarioError("dimB must be positive")
 
         ham_obj = obj["hamiltonian"]
         if ham_obj == "heisenberg":
-            if (dim_sys, dim_env) != (2, 2):
+            if dim_env != 2:
                 raise ScenarioError('the "heisenberg" keyword requires dimA = dimB = 2')
             hamiltonian = heisenberg_hamiltonian()
         else:
             hamiltonian = jsonio.matrix_from_json(ham_obj)
-            joint = (dim_sys * dim_env,) * 2
+            joint = (DIM_SYS * dim_env,) * 2
             if hamiltonian.shape != joint:
                 raise ScenarioError(f"hamiltonian has shape {hamiltonian.shape}, expected {joint}")
         t = _number(obj, "t", 0.0)
@@ -155,7 +154,7 @@ def parse_scenario(obj: dict, name: str = "scenario") -> Scenario:
         else:
             gamma0 = jsonio.matrix_from_json(g_obj)
         u = unitary_from_hamiltonian(hamiltonian, t)
-        spec = ProcessSpec(dim_sys=dim_sys, dim_env=dim_env, u=u, gamma0=gamma0)
+        spec = ProcessSpec(u=u, gamma0=gamma0)
 
         protocol = str(obj.get("protocol", "verify12"))
         if protocol not in PROTOCOL_LABELS:
@@ -173,8 +172,8 @@ def parse_scenario(obj: dict, name: str = "scenario") -> Scenario:
         generalized_labels: tuple[str, ...] = ()
         if method == "generalized":
             measurement = parse_measurement(prep_obj["measurement"])
-            if any(c.shape != (dim_sys, dim_sys) for outcome in measurement.outcomes for c in outcome.kraus):
-                raise ScenarioError(f"measurement Kraus operators must be {dim_sys}x{dim_sys} (dimA)")
+            if any(c.shape != (DIM_SYS, DIM_SYS) for outcome in measurement.outcomes for c in outcome.kraus):
+                raise ScenarioError(f"measurement Kraus operators must be {DIM_SYS}x{DIM_SYS} (dimA)")
             measurement.validate()
             generalized_labels = tuple(str(x) for x in prep_obj["labels"])
             expected = PROTOCOL_LABELS[protocol]
@@ -218,24 +217,27 @@ def parse_scenario(obj: dict, name: str = "scenario") -> Scenario:
         raise ScenarioError(f"malformed scenario: {exc}") from exc
 
 
-def operation_of_label(sc: Scenario, label: str, pinned: np.ndarray | None) -> tuple[np.ndarray, OutcomeMap]:
-    """The base state and the operation on its system factor that prepare `label`.
+def operation_of_label(sc: Scenario, label: str) -> OutcomeMap:
+    """The operation on the system factor of gamma0 that prepares `label`.
 
-    `pinned` is the stochastic pin of gamma0.  The mixed record applies X itself:
+    Stochastic preparation pins the system to |0> and rotates it to the label's
+    state |t>; together they replace the system's state by |t>, the trace-preserving
+    operation {|t><0|, |t><1|}.  The mixed record applies X itself:
     X = state_from_bloch(b) has eigenvalues (1 +- |b|)/2 and |b| < 1, so 0 <= X <= 1.
     """
-    gamma0 = sc.spec.gamma0
     if sc.prep_method == "generalized":
-        return gamma0, sc.measurement.outcomes[sc.generalized_labels.index(label)]
+        return sc.measurement.outcomes[sc.generalized_labels.index(label)]
     if label == MIXED_LABEL:
-        return gamma0, OutcomeMap(weights=(1.0,), kraus=(state_from_bloch(sc.mixed_bloch),))
+        return OutcomeMap(weights=(1.0,), kraus=(state_from_bloch(sc.mixed_bloch),))
     target = state_of_label(label)
     if sc.prep_method == "measurement":
-        return gamma0, OutcomeMap(weights=(1.0,), kraus=(target,))
+        return OutcomeMap(weights=(1.0,), kraus=(target,))
+    ket = ket_from_projector(target)
+    if sc.prep_method == "stochastic":
+        return OutcomeMap(weights=(1.0,) * DIM_SYS, kraus=tuple(np.outer(ket, e) for e in np.eye(DIM_SYS)))
     # Rotation-only (imperfect-pin) preparation rotates gamma0 itself, so the
     # true input is not the assumed projector.
-    v = rotation_between(ZERO_KET, ket_from_projector(target))
-    return (pinned if sc.prep_method == "stochastic" else gamma0), OutcomeMap(weights=(1.0,), kraus=(v,))
+    return OutcomeMap(weights=(1.0,), kraus=(rotation_between(ZERO_KET, ket),))
 
 
 def _degrade_record(rng: np.random.Generator, rec: TomographyRecord, shots: int, gamma: float) -> TomographyRecord:
@@ -269,15 +271,10 @@ def _degraded_gammas(rng: np.random.Generator, sc: Scenario, exact: dict[str, fl
 def simulate_scenario(sc: Scenario, scenario_sha256: str = "") -> Dataset:
     """Run the pipeline for every protocol label; `scenario_sha256` is the scenario file's digest."""
     spec = sc.spec
-    # The pin gives |0><0| (x) Tr_S gamma0 whatever the label, so it runs once.
-    pinned = None
-    if sc.prep_method == "stochastic":
-        pinned = apply_pin_map(spec.gamma0, spec.dim_sys, spec.dim_env, ZERO_STATE)
     labels = PROTOCOL_LABELS[sc.protocol] + ((MIXED_LABEL,) if sc.mixed_bloch is not None else ())
     records = []
     for label in labels:
-        base, operation = operation_of_label(sc, label, pinned)
-        prep_state = prepare_generalized(base, spec.dim_sys, spec.dim_env, operation, label=label)
+        prep_state = prepare_generalized(spec.gamma0, operation_of_label(sc, label), label=label)
         assumed = state_from_bloch(sc.mixed_bloch) if label == MIXED_LABEL else state_of_label(label)
         q = run_process(spec, prep_state)
         records.append(TomographyRecord(label=label, input=assumed, output=q, gamma=prep_state.gamma))

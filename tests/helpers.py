@@ -7,13 +7,14 @@ Hilbert-Schmidt dual frame of linear tomography, and the eight linear sum
 rules and three bi-linear consistency equations of the 12-state
 verification protocol.  It also keeps the per-element paths that bulk
 operations replaced: the value-by-value JSON layout (floats by shortest
-repr), the entry-by-entry matrix decoder, the einsum contraction of the
-process tensor, the matrix-unit loop of the fixed-environment map and the
-einsum partial trace over the environment of a fully formed U J U'.
+repr), the entry-by-entry matrix encoder and decoder, the einsum contraction
+of the process tensor, the matrix-unit loop of the fixed-environment map and
+the einsum partial trace over the environment of a fully formed U J U'.
 The preparation routes that `prep.prepare_generalized` replaced are oracles
-for it: stochastic rotation of a pinned state, projection with the P (x) tau
-cross-check, the completed measurement {X, sqrt(1 - X^2)} of the mixed record,
-and a dense (C x 1) evaluation of any outcome map.
+for it: the pin of gamma0 and the stochastic rotation of the pinned state,
+projection with the P (x) tau cross-check, the completed measurement
+{X, sqrt(1 - X^2)} of the mixed record, and a dense (C x 1) evaluation of any
+outcome map.
 Then come the field-by-field bi-linear element table and its prediction loop,
 which the stacked table and its probe contraction replaced, and the matrix
 element <A|M|B> they are built from.  Last is the dilation of a generalized
@@ -38,7 +39,6 @@ from procmap.prep import (
     OutcomeMap,
     PreparedState,
     ZeroProbabilityOutcome,
-    apply_pin_map,
 )
 from procmap.qstate import (
     IDENTITY_2,
@@ -46,7 +46,6 @@ from procmap.qstate import (
     conjugate_system,
     dagger,
     is_projector,
-    partial_trace_sys,
     tensor,
     validate_unitary,
 )
@@ -154,17 +153,23 @@ def va_spec(t: float = T_DEMO, a2: float = A2_DEMO, c23: float = C23_DEMO) -> Pr
     """The measurement-preparation example process: exchange coupling on a correlated pair."""
     gamma0 = correlated_pair_state([0.0, a2, 0.0], c23)
     u = unitary_from_hamiltonian(heisenberg_hamiltonian(), t)
-    return ProcessSpec(dim_sys=2, dim_env=2, u=u, gamma0=gamma0)
+    return ProcessSpec(u=u, gamma0=gamma0)
 
 
-def prepare_stochastic(joint_pinned: np.ndarray, v: np.ndarray, label: str = "") -> PreparedState:
+def pin(gamma0: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Pin the qubit system to the pure state `target`: target (x) tau, tau the environment marginal of gamma0."""
+    nb = len(gamma0) // 2
+    return tensor(target, np.einsum("iaib->ab", np.asarray(gamma0).reshape(2, nb, 2, nb)))
+
+
+def prepare_stochastic(joint_pinned: np.ndarray, v: np.ndarray) -> PreparedState:
     """Rotate a pinned joint state by a system unitary; outcome probability is 1."""
     validate_unitary(v)
     dim_sys = v.shape[0]
     d = np.asarray(joint_pinned).shape[0]
     if d % dim_sys:
         raise ValueError("joint dimension is not a multiple of the system dimension")
-    return PreparedState(joint=conjugate_system(v, joint_pinned), gamma=1.0, label=label)
+    return PreparedState(joint=conjugate_system(v, joint_pinned), gamma=1.0)
 
 
 def prepare_projective(gamma0: np.ndarray, dim_sys: int, dim_env: int, p: np.ndarray, label: str = "") -> PreparedState:
@@ -183,10 +188,10 @@ def prepare_projective(gamma0: np.ndarray, dim_sys: int, dim_env: int, p: np.nda
         raise ZeroProbabilityOutcome(f"preparation {label or 'outcome'} has probability {gamma:.3e}")
     joint = projected / gamma
     # The projected joint factorizes as P (x) tau; cross-check both forms.
-    tau = partial_trace_sys(joint, dim_sys, dim_env)
+    tau = np.einsum("iaib->ab", joint.reshape(dim_sys, dim_env, dim_sys, dim_env))
     if np.max(np.abs(joint - tensor(p, tau))) > 1e-12:
         raise ValueError("projected joint state does not factorize as P (x) tau")
-    return PreparedState(joint=joint, gamma=gamma, label=label)
+    return PreparedState(joint=joint, gamma=gamma)
 
 
 def mixed_preparation_measurement(x: np.ndarray) -> GeneralizedMeasurement:
@@ -220,8 +225,8 @@ def measured_records(spec: ProcessSpec, labels) -> list[TomographyRecord]:
     out = []
     for label in labels:
         p = state_of_label(label)
-        prepared = prepare_projective(spec.gamma0, spec.dim_sys, spec.dim_env, p, label=label)
-        q = brute_force_output(spec.u, prepared.joint, spec.dim_sys, spec.dim_env)
+        prepared = prepare_projective(spec.gamma0, 2, spec.dim_env, p, label=label)
+        q = brute_force_output(spec.u, prepared.joint, 2, spec.dim_env)
         out.append(TomographyRecord(label=label, input=p, output=q, gamma=prepared.gamma))
     return out
 
@@ -231,14 +236,14 @@ def stochastic_records(spec: ProcessSpec, labels) -> list[TomographyRecord]:
     from procmap.prep import rotation_between
     from procmap.qstate import ket_from_projector
 
-    pin = np.array([[1, 0], [0, 0]], dtype=complex)
-    pinned = apply_pin_map(spec.gamma0, spec.dim_sys, spec.dim_env, pin)
+    zero = np.array([[1, 0], [0, 0]], dtype=complex)
+    pinned = pin(spec.gamma0, zero)
     out = []
     for label in labels:
         p = state_of_label(label)
-        v = rotation_between(ket_from_projector(pin), ket_from_projector(p))
-        prepared = prepare_stochastic(pinned, v, label=label)
-        q = brute_force_output(spec.u, prepared.joint, spec.dim_sys, spec.dim_env)
+        v = rotation_between(ket_from_projector(zero), ket_from_projector(p))
+        prepared = prepare_stochastic(pinned, v)
+        q = brute_force_output(spec.u, prepared.joint, 2, spec.dim_env)
         out.append(TomographyRecord(label=label, input=p, output=q, gamma=prepared.gamma))
     return out
 
@@ -394,6 +399,13 @@ def per_element_dumps(obj, indent: int = 2) -> str:
     return _per_element(obj, indent, 0) + "\n"
 
 
+def reference_matrix_to_json(mat: np.ndarray) -> dict:
+    """Entry-by-entry encode of a complex matrix as {"rows", "cols", "data": [[re, im], ...]} row-major."""
+    arr = np.asarray(mat, dtype=complex)
+    rows, cols = arr.shape
+    return {"rows": rows, "cols": cols, "data": [[float(z.real), float(z.imag)] for z in arr.reshape(-1)]}
+
+
 def reference_matrix_from_json(obj: dict) -> np.ndarray:
     """Entry-by-entry decode of the {"rows", "cols", "data"} matrix encoding."""
     try:
@@ -417,7 +429,7 @@ def reference_matrix_from_json(obj: dict) -> np.ndarray:
 
 def reference_raw_M(spec: ProcessSpec) -> np.ndarray:
     """Unsymmetrized process tensor m[r,s,x,p,y,q] by one three-operand einsum."""
-    na, nb = spec.dim_sys, spec.dim_env
+    na, nb = 2, spec.dim_env
     u4 = np.asarray(spec.u, dtype=complex).reshape(na, nb, na, nb)
     g4 = np.asarray(spec.gamma0, dtype=complex).reshape(na, nb, na, nb)
     return np.einsum("repa,xayb,seqb->rsxpyq", u4, g4, np.conj(u4))
@@ -509,7 +521,7 @@ def reference_predict_output(table: HandElementTable, p) -> tuple[float, np.ndar
 
 
 def _dilation_dims(meas) -> tuple[int, int, int]:
-    n = meas.dim
+    n = meas.outcomes[0].kraus[0].shape[0]
     mu = meas.num_outcomes
     return n, mu, n * n
 

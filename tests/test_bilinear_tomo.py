@@ -68,7 +68,7 @@ def test_build_m_matches_loop_oracle():
     rng = np.random.default_rng(41)
     u = rand_unitary(rng, 4)
     gamma0 = rand_density(rng, 4)
-    bmap = build_M_from_dynamics(ProcessSpec(2, 2, u, gamma0))
+    bmap = build_M_from_dynamics(ProcessSpec(u, gamma0))
     oracle = loop_build_m(u, gamma0, 2, 2)
     assert np.max(np.abs(bmap.m - oracle)) < 1e-13
 
@@ -76,7 +76,7 @@ def test_build_m_matches_loop_oracle():
 @pytest.mark.parametrize("nb", [1, 2, 8, 32])
 def test_build_m_matches_einsum_oracle(nb):
     rng = np.random.default_rng(46 + nb)
-    spec = ProcessSpec(2, nb, rand_unitary(rng, 2 * nb), rand_density(rng, 2 * nb))
+    spec = ProcessSpec(rand_unitary(rng, 2 * nb), rand_density(rng, 2 * nb))
     bmap = build_M_from_dynamics(spec)
     assert np.max(np.abs(bmap.m - reference_raw_M(spec))) < 1e-13
     assert np.array_equal(np.conj(bmap.m), bmap.m.transpose(1, 0, 4, 5, 2, 3))
@@ -86,7 +86,7 @@ def test_build_m_identity_unitary_collapse():
     # With U = 1 the tensor collapses to delta(r,r') delta(s,s') (Tr_env gamma0).
     rng = np.random.default_rng(42)
     gamma0 = rand_density(rng, 4)
-    bmap = build_M_from_dynamics(ProcessSpec(2, 2, np.eye(4, dtype=complex), gamma0))
+    bmap = build_M_from_dynamics(ProcessSpec(np.eye(4, dtype=complex), gamma0))
     reduced = partial_trace_env(gamma0, 2, 2)
     for r in range(2):
         for s in range(2):
@@ -104,7 +104,7 @@ def test_trace_is_system_dimension_not_one():
     # (see the decisions ledger).
     rng = np.random.default_rng(43)
     for _ in range(20):
-        spec = ProcessSpec(2, 2, rand_unitary(rng, 4), rand_density(rng, 4))
+        spec = ProcessSpec(rand_unitary(rng, 4), rand_density(rng, 4))
         bmap = build_M_from_dynamics(spec)
         assert abs(np.einsum("rrxpxp->", bmap.m) - 2.0) < 1e-10
 
@@ -112,7 +112,7 @@ def test_trace_is_system_dimension_not_one():
 def test_hermiticity_holds_exactly_as_stored():
     rng = np.random.default_rng(44)
     for _ in range(20):
-        spec = ProcessSpec(2, 2, rand_unitary(rng, 4), rand_density(rng, 4))
+        spec = ProcessSpec(rand_unitary(rng, 4), rand_density(rng, 4))
         bmap = build_M_from_dynamics(spec)
         assert np.array_equal(np.conj(bmap.m), bmap.m.transpose(1, 0, 4, 5, 2, 3))
 
@@ -121,7 +121,7 @@ def test_apply_bilinear_identity_unitary():
     # U = 1 reduces the bi-linear form to P rho P with rho the system marginal.
     rng = np.random.default_rng(45)
     gamma0 = rand_density(rng, 4)
-    bmap = build_M_from_dynamics(ProcessSpec(2, 2, np.eye(4, dtype=complex), gamma0))
+    bmap = build_M_from_dynamics(ProcessSpec(np.eye(4, dtype=complex), gamma0))
     reduced = partial_trace_env(gamma0, 2, 2)
     for _ in range(5):
         p = state_from_bloch(rand_unit_bloch(rng))
@@ -165,7 +165,7 @@ def test_apply_bilinear_golden_outputs():
 def test_bilinear_form_equals_projected_dynamics():
     # <P|M|P> = Tr_env[U (P x 1) gamma0 (P x 1) U'] for every projector P.
     rng = np.random.default_rng(46)
-    spec = ProcessSpec(2, 2, rand_unitary(rng, 4), rand_density(rng, 4))
+    spec = ProcessSpec(rand_unitary(rng, 4), rand_density(rng, 4))
     bmap = build_M_from_dynamics(spec)
     for _ in range(20):
         p = state_from_bloch(rand_unit_bloch(rng))
@@ -204,7 +204,7 @@ def test_solve_elements_identity_process_hand_algebra():
     rng = np.random.default_rng(47)
     rho, tau = rand_density(rng, 2), rand_density(rng, 2)
     gamma0 = tensor(rho, tau)
-    spec = ProcessSpec(2, 2, np.eye(4, dtype=complex), gamma0)
+    spec = ProcessSpec(np.eye(4, dtype=complex), gamma0)
     records = measured_records(spec, NINE_STATE_LABELS)
     table = solve_M_elements(records)
     axes = {1: [1, 0, 0], 2: [0, 1, 0], 3: [0, 0, 1]}
@@ -314,7 +314,7 @@ def test_element_table_json_roundtrip():
 def test_stacked_table_matches_hand_oracle(nb):
     rng = np.random.default_rng(50 + nb)
     for _ in range(20):
-        bmap = build_M_from_dynamics(ProcessSpec(2, nb, rand_unitary(rng, 2 * nb), rand_density(rng, 2 * nb)))
+        bmap = build_M_from_dynamics(ProcessSpec(rand_unitary(rng, 2 * nb), rand_density(rng, 2 * nb)))
         table = element_table_from_map(bmap)
         assert table.elements.shape == (10, 2, 2)
         assert np.max(np.abs(table.elements - reference_element_table(bmap).stacked())) < 1e-13
@@ -335,14 +335,14 @@ def test_solved_table_matches_hand_oracle(with_mixed):
     # The hand algebra applied to the tensor the same degree-2 fit stands for.
     fitted = records + ([mixed] if with_mixed else [])
     m = fit(fitted, degree=2).coef.reshape((2,) * 6).transpose(4, 5, 0, 1, 2, 3)
-    want = reference_element_table(BilinearProcessMap(dim=2, m=m)).stacked()[: len(fitted)]
+    want = reference_element_table(BilinearProcessMap(m=m)).stacked()[: len(fitted)]
     assert table.elements.shape == (len(fitted), 2, 2)
     assert np.max(np.abs(table.elements - want)) < 1e-13
 
 
 def test_predict_output_matches_hand_oracle():
     rng = np.random.default_rng(51)
-    bmap = build_M_from_dynamics(ProcessSpec(2, 2, rand_unitary(rng, 4), rand_density(rng, 4)))
+    bmap = build_M_from_dynamics(ProcessSpec(rand_unitary(rng, 4), rand_density(rng, 4)))
     table = element_table_from_map(bmap)
     hand = reference_element_table(bmap)
     pure_table = MElementTable(table.elements[:9])

@@ -263,6 +263,19 @@ def test_rounded_projector_measurement_simulates(tmp_path, capsys):
     assert sum(rec["gamma"] for rec in obj["records"]) == pytest.approx(1.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("eta", [1e-6, 1e-9])
+@pytest.mark.parametrize("direction", "123456")
+def test_nearly_excluded_direction_runs_every_command(direction, eta, tmp_path, capsys):
+    # gamma0 = (1 - eta) rho(-d) (x) 1/2 + eta 1/4 gives the d+ outcome probability eta / 2, and the
+    # rounding of the prepared joint state, once divided by that gamma, grows like 1 / eta.
+    rho = state_of_label(f"{direction}-")
+    gamma0 = (1.0 - eta) * np.kron(rho, 0.5 * np.eye(2)) + eta * np.eye(4) / 4.0
+    simulate(tmp_path, capsys, gamma0=jsonio.matrix_to_json(gamma0))
+    dataset = tmp_path / "dataset.json"
+    for argv in (["tomo", dataset, "--mode", "linear"], ["tomo", dataset, "--mode", "bilinear"], ["verify", dataset]):
+        assert run(argv, capsys)[0] == EXIT_OK, argv
+
+
 def set_gamma(obj, label, gamma):
     """Give the labeled record the outcome probability `gamma`."""
     next(rec for rec in obj["records"] if rec["label"] == label)["gamma"] = gamma

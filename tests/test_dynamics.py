@@ -72,7 +72,7 @@ def test_pinned_plus_state_output():
     # At t = pi/8 the exchange coupling shrinks the Bloch vector by cos^2(pi/4) = 1/2.
     u = unitary_from_hamiltonian(heisenberg_hamiltonian(), T_DEMO)
     joint = tensor(state_from_bloch([1, 0, 0]), 0.5 * IDENTITY_2)
-    spec = ProcessSpec(2, 2, u, tensor(0.5 * IDENTITY_2, 0.5 * IDENTITY_2))
+    spec = ProcessSpec(u, tensor(0.5 * IDENTITY_2, 0.5 * IDENTITY_2))
     out = run_process(spec, PreparedState(joint=joint, gamma=1.0))
     assert np.max(np.abs(out - state_from_bloch([0.5, 0, 0]))) < 1e-12
 
@@ -80,9 +80,9 @@ def test_pinned_plus_state_output():
 def test_identity_dynamics_with_projective_prep():
     rng = np.random.default_rng(21)
     gamma0 = tensor(rand_density(rng, 2), rand_density(rng, 2))
-    spec = ProcessSpec(2, 2, np.eye(4, dtype=complex), gamma0)
+    spec = ProcessSpec(np.eye(4, dtype=complex), gamma0)
     p = state_from_bloch([0, 0, 1])
-    prepared = prepare_generalized(gamma0, 2, 2, OutcomeMap(weights=(1.0,), kraus=(p,)))
+    prepared = prepare_generalized(gamma0, OutcomeMap(weights=(1.0,), kraus=(p,)))
     out = run_process(spec, prepared)
     assert np.max(np.abs(out - p)) < 1e-12
 
@@ -99,7 +99,7 @@ def test_measurement_prep_outputs_golden():
     }
     for bloch_in, bloch_out in expected.items():
         projector = OutcomeMap(weights=(1.0,), kraus=(state_from_bloch(bloch_in),))
-        prepared = prepare_generalized(spec.gamma0, 2, 2, projector)
+        prepared = prepare_generalized(spec.gamma0, projector)
         out = run_process(spec, prepared)
         assert np.max(np.abs(bloch_vector(out) - np.asarray(bloch_out))) < 1e-12
         # cross-check against the loop-based pipeline oracle
@@ -111,7 +111,7 @@ def test_measurement_prep_outputs_golden():
 def test_run_process_matches_loop_oracle(dim_env):
     rng = np.random.default_rng(40 + dim_env)
     d = 2 * dim_env
-    spec = ProcessSpec(2, dim_env, rand_unitary(rng, d), rand_density(rng, d))
+    spec = ProcessSpec(rand_unitary(rng, d), rand_density(rng, d))
     for _ in range(3):
         joint = rand_density(rng, d)
         out = run_process(spec, PreparedState(joint=joint, gamma=1.0))
@@ -121,7 +121,7 @@ def test_run_process_matches_loop_oracle(dim_env):
 def test_run_process_output_is_state():
     rng = np.random.default_rng(22)
     for _ in range(10):
-        spec = ProcessSpec(2, 2, rand_unitary(rng, 4), rand_density(rng, 4))
+        spec = ProcessSpec(rand_unitary(rng, 4), rand_density(rng, 4))
         prepared = PreparedState(joint=rand_density(rng, 4), gamma=1.0)
         out = run_process(spec, prepared)
         validate_density_matrix(out)
@@ -129,7 +129,7 @@ def test_run_process_output_is_state():
 
 def test_run_process_linear_in_joint():
     rng = np.random.default_rng(23)
-    spec = ProcessSpec(2, 2, rand_unitary(rng, 4), rand_density(rng, 4))
+    spec = ProcessSpec(rand_unitary(rng, 4), rand_density(rng, 4))
     j1, j2 = rand_density(rng, 4), rand_density(rng, 4)
     alpha = 0.37
     mixed = run_process(spec, PreparedState(joint=alpha * j1 + (1 - alpha) * j2, gamma=1.0))

@@ -8,7 +8,7 @@ import struct
 import numpy as np
 import pytest
 
-from helpers import per_element_dumps, rand_density, reference_matrix_from_json
+from helpers import per_element_dumps, rand_density, reference_matrix_from_json, reference_matrix_to_json
 from procmap import jsonio
 from procmap.cli import main
 from procmap.scenarios import DEMO_NAMES, parse_scenario, simulate_scenario
@@ -160,6 +160,17 @@ def test_non_finite_float_in_table_raises(bad):
 def test_numpy_scalars_are_not_serialized(scalar):
     with pytest.raises(TypeError):
         jsonio.dumps([0.5, scalar])
+
+
+@pytest.mark.parametrize("layout", ["contiguous", "transposed", "strided", "real"])
+def test_matrix_encode_is_bit_identical_to_loop(layout):
+    rng = np.random.default_rng(21)
+    m = rng.standard_normal((6, 9)) + 1j * rng.standard_normal((6, 9))
+    m[0, :3] = [complex(-0.0, -0.0), complex(0.0, -0.0), complex(-0.0, 0.0)]
+    mat = {"contiguous": m, "transposed": m.T, "strided": m[::2, ::3], "real": m.real}[layout]
+    got, want = jsonio.matrix_to_json(mat), reference_matrix_to_json(mat)
+    assert_same_bits(got, want)
+    assert np.array(got["data"]).tobytes() == np.array(want["data"]).tobytes()
 
 
 def test_matrix_decode_is_bit_identical_to_loop():

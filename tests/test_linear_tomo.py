@@ -123,7 +123,7 @@ def test_reconstruction_reproduces_training_records():
 
 
 def test_apply_identity_map():
-    lam = LinearProcessMap(dim=2, mat=CHOI_IDENTITY)
+    lam = LinearProcessMap(mat=CHOI_IDENTITY)
     rng = np.random.default_rng(31)
     for _ in range(5):
         rho = rand_density(rng, 2)
@@ -131,7 +131,7 @@ def test_apply_identity_map():
 
 
 def test_apply_lambda_s_shrinks_bloch():
-    lam = LinearProcessMap(dim=2, mat=closed_form_lambda_s(T_DEMO))
+    lam = LinearProcessMap(mat=closed_form_lambda_s(T_DEMO))
     out = apply_linear_map(lam, state_from_bloch([0, -1, 0]))
     assert np.max(np.abs(out - state_from_bloch([0, -0.5, 0]))) < 1e-12
 
@@ -160,14 +160,14 @@ def test_stochastic_map_consistent_with_dynamics():
 
 
 def test_diagnostics_choi_identity():
-    diag = map_diagnostics(LinearProcessMap(dim=2, mat=CHOI_IDENTITY))
+    diag = map_diagnostics(LinearProcessMap(mat=CHOI_IDENTITY))
     assert abs(diag.min_eigenvalue) < 1e-12
     assert abs(diag.eigenvalues[-1] - 2.0) < 1e-12
     assert abs(diag.trace - 2.0) < 1e-12
 
 
 def test_diagnostics_lambda_s():
-    diag = map_diagnostics(LinearProcessMap(dim=2, mat=closed_form_lambda_s(T_DEMO)))
+    diag = map_diagnostics(LinearProcessMap(mat=closed_form_lambda_s(T_DEMO)))
     assert np.allclose(diag.eigenvalues, [0.25, 0.25, 0.25, 1.25], atol=1e-12)
     assert diag.min_eigenvalue >= -1e-12
 

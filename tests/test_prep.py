@@ -8,6 +8,7 @@ from helpers import (
     measure_generalized_via_dilation,
     mixed_preparation_measurement,
     partial_trace_env,
+    pin,
     prepare_dense,
     prepare_projective,
     prepare_stochastic,
@@ -22,7 +23,6 @@ from procmap.prep import (
     InvalidMeasurement,
     OutcomeMap,
     ZeroProbabilityOutcome,
-    apply_pin_map,
     perpendicular_ket,
     prepare_generalized,
     rotation_between,
@@ -37,7 +37,6 @@ from procmap.qstate import (
     partial_trace_sys,
     state_from_bloch,
     tensor,
-    validate_density_matrix,
 )
 from procmap.records import MIXED_LABEL, TWELVE_STATE_LABELS, state_of_label
 from procmap.scenarios import ZERO_KET, ZERO_STATE, Scenario, operation_of_label, parse_measurement
@@ -69,40 +68,6 @@ def random_measurement(rng, mu: int, dim: int = 2, max_kraus: int = 3) -> Genera
             for maps in raw
         )
     )
-
-
-# ---------------------------------------------------------------------------
-# pin map
-# ---------------------------------------------------------------------------
-
-def test_pin_map_product_input():
-    rng = np.random.default_rng(1)
-    rho = rand_density(rng, 2)
-    tau = rand_density(rng, 2)
-    pinned = apply_pin_map(tensor(rho, tau), 2, 2, P3_PLUS)
-    assert np.max(np.abs(pinned - tensor(P3_PLUS, tau))) < 1e-12
-
-
-def test_pin_map_correlated_input():
-    spec = va_spec()
-    pinned = apply_pin_map(spec.gamma0, 2, 2, P3_PLUS)
-    # env marginal of the correlated pair state is maximally mixed
-    assert np.max(np.abs(pinned - tensor(P3_PLUS, 0.5 * IDENTITY_2))) < 1e-12
-
-
-def test_pin_map_system_marginal_is_target():
-    rng = np.random.default_rng(2)
-    gamma0 = rand_density(rng, 4)
-    target = state_from_bloch([0.6, 0.0, 0.8])
-    pinned = apply_pin_map(gamma0, 2, 2, target)
-    assert np.max(np.abs(partial_trace_env(pinned, 2, 2) - target)) < 1e-12
-    validate_density_matrix(pinned)
-
-
-def test_pin_map_rejects_mixed_target():
-    rng = np.random.default_rng(3)
-    with pytest.raises(ValueError):
-        apply_pin_map(rand_density(rng, 4), 2, 2, 0.5 * IDENTITY_2)
 
 
 # ---------------------------------------------------------------------------
@@ -171,12 +136,12 @@ def test_projective_correlated_golden():
     p = state_from_bloch([0, 1, 0])
     prepared = prepare_projective(spec.gamma0, 2, 2, p)
     assert abs(prepared.gamma - 0.75) < 1e-12
-    tau = partial_trace_sys(prepared.joint, 2, 2)
+    tau = partial_trace_sys(prepared.joint)
     assert np.max(np.abs(tau - 0.5 * (IDENTITY_2 + 0.2 * SIGMA_3))) < 1e-12
 
     for bloch in ([0, 0, 1], [1, 0, 0], [-1, 0, 0]):
         prepared = prepare_projective(spec.gamma0, 2, 2, state_from_bloch(bloch))
-        tau = partial_trace_sys(prepared.joint, 2, 2)
+        tau = partial_trace_sys(prepared.joint)
         assert np.max(np.abs(tau - 0.5 * IDENTITY_2)) < 1e-12
 
 
@@ -223,7 +188,7 @@ def test_generalized_identity_map():
     meas = GeneralizedMeasurement(outcomes=(OutcomeMap(weights=(1.0,), kraus=(IDENTITY_2,)),))
     rng = np.random.default_rng(10)
     rho = rand_density(rng, 2)
-    prepared = prepare_generalized(rho, 2, 1, meas.outcomes[0])
+    prepared = prepare_generalized(rho, meas.outcomes[0])
     assert abs(prepared.gamma - 1.0) < 1e-12
     assert np.max(np.abs(prepared.joint - rho)) < 1e-12
 
@@ -236,7 +201,7 @@ def test_generalized_projective_on_mixed():
         )
     )
     for j, target in ((0, np.diag([1.0, 0.0])), (1, np.diag([0.0, 1.0]))):
-        prepared = prepare_generalized(0.5 * IDENTITY_2, 2, 1, meas.outcomes[j])
+        prepared = prepare_generalized(0.5 * IDENTITY_2, meas.outcomes[j])
         assert abs(prepared.gamma - 0.5) < 1e-12
         assert np.max(np.abs(prepared.joint - target)) < 1e-12
 
@@ -253,20 +218,20 @@ def test_generalized_completeness_check():
 
 @pytest.mark.parametrize(
     "kraus_dim, gamma0_dim",
-    [(3, 6), (2, 4), (1, 6)],
-    ids=["3x3-kraus", "4x4-gamma0", "1x1-kraus"],
+    [(3, 6), (2, 5), (1, 6)],
+    ids=["3x3-kraus", "odd-gamma0", "1x1-kraus"],
 )
 def test_generalized_rejects_operators_that_do_not_fit_the_system(kraus_dim, gamma0_dim):
-    # dim_sys = 2, dim_env = 3: the Kraus operators must be 2x2 and gamma0 6x6.
+    # The system is a qubit: the Kraus operators must be 2x2 and gamma0 of even size.
     meas = GeneralizedMeasurement(outcomes=(OutcomeMap(weights=(1.0,), kraus=(np.eye(kraus_dim, dtype=complex),)),))
     meas.validate()
-    with pytest.raises(InvalidMeasurement, match="2x2 on a 6x6"):
-        prepare_generalized(np.eye(gamma0_dim) / gamma0_dim, 2, 3, meas.outcomes[0])
+    with pytest.raises(InvalidMeasurement, match="2x2 on a square base state of even size"):
+        prepare_generalized(np.eye(gamma0_dim) / gamma0_dim, meas.outcomes[0])
 
 
 def test_primitive_rejects_an_operation_without_kraus_operators():
-    with pytest.raises(InvalidMeasurement, match="2x2 on a 4x4"):
-        prepare_generalized(np.eye(4) / 4, 2, 2, OutcomeMap(weights=(), kraus=()))
+    with pytest.raises(InvalidMeasurement, match="2x2 on a square base state"):
+        prepare_generalized(np.eye(4) / 4, OutcomeMap(weights=(), kraus=()))
 
 
 def test_generalized_outcome_probabilities_sum_to_one():
@@ -274,7 +239,7 @@ def test_generalized_outcome_probabilities_sum_to_one():
     for _ in range(10):
         meas = random_measurement(rng, int(rng.integers(1, 5)))
         gamma0 = rand_density(rng, 4)
-        total = sum(prepare_generalized(gamma0, 2, 2, meas.outcomes[j]).gamma for j in range(meas.num_outcomes))
+        total = sum(prepare_generalized(gamma0, meas.outcomes[j]).gamma for j in range(meas.num_outcomes))
         assert abs(total - 1.0) < 1e-10
 
 
@@ -315,7 +280,7 @@ def test_prepare_generalized_pin_to_mixed():
         )
     )
     meas.validate()
-    prepared = prepare_generalized(spec.gamma0, 2, 2, meas.outcomes[0])
+    prepared = prepare_generalized(spec.gamma0, meas.outcomes[0])
     big_x = tensor(x, IDENTITY_2)
     expected = big_x @ spec.gamma0 @ big_x
     gamma = np.trace(expected).real
@@ -331,7 +296,7 @@ MIXED_BLOCH = np.array([0.3, -0.2, 0.4])
 
 
 def oracle_scenario(rng, method: str, gamma0: np.ndarray, dim_env: int) -> Scenario:
-    spec = ProcessSpec(2, dim_env, rand_unitary(rng, 2 * dim_env), gamma0)
+    spec = ProcessSpec(rand_unitary(rng, 2 * dim_env), gamma0)
     generalized = method == "generalized"
     return Scenario(
         name=method,
@@ -347,7 +312,11 @@ def oracle_scenario(rng, method: str, gamma0: np.ndarray, dim_env: int) -> Scena
 
 
 def oracle_preparation(sc: Scenario, label: str, pinned: np.ndarray):
-    """The retired route of `label`, and whether it must match bit for bit."""
+    """The retired route of `label`, and whether it must match bit for bit.
+
+    Stochastic preparation was pin-then-rotate; the one replacement operation
+    that replaced it rounds differently, so it is compared within 1e-15.
+    """
     gamma0, dim_env = sc.spec.gamma0, sc.spec.dim_env
     if sc.prep_method == "generalized":
         return prepare_dense(gamma0, dim_env, sc.measurement.outcomes[sc.generalized_labels.index(label)]), False
@@ -357,19 +326,20 @@ def oracle_preparation(sc: Scenario, label: str, pinned: np.ndarray):
     if sc.prep_method == "measurement":
         return prepare_projective(gamma0, 2, dim_env, target, label=label), True
     v = rotation_between(ZERO_KET, ket_from_projector(target))
-    return prepare_stochastic(pinned if sc.prep_method == "stochastic" else gamma0, v, label=label), True
+    if sc.prep_method == "stochastic":
+        return prepare_stochastic(pinned, v), False
+    return prepare_stochastic(gamma0, v), True
 
 
 @pytest.mark.parametrize("dim_env", [1, 2, 3, 64])
 def test_primitive_matches_the_retired_routes(dim_env):
     rng = np.random.default_rng(60 + dim_env)
     gamma0 = rand_density(rng, 2 * dim_env)
-    pinned = apply_pin_map(gamma0, 2, dim_env, ZERO_STATE)
+    pinned = pin(gamma0, ZERO_STATE)
     for method in ("stochastic", "rotation_only", "measurement", "generalized"):
         sc = oracle_scenario(rng, method, gamma0, dim_env)
         for label in TWELVE_STATE_LABELS + ((MIXED_LABEL,) if sc.mixed_bloch is not None else ()):
-            base, operation = operation_of_label(sc, label, pinned)
-            got = prepare_generalized(base, 2, dim_env, operation, label=label)
+            got = prepare_generalized(gamma0, operation_of_label(sc, label), label=label)
             want, exact = oracle_preparation(sc, label, pinned)
             if exact:
                 assert got.joint.tobytes() == want.joint.tobytes(), (method, label)
@@ -379,11 +349,23 @@ def test_primitive_matches_the_retired_routes(dim_env):
                 assert abs(got.gamma - want.gamma) < 1e-15, (method, label)
 
 
+@pytest.mark.parametrize("dim_env", [1, 2, 3, 64])
+def test_stochastic_labels_prepare_the_projector_times_the_environment_marginal(dim_env):
+    # {|t><0|, |t><1|} replaces the system's state by P = |t><t| and leaves Tr_S gamma0 behind.
+    rng = np.random.default_rng(70 + dim_env)
+    gamma0 = rand_density(rng, 2 * dim_env)
+    sc = oracle_scenario(rng, "stochastic", gamma0, dim_env)
+    for label in TWELVE_STATE_LABELS:
+        prepared = prepare_generalized(gamma0, operation_of_label(sc, label))
+        assert prepared.gamma == 1.0, label
+        assert np.max(np.abs(prepared.joint - pin(gamma0, state_of_label(label)))) < 1e-15, label
+
+
 def test_trace_preserving_operation_keeps_gamma_one_exactly():
     rng = np.random.default_rng(15)
     joint = rand_density(rng, 4)
     v = rand_unitary(rng, 2)
-    prepared = prepare_generalized(joint, 2, 2, OutcomeMap(weights=(1.0,), kraus=(v,)))
+    prepared = prepare_generalized(joint, OutcomeMap(weights=(1.0,), kraus=(v,)))
     assert prepared.gamma == 1.0
     assert prepared.joint.tobytes() == prep.conjugate_system(v, joint).tobytes()
 
@@ -393,23 +375,23 @@ def test_primitive_zero_probability():
     gamma0 = 0.25 * (np.eye(4) + tensor(SIGMA_2, IDENTITY_2))
     operation = OutcomeMap(weights=(1.0,), kraus=(state_from_bloch([0, -1, 0]),))
     with pytest.raises(ZeroProbabilityOutcome, match="6-"):
-        prepare_generalized(gamma0, 2, 2, operation, label="6-")
+        prepare_generalized(gamma0, operation, label="6-")
 
 
 def test_factorization_cross_check_runs_for_rank_one_projectors_only(monkeypatch):
     calls = []
 
-    def broken_trace(joint, dim_sys, dim_env):
+    def broken_trace(joint):
         calls.append(joint.shape)
-        return np.zeros((dim_env, dim_env), dtype=complex)
+        return np.zeros((len(joint) // 2,) * 2, dtype=complex)
 
     monkeypatch.setattr(prep, "partial_trace_sys", broken_trace)
     gamma0 = va_spec().gamma0
     for kraus in ((state_from_bloch([0.5, 0, 0]),), (np.diag([1.0, 0.0]), np.diag([0.0, 0.5]))):
-        prepare_generalized(gamma0, 2, 2, OutcomeMap(weights=(1.0,) * len(kraus), kraus=kraus))
+        prepare_generalized(gamma0, OutcomeMap(weights=(1.0,) * len(kraus), kraus=kraus))
     assert calls == []
     with pytest.raises(ValueError, match="P \\(x\\) tau"):
-        prepare_generalized(gamma0, 2, 2, OutcomeMap(weights=(0.5,), kraus=(state_of_label("2+"),)))
+        prepare_generalized(gamma0, OutcomeMap(weights=(0.5,), kraus=(state_of_label("2+"),)))
     assert calls == [(4, 4)]
 
 
@@ -483,7 +465,7 @@ def test_dilation_route_equivalence_50_random():
             w, _ = build_dilation(meas)
             assert np.max(np.abs(w.conj().T @ w - np.eye(w.shape[0]))) < 1e-12
             for j in range(meas.num_outcomes):
-                prepared = prepare_generalized(gamma0, 2, dim_env, meas.outcomes[j])
+                prepared = prepare_generalized(gamma0, meas.outcomes[j])
                 prob, post = measure_generalized_via_dilation(gamma0, dim_env, meas, j)
                 assert abs(prepared.gamma - prob) < 1e-12
                 assert np.max(np.abs(prepared.joint - post)) < 1e-12

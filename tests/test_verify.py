@@ -53,7 +53,7 @@ def test_measurement_scenario_breaks_sum_rules():
 def test_identity_process_sum_rules():
     rng = np.random.default_rng(51)
     gamma0 = tensor(rand_density(rng, 2), rand_density(rng, 2))
-    spec = ProcessSpec(2, 2, np.eye(4, dtype=complex), gamma0)
+    spec = ProcessSpec(np.eye(4, dtype=complex), gamma0)
     residuals = linear_sum_rule_residuals(measured_records(spec, TWELVE_STATE_LABELS))
     # uncorrelated identity process is linear on the prepared inputs
     assert max(residuals.values()) < 1e-12
