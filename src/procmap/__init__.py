@@ -1,10 +1,11 @@
 """Open-system quantum process tomography with explicit state preparation.
 
 Every input is prepared by one primitive, `prepare_generalized`: an operation
-(`OutcomeMap`) on the system factor of the initial joint state gamma0,
-renormalized by its probability; every size is read off the arrays, and the
-system is one qubit (`qstate.DIM_SYS`).  Linear and bi-linear
-process maps are reconstructed from the resulting records, and a process is
+(`OutcomeMap`) on the system factor of the initial joint state gamma0, kept as
+its superoperator S with its probability gamma; every size is read off the
+arrays, and the system is one qubit (`qstate.DIM_SYS`).  Each record's output
+is S contracted with the process tensor M, built once from (U, gamma0).  Linear
+and bi-linear process maps are reconstructed from the records, and a process is
 classified as Linear, Bilinear, or Neither from a 12-projection protocol.
 """
 

@@ -15,6 +15,11 @@ the system index first: (i, a) -> i * dim_env + a.  The stored tensor is
 Hermitian in the exact sense conj(m[r,s,x,p,y,q]) = m[s,r,y,q,x,p], and its
 full trace sum_{r,p,x} m[r,r,x,p,x,p] is the system dimension, not 1.
 
+M also drives the simulation of every preparation, not only the measured ones:
+an operation with superoperator S = sum_a w_a C_a (x) conj(C_a) on the system
+factor of gamma0 gives gamma*Q[r,s] = sum S[(p,q),(x,y)] m[r,s,x,p,y,q], which
+is <P|M|P> for S = P (x) conj(P) (`dynamics.run_process`).
+
 The nine-projection qubit protocol determines every element combination of M
 needed to predict the output state and outcome probability for an arbitrary
 prepared projector; one extra mixed-state preparation (via a generalized

@@ -1,9 +1,13 @@
-"""Joint unitary evolution of prepared states and extraction of system outputs.
+"""The unknown process and the output it gives each preparation.
 
-The pipeline is: prepare the joint state, conjugate by the system+environment
-unitary, trace out the environment.  Also provides the exchange-coupling
-Hamiltonian used by the shipped scenarios and the fixed-environment dynamical
-map rho -> Tr_env[U (rho x tau) U'].
+A process is a system+environment unitary U and an initial joint state gamma0
+(`ProcessSpec`).  `run_process` reads a preparation's output off the process
+tensor M that `bilinear_tomo.build_M_from_dynamics` builds once from (U, gamma0):
+gamma*Q is M contracted with the preparation's superoperator S, which equals
+Tr_env[U J U'] for the joint state J = S applied to the system factor of gamma0,
+without forming J.  Also provides the
+exchange-coupling Hamiltonian used by the shipped scenarios and the
+fixed-environment dynamical map rho -> Tr_env[U (rho x tau) U'].
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bilinear_tomo import BilinearProcessMap
 from .linear_tomo import LinearProcessMap
 from .prep import PreparedState
 from .qstate import (
@@ -84,17 +89,20 @@ def unitary_from_hamiltonian(h: np.ndarray, t: float) -> np.ndarray:
     return u
 
 
-def run_process(spec: ProcessSpec, prepared: PreparedState) -> np.ndarray:
-    """Output state: evolve the prepared joint under spec.u and trace out the environment."""
-    joint = np.asarray(prepared.joint, dtype=complex)
-    if joint.shape != spec.u.shape:
-        raise ValueError(f"prepared joint has shape {joint.shape}, expected {spec.u.shape}")
-    # Tr_env[U J U'][i, j] = sum over (env a, column m) of (U J)[(i, a), m] conj(U[(j, a), m]):
-    # one product U J and one contraction, never forming U J U'.
-    out = (spec.u @ joint).reshape(DIM_SYS, -1) @ dagger(spec.u.reshape(DIM_SYS, -1))
-    # The joint was divided by gamma, so its rounding, and the output's, grows like 1/gamma.
-    if hermiticity_residual(out) * prepared.gamma > 1e-12:
+def run_process(bmap: BilinearProcessMap, prepared: PreparedState) -> np.ndarray:
+    """Output state of a preparation: gamma*Q[r, s] = sum S[(p, q), (x, y)] m[r, s, x, p, y, q].
+
+    Raises ValueError unless Tr(S M) is the preparation's gamma and gamma*Q is
+    Hermitian, each within 1e-12.
+    """
+    gq = np.einsum("rsxpyq,pqxy->rs", bmap.m, prepared.superop.reshape((DIM_SYS,) * 4))
+    trace = np.trace(gq)
+    if abs(trace - prepared.gamma) > 1e-12:
+        raise ValueError(f"Tr(S M) = {trace.real:.6e} differs from the preparation's gamma {prepared.gamma:.6e}")
+    if hermiticity_residual(gq) > 1e-12:
         raise ValueError("process output lost hermiticity")
+    # Divide by the trace of gamma*Q itself: dividing by gamma would leave Tr Q off by about 1e-8 at gamma ~ 1e-9.
+    out = gq / trace.real
     return 0.5 * (out + dagger(out))
 
 

@@ -1,11 +1,13 @@
 """State preparation for open-system experiments: one operation on gamma0.
 
 Every preparation is one outcome of an operation on the system factor of the
-initial joint state gamma0, renormalized by its probability gamma
-(`prepare_generalized`).  Stochastic preparation, a pin then a rotation to |t>,
-is the replacement {|t><0|, |t><1|}, so gamma = 1; rotation-only preparation
-applies a unitary; von Neumann measurement projects; a generalized measurement
-applies one outcome's positive trace-reducing map.
+initial joint state gamma0 (`prepare_generalized`).  It is recorded as the
+operation's superoperator S = sum_a w_a C_a (x) conj(C_a) and its probability
+gamma; the process tensor M turns S into the output (`dynamics.run_process`),
+so no joint state is formed.  Stochastic preparation, a pin then a rotation
+to |t>, is the replacement {|t><0|, |t><1|}, so gamma = 1; rotation-only
+preparation applies a unitary; von Neumann measurement projects; a generalized
+measurement applies one outcome's positive trace-reducing map.
 """
 
 from __future__ import annotations
@@ -15,20 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EXIT_ZERO_PROBABILITY, ProcmapError
-from .qstate import (
-    DIM_SYS,
-    STATE_TOL,
-    UNITARY_TOL,
-    conjugate_system,
-    dagger,
-    is_projector,
-    partial_trace_sys,
-    tensor,
-    validate_unitary,
-)
+from .qstate import DIM_SYS, STATE_TOL, UNITARY_TOL, dagger, tensor, validate_unitary
 
 ZERO_PROBABILITY_TOL = 1e-12
-FACTORIZATION_TOL = 1e-12
 
 
 class ZeroProbabilityOutcome(ProcmapError):
@@ -61,6 +52,13 @@ class OutcomeMap:
         """sum_a weights[a] * kraus[a]' @ kraus[a], the operator whose expectation is the outcome's probability."""
         return sum(w * (dagger(c) @ c) for w, c in zip(self.weights, self.kraus))
 
+    def superoperator(self) -> np.ndarray:
+        """sum_a weights[a] * kraus[a] (x) conj(kraus[a]), the 4x4 S with vec(map(rho)) = S vec(rho), rows first."""
+        # A weight of exactly 1.0 multiplies nothing: (1+0j) * z can flip the sign of a zero.
+        terms = [tensor(c, np.conj(c)) for c in self.kraus]
+        terms = [s if w == 1.0 else w * s for w, s in zip(self.weights, terms)]
+        return sum(terms[1:], terms[0])
+
 
 @dataclass(frozen=True)
 class GeneralizedMeasurement:
@@ -92,42 +90,39 @@ class GeneralizedMeasurement:
 
 @dataclass(frozen=True)
 class PreparedState:
-    """A post-preparation joint state with its outcome probability."""
+    """A preparation: its operation's 4x4 superoperator S on the system, and its outcome probability."""
 
-    joint: np.ndarray
+    superop: np.ndarray
     gamma: float
 
 
 def prepare_generalized(gamma0: np.ndarray, operation: OutcomeMap, label: str = "") -> PreparedState:
-    """Apply `operation` to the system factor of `gamma0` and renormalize by its probability.
+    """The superoperator of `operation` on the system factor of `gamma0`, and its probability.
 
-    gamma = Tr[sum_a w_a (C_a x 1) gamma0 (C_a x 1)'].  A trace-preserving operation
-    (sum_a w_a C_a'C_a = 1 within UNITARY_TOL) gives gamma = 1.0 exactly and no
-    division.  Raises InvalidMeasurement when the operators do not fit the qubit
-    system of gamma0, and ZeroProbabilityOutcome (naming `label`) when the
-    experiment never yields this input.
+    gamma = Tr[E Tr_env gamma0], E = sum_a w_a C_a'C_a the operation's effect.  A
+    trace-preserving operation (no row sum of |E - 1| above UNITARY_TOL / 2) gives
+    gamma = 1.0 exactly.
+    Raises InvalidMeasurement when the operators do not fit the qubit system of
+    gamma0, and ZeroProbabilityOutcome (naming `label`) when the experiment never
+    yields this input.
     """
     n = len(gamma0)
     if not operation.kraus or np.shape(gamma0) != (n, n) or n % DIM_SYS or any(
         c.shape != (DIM_SYS, DIM_SYS) for c in operation.kraus
     ):
         raise InvalidMeasurement(f"Kraus operators must be {DIM_SYS}x{DIM_SYS} on a square base state of even size")
-    # A weight of exactly 1.0 multiplies nothing: (1+0j) * z can flip the sign of a zero.
-    terms = [conjugate_system(c, gamma0) if w == 1.0 else w * conjugate_system(c, gamma0)
-             for w, c in zip(operation.weights, operation.kraus)]
-    acc = sum(terms[1:], terms[0])
-    if np.abs(operation.effect() - np.eye(DIM_SYS)).max() <= UNITARY_TOL:
-        return PreparedState(joint=acc, gamma=1.0)
-    gamma = float(np.trace(acc).real)
+    s = operation.superoperator()
+    # S summed over its equal output indices is E transposed: sum_a w_a C_a^T conj(C_a).
+    effect_t = np.trace(s.reshape((DIM_SYS,) * 4))
+    # |Tr[(E - 1) rho]| is at most the largest row sum of |E - 1|; keeping that within half of
+    # UNITARY_TOL keeps gamma = 1.0 inside run_process's 1e-12 check of Tr(S M).
+    if np.abs(effect_t - np.eye(DIM_SYS)).sum(axis=1).max() <= UNITARY_TOL / 2:
+        return PreparedState(superop=s, gamma=1.0)
+    rho = np.einsum("iaja->ij", np.reshape(gamma0, (DIM_SYS, n // DIM_SYS) * 2))
+    gamma = float(np.sum(effect_t * rho).real)
     if gamma < ZERO_PROBABILITY_TOL:
         raise ZeroProbabilityOutcome(f"preparation {label or 'outcome'} has probability {gamma:.3e}")
-    # A rank-1 projector P leaves P (x) tau; cross-check both forms when P is one to the check's
-    # own precision.  The check runs before the division by gamma, whose rounding grows like 1/gamma.
-    p = operation.kraus[0]
-    if len(operation.kraus) == 1 and is_projector(p, tol=FACTORIZATION_TOL):
-        if np.max(np.abs(acc - tensor(p, partial_trace_sys(acc)))) > FACTORIZATION_TOL:
-            raise ValueError("projected joint state does not factorize as P (x) tau")
-    return PreparedState(joint=acc / gamma, gamma=gamma)
+    return PreparedState(superop=s, gamma=gamma)
 
 
 def perpendicular_ket(ket: np.ndarray) -> np.ndarray:

@@ -39,21 +39,6 @@ def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
 
 
-def conjugate_system(k: np.ndarray, joint: np.ndarray) -> np.ndarray:
-    """(K x 1) joint (K x 1)' for an operator K on the system factor, without forming K x 1."""
-    k, joint = np.asarray(k, dtype=complex), np.asarray(joint, dtype=complex)
-    for _ in range(2):  # K contracts the system row index; the dagger turns it onto the columns
-        joint = dagger((k @ joint.reshape(k.shape[1], -1)).reshape(joint.shape))
-    return joint
-
-
-def partial_trace_sys(joint: np.ndarray) -> np.ndarray:
-    """Trace out the qubit system, leaving the environment marginal; the reshape rejects any other shape."""
-    dim_env = len(joint) // DIM_SYS
-    blocks = np.asarray(joint, dtype=complex).reshape(DIM_SYS, dim_env, DIM_SYS, dim_env)
-    return np.einsum("iaib->ab", blocks)
-
-
 def pauli_combination(a0: float, a: np.ndarray) -> np.ndarray:
     """Hermitian combination a0*1 + sum_j a_j sigma_j."""
     a = np.asarray(a, dtype=float)

@@ -6,8 +6,9 @@ is the one table of preparations, each one operation on the system factor of
 gamma0 for `prep.prepare_generalized`: stochastic, the pin-then-rotate
 replacement {|t><0|, |t><1|} onto the label's state |t>; rotation-only, V;
 measurement, P; generalized, the label's outcome map; the mixed record, X.
-Simulation walks the protocol labels, then `mixed`, prepares each input, runs
-the process and collects (input, output, gamma) records.  An optional
+Simulation builds the process tensor M once, walks the protocol labels, then
+`mixed`, prepares each input, reads its output off M and collects (input,
+output, gamma) records.  An optional
 finite-shot mode degrades the exact probabilities and outputs to multinomial
 estimates from a seeded generator.
 
@@ -15,7 +16,8 @@ The dataset holds the sha256 of the scenario file's bytes (`metadata.scenario_sh
 not the file, so reproducing a dataset needs its scenario file too; nothing reads
 the digest.  Shot-count and seed overrides live in the `shots` and `seed` metadata.
 A measurement-prepared dataset also carries `oracle`, the exact element table of
-the true process, computed here from the `ProcessSpec` already in hand.
+the true process, read off the same M as the records, so comparing a fit with it
+checks the bi-linear inversion only.
 """
 
 from __future__ import annotations
@@ -193,8 +195,8 @@ def parse_scenario(obj: dict, name: str = "scenario") -> Scenario:
                 raise ScenarioError("mixed_bloch requires the measurement preparation method")
 
         shots = _integer(obj, "shots", None)
-        if shots is not None and shots <= 0:
-            raise ScenarioError("shots must be positive")
+        if shots is not None and not 0 < shots < 2**63:  # numpy draws counts as C longs
+            raise ScenarioError("shots must be positive and below 2**63")
         seed = _integer(obj, "seed", None)
         if seed is not None and seed < 0:
             raise ScenarioError("seed must be non-negative")
@@ -270,13 +272,13 @@ def _degraded_gammas(rng: np.random.Generator, sc: Scenario, exact: dict[str, fl
 
 def simulate_scenario(sc: Scenario, scenario_sha256: str = "") -> Dataset:
     """Run the pipeline for every protocol label; `scenario_sha256` is the scenario file's digest."""
-    spec = sc.spec
+    bmap = build_M_from_dynamics(sc.spec)
     labels = PROTOCOL_LABELS[sc.protocol] + ((MIXED_LABEL,) if sc.mixed_bloch is not None else ())
     records = []
     for label in labels:
-        prep_state = prepare_generalized(spec.gamma0, operation_of_label(sc, label), label=label)
+        prep_state = prepare_generalized(sc.spec.gamma0, operation_of_label(sc, label), label=label)
         assumed = state_from_bloch(sc.mixed_bloch) if label == MIXED_LABEL else state_of_label(label)
-        q = run_process(spec, prep_state)
+        q = run_process(bmap, prep_state)
         records.append(TomographyRecord(label=label, input=assumed, output=q, gamma=prep_state.gamma))
 
     if sc.shots is not None:
@@ -295,7 +297,7 @@ def simulate_scenario(sc: Scenario, scenario_sha256: str = "") -> Dataset:
     }
     oracle = None
     if sc.prep_method == "measurement":  # the only preparation the bi-linear map describes
-        oracle = element_table_from_map(build_M_from_dynamics(spec)).elements
+        oracle = element_table_from_map(bmap).elements
     return Dataset(records=tuple(records), metadata=metadata, oracle=oracle)
 
 

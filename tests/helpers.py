@@ -14,7 +14,11 @@ The preparation routes that `prep.prepare_generalized` replaced are oracles
 for it: the pin of gamma0 and the stochastic rotation of the pinned state,
 projection with the P (x) tau cross-check, the completed measurement
 {X, sqrt(1 - X^2)} of the mixed record, and a dense (C x 1) evaluation of any
-outcome map.
+outcome map.  So is the joint-space route that the process tensor replaced
+(`prepare_joint`, `run_joint`): the operation applied to the system factor of
+gamma0 with (C x 1) never formed, then Tr_env[U J U'] from one product U J,
+with its helpers `conjugate_system` and `partial_trace_sys`; `joint_of` turns a
+library preparation back into the joint state it stands for.
 Then come the field-by-field bi-linear element table and its prediction loop,
 which the stacked table and its probe contraction replaced, and the matrix
 element <A|M|B> they are built from.  Last is the dilation of a generalized
@@ -37,14 +41,15 @@ from procmap.prep import (
     GeneralizedMeasurement,
     InvalidMeasurement,
     OutcomeMap,
-    PreparedState,
     ZeroProbabilityOutcome,
 )
 from procmap.qstate import (
+    DIM_SYS,
     IDENTITY_2,
     PAULIS,
-    conjugate_system,
+    UNITARY_TOL,
     dagger,
+    hermiticity_residual,
     is_projector,
     tensor,
     validate_unitary,
@@ -89,6 +94,31 @@ def rand_density(rng, d: int) -> np.ndarray:
 def rand_unit_bloch(rng) -> np.ndarray:
     v = rng.normal(size=3)
     return v / np.linalg.norm(v)
+
+
+def random_measurement(rng, mu: int, dim: int = 2, max_kraus: int = 3) -> GeneralizedMeasurement:
+    """Random valid measurement: normalize arbitrary Kraus sets to completeness."""
+    raw = []
+    for _ in range(mu):
+        k = int(rng.integers(1, max_kraus + 1))
+        raw.append(
+            [
+                (float(rng.uniform(0.2, 1.5)), rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+                for _ in range(k)
+            ]
+        )
+    total = np.zeros((dim, dim), dtype=complex)
+    for maps in raw:
+        for w, c in maps:
+            total += w * c.conj().T @ c
+    vals, vecs = np.linalg.eigh(total)
+    inv_sqrt = (vecs / np.sqrt(vals)) @ vecs.conj().T
+    return GeneralizedMeasurement(
+        outcomes=tuple(
+            OutcomeMap(weights=tuple(w for w, _ in maps), kraus=tuple(c @ inv_sqrt for _, c in maps))
+            for maps in raw
+        )
+    )
 
 
 def partial_trace_env(joint: np.ndarray, dim_sys: int, dim_env: int) -> np.ndarray:
@@ -156,23 +186,86 @@ def va_spec(t: float = T_DEMO, a2: float = A2_DEMO, c23: float = C23_DEMO) -> Pr
     return ProcessSpec(u=u, gamma0=gamma0)
 
 
+@dataclass(frozen=True)
+class JointState:
+    """A post-preparation joint state with its outcome probability."""
+
+    joint: np.ndarray
+    gamma: float
+
+
+def conjugate_system(k: np.ndarray, joint: np.ndarray) -> np.ndarray:
+    """(K x 1) joint (K x 1)' for an operator K on the system factor, without forming K x 1."""
+    k, joint = np.asarray(k, dtype=complex), np.asarray(joint, dtype=complex)
+    for _ in range(2):  # K contracts the system row index; the dagger turns it onto the columns
+        joint = dagger((k @ joint.reshape(k.shape[1], -1)).reshape(joint.shape))
+    return joint
+
+
+def partial_trace_sys(joint: np.ndarray) -> np.ndarray:
+    """Trace out the qubit system, leaving the environment marginal; the reshape rejects any other shape."""
+    dim_env = len(joint) // DIM_SYS
+    blocks = np.asarray(joint, dtype=complex).reshape(DIM_SYS, dim_env, DIM_SYS, dim_env)
+    return np.einsum("iaib->ab", blocks)
+
+
+def prepare_joint(gamma0: np.ndarray, operation: OutcomeMap, label: str = "") -> JointState:
+    """The joint-space preparation: sum_a w_a (C_a x 1) gamma0 (C_a x 1)' over its trace gamma.
+
+    A trace-preserving operation gives gamma = 1.0 and no division.  A rank-1
+    projector P must leave P (x) tau, checked before the division by gamma.
+    """
+    terms = [conjugate_system(c, gamma0) if w == 1.0 else w * conjugate_system(c, gamma0)
+             for w, c in zip(operation.weights, operation.kraus)]
+    acc = sum(terms[1:], terms[0])
+    if np.abs(operation.effect() - np.eye(DIM_SYS)).max() <= UNITARY_TOL:
+        return JointState(joint=acc, gamma=1.0)
+    gamma = float(np.trace(acc).real)
+    if gamma < ZERO_PROBABILITY_TOL:
+        raise ZeroProbabilityOutcome(f"preparation {label or 'outcome'} has probability {gamma:.3e}")
+    p = operation.kraus[0]
+    if len(operation.kraus) == 1 and is_projector(p, tol=1e-12):
+        if np.max(np.abs(acc - tensor(p, partial_trace_sys(acc)))) > 1e-12:
+            raise ValueError("projected joint state does not factorize as P (x) tau")
+    return JointState(joint=acc / gamma, gamma=gamma)
+
+
+def run_joint(spec: ProcessSpec, prepared: JointState) -> np.ndarray:
+    """Tr_env[U J U'] of a prepared joint state, from one product U J; never forms U J U'."""
+    out = (spec.u @ prepared.joint).reshape(DIM_SYS, -1) @ dagger(spec.u.reshape(DIM_SYS, -1))
+    if hermiticity_residual(out) * prepared.gamma > 1e-12:
+        raise ValueError("process output lost hermiticity")
+    return 0.5 * (out + dagger(out))
+
+
+def joint_of(prepared, gamma0: np.ndarray) -> np.ndarray:
+    """The joint state a library preparation stands for: S applied to the system factor of gamma0, over gamma.
+
+    J[(p, a), (q, b)] = sum_{x, y} S[(p, q), (x, y)] gamma0[(x, a), (y, b)] / gamma.
+    """
+    nb = len(gamma0) // DIM_SYS
+    g4 = np.asarray(gamma0, dtype=complex).reshape(DIM_SYS, nb, DIM_SYS, nb)
+    s4 = prepared.superop.reshape((DIM_SYS,) * 4)
+    return np.einsum("pqxy,xayb->paqb", s4, g4).reshape(len(gamma0), len(gamma0)) / prepared.gamma
+
+
 def pin(gamma0: np.ndarray, target: np.ndarray) -> np.ndarray:
     """Pin the qubit system to the pure state `target`: target (x) tau, tau the environment marginal of gamma0."""
     nb = len(gamma0) // 2
     return tensor(target, np.einsum("iaib->ab", np.asarray(gamma0).reshape(2, nb, 2, nb)))
 
 
-def prepare_stochastic(joint_pinned: np.ndarray, v: np.ndarray) -> PreparedState:
+def prepare_stochastic(joint_pinned: np.ndarray, v: np.ndarray) -> JointState:
     """Rotate a pinned joint state by a system unitary; outcome probability is 1."""
     validate_unitary(v)
     dim_sys = v.shape[0]
     d = np.asarray(joint_pinned).shape[0]
     if d % dim_sys:
         raise ValueError("joint dimension is not a multiple of the system dimension")
-    return PreparedState(joint=conjugate_system(v, joint_pinned), gamma=1.0)
+    return JointState(joint=conjugate_system(v, joint_pinned), gamma=1.0)
 
 
-def prepare_projective(gamma0: np.ndarray, dim_sys: int, dim_env: int, p: np.ndarray, label: str = "") -> PreparedState:
+def prepare_projective(gamma0: np.ndarray, dim_sys: int, dim_env: int, p: np.ndarray, label: str = "") -> JointState:
     """Prepare by a von Neumann measurement outcome: project and renormalize.
 
     gamma = Tr[(P x 1) gamma0], the probability of obtaining this input state.
@@ -191,7 +284,7 @@ def prepare_projective(gamma0: np.ndarray, dim_sys: int, dim_env: int, p: np.nda
     tau = np.einsum("iaib->ab", joint.reshape(dim_sys, dim_env, dim_sys, dim_env))
     if np.max(np.abs(joint - tensor(p, tau))) > 1e-12:
         raise ValueError("projected joint state does not factorize as P (x) tau")
-    return PreparedState(joint=joint, gamma=gamma)
+    return JointState(joint=joint, gamma=gamma)
 
 
 def mixed_preparation_measurement(x: np.ndarray) -> GeneralizedMeasurement:
@@ -210,14 +303,14 @@ def mixed_preparation_measurement(x: np.ndarray) -> GeneralizedMeasurement:
     )
 
 
-def prepare_dense(base: np.ndarray, dim_env: int, operation: OutcomeMap) -> PreparedState:
+def prepare_dense(base: np.ndarray, dim_env: int, operation: OutcomeMap) -> JointState:
     """sum_a w_a (C_a x 1) base (C_a x 1)' / gamma with every C_a x 1 formed densely."""
     acc = 0
     for w, c in zip(operation.weights, operation.kraus):
         big = tensor(c, np.eye(dim_env))
         acc = acc + w * (big @ base @ dagger(big))
     gamma = float(np.trace(acc).real)
-    return PreparedState(joint=acc / gamma, gamma=gamma)
+    return JointState(joint=acc / gamma, gamma=gamma)
 
 
 def measured_records(spec: ProcessSpec, labels) -> list[TomographyRecord]:

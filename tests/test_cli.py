@@ -146,6 +146,7 @@ BAD_SCENARIOS = {
     "dimB-float": {**PINNED, "dimB": 2.5},
     "shots-true": {**STOCHASTIC, "shots": True},
     "shots-float": {**STOCHASTIC, "shots": 1.5},
+    "shots-2**63": {**STOCHASTIC, "shots": 2**63},
     "seed-string": {**STOCHASTIC, "shots": 100, "seed": "7"},
     "t-string": {**MEASUREMENT, "t": "1"},
     "t-true": {**MEASUREMENT, "t": True},
@@ -197,6 +198,7 @@ BAD_SCENARIO_WORDS = {
     "dimB-float": "dimB",
     "shots-true": "shots",
     "shots-float": "shots",
+    "shots-2**63": "shots",
     "seed-string": "seed",
     "t-string": "t must be a JSON number",
     "t-true": "t must be a JSON number",
@@ -267,7 +269,7 @@ def test_rounded_projector_measurement_simulates(tmp_path, capsys):
 @pytest.mark.parametrize("direction", "123456")
 def test_nearly_excluded_direction_runs_every_command(direction, eta, tmp_path, capsys):
     # gamma0 = (1 - eta) rho(-d) (x) 1/2 + eta 1/4 gives the d+ outcome probability eta / 2, and the
-    # rounding of the prepared joint state, once divided by that gamma, grows like 1 / eta.
+    # rounding of that record's gamma*Q, once divided by so small a trace, grows like 1 / eta.
     rho = state_of_label(f"{direction}-")
     gamma0 = (1.0 - eta) * np.kron(rho, 0.5 * np.eye(2)) + eta * np.eye(4) / 4.0
     simulate(tmp_path, capsys, gamma0=jsonio.matrix_to_json(gamma0))
@@ -435,7 +437,7 @@ def test_huge_record_input_exits_2_at_once(tmp_path, capsys):
 @pytest.mark.parametrize("demo", ["stochastic-heisenberg", "measurement-correlated", "imperfect-pin"])
 def test_finite_shot_datasets_load(demo):
     for shots in (1000, 100000):
-        for seed in range(10):
+        for seed in range(50):
             config = {**demo_scenario_config(demo), "shots": shots, "seed": seed}
             dataset = simulate_scenario(parse_scenario(config, name=demo))
             assert dataset.metadata["shots"] == str(shots)
@@ -597,6 +599,14 @@ def simulate_shots(tmp_path, capsys, shots, seed, name):
     argv = ["simulate", scenario, "--shots", shots, "--seed", seed, "--out", out]
     assert run(argv, capsys) == (EXIT_OK, "")
     return out.read_text()
+
+
+@pytest.mark.parametrize("shots, code", [(2**63 - 1, EXIT_OK), (2**70, EXIT_BAD_CONFIG)], ids=["2**63-1", "2**70"])
+def test_shot_override_fits_the_binomial_sampler(shots, code, tmp_path, capsys):
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(jsonio.dumps(demo_scenario_config("measurement-correlated")))
+    got, err = run(["simulate", scenario, "--shots", shots, "--out", tmp_path / "dataset.json"], capsys)
+    assert got == code and ("shots" in err) == (code != EXIT_OK), err
 
 
 def test_finite_shot_dataset_is_seeded(tmp_path, capsys):

@@ -7,11 +7,14 @@ from helpers import (
     T_DEMO,
     brute_force_output,
     closed_form_lambda_s,
+    joint_of,
+    prepare_dense,
     rand_density,
     rand_unitary,
     reference_dynamical_map,
     va_spec,
 )
+from procmap.bilinear_tomo import build_M_from_dynamics
 from procmap.dynamics import (
     ProcessSpec,
     correlated_pair_state,
@@ -68,12 +71,22 @@ def test_unitary_rejects_non_hermitian():
         unitary_from_hamiltonian(np.array([[0, 1], [0, 0]], dtype=complex), 0.5)
 
 
+def random_operation(rng) -> OutcomeMap:
+    """One Kraus operator, neither Hermitian nor unitary, scaled so that its effect is at most 1."""
+    c = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    return OutcomeMap(weights=(float(rng.uniform(0.2, 1.0)),), kraus=(c / np.linalg.norm(c, 2),))
+
+
 def test_pinned_plus_state_output():
     # At t = pi/8 the exchange coupling shrinks the Bloch vector by cos^2(pi/4) = 1/2.
     u = unitary_from_hamiltonian(heisenberg_hamiltonian(), T_DEMO)
-    joint = tensor(state_from_bloch([1, 0, 0]), 0.5 * IDENTITY_2)
     spec = ProcessSpec(u, tensor(0.5 * IDENTITY_2, 0.5 * IDENTITY_2))
-    out = run_process(spec, PreparedState(joint=joint, gamma=1.0))
+    plus = np.array([1.0, 1.0]) / np.sqrt(2.0)
+    replace = OutcomeMap(weights=(1.0, 1.0), kraus=tuple(np.outer(plus, e) for e in np.eye(2)))
+    prepared = prepare_generalized(spec.gamma0, replace)
+    pinned = tensor(state_from_bloch([1, 0, 0]), 0.5 * IDENTITY_2)
+    assert np.max(np.abs(joint_of(prepared, spec.gamma0) - pinned)) < 1e-15
+    out = run_process(build_M_from_dynamics(spec), prepared)
     assert np.max(np.abs(out - state_from_bloch([0.5, 0, 0]))) < 1e-12
 
 
@@ -83,13 +96,14 @@ def test_identity_dynamics_with_projective_prep():
     spec = ProcessSpec(np.eye(4, dtype=complex), gamma0)
     p = state_from_bloch([0, 0, 1])
     prepared = prepare_generalized(gamma0, OutcomeMap(weights=(1.0,), kraus=(p,)))
-    out = run_process(spec, prepared)
+    out = run_process(build_M_from_dynamics(spec), prepared)
     assert np.max(np.abs(out - p)) < 1e-12
 
 
 def test_measurement_prep_outputs_golden():
     # Outputs of the correlated-pair example at t = pi/8, a2 = 0.5, c23 = 0.3.
     spec = va_spec()
+    bmap = build_M_from_dynamics(spec)
     expected = {
         (1, 0, 0): [0.5, 0, 0],
         (-1, 0, 0): [-0.5, 0, 0],
@@ -100,10 +114,10 @@ def test_measurement_prep_outputs_golden():
     for bloch_in, bloch_out in expected.items():
         projector = OutcomeMap(weights=(1.0,), kraus=(state_from_bloch(bloch_in),))
         prepared = prepare_generalized(spec.gamma0, projector)
-        out = run_process(spec, prepared)
+        out = run_process(bmap, prepared)
         assert np.max(np.abs(bloch_vector(out) - np.asarray(bloch_out))) < 1e-12
         # cross-check against the loop-based pipeline oracle
-        oracle = brute_force_output(spec.u, prepared.joint, 2, 2)
+        oracle = brute_force_output(spec.u, joint_of(prepared, spec.gamma0), 2, 2)
         assert np.max(np.abs(out - oracle)) < 1e-13
 
 
@@ -112,31 +126,48 @@ def test_run_process_matches_loop_oracle(dim_env):
     rng = np.random.default_rng(40 + dim_env)
     d = 2 * dim_env
     spec = ProcessSpec(rand_unitary(rng, d), rand_density(rng, d))
+    bmap = build_M_from_dynamics(spec)
     for _ in range(3):
-        joint = rand_density(rng, d)
-        out = run_process(spec, PreparedState(joint=joint, gamma=1.0))
-        assert np.max(np.abs(out - brute_force_output(spec.u, joint, 2, dim_env))) < 1e-13
+        # The oracle forms every C x 1 densely, then conjugates by U and traces the environment by loops.
+        operation = random_operation(rng)
+        dense = prepare_dense(spec.gamma0, dim_env, operation)
+        out = run_process(bmap, prepare_generalized(spec.gamma0, operation))
+        assert np.max(np.abs(out - brute_force_output(spec.u, dense.joint, 2, dim_env))) < 1e-13
 
 
 def test_run_process_output_is_state():
     rng = np.random.default_rng(22)
     for _ in range(10):
         spec = ProcessSpec(rand_unitary(rng, 4), rand_density(rng, 4))
-        prepared = PreparedState(joint=rand_density(rng, 4), gamma=1.0)
-        out = run_process(spec, prepared)
+        prepared = prepare_generalized(spec.gamma0, random_operation(rng))
+        out = run_process(build_M_from_dynamics(spec), prepared)
         validate_density_matrix(out)
 
 
 def test_run_process_linear_in_joint():
+    # The prepared joint state is linear in S; mixing two trace-preserving S keeps gamma = 1.
     rng = np.random.default_rng(23)
     spec = ProcessSpec(rand_unitary(rng, 4), rand_density(rng, 4))
-    j1, j2 = rand_density(rng, 4), rand_density(rng, 4)
+    bmap = build_M_from_dynamics(spec)
+    s1, s2 = (prepare_generalized(spec.gamma0, OutcomeMap(weights=(1.0,), kraus=(rand_unitary(rng, 2),))).superop
+              for _ in range(2))
     alpha = 0.37
-    mixed = run_process(spec, PreparedState(joint=alpha * j1 + (1 - alpha) * j2, gamma=1.0))
-    split = alpha * run_process(spec, PreparedState(joint=j1, gamma=1.0)) + (
+    mixed = run_process(bmap, PreparedState(superop=alpha * s1 + (1 - alpha) * s2, gamma=1.0))
+    split = alpha * run_process(bmap, PreparedState(superop=s1, gamma=1.0)) + (
         1 - alpha
-    ) * run_process(spec, PreparedState(joint=j2, gamma=1.0))
+    ) * run_process(bmap, PreparedState(superop=s2, gamma=1.0))
     assert np.max(np.abs(mixed - split)) < 1e-12
+
+
+def test_run_process_rejects_a_gamma_that_is_not_tr_s_m():
+    # Tr(S M) is the preparation's probability; a record whose gamma disagrees beyond 1e-12 never leaves.
+    spec = va_spec()
+    bmap = build_M_from_dynamics(spec)
+    prepared = prepare_generalized(spec.gamma0, OutcomeMap(weights=(1.0,), kraus=(state_from_bloch([0, 1, 0]),)))
+    assert prepared.gamma == pytest.approx(0.75, abs=1e-15)
+    run_process(bmap, PreparedState(superop=prepared.superop, gamma=prepared.gamma + 5e-13))
+    with pytest.raises(ValueError, match=r"Tr\(S M\) = 7\.5"):
+        run_process(bmap, PreparedState(superop=prepared.superop, gamma=prepared.gamma + 2e-12))
 
 
 def test_fixed_env_map_identity():
@@ -181,3 +212,15 @@ def test_fixed_env_map_matches_matrix_unit_loop(dim_env):
     tau = rand_density(rng, dim_env)
     lam = dynamical_map_fixed_env(u, tau)
     assert np.max(np.abs(lam.mat - reference_dynamical_map(u, tau))) < 1e-13
+
+
+@pytest.mark.parametrize("delta", [0.2e-12, 0.6e-12, 0.98e-12])
+def test_nearly_trace_preserving_operation_passes_the_tr_s_m_check(delta):
+    # E = 1 + delta (1 + sigma_1) moves the probability of |+> by 2 delta; gamma = 1.0 only while that stays
+    # within half of UNITARY_TOL, so Tr(S M) never lands more than 1e-12 from gamma.
+    plus = state_from_bloch([1, 0, 0])
+    spec = ProcessSpec(np.eye(4, dtype=complex), tensor(plus, 0.5 * IDENTITY_2))
+    w, v = np.linalg.eigh(IDENTITY_2 + delta * (IDENTITY_2 + SIGMA_1))
+    prepared = prepare_generalized(spec.gamma0, OutcomeMap(weights=(1.0,), kraus=((v * np.sqrt(w)) @ v.conj().T,)))
+    assert (prepared.gamma == 1.0) == (2 * delta <= 0.5e-12)
+    assert np.max(np.abs(run_process(build_M_from_dynamics(spec), prepared) - plus)) < 1e-12

@@ -5,18 +5,21 @@ import pytest
 
 from helpers import (
     build_dilation,
+    joint_of,
     measure_generalized_via_dilation,
     mixed_preparation_measurement,
     partial_trace_env,
+    partial_trace_sys,
     pin,
     prepare_dense,
     prepare_projective,
     prepare_stochastic,
     rand_density,
     rand_unitary,
+    random_measurement,
     va_spec,
 )
-from procmap import jsonio, prep
+from procmap import jsonio
 from procmap.dynamics import ProcessSpec
 from procmap.prep import (
     GeneralizedMeasurement,
@@ -34,7 +37,6 @@ from procmap.qstate import (
     SIGMA_3,
     bloch_vector,
     ket_from_projector,
-    partial_trace_sys,
     state_from_bloch,
     tensor,
 )
@@ -43,31 +45,6 @@ from procmap.scenarios import ZERO_KET, ZERO_STATE, Scenario, operation_of_label
 
 KET0 = np.array([1, 0], dtype=complex)
 P3_PLUS = np.diag([1.0, 0.0]).astype(complex)
-
-
-def random_measurement(rng, mu: int, dim: int = 2, max_kraus: int = 3) -> GeneralizedMeasurement:
-    """Random valid measurement: normalize arbitrary Kraus sets to completeness."""
-    raw = []
-    for _ in range(mu):
-        k = int(rng.integers(1, max_kraus + 1))
-        raw.append(
-            [
-                (float(rng.uniform(0.2, 1.5)), rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
-                for _ in range(k)
-            ]
-        )
-    total = np.zeros((dim, dim), dtype=complex)
-    for maps in raw:
-        for w, c in maps:
-            total += w * c.conj().T @ c
-    vals, vecs = np.linalg.eigh(total)
-    inv_sqrt = (vecs / np.sqrt(vals)) @ vecs.conj().T
-    return GeneralizedMeasurement(
-        outcomes=tuple(
-            OutcomeMap(weights=tuple(w for w, _ in maps), kraus=tuple(c @ inv_sqrt for _, c in maps))
-            for maps in raw
-        )
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +167,7 @@ def test_generalized_identity_map():
     rho = rand_density(rng, 2)
     prepared = prepare_generalized(rho, meas.outcomes[0])
     assert abs(prepared.gamma - 1.0) < 1e-12
-    assert np.max(np.abs(prepared.joint - rho)) < 1e-12
+    assert np.max(np.abs(joint_of(prepared, rho) - rho)) < 1e-12
 
 
 def test_generalized_projective_on_mixed():
@@ -203,7 +180,7 @@ def test_generalized_projective_on_mixed():
     for j, target in ((0, np.diag([1.0, 0.0])), (1, np.diag([0.0, 1.0]))):
         prepared = prepare_generalized(0.5 * IDENTITY_2, meas.outcomes[j])
         assert abs(prepared.gamma - 0.5) < 1e-12
-        assert np.max(np.abs(prepared.joint - target)) < 1e-12
+        assert np.max(np.abs(joint_of(prepared, 0.5 * IDENTITY_2) - target)) < 1e-12
 
 
 def test_generalized_completeness_check():
@@ -285,7 +262,7 @@ def test_prepare_generalized_pin_to_mixed():
     expected = big_x @ spec.gamma0 @ big_x
     gamma = np.trace(expected).real
     assert abs(prepared.gamma - gamma) < 1e-12
-    assert np.max(np.abs(prepared.joint - expected / gamma)) < 1e-12
+    assert np.max(np.abs(joint_of(prepared, spec.gamma0) - expected / gamma)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -312,23 +289,17 @@ def oracle_scenario(rng, method: str, gamma0: np.ndarray, dim_env: int) -> Scena
 
 
 def oracle_preparation(sc: Scenario, label: str, pinned: np.ndarray):
-    """The retired route of `label`, and whether it must match bit for bit.
-
-    Stochastic preparation was pin-then-rotate; the one replacement operation
-    that replaced it rounds differently, so it is compared within 1e-15.
-    """
+    """The retired joint-space route of `label`: pin-then-rotate, rotation, projection or a dense map."""
     gamma0, dim_env = sc.spec.gamma0, sc.spec.dim_env
     if sc.prep_method == "generalized":
-        return prepare_dense(gamma0, dim_env, sc.measurement.outcomes[sc.generalized_labels.index(label)]), False
+        return prepare_dense(gamma0, dim_env, sc.measurement.outcomes[sc.generalized_labels.index(label)])
     if label == MIXED_LABEL:
-        return prepare_dense(gamma0, dim_env, mixed_preparation_measurement(state_from_bloch(MIXED_BLOCH)).outcomes[0]), False
+        return prepare_dense(gamma0, dim_env, mixed_preparation_measurement(state_from_bloch(MIXED_BLOCH)).outcomes[0])
     target = state_of_label(label)
     if sc.prep_method == "measurement":
-        return prepare_projective(gamma0, 2, dim_env, target, label=label), True
+        return prepare_projective(gamma0, 2, dim_env, target, label=label)
     v = rotation_between(ZERO_KET, ket_from_projector(target))
-    if sc.prep_method == "stochastic":
-        return prepare_stochastic(pinned, v), False
-    return prepare_stochastic(gamma0, v), True
+    return prepare_stochastic(pinned if sc.prep_method == "stochastic" else gamma0, v)
 
 
 @pytest.mark.parametrize("dim_env", [1, 2, 3, 64])
@@ -339,14 +310,11 @@ def test_primitive_matches_the_retired_routes(dim_env):
     for method in ("stochastic", "rotation_only", "measurement", "generalized"):
         sc = oracle_scenario(rng, method, gamma0, dim_env)
         for label in TWELVE_STATE_LABELS + ((MIXED_LABEL,) if sc.mixed_bloch is not None else ()):
+            # The superoperator route rounds differently from every retired route, so none matches bit for bit.
             got = prepare_generalized(gamma0, operation_of_label(sc, label), label=label)
-            want, exact = oracle_preparation(sc, label, pinned)
-            if exact:
-                assert got.joint.tobytes() == want.joint.tobytes(), (method, label)
-                assert got.gamma == want.gamma, (method, label)
-            else:
-                assert np.max(np.abs(got.joint - want.joint)) < 1e-15, (method, label)
-                assert abs(got.gamma - want.gamma) < 1e-15, (method, label)
+            want = oracle_preparation(sc, label, pinned)
+            assert np.max(np.abs(joint_of(got, gamma0) - want.joint)) < 1e-15, (method, label)
+            assert abs(got.gamma - want.gamma) < 1e-15, (method, label)
 
 
 @pytest.mark.parametrize("dim_env", [1, 2, 3, 64])
@@ -358,7 +326,7 @@ def test_stochastic_labels_prepare_the_projector_times_the_environment_marginal(
     for label in TWELVE_STATE_LABELS:
         prepared = prepare_generalized(gamma0, operation_of_label(sc, label))
         assert prepared.gamma == 1.0, label
-        assert np.max(np.abs(prepared.joint - pin(gamma0, state_of_label(label)))) < 1e-15, label
+        assert np.max(np.abs(joint_of(prepared, gamma0) - pin(gamma0, state_of_label(label)))) < 1e-15, label
 
 
 def test_trace_preserving_operation_keeps_gamma_one_exactly():
@@ -367,7 +335,7 @@ def test_trace_preserving_operation_keeps_gamma_one_exactly():
     v = rand_unitary(rng, 2)
     prepared = prepare_generalized(joint, OutcomeMap(weights=(1.0,), kraus=(v,)))
     assert prepared.gamma == 1.0
-    assert prepared.joint.tobytes() == prep.conjugate_system(v, joint).tobytes()
+    assert prepared.superop.tobytes() == tensor(v, v.conj()).tobytes()
 
 
 def test_primitive_zero_probability():
@@ -376,23 +344,6 @@ def test_primitive_zero_probability():
     operation = OutcomeMap(weights=(1.0,), kraus=(state_from_bloch([0, -1, 0]),))
     with pytest.raises(ZeroProbabilityOutcome, match="6-"):
         prepare_generalized(gamma0, operation, label="6-")
-
-
-def test_factorization_cross_check_runs_for_rank_one_projectors_only(monkeypatch):
-    calls = []
-
-    def broken_trace(joint):
-        calls.append(joint.shape)
-        return np.zeros((len(joint) // 2,) * 2, dtype=complex)
-
-    monkeypatch.setattr(prep, "partial_trace_sys", broken_trace)
-    gamma0 = va_spec().gamma0
-    for kraus in ((state_from_bloch([0.5, 0, 0]),), (np.diag([1.0, 0.0]), np.diag([0.0, 0.5]))):
-        prepare_generalized(gamma0, OutcomeMap(weights=(1.0,) * len(kraus), kraus=kraus))
-    assert calls == []
-    with pytest.raises(ValueError, match="P \\(x\\) tau"):
-        prepare_generalized(gamma0, OutcomeMap(weights=(0.5,), kraus=(state_of_label("2+"),)))
-    assert calls == [(4, 4)]
 
 
 def test_outcome_map_rejects_negative_weights():
@@ -468,4 +419,4 @@ def test_dilation_route_equivalence_50_random():
                 prepared = prepare_generalized(gamma0, meas.outcomes[j])
                 prob, post = measure_generalized_via_dilation(gamma0, dim_env, meas, j)
                 assert abs(prepared.gamma - prob) < 1e-12
-                assert np.max(np.abs(prepared.joint - post)) < 1e-12
+                assert np.max(np.abs(joint_of(prepared, gamma0) - post)) < 1e-12

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import mixed_preparation_measurement, partial_trace_env, rand_density, rand_unitary
+from helpers import conjugate_system, mixed_preparation_measurement, partial_trace_env, rand_density, rand_unitary
 from procmap import jsonio
 from procmap.qstate import (
     IDENTITY_2,
@@ -9,7 +9,6 @@ from procmap.qstate import (
     SIGMA_2,
     SIGMA_3,
     bloch_vector,
-    conjugate_system,
     dagger,
     eig_hermitian,
     is_projector,
