@@ -42,7 +42,7 @@ from .linear_tomo import apply_linear_map, map_diagnostics, reconstruct_linear_m
 from .qstate import bloch_vector
 from .records import LINEAR4_LABELS, MIXED_LABEL, NINE_STATE_LABELS, TWELVE_STATE_LABELS, Dataset
 from .scenarios import DEMO_NAMES, ScenarioError, demo_scenario_config, parse_scenario, simulate_scenario
-from .verify import classify
+from .verify import DEFAULT_TOL_BILINEAR, DEFAULT_TOL_LINEAR, classify
 
 
 def _diag(message: str) -> None:
@@ -245,8 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify", help="run the 12-state linearity verification protocol")
     p_ver.add_argument("dataset", help="dataset JSON file")
-    p_ver.add_argument("--tol-linear", type=float, default=1e-6, dest="tol_linear")
-    p_ver.add_argument("--tol-bilinear", type=float, default=1e-6, dest="tol_bilinear")
+    p_ver.add_argument("--tol-linear", type=float, default=DEFAULT_TOL_LINEAR, dest="tol_linear")
+    p_ver.add_argument("--tol-bilinear", type=float, default=DEFAULT_TOL_BILINEAR, dest="tol_bilinear")
     p_ver.add_argument("--out", help="write report JSON here instead of stdout")
     p_ver.set_defaults(func=cmd_verify)
 

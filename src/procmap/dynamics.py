@@ -23,7 +23,6 @@ from .qstate import (
     DIM_SYS,
     PAULIS,
     dagger,
-    eig_hermitian,
     hermiticity_residual,
     tensor,
     validate_density_matrix,
@@ -83,9 +82,11 @@ def correlated_pair_state(bloch_a, c23: float, what: str = "density matrix") -> 
 
 def unitary_from_hamiltonian(h: np.ndarray, t: float) -> np.ndarray:
     """exp(-i h t) computed through the Hermitian eigendecomposition of h."""
-    w, v = eig_hermitian(h, tol=1e-10, what="hamiltonian")
+    if hermiticity_residual(h) > 1e-10:
+        raise ValueError("hamiltonian is not Hermitian within tolerance")
+    w, v = np.linalg.eigh(h)
     u = (v * np.exp(-1j * w * t)) @ dagger(v)
-    validate_unitary(u, tol=1e-12)
+    validate_unitary(u)
     return u
 
 

@@ -6,8 +6,10 @@ operation's superoperator S = sum_a w_a C_a (x) conj(C_a) and its probability
 gamma; the process tensor M turns S into the output (`dynamics.run_process`),
 so no joint state is formed.  Stochastic preparation, a pin then a rotation
 to |t>, is the replacement {|t><0|, |t><1|}, so gamma = 1; rotation-only
-preparation applies a unitary; von Neumann measurement projects; a generalized
-measurement applies one outcome's positive trace-reducing map.
+preparation applies V = [[t0, -conj(t1)], [t1, conj(t0)]], so V|0> = |t> = (t0, t1),
+read off the ket table in `records` in its gauge (the first component of largest
+magnitude real and positive), which fixes V; von Neumann measurement projects; a
+generalized measurement applies one outcome's positive trace-reducing map.
 """
 
 from __future__ import annotations
@@ -17,9 +19,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EXIT_ZERO_PROBABILITY, ProcmapError
-from .qstate import DIM_SYS, STATE_TOL, UNITARY_TOL, dagger, tensor, validate_unitary
+from .qstate import DIM_SYS, STATE_TOL, UNITARY_TOL, dagger, tensor
 
 ZERO_PROBABILITY_TOL = 1e-12
+# The largest outcome probability a preparation may have; the allowance above 1 is for rounding only.
+MAX_GAMMA = 1.0 + 1e-12
 
 
 class ZeroProbabilityOutcome(ProcmapError):
@@ -103,8 +107,8 @@ def prepare_generalized(gamma0: np.ndarray, operation: OutcomeMap, label: str = 
     trace-preserving operation (no row sum of |E - 1| above UNITARY_TOL / 2) gives
     gamma = 1.0 exactly.
     Raises InvalidMeasurement when the operators do not fit the qubit system of
-    gamma0, and ZeroProbabilityOutcome (naming `label`) when the experiment never
-    yields this input.
+    gamma0 or when gamma exceeds MAX_GAMMA (naming `label`), and
+    ZeroProbabilityOutcome (naming `label`) when the experiment never yields this input.
     """
     n = len(gamma0)
     if not operation.kraus or np.shape(gamma0) != (n, n) or n % DIM_SYS or any(
@@ -122,21 +126,7 @@ def prepare_generalized(gamma0: np.ndarray, operation: OutcomeMap, label: str = 
     gamma = float(np.sum(effect_t * rho).real)
     if gamma < ZERO_PROBABILITY_TOL:
         raise ZeroProbabilityOutcome(f"preparation {label or 'outcome'} has probability {gamma:.3e}")
+    if gamma > MAX_GAMMA:
+        raise InvalidMeasurement(f"preparation {label or 'outcome'} has probability {gamma!r} above 1")
     return PreparedState(superop=s, gamma=gamma)
 
-
-def perpendicular_ket(ket: np.ndarray) -> np.ndarray:
-    """Deterministic orthogonal partner of a qubit state vector."""
-    ket = np.asarray(ket, dtype=complex)
-    if ket.shape != (2,):
-        raise ValueError("perpendicular_ket is defined for qubit kets only")
-    return np.array([-np.conj(ket[1]), np.conj(ket[0])])
-
-
-def rotation_between(from_ket: np.ndarray, to_ket: np.ndarray) -> np.ndarray:
-    """Qubit unitary V with V|a> = |b>, built as |b><a| + |b_perp><a_perp|."""
-    a = np.asarray(from_ket, dtype=complex)
-    b = np.asarray(to_ket, dtype=complex)
-    v = np.outer(b, np.conj(a)) + np.outer(perpendicular_ket(b), np.conj(perpendicular_ket(a)))
-    validate_unitary(v)
-    return v

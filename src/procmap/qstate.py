@@ -76,15 +76,6 @@ def hermiticity_residual(mat: np.ndarray) -> float:
     return float(np.max(np.abs(mat - dagger(mat)))) if mat.size else 0.0
 
 
-def eig_hermitian(mat: np.ndarray, tol: float = 1e-8, what: str = "matrix") -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and eigenvector columns of a Hermitian matrix; errors name `what`."""
-    mat = np.asarray(mat, dtype=complex)
-    if hermiticity_residual(mat) > tol:
-        raise ValueError(f"{what} is not Hermitian within tolerance")
-    w, v = np.linalg.eigh(mat)
-    return w, v
-
-
 def validate_density_matrix(rho: np.ndarray, tol: float = STATE_TOL, what: str = "density matrix") -> None:
     """Raise ValueError, naming `what`, unless rho is Hermitian, unit-trace, and positive within tol."""
     rho = np.asarray(rho, dtype=complex)
@@ -110,30 +101,3 @@ def validate_unitary(u: np.ndarray, tol: float = UNITARY_TOL) -> None:
     if res > tol:
         raise ValueError(f"matrix is not unitary (residual {res:.3e})")
 
-
-def is_projector(p: np.ndarray, tol: float = STATE_TOL) -> bool:
-    """True when p is a rank-1 projector (Hermitian, p^2 = p, trace 1)."""
-    p = np.asarray(p, dtype=complex)
-    if p.ndim != 2 or p.shape[0] != p.shape[1]:
-        return False
-    if hermiticity_residual(p) > tol:
-        return False
-    if np.max(np.abs(p @ p - p)) > tol:
-        return False
-    return abs(np.trace(p).real - 1.0) <= tol
-
-
-def ket_from_projector(p: np.ndarray, tol: float = STATE_TOL) -> np.ndarray:
-    """State vector of a rank-1 projector, with a deterministic global phase.
-
-    The phase is fixed by making the first component of largest magnitude
-    real and positive.
-    """
-    p = np.asarray(p, dtype=complex)
-    if not is_projector(p, tol):
-        raise ValueError("matrix is not a rank-1 projector within tolerance")
-    w, v = np.linalg.eigh(p)
-    ket = v[:, -1]
-    pivot = int(np.argmax(np.abs(ket)))
-    phase = ket[pivot] / abs(ket[pivot])
-    return ket / phase

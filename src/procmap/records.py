@@ -4,6 +4,8 @@ Every protocol prepares eigenstates of six Bloch directions, `DIRECTIONS`: the
 Pauli axes 1, 2, 3 and the normalized diagonals 4 = 1+2, 5 = 1+3, 6 = 2+3.
 Label "<d>+" prepares the projector onto +d and "<d>-" the one onto -d
 (`state_of_label`), so each direction's two labels form an orthonormal pair.
+Each label's ket |t> (`ket_of_label`) is the half-angle closed form of its Bloch vector,
+computed once, in the gauge where the first component of largest magnitude is real and positive.
 `PROTOCOL_LABELS` names the protocols: verify12, all twelve labels in pair
 order; bilinear9, both labels of 1, 2, 3 and 4+, 5+, 6+; linear4, 1-, 1+, 2+,
 3+.  A bi-linear dataset may add a record labeled `MIXED_LABEL`.  `select`
@@ -19,6 +21,7 @@ import numpy as np
 
 from . import jsonio
 from .errors import EXIT_MISSING_LABELS, ProcmapError
+from .prep import MAX_GAMMA
 from .qstate import STATE_TOL, state_from_bloch
 
 _DIAGONAL = 1.0 / math.sqrt(2.0)
@@ -41,14 +44,24 @@ PROTOCOL_LABELS = {
 }
 
 
-# 0.0 - b, not -b, so that a zero component stays +0.0.
-_STATES = {f"{d}{sign}": state_from_bloch(np.array(b) if sign == "+" else 0.0 - np.array(b))
-           for d, b in DIRECTIONS.items() for sign in "+-"}
+# Each label's Bloch vector; 0.0 - b, not -b, so that a zero component stays +0.0.
+_BLOCH = {f"{d}{s}": np.array(b) if s == "+" else 0.0 - np.array(b) for d, b in DIRECTIONS.items() for s in "+-"}
+_STATES = {label: state_from_bloch(b) for label, b in _BLOCH.items()}
+
+# Each label's half-angle ket, its first component of largest magnitude (the first when z >= 0) real and positive.
+_KETS = {label: np.array([math.sqrt((1 + z) / 2), complex(x, y) / math.sqrt(2 * (1 + z))]) if z >= 0
+         else np.array([complex(x, -y) / math.sqrt(2 * (1 - z)), math.sqrt((1 - z) / 2)])
+         for label, (x, y, z) in _BLOCH.items()}
 
 
 def state_of_label(label: str) -> np.ndarray:
     """The projector a protocol label prepares (a fresh copy); raises KeyError for any other label."""
     return _STATES[label].copy()
+
+
+def ket_of_label(label: str) -> np.ndarray:
+    """The ket |t> with |t><t| = state_of_label(label) (a fresh copy); raises KeyError for any other label."""
+    return _KETS[label].copy()
 
 
 class MissingRecord(ProcmapError):
@@ -79,8 +92,7 @@ class TomographyRecord:
         gamma = obj["gamma"]
         if type(gamma) not in (int, float):
             raise ValueError(f"record {obj['label']!r} has gamma {gamma!r}, not a JSON number")
-        # An outcome probability; the allowance above 1 is for rounding only.
-        if not 0.0 <= gamma <= 1.0 + 1e-12:
+        if not 0.0 <= gamma <= MAX_GAMMA:
             raise ValueError(f"record {obj['label']!r} has gamma {gamma!r} outside [0, 1]")
         record = TomographyRecord(
             label=str(obj["label"]),

@@ -4,8 +4,9 @@ A scenario bundles the process (unitary + initial joint state), a preparation
 method, and a protocol (which input labels to prepare).  `operation_of_label`
 is the one table of preparations, each one operation on the system factor of
 gamma0 for `prep.prepare_generalized`: stochastic, the pin-then-rotate
-replacement {|t><0|, |t><1|} onto the label's state |t>; rotation-only, V;
-measurement, P; generalized, the label's outcome map; the mixed record, X.
+replacement {|t><0|, |t><1|} onto the label's state |t>; rotation-only, V with V|0> = |t>;
+measurement, P; generalized, the label's outcome map; the mixed record, X.  |t> comes from the
+ket table in `records`, in its gauge (the first component of largest magnitude real and positive).
 Simulation builds the process tensor M once, walks the protocol labels, then
 `mixed`, prepares each input, reads its output off M and collects (input,
 output, gamma) records.  An optional
@@ -37,9 +38,9 @@ from .dynamics import (
     unitary_from_hamiltonian,
 )
 from .errors import ProcmapError
-from .prep import GeneralizedMeasurement, OutcomeMap, prepare_generalized, rotation_between
-from .qstate import DIM_SYS, SIGMA_1, SIGMA_3, bloch_vector, ket_from_projector, state_from_bloch, tensor
-from .records import DIRECTIONS, MIXED_LABEL, PROTOCOL_LABELS, Dataset, TomographyRecord, state_of_label
+from .prep import GeneralizedMeasurement, OutcomeMap, prepare_generalized
+from .qstate import DIM_SYS, SIGMA_1, SIGMA_3, bloch_vector, state_from_bloch, tensor
+from .records import DIRECTIONS, MIXED_LABEL, PROTOCOL_LABELS, Dataset, TomographyRecord, ket_of_label, state_of_label
 
 # Three retired names stay bound here, uncalled, so that perfbench/tracer.py can wrap them.
 apply_pin_map = prepare_stochastic = prepare_projective = prepare_generalized
@@ -51,10 +52,6 @@ PREPARATION_KEYS = {
     "rotation_only": {"method"},
     "generalized": {"method", "measurement", "labels"},
 }
-
-# |0><0|: the state that rotation-only preparation assumes it starts from.
-ZERO_STATE = np.array([[1, 0], [0, 0]], dtype=complex)
-ZERO_KET = ket_from_projector(ZERO_STATE)
 
 
 class ScenarioError(ProcmapError):
@@ -222,24 +219,24 @@ def parse_scenario(obj: dict, name: str = "scenario") -> Scenario:
 def operation_of_label(sc: Scenario, label: str) -> OutcomeMap:
     """The operation on the system factor of gamma0 that prepares `label`.
 
-    Stochastic preparation pins the system to |0> and rotates it to the label's
-    state |t>; together they replace the system's state by |t>, the trace-preserving
-    operation {|t><0|, |t><1|}.  The mixed record applies X itself:
+    Stochastic preparation pins the system to |0> and rotates it to the label's ket |t> = (t0, t1);
+    together they replace the system's state by |t>, the operation {|t><0|, |t><1|}.  Rotation-only
+    preparation applies V = [[t0, -conj(t1)], [t1, conj(t0)]], with V|0> = |t>.  The mixed record applies X itself:
     X = state_from_bloch(b) has eigenvalues (1 +- |b|)/2 and |b| < 1, so 0 <= X <= 1.
     """
     if sc.prep_method == "generalized":
         return sc.measurement.outcomes[sc.generalized_labels.index(label)]
     if label == MIXED_LABEL:
         return OutcomeMap(weights=(1.0,), kraus=(state_from_bloch(sc.mixed_bloch),))
-    target = state_of_label(label)
     if sc.prep_method == "measurement":
-        return OutcomeMap(weights=(1.0,), kraus=(target,))
-    ket = ket_from_projector(target)
+        return OutcomeMap(weights=(1.0,), kraus=(state_of_label(label),))
+    ket = ket_of_label(label)
     if sc.prep_method == "stochastic":
         return OutcomeMap(weights=(1.0,) * DIM_SYS, kraus=tuple(np.outer(ket, e) for e in np.eye(DIM_SYS)))
     # Rotation-only (imperfect-pin) preparation rotates gamma0 itself, so the
     # true input is not the assumed projector.
-    return OutcomeMap(weights=(1.0,), kraus=(rotation_between(ZERO_KET, ket),))
+    t0, t1 = ket
+    return OutcomeMap(weights=(1.0,), kraus=(np.array([[t0, -np.conj(t1)], [t1, np.conj(t0)]]),))
 
 
 def _degrade_record(rng: np.random.Generator, rec: TomographyRecord, shots: int, gamma: float) -> TomographyRecord:
@@ -317,7 +314,7 @@ IMPERFECT_PIN_T = 0.8
 def _imperfect_pin_gamma0() -> np.ndarray:
     tau = 0.5 * np.eye(2, dtype=complex)
     chi = correlated_pair_state([0.0, 0.0, 0.0], IMPERFECT_PIN_CHI_C23)
-    return IMPERFECT_PIN_PURE_WEIGHT * tensor(ZERO_STATE, tau) + (1 - IMPERFECT_PIN_PURE_WEIGHT) * chi
+    return IMPERFECT_PIN_PURE_WEIGHT * tensor(state_of_label("3+"), tau) + (1 - IMPERFECT_PIN_PURE_WEIGHT) * chi
 
 
 DEMO_NAMES = ("stochastic-heisenberg", "measurement-correlated", "imperfect-pin")

@@ -10,6 +10,10 @@ operations replaced: the value-by-value JSON layout (floats by shortest
 repr), the entry-by-entry matrix encoder and decoder, the einsum contraction
 of the process tensor, the matrix-unit loop of the fixed-environment map and
 the einsum partial trace over the environment of a fully formed U J U'.
+The ket table in `records` replaced the eigh-based ket of a projector
+(`ket_from_projector`, in the table's gauge) and the rotation between two kets
+and their perpendicular partners (`rotation_between`); both stay as oracles,
+with `is_projector` as the test predicate.
 The preparation routes that `prep.prepare_generalized` replaced are oracles
 for it: the pin of gamma0 and the stochastic rotation of the pinned state,
 projection with the P (x) tau cross-check, the completed measurement
@@ -47,10 +51,10 @@ from procmap.qstate import (
     DIM_SYS,
     IDENTITY_2,
     PAULIS,
+    STATE_TOL,
     UNITARY_TOL,
     dagger,
     hermiticity_residual,
-    is_projector,
     tensor,
     validate_unitary,
 )
@@ -249,6 +253,43 @@ def joint_of(prepared, gamma0: np.ndarray) -> np.ndarray:
     return np.einsum("pqxy,xayb->paqb", s4, g4).reshape(len(gamma0), len(gamma0)) / prepared.gamma
 
 
+def is_projector(p: np.ndarray, tol: float = STATE_TOL) -> bool:
+    """True when p is a rank-1 projector (Hermitian, p^2 = p, trace 1)."""
+    p = np.asarray(p, dtype=complex)
+    if p.ndim != 2 or p.shape[0] != p.shape[1]:
+        return False
+    if hermiticity_residual(p) > tol:
+        return False
+    if np.max(np.abs(p @ p - p)) > tol:
+        return False
+    return abs(np.trace(p).real - 1.0) <= tol
+
+
+def ket_from_projector(p: np.ndarray, tol: float = STATE_TOL) -> np.ndarray:
+    """State vector of a rank-1 projector from `eigh`, its first component of largest magnitude real and positive."""
+    p = np.asarray(p, dtype=complex)
+    if not is_projector(p, tol):
+        raise ValueError("matrix is not a rank-1 projector within tolerance")
+    ket = np.linalg.eigh(p)[1][:, -1]
+    pivot = int(np.argmax(np.abs(ket)))
+    return ket / (ket[pivot] / abs(ket[pivot]))
+
+
+def perpendicular_ket(ket: np.ndarray) -> np.ndarray:
+    """Deterministic orthogonal partner of a qubit state vector."""
+    ket = np.asarray(ket, dtype=complex)
+    return np.array([-np.conj(ket[1]), np.conj(ket[0])])
+
+
+def rotation_between(from_ket: np.ndarray, to_ket: np.ndarray) -> np.ndarray:
+    """Qubit unitary V with V|a> = |b>, built as |b><a| + |b_perp><a_perp|; raises ValueError unless unitary."""
+    a = np.asarray(from_ket, dtype=complex)
+    b = np.asarray(to_ket, dtype=complex)
+    v = np.outer(b, np.conj(a)) + np.outer(perpendicular_ket(b), np.conj(perpendicular_ket(a)))
+    validate_unitary(v)
+    return v
+
+
 def pin(gamma0: np.ndarray, target: np.ndarray) -> np.ndarray:
     """Pin the qubit system to the pure state `target`: target (x) tau, tau the environment marginal of gamma0."""
     nb = len(gamma0) // 2
@@ -326,9 +367,6 @@ def measured_records(spec: ProcessSpec, labels) -> list[TomographyRecord]:
 
 def stochastic_records(spec: ProcessSpec, labels) -> list[TomographyRecord]:
     """Pin-then-rotate records; the pinned environment is the gamma0 marginal."""
-    from procmap.prep import rotation_between
-    from procmap.qstate import ket_from_projector
-
     zero = np.array([[1, 0], [0, 0]], dtype=complex)
     pinned = pin(spec.gamma0, zero)
     out = []

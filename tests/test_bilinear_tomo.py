@@ -8,6 +8,7 @@ from helpers import (
     T_DEMO,
     basis_element,
     brute_force_output,
+    is_projector,
     measured_records,
     partial_trace_env,
     rand_density,
@@ -35,7 +36,6 @@ from procmap.qstate import (
     IDENTITY_2,
     bloch_vector,
     hermiticity_residual,
-    is_projector,
     state_from_bloch,
     tensor,
 )

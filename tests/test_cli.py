@@ -126,6 +126,19 @@ def generalized(*weights):
     return {**STOCHASTIC, "preparation": preparation}
 
 
+def gamma_above_one():
+    """A twelve-outcome measurement, complete within STATE_TOL, whose outcome 0 has gamma 1 + 4e-12 on 1+.
+
+    Outcome 0 is sqrt(1 + 2e-12 (1 + sigma_1)), each other outcome sqrt(5e-12) 1, on gamma0 = rho(0.999 x) (x) 1/2.
+    """
+    root = np.sqrt(1.0 + 4e-12)  # 1 + sigma_1 has eigenvalues 0 and 2
+    first = ((root + 1.0) * np.eye(2) + (root - 1.0) * np.array([[0.0, 1.0], [1.0, 0.0]])) / 2.0
+    rest = np.sqrt(5e-12) * np.eye(2)
+    outcomes = [{"weights": [1.0], "kraus": [jsonio.matrix_to_json(c)]} for c in [first] + [rest] * 11]
+    preparation = {"method": "generalized", "measurement": {"outcomes": outcomes}, "labels": list(TWELVE_STATE_LABELS)}
+    return {**STOCHASTIC, "gamma0": {"bloch_a": [0.999, 0.0, 0.0], "c23": 0.0}, "preparation": preparation}
+
+
 # Each malformed scenario as a JSON value, or as the file's text when json cannot write it.
 BAD_SCENARIOS = {
     "top-level-array": [STOCHASTIC],
@@ -167,6 +180,7 @@ BAD_SCENARIOS = {
     "t-5000-digits": '{"t": ' + "1" * 5000 + "}",
     "weight-nan": generalized(float("nan")),
     "weight-string": generalized("0.5", "0.5"),
+    "gamma-above-one": gamma_above_one(),
     "hamiltonian-string-entry": {
         **PINNED,
         "hamiltonian": {**PINNED["hamiltonian"], "data": [["0.5", 0.0]] + PINNED["hamiltonian"]["data"][1:]},
@@ -219,6 +233,7 @@ BAD_SCENARIO_WORDS = {
     "t-5000-digits": ("bad.json", "more than 4300 digits"),
     "weight-nan": "weight must be finite",
     "weight-string": "weight must be a JSON number",
+    "gamma-above-one": ("preparation 1+", "above 1"),
     "hamiltonian-string-entry": "entries must be JSON numbers",
     "kraus-1x1": "Kraus operators must be 2x2",
 }

@@ -24,10 +24,11 @@ from procmap.dynamics import (
     unitary_from_hamiltonian,
 )
 from procmap.linear_tomo import apply_linear_map
-from procmap.prep import OutcomeMap, PreparedState, prepare_generalized
+from procmap.prep import MAX_GAMMA, InvalidMeasurement, OutcomeMap, PreparedState, prepare_generalized
 from procmap.qstate import (
     IDENTITY_2,
     SIGMA_1,
+    SIGMA_3,
     bloch_vector,
     state_from_bloch,
     tensor,
@@ -64,6 +65,29 @@ def test_unitary_time_composition():
     u12 = unitary_from_hamiltonian(h, 1.2)
     assert np.max(np.abs(u1 @ u2 - u12)) < 1e-10
     assert np.max(np.abs(u1 @ u1.conj().T - np.eye(4))) < 1e-12
+
+
+def test_unitary_from_hamiltonian_golden():
+    t = 0.7
+    assert np.max(np.abs(unitary_from_hamiltonian(IDENTITY_2, t) - np.exp(-1j * t) * IDENTITY_2)) < 1e-15
+    assert np.max(np.abs(unitary_from_hamiltonian(SIGMA_3, t) - np.diag(np.exp([-1j * t, 1j * t])))) < 1e-15
+    # CHOI_IDENTITY / 2 is a projector, so exp(-i CHOI_IDENTITY t) = 1 + (exp(-2it) - 1) CHOI_IDENTITY / 2.
+    want = np.eye(4) + (np.exp(-2j * t) - 1.0) * CHOI_IDENTITY / 2
+    assert np.max(np.abs(unitary_from_hamiltonian(CHOI_IDENTITY, t) - want)) < 1e-15
+
+
+def test_unitary_from_hamiltonian_matches_the_power_series():
+    rng = np.random.default_rng(17)
+    for d in (2, 4, 8):
+        a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        h, t = a + a.conj().T, 0.1
+        series, term = np.eye(d, dtype=complex), np.eye(d, dtype=complex)
+        for n in range(1, 40):
+            term = term @ (-1j * t * h) / n
+            series = series + term
+        u = unitary_from_hamiltonian(h, t)
+        assert np.max(np.abs(u - series)) < 1e-13
+        assert np.max(np.abs(u.conj().T @ u - np.eye(d))) < 1e-13
 
 
 def test_unitary_rejects_non_hermitian():
@@ -216,11 +240,18 @@ def test_fixed_env_map_matches_matrix_unit_loop(dim_env):
 
 @pytest.mark.parametrize("delta", [0.2e-12, 0.6e-12, 0.98e-12])
 def test_nearly_trace_preserving_operation_passes_the_tr_s_m_check(delta):
-    # E = 1 + delta (1 + sigma_1) moves the probability of |+> by 2 delta; gamma = 1.0 only while that stays
-    # within half of UNITARY_TOL, so Tr(S M) never lands more than 1e-12 from gamma.
+    # E = 1 +- delta (1 + sigma_1) moves the probability of |+> by +-2 delta; gamma = 1.0 only while that stays
+    # within half of UNITARY_TOL, so Tr(S M) never lands more than 1e-12 from gamma.  Past that, a gamma
+    # above MAX_GAMMA is refused, as the dataset reader would refuse it.
     plus = state_from_bloch([1, 0, 0])
     spec = ProcessSpec(np.eye(4, dtype=complex), tensor(plus, 0.5 * IDENTITY_2))
-    w, v = np.linalg.eigh(IDENTITY_2 + delta * (IDENTITY_2 + SIGMA_1))
-    prepared = prepare_generalized(spec.gamma0, OutcomeMap(weights=(1.0,), kraus=((v * np.sqrt(w)) @ v.conj().T,)))
-    assert (prepared.gamma == 1.0) == (2 * delta <= 0.5e-12)
-    assert np.max(np.abs(run_process(build_M_from_dynamics(spec), prepared) - plus)) < 1e-12
+    for sign in (1, -1):
+        w, v = np.linalg.eigh(IDENTITY_2 + sign * delta * (IDENTITY_2 + SIGMA_1))
+        operation = OutcomeMap(weights=(1.0,), kraus=((v * np.sqrt(w)) @ v.conj().T,))
+        if sign * 2 * delta > MAX_GAMMA - 1.0:
+            with pytest.raises(InvalidMeasurement, match="above 1"):
+                prepare_generalized(spec.gamma0, operation)
+            continue
+        prepared = prepare_generalized(spec.gamma0, operation)
+        assert (prepared.gamma == 1.0) == (2 * delta <= 0.5e-12)
+        assert np.max(np.abs(run_process(build_M_from_dynamics(spec), prepared) - plus)) < 1e-12

@@ -10,9 +10,10 @@ are compared against the copies under tests/golden/<demo>/ with a
 1e-12 tolerance on every float and exact equality on every other value; in
 report.json the per-record fit residuals and the schema tag are not compared.
 
-The dataset digests were last re-pinned when every record came to be read off
-the process tensor M instead of a joint state: each output moved by at most
-6e-16 and no gamma of the stochastic or imperfect-pin demo left 1.0.
+The stochastic and imperfect-pin dataset digests were last re-pinned when each
+label's ket came to be read off the closed-form ket table in `records` instead
+of an eigensolver: each output moved by at most 1.1e-16 and no gamma left 1.0.
+The measurement demo's dataset and all three scenarios kept their bytes.
 """
 
 import hashlib
@@ -30,7 +31,7 @@ FLOAT_TOL = 1e-12
 PINNED_SHA256 = {
     "stochastic-heisenberg": {
         "scenario.json": "f45c1588ff14b02c0cf72a39e3e3332c2e2a1d2ceac62809fda095d0133587d2",
-        "dataset.json": "e45c4124c366f4d868401ce507a61c2a0ab69f919cdf5d886ce6fdb2b6701e1c",
+        "dataset.json": "21f34c0d93dc4b8567a6df102c12677de94f156391a3e12cafa01af0c03f46b0",
     },
     "measurement-correlated": {
         "scenario.json": "a74818e94a19980504189c09fd9e917053a1fbc74aa067ba4e93ac93572422f7",
@@ -38,7 +39,7 @@ PINNED_SHA256 = {
     },
     "imperfect-pin": {
         "scenario.json": "aea588f4c4dfc53382cd40023ec642d8b694661254d6e84028785f623e880a4a",
-        "dataset.json": "7a0e752f27f2e6035c9de2f0b048a2fe33d5469f36b61230cd3bbf25dd598459",
+        "dataset.json": "1de56d808094422cfe6eec07c18ca3d88ddb22cc5bfce599edaf707f537b6d8d",
     },
 }
 # sha256 of dataset.json re-emitted with its `oracle` key dropped: its records and metadata alone.

@@ -1,15 +1,19 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from helpers import (
+    BLOCH_BY_LABEL,
     build_dilation,
     joint_of,
+    ket_from_projector,
     measure_generalized_via_dilation,
     mixed_preparation_measurement,
     partial_trace_env,
     partial_trace_sys,
+    perpendicular_ket,
     pin,
     prepare_dense,
     prepare_projective,
@@ -17,6 +21,7 @@ from helpers import (
     rand_density,
     rand_unitary,
     random_measurement,
+    rotation_between,
     va_spec,
 )
 from procmap import jsonio
@@ -26,9 +31,7 @@ from procmap.prep import (
     InvalidMeasurement,
     OutcomeMap,
     ZeroProbabilityOutcome,
-    perpendicular_ket,
     prepare_generalized,
-    rotation_between,
 )
 from procmap.qstate import (
     IDENTITY_2,
@@ -36,12 +39,11 @@ from procmap.qstate import (
     SIGMA_2,
     SIGMA_3,
     bloch_vector,
-    ket_from_projector,
     state_from_bloch,
     tensor,
 )
-from procmap.records import MIXED_LABEL, TWELVE_STATE_LABELS, state_of_label
-from procmap.scenarios import ZERO_KET, ZERO_STATE, Scenario, operation_of_label, parse_measurement
+from procmap.records import MIXED_LABEL, TWELVE_STATE_LABELS, ket_of_label, state_of_label
+from procmap.scenarios import Scenario, operation_of_label, parse_measurement
 
 KET0 = np.array([1, 0], dtype=complex)
 P3_PLUS = np.diag([1.0, 0.0]).astype(complex)
@@ -298,15 +300,32 @@ def oracle_preparation(sc: Scenario, label: str, pinned: np.ndarray):
     target = state_of_label(label)
     if sc.prep_method == "measurement":
         return prepare_projective(gamma0, 2, dim_env, target, label=label)
-    v = rotation_between(ZERO_KET, ket_from_projector(target))
+    v = rotation_between(KET0, ket_from_projector(target))
     return prepare_stochastic(pinned if sc.prep_method == "stochastic" else gamma0, v)
+
+
+@pytest.mark.parametrize("label", TWELVE_STATE_LABELS)
+def test_ket_table_gives_the_projector_in_its_gauge_and_both_operations(label):
+    x, y, z = BLOCH_BY_LABEL[label]
+    projector = 0.5 * (IDENTITY_2 + x * SIGMA_1 + y * SIGMA_2 + z * SIGMA_3)
+    ket = ket_of_label(label)
+    assert np.max(np.abs(np.outer(ket, ket.conj()) - projector)) < 1e-15
+    # The gauge: the first component of largest magnitude (equal within 1e-15 is a tie) is real and positive.
+    pivot = int(np.argmax(np.abs(ket) >= np.abs(ket).max() - 1e-15))
+    assert ket[pivot].imag == 0.0 and ket[pivot].real > 0.0, ket
+    sc = Scenario(name=label, spec=va_spec(), t=0.0, protocol="verify12", prep_method="rotation_only")
+    (v,) = operation_of_label(sc, label).kraus
+    assert np.max(np.abs(v.conj().T @ v - IDENTITY_2)) < 1e-15
+    assert np.max(np.abs(v @ KET0 - ket)) == 0.0
+    stochastic = operation_of_label(replace(sc, prep_method="stochastic"), label).superoperator()
+    assert np.max(np.abs(stochastic - np.outer(projector.reshape(-1), IDENTITY_2.reshape(-1)))) < 1e-15
 
 
 @pytest.mark.parametrize("dim_env", [1, 2, 3, 64])
 def test_primitive_matches_the_retired_routes(dim_env):
     rng = np.random.default_rng(60 + dim_env)
     gamma0 = rand_density(rng, 2 * dim_env)
-    pinned = pin(gamma0, ZERO_STATE)
+    pinned = pin(gamma0, P3_PLUS)
     for method in ("stochastic", "rotation_only", "measurement", "generalized"):
         sc = oracle_scenario(rng, method, gamma0, dim_env)
         for label in TWELVE_STATE_LABELS + ((MIXED_LABEL,) if sc.mixed_bloch is not None else ()):

@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from helpers import conjugate_system, mixed_preparation_measurement, partial_trace_env, rand_density, rand_unitary
+from helpers import (
+    conjugate_system,
+    is_projector,
+    ket_from_projector,
+    mixed_preparation_measurement,
+    partial_trace_env,
+    rand_density,
+    rand_unitary,
+)
 from procmap import jsonio
 from procmap.qstate import (
     IDENTITY_2,
@@ -10,9 +18,6 @@ from procmap.qstate import (
     SIGMA_3,
     bloch_vector,
     dagger,
-    eig_hermitian,
-    is_projector,
-    ket_from_projector,
     pauli_combination,
     pauli_decompose,
     state_from_bloch,
@@ -21,10 +26,6 @@ from procmap.qstate import (
     validate_unitary,
 )
 from procmap.records import state_of_label
-
-CHOI_IDENTITY = np.array(
-    [[1, 0, 0, 1], [0, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 1]], dtype=complex
-)
 
 
 def test_tensor_identity():
@@ -153,30 +154,6 @@ def test_pauli_roundtrip():
 def test_pauli_decompose_rejects_non_hermitian():
     with pytest.raises(ValueError):
         pauli_decompose(np.array([[0, 1], [0, 0]], dtype=complex))
-
-
-def test_eig_hermitian_golden():
-    w, _ = eig_hermitian(IDENTITY_2)
-    assert np.allclose(w, [1, 1])
-    w, _ = eig_hermitian(SIGMA_3)
-    assert np.allclose(w, [-1, 1])
-    w, _ = eig_hermitian(CHOI_IDENTITY)
-    assert np.allclose(w, [0, 0, 0, 2], atol=1e-12)
-
-
-def test_eig_hermitian_reconstructs():
-    rng = np.random.default_rng(17)
-    for d in (2, 4, 8):
-        a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        m = a + a.conj().T
-        w, v = eig_hermitian(m)
-        assert np.max(np.abs((v * w) @ v.conj().T - m)) < 1e-10
-        assert np.max(np.abs(v.conj().T @ v - np.eye(d))) < 1e-10
-
-
-def test_eig_hermitian_rejects_non_hermitian():
-    with pytest.raises(ValueError):
-        eig_hermitian(np.array([[0, 1], [0.5, 0]], dtype=complex))
 
 
 def test_validators():

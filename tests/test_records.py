@@ -5,9 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from helpers import BLOCH_BY_LABEL, measured_records, va_spec
+from helpers import BLOCH_BY_LABEL, is_projector, measured_records, va_spec
 from procmap import jsonio
-from procmap.qstate import is_projector, state_from_bloch
+from procmap.qstate import state_from_bloch
 from procmap.records import (
     DIRECTIONS,
     TWELVE_STATE_LABELS,

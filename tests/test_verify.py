@@ -3,6 +3,7 @@ import pytest
 
 from helpers import (
     bilinear_consistency_residuals,
+    is_projector,
     linear_sum_rule_residuals,
     measured_records,
     rand_density,
@@ -10,7 +11,7 @@ from helpers import (
     va_spec,
 )
 from procmap.dynamics import ProcessSpec
-from procmap.qstate import SIGMA_1, bloch_vector, is_projector, state_from_bloch, tensor
+from procmap.qstate import SIGMA_1, bloch_vector, state_from_bloch, tensor
 from procmap.records import TWELVE_STATE_LABELS, MissingRecord, TomographyRecord, state_of_label
 from procmap.verify import classify, gamma_completeness
 
