@@ -1,8 +1,8 @@
 """Command-line surface: simulate, tomo, verify, and demo.
 
-stdout carries JSON only; human diagnostics go to stderr (ANSI-colored on a
-terminal unless PROCMAP_NO_COLOR is set).  Exit codes, each the `exit_code`
-of the `ProcmapError` subclasses named:
+stdout carries JSON only: every artifact is one JSON line (`python -m json.tool FILE` indents
+it).  Human diagnostics go to stderr (ANSI-colored on a terminal unless PROCMAP_NO_COLOR is
+set).  Exit codes, each the `exit_code` of the `ProcmapError` subclasses named:
   0  success
   2  ScenarioError, InvalidMeasurement, NotStrictlyMixed: malformed config or dataset,
      including a matrix entry that is not a JSON number (a string or a bool), a record
@@ -90,9 +90,8 @@ def _sha256(data: bytes) -> str:
 
 
 def _load_dataset(path: str) -> Dataset:
-    obj = _load_json(path)[1]
-    try:
-        return Dataset.from_json(obj)
+    try:  # _load_json's own ScenarioError is not caught here
+        return Dataset.from_json(_load_json(path)[1])
     except (KeyError, TypeError, ValueError) as exc:
         raise ScenarioError(f"malformed dataset {path}: {exc}") from exc
 

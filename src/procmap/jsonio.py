@@ -1,24 +1,22 @@
 """Deterministic JSON serialization and the wire encoding for complex matrices.
 
-`dumps` is the standard library's encoder with a two-space indent and a
-trailing newline.  Every float is written as its shortest repr, which parses
-back to the same double bit for bit, the sign of zero included, so repeated
-runs produce byte-identical artifacts.  A NaN or infinity anywhere in the
-value raises ValueError.
+`dumps` is the standard library's C encoder: one line, ASCII escapes, a trailing newline.
+Every float is written as its shortest repr, which parses back to the same double bit for
+bit, the sign of zero included, so repeated runs give byte-identical artifacts.  A NaN or
+infinity anywhere in the value raises ValueError.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
-import math
+from itertools import chain
 
 import numpy as np
 
 
 def dumps(obj) -> str:
-    """Serialize `obj` to a deterministic JSON string (trailing newline)."""
-    return json.dumps(obj, indent=2, allow_nan=False) + "\n"
+    """Serialize `obj` to a deterministic one-line JSON string (trailing newline)."""
+    return json.dumps(obj, allow_nan=False) + "\n"
 
 
 def matrix_to_json(mat: np.ndarray) -> dict:
@@ -33,29 +31,49 @@ def matrix_to_json(mat: np.ndarray) -> dict:
 
 def matrix_from_json(obj: dict) -> np.ndarray:
     """Decode the matrix encoding produced by `matrix_to_json`; entries must be finite JSON numbers."""
+    return matrices_from_json([obj])[0]
+
+
+def matrices_from_json(objs, names=(), shape=None) -> np.ndarray:
+    """Decode `matrix_to_json` encodings, each of `shape` (by default the first's), into an (n, rows, cols) array.
+
+    Entries must be finite JSON numbers.  One pass checks the entries of all matrices; only when a check
+    fails is each matrix decoded alone, so that the ValueError can lead with its name in `names`.
+    """
+    objs = list(objs)
     try:
-        rows, cols, data = obj["rows"], obj["cols"], obj["data"]
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed matrix JSON: {exc}") from exc
-    if type(rows) is not int or type(cols) is not int:
-        raise ValueError(f"matrix rows and cols must be JSON integers, got {rows!r} and {cols!r}")
-    if rows <= 0 or cols <= 0:
-        raise ValueError(f"matrix dimensions must be positive, got {rows}x{cols}")
-    if len(data) != rows * cols:
-        raise ValueError(f"matrix data length {len(data)} != rows*cols = {rows * cols}")
-    try:  # both per-entry passes run in C
-        lengths, flat = set(map(len, data)), list(itertools.chain.from_iterable(data))
-    except TypeError:  # a row that is not a list
-        lengths = None
-    if lengths != {2}:
-        raise ValueError(f"matrix data must be {rows * cols} [re, im] pairs")
-    if not set(map(type, flat)) <= {int, float}:
-        bad = next(x for x in flat if type(x) not in (int, float))
-        raise ValueError(f"matrix entries must be JSON numbers, got {bad!r}")
-    try:
-        pairs = np.fromiter(flat, float, count=len(flat))
-    except OverflowError:  # an integer beyond the float range
-        pairs = np.array([math.inf])
-    if not np.isfinite(pairs).all():
-        raise ValueError("matrix JSON contains non-finite values")
-    return pairs.view(complex).reshape(rows, cols)
+        for obj in objs:
+            try:
+                rows, cols, length = obj["rows"], obj["cols"], len(obj["data"])
+            except (KeyError, TypeError) as exc:
+                raise ValueError(f"malformed matrix JSON: {exc}") from exc
+            if type(rows) is not int or type(cols) is not int or rows <= 0 or cols <= 0:
+                raise ValueError(f"matrix rows and cols must be positive JSON integers, got {rows!r} and {cols!r}")
+            shape = shape or (rows, cols)
+            if (rows, cols) != shape or length != rows * cols:
+                raise ValueError(f"matrix shapes must all be {shape[0]}x{shape[1]} with {shape[0] * shape[1]} "
+                                 f"[re, im] pairs, got {rows}x{cols} with {length}")
+        datas = [obj["data"] for obj in objs]
+        try:  # every per-entry pass runs in C
+            lengths, flat = set(map(len, chain(*datas))), list(chain.from_iterable(chain(*datas)))
+        except TypeError:  # an entry that is not a list
+            lengths = {None}
+        if not lengths <= {2}:
+            raise ValueError("matrix data entries must be [re, im] pairs")
+        if not set(map(type, flat)) <= {int, float}:
+            bad = next(x for x in flat if type(x) not in (int, float))
+            raise ValueError(f"matrix entries must be JSON numbers, got {bad!r}")
+        try:
+            values = np.fromiter(flat, float, count=len(flat))
+        except OverflowError:  # an integer beyond the float range
+            values = np.array([np.inf])
+        if not np.isfinite(values).all():
+            raise ValueError("matrix JSON contains non-finite values")
+    except ValueError:
+        for name, obj in zip(names, objs):  # find the matrix at fault
+            try:
+                matrices_from_json([obj], shape=shape)
+            except ValueError as exc:
+                raise ValueError(f"{name}: {exc}") from None
+        raise
+    return values.view(complex).reshape(len(objs), *shape)

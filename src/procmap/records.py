@@ -87,24 +87,6 @@ class TomographyRecord:
             "output": jsonio.matrix_to_json(self.output),
         }
 
-    @staticmethod
-    def from_json(obj: dict) -> "TomographyRecord":
-        gamma = obj["gamma"]
-        if type(gamma) not in (int, float):
-            raise ValueError(f"record {obj['label']!r} has gamma {gamma!r}, not a JSON number")
-        if not 0.0 <= gamma <= MAX_GAMMA:
-            raise ValueError(f"record {obj['label']!r} has gamma {gamma!r} outside [0, 1]")
-        record = TomographyRecord(
-            label=str(obj["label"]),
-            input=jsonio.matrix_from_json(obj["input"]),
-            output=jsonio.matrix_from_json(obj["output"]),
-            gamma=float(gamma),
-        )
-        shapes = {record.input.shape, record.output.shape}
-        if shapes != {(2, 2)}:
-            raise ValueError(f"record {record.label!r} has shapes {sorted(shapes)}; every protocol is qubit-only")
-        return record
-
 
 @dataclass(frozen=True)
 class Dataset:
@@ -141,36 +123,37 @@ class Dataset:
 
     @staticmethod
     def from_json(obj: dict) -> "Dataset":
-        records = tuple(TomographyRecord.from_json(r) for r in obj["records"])
+        entries = obj["records"]
+        labels = [str(entry["label"]) for entry in entries]
+        gammas = [entry["gamma"] for entry in entries]
+        for label, gamma in zip(labels, gammas):
+            if type(gamma) not in (int, float) or not 0.0 <= gamma <= MAX_GAMMA:
+                raise ValueError(f"record {label!r} has gamma {gamma!r}, not a JSON number in [0, 1]")
+        names = [f"record {label!r} {side}" for side in ("input", "output") for label in labels]
+        mats = jsonio.matrices_from_json([e[side] for side in ("input", "output") for e in entries], names, (2, 2))
         metadata = obj.get("metadata", {})
         if not isinstance(metadata, dict):
             raise ValueError(f"metadata must be a JSON object, got {type(metadata).__name__}")
         metadata = {str(k): str(v) for k, v in metadata.items()}
         oracle = None
         if "oracle" in obj:
-            try:
-                oracle = jsonio.matrix_from_json(obj["oracle"])
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"oracle: {exc}") from exc
-            if oracle.shape != (10, 4):
-                raise ValueError(f"oracle has shape {oracle.shape}, expected (10, 4)")
-            oracle = oracle.reshape(10, 2, 2)
-        _check_states(records)
+            oracle = jsonio.matrices_from_json([obj["oracle"]], ["oracle"], (10, 4)).reshape(10, 2, 2)
+        _check_states(labels, mats)
+        records = tuple(map(TomographyRecord, labels, *mats.reshape(2, -1, 2, 2), map(float, gammas)))
         return Dataset(records=records, metadata=metadata, oracle=oracle)
 
 
-def _check_states(records) -> None:
+def _check_states(labels, mats) -> None:
     """Raise ValueError naming a record whose input or output is not a state it may hold, within STATE_TOL.
 
-    A protocol label's input must be the projector the label prepares, and any other input a density
-    matrix.  An output must be Hermitian with unit trace but need not be positive: shot estimates can
-    leave the Bloch ball.  One pass checks the stacked (qubit) matrices of all records.
+    `mats` stacks the records' inputs, then their outputs, (2k, 2, 2).  A protocol label's input must
+    be the projector the label prepares, and any other input a density matrix.  An output must be
+    Hermitian with unit trace but need not be positive: shot estimates can leave the Bloch ball.
     """
-    k = len(records)
-    mats = np.array([rec.input for rec in records] + [rec.output for rec in records]).reshape(-1, 2, 2)
+    k = len(labels)
     # Any other label is compared with its own input, so only the density-matrix test can fail it.
-    expected = np.array([_STATES.get(rec.label, rec.input) for rec in records]).reshape(-1, 2, 2)
-    other = np.array([rec.label not in _STATES for rec in records], dtype=bool)
+    expected = np.array([_STATES.get(label, mat) for label, mat in zip(labels, mats)]).reshape(-1, 2, 2)
+    other = np.array([label not in _STATES for label in labels], dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow reads as an infinite deviation
         adjoint = np.abs(mats - np.conj(mats.transpose(0, 2, 1))).max(axis=(1, 2))
         hermitian_unit_trace = np.maximum(adjoint, np.abs(np.trace(mats, axis1=1, axis2=2) - 1.0))
@@ -185,7 +168,7 @@ def _check_states(records) -> None:
         ok = deviation <= STATE_TOL  # a NaN deviation fails too
         if not ok.all():
             i = int(np.argmin(ok))
-            raise ValueError(f"record {records[i].label!r} {what} (deviation {deviation[i]:.3e})")
+            raise ValueError(f"record {labels[i]!r} {what} (deviation {deviation[i]:.3e})")
 
 
 def select(records, labels) -> list[TomographyRecord]:

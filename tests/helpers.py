@@ -494,9 +494,12 @@ def _ascii_string(text: str) -> str:
     return '"' + "".join(out) + '"'
 
 
-def _per_element(obj, indent: int, level: int) -> str:
-    pad = " " * (indent * (level + 1))
-    close_pad = " " * (indent * level)
+def _per_element(obj, indent: int | None, level: int) -> str:
+    if indent is None:  # one line, items separated by ", "
+        open_, sep, close = "", ", ", ""
+    else:  # one item a line, indented `indent` spaces a level
+        open_ = "\n" + " " * (indent * (level + 1))
+        sep, close = "," + open_, "\n" + " " * (indent * level)
     if obj is None:
         return "null"
     if obj is True or obj is False:
@@ -512,21 +515,23 @@ def _per_element(obj, indent: int, level: int) -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        items = [pad + _per_element(v, indent, level + 1) for v in obj]
-        return "[\n" + ",\n".join(items) + "\n" + close_pad + "]"
+        return "[" + open_ + sep.join(_per_element(v, indent, level + 1) for v in obj) + close + "]"
     if isinstance(obj, dict):
         if not obj:
             return "{}"
         for key in obj:
             if not isinstance(key, str):
                 raise TypeError(f"JSON object keys must be strings, got {key!r}")
-        items = [pad + _ascii_string(k) + ": " + _per_element(v, indent, level + 1) for k, v in obj.items()]
-        return "{\n" + ",\n".join(items) + "\n" + close_pad + "}"
+        items = [_ascii_string(k) + ": " + _per_element(v, indent, level + 1) for k, v in obj.items()]
+        return "{" + open_ + sep.join(items) + close + "}"
     raise TypeError(f"cannot serialize object of type {type(obj).__name__}")
 
 
-def per_element_dumps(obj, indent: int = 2) -> str:
-    """The layout `jsonio.dumps` writes, built value by value: floats by repr, strings ASCII-escaped."""
+def per_element_dumps(obj, indent: int | None = None) -> str:
+    """The layout `jsonio.dumps` writes, built value by value: one line, floats by repr, strings ASCII-escaped.
+
+    An `indent` gives the layout of `json.dumps(obj, indent=indent)` instead, one item a line.
+    """
     return _per_element(obj, indent, 0) + "\n"
 
 

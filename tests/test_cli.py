@@ -314,6 +314,12 @@ def set_data(obj, label, side, entries):
     return obj
 
 
+def drop_entries(obj, label, side, count):
+    """Drop the last `count` [re, im] pairs of the labeled record's `side` matrix."""
+    del next(rec for rec in obj["records"] if rec["label"] == label)[side]["data"][-count:]
+    return obj
+
+
 def equal_linear_inputs(obj):
     """Give every linear-protocol record the input of the first."""
     first = next(r for r in obj["records"] if r["label"] == LINEAR4_LABELS[0])
@@ -362,10 +368,16 @@ def resize_records(obj, labels, dim):
         (equal_linear_inputs, ["linear"], "'1+' input is not the state its label prepares"),
         (lambda obj: set_data(obj, "mixed", "input", {0: [1.5, 0.0], 3: [-0.5, 0.0]}), ["verify", "linear", "bilinear"],
          "'mixed' input is not a density matrix"),
+        (lambda obj: set_data(obj, "5-", "output", {2: [0.0, float("nan")]}), ["verify", "linear", "bilinear"],
+         "record '5-' output: matrix JSON contains non-finite values"),
+        (lambda obj: set_dims(obj, "3+", 3, 2), ["verify", "linear", "bilinear"],
+         "record '3+' input: matrix shapes must all be 2x2 with 4 [re, im] pairs, got 3x2 with 4"),
+        (lambda obj: drop_entries(obj, "4+", "input", 1), ["verify", "linear", "bilinear"],
+         "record '4+' input: matrix shapes must all be 2x2 with 4 [re, im] pairs, got 2x2 with 3"),
     ],
     ids=["all-1x1", "one-3x3", "metadata-list", "gamma-7", "gamma-negative", "gamma-true", "gamma-string",
          "rows-string-cols-float", "rows-true", "entry-string-and-bool", "input-7", "output-7", "output-not-hermitian",
-         "input-of-record-1", "equal-linear-inputs", "mixed-input-not-positive"],
+         "input-of-record-1", "equal-linear-inputs", "mixed-input-not-positive", "entry-nan", "rows-3", "data-short"],
 )
 def test_malformed_dataset_is_bad_config(edit, commands, word, tmp_path, capsys):
     path = write_dataset(tmp_path, edit(simulate(tmp_path, capsys)))
@@ -599,7 +611,7 @@ def test_oracle_holds_on_a_random_wide_measurement_scenario(tmp_path, capsys):
         "protocol": "verify12",
     }
     scenario = tmp_path / "wide.json"
-    scenario.write_text(json.dumps(config))  # one line, not procmap's indented layout
+    scenario.write_text(json.dumps(config))  # without the trailing newline of procmap's own files
     dataset, out = tmp_path / "dataset.json", tmp_path / "bilinear.json"
     assert run(["simulate", scenario, "--out", dataset], capsys) == (EXIT_OK, "")
     assert run(["tomo", dataset, "--mode", "bilinear", "--out", out], capsys)[0] == EXIT_OK

@@ -10,10 +10,12 @@ are compared against the copies under tests/golden/<demo>/ with a
 1e-12 tolerance on every float and exact equality on every other value; in
 report.json the per-record fit residuals and the schema tag are not compared.
 
-The stochastic and imperfect-pin dataset digests were last re-pinned when each
-label's ket came to be read off the closed-form ket table in `records` instead
-of an eigensolver: each output moved by at most 1.1e-16 and no gamma left 1.0.
-The measurement demo's dataset and all three scenarios kept their bytes.
+All seven digests were last re-pinned when `jsonio.dumps` moved from the
+stdlib's indenting (pure-Python) encoder to its one-line C encoder, a layout
+change only: every value of every artifact parses back to the same bits, the
+sign of zero included (`tests/test_jsonio.py` checks this against the indented
+layout).  The dataset digests moved with their layout and with
+`metadata.scenario_sha256`, which digests the scenario file's new bytes.
 """
 
 import hashlib
@@ -30,21 +32,21 @@ FLOAT_TOL = 1e-12
 
 PINNED_SHA256 = {
     "stochastic-heisenberg": {
-        "scenario.json": "f45c1588ff14b02c0cf72a39e3e3332c2e2a1d2ceac62809fda095d0133587d2",
-        "dataset.json": "21f34c0d93dc4b8567a6df102c12677de94f156391a3e12cafa01af0c03f46b0",
+        "scenario.json": "002b407d29316593b23e25a95380212ef32ba2ef0d46a7a85f44438d0e402bf5",
+        "dataset.json": "f67b1dbcaa1317b2b927b908cd0d2d0341b115714a84b0af0f498af45b401979",
     },
     "measurement-correlated": {
-        "scenario.json": "a74818e94a19980504189c09fd9e917053a1fbc74aa067ba4e93ac93572422f7",
-        "dataset.json": "07700f0b8864f0beabe5cc24266501a699075ec76f0c55c0ff0d5c0326f461a9",
+        "scenario.json": "3e988f4974b7567d08ea94615b6f877e922e8d55068b3f9e807762f31605c873",
+        "dataset.json": "80fb63e676d4b82a5f5cb54a0d371ff66977c03ca5a4096f4ca198eb4cfeeb93",
     },
     "imperfect-pin": {
-        "scenario.json": "aea588f4c4dfc53382cd40023ec642d8b694661254d6e84028785f623e880a4a",
-        "dataset.json": "1de56d808094422cfe6eec07c18ca3d88ddb22cc5bfce599edaf707f537b6d8d",
+        "scenario.json": "bbb799aba0cf24dab45f6039937de8ef537a05565248051c29703294e883c0f2",
+        "dataset.json": "34ba4008dc15d25a1c9544bfbe789c29966a3aba36f1b5c0cf42877b33914778",
     },
 }
 # sha256 of dataset.json re-emitted with its `oracle` key dropped: its records and metadata alone.
 WITHOUT_ORACLE_SHA256 = {
-    "measurement-correlated": "f8f7730385799627be013f5b19178eb7d79020a5d1422d98234f1fbcdab447f2",
+    "measurement-correlated": "47293a2138693e0354645f98b2017d9acfc5c9f942177e09e1b4927591352dec",
 }
 VERDICTS = {
     "stochastic-heisenberg": "Linear",

@@ -1,4 +1,9 @@
-"""The JSON layer against its per-element oracles: emit round-trips every value bit for bit in the oracle's layout, and the array decode matches its loop."""
+"""The JSON layer against its per-element oracles.
+
+Emit round-trips every value bit for bit in the oracle's one-line layout, and
+holds the bits that the indented layout it replaced held; the stacked decode
+matches its loop and names the matrix at fault.
+"""
 
 import hashlib
 import json
@@ -11,6 +16,7 @@ import pytest
 from helpers import per_element_dumps, rand_density, reference_matrix_from_json, reference_matrix_to_json
 from procmap import jsonio
 from procmap.cli import main
+from procmap.records import Dataset
 from procmap.scenarios import DEMO_NAMES, parse_scenario, simulate_scenario
 
 
@@ -61,11 +67,10 @@ def assert_matches_oracle(obj, indent):
     assert jsonio.dumps(json.loads(per_element_dumps(obj, indent=indent))) == text
 
 
-def test_layout_is_two_space_indent_with_ascii_escapes():
+def test_layout_is_one_line_with_ascii_escapes():
     obj = {"a": [], "b": {}, "c": [0.3, -0.0, 1e16, 5e-324, 2, True, None], "d": {"\u03b3": "\u2014\n"}}
     assert jsonio.dumps(obj) == (
-        '{\n  "a": [],\n  "b": {},\n  "c": [\n    0.3,\n    -0.0,\n    1e+16,\n    5e-324,\n    2,\n'
-        '    true,\n    null\n  ],\n  "d": {\n    "\\u03b3": "\\u2014\\n"\n  }\n}\n'
+        '{"a": [], "b": {}, "c": [0.3, -0.0, 1e+16, 5e-324, 2, true, null], "d": {"\\u03b3": "\\u2014\\n"}}\n'
     )
 
 
@@ -107,6 +112,70 @@ def test_demo_artifacts_and_wide_dataset_match_oracle(indent, emitted_texts):
         obj = json.loads(text)
         assert jsonio.dumps(obj) == text  # a fixed point
         assert_matches_oracle(obj, indent)
+
+
+def indented_dumps(obj) -> str:
+    """The artifact layout `jsonio.dumps` wrote before it went to one line: two-space indent, trailing newline."""
+    return json.dumps(obj, indent=2, allow_nan=False) + "\n"
+
+
+@pytest.fixture(scope="module")
+def both_layouts(tmp_path_factory):
+    """Every artifact of the three demos and of a dimB = 64 simulate/tomo/verify chain, by path: text per layout."""
+    root = tmp_path_factory.mktemp("layouts")
+    scenario = root / "wide.json"
+    scenario.write_text(json.dumps(wide_scenario()))
+    texts = {}
+    for layout, dumps in (("one-line", jsonio.dumps), ("indented", indented_dumps)):
+        out = root / layout
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(jsonio, "dumps", dumps)
+            for demo in DEMO_NAMES:
+                assert main(["demo", demo, "--out", str(out / demo)]) == 0
+            (out / "wide").mkdir()
+            dataset = str(out / "wide" / "dataset.json")
+            assert main(["simulate", str(scenario), "--out", dataset]) == 0
+            for mode in ("linear", "bilinear"):
+                assert main(["tomo", dataset, "--mode", mode, "--out", str(out / "wide" / f"{mode}.json")]) == 0
+            assert main(["verify", dataset, "--out", str(out / "wide" / "report.json")]) == 0
+        texts[layout] = {path.relative_to(out).as_posix(): path.read_text() for path in sorted(out.rglob("*.json"))}
+    assert len(texts["one-line"]) == 22 and texts["one-line"].keys() == texts["indented"].keys()
+    return texts
+
+
+def test_one_line_artifacts_hold_the_bits_of_the_indented_ones(both_layouts):
+    new, old = both_layouts["one-line"], both_layouts["indented"]
+    for name, text in new.items():
+        assert text.endswith("\n") and text.count("\n") == 1, name
+        got, want = json.loads(text), json.loads(old[name])
+        if name.endswith("dataset.json"):  # the digest of the scenario file, whose layout changes with the demo's
+            scenario = name.replace("dataset.json", "scenario.json")
+            digests = [obj["metadata"].pop("scenario_sha256") for obj in (got, want)]
+            if scenario in new:
+                assert digests == [hashlib.sha256(texts[scenario].encode()).hexdigest() for texts in (new, old)]
+            else:  # the wide chain's scenario is one input file
+                assert digests[0] == digests[1]
+        assert_same_bits(got, want, name)
+
+
+@pytest.mark.parametrize("demo", [*DEMO_NAMES, "wide"])
+def test_indented_dataset_loads_to_the_same_dataset(demo, both_layouts, tmp_path):
+    text = both_layouts["one-line"][f"{demo}/dataset.json"]
+    indented = indented_dumps(json.loads(text))
+    got, want = Dataset.from_json(json.loads(indented)), Dataset.from_json(json.loads(text))
+    assert got.labels() == want.labels() and got.metadata == want.metadata
+    for g, w in zip(got.records, want.records):
+        assert g.input.tobytes() == w.input.tobytes() and g.output.tobytes() == w.output.tobytes()
+        assert struct.pack("<d", g.gamma) == struct.pack("<d", w.gamma)
+    assert (got.oracle is None and want.oracle is None) or got.oracle.tobytes() == want.oracle.tobytes()
+    assert jsonio.dumps(got.to_json()) == text
+    # The commands read either layout and write the same bytes.
+    reports = []
+    for name, content in (("one-line.json", text), ("indented.json", indented)):
+        (tmp_path / name).write_text(content)
+        assert main(["verify", str(tmp_path / name), "--out", str(tmp_path / f"report-{name}")]) == 0
+        reports.append((tmp_path / f"report-{name}").read_bytes())
+    assert reports[0] == reports[1]
 
 
 @pytest.mark.parametrize("indent", [0, 2, 4])
@@ -183,6 +252,43 @@ def test_matrix_decode_is_bit_identical_to_loop():
         want = reference_matrix_from_json(obj)
         assert got.shape == want.shape == (rows, cols)
         assert got.tobytes() == want.tobytes()
+
+
+def test_stacked_decode_is_bit_identical_to_one_at_a_time():
+    rng = np.random.default_rng(13)
+    objs = [jsonio.matrix_to_json(rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))) for _ in range(5)]
+    objs[2]["data"][0] = [-0.0, 5e-324]
+    objs[4]["data"][-1] = [3, -(2**60)]
+    stack = jsonio.matrices_from_json(objs)
+    assert stack.shape == (5, 3, 2)
+    assert stack.tobytes() == np.array([reference_matrix_from_json(obj) for obj in objs]).tobytes()
+    assert jsonio.matrices_from_json([], shape=(2, 2)).shape == (0, 2, 2)
+    objs[3] = jsonio.matrix_to_json(np.eye(2))  # the first matrix sets the shape
+    with pytest.raises(ValueError, match=r"^d: matrix shapes must all be 3x2 with 6 \[re, im\] pairs, got 2x2 with 4$"):
+        jsonio.matrices_from_json(objs, "abcde")
+
+
+@pytest.mark.parametrize(
+    "edit, words",
+    [
+        (lambda obj: obj["data"].__setitem__(1, [0.5, math.inf]), "non-finite"),
+        (lambda obj: obj["data"].__setitem__(3, [0.5]), "[re, im] pairs"),
+        (lambda obj: obj["data"].__setitem__(0, [None, 0.0]), "JSON numbers, got None"),
+        (lambda obj: obj["data"].pop(), "2x2 with 4 [re, im] pairs, got 2x2 with 3"),
+        (lambda obj: obj.update(rows=2.0), "JSON integers"),
+        (lambda obj: obj.pop("cols"), "malformed matrix JSON"),
+    ],
+    ids=["inf", "short-pair", "null", "short-data", "float-rows", "no-cols"],
+)
+def test_stacked_decode_names_the_matrix_at_fault(edit, words):
+    objs = [jsonio.matrix_to_json(np.eye(2)) for _ in range(4)]
+    edit(objs[2])
+    with pytest.raises(ValueError, match=r"^third: ") as caught:
+        jsonio.matrices_from_json(objs, ["first", "second", "third", "fourth"])
+    assert words in str(caught.value)
+    with pytest.raises(ValueError) as caught:
+        jsonio.matrix_from_json(objs[2])
+    assert words in str(caught.value) and "third" not in str(caught.value)
 
 
 @pytest.mark.parametrize(
