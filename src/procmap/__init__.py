@@ -14,13 +14,11 @@ from .bilinear_tomo import (
     MElementTable,
     build_M_from_dynamics,
     element_table_from_map,
-    predict_output,
     solve_M_elements,
 )
 from .dynamics import (
     ProcessSpec,
     correlated_pair_state,
-    dynamical_map_fixed_env,
     heisenberg_hamiltonian,
     run_process,
     unitary_from_hamiltonian,
@@ -41,7 +39,7 @@ from .prep import (
     ZeroProbabilityOutcome,
     prepare_generalized,
 )
-from .records import NINE_STATE_LABELS, TWELVE_STATE_LABELS, Dataset, Fit, MissingRecord, TomographyRecord, fit
+from .records import NINE_STATE_LABELS, TWELVE_STATE_LABELS, Dataset, Fit, MissingRecord, fit
 from .verify import VerificationReport, classify, gamma_completeness
 
 __version__ = "0.1.0"

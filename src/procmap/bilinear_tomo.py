@@ -38,7 +38,7 @@ from . import jsonio
 from .errors import ProcmapError
 from .prep import ZeroProbabilityOutcome
 from .qstate import DIM_SYS, IDENTITY_2, PAULIS, pauli_decompose
-from .records import NINE_STATE_LABELS, TomographyRecord, fit, select
+from .records import MIXED_LABEL, NINE_STATE_LABELS, Dataset, fit
 
 CROSS_PAIRS = ((1, 2), (1, 3), (2, 3))
 
@@ -49,10 +49,6 @@ class ZeroGamma(ZeroProbabilityOutcome):
 
 class NotStrictlyMixed(ProcmapError):
     """The mixed-state record's input is pure, so it cannot resolve <1|M|1>."""
-
-
-class MixedWithoutUnitUnit(Exception):
-    """Prediction for a mixed preparation requires the <1|M|1> element."""
 
 
 @dataclass(frozen=True)
@@ -119,10 +115,6 @@ class MElementTable:
 
     elements: np.ndarray
 
-    @property
-    def unit_unit(self) -> np.ndarray | None:
-        return self.elements[9] if len(self.elements) > 9 else None
-
     def to_json(self) -> dict:
         mats = [jsonio.matrix_to_json(m) for m in self.elements]
         cross = {f"{j}{k}": m for (j, k), m in zip(CROSS_PAIRS, mats[6:9])}
@@ -138,51 +130,28 @@ def element_table_from_map(bmap: BilinearProcessMap) -> MElementTable:
     return MElementTable(elements=np.einsum("ei,ik->ek", _PROBES, m16).reshape(-1, 2, 2))
 
 
-def solve_M_elements(records, mixed_record: TomographyRecord | None = None) -> MElementTable:
+def solve_M_elements(dataset: Dataset) -> MElementTable:
     """Solve the element combinations of M from the nine protocol records.
 
     One least-squares fit (`records.fit` at degree 2) expresses gamma*Q as a
     sesquilinear form in the prepared projector.  The nine projectors pin down
     exactly the combinations in MElementTable, so the probes read them off the
-    min-norm solution.  When a mixed-state record (Bloch norm < 1) is fitted
-    as well, <1|M|1> is resolved too.
+    min-norm solution.  When the dataset holds a `MIXED_LABEL` record, its
+    mixed input (Bloch norm < 1) is fitted as well and resolves <1|M|1> too.
     """
-    fitted = select(records, NINE_STATE_LABELS)
-    if mixed_record is not None:
-        _, half_p = pauli_decompose(mixed_record.input)
+    mixed = MIXED_LABEL in dataset.labels
+    fitted = dataset.subset(NINE_STATE_LABELS + ((MIXED_LABEL,) if mixed else ()))
+    if mixed:
+        _, half_p = pauli_decompose(fitted.inputs[-1])
         norm_sq = 4.0 * float(np.dot(half_p, half_p))
         if norm_sq >= 1.0 - 1e-10:
             raise NotStrictlyMixed(
-                f"record {mixed_record.label!r} has input Bloch norm {np.sqrt(norm_sq):.6f}, not strictly below 1"
+                f"record {MIXED_LABEL!r} has input Bloch norm {np.sqrt(norm_sq):.6f}, not strictly below 1"
             )
-        fitted.append(mixed_record)
-    for rec in fitted:
-        if rec.gamma <= 0:
-            raise ZeroGamma(f"record {rec.label!r} has gamma = {rec.gamma}")
+    for label, gamma in zip(fitted.labels, fitted.gammas.tolist()):
+        if gamma <= 0:
+            raise ZeroGamma(f"record {label!r} has gamma = {gamma}")
 
     # Nine records resolve the first nine elements; a mixed record adds the tenth, <1|M|1>.
-    elements = np.einsum("ei,ik->ek", _PROBES[: len(fitted)], fit(fitted, degree=2).coef)
+    elements = np.einsum("ei,ik->ek", _PROBES[: len(fitted.labels)], fit(fitted, degree=2).coef)
     return MElementTable(elements=elements.reshape(-1, 2, 2))
-
-
-def predict_output(table: MElementTable, p) -> tuple[float, np.ndarray]:
-    """Outcome probability and output state for a preparation with Bloch vector p.
-
-    |p| must be 1 (a projector) unless the table carries <1|M|1>, in which
-    case mixed preparations with |p| < 1 are supported as well.
-    """
-    p = np.asarray(p, dtype=float)
-    norm_sq = float(np.dot(p, p))
-    pure = abs(norm_sq - 1.0) <= 1e-10
-    if not pure and table.unit_unit is None:
-        raise MixedWithoutUnitUnit(
-            f"Bloch norm {np.sqrt(norm_sq):.6f} < 1 but the table has no <1|M|1> element"
-        )
-    cross = [p[j - 1] * p[k - 1] for j, k in CROSS_PAIRS]
-    weights = np.concatenate([p**2, p, cross, [0.0 if pure else 1.0 - norm_sq]])
-    four_gq = np.einsum("e,ers->rs", weights[: len(table.elements)], table.elements)
-    gamma = float(np.trace(four_gq).real) / 4.0
-    if gamma <= 1e-12:
-        raise ZeroGamma(f"predicted outcome probability {gamma:.3e} is not positive")
-    q = four_gq / (4.0 * gamma)
-    return gamma, 0.5 * (q + np.conj(q).T)

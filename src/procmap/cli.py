@@ -40,7 +40,7 @@ from .bilinear_tomo import build_M_from_dynamics, element_table_from_map, solve_
 from .errors import EXIT_OK, ProcmapError
 from .linear_tomo import apply_linear_map, map_diagnostics, reconstruct_linear_map
 from .qstate import bloch_vector
-from .records import LINEAR4_LABELS, MIXED_LABEL, NINE_STATE_LABELS, TWELVE_STATE_LABELS, Dataset
+from .records import LINEAR4_LABELS, Dataset
 from .scenarios import DEMO_NAMES, ScenarioError, demo_scenario_config, parse_scenario, simulate_scenario
 from .verify import DEFAULT_TOL_BILINEAR, DEFAULT_TOL_LINEAR, classify
 
@@ -109,15 +109,13 @@ def cmd_simulate(args) -> int:
 
 
 def _tomo_linear(dataset: Dataset) -> dict:
-    records = dataset.subset(LINEAR4_LABELS)
-    lam = reconstruct_linear_map(records)
+    lam = reconstruct_linear_map(dataset.subset(LINEAR4_LABELS))
     diag = map_diagnostics(lam)
     return {"mode": "linear", "map": lam.to_json(), "diagnostics": diag.to_json()}
 
 
 def _tomo_bilinear(dataset: Dataset) -> dict:
-    mixed = dataset.get(MIXED_LABEL) if MIXED_LABEL in dataset.labels() else None
-    table = solve_M_elements(dataset.subset(NINE_STATE_LABELS), mixed_record=mixed)
+    table = solve_M_elements(dataset)
     payload = {"mode": "bilinear", "elements": table.to_json()}
     if dataset.oracle is not None:
         deviation = np.max(np.abs(table.elements - dataset.oracle[: len(table.elements)]))
@@ -137,21 +135,16 @@ def cmd_verify(args) -> int:
         if not (math.isfinite(tol) and tol >= 0):
             raise ProcmapError(f"{option} must be a finite non-negative number, got {tol}")
     dataset = _load_dataset(args.dataset)
-    report = classify(
-        dataset.subset(TWELVE_STATE_LABELS),
-        tol_linear=args.tol_linear,
-        tol_bilinear=args.tol_bilinear,
-    )
+    report = classify(dataset, tol_linear=args.tol_linear, tol_bilinear=args.tol_bilinear)
     _write_output(report.to_json(), args.out)
     return EXIT_OK
 
 
 def _demo_counterexample(dataset: Dataset, lam) -> dict:
     """Linear prediction vs measured output for the held-out 2- input."""
-    rec = dataset.get("2-")
-    predicted = apply_linear_map(lam, rec.input)
-    predicted_bloch = bloch_vector(predicted)
-    actual_bloch = bloch_vector(rec.output)
+    held_out = dataset.subset(("2-",))
+    predicted_bloch = bloch_vector(apply_linear_map(lam, held_out.inputs[0]))
+    actual_bloch = bloch_vector(held_out.outputs[0])
     return {
         "label": "2-",
         "linear_prediction_bloch": [float(v) for v in predicted_bloch],
@@ -191,7 +184,7 @@ def cmd_demo(args) -> int:
     dataset = simulate_scenario(parse_scenario(config, name=args.name), _sha256(scenario_bytes))
     lam = reconstruct_linear_map(dataset.subset(LINEAR4_LABELS))
     diag = map_diagnostics(lam).to_json()
-    report = classify(dataset.subset(TWELVE_STATE_LABELS))
+    report = classify(dataset)
     analysis = {
         "demo": args.name,
         "verdict": report.verdict,

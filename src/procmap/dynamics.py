@@ -6,8 +6,7 @@ tensor M that `bilinear_tomo.build_M_from_dynamics` builds once from (U, gamma0)
 gamma*Q is M contracted with the preparation's superoperator S, which equals
 Tr_env[U J U'] for the joint state J = S applied to the system factor of gamma0,
 without forming J.  Also provides the
-exchange-coupling Hamiltonian used by the shipped scenarios and the
-fixed-environment dynamical map rho -> Tr_env[U (rho x tau) U'].
+exchange-coupling Hamiltonian used by the shipped scenarios.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bilinear_tomo import BilinearProcessMap
-from .linear_tomo import LinearProcessMap
 from .prep import PreparedState
 from .qstate import (
     DIM_SYS,
@@ -105,20 +103,3 @@ def run_process(bmap: BilinearProcessMap, prepared: PreparedState) -> np.ndarray
     # Divide by the trace of gamma*Q itself: dividing by gamma would leave Tr Q off by about 1e-8 at gamma ~ 1e-9.
     out = gq / trace.real
     return 0.5 * (out + dagger(out))
-
-
-def dynamical_map_fixed_env(u: np.ndarray, tau: np.ndarray) -> LinearProcessMap:
-    """Linear map rho -> Tr_env[U (rho x tau) U'] in process-map storage.
-
-    lam4[r,r',s,s'] = sum_{e,a,b} U[(r,e),(r',a)] tau[a,b] conj(U[(s,e),(s',b)]),
-    the output for the matrix unit |r'><s'|.
-    """
-    u = np.asarray(u, dtype=complex)
-    tau = np.asarray(tau, dtype=complex)
-    dim_env = tau.shape[0]
-    if u.shape[0] != DIM_SYS * dim_env:
-        raise ValueError(f"unitary dimension is not {DIM_SYS} times the environment dimension")
-    u4 = u.reshape(DIM_SYS, dim_env, DIM_SYS, dim_env)
-    ut = np.tensordot(u4, tau, axes=([3], [0]))
-    lam4 = np.tensordot(ut, np.conj(u4), axes=([1, 3], [1, 3]))
-    return LinearProcessMap(mat=lam4.reshape(DIM_SYS * DIM_SYS, DIM_SYS * DIM_SYS))

@@ -18,7 +18,7 @@ import numpy as np
 from . import jsonio
 from .errors import EXIT_NOT_A_FRAME, ProcmapError
 from .qstate import DIM_SYS, dagger, hermiticity_residual
-from .records import fit
+from .records import Dataset, fit
 
 LAYOUT_TAG = "rrp-ssp"
 
@@ -50,19 +50,14 @@ class LinearProcessMap:
 MAX_FRAME_COND = 1e12
 
 
-def reconstruct_linear_map(records) -> LinearProcessMap:
-    """Process map fitted by least squares to N^2 or more (input, output) records.
+def reconstruct_linear_map(dataset: Dataset) -> LinearProcessMap:
+    """Process map fitted by least squares to the N^2 or more (input, output) records of `dataset`.
 
     Raises NotAFrame unless the inputs span all N x N matrices with a design
     condition number of at most MAX_FRAME_COND.
     """
-    records = list(records)
-    if not records:
-        raise NotAFrame("no records supplied")
-    n = records[0].input.shape[0]
-    if any(np.shape(m) != (n, n) for rec in records for m in (rec.input, rec.output)):
-        raise NotAFrame("records have inconsistent dimensions")
-    result = fit(records, degree=1)
+    n = DIM_SYS
+    result = fit(dataset, degree=1)
     if result.rank < n * n or result.cond > MAX_FRAME_COND:
         raise NotAFrame(f"inputs are not a tomography frame (rank {result.rank} of {n * n}, cond {result.cond:.3e})")
     # coef[(r',s'), (r,s)] is the weight of rho[r',s'] in out[r,s].

@@ -8,8 +8,10 @@ Each label's ket |t> (`ket_of_label`) is the half-angle closed form of its Bloch
 computed once, in the gauge where the first component of largest magnitude is real and positive.
 `PROTOCOL_LABELS` names the protocols: verify12, all twelve labels in pair
 order; bilinear9, both labels of 1, 2, 3 and 4+, 5+, 6+; linear4, 1-, 1+, 2+,
-3+.  A bi-linear dataset may add a record labeled `MIXED_LABEL`.  `select`
-looks records up by label.
+3+.  A bi-linear dataset may add a record labeled `MIXED_LABEL`.
+A `Dataset` holds its records as stacked arrays, record i being (labels[i],
+inputs[i], outputs[i], gammas[i]); `Dataset.subset` selects a protocol's records
+by label, and `fit` reads the stacks directly.
 """
 
 from __future__ import annotations
@@ -71,50 +73,55 @@ class MissingRecord(ProcmapError):
 
 
 @dataclass(frozen=True)
-class TomographyRecord:
-    """One (prepared input, measured output, outcome probability) triple."""
-
-    label: str
-    input: np.ndarray
-    output: np.ndarray
-    gamma: float
-
-    def to_json(self) -> dict:
-        return {
-            "label": self.label,
-            "gamma": float(self.gamma),
-            "input": jsonio.matrix_to_json(self.input),
-            "output": jsonio.matrix_to_json(self.output),
-        }
-
-
-@dataclass(frozen=True)
 class Dataset:
-    """An ordered set of uniquely labeled tomography records plus free-form metadata.
+    """Uniquely labeled tomography records, stacked, plus free-form metadata.
 
+    Record i is the triple (inputs[i], outputs[i], gammas[i]) labeled labels[i]: the
+    prepared input and measured output, (k, 2, 2) complex stacks, and the outcome
+    probability, a (k,) float array.  Construction raises ValueError when a label
+    repeats or the stacks do not have those shapes.
     `oracle` is None or the exact element table of the true process, (10, 2, 2) in
     `MElementTable` order; its JSON is one 10 x 4 matrix, row i element i flattened.
     """
 
-    records: tuple[TomographyRecord, ...]
+    labels: tuple[str, ...]
+    inputs: np.ndarray
+    outputs: np.ndarray
+    gammas: np.ndarray
     metadata: dict[str, str] = field(default_factory=dict)
     oracle: np.ndarray | None = None
 
     def __post_init__(self):
-        select(self.records, ())
+        k = len(self.labels)
+        for name, dtype, shape in (("inputs", complex, (k, 2, 2)), ("outputs", complex, (k, 2, 2)),
+                                   ("gammas", float, (k,))):
+            stack = np.asarray(getattr(self, name), dtype=dtype)
+            if stack.shape != shape:
+                raise ValueError(f"{name} has shape {stack.shape}, expected {shape} for {k} labels")
+            object.__setattr__(self, name, stack)
+        seen: set[str] = set()
+        for label in self.labels:
+            if label in seen:
+                raise ValueError(f"record labels must be unique; {label!r} repeats")
+            seen.add(label)
 
-    def labels(self) -> list[str]:
-        return [r.label for r in self.records]
-
-    def get(self, label: str) -> TomographyRecord:
-        return select(self.records, (label,))[0]
-
-    def subset(self, labels) -> list[TomographyRecord]:
-        return select(self.records, labels)
+    def subset(self, labels) -> "Dataset":
+        """The records labeled `labels`, in that order; raises MissingRecord naming every absent label."""
+        index = {label: i for i, label in enumerate(self.labels)}
+        missing = [label for label in labels if label not in index]
+        if missing:
+            raise MissingRecord(f"missing records labeled {', '.join(missing)}")
+        rows = [index[label] for label in labels]
+        return Dataset(tuple(labels), self.inputs[rows], self.outputs[rows], self.gammas[rows],
+                       self.metadata, self.oracle)
 
     def to_json(self) -> dict:
+        records = zip(self.labels, self.gammas.tolist(), self.inputs, self.outputs)
         out = {
-            "records": [r.to_json() for r in self.records],
+            "records": [
+                {"label": label, "gamma": gamma, "input": jsonio.matrix_to_json(i), "output": jsonio.matrix_to_json(o)}
+                for label, gamma, i, o in records
+            ],
             "metadata": {k: str(v) for k, v in self.metadata.items()},
         }
         if self.oracle is not None:
@@ -139,8 +146,8 @@ class Dataset:
         if "oracle" in obj:
             oracle = jsonio.matrices_from_json([obj["oracle"]], ["oracle"], (10, 4)).reshape(10, 2, 2)
         _check_states(labels, mats)
-        records = tuple(map(TomographyRecord, labels, *mats.reshape(2, -1, 2, 2), map(float, gammas)))
-        return Dataset(records=records, metadata=metadata, oracle=oracle)
+        inputs, outputs = mats.reshape(2, -1, 2, 2)
+        return Dataset(tuple(labels), inputs, outputs, gammas, metadata, oracle)
 
 
 def _check_states(labels, mats) -> None:
@@ -171,23 +178,6 @@ def _check_states(labels, mats) -> None:
             raise ValueError(f"record {labels[i]!r} {what} (deviation {deviation[i]:.3e})")
 
 
-def select(records, labels) -> list[TomographyRecord]:
-    """The records labeled `labels`, in that order; records with other labels are ignored.
-
-    Raises ValueError when two records share a label, and MissingRecord naming
-    every label that no record carries.
-    """
-    by_label: dict[str, TomographyRecord] = {}
-    for rec in records:
-        if rec.label in by_label:
-            raise ValueError(f"record labels must be unique; {rec.label!r} repeats")
-        by_label[rec.label] = rec
-    missing = [label for label in labels if label not in by_label]
-    if missing:
-        raise MissingRecord(f"missing records labeled {', '.join(missing)}")
-    return [by_label[label] for label in labels]
-
-
 @dataclass(frozen=True)
 class Fit:
     """Least-squares fit of record outputs as a polynomial in the record inputs.
@@ -202,8 +192,8 @@ class Fit:
     cond: float
 
 
-def fit(records, degree: int) -> Fit:
-    """One least-squares fit over all records.
+def fit(dataset: Dataset, degree: int) -> Fit:
+    """One least-squares fit over all records of `dataset`.
 
     Degree 1 fits Q against vec(P) (Q linear in the input P); degree 2 fits
     gamma*Q against conj(vec P) (x) vec(P) (gamma*Q sesquilinear in P).  The
@@ -212,18 +202,17 @@ def fit(records, degree: int) -> Fit:
     """
     if degree not in (1, 2):
         raise ValueError(f"fit degree must be 1 or 2, got {degree}")
-    records = list(records)
-    k = len(records)
-    design = np.array([rec.input for rec in records], dtype=complex).reshape(k, -1)
-    target = np.array([rec.output for rec in records], dtype=complex).reshape(k, -1)
+    k = len(dataset.labels)
+    design = dataset.inputs.reshape(k, -1)
+    target = dataset.outputs.reshape(k, -1)
     if degree == 2:
         design = (np.conj(design)[:, :, None] * design[:, None, :]).reshape(k, -1)
-        target = np.array([rec.gamma for rec in records])[:, None] * target
+        target = dataset.gammas[:, None] * target
     coef, _, rank, sv = np.linalg.lstsq(design, target, rcond=None)
     misfit = np.max(np.abs(design @ coef - target), axis=1)
     return Fit(
         coef=coef,
-        residuals={rec.label: float(m) for rec, m in zip(records, misfit)},
+        residuals=dict(zip(dataset.labels, misfit.tolist())),
         rank=int(rank),
         cond=float(sv[0] / sv[rank - 1]) if rank else math.inf,
     )

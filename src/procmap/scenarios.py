@@ -9,7 +9,7 @@ measurement, P; generalized, the label's outcome map; the mixed record, X.  |t> 
 ket table in `records`, in its gauge (the first component of largest magnitude real and positive).
 Simulation builds the process tensor M once, walks the protocol labels, then
 `mixed`, prepares each input, reads its output off M and collects (input,
-output, gamma) records.  An optional
+output, gamma) records into the stacks of one `Dataset`.  An optional
 finite-shot mode degrades the exact probabilities and outputs to multinomial
 estimates from a seeded generator.
 
@@ -40,7 +40,7 @@ from .dynamics import (
 from .errors import ProcmapError
 from .prep import GeneralizedMeasurement, OutcomeMap, prepare_generalized
 from .qstate import DIM_SYS, SIGMA_1, SIGMA_3, bloch_vector, state_from_bloch, tensor
-from .records import DIRECTIONS, MIXED_LABEL, PROTOCOL_LABELS, Dataset, TomographyRecord, ket_of_label, state_of_label
+from .records import DIRECTIONS, MIXED_LABEL, PROTOCOL_LABELS, Dataset, ket_of_label, state_of_label
 
 # Three retired names stay bound here, uncalled, so that perfbench/tracer.py can wrap them.
 apply_pin_map = prepare_stochastic = prepare_projective = prepare_generalized
@@ -239,19 +239,19 @@ def operation_of_label(sc: Scenario, label: str) -> OutcomeMap:
     return OutcomeMap(weights=(1.0,), kraus=(np.array([[t0, -np.conj(t1)], [t1, np.conj(t0)]]),))
 
 
-def _degrade_record(rng: np.random.Generator, rec: TomographyRecord, shots: int, gamma: float) -> TomographyRecord:
-    """Replace the exact output with Pauli-axis multinomial estimates at `shots` shots."""
-    b = bloch_vector(rec.output)
+def _degrade_output(rng: np.random.Generator, output: np.ndarray, shots: int) -> np.ndarray:
+    """Pauli-axis multinomial estimate of the exact output state at `shots` shots."""
+    b = bloch_vector(output)
     est = np.zeros(3)
     for axis in range(3):
         p_up = min(max(0.5 * (1.0 + b[axis]), 0.0), 1.0)
         ups = rng.binomial(shots, p_up)
         est[axis] = 2.0 * ups / shots - 1.0
-    return TomographyRecord(label=rec.label, input=rec.input, output=state_from_bloch(est), gamma=gamma)
+    return state_from_bloch(est)
 
 
-def _degraded_gammas(rng: np.random.Generator, sc: Scenario, exact: dict[str, float], shots: int) -> dict[str, float]:
-    """Multinomial estimates of the outcome probabilities: per direction, or over all outcomes."""
+def _degraded_gammas(rng: np.random.Generator, sc: Scenario, exact: dict[str, float], shots: int) -> list[float]:
+    """Multinomial estimates of the outcome probabilities, per direction or over all outcomes, in `exact`'s order."""
     est = dict(exact)
     if sc.prep_method == "generalized":
         counts = rng.multinomial(shots, [exact[label] for label in sc.generalized_labels])
@@ -264,24 +264,24 @@ def _degraded_gammas(rng: np.random.Generator, sc: Scenario, exact: dict[str, fl
                 est[plus] = ups / shots
                 if minus in exact:
                     est[minus] = 1.0 - ups / shots
-    return est
+    return list(est.values())
 
 
 def simulate_scenario(sc: Scenario, scenario_sha256: str = "") -> Dataset:
     """Run the pipeline for every protocol label; `scenario_sha256` is the scenario file's digest."""
     bmap = build_M_from_dynamics(sc.spec)
     labels = PROTOCOL_LABELS[sc.protocol] + ((MIXED_LABEL,) if sc.mixed_bloch is not None else ())
-    records = []
+    inputs, outputs, gammas = [], [], []
     for label in labels:
         prep_state = prepare_generalized(sc.spec.gamma0, operation_of_label(sc, label), label=label)
-        assumed = state_from_bloch(sc.mixed_bloch) if label == MIXED_LABEL else state_of_label(label)
-        q = run_process(bmap, prep_state)
-        records.append(TomographyRecord(label=label, input=assumed, output=q, gamma=prep_state.gamma))
+        inputs.append(state_from_bloch(sc.mixed_bloch) if label == MIXED_LABEL else state_of_label(label))
+        outputs.append(run_process(bmap, prep_state))
+        gammas.append(prep_state.gamma)
 
     if sc.shots is not None:
         rng = np.random.default_rng(sc.seed if sc.seed is not None else 0)
-        gammas = _degraded_gammas(rng, sc, {r.label: r.gamma for r in records}, sc.shots)
-        records = [_degrade_record(rng, rec, sc.shots, gammas[rec.label]) for rec in records]
+        gammas = _degraded_gammas(rng, sc, dict(zip(labels, gammas)), sc.shots)
+        outputs = [_degrade_output(rng, q, sc.shots) for q in outputs]
 
     metadata = {
         "scenario": sc.name,
@@ -295,7 +295,7 @@ def simulate_scenario(sc: Scenario, scenario_sha256: str = "") -> Dataset:
     oracle = None
     if sc.prep_method == "measurement":  # the only preparation the bi-linear map describes
         oracle = element_table_from_map(bmap).elements
-    return Dataset(records=tuple(records), metadata=metadata, oracle=oracle)
+    return Dataset(labels, inputs, outputs, gammas, metadata, oracle)
 
 
 # ---------------------------------------------------------------------------

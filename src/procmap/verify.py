@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .records import DIRECTIONS, TWELVE_STATE_LABELS, fit, select
+from .records import DIRECTIONS, TWELVE_STATE_LABELS, Dataset, fit
 
 REPORT_SCHEMA = 2
 
@@ -24,11 +24,10 @@ DEFAULT_TOL_BILINEAR = 1e-6
 GAMMA_WARN_THRESHOLD = 0.02
 
 
-def gamma_completeness(records) -> dict[str, float]:
+def gamma_completeness(dataset: Dataset) -> dict[str, float]:
     """Deviation gamma(+) + gamma(-) - 1 for each of the six measurement directions."""
-    twelve = select(records, TWELVE_STATE_LABELS)
-    pairs = zip(DIRECTIONS, twelve[::2], twelve[1::2])
-    return {d: float(plus.gamma + minus.gamma - 1.0) for d, plus, minus in pairs}
+    gammas = dataset.subset(TWELVE_STATE_LABELS).gammas
+    return dict(zip(DIRECTIONS, (gammas[::2] + gammas[1::2] - 1.0).tolist()))
 
 
 @dataclass(frozen=True)
@@ -54,20 +53,21 @@ class VerificationReport:
 
 
 def classify(
-    records,
+    dataset: Dataset,
     tol_linear: float = DEFAULT_TOL_LINEAR,
     tol_bilinear: float = DEFAULT_TOL_BILINEAR,
 ) -> VerificationReport:
     """Classify a 12-record experiment as Linear, Bilinear, or Neither.
 
     The residuals are the per-record misfits of the degree-1 and degree-2
-    fits over the twelve records.  Gamma-completeness deviations are reported
-    (and warned about above GAMMA_WARN_THRESHOLD) but gate only data quality,
-    never the verdict.  When every record has gamma = 1 the preparation was
-    not selective, so the completeness check does not apply and gives no
+    fits over the dataset's twelve protocol records; any other record is
+    ignored.  Gamma-completeness deviations are reported (and warned about
+    above GAMMA_WARN_THRESHOLD) but gate only data quality, never the
+    verdict.  When every record has gamma = 1 the preparation was not
+    selective, so the completeness check does not apply and gives no
     warnings.
     """
-    twelve = select(records, TWELVE_STATE_LABELS)
+    twelve = dataset.subset(TWELVE_STATE_LABELS)
     linear = fit(twelve, degree=1).residuals
     bilinear = fit(twelve, degree=2).residuals
     gammas = gamma_completeness(twelve)
@@ -79,7 +79,7 @@ def classify(
     else:
         verdict = "Neither"
 
-    selective = any(rec.gamma != 1.0 for rec in twelve)
+    selective = bool((twelve.gammas != 1.0).any())
     warnings = tuple(
         f"gamma completeness violated in direction {d}: deviation {dev:+.4f}"
         for d, dev in gammas.items()

@@ -10,6 +10,7 @@ operations replaced: the value-by-value JSON layout (floats by shortest
 repr), the entry-by-entry matrix encoder and decoder, the einsum contraction
 of the process tensor, the matrix-unit loop of the fixed-environment map and
 the einsum partial trace over the environment of a fully formed U J U'.
+The matrix-unit loop is also the oracle for the fixed-environment map itself.
 The ket table in `records` replaced the eigh-based ket of a projector
 (`ket_from_projector`, in the table's gauge) and the rotation between two kets
 and their perpendicular partners (`rotation_between`); both stay as oracles,
@@ -25,7 +26,11 @@ with its helpers `conjugate_system` and `partial_trace_sys`; `joint_of` turns a
 library preparation back into the joint state it stands for.
 Then come the field-by-field bi-linear element table and its prediction loop,
 which the stacked table and its probe contraction replaced, and the matrix
-element <A|M|B> they are built from.  Last is the dilation of a generalized
+element <A|M|B> they are built from; the loop, with `MixedWithoutUnitUnit`,
+is the only prediction from a table, read off a solved one by
+`HandElementTable.from_stacked`.  `reference_shot_dataset` is the finite-shot
+model applied record by record, the oracle for the draw order of
+`scenarios.simulate_scenario`.  Last is the dilation of a generalized
 measurement: a unitary on system x ancillas followed by a von Neumann readout
 of an ancilla, another independent route to `prep.prepare_generalized`.
 """
@@ -37,9 +42,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from procmap.bilinear_tomo import CROSS_PAIRS, MixedWithoutUnitUnit, ZeroGamma
+from procmap.bilinear_tomo import CROSS_PAIRS, ZeroGamma
 from procmap.dynamics import ProcessSpec, correlated_pair_state, heisenberg_hamiltonian, unitary_from_hamiltonian
-from procmap.linear_tomo import NotAFrame
+from procmap.linear_tomo import LinearProcessMap, NotAFrame
 from procmap.prep import (
     ZERO_PROBABILITY_TOL,
     GeneralizedMeasurement,
@@ -53,12 +58,14 @@ from procmap.qstate import (
     PAULIS,
     STATE_TOL,
     UNITARY_TOL,
+    bloch_vector,
     dagger,
     hermiticity_residual,
+    state_from_bloch,
     tensor,
     validate_unitary,
 )
-from procmap.records import TWELVE_STATE_LABELS, TomographyRecord, select, state_of_label
+from procmap.records import DIRECTIONS, TWELVE_STATE_LABELS, Dataset, state_of_label
 
 SQRT2 = float(np.sqrt(2.0))
 
@@ -354,29 +361,60 @@ def prepare_dense(base: np.ndarray, dim_env: int, operation: OutcomeMap) -> Join
     return JointState(joint=acc / gamma, gamma=gamma)
 
 
-def measured_records(spec: ProcessSpec, labels) -> list[TomographyRecord]:
+def measured_records(spec: ProcessSpec, labels) -> Dataset:
     """Projective-preparation records for the given protocol labels."""
-    out = []
+    inputs, outputs, gammas = [], [], []
     for label in labels:
         p = state_of_label(label)
         prepared = prepare_projective(spec.gamma0, 2, spec.dim_env, p, label=label)
-        q = brute_force_output(spec.u, prepared.joint, 2, spec.dim_env)
-        out.append(TomographyRecord(label=label, input=p, output=q, gamma=prepared.gamma))
-    return out
+        inputs.append(p)
+        outputs.append(brute_force_output(spec.u, prepared.joint, 2, spec.dim_env))
+        gammas.append(prepared.gamma)
+    return Dataset(tuple(labels), inputs, outputs, gammas)
 
 
-def stochastic_records(spec: ProcessSpec, labels) -> list[TomographyRecord]:
+def stochastic_records(spec: ProcessSpec, labels) -> Dataset:
     """Pin-then-rotate records; the pinned environment is the gamma0 marginal."""
     zero = np.array([[1, 0], [0, 0]], dtype=complex)
     pinned = pin(spec.gamma0, zero)
-    out = []
+    inputs, outputs, gammas = [], [], []
     for label in labels:
         p = state_of_label(label)
         v = rotation_between(ket_from_projector(zero), ket_from_projector(p))
         prepared = prepare_stochastic(pinned, v)
-        q = brute_force_output(spec.u, prepared.joint, 2, spec.dim_env)
-        out.append(TomographyRecord(label=label, input=p, output=q, gamma=prepared.gamma))
-    return out
+        inputs.append(p)
+        outputs.append(brute_force_output(spec.u, prepared.joint, 2, spec.dim_env))
+        gammas.append(prepared.gamma)
+    return Dataset(tuple(labels), inputs, outputs, gammas)
+
+
+def reference_shot_dataset(sc, exact: Dataset) -> Dataset:
+    """The finite-shot dataset of `sc` from its exact dataset, record by record.
+
+    The shot model drawn from one generator seeded with sc.seed (0 when absent):
+    first the outcome probabilities (one multinomial over a generalized
+    measurement's outcomes, or one binomial per measured direction, its - label
+    taking the complement), then, record by record in label order, one binomial
+    per Pauli axis of the output's Bloch vector.
+    """
+    rng = np.random.default_rng(sc.seed if sc.seed is not None else 0)
+    gammas = dict(zip(exact.labels, exact.gammas.tolist()))
+    if sc.prep_method == "generalized":
+        counts = rng.multinomial(sc.shots, [gammas[label] for label in sc.generalized_labels])
+        gammas.update(zip(sc.generalized_labels, (counts / sc.shots).tolist()))
+    elif sc.prep_method == "measurement":
+        for d in DIRECTIONS:
+            if f"{d}+" in gammas:
+                ups = rng.binomial(sc.shots, min(max(gammas[f"{d}+"], 0.0), 1.0))
+                gammas[f"{d}+"] = ups / sc.shots
+                if f"{d}-" in gammas:
+                    gammas[f"{d}-"] = 1.0 - ups / sc.shots
+    outputs = []
+    for output in exact.outputs:
+        bloch = [2.0 * rng.binomial(sc.shots, min(max(0.5 * (1.0 + b), 0.0), 1.0)) / sc.shots - 1.0
+                 for b in bloch_vector(output)]
+        outputs.append(state_from_bloch(bloch))
+    return Dataset(exact.labels, exact.inputs, outputs, [gammas[label] for label in exact.labels])
 
 
 @dataclass(frozen=True)
@@ -429,14 +467,9 @@ def compute_duals(inputs) -> DualFrame:
     return frame
 
 
-def _require(records) -> dict[str, TomographyRecord]:
-    return dict(zip(TWELVE_STATE_LABELS, select(records, TWELVE_STATE_LABELS)))
-
-
-def linear_sum_rule_residuals(records) -> dict[str, float]:
+def linear_sum_rule_residuals(dataset: Dataset) -> dict[str, float]:
     """Max-abs entry of (LHS - RHS) for each of the eight output sum rules."""
-    recs = _require(records)
-    q = {label: np.asarray(recs[label].output, dtype=complex) for label in TWELVE_STATE_LABELS}
+    q = dict(zip(TWELVE_STATE_LABELS, dataset.subset(TWELVE_STATE_LABELS).outputs))
     base = q["1+"] + q["1-"]
     combos = {
         "Q2-": (q["2-"], base - q["2+"]),
@@ -451,17 +484,14 @@ def linear_sum_rule_residuals(records) -> dict[str, float]:
     return {name: float(np.max(np.abs(lhs - rhs))) for name, (lhs, rhs) in combos.items()}
 
 
-def bilinear_consistency_residuals(records) -> dict[str, float]:
+def bilinear_consistency_residuals(dataset: Dataset) -> dict[str, float]:
     """Max-abs entry of (LHS - RHS) for the three bi-linear consistency equations.
 
     Each equation predicts the probability-weighted output of an opposite
     diagonal projector from the nine protocol records.
     """
-    recs = _require(records)
-    gq = {
-        label: recs[label].gamma * np.asarray(recs[label].output, dtype=complex)
-        for label in TWELVE_STATE_LABELS
-    }
+    twelve = dataset.subset(TWELVE_STATE_LABELS)
+    gq = dict(zip(TWELVE_STATE_LABELS, twelve.gammas[:, None, None] * twelve.outputs))
     residuals = {}
     for name, (j, k), minus_label, plus_label in (
         ("GQ4-", (1, 2), "4-", "4+"),
@@ -571,8 +601,8 @@ def reference_raw_M(spec: ProcessSpec) -> np.ndarray:
     return np.einsum("repa,xayb,seqb->rsxpyq", u4, g4, np.conj(u4))
 
 
-def reference_dynamical_map(u: np.ndarray, tau: np.ndarray) -> np.ndarray:
-    """Fixed-environment map matrix by feeding each matrix unit through the dynamics."""
+def reference_dynamical_map(u: np.ndarray, tau: np.ndarray) -> LinearProcessMap:
+    """The fixed-environment map rho -> Tr_env[U (rho x tau) U'], by feeding each matrix unit through the dynamics."""
     u = np.asarray(u, dtype=complex)
     tau = np.asarray(tau, dtype=complex)
     dim_env = tau.shape[0]
@@ -585,7 +615,7 @@ def reference_dynamical_map(u: np.ndarray, tau: np.ndarray) -> np.ndarray:
             evolved = u @ tensor(unit, tau) @ dagger(u)
             out = partial_trace_env(evolved, dim_sys, dim_env)
             lam4[:, rp, :, sp] = out
-    return lam4.reshape(dim_sys * dim_sys, dim_sys * dim_sys)
+    return LinearProcessMap(mat=lam4.reshape(dim_sys * dim_sys, dim_sys * dim_sys))
 
 
 @dataclass(frozen=True)
@@ -609,6 +639,20 @@ class HandElementTable:
         if self.unit_unit is not None:
             mats.append(self.unit_unit)
         return np.array(mats)
+
+    @classmethod
+    def from_stacked(cls, elements) -> "HandElementTable":
+        """The fields of a stacked (9, 2, 2) or (10, 2, 2) table, such as `MElementTable.elements`."""
+        return cls(
+            diag_plus=tuple(elements[0:3]),
+            linear=tuple(elements[3:6]),
+            cross=dict(zip(CROSS_PAIRS, elements[6:9])),
+            unit_unit=elements[9] if len(elements) > 9 else None,
+        )
+
+
+class MixedWithoutUnitUnit(Exception):
+    """Prediction for a mixed preparation requires the <1|M|1> element."""
 
 
 def basis_element(bmap, a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -6,6 +6,8 @@ import pytest
 
 from helpers import (
     T_DEMO,
+    HandElementTable,
+    MixedWithoutUnitUnit,
     basis_element,
     brute_force_output,
     is_projector,
@@ -24,11 +26,9 @@ from procmap.bilinear_tomo import (
     CROSS_PAIRS,
     BilinearProcessMap,
     MElementTable,
-    MixedWithoutUnitUnit,
     ZeroGamma,
     build_M_from_dynamics,
     element_table_from_map,
-    predict_output,
     solve_M_elements,
 )
 from procmap.dynamics import ProcessSpec
@@ -39,7 +39,7 @@ from procmap.qstate import (
     state_from_bloch,
     tensor,
 )
-from procmap.records import NINE_STATE_LABELS, MissingRecord, TomographyRecord, fit, state_of_label
+from procmap.records import MIXED_LABEL, NINE_STATE_LABELS, Dataset, MissingRecord, fit, state_of_label
 
 
 def loop_build_m(u: np.ndarray, gamma0: np.ndarray, na: int, nb: int) -> np.ndarray:
@@ -194,7 +194,6 @@ def test_solve_elements_matches_direct_contractions():
     direct = element_table_from_map(build_M_from_dynamics(spec))
     assert table.elements.shape == (9, 2, 2)
     assert np.max(np.abs(table.elements - direct.elements[:9])) < 1e-10
-    assert table.unit_unit is None
     assert max(map(hermiticity_residual, table.elements)) < 1e-10
 
 
@@ -220,35 +219,50 @@ def test_solve_elements_identity_process_hand_algebra():
 def test_cross_term_coefficient_form():
     # The solved cross term equals the -2(1 +/- sqrt2) weighted combination.
     spec = va_spec()
-    records = {rec.label: rec for rec in measured_records(spec, NINE_STATE_LABELS)}
-    table = solve_M_elements(records.values())
+    records = measured_records(spec, NINE_STATE_LABELS)
+    table = solve_M_elements(records)
+    gq = dict(zip(records.labels, records.gammas[:, None, None] * records.outputs))
     sqrt2 = np.sqrt(2.0)
     for i, ((j, k), pair_label) in enumerate(zip(CROSS_PAIRS, ("4+", "5+", "6+"))):
-        terms = -2.0 * (1.0 + sqrt2) * records[f"{j}+"].gamma * records[f"{j}+"].output
-        terms = terms - 2.0 * (1.0 - sqrt2) * records[f"{j}-"].gamma * records[f"{j}-"].output
-        terms = terms - 2.0 * (1.0 + sqrt2) * records[f"{k}+"].gamma * records[f"{k}+"].output
-        terms = terms - 2.0 * (1.0 - sqrt2) * records[f"{k}-"].gamma * records[f"{k}-"].output
-        terms = terms + 8.0 * records[pair_label].gamma * records[pair_label].output
+        terms = -2.0 * (1.0 + sqrt2) * gq[f"{j}+"]
+        terms = terms - 2.0 * (1.0 - sqrt2) * gq[f"{j}-"]
+        terms = terms - 2.0 * (1.0 + sqrt2) * gq[f"{k}+"]
+        terms = terms - 2.0 * (1.0 - sqrt2) * gq[f"{k}-"]
+        terms = terms + 8.0 * gq[pair_label]
         assert np.max(np.abs(table.elements[6 + i] - terms)) < 1e-12
 
 
 def test_solve_elements_requires_all_labels():
     spec = va_spec()
     records = measured_records(spec, NINE_STATE_LABELS)
-    with pytest.raises(MissingRecord):
-        solve_M_elements(records[:-1])
-    bad = [TomographyRecord(r.label, r.input, r.output, 0.0) for r in records]
-    with pytest.raises(ZeroGamma):
-        solve_M_elements(bad)
+    with pytest.raises(MissingRecord, match="labeled 6[+]$"):
+        solve_M_elements(records.subset(NINE_STATE_LABELS[:-1]))
+    with pytest.raises(ZeroGamma, match="record '1[+]' has gamma = 0.0"):
+        solve_M_elements(replace(records, gammas=np.zeros(9)))
+
+
+def predict(table: MElementTable, p) -> tuple[float, np.ndarray]:
+    """The reference prediction of the tests' helpers, read off a stacked table."""
+    return reference_predict_output(HandElementTable.from_stacked(table.elements), p)
+
+
+def with_mixed_record(spec: ProcessSpec) -> Dataset:
+    """The nine measured records and the mixed record of X = state_from_bloch([0.5, 0, 0])."""
+    x = state_from_bloch([0.5, 0.0, 0.0])
+    big_x = tensor(x, IDENTITY_2)
+    gq = brute_force_output(spec.u, big_x @ spec.gamma0 @ big_x, 2, 2)
+    gamma = np.trace(gq).real
+    nine = measured_records(spec, NINE_STATE_LABELS)
+    return Dataset(nine.labels + (MIXED_LABEL,), [*nine.inputs, x], [*nine.outputs, gq / gamma], [*nine.gammas, gamma])
 
 
 def test_predict_output_golden():
     spec = va_spec()
     table = solve_M_elements(measured_records(spec, NINE_STATE_LABELS))
-    gamma, q = predict_output(table, [0, 1, 0])
+    gamma, q = predict(table, [0, 1, 0])
     assert abs(gamma - 0.75) < 1e-12
     assert np.max(np.abs(bloch_vector(q) - np.array([-0.1, 0.5, 0.1]))) < 1e-12
-    gamma, q = predict_output(table, [0, -1, 0])
+    gamma, q = predict(table, [0, -1, 0])
     assert abs(gamma - 0.25) < 1e-12
     assert np.max(np.abs(bloch_vector(q) - np.array([-0.3, -0.5, -0.3]))) < 1e-12
 
@@ -263,7 +277,7 @@ def test_predict_matches_direct_route_100_random():
         p = state_from_bloch(v)
         gq = basis_element(bmap, p, p)
         gamma_direct = np.trace(gq).real
-        gamma, q = predict_output(table, v)
+        gamma, q = predict(table, v)
         assert abs(gamma - gamma_direct) < 1e-9
         assert np.max(np.abs(bloch_vector(q) - bloch_vector(gq / gamma_direct))) < 1e-9
 
@@ -272,20 +286,16 @@ def test_predict_mixed_requires_unit_unit():
     spec = va_spec()
     table = solve_M_elements(measured_records(spec, NINE_STATE_LABELS))
     with pytest.raises(MixedWithoutUnitUnit):
-        predict_output(table, [0.5, 0, 0])
+        predict(table, [0.5, 0, 0])
 
 
 def test_mixed_record_resolves_unit_unit():
     spec = va_spec()
     bmap = build_M_from_dynamics(spec)
-    x = state_from_bloch([0.5, 0.0, 0.0])
-    big_x = tensor(x, IDENTITY_2)
-    gq = brute_force_output(spec.u, big_x @ spec.gamma0 @ big_x, 2, 2)
-    gamma = np.trace(gq).real
-    mixed = TomographyRecord("mixed", x, gq / gamma, gamma)
-    table = solve_M_elements(measured_records(spec, NINE_STATE_LABELS), mixed_record=mixed)
+    table = solve_M_elements(with_mixed_record(spec))
     direct = element_table_from_map(bmap)
-    assert np.max(np.abs(table.unit_unit - direct.unit_unit)) < 1e-10
+    assert table.elements.shape == (10, 2, 2)
+    assert np.max(np.abs(table.elements[9] - direct.elements[9])) < 1e-10
     # and mixed predictions now agree with the raw bi-linear form
     rng = np.random.default_rng(49)
     for _ in range(20):
@@ -293,7 +303,7 @@ def test_mixed_record_resolves_unit_unit():
         p = state_from_bloch(v)
         gq = basis_element(bmap, p, p)
         gamma_direct = np.trace(gq).real
-        gamma, q = predict_output(table, v)
+        gamma, q = predict(table, v)
         assert abs(gamma - gamma_direct) < 1e-10
         assert np.max(np.abs(q - gq / gamma_direct)) < 1e-10
 
@@ -324,36 +334,28 @@ def test_stacked_table_matches_hand_oracle(nb):
 @pytest.mark.parametrize("with_mixed", [False, True])
 def test_solved_table_matches_hand_oracle(with_mixed):
     spec = va_spec()
-    records = measured_records(spec, NINE_STATE_LABELS)
-    mixed = None
-    if with_mixed:
-        x = state_from_bloch([0.5, 0.0, 0.0])
-        big_x = tensor(x, IDENTITY_2)
-        gq = brute_force_output(spec.u, big_x @ spec.gamma0 @ big_x, 2, 2)
-        mixed = TomographyRecord("mixed", x, gq / np.trace(gq).real, np.trace(gq).real)
-    table = solve_M_elements(records, mixed_record=mixed)
+    records = with_mixed_record(spec) if with_mixed else measured_records(spec, NINE_STATE_LABELS)
+    table = solve_M_elements(records)
     # The hand algebra applied to the tensor the same degree-2 fit stands for.
-    fitted = records + ([mixed] if with_mixed else [])
-    m = fit(fitted, degree=2).coef.reshape((2,) * 6).transpose(4, 5, 0, 1, 2, 3)
-    want = reference_element_table(BilinearProcessMap(m=m)).stacked()[: len(fitted)]
-    assert table.elements.shape == (len(fitted), 2, 2)
+    m = fit(records, degree=2).coef.reshape((2,) * 6).transpose(4, 5, 0, 1, 2, 3)
+    want = reference_element_table(BilinearProcessMap(m=m)).stacked()[: len(records.labels)]
+    assert table.elements.shape == (len(records.labels), 2, 2)
     assert np.max(np.abs(table.elements - want)) < 1e-13
 
 
 def test_predict_output_matches_hand_oracle():
+    # The reference prediction, read off the stacked table, is the direct route <P|M|P>, for pure and mixed P.
     rng = np.random.default_rng(51)
     bmap = build_M_from_dynamics(ProcessSpec(rand_unitary(rng, 4), rand_density(rng, 4)))
     table = element_table_from_map(bmap)
-    hand = reference_element_table(bmap)
     pure_table = MElementTable(table.elements[:9])
-    pure_hand = replace(hand, unit_unit=None)
     mixed = [rng.uniform(-0.5, 0.5, size=3) for _ in range(20)]
     for v in [rand_unit_bloch(rng) for _ in range(100)] + mixed:
-        cases = [(table, hand)] + ([(pure_table, pure_hand)] if abs(np.dot(v, v) - 1.0) < 1e-10 else [])
-        for got_table, want_table in cases:
-            gamma, q = predict_output(got_table, v)
-            gamma_want, q_want = reference_predict_output(want_table, v)
-            assert abs(gamma - gamma_want) < 1e-12
-            assert np.max(np.abs(q - q_want)) < 1e-12
+        gq = basis_element(bmap, state_from_bloch(v), state_from_bloch(v))
+        gamma_direct = np.trace(gq).real
+        for got_table in [table] + ([pure_table] if abs(np.dot(v, v) - 1.0) < 1e-10 else []):
+            gamma, q = predict(got_table, v)
+            assert abs(gamma - gamma_direct) < 1e-12
+            assert np.max(np.abs(q - gq / gamma_direct)) < 1e-12
     with pytest.raises(MixedWithoutUnitUnit):
-        predict_output(pure_table, mixed[0])
+        predict(pure_table, mixed[0])

@@ -8,6 +8,7 @@ from helpers import (
     brute_force_output,
     closed_form_lambda_s,
     joint_of,
+    partial_trace_sys,
     prepare_dense,
     rand_density,
     rand_unitary,
@@ -18,7 +19,6 @@ from procmap.bilinear_tomo import build_M_from_dynamics
 from procmap.dynamics import (
     ProcessSpec,
     correlated_pair_state,
-    dynamical_map_fixed_env,
     heisenberg_hamiltonian,
     run_process,
     unitary_from_hamiltonian,
@@ -195,7 +195,7 @@ def test_run_process_rejects_a_gamma_that_is_not_tr_s_m():
 
 
 def test_fixed_env_map_identity():
-    lam = dynamical_map_fixed_env(np.eye(4, dtype=complex), 0.5 * IDENTITY_2)
+    lam = reference_dynamical_map(np.eye(4, dtype=complex), 0.5 * IDENTITY_2)
     assert np.max(np.abs(lam.mat - CHOI_IDENTITY)) < 1e-14
 
 
@@ -205,7 +205,7 @@ def test_fixed_env_map_swap_is_constant():
     )
     rng = np.random.default_rng(24)
     tau = rand_density(rng, 2)
-    lam = dynamical_map_fixed_env(swap, tau)
+    lam = reference_dynamical_map(swap, tau)
     for _ in range(5):
         rho = rand_density(rng, 2)
         assert np.max(np.abs(apply_linear_map(lam, rho) - tau)) < 1e-12
@@ -214,7 +214,7 @@ def test_fixed_env_map_swap_is_constant():
 def test_fixed_env_map_matches_closed_form():
     for t in (0.0, T_DEMO, math.pi / 3):
         u = unitary_from_hamiltonian(heisenberg_hamiltonian(), t)
-        lam = dynamical_map_fixed_env(u, 0.5 * IDENTITY_2)
+        lam = reference_dynamical_map(u, 0.5 * IDENTITY_2)
         assert np.max(np.abs(lam.mat - closed_form_lambda_s(t))) < 1e-12
 
 
@@ -222,7 +222,7 @@ def test_fixed_env_map_matches_brute_force():
     rng = np.random.default_rng(25)
     u = rand_unitary(rng, 4)
     tau = rand_density(rng, 2)
-    lam = dynamical_map_fixed_env(u, tau)
+    lam = reference_dynamical_map(u, tau)
     for _ in range(10):
         rho = rand_density(rng, 2)
         direct = brute_force_output(u, tensor(rho, tau), 2, 2)
@@ -233,9 +233,12 @@ def test_fixed_env_map_matches_brute_force():
 def test_fixed_env_map_matches_matrix_unit_loop(dim_env):
     rng = np.random.default_rng(26 + dim_env)
     u = rand_unitary(rng, 2 * dim_env)
-    tau = rand_density(rng, dim_env)
-    lam = dynamical_map_fixed_env(u, tau)
-    assert np.max(np.abs(lam.mat - reference_dynamical_map(u, tau))) < 1e-13
+    gamma0 = rand_density(rng, 2 * dim_env)
+    tau = partial_trace_sys(gamma0)
+    # The map read off M, whatever correlations gamma0 holds: Lambda[(r,p),(s,q)] = sum_x m[r,s,x,p,x,q].
+    m = build_M_from_dynamics(ProcessSpec(u, gamma0)).m
+    lam = np.einsum("rsxpxq->rpsq", m).reshape(4, 4)
+    assert np.max(np.abs(lam - reference_dynamical_map(u, tau).mat)) < 1e-13
 
 
 @pytest.mark.parametrize("delta", [0.2e-12, 0.6e-12, 0.98e-12])

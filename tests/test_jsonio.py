@@ -163,10 +163,9 @@ def test_indented_dataset_loads_to_the_same_dataset(demo, both_layouts, tmp_path
     text = both_layouts["one-line"][f"{demo}/dataset.json"]
     indented = indented_dumps(json.loads(text))
     got, want = Dataset.from_json(json.loads(indented)), Dataset.from_json(json.loads(text))
-    assert got.labels() == want.labels() and got.metadata == want.metadata
-    for g, w in zip(got.records, want.records):
-        assert g.input.tobytes() == w.input.tobytes() and g.output.tobytes() == w.output.tobytes()
-        assert struct.pack("<d", g.gamma) == struct.pack("<d", w.gamma)
+    assert got.labels == want.labels and got.metadata == want.metadata
+    for name in ("inputs", "outputs", "gammas"):  # every double bit for bit, the sign of zero included
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
     assert (got.oracle is None and want.oracle is None) or got.oracle.tobytes() == want.oracle.tobytes()
     assert jsonio.dumps(got.to_json()) == text
     # The commands read either layout and write the same bytes.

@@ -31,7 +31,7 @@ from procmap.qstate import (
     state_from_bloch,
     tensor,
 )
-from procmap.records import LINEAR4_LABELS, TomographyRecord
+from procmap.records import LINEAR4_LABELS, Dataset
 
 CHOI_IDENTITY = np.array(
     [[1, 0, 0, 1], [0, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 1]], dtype=complex
@@ -90,8 +90,7 @@ def test_duals_reject_dependent_inputs():
 
 
 def test_identity_process_reconstructs_choi_form():
-    records = [TomographyRecord(str(i), p, p, 1.0) for i, p in enumerate(EQ1_INPUTS)]
-    lam = reconstruct_linear_map(records)
+    lam = reconstruct_linear_map(Dataset(("0", "1", "2", "3"), EQ1_INPUTS, EQ1_INPUTS, [1.0] * 4))
     assert np.max(np.abs(lam.mat - CHOI_IDENTITY)) < 1e-12
     assert lam.hermiticity_residual() < 1e-12
 
@@ -118,8 +117,8 @@ def test_reconstruction_reproduces_training_records():
     spec = va_spec()
     for records in (measured_records(spec, LINEAR4_LABELS), stochastic_records(spec, LINEAR4_LABELS)):
         lam = reconstruct_linear_map(records)
-        for rec in records:
-            assert np.max(np.abs(apply_linear_map(lam, rec.input) - rec.output)) < 1e-10
+        for rho, out in zip(records.inputs, records.outputs):
+            assert np.max(np.abs(apply_linear_map(lam, rho) - out)) < 1e-10
 
 
 def test_apply_identity_map():
@@ -143,7 +142,7 @@ def test_lambda_m_mispredicts_held_out_input():
     lam = reconstruct_linear_map(measured_records(spec, LINEAR4_LABELS))
     predicted = apply_linear_map(lam, state_from_bloch([0, -1, 0]))
     assert np.max(np.abs(bloch_vector(predicted) - np.array([0.1, -0.5, -0.1]))) < 1e-12
-    true_out = measured_records(spec, ["2-"])[0].output
+    true_out = measured_records(spec, ["2-"]).outputs[0]
     assert np.max(np.abs(bloch_vector(true_out) - np.array([-0.3, -0.5, -0.3]))) < 1e-12
     gap = np.max(np.abs(bloch_vector(predicted) - bloch_vector(true_out)))
     assert abs(gap - 0.4) < 1e-12

@@ -5,17 +5,37 @@ dataset's `oracle` reads the same M, so the bi-linear oracle comparison checks
 only the inversion.  These tests keep M honest to the dynamics: every record's
 gamma and gamma*Q must match the joint-space route of tests/helpers.py, which
 applies the label's operation to the system factor of gamma0, conjugates by U
-and traces out the environment.
+and traces out the environment.  Finite-shot datasets must match the shot model
+of tests/helpers.py applied record by record, draw for draw.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from helpers import partial_trace_sys, prepare_joint, rand_density, rand_unitary, random_measurement, run_joint, va_spec
-from procmap.dynamics import ProcessSpec, dynamical_map_fixed_env
+from helpers import (
+    partial_trace_sys,
+    prepare_joint,
+    rand_density,
+    rand_unitary,
+    random_measurement,
+    reference_dynamical_map,
+    reference_shot_dataset,
+    run_joint,
+    va_spec,
+)
+from procmap.dynamics import ProcessSpec
 from procmap.linear_tomo import apply_linear_map
 from procmap.records import TWELVE_STATE_LABELS, state_of_label
-from procmap.scenarios import Scenario, demo_scenario_config, operation_of_label, parse_scenario, simulate_scenario
+from procmap.scenarios import (
+    DEMO_NAMES,
+    Scenario,
+    demo_scenario_config,
+    operation_of_label,
+    parse_scenario,
+    simulate_scenario,
+)
 
 METHODS = ("stochastic", "rotation_only", "measurement", "generalized")
 MIXED_BLOCH = np.array([0.3, -0.2, 0.4])
@@ -37,12 +57,11 @@ def random_scenario(rng, method: str, spec: ProcessSpec) -> Scenario:
 
 def assert_records_match_joint_route(sc: Scenario) -> None:
     dataset = simulate_scenario(sc)
-    labels = TWELVE_STATE_LABELS + (("mixed",) if sc.mixed_bloch is not None else ())
-    assert [rec.label for rec in dataset.records] == list(labels)
-    for rec in dataset.records:
-        joint = prepare_joint(sc.spec.gamma0, operation_of_label(sc, rec.label), label=rec.label)
-        assert abs(rec.gamma - joint.gamma) <= 1e-12, rec.label
-        assert np.max(np.abs(rec.gamma * rec.output - joint.gamma * run_joint(sc.spec, joint))) <= 1e-12, rec.label
+    assert dataset.labels == TWELVE_STATE_LABELS + (("mixed",) if sc.mixed_bloch is not None else ())
+    for label, gamma, output in zip(dataset.labels, dataset.gammas, dataset.outputs):
+        joint = prepare_joint(sc.spec.gamma0, operation_of_label(sc, label), label=label)
+        assert abs(gamma - joint.gamma) <= 1e-12, label
+        assert np.max(np.abs(gamma * output - joint.gamma * run_joint(sc.spec, joint))) <= 1e-12, label
 
 
 @pytest.mark.parametrize("method", METHODS)
@@ -66,10 +85,11 @@ def test_nearly_excluded_records_match_the_joint_space_route(eta):
 
 
 def assert_stochastic_records_follow_the_fixed_environment_map(sc: Scenario) -> None:
-    lam = dynamical_map_fixed_env(sc.spec.u, partial_trace_sys(sc.spec.gamma0))
-    for rec in simulate_scenario(sc).records:
-        assert rec.gamma == 1.0, rec.label
-        assert np.max(np.abs(rec.output - apply_linear_map(lam, state_of_label(rec.label)))) <= 1e-12, rec.label
+    lam = reference_dynamical_map(sc.spec.u, partial_trace_sys(sc.spec.gamma0))
+    dataset = simulate_scenario(sc)
+    assert (dataset.gammas == 1.0).all()
+    for label, output in zip(dataset.labels, dataset.outputs):
+        assert np.max(np.abs(output - apply_linear_map(lam, state_of_label(label)))) <= 1e-12, label
 
 
 def test_stochastic_demo_is_the_fixed_environment_map():
@@ -87,3 +107,20 @@ def test_stochastic_records_are_the_fixed_environment_map_of_a_correlated_gamma0
     rho = np.einsum("iaja->ij", spec.gamma0.reshape(2, dim_env, 2, dim_env))
     assert np.max(np.abs(spec.gamma0 - np.kron(rho, tau))) > 1e-2  # correlated, not a product
     assert_stochastic_records_follow_the_fixed_environment_map(random_scenario(rng, "stochastic", spec))
+
+
+@pytest.mark.parametrize("name", [*DEMO_NAMES, "generalized"])
+def test_finite_shot_datasets_match_the_per_record_shot_model(name):
+    # The degraded dataset is bit-identical to the exact one degraded record by record in
+    # label order, the outcome probabilities drawn first; so is the generator's draw order.
+    if name == "generalized":
+        rng = np.random.default_rng(81)
+        sc = random_scenario(rng, "generalized", va_spec())
+    else:
+        sc = parse_scenario(demo_scenario_config(name))
+    for seed in (0, 7):
+        shot = replace(sc, shots=1000, seed=seed)
+        got, want = simulate_scenario(shot), reference_shot_dataset(shot, simulate_scenario(sc))
+        assert got.labels == want.labels
+        for field in ("inputs", "outputs", "gammas"):
+            assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), (field, seed)

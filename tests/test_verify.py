@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from helpers import (
 )
 from procmap.dynamics import ProcessSpec
 from procmap.qstate import SIGMA_1, bloch_vector, state_from_bloch, tensor
-from procmap.records import TWELVE_STATE_LABELS, MissingRecord, TomographyRecord, state_of_label
+from procmap.records import TWELVE_STATE_LABELS, Dataset, MissingRecord, state_of_label
 from procmap.verify import classify, gamma_completeness
 
 
@@ -32,8 +34,8 @@ def test_twelve_state_inputs_golden():
 
 def test_input_sum_rules_hold_for_projectors():
     # The eight rules are identities of the input projectors themselves.
-    records = [TomographyRecord(l, state_of_label(l), state_of_label(l), 1.0) for l in TWELVE_STATE_LABELS]
-    residuals = linear_sum_rule_residuals(records)
+    states = [state_of_label(l) for l in TWELVE_STATE_LABELS]
+    residuals = linear_sum_rule_residuals(Dataset(TWELVE_STATE_LABELS, states, states, [1.0] * 12))
     assert max(residuals.values()) < 1e-15
 
 
@@ -74,15 +76,16 @@ def test_stochastic_scenario_also_satisfies_bilinear_equations():
     assert max(residuals.values()) < 1e-10
 
 
+def tamper(records, labels):
+    """`records` with 0.05 sigma_1 added to the output of each record in `labels`."""
+    outputs = records.outputs.copy()
+    for label in labels:
+        outputs[records.labels.index(label)] += 0.05 * SIGMA_1
+    return replace(records, outputs=outputs)
+
+
 def test_corrupted_record_breaks_bilinear_equations():
-    records = measured_records(va_spec(), TWELVE_STATE_LABELS)
-    tampered = []
-    for rec in records:
-        if rec.label == "4-":
-            bad = rec.output + 0.05 * SIGMA_1
-            tampered.append(TomographyRecord(rec.label, rec.input, bad, rec.gamma))
-        else:
-            tampered.append(rec)
+    tampered = tamper(measured_records(va_spec(), TWELVE_STATE_LABELS), ["4-"])
     residuals = bilinear_consistency_residuals(tampered)
     assert max(residuals.values()) >= 0.01
 
@@ -109,14 +112,7 @@ def test_classify_bilinear():
 
 
 def test_classify_neither_for_adversarial_records():
-    records = measured_records(va_spec(), TWELVE_STATE_LABELS)
-    tampered = []
-    for rec in records:
-        if rec.label in ("4-", "5-"):
-            bad = rec.output + 0.05 * SIGMA_1
-            tampered.append(TomographyRecord(rec.label, rec.input, bad, rec.gamma))
-        else:
-            tampered.append(rec)
+    tampered = tamper(measured_records(va_spec(), TWELVE_STATE_LABELS), ["4-", "5-"])
     report = classify(tampered)
     assert report.verdict == "Neither"
 
@@ -124,7 +120,7 @@ def test_classify_neither_for_adversarial_records():
 def test_classify_requires_all_labels():
     records = measured_records(va_spec(), TWELVE_STATE_LABELS)
     with pytest.raises(MissingRecord):
-        classify(records[:-1])
+        classify(records.subset(TWELVE_STATE_LABELS[:-1]))
 
 
 def test_residuals_invariant_under_pair_relabeling():
@@ -132,16 +128,9 @@ def test_residuals_invariant_under_pair_relabeling():
     # permutes which rule carries each residual but preserves the residual
     # multiset for the symmetric 1-direction combinations.
     records = measured_records(va_spec(), TWELVE_STATE_LABELS)
-    swapped = []
-    for rec in records:
-        if rec.label == "1+":
-            other = next(r for r in records if r.label == "1-")
-            swapped.append(TomographyRecord("1+", rec.input, other.output, other.gamma))
-        elif rec.label == "1-":
-            other = next(r for r in records if r.label == "1+")
-            swapped.append(TomographyRecord("1-", rec.input, other.output, other.gamma))
-        else:
-            swapped.append(rec)
+    assert records.labels[:2] == ("1+", "1-")
+    swap = [1, 0, *range(2, 12)]
+    swapped = replace(records, outputs=records.outputs[swap], gammas=records.gammas[swap])
     base = bilinear_consistency_residuals(records)
     flipped = bilinear_consistency_residuals(swapped)
     # direction 3 is untouched by the 1-direction swap
@@ -162,9 +151,7 @@ def test_report_json_shape():
 
 def test_gamma_warning_emitted():
     records = measured_records(va_spec(), TWELVE_STATE_LABELS)
-    skewed = [
-        TomographyRecord(r.label, r.input, r.output, r.gamma + (0.05 if r.label == "1+" else 0.0))
-        for r in records
-    ]
-    report = classify(skewed)
+    gammas = records.gammas.copy()
+    gammas[records.labels.index("1+")] += 0.05
+    report = classify(replace(records, gammas=gammas))
     assert any("direction 1" in w for w in report.warnings)
