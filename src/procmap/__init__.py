@@ -1,16 +1,17 @@
 """Open-system quantum process tomography with explicit state preparation.
 
-Every input is prepared by one primitive, `prepare_generalized`: an operation
-(`OutcomeMap`) on the system factor of the initial joint state gamma0, kept as
-its superoperator S with its probability gamma; every size is read off the
-arrays, and the system is one qubit (`qstate.DIM_SYS`).  Each record's output
-is S contracted with the process tensor M, built once from (U, gamma0).  Linear
-and bi-linear process maps are reconstructed from the records, and a process is
-classified as Linear, Bilinear, or Neither from a 12-projection protocol.
+An operation on the system is its 4x4 superoperator S, a plain array
+(`superoperator` builds it from Kraus operators), and the process is its tensor
+M, a plain (2,)*6 array built once from (U, gamma0) (`build_M_from_dynamics`).
+Every input is prepared by one operation on the system factor of the initial
+joint state gamma0: `prepare_generalized` reads its probability gamma off S,
+and `run_process` its output off S and M.  Every size is read off the arrays,
+and the system is one qubit (`qstate.DIM_SYS`).  Linear and bi-linear process
+maps are reconstructed from the records, and a process is classified as
+Linear, Bilinear, or Neither from a 12-projection protocol.
 """
 
 from .bilinear_tomo import (
-    BilinearProcessMap,
     MElementTable,
     build_M_from_dynamics,
     element_table_from_map,
@@ -32,12 +33,11 @@ from .linear_tomo import (
     reconstruct_linear_map,
 )
 from .prep import (
-    GeneralizedMeasurement,
     InvalidMeasurement,
-    OutcomeMap,
-    PreparedState,
     ZeroProbabilityOutcome,
+    check_completeness,
     prepare_generalized,
+    superoperator,
 )
 from .records import NINE_STATE_LABELS, TWELVE_STATE_LABELS, Dataset, Fit, MissingRecord, fit
 from .verify import VerificationReport, classify, gamma_completeness

@@ -4,8 +4,9 @@ A process whose inputs are prepared by von Neumann measurement satisfies
 
     gamma(n) * Q(n) = <P(n)| M |P(n)>,
 
-a sesquilinear form in the prepared projector P(n).  The map M is a 6-index
-tensor built from the joint unitary and the initial system-environment state:
+a sesquilinear form in the prepared projector P(n).  The process is its tensor
+M, a plain 6-index array built from the joint unitary and the initial
+system-environment state:
 
     M[(r,s), r''r'; s''s'] = sum_{a,b,e} U[(r,e),(r',a)] gamma0[(r'',a),(s'',b)]
                                           conj(U[(s,e),(s',b)])
@@ -16,9 +17,9 @@ Hermitian in the exact sense conj(m[r,s,x,p,y,q]) = m[s,r,y,q,x,p], and its
 full trace sum_{r,p,x} m[r,r,x,p,x,p] is the system dimension, not 1.
 
 M also drives the simulation of every preparation, not only the measured ones:
-an operation with superoperator S = sum_a w_a C_a (x) conj(C_a) on the system
-factor of gamma0 gives gamma*Q[r,s] = sum S[(p,q),(x,y)] m[r,s,x,p,y,q], which
-is <P|M|P> for S = P (x) conj(P) (`dynamics.run_process`).
+an operation, which is its superoperator S = sum_a w_a C_a (x) conj(C_a) on the
+system factor of gamma0, gives gamma*Q[r,s] = sum S[(p,q),(x,y)] m[r,s,x,p,y,q],
+which is <P|M|P> for S = P (x) conj(P) (`dynamics.run_process`).
 
 The nine-projection qubit protocol determines every element combination of M
 needed to predict the output state and outcome probability for an arbitrary
@@ -51,19 +52,8 @@ class NotStrictlyMixed(ProcmapError):
     """The mixed-state record's input is pure, so it cannot resolve <1|M|1>."""
 
 
-@dataclass(frozen=True)
-class BilinearProcessMap:
-    """Dense 6-index process tensor m[r, s, r'', r', s'', s'] of the qubit system."""
-
-    m: np.ndarray
-
-    def __post_init__(self):
-        if self.m.shape != (DIM_SYS,) * 6:
-            raise ValueError(f"tensor has shape {self.m.shape}, expected {(DIM_SYS,) * 6}")
-
-
-def build_M_from_dynamics(spec) -> BilinearProcessMap:
-    """Direct construction of the process tensor from (U, gamma0).
+def build_M_from_dynamics(spec) -> np.ndarray:
+    """The process tensor m[r, s, r'', r', s'', s'] of the qubit system, a (2,)*6 array, from (U, gamma0).
 
     The raw contraction is Hermitian up to rounding; the result is
     symmetrized so the stored hermiticity relation holds bit-exactly.
@@ -74,8 +64,7 @@ def build_M_from_dynamics(spec) -> BilinearProcessMap:
     # raw[r,s,x,p,y,q] = sum_{e,a,b} u4[r,e,p,a] g4[x,a,y,b] conj(u4[s,e,q,b]), as two BLAS products
     ug = np.tensordot(u4, g4, axes=([3], [1]))
     raw = np.tensordot(ug, np.conj(u4), axes=([1, 5], [1, 3])).transpose(0, 4, 2, 1, 3, 5)
-    m = 0.5 * (raw + np.conj(raw).transpose(1, 0, 4, 5, 2, 3))
-    return BilinearProcessMap(m=m)
+    return 0.5 * (raw + np.conj(raw).transpose(1, 0, 4, 5, 2, 3))
 
 
 _BASIS = (IDENTITY_2,) + PAULIS
@@ -124,9 +113,9 @@ class MElementTable:
         return out
 
 
-def element_table_from_map(bmap: BilinearProcessMap) -> MElementTable:
-    """Element table (with <1|M|1>) by contracting M with the {1, sigma_j} probes."""
-    m16 = bmap.m.transpose(2, 3, 4, 5, 0, 1).reshape(16, 4)
+def element_table_from_map(m: np.ndarray) -> MElementTable:
+    """Element table (with <1|M|1>) by contracting the process tensor M with the {1, sigma_j} probes."""
+    m16 = m.transpose(2, 3, 4, 5, 0, 1).reshape(16, 4)
     return MElementTable(elements=np.einsum("ei,ik->ek", _PROBES, m16).reshape(-1, 2, 2))
 
 

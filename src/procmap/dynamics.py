@@ -1,22 +1,21 @@
 """The unknown process and the output it gives each preparation.
 
 A process is a system+environment unitary U and an initial joint state gamma0
-(`ProcessSpec`).  `run_process` reads a preparation's output off the process
-tensor M that `bilinear_tomo.build_M_from_dynamics` builds once from (U, gamma0):
-gamma*Q is M contracted with the preparation's superoperator S, which equals
-Tr_env[U J U'] for the joint state J = S applied to the system factor of gamma0,
-without forming J.  Also provides the
+(`ProcessSpec`).  `bilinear_tomo.build_M_from_dynamics` turns (U, gamma0) once
+into the process tensor M, a plain (2,)*6 array.  `run_process` reads a
+preparation's output off M: gamma*Q is M contracted with the preparation's
+superoperator S, which equals Tr_env[U J U'] for the joint state J = S applied
+to the system factor of gamma0, without forming J.  Also provides the
 exchange-coupling Hamiltonian used by the shipped scenarios.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bilinear_tomo import BilinearProcessMap
-from .prep import PreparedState
 from .qstate import (
     DIM_SYS,
     PAULIS,
@@ -83,21 +82,23 @@ def unitary_from_hamiltonian(h: np.ndarray, t: float) -> np.ndarray:
     if hermiticity_residual(h) > 1e-10:
         raise ValueError("hamiltonian is not Hermitian within tolerance")
     w, v = np.linalg.eigh(h)
+    if not math.isfinite(float(np.max(np.abs(w))) * abs(t)):  # Python floats overflow to inf without a warning
+        raise ValueError(f"hamiltonian eigenvalues times t = {t!r} are not finite")
     u = (v * np.exp(-1j * w * t)) @ dagger(v)
     validate_unitary(u)
     return u
 
 
-def run_process(bmap: BilinearProcessMap, prepared: PreparedState) -> np.ndarray:
-    """Output state of a preparation: gamma*Q[r, s] = sum S[(p, q), (x, y)] m[r, s, x, p, y, q].
+def run_process(m: np.ndarray, s: np.ndarray, gamma: float) -> np.ndarray:
+    """Output state of the preparation with superoperator s: gamma*Q[r, s] = sum S[(p, q), (x, y)] m[r, s, x, p, y, q].
 
     Raises ValueError unless Tr(S M) is the preparation's gamma and gamma*Q is
     Hermitian, each within 1e-12.
     """
-    gq = np.einsum("rsxpyq,pqxy->rs", bmap.m, prepared.superop.reshape((DIM_SYS,) * 4))
+    gq = np.einsum("rsxpyq,pqxy->rs", m, s.reshape((DIM_SYS,) * 4))
     trace = np.trace(gq)
-    if abs(trace - prepared.gamma) > 1e-12:
-        raise ValueError(f"Tr(S M) = {trace.real:.6e} differs from the preparation's gamma {prepared.gamma:.6e}")
+    if abs(trace - gamma) > 1e-12:
+        raise ValueError(f"Tr(S M) = {trace.real:.6e} differs from the preparation's gamma {gamma:.6e}")
     if hermiticity_residual(gq) > 1e-12:
         raise ValueError("process output lost hermiticity")
     # Divide by the trace of gamma*Q itself: dividing by gamma would leave Tr Q off by about 1e-8 at gamma ~ 1e-9.

@@ -98,6 +98,6 @@ def validate_unitary(u: np.ndarray, tol: float = UNITARY_TOL) -> None:
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValueError(f"unitary must be square, got shape {u.shape}")
     res = np.max(np.abs(dagger(u) @ u - np.eye(u.shape[0])))
-    if res > tol:
+    if not res <= tol:  # a NaN residual fails too
         raise ValueError(f"matrix is not unitary (residual {res:.3e})")
 

@@ -2,14 +2,14 @@
 
 A scenario bundles the process (unitary + initial joint state), a preparation
 method, and a protocol (which input labels to prepare).  `operation_of_label`
-is the one table of preparations, each one operation on the system factor of
-gamma0 for `prep.prepare_generalized`: stochastic, the pin-then-rotate
-replacement {|t><0|, |t><1|} onto the label's state |t>; rotation-only, V with V|0> = |t>;
-measurement, P; generalized, the label's outcome map; the mixed record, X.  |t> comes from the
-ket table in `records`, in its gauge (the first component of largest magnitude real and positive).
-Simulation builds the process tensor M once, walks the protocol labels, then
-`mixed`, prepares each input, reads its output off M and collects (input,
-output, gamma) records into the stacks of one `Dataset`.  An optional
+is the one table of preparations, each the superoperator S of one operation on
+the system factor of gamma0: stochastic, the pin-then-rotate replacement
+{|t><0|, |t><1|} onto the label's state |t>; rotation-only, V with V|0> = |t>; measurement, P;
+generalized, the label's S in the measurement's stack, built at parse; the mixed record, X.
+|t> comes from the ket table in `records`, in its gauge (the first component of largest
+magnitude real and positive).  Simulation builds the process tensor M once, walks the protocol
+labels, then `mixed`, reads each input's gamma off S and its output off S and M, and
+collects (input, output, gamma) records into the stacks of one `Dataset`.  An optional
 finite-shot mode degrades the exact probabilities and outputs to multinomial
 estimates from a seeded generator.
 
@@ -38,7 +38,7 @@ from .dynamics import (
     unitary_from_hamiltonian,
 )
 from .errors import ProcmapError
-from .prep import GeneralizedMeasurement, OutcomeMap, prepare_generalized
+from .prep import check_completeness, prepare_generalized, superoperator
 from .qstate import DIM_SYS, SIGMA_1, SIGMA_3, bloch_vector, state_from_bloch, tensor
 from .records import DIRECTIONS, MIXED_LABEL, PROTOCOL_LABELS, Dataset, ket_of_label, state_of_label
 
@@ -65,7 +65,7 @@ class Scenario:
     t: float
     protocol: str
     prep_method: str
-    measurement: GeneralizedMeasurement | None = None
+    measurement: np.ndarray | None = None  # the (n, 4, 4) stack of outcome superoperators, in generalized_labels order
     generalized_labels: tuple[str, ...] = ()
     mixed_bloch: np.ndarray | None = None
     shots: int | None = None
@@ -113,14 +113,19 @@ def _bloch(value, what: str) -> np.ndarray:
     return np.array([_finite(x, f"{what}[{i}]") for i, x in enumerate(value)])
 
 
-def parse_measurement(obj: dict) -> GeneralizedMeasurement:
-    """A generalized measurement from its JSON; every weight must be a finite JSON number."""
-    outcomes = []
-    for i, entry in enumerate(obj["outcomes"]):
-        weights = tuple(_finite(w, f"measurement outcome {i} weight") for w in entry["weights"])
-        kraus = tuple(jsonio.matrix_from_json(c) for c in entry["kraus"])
-        outcomes.append(OutcomeMap(weights=weights, kraus=kraus))
-    return GeneralizedMeasurement(outcomes=tuple(outcomes))
+def parse_measurement(obj: dict) -> np.ndarray:
+    """A complete measurement from its JSON (finite weights, 2x2 Kraus operators) as the (n, 4, 4) stack of its S."""
+    superops = []
+    with np.errstate(over="ignore", invalid="ignore"):  # an S that overflows fails the completeness check
+        for i, entry in enumerate(obj["outcomes"]):
+            weights = [_finite(w, f"measurement outcome {i} weight") for w in entry["weights"]]
+            kraus = [jsonio.matrix_from_json(c) for c in entry["kraus"]]
+            if any(c.shape != (DIM_SYS, DIM_SYS) for c in kraus):
+                raise ScenarioError(f"measurement Kraus operators must be {DIM_SYS}x{DIM_SYS} (dimA)")
+            superops.append(superoperator(weights, kraus))
+        stack = np.array(superops)
+        check_completeness(stack)
+    return stack
 
 
 def parse_scenario(obj: dict, name: str = "scenario") -> Scenario:
@@ -148,8 +153,12 @@ def parse_scenario(obj: dict, name: str = "scenario") -> Scenario:
 
         g_obj = obj["gamma0"]
         if isinstance(g_obj, dict) and "bloch_a" in g_obj:
-            bloch_a = _bloch(g_obj["bloch_a"], "gamma0.bloch_a")
-            gamma0 = correlated_pair_state(bloch_a, _number(g_obj, "c23", 0.0), what="gamma0")
+            bloch_a, c23 = _bloch(g_obj["bloch_a"], "gamma0.bloch_a"), _number(g_obj, "c23", 0.0)
+            # Expectations in gamma0, so at most 1; refused before correlated_pair_state can overflow with a warning.
+            for key, size in (("bloch_a", math.hypot(*bloch_a)), ("c23", abs(c23))):
+                if size > 1.0:
+                    raise ScenarioError(f"gamma0.{key} has size {size:.6g} above 1: gamma0 has a negative eigenvalue")
+            gamma0 = correlated_pair_state(bloch_a, c23, what="gamma0")
         else:
             gamma0 = jsonio.matrix_from_json(g_obj)
         u = unitary_from_hamiltonian(hamiltonian, t)
@@ -171,16 +180,13 @@ def parse_scenario(obj: dict, name: str = "scenario") -> Scenario:
         generalized_labels: tuple[str, ...] = ()
         if method == "generalized":
             measurement = parse_measurement(prep_obj["measurement"])
-            if any(c.shape != (DIM_SYS, DIM_SYS) for outcome in measurement.outcomes for c in outcome.kraus):
-                raise ScenarioError(f"measurement Kraus operators must be {DIM_SYS}x{DIM_SYS} (dimA)")
-            measurement.validate()
             generalized_labels = tuple(str(x) for x in prep_obj["labels"])
             expected = PROTOCOL_LABELS[protocol]
             if sorted(generalized_labels) != sorted(expected):
                 raise ScenarioError(
                     f"generalized preparation labels must cover the {protocol} labels"
                 )
-            if len(generalized_labels) != measurement.num_outcomes:
+            if len(generalized_labels) != len(measurement):
                 raise ScenarioError("one label per measurement outcome is required")
 
         mixed_bloch = None
@@ -216,8 +222,8 @@ def parse_scenario(obj: dict, name: str = "scenario") -> Scenario:
         raise ScenarioError(f"malformed scenario: {exc}") from exc
 
 
-def operation_of_label(sc: Scenario, label: str) -> OutcomeMap:
-    """The operation on the system factor of gamma0 that prepares `label`.
+def operation_of_label(sc: Scenario, label: str) -> np.ndarray:
+    """The superoperator S of the operation on the system factor of gamma0 that prepares `label`.
 
     Stochastic preparation pins the system to |0> and rotates it to the label's ket |t> = (t0, t1);
     together they replace the system's state by |t>, the operation {|t><0|, |t><1|}.  Rotation-only
@@ -225,18 +231,18 @@ def operation_of_label(sc: Scenario, label: str) -> OutcomeMap:
     X = state_from_bloch(b) has eigenvalues (1 +- |b|)/2 and |b| < 1, so 0 <= X <= 1.
     """
     if sc.prep_method == "generalized":
-        return sc.measurement.outcomes[sc.generalized_labels.index(label)]
+        return sc.measurement[sc.generalized_labels.index(label)]
     if label == MIXED_LABEL:
-        return OutcomeMap(weights=(1.0,), kraus=(state_from_bloch(sc.mixed_bloch),))
+        return superoperator((1.0,), (state_from_bloch(sc.mixed_bloch),))
     if sc.prep_method == "measurement":
-        return OutcomeMap(weights=(1.0,), kraus=(state_of_label(label),))
+        return superoperator((1.0,), (state_of_label(label),))
     ket = ket_of_label(label)
     if sc.prep_method == "stochastic":
-        return OutcomeMap(weights=(1.0,) * DIM_SYS, kraus=tuple(np.outer(ket, e) for e in np.eye(DIM_SYS)))
+        return superoperator((1.0,) * DIM_SYS, [np.outer(ket, e) for e in np.eye(DIM_SYS)])
     # Rotation-only (imperfect-pin) preparation rotates gamma0 itself, so the
     # true input is not the assumed projector.
     t0, t1 = ket
-    return OutcomeMap(weights=(1.0,), kraus=(np.array([[t0, -np.conj(t1)], [t1, np.conj(t0)]]),))
+    return superoperator((1.0,), (np.array([[t0, -np.conj(t1)], [t1, np.conj(t0)]]),))
 
 
 def _degrade_output(rng: np.random.Generator, output: np.ndarray, shots: int) -> np.ndarray:
@@ -269,14 +275,15 @@ def _degraded_gammas(rng: np.random.Generator, sc: Scenario, exact: dict[str, fl
 
 def simulate_scenario(sc: Scenario, scenario_sha256: str = "") -> Dataset:
     """Run the pipeline for every protocol label; `scenario_sha256` is the scenario file's digest."""
-    bmap = build_M_from_dynamics(sc.spec)
+    m = build_M_from_dynamics(sc.spec)
     labels = PROTOCOL_LABELS[sc.protocol] + ((MIXED_LABEL,) if sc.mixed_bloch is not None else ())
     inputs, outputs, gammas = [], [], []
     for label in labels:
-        prep_state = prepare_generalized(sc.spec.gamma0, operation_of_label(sc, label), label=label)
+        s = operation_of_label(sc, label)
+        gamma = prepare_generalized(sc.spec.gamma0, s, label=label)
         inputs.append(state_from_bloch(sc.mixed_bloch) if label == MIXED_LABEL else state_of_label(label))
-        outputs.append(run_process(bmap, prep_state))
-        gammas.append(prep_state.gamma)
+        outputs.append(run_process(m, s, gamma))
+        gammas.append(gamma)
 
     if sc.shots is not None:
         rng = np.random.default_rng(sc.seed if sc.seed is not None else 0)
@@ -294,7 +301,7 @@ def simulate_scenario(sc: Scenario, scenario_sha256: str = "") -> Dataset:
     }
     oracle = None
     if sc.prep_method == "measurement":  # the only preparation the bi-linear map describes
-        oracle = element_table_from_map(bmap).elements
+        oracle = element_table_from_map(m).elements
     return Dataset(labels, inputs, outputs, gammas, metadata, oracle)
 
 

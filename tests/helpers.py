@@ -15,6 +15,13 @@ The ket table in `records` replaced the eigh-based ket of a projector
 (`ket_from_projector`, in the table's gauge) and the rotation between two kets
 and their perpendicular partners (`rotation_between`); both stay as oracles,
 with `is_projector` as the test predicate.
+The library holds an operation only as its superoperator S; here it keeps its
+Kraus form, a pair (weights, kraus) for rho -> sum_a w_a C_a rho C_a', and a
+measurement is a tuple of such pairs.  The Kraus form is the oracle for S:
+`kraus_superoperator` (S term by term with np.kron), `effect` (sum_a w_a C_a'C_a,
+whose sum over outcomes is the completeness oracle) and `kraus_of_label`, the
+Kraus-form table of the preparations that `scenarios.operation_of_label` gives
+as S.  `superoperators` is the library's stack of S for a Kraus-form measurement.
 The preparation routes that `prep.prepare_generalized` replaced are oracles
 for it: the pin of gamma0 and the stochastic rotation of the pinned state,
 projection with the P (x) tau cross-check, the completed measurement
@@ -23,7 +30,7 @@ outcome map.  So is the joint-space route that the process tensor replaced
 (`prepare_joint`, `run_joint`): the operation applied to the system factor of
 gamma0 with (C x 1) never formed, then Tr_env[U J U'] from one product U J,
 with its helpers `conjugate_system` and `partial_trace_sys`; `joint_of` turns a
-library preparation back into the joint state it stands for.
+library preparation, S and gamma, back into the joint state it stands for.
 Then come the field-by-field bi-linear element table and its prediction loop,
 which the stacked table and its probe contraction replaced, and the matrix
 element <A|M|B> they are built from; the loop, with `MixedWithoutUnitUnit`,
@@ -47,10 +54,10 @@ from procmap.dynamics import ProcessSpec, correlated_pair_state, heisenberg_hami
 from procmap.linear_tomo import LinearProcessMap, NotAFrame
 from procmap.prep import (
     ZERO_PROBABILITY_TOL,
-    GeneralizedMeasurement,
     InvalidMeasurement,
-    OutcomeMap,
     ZeroProbabilityOutcome,
+    check_completeness,
+    superoperator,
 )
 from procmap.qstate import (
     DIM_SYS,
@@ -65,7 +72,7 @@ from procmap.qstate import (
     tensor,
     validate_unitary,
 )
-from procmap.records import DIRECTIONS, TWELVE_STATE_LABELS, Dataset, state_of_label
+from procmap.records import DIRECTIONS, MIXED_LABEL, TWELVE_STATE_LABELS, Dataset, ket_of_label, state_of_label
 
 SQRT2 = float(np.sqrt(2.0))
 
@@ -107,8 +114,8 @@ def rand_unit_bloch(rng) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def random_measurement(rng, mu: int, dim: int = 2, max_kraus: int = 3) -> GeneralizedMeasurement:
-    """Random valid measurement: normalize arbitrary Kraus sets to completeness."""
+def random_measurement(rng, mu: int, dim: int = 2, max_kraus: int = 3) -> tuple:
+    """Random valid Kraus-form measurement: normalize arbitrary Kraus sets to completeness."""
     raw = []
     for _ in range(mu):
         k = int(rng.integers(1, max_kraus + 1))
@@ -124,12 +131,51 @@ def random_measurement(rng, mu: int, dim: int = 2, max_kraus: int = 3) -> Genera
             total += w * c.conj().T @ c
     vals, vecs = np.linalg.eigh(total)
     inv_sqrt = (vecs / np.sqrt(vals)) @ vecs.conj().T
-    return GeneralizedMeasurement(
-        outcomes=tuple(
-            OutcomeMap(weights=tuple(w for w, _ in maps), kraus=tuple(c @ inv_sqrt for _, c in maps))
-            for maps in raw
-        )
-    )
+    return tuple((tuple(w for w, _ in maps), tuple(c @ inv_sqrt for _, c in maps)) for maps in raw)
+
+
+def effect(operation) -> np.ndarray:
+    """sum_a w_a C_a' C_a of a Kraus-form operation: the operator whose expectation is its probability."""
+    weights, kraus = operation
+    return sum(w * (dagger(c) @ c) for w, c in zip(weights, kraus))
+
+
+def completeness_residual(measurement) -> float:
+    """max |sum over outcomes of the effect - 1| of a Kraus-form measurement."""
+    total = sum(effect(operation) for operation in measurement)
+    return float(np.max(np.abs(total - np.eye(len(total)))))
+
+
+def kraus_superoperator(operation) -> np.ndarray:
+    """sum_a w_a C_a (x) conj(C_a) term by term with np.kron, a weight of exactly 1.0 multiplying nothing."""
+    acc = None
+    for w, c in zip(*operation):
+        term = np.kron(c, np.conj(c)) if w == 1.0 else w * np.kron(c, np.conj(c))
+        acc = term if acc is None else acc + term
+    return acc
+
+
+def superoperators(measurement) -> np.ndarray:
+    """The library's (n, 4, 4) stack of outcome superoperators of a Kraus-form measurement."""
+    return np.array([superoperator(weights, kraus) for weights, kraus in measurement])
+
+
+def kraus_of_label(sc, label: str, measurement=None) -> tuple:
+    """The Kraus form of the operation that prepares `label` in `sc`, whose S `scenarios.operation_of_label` gives.
+
+    A scenario holds a generalized measurement only as S, so its Kraus form `measurement` is passed in.
+    """
+    if sc.prep_method == "generalized":
+        return measurement[sc.generalized_labels.index(label)]
+    if label == MIXED_LABEL:
+        return (1.0,), (state_from_bloch(sc.mixed_bloch),)
+    if sc.prep_method == "measurement":
+        return (1.0,), (state_of_label(label),)
+    ket = ket_of_label(label)
+    if sc.prep_method == "stochastic":
+        return (1.0, 1.0), tuple(np.outer(ket, e) for e in np.eye(2))
+    t0, t1 = ket
+    return (1.0,), (np.array([[t0, -np.conj(t1)], [t1, np.conj(t0)]]),)
 
 
 def partial_trace_env(joint: np.ndarray, dim_sys: int, dim_env: int) -> np.ndarray:
@@ -220,22 +266,23 @@ def partial_trace_sys(joint: np.ndarray) -> np.ndarray:
     return np.einsum("iaib->ab", blocks)
 
 
-def prepare_joint(gamma0: np.ndarray, operation: OutcomeMap, label: str = "") -> JointState:
+def prepare_joint(gamma0: np.ndarray, operation, label: str = "") -> JointState:
     """The joint-space preparation: sum_a w_a (C_a x 1) gamma0 (C_a x 1)' over its trace gamma.
 
     A trace-preserving operation gives gamma = 1.0 and no division.  A rank-1
     projector P must leave P (x) tau, checked before the division by gamma.
     """
+    weights, kraus = operation
     terms = [conjugate_system(c, gamma0) if w == 1.0 else w * conjugate_system(c, gamma0)
-             for w, c in zip(operation.weights, operation.kraus)]
+             for w, c in zip(weights, kraus)]
     acc = sum(terms[1:], terms[0])
-    if np.abs(operation.effect() - np.eye(DIM_SYS)).max() <= UNITARY_TOL:
+    if np.abs(effect(operation) - np.eye(DIM_SYS)).max() <= UNITARY_TOL:
         return JointState(joint=acc, gamma=1.0)
     gamma = float(np.trace(acc).real)
     if gamma < ZERO_PROBABILITY_TOL:
         raise ZeroProbabilityOutcome(f"preparation {label or 'outcome'} has probability {gamma:.3e}")
-    p = operation.kraus[0]
-    if len(operation.kraus) == 1 and is_projector(p, tol=1e-12):
+    p = kraus[0]
+    if len(kraus) == 1 and is_projector(p, tol=1e-12):
         if np.max(np.abs(acc - tensor(p, partial_trace_sys(acc)))) > 1e-12:
             raise ValueError("projected joint state does not factorize as P (x) tau")
     return JointState(joint=acc / gamma, gamma=gamma)
@@ -249,15 +296,15 @@ def run_joint(spec: ProcessSpec, prepared: JointState) -> np.ndarray:
     return 0.5 * (out + dagger(out))
 
 
-def joint_of(prepared, gamma0: np.ndarray) -> np.ndarray:
+def joint_of(s: np.ndarray, gamma: float, gamma0: np.ndarray) -> np.ndarray:
     """The joint state a library preparation stands for: S applied to the system factor of gamma0, over gamma.
 
     J[(p, a), (q, b)] = sum_{x, y} S[(p, q), (x, y)] gamma0[(x, a), (y, b)] / gamma.
     """
     nb = len(gamma0) // DIM_SYS
     g4 = np.asarray(gamma0, dtype=complex).reshape(DIM_SYS, nb, DIM_SYS, nb)
-    s4 = prepared.superop.reshape((DIM_SYS,) * 4)
-    return np.einsum("pqxy,xayb->paqb", s4, g4).reshape(len(gamma0), len(gamma0)) / prepared.gamma
+    s4 = s.reshape((DIM_SYS,) * 4)
+    return np.einsum("pqxy,xayb->paqb", s4, g4).reshape(len(gamma0), len(gamma0)) / gamma
 
 
 def is_projector(p: np.ndarray, tol: float = STATE_TOL) -> bool:
@@ -335,7 +382,7 @@ def prepare_projective(gamma0: np.ndarray, dim_sys: int, dim_env: int, p: np.nda
     return JointState(joint=joint, gamma=gamma)
 
 
-def mixed_preparation_measurement(x: np.ndarray) -> GeneralizedMeasurement:
+def mixed_preparation_measurement(x: np.ndarray) -> tuple:
     """Two-outcome measurement {X, sqrt(1 - X^2)} whose outcome 0 prepares the mixed operator X.
 
     Outcome 0 produces (X x 1) gamma0 (X x 1) / gamma, the bi-linear process
@@ -346,15 +393,13 @@ def mixed_preparation_measurement(x: np.ndarray) -> GeneralizedMeasurement:
     if w[0] < 0 or w[-1] > 1:
         raise ValueError("mixed preparation target must satisfy 0 <= X <= 1")
     rest = (v * np.sqrt(np.clip(1.0 - w**2, 0.0, None))) @ v.conj().T
-    return GeneralizedMeasurement(
-        outcomes=(OutcomeMap(weights=(1.0,), kraus=(x,)), OutcomeMap(weights=(1.0,), kraus=(rest,)))
-    )
+    return ((1.0,), (x,)), ((1.0,), (rest,))
 
 
-def prepare_dense(base: np.ndarray, dim_env: int, operation: OutcomeMap) -> JointState:
+def prepare_dense(base: np.ndarray, dim_env: int, operation) -> JointState:
     """sum_a w_a (C_a x 1) base (C_a x 1)' / gamma with every C_a x 1 formed densely."""
     acc = 0
-    for w, c in zip(operation.weights, operation.kraus):
+    for w, c in zip(*operation):
         big = tensor(c, np.eye(dim_env))
         acc = acc + w * (big @ base @ dagger(big))
     gamma = float(np.trace(acc).real)
@@ -655,25 +700,25 @@ class MixedWithoutUnitUnit(Exception):
     """Prediction for a mixed preparation requires the <1|M|1> element."""
 
 
-def basis_element(bmap, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def basis_element(m: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Matrix element <A|M|B>[r,s] = sum conj(A[r'',r']) m[r,s,r'',r',s'',s'] B[s'',s'].
 
     <P|M|P> is the unnormalized output gamma*Q of the preparation P.
     """
-    return np.einsum("xp,rsxpyq,yq->rs", np.conj(np.asarray(a, dtype=complex)), bmap.m, np.asarray(b, dtype=complex))
+    return np.einsum("xp,rsxpyq,yq->rs", np.conj(np.asarray(a, dtype=complex)), m, np.asarray(b, dtype=complex))
 
 
-def reference_element_table(bmap) -> HandElementTable:
-    """Element table by direct contraction of M with the {1, sigma_j} basis."""
-    unit = basis_element(bmap, IDENTITY_2, IDENTITY_2)
-    diag_plus = tuple(unit + basis_element(bmap, s, s) for s in PAULIS)
+def reference_element_table(m: np.ndarray) -> HandElementTable:
+    """Element table by direct contraction of the process tensor M with the {1, sigma_j} basis."""
+    unit = basis_element(m, IDENTITY_2, IDENTITY_2)
+    diag_plus = tuple(unit + basis_element(m, s, s) for s in PAULIS)
     linear = tuple(
-        basis_element(bmap, IDENTITY_2, s) + basis_element(bmap, s, IDENTITY_2) for s in PAULIS
+        basis_element(m, IDENTITY_2, s) + basis_element(m, s, IDENTITY_2) for s in PAULIS
     )
     cross = {}
     for j, k in CROSS_PAIRS:
         sj, sk = PAULIS[j - 1], PAULIS[k - 1]
-        cross[(j, k)] = basis_element(bmap, sj, sk) + basis_element(bmap, sk, sj)
+        cross[(j, k)] = basis_element(m, sj, sk) + basis_element(m, sk, sj)
     return HandElementTable(diag_plus=diag_plus, linear=linear, cross=cross, unit_unit=unit)
 
 
@@ -701,28 +746,28 @@ def reference_predict_output(table: HandElementTable, p) -> tuple[float, np.ndar
 
 
 def _dilation_dims(meas) -> tuple[int, int, int]:
-    n = meas.outcomes[0].kraus[0].shape[0]
-    mu = meas.num_outcomes
+    n = meas[0][1][0].shape[0]
+    mu = len(meas)
     return n, mu, n * n
 
 
 def build_dilation(meas) -> tuple[np.ndarray, tuple[int, int]]:
-    """Dilation unitary realizing `meas` with two ancillas of sizes (mu, N^2).
+    """Dilation unitary realizing the Kraus-form measurement `meas` with two ancillas of sizes (mu, N^2).
 
     Basis ordering |r, j, alpha> with composite index r*(mu*N^2) + j*N^2 + alpha.
     Columns for |r', 0, 0> are fixed by the measurement; the remaining columns,
     in index order, complete the unitary from a QR factorization of
     [fixed columns | identity].
     """
-    meas.validate()
+    check_completeness(superoperators(meas))
     n, mu, n2 = _dilation_dims(meas)
     dim = n * mu * n2
 
     blocks = np.zeros((n, mu, n2, n), dtype=complex)  # [r, j, alpha, r']
-    for j, omap in enumerate(meas.outcomes):
-        if len(omap.kraus) > n2:
+    for j, (weights, kraus) in enumerate(meas):
+        if len(kraus) > n2:
             raise InvalidMeasurement("an outcome map has more than N^2 Kraus terms")
-        for alpha, (w, c) in enumerate(zip(omap.weights, omap.kraus)):
+        for alpha, (w, c) in enumerate(zip(weights, kraus)):
             blocks[:, j, alpha, :] = np.sqrt(w) * c
     fixed = blocks.reshape(dim, n)
 

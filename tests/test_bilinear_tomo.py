@@ -24,7 +24,6 @@ from helpers import (
 from procmap import jsonio
 from procmap.bilinear_tomo import (
     CROSS_PAIRS,
-    BilinearProcessMap,
     MElementTable,
     ZeroGamma,
     build_M_from_dynamics,
@@ -68,25 +67,25 @@ def test_build_m_matches_loop_oracle():
     rng = np.random.default_rng(41)
     u = rand_unitary(rng, 4)
     gamma0 = rand_density(rng, 4)
-    bmap = build_M_from_dynamics(ProcessSpec(u, gamma0))
+    m = build_M_from_dynamics(ProcessSpec(u, gamma0))
     oracle = loop_build_m(u, gamma0, 2, 2)
-    assert np.max(np.abs(bmap.m - oracle)) < 1e-13
+    assert np.max(np.abs(m - oracle)) < 1e-13
 
 
 @pytest.mark.parametrize("nb", [1, 2, 8, 32])
 def test_build_m_matches_einsum_oracle(nb):
     rng = np.random.default_rng(46 + nb)
     spec = ProcessSpec(rand_unitary(rng, 2 * nb), rand_density(rng, 2 * nb))
-    bmap = build_M_from_dynamics(spec)
-    assert np.max(np.abs(bmap.m - reference_raw_M(spec))) < 1e-13
-    assert np.array_equal(np.conj(bmap.m), bmap.m.transpose(1, 0, 4, 5, 2, 3))
+    m = build_M_from_dynamics(spec)
+    assert np.max(np.abs(m - reference_raw_M(spec))) < 1e-13
+    assert np.array_equal(np.conj(m), m.transpose(1, 0, 4, 5, 2, 3))
 
 
 def test_build_m_identity_unitary_collapse():
     # With U = 1 the tensor collapses to delta(r,r') delta(s,s') (Tr_env gamma0).
     rng = np.random.default_rng(42)
     gamma0 = rand_density(rng, 4)
-    bmap = build_M_from_dynamics(ProcessSpec(np.eye(4, dtype=complex), gamma0))
+    m = build_M_from_dynamics(ProcessSpec(np.eye(4, dtype=complex), gamma0))
     reduced = partial_trace_env(gamma0, 2, 2)
     for r in range(2):
         for s in range(2):
@@ -95,7 +94,7 @@ def test_build_m_identity_unitary_collapse():
                     for y in range(2):
                         for q in range(2):
                             want = reduced[x, y] if (r == p and s == q) else 0.0
-                            assert abs(bmap.m[r, s, x, p, y, q] - want) < 1e-13
+                            assert abs(m[r, s, x, p, y, q] - want) < 1e-13
 
 
 def test_trace_is_system_dimension_not_one():
@@ -105,27 +104,27 @@ def test_trace_is_system_dimension_not_one():
     rng = np.random.default_rng(43)
     for _ in range(20):
         spec = ProcessSpec(rand_unitary(rng, 4), rand_density(rng, 4))
-        bmap = build_M_from_dynamics(spec)
-        assert abs(np.einsum("rrxpxp->", bmap.m) - 2.0) < 1e-10
+        m = build_M_from_dynamics(spec)
+        assert abs(np.einsum("rrxpxp->", m) - 2.0) < 1e-10
 
 
 def test_hermiticity_holds_exactly_as_stored():
     rng = np.random.default_rng(44)
     for _ in range(20):
         spec = ProcessSpec(rand_unitary(rng, 4), rand_density(rng, 4))
-        bmap = build_M_from_dynamics(spec)
-        assert np.array_equal(np.conj(bmap.m), bmap.m.transpose(1, 0, 4, 5, 2, 3))
+        m = build_M_from_dynamics(spec)
+        assert np.array_equal(np.conj(m), m.transpose(1, 0, 4, 5, 2, 3))
 
 
 def test_apply_bilinear_identity_unitary():
     # U = 1 reduces the bi-linear form to P rho P with rho the system marginal.
     rng = np.random.default_rng(45)
     gamma0 = rand_density(rng, 4)
-    bmap = build_M_from_dynamics(ProcessSpec(np.eye(4, dtype=complex), gamma0))
+    m = build_M_from_dynamics(ProcessSpec(np.eye(4, dtype=complex), gamma0))
     reduced = partial_trace_env(gamma0, 2, 2)
     for _ in range(5):
         p = state_from_bloch(rand_unit_bloch(rng))
-        got = basis_element(bmap, p, p)
+        got = basis_element(m, p, p)
         want = p @ reduced @ p
         assert np.max(np.abs(got - want)) < 1e-12
         assert abs(np.trace(got) - np.trace(p @ reduced)) < 1e-12
@@ -134,29 +133,29 @@ def test_apply_bilinear_identity_unitary():
 def test_apply_bilinear_expands_cross_terms():
     # <aA+bB|M|aA+bB> = a^2<A|M|A> + ab<A|M|B> + ab<B|M|A> + b^2<B|M|B>
     spec = va_spec()
-    bmap = build_M_from_dynamics(spec)
+    m = build_M_from_dynamics(spec)
     a_mat = state_from_bloch([1, 0, 0])
     b_mat = state_from_bloch([0, 0, 1])
     alpha, beta = 0.7, -0.4
     combo = alpha * a_mat + beta * b_mat
     expanded = (
-        alpha**2 * basis_element(bmap, a_mat, a_mat)
-        + alpha * beta * basis_element(bmap, a_mat, b_mat)
-        + alpha * beta * basis_element(bmap, b_mat, a_mat)
-        + beta**2 * basis_element(bmap, b_mat, b_mat)
+        alpha**2 * basis_element(m, a_mat, a_mat)
+        + alpha * beta * basis_element(m, a_mat, b_mat)
+        + alpha * beta * basis_element(m, b_mat, a_mat)
+        + beta**2 * basis_element(m, b_mat, b_mat)
     )
-    assert np.max(np.abs(basis_element(bmap, combo, combo) - expanded)) < 1e-12
+    assert np.max(np.abs(basis_element(m, combo, combo) - expanded)) < 1e-12
 
 
 def test_apply_bilinear_golden_outputs():
     spec = va_spec()
-    bmap = build_M_from_dynamics(spec)
-    gq = basis_element(bmap, state_of_label("2+"), state_of_label("2+"))
+    m = build_M_from_dynamics(spec)
+    gq = basis_element(m, state_of_label("2+"), state_of_label("2+"))
     gamma = np.trace(gq).real
     assert abs(gamma - 0.75) < 1e-12
     assert np.max(np.abs(bloch_vector(gq / gamma) - np.array([-0.1, 0.5, 0.1]))) < 1e-12
 
-    gq = basis_element(bmap, state_of_label("2-"), state_of_label("2-"))
+    gq = basis_element(m, state_of_label("2-"), state_of_label("2-"))
     gamma = np.trace(gq).real
     assert abs(gamma - 0.25) < 1e-12
     assert np.max(np.abs(bloch_vector(gq / gamma) - np.array([-0.3, -0.5, -0.3]))) < 1e-12
@@ -166,12 +165,12 @@ def test_bilinear_form_equals_projected_dynamics():
     # <P|M|P> = Tr_env[U (P x 1) gamma0 (P x 1) U'] for every projector P.
     rng = np.random.default_rng(46)
     spec = ProcessSpec(rand_unitary(rng, 4), rand_density(rng, 4))
-    bmap = build_M_from_dynamics(spec)
+    m = build_M_from_dynamics(spec)
     for _ in range(20):
         p = state_from_bloch(rand_unit_bloch(rng))
         big_p = tensor(p, IDENTITY_2)
         want = brute_force_output(spec.u, big_p @ spec.gamma0 @ big_p, 2, 2)
-        assert np.max(np.abs(basis_element(bmap, p, p) - want)) < 1e-10
+        assert np.max(np.abs(basis_element(m, p, p) - want)) < 1e-10
 
 
 def test_nine_state_inputs_golden():
@@ -270,12 +269,12 @@ def test_predict_output_golden():
 def test_predict_matches_direct_route_100_random():
     spec = va_spec()
     table = solve_M_elements(measured_records(spec, NINE_STATE_LABELS))
-    bmap = build_M_from_dynamics(spec)
+    m = build_M_from_dynamics(spec)
     rng = np.random.default_rng(48)
     for _ in range(100):
         v = rand_unit_bloch(rng)
         p = state_from_bloch(v)
-        gq = basis_element(bmap, p, p)
+        gq = basis_element(m, p, p)
         gamma_direct = np.trace(gq).real
         gamma, q = predict(table, v)
         assert abs(gamma - gamma_direct) < 1e-9
@@ -291,9 +290,9 @@ def test_predict_mixed_requires_unit_unit():
 
 def test_mixed_record_resolves_unit_unit():
     spec = va_spec()
-    bmap = build_M_from_dynamics(spec)
+    m = build_M_from_dynamics(spec)
     table = solve_M_elements(with_mixed_record(spec))
-    direct = element_table_from_map(bmap)
+    direct = element_table_from_map(m)
     assert table.elements.shape == (10, 2, 2)
     assert np.max(np.abs(table.elements[9] - direct.elements[9])) < 1e-10
     # and mixed predictions now agree with the raw bi-linear form
@@ -301,7 +300,7 @@ def test_mixed_record_resolves_unit_unit():
     for _ in range(20):
         v = rng.uniform(-0.5, 0.5, size=3)
         p = state_from_bloch(v)
-        gq = basis_element(bmap, p, p)
+        gq = basis_element(m, p, p)
         gamma_direct = np.trace(gq).real
         gamma, q = predict(table, v)
         assert abs(gamma - gamma_direct) < 1e-10
@@ -324,10 +323,10 @@ def test_element_table_json_roundtrip():
 def test_stacked_table_matches_hand_oracle(nb):
     rng = np.random.default_rng(50 + nb)
     for _ in range(20):
-        bmap = build_M_from_dynamics(ProcessSpec(rand_unitary(rng, 2 * nb), rand_density(rng, 2 * nb)))
-        table = element_table_from_map(bmap)
+        m = build_M_from_dynamics(ProcessSpec(rand_unitary(rng, 2 * nb), rand_density(rng, 2 * nb)))
+        table = element_table_from_map(m)
         assert table.elements.shape == (10, 2, 2)
-        assert np.max(np.abs(table.elements - reference_element_table(bmap).stacked())) < 1e-13
+        assert np.max(np.abs(table.elements - reference_element_table(m).stacked())) < 1e-13
         assert max(map(hermiticity_residual, table.elements)) < 1e-13
 
 
@@ -338,7 +337,7 @@ def test_solved_table_matches_hand_oracle(with_mixed):
     table = solve_M_elements(records)
     # The hand algebra applied to the tensor the same degree-2 fit stands for.
     m = fit(records, degree=2).coef.reshape((2,) * 6).transpose(4, 5, 0, 1, 2, 3)
-    want = reference_element_table(BilinearProcessMap(m=m)).stacked()[: len(records.labels)]
+    want = reference_element_table(m).stacked()[: len(records.labels)]
     assert table.elements.shape == (len(records.labels), 2, 2)
     assert np.max(np.abs(table.elements - want)) < 1e-13
 
@@ -346,12 +345,12 @@ def test_solved_table_matches_hand_oracle(with_mixed):
 def test_predict_output_matches_hand_oracle():
     # The reference prediction, read off the stacked table, is the direct route <P|M|P>, for pure and mixed P.
     rng = np.random.default_rng(51)
-    bmap = build_M_from_dynamics(ProcessSpec(rand_unitary(rng, 4), rand_density(rng, 4)))
-    table = element_table_from_map(bmap)
+    m = build_M_from_dynamics(ProcessSpec(rand_unitary(rng, 4), rand_density(rng, 4)))
+    table = element_table_from_map(m)
     pure_table = MElementTable(table.elements[:9])
     mixed = [rng.uniform(-0.5, 0.5, size=3) for _ in range(20)]
     for v in [rand_unit_bloch(rng) for _ in range(100)] + mixed:
-        gq = basis_element(bmap, state_from_bloch(v), state_from_bloch(v))
+        gq = basis_element(m, state_from_bloch(v), state_from_bloch(v))
         gamma_direct = np.trace(gq).real
         for got_table in [table] + ([pure_table] if abs(np.dot(v, v) - 1.0) < 1e-10 else []):
             gamma, q = predict(got_table, v)

@@ -192,6 +192,20 @@ BAD_SCENARIOS = {
             "measurement": {"outcomes": [{"weights": [1.0], "kraus": [jsonio.matrix_to_json(np.eye(1) / np.sqrt(12.0))]}] * 12},
         },
     },
+    # Eigenvalues times t that overflow: once a NaN unitary residual passed validate_unitary.
+    "hamiltonian-1e300-t-1e10": {**PINNED, "hamiltonian": jsonio.matrix_to_json(1e300 * np.eye(4)), "t": 1e10},
+    "hamiltonian-off-diagonal-1e308": {
+        **PINNED, "hamiltonian": jsonio.matrix_to_json(1e308 * (np.ones((4, 4)) - np.eye(4))), "t": 1.0,
+    },
+    "bloch-a-1e308": {**MEASUREMENT, "gamma0": {"bloch_a": [1e308, 1e308, 1e308], "c23": 1e308}},
+    "c23-1e308": {**MEASUREMENT, "gamma0": {"bloch_a": [0.0, 0.5, 0.0], "c23": 1e308}},
+    "kraus-1e200": {
+        **STOCHASTIC,
+        "preparation": {
+            **generalized(1.0)["preparation"],
+            "measurement": {"outcomes": [{"weights": [1.0], "kraus": [jsonio.matrix_to_json(1e200 * np.eye(2))]}] * 12},
+        },
+    },
 }
 
 
@@ -236,6 +250,11 @@ BAD_SCENARIO_WORDS = {
     "gamma-above-one": ("preparation 1+", "above 1"),
     "hamiltonian-string-entry": "entries must be JSON numbers",
     "kraus-1x1": "Kraus operators must be 2x2",
+    "hamiltonian-1e300-t-1e10": ("hamiltonian eigenvalues times t", "not finite"),
+    "hamiltonian-off-diagonal-1e308": ("hamiltonian eigenvalues times t", "not finite"),
+    "bloch-a-1e308": ("gamma0.bloch_a", "above 1"),
+    "c23-1e308": ("gamma0.c23", "above 1"),
+    "kraus-1e200": "trace-preserving",
 }
 
 

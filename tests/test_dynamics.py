@@ -24,7 +24,7 @@ from procmap.dynamics import (
     unitary_from_hamiltonian,
 )
 from procmap.linear_tomo import apply_linear_map
-from procmap.prep import MAX_GAMMA, InvalidMeasurement, OutcomeMap, PreparedState, prepare_generalized
+from procmap.prep import MAX_GAMMA, InvalidMeasurement, prepare_generalized, superoperator
 from procmap.qstate import (
     IDENTITY_2,
     SIGMA_1,
@@ -95,10 +95,10 @@ def test_unitary_rejects_non_hermitian():
         unitary_from_hamiltonian(np.array([[0, 1], [0, 0]], dtype=complex), 0.5)
 
 
-def random_operation(rng) -> OutcomeMap:
-    """One Kraus operator, neither Hermitian nor unitary, scaled so that its effect is at most 1."""
+def random_operation(rng) -> tuple:
+    """One Kraus operator, neither Hermitian nor unitary, scaled so that its effect is at most 1, in Kraus form."""
     c = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    return OutcomeMap(weights=(float(rng.uniform(0.2, 1.0)),), kraus=(c / np.linalg.norm(c, 2),))
+    return (float(rng.uniform(0.2, 1.0)),), (c / np.linalg.norm(c, 2),)
 
 
 def test_pinned_plus_state_output():
@@ -106,11 +106,11 @@ def test_pinned_plus_state_output():
     u = unitary_from_hamiltonian(heisenberg_hamiltonian(), T_DEMO)
     spec = ProcessSpec(u, tensor(0.5 * IDENTITY_2, 0.5 * IDENTITY_2))
     plus = np.array([1.0, 1.0]) / np.sqrt(2.0)
-    replace = OutcomeMap(weights=(1.0, 1.0), kraus=tuple(np.outer(plus, e) for e in np.eye(2)))
-    prepared = prepare_generalized(spec.gamma0, replace)
+    replace = superoperator((1.0, 1.0), [np.outer(plus, e) for e in np.eye(2)])
+    gamma = prepare_generalized(spec.gamma0, replace)
     pinned = tensor(state_from_bloch([1, 0, 0]), 0.5 * IDENTITY_2)
-    assert np.max(np.abs(joint_of(prepared, spec.gamma0) - pinned)) < 1e-15
-    out = run_process(build_M_from_dynamics(spec), prepared)
+    assert np.max(np.abs(joint_of(replace, gamma, spec.gamma0) - pinned)) < 1e-15
+    out = run_process(build_M_from_dynamics(spec), replace, gamma)
     assert np.max(np.abs(out - state_from_bloch([0.5, 0, 0]))) < 1e-12
 
 
@@ -119,15 +119,15 @@ def test_identity_dynamics_with_projective_prep():
     gamma0 = tensor(rand_density(rng, 2), rand_density(rng, 2))
     spec = ProcessSpec(np.eye(4, dtype=complex), gamma0)
     p = state_from_bloch([0, 0, 1])
-    prepared = prepare_generalized(gamma0, OutcomeMap(weights=(1.0,), kraus=(p,)))
-    out = run_process(build_M_from_dynamics(spec), prepared)
+    s = superoperator((1.0,), (p,))
+    out = run_process(build_M_from_dynamics(spec), s, prepare_generalized(gamma0, s))
     assert np.max(np.abs(out - p)) < 1e-12
 
 
 def test_measurement_prep_outputs_golden():
     # Outputs of the correlated-pair example at t = pi/8, a2 = 0.5, c23 = 0.3.
     spec = va_spec()
-    bmap = build_M_from_dynamics(spec)
+    m = build_M_from_dynamics(spec)
     expected = {
         (1, 0, 0): [0.5, 0, 0],
         (-1, 0, 0): [-0.5, 0, 0],
@@ -136,12 +136,12 @@ def test_measurement_prep_outputs_golden():
         (0, 0, 1): [0, 0, 0.5],
     }
     for bloch_in, bloch_out in expected.items():
-        projector = OutcomeMap(weights=(1.0,), kraus=(state_from_bloch(bloch_in),))
-        prepared = prepare_generalized(spec.gamma0, projector)
-        out = run_process(bmap, prepared)
+        projector = superoperator((1.0,), (state_from_bloch(bloch_in),))
+        gamma = prepare_generalized(spec.gamma0, projector)
+        out = run_process(m, projector, gamma)
         assert np.max(np.abs(bloch_vector(out) - np.asarray(bloch_out))) < 1e-12
         # cross-check against the loop-based pipeline oracle
-        oracle = brute_force_output(spec.u, joint_of(prepared, spec.gamma0), 2, 2)
+        oracle = brute_force_output(spec.u, joint_of(projector, gamma, spec.gamma0), 2, 2)
         assert np.max(np.abs(out - oracle)) < 1e-13
 
 
@@ -150,12 +150,13 @@ def test_run_process_matches_loop_oracle(dim_env):
     rng = np.random.default_rng(40 + dim_env)
     d = 2 * dim_env
     spec = ProcessSpec(rand_unitary(rng, d), rand_density(rng, d))
-    bmap = build_M_from_dynamics(spec)
+    m = build_M_from_dynamics(spec)
     for _ in range(3):
         # The oracle forms every C x 1 densely, then conjugates by U and traces the environment by loops.
         operation = random_operation(rng)
         dense = prepare_dense(spec.gamma0, dim_env, operation)
-        out = run_process(bmap, prepare_generalized(spec.gamma0, operation))
+        s = superoperator(*operation)
+        out = run_process(m, s, prepare_generalized(spec.gamma0, s))
         assert np.max(np.abs(out - brute_force_output(spec.u, dense.joint, 2, dim_env))) < 1e-13
 
 
@@ -163,8 +164,8 @@ def test_run_process_output_is_state():
     rng = np.random.default_rng(22)
     for _ in range(10):
         spec = ProcessSpec(rand_unitary(rng, 4), rand_density(rng, 4))
-        prepared = prepare_generalized(spec.gamma0, random_operation(rng))
-        out = run_process(build_M_from_dynamics(spec), prepared)
+        s = superoperator(*random_operation(rng))
+        out = run_process(build_M_from_dynamics(spec), s, prepare_generalized(spec.gamma0, s))
         validate_density_matrix(out)
 
 
@@ -172,26 +173,25 @@ def test_run_process_linear_in_joint():
     # The prepared joint state is linear in S; mixing two trace-preserving S keeps gamma = 1.
     rng = np.random.default_rng(23)
     spec = ProcessSpec(rand_unitary(rng, 4), rand_density(rng, 4))
-    bmap = build_M_from_dynamics(spec)
-    s1, s2 = (prepare_generalized(spec.gamma0, OutcomeMap(weights=(1.0,), kraus=(rand_unitary(rng, 2),))).superop
-              for _ in range(2))
+    m = build_M_from_dynamics(spec)
+    s1, s2 = (superoperator((1.0,), (rand_unitary(rng, 2),)) for _ in range(2))
+    assert prepare_generalized(spec.gamma0, s1) == prepare_generalized(spec.gamma0, s2) == 1.0
     alpha = 0.37
-    mixed = run_process(bmap, PreparedState(superop=alpha * s1 + (1 - alpha) * s2, gamma=1.0))
-    split = alpha * run_process(bmap, PreparedState(superop=s1, gamma=1.0)) + (
-        1 - alpha
-    ) * run_process(bmap, PreparedState(superop=s2, gamma=1.0))
+    mixed = run_process(m, alpha * s1 + (1 - alpha) * s2, 1.0)
+    split = alpha * run_process(m, s1, 1.0) + (1 - alpha) * run_process(m, s2, 1.0)
     assert np.max(np.abs(mixed - split)) < 1e-12
 
 
 def test_run_process_rejects_a_gamma_that_is_not_tr_s_m():
     # Tr(S M) is the preparation's probability; a record whose gamma disagrees beyond 1e-12 never leaves.
     spec = va_spec()
-    bmap = build_M_from_dynamics(spec)
-    prepared = prepare_generalized(spec.gamma0, OutcomeMap(weights=(1.0,), kraus=(state_from_bloch([0, 1, 0]),)))
-    assert prepared.gamma == pytest.approx(0.75, abs=1e-15)
-    run_process(bmap, PreparedState(superop=prepared.superop, gamma=prepared.gamma + 5e-13))
+    m = build_M_from_dynamics(spec)
+    s = superoperator((1.0,), (state_from_bloch([0, 1, 0]),))
+    gamma = prepare_generalized(spec.gamma0, s)
+    assert gamma == pytest.approx(0.75, abs=1e-15)
+    run_process(m, s, gamma + 5e-13)
     with pytest.raises(ValueError, match=r"Tr\(S M\) = 7\.5"):
-        run_process(bmap, PreparedState(superop=prepared.superop, gamma=prepared.gamma + 2e-12))
+        run_process(m, s, gamma + 2e-12)
 
 
 def test_fixed_env_map_identity():
@@ -236,7 +236,7 @@ def test_fixed_env_map_matches_matrix_unit_loop(dim_env):
     gamma0 = rand_density(rng, 2 * dim_env)
     tau = partial_trace_sys(gamma0)
     # The map read off M, whatever correlations gamma0 holds: Lambda[(r,p),(s,q)] = sum_x m[r,s,x,p,x,q].
-    m = build_M_from_dynamics(ProcessSpec(u, gamma0)).m
+    m = build_M_from_dynamics(ProcessSpec(u, gamma0))
     lam = np.einsum("rsxpxq->rpsq", m).reshape(4, 4)
     assert np.max(np.abs(lam - reference_dynamical_map(u, tau).mat)) < 1e-13
 
@@ -250,11 +250,11 @@ def test_nearly_trace_preserving_operation_passes_the_tr_s_m_check(delta):
     spec = ProcessSpec(np.eye(4, dtype=complex), tensor(plus, 0.5 * IDENTITY_2))
     for sign in (1, -1):
         w, v = np.linalg.eigh(IDENTITY_2 + sign * delta * (IDENTITY_2 + SIGMA_1))
-        operation = OutcomeMap(weights=(1.0,), kraus=((v * np.sqrt(w)) @ v.conj().T,))
+        s = superoperator((1.0,), ((v * np.sqrt(w)) @ v.conj().T,))
         if sign * 2 * delta > MAX_GAMMA - 1.0:
             with pytest.raises(InvalidMeasurement, match="above 1"):
-                prepare_generalized(spec.gamma0, operation)
+                prepare_generalized(spec.gamma0, s)
             continue
-        prepared = prepare_generalized(spec.gamma0, operation)
-        assert (prepared.gamma == 1.0) == (2 * delta <= 0.5e-12)
-        assert np.max(np.abs(run_process(build_M_from_dynamics(spec), prepared) - plus)) < 1e-12
+        gamma = prepare_generalized(spec.gamma0, s)
+        assert (gamma == 1.0) == (2 * delta <= 0.5e-12)
+        assert np.max(np.abs(run_process(build_M_from_dynamics(spec), s, gamma) - plus)) < 1e-12

@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -7,8 +8,12 @@ import pytest
 from helpers import (
     BLOCH_BY_LABEL,
     build_dilation,
+    completeness_residual,
+    effect,
     joint_of,
     ket_from_projector,
+    kraus_of_label,
+    kraus_superoperator,
     measure_generalized_via_dilation,
     mixed_preparation_measurement,
     partial_trace_env,
@@ -22,16 +27,17 @@ from helpers import (
     rand_unitary,
     random_measurement,
     rotation_between,
+    superoperators,
     va_spec,
 )
 from procmap import jsonio
 from procmap.dynamics import ProcessSpec
 from procmap.prep import (
-    GeneralizedMeasurement,
     InvalidMeasurement,
-    OutcomeMap,
     ZeroProbabilityOutcome,
+    check_completeness,
     prepare_generalized,
+    superoperator,
 )
 from procmap.qstate import (
     IDENTITY_2,
@@ -164,35 +170,32 @@ def test_projective_rejects_non_projector():
 # ---------------------------------------------------------------------------
 
 def test_generalized_identity_map():
-    meas = GeneralizedMeasurement(outcomes=(OutcomeMap(weights=(1.0,), kraus=(IDENTITY_2,)),))
+    s = superoperator((1.0,), (IDENTITY_2,))
     rng = np.random.default_rng(10)
     rho = rand_density(rng, 2)
-    prepared = prepare_generalized(rho, meas.outcomes[0])
-    assert abs(prepared.gamma - 1.0) < 1e-12
-    assert np.max(np.abs(joint_of(prepared, rho) - rho)) < 1e-12
+    gamma = prepare_generalized(rho, s)
+    assert abs(gamma - 1.0) < 1e-12
+    assert np.max(np.abs(joint_of(s, gamma, rho) - rho)) < 1e-12
 
 
 def test_generalized_projective_on_mixed():
-    meas = GeneralizedMeasurement(
-        outcomes=(
-            OutcomeMap(weights=(1.0,), kraus=(np.diag([1.0, 0.0]).astype(complex),)),
-            OutcomeMap(weights=(1.0,), kraus=(np.diag([0.0, 1.0]).astype(complex),)),
-        )
+    meas = superoperators(
+        (((1.0,), (np.diag([1.0, 0.0]).astype(complex),)), ((1.0,), (np.diag([0.0, 1.0]).astype(complex),)))
     )
     for j, target in ((0, np.diag([1.0, 0.0])), (1, np.diag([0.0, 1.0]))):
-        prepared = prepare_generalized(0.5 * IDENTITY_2, meas.outcomes[j])
-        assert abs(prepared.gamma - 0.5) < 1e-12
-        assert np.max(np.abs(joint_of(prepared, 0.5 * IDENTITY_2) - target)) < 1e-12
+        gamma = prepare_generalized(0.5 * IDENTITY_2, meas[j])
+        assert abs(gamma - 0.5) < 1e-12
+        assert np.max(np.abs(joint_of(meas[j], gamma, 0.5 * IDENTITY_2) - target)) < 1e-12
 
 
 def test_generalized_completeness_check():
-    bad = GeneralizedMeasurement(
-        outcomes=(OutcomeMap(weights=(0.5,), kraus=(IDENTITY_2,)),)
-    )
+    bad = (((0.5,), (IDENTITY_2,)),)
     with pytest.raises(InvalidMeasurement):
-        bad.validate()
+        check_completeness(superoperators(bad))
     with pytest.raises(InvalidMeasurement):
         build_dilation(bad)
+    with pytest.raises(InvalidMeasurement, match="outcomes"):
+        check_completeness(superoperators(()))
 
 
 @pytest.mark.parametrize(
@@ -201,24 +204,25 @@ def test_generalized_completeness_check():
     ids=["3x3-kraus", "odd-gamma0", "1x1-kraus"],
 )
 def test_generalized_rejects_operators_that_do_not_fit_the_system(kraus_dim, gamma0_dim):
-    # The system is a qubit: the Kraus operators must be 2x2 and gamma0 of even size.
-    meas = GeneralizedMeasurement(outcomes=(OutcomeMap(weights=(1.0,), kraus=(np.eye(kraus_dim, dtype=complex),)),))
-    meas.validate()
-    with pytest.raises(InvalidMeasurement, match="2x2 on a square base state of even size"):
-        prepare_generalized(np.eye(gamma0_dim) / gamma0_dim, meas.outcomes[0])
+    # The system is a qubit: an operation's S must be 4x4, from 2x2 Kraus operators, and gamma0 of even size.
+    s = superoperator((1.0,), (np.eye(kraus_dim, dtype=complex),))
+    with pytest.raises(InvalidMeasurement, match="4x4 superoperator on a square base state of even size"):
+        prepare_generalized(np.eye(gamma0_dim) / gamma0_dim, s)
 
 
 def test_primitive_rejects_an_operation_without_kraus_operators():
-    with pytest.raises(InvalidMeasurement, match="2x2 on a square base state"):
-        prepare_generalized(np.eye(4) / 4, OutcomeMap(weights=(), kraus=()))
+    with pytest.raises(InvalidMeasurement, match="at least one operator"):
+        superoperator((), ())
+    with pytest.raises(InvalidMeasurement, match="one weight per Kraus operator"):
+        superoperator((1.0, 1.0), (IDENTITY_2,))
 
 
 def test_generalized_outcome_probabilities_sum_to_one():
     rng = np.random.default_rng(11)
     for _ in range(10):
-        meas = random_measurement(rng, int(rng.integers(1, 5)))
+        meas = superoperators(random_measurement(rng, int(rng.integers(1, 5))))
         gamma0 = rand_density(rng, 4)
-        total = sum(prepare_generalized(gamma0, meas.outcomes[j]).gamma for j in range(meas.num_outcomes))
+        total = sum(prepare_generalized(gamma0, s) for s in meas)
         assert abs(total - 1.0) < 1e-10
 
 
@@ -227,22 +231,18 @@ def test_generalized_json_roundtrip():
     meas = random_measurement(rng, 3)
     obj = {
         "outcomes": [
-            {"weights": list(outcome.weights), "kraus": [jsonio.matrix_to_json(c) for c in outcome.kraus]}
-            for outcome in meas.outcomes
+            {"weights": list(weights), "kraus": [jsonio.matrix_to_json(c) for c in kraus]} for weights, kraus in meas
         ]
     }
     back = parse_measurement(json.loads(jsonio.dumps(obj)))
-    assert back.completeness_residual() < 1e-12
-    for a, b in zip(meas.outcomes, back.outcomes):
-        assert a.weights == b.weights
-        for ka, kb in zip(a.kraus, b.kraus):
-            assert np.array_equal(ka, kb)
+    assert check_completeness(back) < 1e-12
+    # Every weight and Kraus operator survives the round trip bit for bit, so every S does too.
+    assert back.tobytes() == superoperators(meas).tobytes()
 
 
 def test_nan_weight_fails_validation():
-    meas = GeneralizedMeasurement(outcomes=(OutcomeMap(weights=(float("nan"),), kraus=(IDENTITY_2,)),))
     with pytest.raises(InvalidMeasurement, match="nan"):
-        meas.validate()
+        check_completeness(superoperators((((float("nan"),), (IDENTITY_2,)),)))
 
 
 def test_prepare_generalized_pin_to_mixed():
@@ -252,19 +252,14 @@ def test_prepare_generalized_pin_to_mixed():
     x = state_from_bloch([0.5, 0.0, 0.0])
     vals, vecs = np.linalg.eigh(x)
     rest = (vecs * np.sqrt(1.0 - vals**2)) @ vecs.conj().T
-    meas = GeneralizedMeasurement(
-        outcomes=(
-            OutcomeMap(weights=(1.0,), kraus=(x,)),
-            OutcomeMap(weights=(1.0,), kraus=(rest,)),
-        )
-    )
-    meas.validate()
-    prepared = prepare_generalized(spec.gamma0, meas.outcomes[0])
+    meas = superoperators((((1.0,), (x,)), ((1.0,), (rest,))))
+    check_completeness(meas)
+    got = prepare_generalized(spec.gamma0, meas[0])
     big_x = tensor(x, IDENTITY_2)
     expected = big_x @ spec.gamma0 @ big_x
     gamma = np.trace(expected).real
-    assert abs(prepared.gamma - gamma) < 1e-12
-    assert np.max(np.abs(joint_of(prepared, spec.gamma0) - expected / gamma)) < 1e-12
+    assert abs(got - gamma) < 1e-12
+    assert np.max(np.abs(joint_of(meas[0], got, spec.gamma0) - expected / gamma)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -274,29 +269,32 @@ def test_prepare_generalized_pin_to_mixed():
 MIXED_BLOCH = np.array([0.3, -0.2, 0.4])
 
 
-def oracle_scenario(rng, method: str, gamma0: np.ndarray, dim_env: int) -> Scenario:
+def oracle_scenario(rng, method: str, gamma0: np.ndarray, dim_env: int) -> tuple[Scenario, tuple | None]:
+    """A scenario of `method` on gamma0, and the Kraus form of its generalized measurement (None for other methods)."""
     spec = ProcessSpec(rand_unitary(rng, 2 * dim_env), gamma0)
     generalized = method == "generalized"
-    return Scenario(
+    meas = random_measurement(rng, len(TWELVE_STATE_LABELS)) if generalized else None
+    sc = Scenario(
         name=method,
         spec=spec,
         t=0.0,
         protocol="verify12",
         prep_method=method,
-        measurement=random_measurement(rng, len(TWELVE_STATE_LABELS)) if generalized else None,
+        measurement=superoperators(meas) if generalized else None,
         # A shuffled order, so that the label -> outcome lookup is checked too.
         generalized_labels=tuple(rng.permutation(TWELVE_STATE_LABELS)) if generalized else (),
         mixed_bloch=MIXED_BLOCH if method == "measurement" else None,
     )
+    return sc, meas
 
 
-def oracle_preparation(sc: Scenario, label: str, pinned: np.ndarray):
+def oracle_preparation(sc: Scenario, meas, label: str, pinned: np.ndarray):
     """The retired joint-space route of `label`: pin-then-rotate, rotation, projection or a dense map."""
     gamma0, dim_env = sc.spec.gamma0, sc.spec.dim_env
     if sc.prep_method == "generalized":
-        return prepare_dense(gamma0, dim_env, sc.measurement.outcomes[sc.generalized_labels.index(label)])
+        return prepare_dense(gamma0, dim_env, meas[sc.generalized_labels.index(label)])
     if label == MIXED_LABEL:
-        return prepare_dense(gamma0, dim_env, mixed_preparation_measurement(state_from_bloch(MIXED_BLOCH)).outcomes[0])
+        return prepare_dense(gamma0, dim_env, mixed_preparation_measurement(state_from_bloch(MIXED_BLOCH))[0])
     target = state_of_label(label)
     if sc.prep_method == "measurement":
         return prepare_projective(gamma0, 2, dim_env, target, label=label)
@@ -314,10 +312,14 @@ def test_ket_table_gives_the_projector_in_its_gauge_and_both_operations(label):
     pivot = int(np.argmax(np.abs(ket) >= np.abs(ket).max() - 1e-15))
     assert ket[pivot].imag == 0.0 and ket[pivot].real > 0.0, ket
     sc = Scenario(name=label, spec=va_spec(), t=0.0, protocol="verify12", prep_method="rotation_only")
-    (v,) = operation_of_label(sc, label).kraus
+    (v,) = kraus_of_label(sc, label)[1]
     assert np.max(np.abs(v.conj().T @ v - IDENTITY_2)) < 1e-15
     assert np.max(np.abs(v @ KET0 - ket)) == 0.0
-    stochastic = operation_of_label(replace(sc, prep_method="stochastic"), label).superoperator()
+    # The library's S of the rotation is V (x) conj(V): unitary, and it takes |0><0| to |t><t|.
+    rotation = operation_of_label(sc, label)
+    assert np.max(np.abs(rotation.conj().T @ rotation - np.eye(4))) < 1e-15
+    assert np.max(np.abs(rotation[:, 0].reshape(2, 2) - projector)) < 1e-15
+    stochastic = operation_of_label(replace(sc, prep_method="stochastic"), label)
     assert np.max(np.abs(stochastic - np.outer(projector.reshape(-1), IDENTITY_2.reshape(-1)))) < 1e-15
 
 
@@ -327,13 +329,14 @@ def test_primitive_matches_the_retired_routes(dim_env):
     gamma0 = rand_density(rng, 2 * dim_env)
     pinned = pin(gamma0, P3_PLUS)
     for method in ("stochastic", "rotation_only", "measurement", "generalized"):
-        sc = oracle_scenario(rng, method, gamma0, dim_env)
+        sc, meas = oracle_scenario(rng, method, gamma0, dim_env)
         for label in TWELVE_STATE_LABELS + ((MIXED_LABEL,) if sc.mixed_bloch is not None else ()):
             # The superoperator route rounds differently from every retired route, so none matches bit for bit.
-            got = prepare_generalized(gamma0, operation_of_label(sc, label), label=label)
-            want = oracle_preparation(sc, label, pinned)
-            assert np.max(np.abs(joint_of(got, gamma0) - want.joint)) < 1e-15, (method, label)
-            assert abs(got.gamma - want.gamma) < 1e-15, (method, label)
+            s = operation_of_label(sc, label)
+            gamma = prepare_generalized(gamma0, s, label=label)
+            want = oracle_preparation(sc, meas, label, pinned)
+            assert np.max(np.abs(joint_of(s, gamma, gamma0) - want.joint)) < 1e-15, (method, label)
+            assert abs(gamma - want.gamma) < 1e-15, (method, label)
 
 
 @pytest.mark.parametrize("dim_env", [1, 2, 3, 64])
@@ -341,41 +344,64 @@ def test_stochastic_labels_prepare_the_projector_times_the_environment_marginal(
     # {|t><0|, |t><1|} replaces the system's state by P = |t><t| and leaves Tr_S gamma0 behind.
     rng = np.random.default_rng(70 + dim_env)
     gamma0 = rand_density(rng, 2 * dim_env)
-    sc = oracle_scenario(rng, "stochastic", gamma0, dim_env)
+    sc, _ = oracle_scenario(rng, "stochastic", gamma0, dim_env)
     for label in TWELVE_STATE_LABELS:
-        prepared = prepare_generalized(gamma0, operation_of_label(sc, label))
-        assert prepared.gamma == 1.0, label
-        assert np.max(np.abs(joint_of(prepared, gamma0) - pin(gamma0, state_of_label(label)))) < 1e-15, label
+        s = operation_of_label(sc, label)
+        assert prepare_generalized(gamma0, s) == 1.0, label
+        assert np.max(np.abs(joint_of(s, 1.0, gamma0) - pin(gamma0, state_of_label(label)))) < 1e-15, label
 
 
 def test_trace_preserving_operation_keeps_gamma_one_exactly():
     rng = np.random.default_rng(15)
     joint = rand_density(rng, 4)
     v = rand_unitary(rng, 2)
-    prepared = prepare_generalized(joint, OutcomeMap(weights=(1.0,), kraus=(v,)))
-    assert prepared.gamma == 1.0
-    assert prepared.superop.tobytes() == tensor(v, v.conj()).tobytes()
+    s = superoperator((1.0,), (v,))
+    assert prepare_generalized(joint, s) == 1.0
+    assert s.tobytes() == tensor(v, v.conj()).tobytes()
 
 
 def test_primitive_zero_probability():
     # System polarized exactly along +y: the -y outcome never occurs.
     gamma0 = 0.25 * (np.eye(4) + tensor(SIGMA_2, IDENTITY_2))
-    operation = OutcomeMap(weights=(1.0,), kraus=(state_from_bloch([0, -1, 0]),))
+    s = superoperator((1.0,), (state_from_bloch([0, -1, 0]),))
     with pytest.raises(ZeroProbabilityOutcome, match="6-"):
-        prepare_generalized(gamma0, operation, label="6-")
+        prepare_generalized(gamma0, s, label="6-")
 
 
 def test_outcome_map_rejects_negative_weights():
-    with pytest.raises(ValueError, match="nonnegative"):
-        OutcomeMap(weights=(-0.25,), kraus=(IDENTITY_2,))
+    with pytest.raises(InvalidMeasurement, match="nonnegative"):
+        superoperator((-0.25,), (IDENTITY_2,))
 
 
 def test_outcome_effect_is_the_weighted_sum_of_kraus_products():
+    # One outcome's completeness residual is max |E - 1| of its effect E = sum_a w_a C_a'C_a.
     c = np.array([[0.5, 0.25j], [0.0, 1.0]])
-    outcome = OutcomeMap(weights=(0.5, 2.0), kraus=(SIGMA_1, c))
-    assert np.array_equal(outcome.effect(), 0.5 * IDENTITY_2 + 2.0 * (c.conj().T @ c))
-    complete = mixed_preparation_measurement(np.diag([0.25, 0.5]))
-    assert np.abs(sum(o.effect() for o in complete.outcomes) - IDENTITY_2).max() < 1e-15
+    outcome = ((0.5, 2.0), (SIGMA_1, c))
+    assert np.array_equal(effect(outcome), 0.5 * IDENTITY_2 + 2.0 * (c.conj().T @ c))
+    residual = f"residual {np.abs(effect(outcome) - IDENTITY_2).max():.3e}"
+    with pytest.raises(InvalidMeasurement, match=re.escape(residual)):
+        check_completeness(superoperators((outcome,)))
+    complete = superoperators(mixed_preparation_measurement(np.diag([0.25, 0.5])))
+    assert check_completeness(complete) < 1e-15
+
+
+@pytest.mark.parametrize("dim_env", [1, 2, 64])
+def test_operation_of_label_is_the_kraus_form_superoperator_bit_for_bit(dim_env):
+    # The library builds each S once from the same Kraus operators; np.kron term by term must give the same bits.
+    rng = np.random.default_rng(75 + dim_env)
+    gamma0 = rand_density(rng, 2 * dim_env)
+    for method in ("stochastic", "rotation_only", "measurement", "generalized"):
+        sc, meas = oracle_scenario(rng, method, gamma0, dim_env)
+        for label in TWELVE_STATE_LABELS + ((MIXED_LABEL,) if sc.mixed_bloch is not None else ()):
+            want = kraus_superoperator(kraus_of_label(sc, label, meas))
+            assert operation_of_label(sc, label).tobytes() == want.tobytes(), (method, label)
+
+
+def test_stacked_completeness_residual_matches_the_kraus_form():
+    rng = np.random.default_rng(16)
+    for _ in range(50):
+        meas = random_measurement(rng, int(rng.integers(1, 13)))
+        assert abs(check_completeness(superoperators(meas)) - completeness_residual(meas)) < 1e-15
 
 
 def test_rotation_between_rejects_unnormalized_kets():
@@ -388,7 +414,7 @@ def test_rotation_between_rejects_unnormalized_kets():
 # ---------------------------------------------------------------------------
 
 def test_dilation_single_trivial_outcome_embeds():
-    meas = GeneralizedMeasurement(outcomes=(OutcomeMap(weights=(1.0,), kraus=(IDENTITY_2,)),))
+    meas = (((1.0,), (IDENTITY_2,)),)
     w, (mu, n2) = build_dilation(meas)
     assert (mu, n2) == (1, 4)
     for rp in range(2):
@@ -409,12 +435,7 @@ def test_dilation_preserves_orthonormality():
 
 
 def test_dilation_matches_von_neumann():
-    meas = GeneralizedMeasurement(
-        outcomes=(
-            OutcomeMap(weights=(1.0,), kraus=(np.diag([1.0, 0.0]).astype(complex),)),
-            OutcomeMap(weights=(1.0,), kraus=(np.diag([0.0, 1.0]).astype(complex),)),
-        )
-    )
+    meas = (((1.0,), (np.diag([1.0, 0.0]).astype(complex),)), ((1.0,), (np.diag([0.0, 1.0]).astype(complex),)))
     rng = np.random.default_rng(14)
     rho = rand_density(rng, 2)
     for j in range(2):
@@ -434,8 +455,8 @@ def test_dilation_route_equivalence_50_random():
             gamma0 = rand_density(rng, 2 * dim_env)
             w, _ = build_dilation(meas)
             assert np.max(np.abs(w.conj().T @ w - np.eye(w.shape[0]))) < 1e-12
-            for j in range(meas.num_outcomes):
-                prepared = prepare_generalized(gamma0, meas.outcomes[j])
+            for j, s in enumerate(superoperators(meas)):
+                gamma = prepare_generalized(gamma0, s)
                 prob, post = measure_generalized_via_dilation(gamma0, dim_env, meas, j)
-                assert abs(prepared.gamma - prob) < 1e-12
-                assert np.max(np.abs(joint_of(prepared, gamma0) - post)) < 1e-12
+                assert abs(gamma - prob) < 1e-12
+                assert np.max(np.abs(joint_of(s, gamma, gamma0) - post)) < 1e-12

@@ -82,7 +82,7 @@ def test_conjugate_system_matches_dense_kron(dim_env):
         rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)),  # neither Hermitian nor unitary
         state_of_label("4+"),
         rand_unitary(rng, 2),
-        *(outcome.kraus[0] for outcome in mixed.outcomes),
+        *(kraus[0] for _, kraus in mixed),
     ]
     for joint in (rand_density(rng, d), rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))):
         for k in operators:

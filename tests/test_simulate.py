@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    kraus_of_label,
     partial_trace_sys,
     prepare_joint,
     rand_density,
@@ -23,6 +24,7 @@ from helpers import (
     reference_dynamical_map,
     reference_shot_dataset,
     run_joint,
+    superoperators,
     va_spec,
 )
 from procmap.dynamics import ProcessSpec
@@ -32,7 +34,6 @@ from procmap.scenarios import (
     DEMO_NAMES,
     Scenario,
     demo_scenario_config,
-    operation_of_label,
     parse_scenario,
     simulate_scenario,
 )
@@ -41,25 +42,28 @@ METHODS = ("stochastic", "rotation_only", "measurement", "generalized")
 MIXED_BLOCH = np.array([0.3, -0.2, 0.4])
 
 
-def random_scenario(rng, method: str, spec: ProcessSpec) -> Scenario:
+def random_scenario(rng, method: str, spec: ProcessSpec) -> tuple[Scenario, tuple | None]:
+    """A scenario of `method`, and the Kraus form of its generalized measurement (None for other methods)."""
     generalized = method == "generalized"
-    return Scenario(
+    meas = random_measurement(rng, len(TWELVE_STATE_LABELS)) if generalized else None
+    sc = Scenario(
         name=method,
         spec=spec,
         t=0.0,
         protocol="verify12",
         prep_method=method,
-        measurement=random_measurement(rng, len(TWELVE_STATE_LABELS)) if generalized else None,
+        measurement=superoperators(meas) if generalized else None,
         generalized_labels=tuple(rng.permutation(TWELVE_STATE_LABELS)) if generalized else (),
         mixed_bloch=MIXED_BLOCH if method == "measurement" else None,
     )
+    return sc, meas
 
 
-def assert_records_match_joint_route(sc: Scenario) -> None:
+def assert_records_match_joint_route(sc: Scenario, meas=None) -> None:
     dataset = simulate_scenario(sc)
     assert dataset.labels == TWELVE_STATE_LABELS + (("mixed",) if sc.mixed_bloch is not None else ())
     for label, gamma, output in zip(dataset.labels, dataset.gammas, dataset.outputs):
-        joint = prepare_joint(sc.spec.gamma0, operation_of_label(sc, label), label=label)
+        joint = prepare_joint(sc.spec.gamma0, kraus_of_label(sc, label, meas), label=label)
         assert abs(gamma - joint.gamma) <= 1e-12, label
         assert np.max(np.abs(gamma * output - joint.gamma * run_joint(sc.spec, joint))) <= 1e-12, label
 
@@ -69,7 +73,7 @@ def assert_records_match_joint_route(sc: Scenario) -> None:
 def test_records_match_the_joint_space_route(dim_env, method):
     rng = np.random.default_rng([dim_env, METHODS.index(method)])
     spec = ProcessSpec(rand_unitary(rng, 2 * dim_env), rand_density(rng, 2 * dim_env))
-    assert_records_match_joint_route(random_scenario(rng, method, spec))
+    assert_records_match_joint_route(*random_scenario(rng, method, spec))
 
 
 @pytest.mark.parametrize("eta", [1e-6, 1e-9])
@@ -80,8 +84,7 @@ def test_nearly_excluded_records_match_the_joint_space_route(eta):
     for direction in "123456":
         rho = state_of_label(f"{direction}-")
         gamma0 = (1.0 - eta) * np.kron(rho, 0.5 * np.eye(2)) + eta * np.eye(4) / 4.0
-        sc = random_scenario(rng, "measurement", ProcessSpec(u, gamma0))
-        assert_records_match_joint_route(sc)
+        assert_records_match_joint_route(*random_scenario(rng, "measurement", ProcessSpec(u, gamma0)))
 
 
 def assert_stochastic_records_follow_the_fixed_environment_map(sc: Scenario) -> None:
@@ -106,7 +109,7 @@ def test_stochastic_records_are_the_fixed_environment_map_of_a_correlated_gamma0
     tau = partial_trace_sys(spec.gamma0)
     rho = np.einsum("iaja->ij", spec.gamma0.reshape(2, dim_env, 2, dim_env))
     assert np.max(np.abs(spec.gamma0 - np.kron(rho, tau))) > 1e-2  # correlated, not a product
-    assert_stochastic_records_follow_the_fixed_environment_map(random_scenario(rng, "stochastic", spec))
+    assert_stochastic_records_follow_the_fixed_environment_map(random_scenario(rng, "stochastic", spec)[0])
 
 
 @pytest.mark.parametrize("name", [*DEMO_NAMES, "generalized"])
@@ -115,7 +118,7 @@ def test_finite_shot_datasets_match_the_per_record_shot_model(name):
     # label order, the outcome probabilities drawn first; so is the generator's draw order.
     if name == "generalized":
         rng = np.random.default_rng(81)
-        sc = random_scenario(rng, "generalized", va_spec())
+        sc, _ = random_scenario(rng, "generalized", va_spec())
     else:
         sc = parse_scenario(demo_scenario_config(name))
     for seed in (0, 7):
