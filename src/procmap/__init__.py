@@ -7,14 +7,15 @@ Every input is prepared by one operation on the system factor of the initial
 joint state gamma0: `prepare_generalized` reads its probability gamma off S,
 and `run_process` its output off S and M.  Every size is read off the arrays,
 and the system is one qubit (`qstate.DIM_SYS`).  Linear and bi-linear process
-maps are reconstructed from the records, and a process is classified as
-Linear, Bilinear, or Neither from a 12-projection protocol.
+maps are reconstructed from the records, as the 4x4 map array and the element
+table array, and a process is classified as Linear, Bilinear, or Neither from a
+12-projection protocol, in a report that is a plain JSON object.
 """
 
 from .bilinear_tomo import (
-    MElementTable,
     build_M_from_dynamics,
     element_table_from_map,
+    elements_to_json,
     solve_M_elements,
 )
 from .dynamics import (
@@ -26,10 +27,10 @@ from .dynamics import (
 )
 from .errors import ProcmapError
 from .linear_tomo import (
-    LinearProcessMap,
     NotAFrame,
     apply_linear_map,
     map_diagnostics,
+    map_to_json,
     reconstruct_linear_map,
 )
 from .prep import (
@@ -40,6 +41,6 @@ from .prep import (
     superoperator,
 )
 from .records import NINE_STATE_LABELS, TWELVE_STATE_LABELS, Dataset, Fit, MissingRecord, fit
-from .verify import VerificationReport, classify, gamma_completeness
+from .verify import classify, gamma_completeness
 
 __version__ = "0.1.0"

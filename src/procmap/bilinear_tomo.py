@@ -25,13 +25,13 @@ The nine-projection qubit protocol determines every element combination of M
 needed to predict the output state and outcome probability for an arbitrary
 prepared projector; one extra mixed-state preparation (via a generalized
 measurement) additionally resolves <1|M|1> so that mixed inputs can be
-predicted too.  Both are solved by one least-squares fit of gamma*Q.  The
-protocol labels and their projectors are the protocol table in `records`.
+predicted too.  Both are solved by one least-squares fit of gamma*Q, into the
+element table: a plain (9, 2, 2) or (10, 2, 2) complex array in the order that
+`elements_to_json` documents.  The protocol labels and their projectors are the
+protocol table in `records`.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -89,43 +89,34 @@ _PROBES = np.array(
 )
 
 
-@dataclass(frozen=True)
-class MElementTable:
-    """The element combinations of M resolvable by the nine-projection protocol.
-
-    `elements` is a complex array of shape (9, 2, 2), or (10, 2, 2) when a
-    mixed-state record resolved <1|M|1>, in this order:
+def elements_to_json(elements: np.ndarray) -> dict:
+    """The element table's JSON object, from its (9, 2, 2) or (10, 2, 2) array in this order:
 
         0..2  D_j    = <1|M|1> + <sigma_j|M|sigma_j>,            j = 1, 2, 3
         3..5  Y_j    = <1|M|sigma_j> + <sigma_j|M|1>,            j = 1, 2, 3
         6..8  Z_jk   = <sigma_j|M|sigma_k> + <sigma_k|M|sigma_j>, jk = 12, 13, 23
-        9     <1|M|1>
+        9     <1|M|1>, present when a mixed-state record resolved it
     """
-
-    elements: np.ndarray
-
-    def to_json(self) -> dict:
-        mats = [jsonio.matrix_to_json(m) for m in self.elements]
-        cross = {f"{j}{k}": m for (j, k), m in zip(CROSS_PAIRS, mats[6:9])}
-        out = {"D": mats[0:3], "Y": mats[3:6], "Z": cross}
-        if len(mats) > 9:
-            out["unit_unit"] = mats[9]
-        return out
+    mats = [jsonio.matrix_to_json(m) for m in elements]
+    out = {"D": mats[0:3], "Y": mats[3:6], "Z": {f"{j}{k}": m for (j, k), m in zip(CROSS_PAIRS, mats[6:9])}}
+    if len(mats) > 9:
+        out["unit_unit"] = mats[9]
+    return out
 
 
-def element_table_from_map(m: np.ndarray) -> MElementTable:
-    """Element table (with <1|M|1>) by contracting the process tensor M with the {1, sigma_j} probes."""
+def element_table_from_map(m: np.ndarray) -> np.ndarray:
+    """The (10, 2, 2) element table, <1|M|1> included: the process tensor M contracted with the probes."""
     m16 = m.transpose(2, 3, 4, 5, 0, 1).reshape(16, 4)
-    return MElementTable(elements=np.einsum("ei,ik->ek", _PROBES, m16).reshape(-1, 2, 2))
+    return np.einsum("ei,ik->ek", _PROBES, m16).reshape(-1, 2, 2)
 
 
-def solve_M_elements(dataset: Dataset) -> MElementTable:
-    """Solve the element combinations of M from the nine protocol records.
+def solve_M_elements(dataset: Dataset) -> np.ndarray:
+    """The (9, 2, 2) element table of M solved from the nine protocol records, or (10, 2, 2) with the mixed one.
 
     One least-squares fit (`records.fit` at degree 2) expresses gamma*Q as a
     sesquilinear form in the prepared projector.  The nine projectors pin down
-    exactly the combinations in MElementTable, so the probes read them off the
-    min-norm solution.  When the dataset holds a `MIXED_LABEL` record, its
+    exactly the combinations of the element table, so the probes read them off
+    the min-norm solution.  When the dataset holds a `MIXED_LABEL` record, its
     mixed input (Bloch norm < 1) is fitted as well and resolves <1|M|1> too.
     """
     mixed = MIXED_LABEL in dataset.labels
@@ -143,4 +134,4 @@ def solve_M_elements(dataset: Dataset) -> MElementTable:
 
     # Nine records resolve the first nine elements; a mixed record adds the tenth, <1|M|1>.
     elements = np.einsum("ei,ik->ek", _PROBES[: len(fitted.labels)], fit(fitted, degree=2).coef)
-    return MElementTable(elements=elements.reshape(-1, 2, 2))
+    return elements.reshape(-1, 2, 2)

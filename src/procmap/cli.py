@@ -36,9 +36,9 @@ import numpy as np
 from . import jsonio
 # build_M_from_dynamics and element_table_from_map stay bound here, unused, so
 # that perfbench/tracer.py can wrap every bi-linear layer under procmap.cli.
-from .bilinear_tomo import build_M_from_dynamics, element_table_from_map, solve_M_elements
+from .bilinear_tomo import build_M_from_dynamics, element_table_from_map, elements_to_json, solve_M_elements
 from .errors import EXIT_OK, ProcmapError
-from .linear_tomo import apply_linear_map, map_diagnostics, reconstruct_linear_map
+from .linear_tomo import apply_linear_map, map_diagnostics, map_to_json, reconstruct_linear_map
 from .qstate import bloch_vector
 from .records import LINEAR4_LABELS, Dataset
 from .scenarios import DEMO_NAMES, ScenarioError, demo_scenario_config, parse_scenario, simulate_scenario
@@ -110,15 +110,14 @@ def cmd_simulate(args) -> int:
 
 def _tomo_linear(dataset: Dataset) -> dict:
     lam = reconstruct_linear_map(dataset.subset(LINEAR4_LABELS))
-    diag = map_diagnostics(lam)
-    return {"mode": "linear", "map": lam.to_json(), "diagnostics": diag.to_json()}
+    return {"mode": "linear", "map": map_to_json(lam), "diagnostics": map_diagnostics(lam)}
 
 
 def _tomo_bilinear(dataset: Dataset) -> dict:
-    table = solve_M_elements(dataset)
-    payload = {"mode": "bilinear", "elements": table.to_json()}
+    elements = solve_M_elements(dataset)
+    payload = {"mode": "bilinear", "elements": elements_to_json(elements)}
     if dataset.oracle is not None:
-        deviation = np.max(np.abs(table.elements - dataset.oracle[: len(table.elements)]))
+        deviation = np.max(np.abs(elements - dataset.oracle[: len(elements)]))
         payload["oracle_comparison"] = {"max_element_deviation": float(deviation)}
     return payload
 
@@ -135,12 +134,11 @@ def cmd_verify(args) -> int:
         if not (math.isfinite(tol) and tol >= 0):
             raise ProcmapError(f"{option} must be a finite non-negative number, got {tol}")
     dataset = _load_dataset(args.dataset)
-    report = classify(dataset, tol_linear=args.tol_linear, tol_bilinear=args.tol_bilinear)
-    _write_output(report.to_json(), args.out)
+    _write_output(classify(dataset, tol_linear=args.tol_linear, tol_bilinear=args.tol_bilinear), args.out)
     return EXIT_OK
 
 
-def _demo_counterexample(dataset: Dataset, lam) -> dict:
+def _demo_counterexample(dataset: Dataset, lam: np.ndarray) -> dict:
     """Linear prediction vs measured output for the held-out 2- input."""
     held_out = dataset.subset(("2-",))
     predicted_bloch = bloch_vector(apply_linear_map(lam, held_out.inputs[0]))
@@ -183,11 +181,11 @@ def cmd_demo(args) -> int:
     scenario_bytes = jsonio.dumps(config).encode()
     dataset = simulate_scenario(parse_scenario(config, name=args.name), _sha256(scenario_bytes))
     lam = reconstruct_linear_map(dataset.subset(LINEAR4_LABELS))
-    diag = map_diagnostics(lam).to_json()
+    diag = map_diagnostics(lam)
     report = classify(dataset)
     analysis = {
         "demo": args.name,
-        "verdict": report.verdict,
+        "verdict": report["verdict"],
         "min_eigenvalue": diag["min_eigenvalue"],
         "notes": DEMO_NOTES[args.name],
     }
@@ -196,9 +194,9 @@ def cmd_demo(args) -> int:
     _write_bytes(out_dir / "scenario.json", scenario_bytes)
     artifacts = {
         "dataset.json": dataset.to_json(),
-        "linear_map.json": {"map": lam.to_json(), "diagnostics": diag},
+        "linear_map.json": {"map": map_to_json(lam), "diagnostics": diag},
         "m_elements.json": _tomo_bilinear(dataset)["elements"],
-        "report.json": report.to_json(),
+        "report.json": report,
         "analysis.json": analysis,
     }
     for name, obj in artifacts.items():
@@ -207,7 +205,7 @@ def cmd_demo(args) -> int:
     summary = {
         "demo": args.name,
         "out_dir": str(out_dir),
-        "verdict": report.verdict,
+        "verdict": report["verdict"],
         "min_eigenvalue": diag["min_eigenvalue"],
         "files": ["scenario.json", *artifacts],
     }

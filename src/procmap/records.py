@@ -81,7 +81,7 @@ class Dataset:
     probability, a (k,) float array.  Construction raises ValueError when a label
     repeats or the stacks do not have those shapes.
     `oracle` is None or the exact element table of the true process, (10, 2, 2) in
-    `MElementTable` order; its JSON is one 10 x 4 matrix, row i element i flattened.
+    the order of `bilinear_tomo.elements_to_json`; its JSON is one 10 x 4 matrix, row i element i flattened.
     """
 
     labels: tuple[str, ...]

@@ -260,7 +260,9 @@ def _degraded_gammas(rng: np.random.Generator, sc: Scenario, exact: dict[str, fl
     """Multinomial estimates of the outcome probabilities, per direction or over all outcomes, in `exact`'s order."""
     est = dict(exact)
     if sc.prep_method == "generalized":
-        counts = rng.multinomial(shots, [exact[label] for label in sc.generalized_labels])
+        # Complete only within STATE_TOL, the probabilities may sum above 1, which multinomial refuses.
+        p = np.array([exact[label] for label in sc.generalized_labels])
+        counts = rng.multinomial(shots, p / p.sum())
         est.update(zip(sc.generalized_labels, (counts / shots).tolist()))
     elif sc.prep_method == "measurement":
         for d in DIRECTIONS:
@@ -301,7 +303,7 @@ def simulate_scenario(sc: Scenario, scenario_sha256: str = "") -> Dataset:
     }
     oracle = None
     if sc.prep_method == "measurement":  # the only preparation the bi-linear map describes
-        oracle = element_table_from_map(m).elements
+        oracle = element_table_from_map(m)
     return Dataset(labels, inputs, outputs, gammas, metadata, oracle)
 
 

@@ -8,12 +8,11 @@ probability-weighted outputs gamma*Q as a sesquilinear form in it (9 free,
 3 redundant); each record's misfit is reported, and a family is accepted
 when every misfit is within tolerance.  The classifier tests linearity first,
 because a linear process with unit outcome probabilities fits the bi-linear
-form exactly as well.
+form exactly as well.  Its report is a plain JSON object, the one `verify`
+writes.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 from .records import DIRECTIONS, TWELVE_STATE_LABELS, Dataset, fit
 
@@ -30,34 +29,12 @@ def gamma_completeness(dataset: Dataset) -> dict[str, float]:
     return dict(zip(DIRECTIONS, (gammas[::2] + gammas[1::2] - 1.0).tolist()))
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    linear_residuals: dict[str, float]
-    bilinear_residuals: dict[str, float]
-    gamma_completeness: dict[str, float]
-    verdict: str
-    tol_linear: float
-    tol_bilinear: float
-    warnings: tuple[str, ...] = field(default_factory=tuple)
-
-    def to_json(self) -> dict:
-        return {
-            "schema": REPORT_SCHEMA,
-            "verdict": self.verdict,
-            "linear_residuals": {k: float(v) for k, v in self.linear_residuals.items()},
-            "bilinear_residuals": {k: float(v) for k, v in self.bilinear_residuals.items()},
-            "gamma_completeness": {k: float(v) for k, v in self.gamma_completeness.items()},
-            "thresholds": {"linear": float(self.tol_linear), "bilinear": float(self.tol_bilinear)},
-            "warnings": list(self.warnings),
-        }
-
-
 def classify(
     dataset: Dataset,
     tol_linear: float = DEFAULT_TOL_LINEAR,
     tol_bilinear: float = DEFAULT_TOL_BILINEAR,
-) -> VerificationReport:
-    """Classify a 12-record experiment as Linear, Bilinear, or Neither.
+) -> dict:
+    """Classify a 12-record experiment as Linear, Bilinear, or Neither, in a report's JSON object.
 
     The residuals are the per-record misfits of the degree-1 and degree-2
     fits over the dataset's twelve protocol records; any other record is
@@ -80,17 +57,16 @@ def classify(
         verdict = "Neither"
 
     selective = bool((twelve.gammas != 1.0).any())
-    warnings = tuple(
-        f"gamma completeness violated in direction {d}: deviation {dev:+.4f}"
-        for d, dev in gammas.items()
-        if selective and abs(dev) > GAMMA_WARN_THRESHOLD
-    )
-    return VerificationReport(
-        linear_residuals=linear,
-        bilinear_residuals=bilinear,
-        gamma_completeness=gammas,
-        verdict=verdict,
-        tol_linear=tol_linear,
-        tol_bilinear=tol_bilinear,
-        warnings=warnings,
-    )
+    return {
+        "schema": REPORT_SCHEMA,
+        "verdict": verdict,
+        "linear_residuals": linear,
+        "bilinear_residuals": bilinear,
+        "gamma_completeness": gammas,
+        "thresholds": {"linear": float(tol_linear), "bilinear": float(tol_bilinear)},
+        "warnings": [
+            f"gamma completeness violated in direction {d}: deviation {dev:+.4f}"
+            for d, dev in gammas.items()
+            if selective and abs(dev) > GAMMA_WARN_THRESHOLD
+        ],
+    }

@@ -1,7 +1,9 @@
 """Shared test oracles, independent of the library code paths they check.
 
-Besides scenario builders and the hand-written Bloch vector of every protocol
-label (the oracle for `records.state_of_label`), this holds the hand-derived
+Besides scenario builders (`random_scenario`: a random verify12 scenario of any
+preparation method, its measurement mixed record at `MIXED_BLOCH`) and the
+hand-written Bloch vector of every protocol label (the oracle for
+`records.state_of_label`), this holds the hand-derived
 solutions that the library replaced by one least-squares fit: the
 Hilbert-Schmidt dual frame of linear tomography, and the eight linear sum
 rules and three bi-linear consistency equations of the 12-state
@@ -51,7 +53,7 @@ import numpy as np
 
 from procmap.bilinear_tomo import CROSS_PAIRS, ZeroGamma
 from procmap.dynamics import ProcessSpec, correlated_pair_state, heisenberg_hamiltonian, unitary_from_hamiltonian
-from procmap.linear_tomo import LinearProcessMap, NotAFrame
+from procmap.linear_tomo import NotAFrame
 from procmap.prep import (
     ZERO_PROBABILITY_TOL,
     InvalidMeasurement,
@@ -73,6 +75,7 @@ from procmap.qstate import (
     validate_unitary,
 )
 from procmap.records import DIRECTIONS, MIXED_LABEL, TWELVE_STATE_LABELS, Dataset, ket_of_label, state_of_label
+from procmap.scenarios import Scenario
 
 SQRT2 = float(np.sqrt(2.0))
 
@@ -95,6 +98,8 @@ BLOCH_BY_LABEL = {
 T_DEMO = math.pi / 8.0
 A2_DEMO = 0.5
 C23_DEMO = 0.3
+# The input of the mixed record that `random_scenario` adds to a measurement scenario.
+MIXED_BLOCH = np.array([0.3, -0.2, 0.4])
 
 
 def rand_unitary(rng, d: int) -> np.ndarray:
@@ -158,6 +163,27 @@ def kraus_superoperator(operation) -> np.ndarray:
 def superoperators(measurement) -> np.ndarray:
     """The library's (n, 4, 4) stack of outcome superoperators of a Kraus-form measurement."""
     return np.array([superoperator(weights, kraus) for weights, kraus in measurement])
+
+
+def random_scenario(rng, method: str, spec: ProcessSpec) -> tuple[Scenario, tuple | None]:
+    """A verify12 scenario of `method` on `spec`, and the Kraus form of its generalized measurement (None otherwise).
+
+    A generalized scenario draws a random twelve-outcome measurement, then a shuffled label order, so that the
+    label -> outcome lookup is checked too; a measurement scenario adds the mixed record of MIXED_BLOCH.
+    """
+    generalized = method == "generalized"
+    meas = random_measurement(rng, len(TWELVE_STATE_LABELS)) if generalized else None
+    sc = Scenario(
+        name=method,
+        spec=spec,
+        t=0.0,
+        protocol="verify12",
+        prep_method=method,
+        measurement=superoperators(meas) if generalized else None,
+        generalized_labels=tuple(rng.permutation(TWELVE_STATE_LABELS)) if generalized else (),
+        mixed_bloch=MIXED_BLOCH if method == "measurement" else None,
+    )
+    return sc, meas
 
 
 def kraus_of_label(sc, label: str, measurement=None) -> tuple:
@@ -445,7 +471,8 @@ def reference_shot_dataset(sc, exact: Dataset) -> Dataset:
     rng = np.random.default_rng(sc.seed if sc.seed is not None else 0)
     gammas = dict(zip(exact.labels, exact.gammas.tolist()))
     if sc.prep_method == "generalized":
-        counts = rng.multinomial(sc.shots, [gammas[label] for label in sc.generalized_labels])
+        p = np.array([gammas[label] for label in sc.generalized_labels])
+        counts = rng.multinomial(sc.shots, p / p.sum())
         gammas.update(zip(sc.generalized_labels, (counts / sc.shots).tolist()))
     elif sc.prep_method == "measurement":
         for d in DIRECTIONS:
@@ -646,8 +673,8 @@ def reference_raw_M(spec: ProcessSpec) -> np.ndarray:
     return np.einsum("repa,xayb,seqb->rsxpyq", u4, g4, np.conj(u4))
 
 
-def reference_dynamical_map(u: np.ndarray, tau: np.ndarray) -> LinearProcessMap:
-    """The fixed-environment map rho -> Tr_env[U (rho x tau) U'], by feeding each matrix unit through the dynamics."""
+def reference_dynamical_map(u: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    """The fixed-environment map rho -> Tr_env[U (rho x tau) U'] in the `rrp-ssp` layout, matrix unit by unit."""
     u = np.asarray(u, dtype=complex)
     tau = np.asarray(tau, dtype=complex)
     dim_env = tau.shape[0]
@@ -660,7 +687,7 @@ def reference_dynamical_map(u: np.ndarray, tau: np.ndarray) -> LinearProcessMap:
             evolved = u @ tensor(unit, tau) @ dagger(u)
             out = partial_trace_env(evolved, dim_sys, dim_env)
             lam4[:, rp, :, sp] = out
-    return LinearProcessMap(mat=lam4.reshape(dim_sys * dim_sys, dim_sys * dim_sys))
+    return lam4.reshape(dim_sys * dim_sys, dim_sys * dim_sys)
 
 
 @dataclass(frozen=True)
@@ -679,7 +706,7 @@ class HandElementTable:
     unit_unit: np.ndarray | None = None
 
     def stacked(self) -> np.ndarray:
-        """The fields in the order of `MElementTable.elements`."""
+        """The fields stacked in the order of the library's element table (`bilinear_tomo.elements_to_json`)."""
         mats = list(self.diag_plus) + list(self.linear) + [self.cross[jk] for jk in CROSS_PAIRS]
         if self.unit_unit is not None:
             mats.append(self.unit_unit)
@@ -687,7 +714,7 @@ class HandElementTable:
 
     @classmethod
     def from_stacked(cls, elements) -> "HandElementTable":
-        """The fields of a stacked (9, 2, 2) or (10, 2, 2) table, such as `MElementTable.elements`."""
+        """The fields of a stacked (9, 2, 2) or (10, 2, 2) table, such as `solve_M_elements` returns."""
         return cls(
             diag_plus=tuple(elements[0:3]),
             linear=tuple(elements[3:6]),

@@ -139,6 +139,21 @@ def gamma_above_one():
     return {**STOCHASTIC, "gamma0": {"bloch_a": [0.999, 0.0, 0.0], "c23": 0.0}, "preparation": preparation}
 
 
+def over_complete():
+    """A four-outcome linear4 measurement whose effects sum to (1 + 9e-11) 1, complete within STATE_TOL.
+
+    Weights 1 + delta - eps and eps on |0><0|, and (1 + delta) / 2 twice on |1><1|, on gamma0 = rho(-0.998 z) (x) 1/2,
+    so the four gammas sum to 1 + delta and the leading three alone exceed 1.
+    """
+    delta, eps = 9e-11, 1e-8
+    zero, one = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+    terms = ((1.0 + delta - eps, zero), ((1.0 + delta) / 2.0, one), ((1.0 + delta) / 2.0, one), (eps, zero))
+    outcomes = [{"weights": [w], "kraus": [jsonio.matrix_to_json(c)]} for w, c in terms]
+    preparation = {"method": "generalized", "measurement": {"outcomes": outcomes}, "labels": list(LINEAR4_LABELS)}
+    gamma0 = {"bloch_a": [0.0, 0.0, -0.998], "c23": 0.0}
+    return {**STOCHASTIC, "t": 0.1, "gamma0": gamma0, "protocol": "linear4", "preparation": preparation}
+
+
 # Each malformed scenario as a JSON value, or as the file's text when json cannot write it.
 BAD_SCENARIOS = {
     "top-level-array": [STOCHASTIC],
@@ -682,6 +697,19 @@ def test_generalized_preparation_gammas_are_shot_counts(tmp_path, capsys):
     gammas = [rec["gamma"] for rec in json.loads(out.read_text())["records"]]
     assert len(gammas) == 12 and len(set(gammas)) > 1  # a draw, not the exact 1/12 each
     assert all(abs(100.0 * g - round(100.0 * g)) < 1e-9 for g in gammas), gammas
+    assert sum(gammas) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_over_complete_generalized_measurement_draws_shots(tmp_path, capsys):
+    # Complete within STATE_TOL but over-complete: the exact gammas sum above 1, which multinomial refuses raw.
+    scenario = tmp_path / "over-complete.json"
+    scenario.write_text(json.dumps(over_complete()))
+    out = tmp_path / "dataset.json"
+    assert run(["simulate", scenario, "--out", out], capsys) == (EXIT_OK, "")
+    assert sum(rec["gamma"] for rec in json.loads(out.read_text())["records"]) > 1.0
+    assert run(["simulate", scenario, "--shots", 1000, "--seed", 0, "--out", out], capsys) == (EXIT_OK, "")
+    gammas = [rec["gamma"] for rec in json.loads(out.read_text())["records"]]
+    assert all(abs(1000.0 * g - round(1000.0 * g)) < 1e-9 for g in gammas), gammas
     assert sum(gammas) == pytest.approx(1.0, abs=1e-12)
 
 

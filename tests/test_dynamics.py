@@ -196,7 +196,7 @@ def test_run_process_rejects_a_gamma_that_is_not_tr_s_m():
 
 def test_fixed_env_map_identity():
     lam = reference_dynamical_map(np.eye(4, dtype=complex), 0.5 * IDENTITY_2)
-    assert np.max(np.abs(lam.mat - CHOI_IDENTITY)) < 1e-14
+    assert np.max(np.abs(lam - CHOI_IDENTITY)) < 1e-14
 
 
 def test_fixed_env_map_swap_is_constant():
@@ -215,7 +215,7 @@ def test_fixed_env_map_matches_closed_form():
     for t in (0.0, T_DEMO, math.pi / 3):
         u = unitary_from_hamiltonian(heisenberg_hamiltonian(), t)
         lam = reference_dynamical_map(u, 0.5 * IDENTITY_2)
-        assert np.max(np.abs(lam.mat - closed_form_lambda_s(t))) < 1e-12
+        assert np.max(np.abs(lam - closed_form_lambda_s(t))) < 1e-12
 
 
 def test_fixed_env_map_matches_brute_force():
@@ -238,7 +238,7 @@ def test_fixed_env_map_matches_matrix_unit_loop(dim_env):
     # The map read off M, whatever correlations gamma0 holds: Lambda[(r,p),(s,q)] = sum_x m[r,s,x,p,x,q].
     m = build_M_from_dynamics(ProcessSpec(u, gamma0))
     lam = np.einsum("rsxpxq->rpsq", m).reshape(4, 4)
-    assert np.max(np.abs(lam - reference_dynamical_map(u, tau).mat)) < 1e-13
+    assert np.max(np.abs(lam - reference_dynamical_map(u, tau))) < 1e-13
 
 
 @pytest.mark.parametrize("delta", [0.2e-12, 0.6e-12, 0.98e-12])

@@ -37,14 +37,14 @@ def test_fit_residuals_vanish_exactly_where_hand_rules_do(demo):
         rules_bilinear = max(bilinear_consistency_residuals(records).values())
         assert (max(linear.residuals.values()) <= ZERO) == (rules_linear <= ZERO), (demo, t)
         assert (max(bilinear.residuals.values()) <= ZERO) == (rules_bilinear <= ZERO), (demo, t)
-        assert classify(records).verdict == rule_verdict(records), (demo, t)
+        assert classify(records)["verdict"] == rule_verdict(records), (demo, t)
 
 
 def test_twelve_record_linear_map_equals_four_record_map():
     spec = va_spec()
     four = reconstruct_linear_map(stochastic_records(spec, LINEAR4_LABELS))
     twelve = reconstruct_linear_map(stochastic_records(spec, TWELVE_STATE_LABELS))
-    assert np.max(np.abs(twelve.mat - four.mat)) < 1e-12
+    assert np.max(np.abs(twelve - four)) < 1e-12
 
 
 def test_fit_reports_rank_condition_and_labelled_residuals():

@@ -16,7 +16,6 @@ from helpers import (
 )
 from procmap.dynamics import heisenberg_hamiltonian, unitary_from_hamiltonian, ProcessSpec
 from procmap.linear_tomo import (
-    LinearProcessMap,
     NotAFrame,
     apply_linear_map,
     map_diagnostics,
@@ -28,6 +27,7 @@ from procmap.qstate import (
     SIGMA_2,
     SIGMA_3,
     bloch_vector,
+    hermiticity_residual,
     state_from_bloch,
     tensor,
 )
@@ -91,8 +91,8 @@ def test_duals_reject_dependent_inputs():
 
 def test_identity_process_reconstructs_choi_form():
     lam = reconstruct_linear_map(Dataset(("0", "1", "2", "3"), EQ1_INPUTS, EQ1_INPUTS, [1.0] * 4))
-    assert np.max(np.abs(lam.mat - CHOI_IDENTITY)) < 1e-12
-    assert lam.hermiticity_residual() < 1e-12
+    assert np.max(np.abs(lam - CHOI_IDENTITY)) < 1e-12
+    assert hermiticity_residual(lam) < 1e-12
 
 
 def test_reconstruct_lambda_s_golden():
@@ -100,7 +100,7 @@ def test_reconstruct_lambda_s_golden():
         spec = va_spec(t=t)
         records = stochastic_records(spec, LINEAR4_LABELS)
         lam = reconstruct_linear_map(records)
-        assert np.max(np.abs(lam.mat - closed_form_lambda_s(t))) < 1e-12
+        assert np.max(np.abs(lam - closed_form_lambda_s(t))) < 1e-12
 
 
 def test_reconstruct_lambda_m_golden():
@@ -108,9 +108,9 @@ def test_reconstruct_lambda_m_golden():
     records = measured_records(spec, LINEAR4_LABELS)
     lam = reconstruct_linear_map(records)
     want = closed_form_lambda_m(T_DEMO, 0.5, 0.3)
-    assert np.max(np.abs(lam.mat - want)) < 1e-12
+    assert np.max(np.abs(lam - want)) < 1e-12
     # spot-check the displayed imaginary off-diagonal: entry (0,1) = i c S^2 / 2 = 0.05i
-    assert abs(lam.mat[0, 1] - 0.05j) < 1e-12
+    assert abs(lam[0, 1] - 0.05j) < 1e-12
 
 
 def test_reconstruction_reproduces_training_records():
@@ -122,7 +122,7 @@ def test_reconstruction_reproduces_training_records():
 
 
 def test_apply_identity_map():
-    lam = LinearProcessMap(mat=CHOI_IDENTITY)
+    lam = CHOI_IDENTITY
     rng = np.random.default_rng(31)
     for _ in range(5):
         rho = rand_density(rng, 2)
@@ -130,7 +130,7 @@ def test_apply_identity_map():
 
 
 def test_apply_lambda_s_shrinks_bloch():
-    lam = LinearProcessMap(mat=closed_form_lambda_s(T_DEMO))
+    lam = closed_form_lambda_s(T_DEMO)
     out = apply_linear_map(lam, state_from_bloch([0, -1, 0]))
     assert np.max(np.abs(out - state_from_bloch([0, -0.5, 0]))) < 1e-12
 
@@ -159,14 +159,14 @@ def test_stochastic_map_consistent_with_dynamics():
 
 
 def test_diagnostics_choi_identity():
-    diag = map_diagnostics(LinearProcessMap(mat=CHOI_IDENTITY))
-    assert abs(diag.min_eigenvalue) < 1e-12
-    assert abs(diag.eigenvalues[-1] - 2.0) < 1e-12
-    assert abs(diag.trace - 2.0) < 1e-12
+    diag = map_diagnostics(CHOI_IDENTITY)
+    assert abs(diag["min_eigenvalue"]) < 1e-12
+    assert abs(diag["eigenvalues"][-1] - 2.0) < 1e-12
+    assert abs(diag["trace"] - 2.0) < 1e-12
 
 
 def test_diagnostics_lambda_s():
-    diag = map_diagnostics(LinearProcessMap(mat=closed_form_lambda_s(T_DEMO)))
-    assert np.allclose(diag.eigenvalues, [0.25, 0.25, 0.25, 1.25], atol=1e-12)
-    assert diag.min_eigenvalue >= -1e-12
+    diag = map_diagnostics(closed_form_lambda_s(T_DEMO))
+    assert np.allclose(diag["eigenvalues"], [0.25, 0.25, 0.25, 1.25], atol=1e-12)
+    assert diag["min_eigenvalue"] >= -1e-12
 

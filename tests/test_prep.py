@@ -26,6 +26,7 @@ from helpers import (
     rand_density,
     rand_unitary,
     random_measurement,
+    random_scenario,
     rotation_between,
     superoperators,
     va_spec,
@@ -266,35 +267,13 @@ def test_prepare_generalized_pin_to_mixed():
 # the one preparation primitive against the routes it replaced
 # ---------------------------------------------------------------------------
 
-MIXED_BLOCH = np.array([0.3, -0.2, 0.4])
-
-
-def oracle_scenario(rng, method: str, gamma0: np.ndarray, dim_env: int) -> tuple[Scenario, tuple | None]:
-    """A scenario of `method` on gamma0, and the Kraus form of its generalized measurement (None for other methods)."""
-    spec = ProcessSpec(rand_unitary(rng, 2 * dim_env), gamma0)
-    generalized = method == "generalized"
-    meas = random_measurement(rng, len(TWELVE_STATE_LABELS)) if generalized else None
-    sc = Scenario(
-        name=method,
-        spec=spec,
-        t=0.0,
-        protocol="verify12",
-        prep_method=method,
-        measurement=superoperators(meas) if generalized else None,
-        # A shuffled order, so that the label -> outcome lookup is checked too.
-        generalized_labels=tuple(rng.permutation(TWELVE_STATE_LABELS)) if generalized else (),
-        mixed_bloch=MIXED_BLOCH if method == "measurement" else None,
-    )
-    return sc, meas
-
-
 def oracle_preparation(sc: Scenario, meas, label: str, pinned: np.ndarray):
     """The retired joint-space route of `label`: pin-then-rotate, rotation, projection or a dense map."""
     gamma0, dim_env = sc.spec.gamma0, sc.spec.dim_env
     if sc.prep_method == "generalized":
         return prepare_dense(gamma0, dim_env, meas[sc.generalized_labels.index(label)])
     if label == MIXED_LABEL:
-        return prepare_dense(gamma0, dim_env, mixed_preparation_measurement(state_from_bloch(MIXED_BLOCH))[0])
+        return prepare_dense(gamma0, dim_env, mixed_preparation_measurement(state_from_bloch(sc.mixed_bloch))[0])
     target = state_of_label(label)
     if sc.prep_method == "measurement":
         return prepare_projective(gamma0, 2, dim_env, target, label=label)
@@ -329,7 +308,7 @@ def test_primitive_matches_the_retired_routes(dim_env):
     gamma0 = rand_density(rng, 2 * dim_env)
     pinned = pin(gamma0, P3_PLUS)
     for method in ("stochastic", "rotation_only", "measurement", "generalized"):
-        sc, meas = oracle_scenario(rng, method, gamma0, dim_env)
+        sc, meas = random_scenario(rng, method, ProcessSpec(rand_unitary(rng, 2 * dim_env), gamma0))
         for label in TWELVE_STATE_LABELS + ((MIXED_LABEL,) if sc.mixed_bloch is not None else ()):
             # The superoperator route rounds differently from every retired route, so none matches bit for bit.
             s = operation_of_label(sc, label)
@@ -344,7 +323,7 @@ def test_stochastic_labels_prepare_the_projector_times_the_environment_marginal(
     # {|t><0|, |t><1|} replaces the system's state by P = |t><t| and leaves Tr_S gamma0 behind.
     rng = np.random.default_rng(70 + dim_env)
     gamma0 = rand_density(rng, 2 * dim_env)
-    sc, _ = oracle_scenario(rng, "stochastic", gamma0, dim_env)
+    sc, _ = random_scenario(rng, "stochastic", ProcessSpec(rand_unitary(rng, 2 * dim_env), gamma0))
     for label in TWELVE_STATE_LABELS:
         s = operation_of_label(sc, label)
         assert prepare_generalized(gamma0, s) == 1.0, label
@@ -391,7 +370,7 @@ def test_operation_of_label_is_the_kraus_form_superoperator_bit_for_bit(dim_env)
     rng = np.random.default_rng(75 + dim_env)
     gamma0 = rand_density(rng, 2 * dim_env)
     for method in ("stochastic", "rotation_only", "measurement", "generalized"):
-        sc, meas = oracle_scenario(rng, method, gamma0, dim_env)
+        sc, meas = random_scenario(rng, method, ProcessSpec(rand_unitary(rng, 2 * dim_env), gamma0))
         for label in TWELVE_STATE_LABELS + ((MIXED_LABEL,) if sc.mixed_bloch is not None else ()):
             want = kraus_superoperator(kraus_of_label(sc, label, meas))
             assert operation_of_label(sc, label).tobytes() == want.tobytes(), (method, label)

@@ -20,11 +20,10 @@ from helpers import (
     prepare_joint,
     rand_density,
     rand_unitary,
-    random_measurement,
+    random_scenario,
     reference_dynamical_map,
     reference_shot_dataset,
     run_joint,
-    superoperators,
     va_spec,
 )
 from procmap.dynamics import ProcessSpec
@@ -39,24 +38,6 @@ from procmap.scenarios import (
 )
 
 METHODS = ("stochastic", "rotation_only", "measurement", "generalized")
-MIXED_BLOCH = np.array([0.3, -0.2, 0.4])
-
-
-def random_scenario(rng, method: str, spec: ProcessSpec) -> tuple[Scenario, tuple | None]:
-    """A scenario of `method`, and the Kraus form of its generalized measurement (None for other methods)."""
-    generalized = method == "generalized"
-    meas = random_measurement(rng, len(TWELVE_STATE_LABELS)) if generalized else None
-    sc = Scenario(
-        name=method,
-        spec=spec,
-        t=0.0,
-        protocol="verify12",
-        prep_method=method,
-        measurement=superoperators(meas) if generalized else None,
-        generalized_labels=tuple(rng.permutation(TWELVE_STATE_LABELS)) if generalized else (),
-        mixed_bloch=MIXED_BLOCH if method == "measurement" else None,
-    )
-    return sc, meas
 
 
 def assert_records_match_joint_route(sc: Scenario, meas=None) -> None:
