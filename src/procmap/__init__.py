@@ -3,12 +3,12 @@
 An operation on the system is its 4x4 superoperator S, a plain array
 (`superoperator` builds it from Kraus operators), and the process is its tensor
 M, a plain (2,)*6 array built once from (U, gamma0) (`build_M_from_dynamics`).
-Every input is prepared by one operation on the system factor of the initial
-joint state gamma0: `prepare_generalized` reads its probability gamma off S,
-and `run_process` its output off S and M.  Every size is read off the arrays,
-and the system is one qubit (`qstate.DIM_SYS`).  Linear and bi-linear process
-maps are reconstructed from the records, as the 4x4 map array and the element
-table array, and a process is classified as Linear, Bilinear, or Neither from a
+Every input is prepared by one operation on the system factor of the initial joint
+state gamma0: `prepare_generalized` reads its probability gamma off S, and `run_process`
+its output off S and M, for one S or a dataset's whole stack of S in one call.  Every
+size is read off the arrays, and the system is one qubit (`qstate.DIM_SYS`).  Linear and
+bi-linear process maps are reconstructed from the records, as the 4x4 map array and the
+element table array, and a process is classified as Linear, Bilinear, or Neither from a
 12-projection protocol, in a report that is a plain JSON object.
 """
 

@@ -1,11 +1,11 @@
 """The unknown process and the output it gives each preparation.
 
-A process is a system+environment unitary U and an initial joint state gamma0
-(`ProcessSpec`).  `bilinear_tomo.build_M_from_dynamics` turns (U, gamma0) once
-into the process tensor M, a plain (2,)*6 array.  `run_process` reads a
-preparation's output off M: gamma*Q is M contracted with the preparation's
-superoperator S, which equals Tr_env[U J U'] for the joint state J = S applied
-to the system factor of gamma0, without forming J.  Also provides the
+A process is a system+environment unitary U and an initial joint state gamma0 (`ProcessSpec`).
+`bilinear_tomo.build_M_from_dynamics` turns (U, gamma0) once into the process tensor M, a plain
+(2,)*6 array.  `run_process` reads a preparation's output off M: gamma*Q is M contracted with the
+preparation's superoperator S, which equals Tr_env[U J U'] for the joint state J = S applied to the
+system factor of gamma0, without forming J; one contraction with a stack of S gives a whole dataset's
+outputs (M is the superchannel of Modi, Sci. Rep. 2, 581 (2012)).  Also provides the
 exchange-coupling Hamiltonian used by the shipped scenarios.
 """
 
@@ -89,18 +89,20 @@ def unitary_from_hamiltonian(h: np.ndarray, t: float) -> np.ndarray:
     return u
 
 
-def run_process(m: np.ndarray, s: np.ndarray, gamma: float) -> np.ndarray:
+def run_process(m: np.ndarray, s: np.ndarray, gamma: float | np.ndarray) -> np.ndarray:
     """Output state of the preparation with superoperator s: gamma*Q[r, s] = sum S[(p, q), (x, y)] m[r, s, x, p, y, q].
 
-    Raises ValueError unless Tr(S M) is the preparation's gamma and gamma*Q is
-    Hermitian, each within 1e-12.
+    A stack s (..., 4, 4) with gammas (...) gives outputs (..., 2, 2).  Raises ValueError unless, for every
+    preparation, Tr(S M) is its gamma and gamma*Q is Hermitian, each within 1e-12.
     """
-    gq = np.einsum("rsxpyq,pqxy->rs", m, s.reshape((DIM_SYS,) * 4))
-    trace = np.trace(gq)
-    if abs(trace - gamma) > 1e-12:
-        raise ValueError(f"Tr(S M) = {trace.real:.6e} differs from the preparation's gamma {gamma:.6e}")
+    gq = np.einsum("rsxpyq,...pqxy->...rs", m, np.reshape(s, np.shape(s)[:-2] + (DIM_SYS,) * 4))
+    trace = np.trace(gq, axis1=-2, axis2=-1)
+    off = np.flatnonzero(np.abs(trace - gamma) > 1e-12)
+    if off.size:
+        got, want = np.ravel(trace)[off[0]].real, np.ravel(gamma)[off[0]]
+        raise ValueError(f"Tr(S M) = {got:.6e} differs from the preparation's gamma {want:.6e}")
     if hermiticity_residual(gq) > 1e-12:
         raise ValueError("process output lost hermiticity")
     # Divide by the trace of gamma*Q itself: dividing by gamma would leave Tr Q off by about 1e-8 at gamma ~ 1e-9.
-    out = gq / trace.real
+    out = gq / trace.real[..., None, None]
     return 0.5 * (out + dagger(out))

@@ -4,12 +4,11 @@ Every preparation is one outcome of an operation on the system factor of the ini
 state gamma0, held as a plain 4x4 array S = sum_a w_a C_a (x) conj(C_a), vec(map(rho)) =
 S vec(rho) rows first; Kraus operators C_a exist only at the JSON boundary (`superoperator`).
 `prepare_generalized` reads the outcome probability gamma off S, and the process tensor M
-turns S into the output (`dynamics.run_process`), so no joint state is formed.  Stochastic
-preparation, a pin then a rotation to |t>, is the replacement {|t><0|, |t><1|}, so gamma = 1;
-rotation-only preparation applies V = [[t0, -conj(t1)], [t1, conj(t0)]], so V|0> = |t> = (t0, t1),
-read off the ket table in `records` in its gauge (the first component of largest magnitude
-real and positive), which fixes V; von Neumann measurement projects; a generalized measurement
-is an (n, 4, 4) stack of S, one per outcome, whose summed effect `check_completeness` checks.
+turns S into the output (`dynamics.run_process`), so no joint state is formed; both take one S
+or a stack (..., 4, 4), and simulation passes a dataset's whole stack (`scenarios.operations`,
+where each method's S are tabled).  Stochastic and rotation-only preparation are trace-preserving,
+so gamma = 1; von Neumann measurement projects; a generalized measurement is an (n, 4, 4)
+stack of S, one per outcome, whose summed effect `check_completeness` checks.
 """
 
 from __future__ import annotations
@@ -64,30 +63,32 @@ def check_completeness(superops: np.ndarray) -> float:
     return res
 
 
-def prepare_generalized(gamma0: np.ndarray, s: np.ndarray, label: str = "") -> float:
+def prepare_generalized(gamma0: np.ndarray, s: np.ndarray, label: str | tuple[str, ...] = "") -> float | np.ndarray:
     """The probability gamma = Tr[E Tr_env gamma0] that the operation with superoperator `s` prepares its input.
 
-    A trace-preserving operation (no row sum of |E - 1| above UNITARY_TOL / 2) gives
-    gamma = 1.0 exactly.
-    Raises InvalidMeasurement when s is not a 4x4 superoperator on the qubit system of
-    gamma0 or when gamma exceeds MAX_GAMMA (naming `label`), and
-    ZeroProbabilityOutcome (naming `label`) when the experiment never yields this input.
+    One 4x4 S gives a float and `label` names it; a stack (..., 4, 4) gives an array, `label` holding its labels
+    in C order.  A trace-preserving operation (no row sum of |E - 1| above UNITARY_TOL / 2) gives gamma = 1.0
+    exactly.  Raises InvalidMeasurement when s is not 4x4 superoperators on the qubit system of gamma0 or a gamma
+    exceeds MAX_GAMMA, and ZeroProbabilityOutcome when the experiment never yields an input, naming the first
+    such label.
     """
     n = len(gamma0)
-    if np.shape(s) != (DIM_SYS**2,) * 2 or np.shape(gamma0) != (n, n) or n % DIM_SYS:
+    if np.shape(s)[-2:] != (DIM_SYS**2,) * 2 or np.shape(gamma0) != (n, n) or n % DIM_SYS:
         raise InvalidMeasurement(
             f"an operation must be a {DIM_SYS**2}x{DIM_SYS**2} superoperator on a square base state of even size"
         )
+    batch = np.shape(s)[:-2]
     # S summed over its equal output indices is E transposed: sum_a w_a C_a^T conj(C_a).
-    effect_t = np.trace(s.reshape((DIM_SYS,) * 4))
+    effect_t = np.trace(np.reshape(s, batch + (DIM_SYS,) * 4), axis1=-4, axis2=-3)
     # |Tr[(E - 1) rho]| is at most the largest row sum of |E - 1|; keeping that within half of
     # UNITARY_TOL keeps gamma = 1.0 inside run_process's 1e-12 check of Tr(S M).
-    if np.abs(effect_t - np.eye(DIM_SYS)).sum(axis=1).max() <= UNITARY_TOL / 2:
-        return 1.0
+    exact = np.abs(effect_t - np.eye(DIM_SYS)).sum(axis=-1).max(axis=-1) <= UNITARY_TOL / 2
     rho = np.einsum("iaja->ij", np.reshape(gamma0, (DIM_SYS, n // DIM_SYS) * 2))
-    gamma = float(np.sum(effect_t * rho).real)
-    if gamma < ZERO_PROBABILITY_TOL:
-        raise ZeroProbabilityOutcome(f"preparation {label or 'outcome'} has probability {gamma:.3e}")
-    if gamma > MAX_GAMMA:
-        raise InvalidMeasurement(f"preparation {label or 'outcome'} has probability {gamma!r} above 1")
-    return gamma
+    gamma = np.where(exact, 1.0, (effect_t * rho).reshape(batch + (-1,)).sum(axis=-1).real)
+    bad = np.flatnonzero(~exact & ((gamma < ZERO_PROBABILITY_TOL) | (gamma > MAX_GAMMA)))
+    if bad.size:
+        first, name = float(gamma.flat[bad[0]]), (label if isinstance(label, str) else label[bad[0]]) or "outcome"
+        if first < ZERO_PROBABILITY_TOL:
+            raise ZeroProbabilityOutcome(f"preparation {name} has probability {first:.3e}")
+        raise InvalidMeasurement(f"preparation {name} has probability {first!r} above 1")
+    return float(gamma) if not batch else gamma

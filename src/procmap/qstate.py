@@ -1,9 +1,9 @@
 """Dense complex-matrix kernels and qubit-state helpers shared by all modules.
 
-All operations are pure functions on numpy arrays; states are plain complex
-ndarrays and validation is explicit (call `validate_density_matrix` /
-`validate_unitary` where a guarantee is needed) so that intermediate
-unnormalized matrices can flow freely.
+All operations are pure functions on numpy arrays; `dagger`, `hermiticity_residual` and the
+Pauli and Bloch helpers also take stacks of matrices (..., n, n) and of 3-vectors (..., 3).  States
+are plain complex ndarrays and validation is explicit (call `validate_density_matrix` /
+`validate_unitary` where a guarantee is needed) so intermediate unnormalized matrices flow freely.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ PAULIS = (SIGMA_1, SIGMA_2, SIGMA_3)
 
 
 def dagger(mat: np.ndarray) -> np.ndarray:
-    return np.asarray(mat).conj().T
+    return np.swapaxes(np.asarray(mat).conj(), -1, -2)
 
 
 def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -40,33 +40,33 @@ def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def pauli_combination(a0: float, a: np.ndarray) -> np.ndarray:
-    """Hermitian combination a0*1 + sum_j a_j sigma_j."""
+    """Hermitian combination a0*1 + sum_j a_j sigma_j; a stack of vectors a (..., 3) gives a stack of matrices."""
     a = np.asarray(a, dtype=float)
-    out = a0 * IDENTITY_2.copy()
-    for coeff, sigma in zip(a, PAULIS):
-        out += coeff * sigma
+    out = a0 * np.broadcast_to(IDENTITY_2, a.shape[:-1] + (2, 2))
+    for j, sigma in enumerate(PAULIS):
+        out = out + a[..., j, None, None] * sigma
     return out
 
 
 def state_from_bloch(b) -> np.ndarray:
-    """Qubit state (1/2)(1 + sum_j b_j sigma_j); a projector when |b| = 1."""
+    """Qubit state (1/2)(1 + sum_j b_j sigma_j), or a stack of them for b (..., 3); a projector when |b| = 1."""
     return 0.5 * pauli_combination(1.0, np.asarray(b, dtype=float))
 
 
 def pauli_decompose(mat: np.ndarray, tol: float = STATE_TOL) -> tuple[float, np.ndarray]:
-    """Coefficients (a0, a) with mat = a0*1 + sum_j a_j sigma_j; input must be Hermitian."""
+    """Coefficients (a0, a) with mat = a0*1 + sum_j a_j sigma_j, per matrix of a stack; each must be Hermitian."""
     mat = np.asarray(mat, dtype=complex)
-    if mat.shape != (2, 2):
+    if mat.shape[-2:] != (2, 2):
         raise ValueError(f"expected a 2x2 matrix, got shape {mat.shape}")
     if hermiticity_residual(mat) > tol:
         raise ValueError("matrix is not Hermitian within tolerance")
-    a0 = 0.5 * np.trace(mat).real
-    a = np.array([0.5 * np.trace(mat @ sigma).real for sigma in PAULIS])
+    a0 = 0.5 * np.trace(mat, axis1=-2, axis2=-1).real
+    a = np.stack([0.5 * np.trace(mat @ sigma, axis1=-2, axis2=-1).real for sigma in PAULIS], axis=-1)
     return a0, a
 
 
 def bloch_vector(rho: np.ndarray) -> np.ndarray:
-    """Bloch vector b of a qubit operator written as (1/2)(tr[rho] + b.sigma)."""
+    """Bloch vector b of a qubit operator written as (1/2)(tr[rho] + b.sigma); b (..., 3) for a stack (..., 2, 2)."""
     _, a = pauli_decompose(rho)
     return 2.0 * a
 

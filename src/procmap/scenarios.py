@@ -1,17 +1,13 @@
 """Scenario configs, experiment simulation, and the shipped demo scenarios.
 
 A scenario bundles the process (unitary + initial joint state), a preparation
-method, and a protocol (which input labels to prepare).  `operation_of_label`
-is the one table of preparations, each the superoperator S of one operation on
-the system factor of gamma0: stochastic, the pin-then-rotate replacement
-{|t><0|, |t><1|} onto the label's state |t>; rotation-only, V with V|0> = |t>; measurement, P;
-generalized, the label's S in the measurement's stack, built at parse; the mixed record, X.
-|t> comes from the ket table in `records`, in its gauge (the first component of largest
-magnitude real and positive).  Simulation builds the process tensor M once, walks the protocol
-labels, then `mixed`, reads each input's gamma off S and its output off S and M, and
-collects (input, output, gamma) records into the stacks of one `Dataset`.  An optional
-finite-shot mode degrades the exact probabilities and outputs to multinomial
-estimates from a seeded generator.
+method, and a protocol (which input labels to prepare).  `operations` gives the
+(n, 4, 4) stack of the superoperators S that prepare the protocol labels, then
+`mixed`.  Simulation is one array program over that stack: it builds the process
+tensor M once, reads every gamma off the stack in one `prepare_generalized` call and
+every output off the stack and M in one `run_process` call; these arrays are the
+stacks of one `Dataset`.  An optional finite-shot mode degrades the exact probabilities and
+outputs to multinomial estimates from a seeded generator, in one draw for the outputs.
 
 The dataset holds the sha256 of the scenario file's bytes (`metadata.scenario_sha256`),
 not the file, so reproducing a dataset needs its scenario file too; nothing reads
@@ -23,6 +19,7 @@ checks the bi-linear inversion only.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -40,7 +37,8 @@ from .dynamics import (
 from .errors import ProcmapError
 from .prep import check_completeness, prepare_generalized, superoperator
 from .qstate import DIM_SYS, SIGMA_1, SIGMA_3, bloch_vector, state_from_bloch, tensor
-from .records import DIRECTIONS, MIXED_LABEL, PROTOCOL_LABELS, Dataset, ket_of_label, state_of_label
+from .records import (DIRECTIONS, MIXED_LABEL, PROTOCOL_LABELS, TWELVE_STATE_LABELS, Dataset, ket_of_label,
+                      state_of_label)
 
 # Three retired names stay bound here, uncalled, so that perfbench/tracer.py can wrap them.
 apply_pin_map = prepare_stochastic = prepare_projective = prepare_generalized
@@ -222,75 +220,74 @@ def parse_scenario(obj: dict, name: str = "scenario") -> Scenario:
         raise ScenarioError(f"malformed scenario: {exc}") from exc
 
 
-def operation_of_label(sc: Scenario, label: str) -> np.ndarray:
-    """The superoperator S of the operation on the system factor of gamma0 that prepares `label`.
+@functools.cache
+def _label_operations(method: str) -> np.ndarray:
+    """The read-only (12, 4, 4) stack of S that prepares each of TWELVE_STATE_LABELS by `method`; |t> = (t0, t1).
 
-    Stochastic preparation pins the system to |0> and rotates it to the label's ket |t> = (t0, t1);
-    together they replace the system's state by |t>, the operation {|t><0|, |t><1|}.  Rotation-only
-    preparation applies V = [[t0, -conj(t1)], [t1, conj(t0)]], with V|0> = |t>.  The mixed record applies X itself:
-    X = state_from_bloch(b) has eigenvalues (1 +- |b|)/2 and |b| < 1, so 0 <= X <= 1.
+    Stochastic preparation, a pin to |0> and a rotation to |t>, replaces the system's state by |t>: {|t><0|, |t><1|}.
+    Rotation-only (imperfect-pin) preparation applies V = [[t0, -conj(t1)], [t1, conj(t0)]], V|0> = |t>, fixed by
+    the ket's gauge, to gamma0 itself, so the true input is not the assumed projector.
+    """
+    superops = []
+    for label in TWELVE_STATE_LABELS:
+        t0, t1 = ket = ket_of_label(label)
+        kraus = {"measurement": [state_of_label(label)], "stochastic": [np.outer(ket, e) for e in np.eye(DIM_SYS)],
+                 "rotation_only": [np.array([[t0, -np.conj(t1)], [t1, np.conj(t0)]])]}[method]
+        superops.append(superoperator((1.0,) * len(kraus), kraus))
+    table = np.array(superops)
+    table.flags.writeable = False
+    return table
+
+
+def operations(sc: Scenario, labels) -> np.ndarray:
+    """The (n, 4, 4) stack of S of the operations on the system factor of gamma0 that prepare `labels`, in order.
+
+    A generalized measurement's stack is built at parse.  The mixed record applies X = state_from_bloch(b):
+    its eigenvalues (1 +- |b|)/2 lie in [0, 1] since |b| < 1.
     """
     if sc.prep_method == "generalized":
-        return sc.measurement[sc.generalized_labels.index(label)]
-    if label == MIXED_LABEL:
-        return superoperator((1.0,), (state_from_bloch(sc.mixed_bloch),))
-    if sc.prep_method == "measurement":
-        return superoperator((1.0,), (state_of_label(label),))
-    ket = ket_of_label(label)
-    if sc.prep_method == "stochastic":
-        return superoperator((1.0,) * DIM_SYS, [np.outer(ket, e) for e in np.eye(DIM_SYS)])
-    # Rotation-only (imperfect-pin) preparation rotates gamma0 itself, so the
-    # true input is not the assumed projector.
-    t0, t1 = ket
-    return superoperator((1.0,), (np.array([[t0, -np.conj(t1)], [t1, np.conj(t0)]]),))
+        table, order = sc.measurement, sc.generalized_labels
+    else:
+        table, order = _label_operations(sc.prep_method), TWELVE_STATE_LABELS
+    if sc.mixed_bloch is not None:
+        table = np.concatenate([table, [superoperator((1.0,), (state_from_bloch(sc.mixed_bloch),))]])
+        order += (MIXED_LABEL,)
+    return table[[order.index(label) for label in labels]]
 
 
-def _degrade_output(rng: np.random.Generator, output: np.ndarray, shots: int) -> np.ndarray:
-    """Pauli-axis multinomial estimate of the exact output state at `shots` shots."""
-    b = bloch_vector(output)
-    est = np.zeros(3)
-    for axis in range(3):
-        p_up = min(max(0.5 * (1.0 + b[axis]), 0.0), 1.0)
-        ups = rng.binomial(shots, p_up)
-        est[axis] = 2.0 * ups / shots - 1.0
-    return state_from_bloch(est)
+def _degrade(sc: Scenario, labels: tuple, gammas: np.ndarray, outputs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Multinomial estimates of the exact `gammas` and `outputs` of `labels` at sc.shots shots.
 
-
-def _degraded_gammas(rng: np.random.Generator, sc: Scenario, exact: dict[str, float], shots: int) -> list[float]:
-    """Multinomial estimates of the outcome probabilities, per direction or over all outcomes, in `exact`'s order."""
-    est = dict(exact)
+    One generator, seeded with sc.seed (0 when absent), draws the outcome probabilities first, over a generalized
+    measurement's outcomes or per measured direction, then each output's three Pauli axes, record by record.
+    """
+    shots, est = sc.shots, gammas.copy()
+    rng = np.random.default_rng(sc.seed if sc.seed is not None else 0)
     if sc.prep_method == "generalized":
+        rows = [labels.index(label) for label in sc.generalized_labels]
         # Complete only within STATE_TOL, the probabilities may sum above 1, which multinomial refuses.
-        p = np.array([exact[label] for label in sc.generalized_labels])
-        counts = rng.multinomial(shots, p / p.sum())
-        est.update(zip(sc.generalized_labels, (counts / shots).tolist()))
+        p = gammas[rows]
+        est[rows] = rng.multinomial(shots, p / p.sum()) / shots
     elif sc.prep_method == "measurement":
-        for d in DIRECTIONS:
-            plus, minus = f"{d}+", f"{d}-"
-            if plus in exact:
-                ups = rng.binomial(shots, min(max(exact[plus], 0.0), 1.0))
-                est[plus] = ups / shots
-                if minus in exact:
-                    est[minus] = 1.0 - ups / shots
-    return list(est.values())
+        plus = [labels.index(f"{d}+") for d in DIRECTIONS if f"{d}+" in labels]
+        est[plus] = rng.binomial(shots, np.clip(gammas[plus], 0.0, 1.0)) / shots
+        for d in DIRECTIONS:  # a measured direction's - label takes the complement
+            if f"{d}+" in labels and f"{d}-" in labels:
+                est[labels.index(f"{d}-")] = 1.0 - est[labels.index(f"{d}+")]
+    ups = rng.binomial(shots, np.clip(0.5 * (1.0 + bloch_vector(outputs)), 0.0, 1.0))
+    return est, state_from_bloch(2.0 * ups / shots - 1.0)
 
 
 def simulate_scenario(sc: Scenario, scenario_sha256: str = "") -> Dataset:
     """Run the pipeline for every protocol label; `scenario_sha256` is the scenario file's digest."""
     m = build_M_from_dynamics(sc.spec)
     labels = PROTOCOL_LABELS[sc.protocol] + ((MIXED_LABEL,) if sc.mixed_bloch is not None else ())
-    inputs, outputs, gammas = [], [], []
-    for label in labels:
-        s = operation_of_label(sc, label)
-        gamma = prepare_generalized(sc.spec.gamma0, s, label=label)
-        inputs.append(state_from_bloch(sc.mixed_bloch) if label == MIXED_LABEL else state_of_label(label))
-        outputs.append(run_process(m, s, gamma))
-        gammas.append(gamma)
-
+    s = operations(sc, labels)
+    gammas = prepare_generalized(sc.spec.gamma0, s, label=labels)
+    outputs = run_process(m, s, gammas)
+    inputs = [state_from_bloch(sc.mixed_bloch) if label == MIXED_LABEL else state_of_label(label) for label in labels]
     if sc.shots is not None:
-        rng = np.random.default_rng(sc.seed if sc.seed is not None else 0)
-        gammas = _degraded_gammas(rng, sc, dict(zip(labels, gammas)), sc.shots)
-        outputs = [_degrade_output(rng, q, sc.shots) for q in outputs]
+        gammas, outputs = _degrade(sc, labels, gammas, outputs)
 
     metadata = {
         "scenario": sc.name,

@@ -22,7 +22,7 @@ Kraus form, a pair (weights, kraus) for rho -> sum_a w_a C_a rho C_a', and a
 measurement is a tuple of such pairs.  The Kraus form is the oracle for S:
 `kraus_superoperator` (S term by term with np.kron), `effect` (sum_a w_a C_a'C_a,
 whose sum over outcomes is the completeness oracle) and `kraus_of_label`, the
-Kraus-form table of the preparations that `scenarios.operation_of_label` gives
+Kraus-form table of the preparations that `scenarios.operations` stacks
 as S.  `superoperators` is the library's stack of S for a Kraus-form measurement.
 The preparation routes that `prep.prepare_generalized` replaced are oracles
 for it: the pin of gamma0 and the stochastic rotation of the pinned state,
@@ -37,9 +37,12 @@ Then come the field-by-field bi-linear element table and its prediction loop,
 which the stacked table and its probe contraction replaced, and the matrix
 element <A|M|B> they are built from; the loop, with `MixedWithoutUnitUnit`,
 is the only prediction from a table, read off a solved one by
-`HandElementTable.from_stacked`.  `reference_shot_dataset` is the finite-shot
-model applied record by record, the oracle for the draw order of
-`scenarios.simulate_scenario`.  Last is the dilation of a generalized
+`HandElementTable.from_stacked`.  `reference_simulate` is the per-label loop
+that `scenarios.simulate_scenario` replaced by one stacked call each of
+`prepare_generalized` and `run_process`, built from single-S calls and each
+label's Kraus form, so it is the bit-for-bit oracle for the stacked program and
+its table of S; `reference_shot_dataset` is the finite-shot model applied record
+by record, the oracle for its draw order.  Last is the dilation of a generalized
 measurement: a unitary on system x ancillas followed by a von Neumann readout
 of an ancilla, another independent route to `prep.prepare_generalized`.
 """
@@ -51,14 +54,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from procmap.bilinear_tomo import CROSS_PAIRS, ZeroGamma
-from procmap.dynamics import ProcessSpec, correlated_pair_state, heisenberg_hamiltonian, unitary_from_hamiltonian
+from procmap.bilinear_tomo import CROSS_PAIRS, ZeroGamma, build_M_from_dynamics
+from procmap.dynamics import (
+    ProcessSpec,
+    correlated_pair_state,
+    heisenberg_hamiltonian,
+    run_process,
+    unitary_from_hamiltonian,
+)
 from procmap.linear_tomo import NotAFrame
 from procmap.prep import (
     ZERO_PROBABILITY_TOL,
     InvalidMeasurement,
     ZeroProbabilityOutcome,
     check_completeness,
+    prepare_generalized,
     superoperator,
 )
 from procmap.qstate import (
@@ -74,7 +84,15 @@ from procmap.qstate import (
     tensor,
     validate_unitary,
 )
-from procmap.records import DIRECTIONS, MIXED_LABEL, TWELVE_STATE_LABELS, Dataset, ket_of_label, state_of_label
+from procmap.records import (
+    DIRECTIONS,
+    MIXED_LABEL,
+    PROTOCOL_LABELS,
+    TWELVE_STATE_LABELS,
+    Dataset,
+    ket_of_label,
+    state_of_label,
+)
 from procmap.scenarios import Scenario
 
 SQRT2 = float(np.sqrt(2.0))
@@ -165,29 +183,30 @@ def superoperators(measurement) -> np.ndarray:
     return np.array([superoperator(weights, kraus) for weights, kraus in measurement])
 
 
-def random_scenario(rng, method: str, spec: ProcessSpec) -> tuple[Scenario, tuple | None]:
-    """A verify12 scenario of `method` on `spec`, and the Kraus form of its generalized measurement (None otherwise).
+def random_scenario(rng, method: str, spec: ProcessSpec, protocol: str = "verify12") -> tuple[Scenario, tuple | None]:
+    """A `protocol` scenario of `method` on `spec`, and the Kraus form of its generalized measurement (None otherwise).
 
-    A generalized scenario draws a random twelve-outcome measurement, then a shuffled label order, so that the
-    label -> outcome lookup is checked too; a measurement scenario adds the mixed record of MIXED_BLOCH.
+    A generalized scenario draws a random measurement with one outcome per label, then a shuffled label order, so
+    that the label -> outcome lookup is checked too; a measurement scenario adds the mixed record of MIXED_BLOCH.
     """
     generalized = method == "generalized"
-    meas = random_measurement(rng, len(TWELVE_STATE_LABELS)) if generalized else None
+    labels = PROTOCOL_LABELS[protocol]
+    meas = random_measurement(rng, len(labels)) if generalized else None
     sc = Scenario(
         name=method,
         spec=spec,
         t=0.0,
-        protocol="verify12",
+        protocol=protocol,
         prep_method=method,
         measurement=superoperators(meas) if generalized else None,
-        generalized_labels=tuple(rng.permutation(TWELVE_STATE_LABELS)) if generalized else (),
+        generalized_labels=tuple(rng.permutation(labels)) if generalized else (),
         mixed_bloch=MIXED_BLOCH if method == "measurement" else None,
     )
     return sc, meas
 
 
 def kraus_of_label(sc, label: str, measurement=None) -> tuple:
-    """The Kraus form of the operation that prepares `label` in `sc`, whose S `scenarios.operation_of_label` gives.
+    """The Kraus form of the operation that prepares `label` in `sc`, whose S `scenarios.operations` stacks.
 
     A scenario holds a generalized measurement only as S, so its Kraus form `measurement` is passed in.
     """
@@ -457,6 +476,28 @@ def stochastic_records(spec: ProcessSpec, labels) -> Dataset:
         outputs.append(brute_force_output(spec.u, prepared.joint, 2, spec.dim_env))
         gammas.append(prepared.gamma)
     return Dataset(tuple(labels), inputs, outputs, gammas)
+
+
+def reference_simulate(sc) -> Dataset:
+    """The exact dataset of `sc` by the per-label loop that `scenarios.simulate_scenario` replaced.
+
+    Label by label in protocol order, then the mixed record: the label's S from its Kraus form (a generalized
+    measurement's S read off the scenario's stack), one single-S `prepare_generalized` call for gamma and one
+    `run_process` call for the output.
+    """
+    m = build_M_from_dynamics(sc.spec)
+    labels = PROTOCOL_LABELS[sc.protocol] + ((MIXED_LABEL,) if sc.mixed_bloch is not None else ())
+    inputs, outputs, gammas = [], [], []
+    for label in labels:
+        if sc.prep_method == "generalized":
+            s = sc.measurement[sc.generalized_labels.index(label)]
+        else:
+            s = superoperator(*kraus_of_label(sc, label))
+        gamma = prepare_generalized(sc.spec.gamma0, s, label=label)
+        inputs.append(state_from_bloch(sc.mixed_bloch) if label == MIXED_LABEL else state_of_label(label))
+        outputs.append(run_process(m, s, gamma))
+        gammas.append(gamma)
+    return Dataset(labels, inputs, outputs, gammas)
 
 
 def reference_shot_dataset(sc, exact: Dataset) -> Dataset:

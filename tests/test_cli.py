@@ -154,6 +154,23 @@ def over_complete():
     return {**STOCHASTIC, "t": 0.1, "gamma0": gamma0, "protocol": "linear4", "preparation": preparation}
 
 
+def excluding(bad_labels):
+    """The stochastic demo with its system pinned to |0>, prepared by a twelve-outcome measurement in reversed
+    label order whose outcomes for `bad_labels` never occur.
+
+    gamma0 = |0><0| (x) 1/2; each bad outcome is sqrt(0.5 / k) |1><1| for k bad labels, so its probability is
+    exactly 0, and each other outcome diag(1, sqrt(0.5)) / sqrt(12 - k) completes the measurement.
+    """
+    labels = TWELVE_STATE_LABELS[::-1]
+    k = len(bad_labels)
+    bad = np.sqrt(0.5 / k) * np.diag([0.0, 1.0])
+    rest = np.diag([1.0, np.sqrt(0.5)]) / np.sqrt(12.0 - k)
+    outcomes = [{"weights": [1.0], "kraus": [jsonio.matrix_to_json(bad if label in bad_labels else rest)]}
+                for label in labels]
+    preparation = {"method": "generalized", "measurement": {"outcomes": outcomes}, "labels": list(labels)}
+    return {**STOCHASTIC, "gamma0": {"bloch_a": [0.0, 0.0, 1.0], "c23": 0.0}, "preparation": preparation}
+
+
 # Each malformed scenario as a JSON value, or as the file's text when json cannot write it.
 BAD_SCENARIOS = {
     "top-level-array": [STOCHASTIC],
@@ -698,6 +715,18 @@ def test_generalized_preparation_gammas_are_shot_counts(tmp_path, capsys):
     assert len(gammas) == 12 and len(set(gammas)) > 1  # a draw, not the exact 1/12 each
     assert all(abs(100.0 * g - round(100.0 * g)) < 1e-9 for g in gammas), gammas
     assert sum(gammas) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("bad_labels, named", [(("4-",), "4-"), (("5+", "2-"), "2-")])
+def test_zero_probability_outcome_exits_3_naming_the_first_label(tmp_path, capsys, bad_labels, named):
+    # The stacked preparation checks every record and names the first offender in label order (1+, 1-, 2+, ...),
+    # not in the measurement's outcome order, where 5+ comes before 2-.
+    scenario = tmp_path / "excluding.json"
+    scenario.write_text(json.dumps(excluding(bad_labels)))
+    code, err = run(["simulate", scenario], capsys)
+    assert code == EXIT_ZERO_PROBABILITY
+    assert f"preparation {named} has probability 0.000e+00" in err
+    assert all(label not in err for label in bad_labels if label != named), err
 
 
 def test_over_complete_generalized_measurement_draws_shots(tmp_path, capsys):

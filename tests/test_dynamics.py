@@ -25,6 +25,7 @@ from procmap.dynamics import (
 )
 from procmap.linear_tomo import apply_linear_map
 from procmap.prep import MAX_GAMMA, InvalidMeasurement, prepare_generalized, superoperator
+from procmap.records import TWELVE_STATE_LABELS, state_of_label
 from procmap.qstate import (
     IDENTITY_2,
     SIGMA_1,
@@ -192,6 +193,35 @@ def test_run_process_rejects_a_gamma_that_is_not_tr_s_m():
     run_process(m, s, gamma + 5e-13)
     with pytest.raises(ValueError, match=r"Tr\(S M\) = 7\.5"):
         run_process(m, s, gamma + 2e-12)
+
+
+def test_stacked_run_process_checks_every_record():
+    # One call checks Tr(S M) against each record's own gamma: record 7 alone off by 2e-12 fails the whole stack.
+    spec = va_spec()
+    m = build_M_from_dynamics(spec)
+    s = np.array([superoperator((1.0,), (state_of_label(label),)) for label in TWELVE_STATE_LABELS])
+    gammas = prepare_generalized(spec.gamma0, s, label=TWELVE_STATE_LABELS)
+    assert run_process(m, s, gammas).shape == (12, 2, 2)
+    nudged = gammas.copy()
+    nudged[7] += 5e-13
+    run_process(m, s, nudged)
+    nudged[7] = gammas[7] + 2e-12
+    with pytest.raises(ValueError, match=rf"differs from the preparation's gamma {nudged[7]:.6e}"):
+        run_process(m, s, nudged)
+
+
+def test_stacked_run_process_checks_every_output_is_hermitian():
+    # rho -> rho sigma_1 keeps the trace real but not the hermiticity; as record 5 of 12 it fails the whole stack.
+    spec = va_spec()
+    m = build_M_from_dynamics(spec)
+    s = np.array([superoperator((1.0,), (state_of_label(label),)) for label in TWELVE_STATE_LABELS])
+    gammas = prepare_generalized(spec.gamma0, s, label=TWELVE_STATE_LABELS)
+    s[5] = np.kron(IDENTITY_2, SIGMA_1)
+    trace = np.einsum("rrxpyq,pqxy->", m, s[5].reshape(2, 2, 2, 2))
+    assert abs(trace.imag) < 1e-15
+    gammas[5] = trace.real
+    with pytest.raises(ValueError, match="lost hermiticity"):
+        run_process(m, s, gammas)
 
 
 def test_fixed_env_map_identity():

@@ -50,7 +50,7 @@ from procmap.qstate import (
     tensor,
 )
 from procmap.records import MIXED_LABEL, TWELVE_STATE_LABELS, ket_of_label, state_of_label
-from procmap.scenarios import Scenario, operation_of_label, parse_measurement
+from procmap.scenarios import Scenario, operations, parse_measurement
 
 KET0 = np.array([1, 0], dtype=complex)
 P3_PLUS = np.diag([1.0, 0.0]).astype(complex)
@@ -295,10 +295,10 @@ def test_ket_table_gives_the_projector_in_its_gauge_and_both_operations(label):
     assert np.max(np.abs(v.conj().T @ v - IDENTITY_2)) < 1e-15
     assert np.max(np.abs(v @ KET0 - ket)) == 0.0
     # The library's S of the rotation is V (x) conj(V): unitary, and it takes |0><0| to |t><t|.
-    rotation = operation_of_label(sc, label)
+    rotation = operations(sc, [label])[0]
     assert np.max(np.abs(rotation.conj().T @ rotation - np.eye(4))) < 1e-15
     assert np.max(np.abs(rotation[:, 0].reshape(2, 2) - projector)) < 1e-15
-    stochastic = operation_of_label(replace(sc, prep_method="stochastic"), label)
+    stochastic = operations(replace(sc, prep_method="stochastic"), [label])[0]
     assert np.max(np.abs(stochastic - np.outer(projector.reshape(-1), IDENTITY_2.reshape(-1)))) < 1e-15
 
 
@@ -311,7 +311,7 @@ def test_primitive_matches_the_retired_routes(dim_env):
         sc, meas = random_scenario(rng, method, ProcessSpec(rand_unitary(rng, 2 * dim_env), gamma0))
         for label in TWELVE_STATE_LABELS + ((MIXED_LABEL,) if sc.mixed_bloch is not None else ()):
             # The superoperator route rounds differently from every retired route, so none matches bit for bit.
-            s = operation_of_label(sc, label)
+            s = operations(sc, [label])[0]
             gamma = prepare_generalized(gamma0, s, label=label)
             want = oracle_preparation(sc, meas, label, pinned)
             assert np.max(np.abs(joint_of(s, gamma, gamma0) - want.joint)) < 1e-15, (method, label)
@@ -325,7 +325,7 @@ def test_stochastic_labels_prepare_the_projector_times_the_environment_marginal(
     gamma0 = rand_density(rng, 2 * dim_env)
     sc, _ = random_scenario(rng, "stochastic", ProcessSpec(rand_unitary(rng, 2 * dim_env), gamma0))
     for label in TWELVE_STATE_LABELS:
-        s = operation_of_label(sc, label)
+        s = operations(sc, [label])[0]
         assert prepare_generalized(gamma0, s) == 1.0, label
         assert np.max(np.abs(joint_of(s, 1.0, gamma0) - pin(gamma0, state_of_label(label)))) < 1e-15, label
 
@@ -373,7 +373,7 @@ def test_operation_of_label_is_the_kraus_form_superoperator_bit_for_bit(dim_env)
         sc, meas = random_scenario(rng, method, ProcessSpec(rand_unitary(rng, 2 * dim_env), gamma0))
         for label in TWELVE_STATE_LABELS + ((MIXED_LABEL,) if sc.mixed_bloch is not None else ()):
             want = kraus_superoperator(kraus_of_label(sc, label, meas))
-            assert operation_of_label(sc, label).tobytes() == want.tobytes(), (method, label)
+            assert operations(sc, [label])[0].tobytes() == want.tobytes(), (method, label)
 
 
 def test_stacked_completeness_residual_matches_the_kraus_form():

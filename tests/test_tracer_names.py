@@ -46,5 +46,9 @@ def test_traced_simulate_counts_every_preparation(tmp_path):
         assert main(["simulate", str(scenario), "--out", str(tmp_path / "dataset.json")]) == 0
     finally:
         tracer.uninstall()
-    # Twelve protocol labels and the mixed record, one primitive call each.
-    assert [span[1] for span in tracer.spans].count("prep.prepare") == 13
+    # Twelve protocol labels and the mixed record, all in one stacked call of each primitive.
+    names = [span[1] for span in tracer.spans]
+    simulate = names.index("scenarios.simulate_scenario")
+    for name in ("prep.prepare", "dynamics.run_process"):
+        assert names.count(name) == 1, name
+        assert tracer.spans[names.index(name)][4] == simulate, name
