@@ -4,22 +4,9 @@ A process whose inputs are prepared by von Neumann measurement satisfies
 
     gamma(n) * Q(n) = <P(n)| M |P(n)>,
 
-a sesquilinear form in the prepared projector P(n).  The process is its tensor
-M, a plain 6-index array built from the joint unitary and the initial
-system-environment state:
-
-    M[(r,s), r''r'; s''s'] = sum_{a,b,e} U[(r,e),(r',a)] gamma0[(r'',a),(s'',b)]
-                                          conj(U[(s,e),(s',b)])
-
-stored here as an ndarray m[r, s, r'', r', s'', s'].  Composite indices pack
-the system index first: (i, a) -> i * dim_env + a.  The stored tensor is
-Hermitian in the exact sense conj(m[r,s,x,p,y,q]) = m[s,r,y,q,x,p], and its
-full trace sum_{r,p,x} m[r,r,x,p,x,p] is the system dimension, not 1.
-
-M also drives the simulation of every preparation, not only the measured ones:
-an operation, which is its superoperator S = sum_a w_a C_a (x) conj(C_a) on the
-system factor of gamma0, gives gamma*Q[r,s] = sum S[(p,q),(x,y)] m[r,s,x,p,y,q],
-which is <P|M|P> for S = P (x) conj(P) (`dynamics.run_process`).
+a sesquilinear form in the prepared projector P(n), where M is the process
+tensor that `dynamics` defines and builds from the joint unitary and the
+initial system-environment state.
 
 The nine-projection qubit protocol determines every element combination of M
 needed to predict the output state and outcome probability for an arbitrary
@@ -36,9 +23,9 @@ from __future__ import annotations
 import numpy as np
 
 from . import jsonio
+from .dynamics import ZeroProbabilityOutcome
 from .errors import ProcmapError
-from .prep import ZeroProbabilityOutcome
-from .qstate import DIM_SYS, IDENTITY_2, PAULIS, pauli_decompose
+from .qstate import IDENTITY_2, PAULIS, pauli_decompose
 from .records import MIXED_LABEL, NINE_STATE_LABELS, Dataset, fit
 
 CROSS_PAIRS = ((1, 2), (1, 3), (2, 3))
@@ -50,21 +37,6 @@ class ZeroGamma(ZeroProbabilityOutcome):
 
 class NotStrictlyMixed(ProcmapError):
     """The mixed-state record's input is pure, so it cannot resolve <1|M|1>."""
-
-
-def build_M_from_dynamics(spec) -> np.ndarray:
-    """The process tensor m[r, s, r'', r', s'', s'] of the qubit system, a (2,)*6 array, from (U, gamma0).
-
-    The raw contraction is Hermitian up to rounding; the result is
-    symmetrized so the stored hermiticity relation holds bit-exactly.
-    """
-    shape4 = (DIM_SYS, spec.dim_env) * 2
-    u4 = np.asarray(spec.u, dtype=complex).reshape(shape4)
-    g4 = np.asarray(spec.gamma0, dtype=complex).reshape(shape4)
-    # raw[r,s,x,p,y,q] = sum_{e,a,b} u4[r,e,p,a] g4[x,a,y,b] conj(u4[s,e,q,b]), as two BLAS products
-    ug = np.tensordot(u4, g4, axes=([3], [1]))
-    raw = np.tensordot(ug, np.conj(u4), axes=([1, 5], [1, 3])).transpose(0, 4, 2, 1, 3, 5)
-    return 0.5 * (raw + np.conj(raw).transpose(1, 0, 4, 5, 2, 3))
 
 
 _BASIS = (IDENTITY_2,) + PAULIS

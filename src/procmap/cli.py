@@ -36,7 +36,8 @@ import numpy as np
 from . import jsonio
 # build_M_from_dynamics and element_table_from_map stay bound here, unused, so
 # that perfbench/tracer.py can wrap every bi-linear layer under procmap.cli.
-from .bilinear_tomo import build_M_from_dynamics, element_table_from_map, elements_to_json, solve_M_elements
+from .bilinear_tomo import element_table_from_map, elements_to_json, solve_M_elements
+from .dynamics import build_M_from_dynamics
 from .errors import EXIT_OK, ProcmapError
 from .linear_tomo import apply_linear_map, map_diagnostics, map_to_json, reconstruct_linear_map
 from .qstate import bloch_vector

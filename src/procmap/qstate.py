@@ -53,12 +53,12 @@ def state_from_bloch(b) -> np.ndarray:
     return 0.5 * pauli_combination(1.0, np.asarray(b, dtype=float))
 
 
-def pauli_decompose(mat: np.ndarray, tol: float = STATE_TOL) -> tuple[float, np.ndarray]:
+def pauli_decompose(mat: np.ndarray) -> tuple[float, np.ndarray]:
     """Coefficients (a0, a) with mat = a0*1 + sum_j a_j sigma_j, per matrix of a stack; each must be Hermitian."""
     mat = np.asarray(mat, dtype=complex)
     if mat.shape[-2:] != (2, 2):
         raise ValueError(f"expected a 2x2 matrix, got shape {mat.shape}")
-    if hermiticity_residual(mat) > tol:
+    if hermiticity_residual(mat) > STATE_TOL:
         raise ValueError("matrix is not Hermitian within tolerance")
     a0 = 0.5 * np.trace(mat, axis1=-2, axis2=-1).real
     a = np.stack([0.5 * np.trace(mat @ sigma, axis1=-2, axis2=-1).real for sigma in PAULIS], axis=-1)
@@ -76,28 +76,28 @@ def hermiticity_residual(mat: np.ndarray) -> float:
     return float(np.max(np.abs(mat - dagger(mat)))) if mat.size else 0.0
 
 
-def validate_density_matrix(rho: np.ndarray, tol: float = STATE_TOL, what: str = "density matrix") -> None:
-    """Raise ValueError, naming `what`, unless rho is Hermitian, unit-trace, and positive within tol."""
+def validate_density_matrix(rho: np.ndarray, what: str = "density matrix") -> None:
+    """Raise ValueError, naming `what`, unless rho is Hermitian, unit-trace, and positive within STATE_TOL."""
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError(f"{what} must be square, got shape {rho.shape}")
     res = hermiticity_residual(rho)
-    if res > tol:
+    if res > STATE_TOL:
         raise ValueError(f"{what} not Hermitian (residual {res:.3e})")
     tr = np.trace(rho)
-    if abs(tr - 1.0) > tol:
+    if abs(tr - 1.0) > STATE_TOL:
         raise ValueError(f"{what} trace {tr:.12g} != 1")
     w = np.linalg.eigvalsh(0.5 * (rho + dagger(rho)))
-    if w[0] < -tol:
+    if w[0] < -STATE_TOL:
         raise ValueError(f"{what} has negative eigenvalue {w[0]:.3e}")
 
 
-def validate_unitary(u: np.ndarray, tol: float = UNITARY_TOL) -> None:
-    """Raise ValueError unless u'u = 1 within tol (max-abs entry)."""
+def validate_unitary(u: np.ndarray) -> None:
+    """Raise ValueError unless u'u = 1 within UNITARY_TOL (max-abs entry)."""
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValueError(f"unitary must be square, got shape {u.shape}")
     res = np.max(np.abs(dagger(u) @ u - np.eye(u.shape[0])))
-    if not res <= tol:  # a NaN residual fails too
+    if not res <= UNITARY_TOL:  # a NaN residual fails too
         raise ValueError(f"matrix is not unitary (residual {res:.3e})")
 

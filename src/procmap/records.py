@@ -11,7 +11,8 @@ order; bilinear9, both labels of 1, 2, 3 and 4+, 5+, 6+; linear4, 1-, 1+, 2+,
 3+.  A bi-linear dataset may add a record labeled `MIXED_LABEL`.
 A `Dataset` holds its records as stacked arrays, record i being (labels[i],
 inputs[i], outputs[i], gammas[i]); `Dataset.subset` selects a protocol's records
-by label, and `fit` reads the stacks directly.
+by label, and `fit` reads the stacks directly.  `Dataset.from_json` requires each label to be
+a JSON string and each gamma to lie in [0, `dynamics.MAX_GAMMA`], the preparation's own bound.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import jsonio
+from .dynamics import MAX_GAMMA
 from .errors import EXIT_MISSING_LABELS, ProcmapError
-from .prep import MAX_GAMMA
 from .qstate import STATE_TOL, state_from_bloch
 
 _DIAGONAL = 1.0 / math.sqrt(2.0)
@@ -131,9 +132,11 @@ class Dataset:
     @staticmethod
     def from_json(obj: dict) -> "Dataset":
         entries = obj["records"]
-        labels = [str(entry["label"]) for entry in entries]
+        labels = [entry["label"] for entry in entries]
         gammas = [entry["gamma"] for entry in entries]
-        for label, gamma in zip(labels, gammas):
+        for i, (label, gamma) in enumerate(zip(labels, gammas)):
+            if type(label) is not str:
+                raise ValueError(f"record {i} has label {label!r}, not a JSON string")
             if type(gamma) not in (int, float) or not 0.0 <= gamma <= MAX_GAMMA:
                 raise ValueError(f"record {label!r} has gamma {gamma!r}, not a JSON number in [0, 1]")
         names = [f"record {label!r} {side}" for side in ("input", "output") for label in labels]

@@ -3,11 +3,12 @@
 A scenario bundles the process (unitary + initial joint state), a preparation
 method, and a protocol (which input labels to prepare).  `operations` gives the
 (n, 4, 4) stack of the superoperators S that prepare the protocol labels, then
-`mixed`.  Simulation is one array program over that stack: it builds the process
-tensor M once, reads every gamma off the stack in one `prepare_generalized` call and
-every output off the stack and M in one `run_process` call; these arrays are the
-stacks of one `Dataset`.  An optional finite-shot mode degrades the exact probabilities and
-outputs to multinomial estimates from a seeded generator, in one draw for the outputs.
+`mixed`.  Simulation is one array program over that stack, with the process layer of
+`dynamics`: it builds the process tensor M once, reads every gamma off the stack in one
+`prepare_generalized` call and every output off the stack and M in one `run_process` call;
+these arrays are the stacks of one `Dataset`.  An optional finite-shot mode degrades every
+exact probability and output to a multinomial estimate from a seeded generator, in one draw
+for the outputs.
 
 The dataset holds the sha256 of the scenario file's bytes (`metadata.scenario_sha256`),
 not the file, so reproducing a dataset needs its scenario file too; nothing reads
@@ -26,16 +27,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jsonio
-from .bilinear_tomo import build_M_from_dynamics, element_table_from_map
-from .dynamics import (
-    ProcessSpec,
-    correlated_pair_state,
-    heisenberg_hamiltonian,
-    run_process,
-    unitary_from_hamiltonian,
-)
+from .bilinear_tomo import element_table_from_map
+from .dynamics import (ProcessSpec, build_M_from_dynamics, check_completeness, correlated_pair_state,
+                       heisenberg_hamiltonian, prepare_generalized, run_process, superoperator, unitary_from_hamiltonian)
 from .errors import ProcmapError
-from .prep import check_completeness, prepare_generalized, superoperator
 from .qstate import DIM_SYS, SIGMA_1, SIGMA_3, bloch_vector, state_from_bloch, tensor
 from .records import (DIRECTIONS, MIXED_LABEL, PROTOCOL_LABELS, TWELVE_STATE_LABELS, Dataset, ket_of_label,
                       state_of_label)
@@ -259,7 +254,8 @@ def _degrade(sc: Scenario, labels: tuple, gammas: np.ndarray, outputs: np.ndarra
     """Multinomial estimates of the exact `gammas` and `outputs` of `labels` at sc.shots shots.
 
     One generator, seeded with sc.seed (0 when absent), draws the outcome probabilities first, over a generalized
-    measurement's outcomes or per measured direction, then each output's three Pauli axes, record by record.
+    measurement's outcomes or per measured direction, then each output's three Pauli axes, record by record, and
+    last the mixed record's gamma, the probability of outcome X of the completed measurement {X, sqrt(1 - X^2)}.
     """
     shots, est = sc.shots, gammas.copy()
     rng = np.random.default_rng(sc.seed if sc.seed is not None else 0)
@@ -275,6 +271,9 @@ def _degrade(sc: Scenario, labels: tuple, gammas: np.ndarray, outputs: np.ndarra
             if f"{d}+" in labels and f"{d}-" in labels:
                 est[labels.index(f"{d}-")] = 1.0 - est[labels.index(f"{d}+")]
     ups = rng.binomial(shots, np.clip(0.5 * (1.0 + bloch_vector(outputs)), 0.0, 1.0))
+    if MIXED_LABEL in labels:
+        mixed = labels.index(MIXED_LABEL)
+        est[mixed] = rng.binomial(shots, np.clip(gammas[mixed], 0.0, 1.0)) / shots
     return est, state_from_bloch(2.0 * ups / shots - 1.0)
 
 
@@ -323,41 +322,22 @@ def _imperfect_pin_gamma0() -> np.ndarray:
     return IMPERFECT_PIN_PURE_WEIGHT * tensor(state_of_label("3+"), tau) + (1 - IMPERFECT_PIN_PURE_WEIGHT) * chi
 
 
-DEMO_NAMES = ("stochastic-heisenberg", "measurement-correlated", "imperfect-pin")
+# Each demo's preparation method; the two Heisenberg demos share their process.
+_DEMO_METHODS = {"stochastic-heisenberg": "stochastic", "measurement-correlated": "measurement",
+                 "imperfect-pin": "rotation_only"}
+DEMO_NAMES = tuple(_DEMO_METHODS)
 
 
 def demo_scenario_config(name: str) -> dict:
     """Scenario JSON for a shipped demo; raises ScenarioError on unknown names."""
-    t_demo = math.pi / 8.0
-    if name == "stochastic-heisenberg":
-        return {
-            "dimA": 2,
-            "dimB": 2,
-            "hamiltonian": "heisenberg",
-            "t": t_demo,
-            "gamma0": {"bloch_a": [0.0, 0.5, 0.0], "c23": 0.3},
-            "preparation": {"method": "stochastic"},
-            "protocol": "verify12",
-        }
-    if name == "measurement-correlated":
-        return {
-            "dimA": 2,
-            "dimB": 2,
-            "hamiltonian": "heisenberg",
-            "t": t_demo,
-            "gamma0": {"bloch_a": [0.0, 0.5, 0.0], "c23": 0.3},
-            "preparation": {"method": "measurement"},
-            "protocol": "verify12",
-            "mixed_bloch": [0.5, 0.0, 0.0],
-        }
+    if name not in _DEMO_METHODS:
+        raise ScenarioError(f"unknown demo {name!r}; expected one of {', '.join(DEMO_NAMES)}")
+    config = {"dimA": 2, "dimB": 2, "hamiltonian": "heisenberg", "t": math.pi / 8.0,
+              "gamma0": {"bloch_a": [0.0, 0.5, 0.0], "c23": 0.3},
+              "preparation": {"method": _DEMO_METHODS[name]}, "protocol": "verify12"}
     if name == "imperfect-pin":
-        return {
-            "dimA": 2,
-            "dimB": 2,
-            "hamiltonian": jsonio.matrix_to_json(tensor(SIGMA_1, SIGMA_3)),
-            "t": IMPERFECT_PIN_T,
-            "gamma0": jsonio.matrix_to_json(_imperfect_pin_gamma0()),
-            "preparation": {"method": "rotation_only"},
-            "protocol": "verify12",
-        }
-    raise ScenarioError(f"unknown demo {name!r}; expected one of {', '.join(DEMO_NAMES)}")
+        config.update(hamiltonian=jsonio.matrix_to_json(tensor(SIGMA_1, SIGMA_3)), t=IMPERFECT_PIN_T,
+                      gamma0=jsonio.matrix_to_json(_imperfect_pin_gamma0()))
+    if name == "measurement-correlated":
+        config["mixed_bloch"] = [0.5, 0.0, 0.0]
+    return config

@@ -24,7 +24,7 @@ measurement is a tuple of such pairs.  The Kraus form is the oracle for S:
 whose sum over outcomes is the completeness oracle) and `kraus_of_label`, the
 Kraus-form table of the preparations that `scenarios.operations` stacks
 as S.  `superoperators` is the library's stack of S for a Kraus-form measurement.
-The preparation routes that `prep.prepare_generalized` replaced are oracles
+The preparation routes that `dynamics.prepare_generalized` replaced are oracles
 for it: the pin of gamma0 and the stochastic rotation of the pinned state,
 projection with the P (x) tau cross-check, the completed measurement
 {X, sqrt(1 - X^2)} of the mixed record, and a dense (C x 1) evaluation of any
@@ -44,7 +44,7 @@ label's Kraus form, so it is the bit-for-bit oracle for the stacked program and
 its table of S; `reference_shot_dataset` is the finite-shot model applied record
 by record, the oracle for its draw order.  Last is the dilation of a generalized
 measurement: a unitary on system x ancillas followed by a von Neumann readout
-of an ancilla, another independent route to `prep.prepare_generalized`.
+of an ancilla, another independent route to `dynamics.prepare_generalized`.
 """
 
 from __future__ import annotations
@@ -54,23 +54,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from procmap.bilinear_tomo import CROSS_PAIRS, ZeroGamma, build_M_from_dynamics
+from procmap.bilinear_tomo import CROSS_PAIRS, ZeroGamma
 from procmap.dynamics import (
+    ZERO_PROBABILITY_TOL,
+    InvalidMeasurement,
     ProcessSpec,
+    ZeroProbabilityOutcome,
+    build_M_from_dynamics,
+    check_completeness,
     correlated_pair_state,
     heisenberg_hamiltonian,
+    prepare_generalized,
     run_process,
+    superoperator,
     unitary_from_hamiltonian,
 )
 from procmap.linear_tomo import NotAFrame
-from procmap.prep import (
-    ZERO_PROBABILITY_TOL,
-    InvalidMeasurement,
-    ZeroProbabilityOutcome,
-    check_completeness,
-    prepare_generalized,
-    superoperator,
-)
 from procmap.qstate import (
     DIM_SYS,
     IDENTITY_2,
@@ -507,7 +506,8 @@ def reference_shot_dataset(sc, exact: Dataset) -> Dataset:
     first the outcome probabilities (one multinomial over a generalized
     measurement's outcomes, or one binomial per measured direction, its - label
     taking the complement), then, record by record in label order, one binomial
-    per Pauli axis of the output's Bloch vector.
+    per Pauli axis of the output's Bloch vector, and last one binomial for the
+    mixed record's gamma.
     """
     rng = np.random.default_rng(sc.seed if sc.seed is not None else 0)
     gammas = dict(zip(exact.labels, exact.gammas.tolist()))
@@ -527,6 +527,8 @@ def reference_shot_dataset(sc, exact: Dataset) -> Dataset:
         bloch = [2.0 * rng.binomial(sc.shots, min(max(0.5 * (1.0 + b), 0.0), 1.0)) / sc.shots - 1.0
                  for b in bloch_vector(output)]
         outputs.append(state_from_bloch(bloch))
+    if MIXED_LABEL in gammas:
+        gammas[MIXED_LABEL] = rng.binomial(sc.shots, min(max(gammas[MIXED_LABEL], 0.0), 1.0)) / sc.shots
     return Dataset(exact.labels, exact.inputs, outputs, [gammas[label] for label in exact.labels])
 
 
@@ -848,7 +850,7 @@ def build_dilation(meas) -> tuple[np.ndarray, tuple[int, int]]:
     w_mat = np.empty((dim, dim), dtype=complex)
     w_mat[:, fixed_positions] = q[:, :n]
     w_mat[:, np.setdiff1d(np.arange(dim), fixed_positions)] = q[:, n:]
-    validate_unitary(w_mat, tol=1e-12)
+    validate_unitary(w_mat)
     return w_mat, (mu, n2)
 
 

@@ -25,12 +25,11 @@ from procmap import jsonio
 from procmap.bilinear_tomo import (
     CROSS_PAIRS,
     ZeroGamma,
-    build_M_from_dynamics,
     element_table_from_map,
     elements_to_json,
     solve_M_elements,
 )
-from procmap.dynamics import ProcessSpec
+from procmap.dynamics import ProcessSpec, build_M_from_dynamics
 from procmap.qstate import (
     IDENTITY_2,
     bloch_vector,

@@ -15,6 +15,7 @@ import procmap
 from procmap import cli, jsonio
 from procmap.bilinear_tomo import NotStrictlyMixed, ZeroGamma
 from procmap.cli import main
+from procmap.dynamics import InvalidMeasurement, ZeroProbabilityOutcome
 from procmap.errors import (
     EXIT_BAD_CONFIG,
     EXIT_MISSING_LABELS,
@@ -23,7 +24,6 @@ from procmap.errors import (
     EXIT_ZERO_PROBABILITY,
 )
 from procmap.linear_tomo import NotAFrame
-from procmap.prep import InvalidMeasurement, ZeroProbabilityOutcome
 from procmap.qstate import bloch_vector
 from procmap.records import LINEAR4_LABELS, TWELVE_STATE_LABELS, Dataset, MissingRecord, state_of_label
 from procmap.scenarios import ScenarioError, demo_scenario_config, parse_scenario, simulate_scenario
@@ -371,6 +371,12 @@ def drop_entries(obj, label, side, count):
     return obj
 
 
+def set_label(obj, index, label):
+    """Give record `index` the label `label`."""
+    obj["records"][index]["label"] = label
+    return obj
+
+
 def equal_linear_inputs(obj):
     """Give every linear-protocol record the input of the first."""
     first = next(r for r in obj["records"] if r["label"] == LINEAR4_LABELS[0])
@@ -425,10 +431,12 @@ def resize_records(obj, labels, dim):
          "record '3+' input: matrix shapes must all be 2x2 with 4 [re, im] pairs, got 3x2 with 4"),
         (lambda obj: drop_entries(obj, "4+", "input", 1), ["verify", "linear", "bilinear"],
          "record '4+' input: matrix shapes must all be 2x2 with 4 [re, im] pairs, got 2x2 with 3"),
+        (lambda obj: set_label(obj, 1, 5), ["verify", "linear", "bilinear"], "record 1 has label 5, not a JSON string"),
     ],
     ids=["all-1x1", "one-3x3", "metadata-list", "gamma-7", "gamma-negative", "gamma-true", "gamma-string",
          "rows-string-cols-float", "rows-true", "entry-string-and-bool", "input-7", "output-7", "output-not-hermitian",
-         "input-of-record-1", "equal-linear-inputs", "mixed-input-not-positive", "entry-nan", "rows-3", "data-short"],
+         "input-of-record-1", "equal-linear-inputs", "mixed-input-not-positive", "entry-nan", "rows-3", "data-short",
+         "label-integer"],
 )
 def test_malformed_dataset_is_bad_config(edit, commands, word, tmp_path, capsys):
     path = write_dataset(tmp_path, edit(simulate(tmp_path, capsys)))
@@ -695,6 +703,11 @@ def test_finite_shot_dataset_is_seeded(tmp_path, capsys):
     assert (metadata["shots"], metadata["seed"]) == ("1000", "7")
 
 
+def test_finite_shot_dataset_re_emits_byte_for_byte(tmp_path, capsys):
+    raw = simulate_shots(tmp_path, capsys, 1000, 7, "dataset.json")
+    assert jsonio.dumps(Dataset.from_json(json.loads(raw)).to_json()) == raw
+
+
 def test_finite_shot_outputs_are_shot_counts(tmp_path, capsys):
     obj = json.loads(simulate_shots(tmp_path, capsys, 1000, 7, "dataset.json"))
     gammas = {}
@@ -704,6 +717,14 @@ def test_finite_shot_outputs_are_shot_counts(tmp_path, capsys):
         gammas[rec["label"]] = rec["gamma"]
     for direction in "123456":
         assert gammas[f"{direction}+"] + gammas[f"{direction}-"] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_mixed_record_gamma_is_a_shot_count(tmp_path, capsys):
+    exact = next(rec["gamma"] for rec in simulate(tmp_path, capsys)["records"] if rec["label"] == "mixed")
+    assert abs(1000.0 * exact - round(1000.0 * exact)) > 0.1  # the exact 0.3125 is no count of 1000 shots
+    obj = json.loads(simulate_shots(tmp_path, capsys, 1000, 3, "shots.json"))
+    gamma = next(rec["gamma"] for rec in obj["records"] if rec["label"] == "mixed")
+    assert abs(1000.0 * gamma - round(1000.0 * gamma)) < 1e-9, gamma
 
 
 def test_generalized_preparation_gammas_are_shot_counts(tmp_path, capsys):

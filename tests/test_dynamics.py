@@ -15,16 +15,19 @@ from helpers import (
     reference_dynamical_map,
     va_spec,
 )
-from procmap.bilinear_tomo import build_M_from_dynamics
 from procmap.dynamics import (
+    MAX_GAMMA,
+    InvalidMeasurement,
     ProcessSpec,
+    build_M_from_dynamics,
     correlated_pair_state,
     heisenberg_hamiltonian,
+    prepare_generalized,
     run_process,
+    superoperator,
     unitary_from_hamiltonian,
 )
 from procmap.linear_tomo import apply_linear_map
-from procmap.prep import MAX_GAMMA, InvalidMeasurement, prepare_generalized, superoperator
 from procmap.records import TWELVE_STATE_LABELS, state_of_label
 from procmap.qstate import (
     IDENTITY_2,

@@ -32,9 +32,9 @@ from helpers import (
     va_spec,
 )
 from procmap import jsonio
-from procmap.dynamics import ProcessSpec
-from procmap.prep import (
+from procmap.dynamics import (
     InvalidMeasurement,
+    ProcessSpec,
     ZeroProbabilityOutcome,
     check_completeness,
     prepare_generalized,

@@ -11,9 +11,14 @@ import numpy as np
 import pytest
 
 from helpers import rand_density, rand_unitary, random_scenario, reference_simulate, va_spec
-from procmap.bilinear_tomo import build_M_from_dynamics
-from procmap.dynamics import ProcessSpec, run_process
-from procmap.prep import ZeroProbabilityOutcome, prepare_generalized, superoperator
+from procmap.dynamics import (
+    ProcessSpec,
+    ZeroProbabilityOutcome,
+    build_M_from_dynamics,
+    prepare_generalized,
+    run_process,
+    superoperator,
+)
 from procmap.records import TWELVE_STATE_LABELS, state_of_label
 from procmap.scenarios import DEMO_NAMES, demo_scenario_config, parse_scenario, simulate_scenario
 
