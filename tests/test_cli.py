@@ -467,12 +467,18 @@ def test_tolerance_must_be_finite_and_non_negative(option, value, tmp_path, caps
         ["verify", "{dataset}", "--out", "{missing}"],
         ["verify", "{dataset}", "--out", "{directory}"],
         ["demo", "imperfect-pin", "--out", "{dataset}"],
+        ["simulate", "{scenario}", "--out", ""],
+        ["tomo", "{dataset}", "--mode", "linear", "--out", ""],
+        ["demo", "imperfect-pin", "--out", ""],
     ],
     ids=["simulate-missing-dir", "linear-missing-dir", "bilinear-missing-dir", "verify-missing-dir",
-         "verify-directory", "demo-onto-a-file"],
+         "verify-directory", "demo-onto-a-file", "simulate-empty", "linear-empty", "demo-empty"],
 )
-def test_unwritable_out_is_bad_config(command, tmp_path, capsys):
+def test_unwritable_out_is_bad_config(command, tmp_path, capsys, monkeypatch):
+    # An empty --out is neither stdout nor the working directory.
+    monkeypatch.chdir(tmp_path)
     simulate(tmp_path, capsys)
+    before = sorted(tmp_path.iterdir())
     paths = {
         "scenario": tmp_path / "scenario.json",
         "dataset": tmp_path / "dataset.json",
@@ -482,6 +488,91 @@ def test_unwritable_out_is_bad_config(command, tmp_path, capsys):
     code, err = run([arg.format(**paths) for arg in command], capsys)
     assert code == EXIT_BAD_CONFIG
     assert "cannot write" in err, err
+    assert capsys.readouterr().out == ""
+    assert sorted(tmp_path.iterdir()) == before
+
+
+BUNDLE_FILES = ("scenario.json", "dataset.json", "linear_map.json", "m_elements.json", "report.json", "analysis.json")
+
+
+def write_chain(directory, capsys):
+    """simulate, both tomo modes, verify and demo with every --out in `directory`; their names."""
+    d = {name: directory / f"{name}.json" for name in ("dataset", "linear", "bilinear", "report")}
+    for argv in (
+        ["simulate", directory / "scenario.json", "--out", d["dataset"]],
+        ["tomo", d["dataset"], "--mode", "linear", "--out", d["linear"]],
+        ["tomo", d["dataset"], "--mode", "bilinear", "--out", d["bilinear"]],
+        ["verify", d["dataset"], "--out", d["report"]],
+        ["demo", "imperfect-pin", "--out", directory / "bundle"],
+    ):
+        assert run(argv, capsys)[0] == EXIT_OK
+    return [*(f"{name}.json" for name in d), *(f"bundle/{name}" for name in BUNDLE_FILES)]
+
+
+def chain_dirs(tmp_path):
+    fresh, junk = tmp_path / "fresh", tmp_path / "junk"
+    for directory in (fresh, junk):
+        (directory / "bundle").mkdir(parents=True)
+        (directory / "scenario.json").write_text(jsonio.dumps(MEASUREMENT))
+    return fresh, junk
+
+
+def test_shorter_artifact_over_a_longer_file_leaves_no_tail(tmp_path, capsys):
+    fresh, junk = chain_dirs(tmp_path)
+    names = write_chain(fresh, capsys)
+    for name in names:
+        (junk / name).write_bytes(bytes(range(256)) * 12_000)  # 3 MB, longer than any artifact
+    assert write_chain(junk, capsys) == names
+    for name in names:
+        assert (junk / name).read_bytes() == (fresh / name).read_bytes(), name
+
+
+def test_out_is_never_opened_with_o_trunc(tmp_path, capsys, monkeypatch):
+    fresh, junk = chain_dirs(tmp_path)
+    names = write_chain(fresh, capsys)
+    for name in names:
+        (junk / name).write_bytes((fresh / name).read_bytes() * 2)
+    opened, os_open = [], os.open
+
+    def recording_open(path, flags, *args, **kwargs):
+        opened.append((Path(path), flags))
+        return os_open(path, flags, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", recording_open)
+    write_chain(junk, capsys)
+    assert {junk / name for name in names} <= {path for path, _ in opened}
+    assert not [path for path, flags in opened if flags & os.O_TRUNC]
+
+
+def test_overwrite_keeps_inode_mode_and_symlink(tmp_path, capsys):
+    simulate(tmp_path, capsys)
+    dataset = tmp_path / "dataset.json"
+    report, target, link = tmp_path / "report.json", tmp_path / "target.json", tmp_path / "link.json"
+    report.write_bytes(b"x" * 100_000)
+    report.chmod(0o600)
+    inode = report.stat().st_ino
+    target.write_bytes(b"x" * 100_000)
+    link.symlink_to(target.name)
+    for out in (report, link):
+        assert run(["verify", dataset, "--out", out], capsys)[0] == EXIT_OK
+    assert (report.stat().st_ino, report.stat().st_mode & 0o777) == (inode, 0o600)
+    assert link.is_symlink() and os.readlink(link) == target.name
+    assert target.read_bytes() == report.read_bytes()
+    assert json.loads(report.read_text())["verdict"] == "Bilinear"
+
+
+@pytest.mark.skipif(not Path("/dev/stdout").exists(), reason="needs /dev/null and /dev/stdout")
+def test_non_regular_out_is_written_untruncated(tmp_path, capsys):
+    simulate(tmp_path, capsys)
+    dataset = tmp_path / "dataset.json"
+    assert run(["tomo", dataset, "--mode", "linear", "--out", "/dev/null"], capsys) == (EXIT_OK, "")
+    assert main(["tomo", str(dataset), "--mode", "linear"]) == EXIT_OK
+    expected = capsys.readouterr().out
+    # Through a pipe: ftruncate would fail on it.
+    env = {**os.environ, "PYTHONPATH": str(Path(procmap.__file__).resolve().parents[1])}
+    argv = [sys.executable, "-m", "procmap.cli", "tomo", dataset, "--mode", "linear", "--out", "/dev/stdout"]
+    proc = subprocess.run(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", expected)
 
 
 def test_one_parser_serves_every_call_in_a_process(tmp_path, capsys):
