@@ -226,6 +226,10 @@ def cmd_demo(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    return _build_parsers()[0]
+
+
+def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     parser = argparse.ArgumentParser(
         prog="procmap",
         description="Simulate, reconstruct, and verify open-system process maps.",
@@ -257,15 +261,27 @@ def build_parser() -> argparse.ArgumentParser:
     p_demo.add_argument("--out", help="bundle directory (default: ./<name>)")
     p_demo.set_defaults(func=cmd_demo)
 
-    return parser
+    return parser, sub.choices
 
 
-# Parsing leaves the parser as it was, so one serves every call in a process.
-_parser = functools.cache(build_parser)
+# Parsing leaves the parsers as they were, so one set serves every call in a process.
+_parsers = functools.cache(_build_parsers)
+
+
+def _parse_args(argv) -> argparse.Namespace:
+    """`build_parser().parse_args(argv)`, parsing a command's arguments with its own sub-parser only."""
+    parser, commands = _parsers()
+    argv = sys.argv[1:] if argv is None else argv
+    if not argv or argv[0] not in commands:
+        return parser.parse_args(argv)
+    args, extras = commands[argv[0]].parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extras:  # the top-level parser reports leftovers, under its own usage
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parse_args(argv)
     try:
         return args.func(args)
     except ProcmapError as exc:

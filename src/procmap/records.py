@@ -11,12 +11,14 @@ order; bilinear9, both labels of 1, 2, 3 and 4+, 5+, 6+; linear4, 1-, 1+, 2+,
 3+.  A bi-linear dataset may add a record labeled `MIXED_LABEL`.
 A `Dataset` holds its records as stacked arrays, record i being (labels[i],
 inputs[i], outputs[i], gammas[i]); `Dataset.subset` selects a protocol's records
-by label, and `fit` reads the stacks directly.  `Dataset.from_json` requires each label to be
-a JSON string and each gamma to lie in [0, `dynamics.MAX_GAMMA`], the preparation's own bound.
+by label, and `fit` reads the stacks directly, factoring each distinct design once per process (a protocol
+fixes its inputs).  `Dataset.from_json` requires each label to be a JSON string and each gamma to lie in [0,
+`dynamics.MAX_GAMMA`], the preparation's own bound.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -158,7 +160,8 @@ def _check_states(labels, mats) -> None:
 
     `mats` stacks the records' inputs, then their outputs, (2k, 2, 2).  A protocol label's input must
     be the projector the label prepares, and any other input a density matrix.  An output must be
-    Hermitian with unit trace but need not be positive: shot estimates can leave the Bloch ball.
+    Hermitian with unit trace with each Bloch component in [-1, 1], as states and shot estimates
+    2*ups/shots - 1 are, but may leave the Bloch ball: only each component is bounded.
     """
     k = len(labels)
     # Any other label is compared with its own input, so only the density-matrix test can fail it.
@@ -169,10 +172,13 @@ def _check_states(labels, mats) -> None:
         hermitian_unit_trace = np.maximum(adjoint, np.abs(np.trace(mats, axis1=1, axis2=2) - 1.0))
         # For a Hermitian unit-trace qubit matrix, (|Bloch vector| - 1) / 2 is minus its lower eigenvalue.
         negativity = (np.hypot(np.abs(mats[:k, 0, 0] - mats[:k, 1, 1]), 2.0 * np.abs(mats[:k, 0, 1])) - 1.0) / 2.0
+        z, xy = mats[k:, 0, 0] - mats[k:, 1, 1], 2.0 * mats[k:, 0, 1]
+        bloch = np.max(np.abs([z.real, xy.real, xy.imag]), axis=0) - 1.0
         tests = (
             ("input is not the state its label prepares", np.abs(mats[:k] - expected).max(axis=(1, 2))),
             ("input is not a density matrix", np.where(other, np.maximum(hermitian_unit_trace[:k], negativity), 0.0)),
             ("output is not Hermitian with unit trace", hermitian_unit_trace[k:]),
+            ("output has a Bloch component outside [-1, 1]", bloch),
         )
     for what, deviation in tests:
         ok = deviation <= STATE_TOL  # a NaN deviation fails too
@@ -198,24 +204,32 @@ class Fit:
 def fit(dataset: Dataset, degree: int) -> Fit:
     """One least-squares fit over all records of `dataset`.
 
-    Degree 1 fits Q against vec(P) (Q linear in the input P); degree 2 fits
-    gamma*Q against conj(vec P) (x) vec(P) (gamma*Q sesquilinear in P).  The
-    coefficients are the min-norm solution; `cond` is the condition number of
-    the design over its nonzero singular values.
+    Degree 1 fits Q against vec(P) (Q linear in the input P); degree 2 fits gamma*Q against
+    conj(vec P) (x) vec(P) (gamma*Q sesquilinear in P).  The coefficients are the min-norm solution,
+    pinv(design) @ target for every target, so each distinct design (by its exact bytes) is factored
+    once per process and every fit of it, first or later, applies the same read-only pseudo-inverse:
+    no result depends on what the process fitted before.  `cond` is the condition number of the
+    design over its nonzero singular values.
     """
     if degree not in (1, 2):
         raise ValueError(f"fit degree must be 1 or 2, got {degree}")
     k = len(dataset.labels)
-    design = dataset.inputs.reshape(k, -1)
-    target = dataset.outputs.reshape(k, -1)
+    design = dataset.inputs.reshape(k, 4)
+    target = dataset.outputs.reshape(k, 4)
     if degree == 2:
-        design = (np.conj(design)[:, :, None] * design[:, None, :]).reshape(k, -1)
+        design = (np.conj(design)[:, :, None] * design[:, None, :]).reshape(k, 16)
         target = dataset.gammas[:, None] * target
-    coef, _, rank, sv = np.linalg.lstsq(design, target, rcond=None)
+    pinv, rank, cond = _factor(design.tobytes(), design.shape)
+    coef = np.einsum("ij,jk->ik", pinv, target)  # einsum, not `@`: see bilinear_tomo._PROBES
     misfit = np.max(np.abs(design @ coef - target), axis=1)
-    return Fit(
-        coef=coef,
-        residuals=dict(zip(dataset.labels, misfit.tolist())),
-        rank=int(rank),
-        cond=float(sv[0] / sv[rank - 1]) if rank else math.inf,
-    )
+    return Fit(coef=coef, residuals=dict(zip(dataset.labels, misfit.tolist())), rank=rank, cond=cond)
+
+
+@functools.lru_cache(maxsize=8)
+def _factor(design: bytes, shape: tuple[int, int]) -> tuple[np.ndarray, int, float]:
+    """Read-only pseudo-inverse, rank (numpy's least-squares rule: s > eps*max(shape)*s_max) and cond of a design."""
+    u, s, vh = np.linalg.svd(np.frombuffer(design, dtype=complex).reshape(shape), full_matrices=False)
+    rank = int(np.count_nonzero(s > np.finfo(float).eps * max(shape) * s.max(initial=0.0)))
+    pinv = np.einsum("ji,j,kj->ik", np.conj(vh[:rank]), 1.0 / s[:rank], np.conj(u[:, :rank]))
+    pinv.flags.writeable = False
+    return pinv, rank, float(s[0] / s[rank - 1]) if rank else math.inf

@@ -7,7 +7,9 @@ hand-written Bloch vector of every protocol label (the oracle for
 solutions that the library replaced by one least-squares fit: the
 Hilbert-Schmidt dual frame of linear tomography, and the eight linear sum
 rules and three bi-linear consistency equations of the 12-state
-verification protocol.  It also keeps the per-element paths that bulk
+verification protocol.  That fit itself, one np.linalg.lstsq per call, is
+`reference_fit`, the oracle for the once-per-design factorization in
+`records.fit`.  It also keeps the per-element paths that bulk
 operations replaced: the value-by-value JSON layout (floats by shortest
 repr), the entry-by-entry matrix encoder and decoder, the einsum contraction
 of the process tensor, the matrix-unit loop of the fixed-environment map and
@@ -89,6 +91,7 @@ from procmap.records import (
     PROTOCOL_LABELS,
     TWELVE_STATE_LABELS,
     Dataset,
+    Fit,
     ket_of_label,
     state_of_label,
 )
@@ -618,6 +621,24 @@ def bilinear_consistency_residuals(dataset: Dataset) -> dict[str, float]:
         ) / SQRT2 + gq[plus_label]
         residuals[name] = float(np.max(np.abs(gq[minus_label] - rhs)))
     return residuals
+
+
+def reference_fit(dataset: Dataset, degree: int) -> Fit:
+    """`records.fit` by one np.linalg.lstsq per call, the solver its cached factorization replaced."""
+    k = len(dataset.labels)
+    design = dataset.inputs.reshape(k, 4)
+    target = dataset.outputs.reshape(k, 4)
+    if degree == 2:
+        design = (np.conj(design)[:, :, None] * design[:, None, :]).reshape(k, 16)
+        target = dataset.gammas[:, None] * target
+    coef, _, rank, sv = np.linalg.lstsq(design, target, rcond=None)
+    misfit = np.max(np.abs(design @ coef - target), axis=1)
+    return Fit(
+        coef=coef,
+        residuals=dict(zip(dataset.labels, misfit.tolist())),
+        rank=int(rank),
+        cond=float(sv[0] / sv[rank - 1]) if rank else math.inf,
+    )
 
 
 _NAMED_ESCAPES = {'"': '\\"', "\\": "\\\\", "\n": "\\n", "\r": "\\r", "\t": "\\t", "\b": "\\b", "\f": "\\f"}

@@ -421,6 +421,8 @@ def resize_records(obj, labels, dim):
          "'1+' output is not Hermitian with unit trace"),
         (lambda obj: set_data(obj, "1+", "output", {1: [0.25, 0.0], 2: [-0.25, 0.0]}), ["verify", "linear", "bilinear"],
          "'1+' output is not Hermitian with unit trace"),
+        (lambda obj: set_data(obj, "1+", "output", {1: [1e308, 0.0], 2: [1e308, -0.0]}), ["verify", "linear", "bilinear"],
+         "'1+' output has a Bloch component outside [-1, 1]"),
         (input_of_record_1, ["verify", "linear", "bilinear"], "'1+' input is not the state its label prepares"),
         (equal_linear_inputs, ["linear"], "'1+' input is not the state its label prepares"),
         (lambda obj: set_data(obj, "mixed", "input", {0: [1.5, 0.0], 3: [-0.5, 0.0]}), ["verify", "linear", "bilinear"],
@@ -435,7 +437,7 @@ def resize_records(obj, labels, dim):
     ],
     ids=["all-1x1", "one-3x3", "metadata-list", "gamma-7", "gamma-negative", "gamma-true", "gamma-string",
          "rows-string-cols-float", "rows-true", "entry-string-and-bool", "input-7", "output-7", "output-not-hermitian",
-         "input-of-record-1", "equal-linear-inputs", "mixed-input-not-positive", "entry-nan", "rows-3", "data-short",
+         "output-huge", "input-of-record-1", "equal-linear-inputs", "mixed-input-not-positive", "entry-nan", "rows-3", "data-short",
          "label-integer"],
 )
 def test_malformed_dataset_is_bad_config(edit, commands, word, tmp_path, capsys):
@@ -592,6 +594,60 @@ def test_one_parser_serves_every_call_in_a_process(tmp_path, capsys):
     assert run(["verify", exact, "--out", default], capsys) == (EXIT_OK, "")
     assert json.loads(loose.read_text())["thresholds"]["linear"] == 0.5
     assert json.loads(default.read_text())["thresholds"] == {"linear": 1e-6, "bilinear": 1e-6}
+
+
+PARSE_CASES = {
+    "none": [],
+    "help": ["-h"],
+    "help-long": ["--help"],
+    "help-before-command": ["-h", "verify"],
+    "unknown-command": ["bogus", "d.json"],
+    "option-first": ["--out", "x", "verify", "d.json"],
+    "command-help": ["verify", "-h"],
+    "command-help-after-args": ["tomo", "d.json", "--mode", "linear", "--help"],
+    "missing-positional": ["verify"],
+    "missing-required-option": ["tomo", "d.json"],
+    "missing-option-value": ["verify", "d.json", "--tol-linear"],
+    "bad-type": ["simulate", "s.json", "--shots", "many"],
+    "bad-choice": ["tomo", "d.json", "--mode", "cubic"],
+    "leftover-positional": ["verify", "d.json", "extra"],
+    "leftover-option": ["verify", "d.json", "--bogus", "1"],
+    "leftovers-and-missing": ["demo", "--zz"],
+    "leftover-after-dashes": ["verify", "d.json", "--", "extra"],
+    "dashes-before-command": ["--", "verify", "d.json"],
+    "dashes-after-command": ["verify", "--", "d.json"],
+    "abbreviated-option": ["verify", "d.json", "--tol-l", "0.5"],
+    "ambiguous-abbreviation": ["verify", "d.json", "--tol", "0.5"],
+    "equals-form": ["tomo", "d.json", "--mode=bilinear", "--out=o.json"],
+    "negative-number": ["simulate", "s.json", "--shots", "-5", "--seed", "-1"],
+    "repeated-option": ["simulate", "s.json", "--seed", "1", "--seed", "2"],
+    "full": ["verify", "d.json", "--tol-linear", "1e-3", "--tol-bilinear", "2e-3", "--out", "r.json"],
+    "demo": ["demo", "imperfect-pin", "--out", "bundle"],
+}
+
+
+def parse_outcome(parse, argv, capsys) -> tuple:
+    """(exit code, namespace, stdout, stderr) of one parse; the code is None when it returned."""
+    try:
+        code, namespace = None, parse(None if argv is None else list(argv))
+    except SystemExit as exc:
+        code, namespace = exc.code, None
+    return (code, namespace, *capsys.readouterr())
+
+
+@pytest.mark.parametrize("argv", PARSE_CASES.values(), ids=PARSE_CASES)
+def test_command_parsing_matches_the_top_level_parser(argv, capsys, monkeypatch):
+    expected = parse_outcome(cli.build_parser().parse_args, argv, capsys)
+    assert parse_outcome(cli._parse_args, argv, capsys) == expected
+    monkeypatch.setattr(sys, "argv", ["procmap", *argv])
+    assert parse_outcome(cli._parse_args, None, capsys) == expected
+
+
+def test_leftover_arguments_are_reported_by_the_top_level_parser(capsys):
+    code, _, out, err = parse_outcome(cli._parse_args, ["verify", "d.json", "extra", "--bogus"], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: procmap [-h]")
+    assert err.endswith("procmap: error: unrecognized arguments: extra --bogus\n")
 
 
 def test_missing_label_exits_4(tmp_path, capsys):
