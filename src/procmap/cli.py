@@ -7,13 +7,16 @@ set).  Exit codes, each the `exit_code` of the `ProcmapError` subclasses named:
   2  ScenarioError, InvalidMeasurement, NotStrictlyMixed: malformed config or dataset,
      including a matrix entry that is not a JSON number (a string or a bool), a record
      state that `Dataset.from_json` does not allow, or an input file that is unreadable,
-     not UTF-8 or not JSON (including an integer over Python's 4,300-digit limit);
+     not UTF-8, not JSON, too deeply nested or with an integer over Python's 4,300-digit limit;
      ProcmapError itself: a --tol-linear or --tol-bilinear that is not a finite
      non-negative number, or an --out that cannot be written (a missing
      directory, an empty path, or for `demo` an existing file)
   3  ZeroProbabilityOutcome, ZeroGamma: zero-probability preparation or record
   4  MissingRecord: missing record labels
   5  NotAFrame: input states that do not form a tomography frame
+
+`tomo` and `verify` decode and check each distinct dataset content once per process: a hit
+needs identical bytes (under any path) and shares one read-only Dataset; errors are never cached.
 
 `tomo --mode bilinear` reports its fit's deviation from the dataset's `oracle`
 table (`oracle_comparison`), which `simulate` writes for measurement preparation
@@ -78,20 +81,41 @@ def _write_output(payload: dict, out: str | None) -> None:
         _write_file(out, text.encode())
 
 
-def _load_json(path: str) -> tuple[bytes, dict]:
-    """The file's bytes, and the JSON object their UTF-8 text holds."""
+def _parse_json(raw: bytes) -> dict:
+    """The JSON object that `raw`, UTF-8 text, holds; a failure raises ScenarioError(before, after), see `_load`."""
     try:
-        raw = Path(path).read_bytes()
         obj = json.loads(raw.decode("utf-8"))
     except UnicodeDecodeError as exc:
-        raise ScenarioError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ScenarioError(f"cannot read JSON from {path}: {exc}") from exc
+        raise ScenarioError("", f" is not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
+    except json.JSONDecodeError as exc:
+        raise ScenarioError("cannot read JSON from ", f": {exc}") from exc
     except ValueError as exc:  # json.loads refuses an integer beyond Python's digit limit
-        raise ScenarioError(f"{path} holds a JSON integer of more than {sys.get_int_max_str_digits()} digits") from exc
+        raise ScenarioError("", f" holds a JSON integer of more than {sys.get_int_max_str_digits()} digits") from exc
+    except RecursionError as exc:
+        raise ScenarioError("", " holds JSON nested too deeply to decode") from exc
     if not isinstance(obj, dict):
-        raise ScenarioError(f"{path} does not hold a JSON object")
-    return raw, obj
+        raise ScenarioError("", " does not hold a JSON object")
+    return obj
+
+
+@functools.lru_cache(maxsize=4)
+def _decode_dataset(raw: bytes) -> Dataset:
+    """The read-only Dataset a file's bytes hold, once per distinct content (a failure is never cached)."""
+    try:  # _parse_json's own ScenarioError is not caught here
+        return Dataset.from_json(_parse_json(raw))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ScenarioError("malformed dataset ", f": {exc}") from exc
+
+
+def _load(path: str, decode) -> tuple:
+    """The file's bytes and decode(bytes); decode's ScenarioError(before, after) becomes before + path + after."""
+    try:
+        raw = Path(path).read_bytes()
+        return raw, decode(raw)
+    except OSError as exc:
+        raise ScenarioError(f"cannot read JSON from {path}: {exc}") from exc
+    except ScenarioError as exc:
+        raise ScenarioError(path.join(exc.args)) from exc
 
 
 def _sha256(data: bytes) -> str:
@@ -100,15 +124,8 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _load_dataset(path: str) -> Dataset:
-    try:  # _load_json's own ScenarioError is not caught here
-        return Dataset.from_json(_load_json(path)[1])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ScenarioError(f"malformed dataset {path}: {exc}") from exc
-
-
 def cmd_simulate(args) -> int:
-    raw, obj = _load_json(args.scenario)
+    raw, obj = _load(args.scenario, _parse_json)
     digest = _sha256(raw)
     del raw  # the scenario's bytes are not kept alive through the simulation
     for key in ("shots", "seed"):
@@ -134,7 +151,7 @@ def _tomo_bilinear(dataset: Dataset) -> dict:
 
 
 def cmd_tomo(args) -> int:
-    dataset = _load_dataset(args.dataset)
+    dataset = _load(args.dataset, _decode_dataset)[1]
     payload = _tomo_linear(dataset) if args.mode == "linear" else _tomo_bilinear(dataset)
     _write_output(payload, args.out)
     return EXIT_OK
@@ -144,7 +161,7 @@ def cmd_verify(args) -> int:
     for option, tol in (("--tol-linear", args.tol_linear), ("--tol-bilinear", args.tol_bilinear)):
         if not (math.isfinite(tol) and tol >= 0):
             raise ProcmapError(f"{option} must be a finite non-negative number, got {tol}")
-    dataset = _load_dataset(args.dataset)
+    dataset = _load(args.dataset, _decode_dataset)[1]
     _write_output(classify(dataset, tol_linear=args.tol_linear, tol_bilinear=args.tol_bilinear), args.out)
     return EXIT_OK
 

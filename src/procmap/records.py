@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import functools
 import math
+import types
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -91,7 +93,7 @@ class Dataset:
     inputs: np.ndarray
     outputs: np.ndarray
     gammas: np.ndarray
-    metadata: dict[str, str] = field(default_factory=dict)
+    metadata: Mapping[str, str] = field(default_factory=dict)
     oracle: np.ndarray | None = None
 
     def __post_init__(self):
@@ -133,6 +135,7 @@ class Dataset:
 
     @staticmethod
     def from_json(obj: dict) -> "Dataset":
+        """The read-only Dataset (arrays and metadata) a JSON object holds; raises KeyError, TypeError or ValueError."""
         entries = obj["records"]
         labels = [entry["label"] for entry in entries]
         gammas = [entry["gamma"] for entry in entries]
@@ -146,13 +149,15 @@ class Dataset:
         metadata = obj.get("metadata", {})
         if not isinstance(metadata, dict):
             raise ValueError(f"metadata must be a JSON object, got {type(metadata).__name__}")
-        metadata = {str(k): str(v) for k, v in metadata.items()}
+        metadata = types.MappingProxyType({str(k): str(v) for k, v in metadata.items()})
         oracle = None
         if "oracle" in obj:
             oracle = jsonio.matrices_from_json([obj["oracle"]], ["oracle"], (10, 4)).reshape(10, 2, 2)
+            oracle.flags.writeable = False
         _check_states(labels, mats)
-        inputs, outputs = mats.reshape(2, -1, 2, 2)
-        return Dataset(tuple(labels), inputs, outputs, gammas, metadata, oracle)
+        gammas = np.array(gammas, dtype=float)
+        mats.flags.writeable = gammas.flags.writeable = False  # and so the views of mats below
+        return Dataset(tuple(labels), *mats.reshape(2, -1, 2, 2), gammas, metadata, oracle)
 
 
 def _check_states(labels, mats) -> None:

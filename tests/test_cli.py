@@ -314,6 +314,16 @@ def test_non_utf8_input_is_bad_config(command, tmp_path, capsys):
     assert "UTF-8" in err
 
 
+@pytest.mark.parametrize("argv", [["simulate"], ["tomo", "--mode", "linear"], ["verify"]], ids=["simulate", "tomo", "verify"])
+def test_deeply_nested_json_is_bad_config(argv, tmp_path, capsys):
+    # Deep enough to exceed the decoder's recursion limit on every supported Python.
+    path = tmp_path / "deep.json"
+    path.write_text('{"records": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    code, err = run([argv[0], path, *argv[1:]], capsys)
+    assert code == EXIT_BAD_CONFIG
+    assert err == f"error: {path} holds JSON nested too deeply to decode\n"
+
+
 def test_complete_generalized_measurement_simulates(tmp_path, capsys):
     simulate(tmp_path, capsys, demo="stochastic-heisenberg", **generalized(0.5, 0.5))
 
@@ -774,6 +784,70 @@ def test_stored_oracle_detects_a_perturbed_record(tmp_path, capsys):
     code, _, out = tomo_bilinear_output(tmp_path, capsys, obj)
     assert code == EXIT_OK
     assert json.loads(out)["oracle_comparison"]["max_element_deviation"] > 1e-4
+
+
+def test_each_dataset_content_is_decoded_once(tmp_path, capsys, monkeypatch):
+    simulate(tmp_path, capsys)
+    calls = []
+    from_json = Dataset.from_json
+    monkeypatch.setattr(Dataset, "from_json", staticmethod(lambda obj: calls.append(obj) or from_json(obj)))
+    cli._decode_dataset.cache_clear()
+    dataset = tmp_path / "dataset.json"
+    for argv in (["tomo", dataset, "--mode", "linear"], ["tomo", dataset, "--mode", "bilinear"], ["verify", dataset]):
+        assert run(argv, capsys)[0] == EXIT_OK
+    assert len(calls) == 1
+
+
+def test_a_changed_byte_is_decoded_afresh(tmp_path, capsys):
+    # The same path, read again after one output entry moved, must give the new records' fit.
+    obj = simulate(tmp_path, capsys)
+    code, _, out = tomo_bilinear_output(tmp_path, capsys, obj)
+    assert code == EXIT_OK and json.loads(out)["oracle_comparison"]["max_element_deviation"] < 1e-10
+    record = next(rec for rec in obj["records"] if rec["label"] == "4+")
+    record["output"]["data"][1][0] += 1e-3
+    record["output"]["data"][2][0] += 1e-3
+    code, _, out = tomo_bilinear_output(tmp_path, capsys, obj)
+    assert code == EXIT_OK and json.loads(out)["oracle_comparison"]["max_element_deviation"] > 1e-4
+
+
+def test_failures_are_not_cached_and_hits_do_not_depend_on_the_path(tmp_path, capsys):
+    good = simulate(tmp_path, capsys)
+    bad_bytes = {
+        "cannot read JSON from": jsonio.dumps(good)[:-20].encode(),
+        "malformed dataset": json.dumps(set_gamma(json.loads(jsonio.dumps(good)), "1+", 7.0)).encode(),
+    }
+    for words, raw in bad_bytes.items():
+        for name in ("a.json", "b.json", "a.json"):
+            path = tmp_path / name
+            path.write_bytes(raw)
+            code, err = run(["verify", path], capsys)
+            assert code == EXIT_BAD_CONFIG and err.startswith(f"error: {words} {path}"), err
+    assert cli._decode_dataset.cache_info().currsize == 0
+    cli._decode_dataset.cache_clear()
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    for path in (first, second):
+        path.write_text(jsonio.dumps(good))
+    outputs = []
+    for path in (first, second):
+        assert main(["verify", str(path)]) == EXIT_OK
+        outputs.append(capsys.readouterr())
+    info = cli._decode_dataset.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
+    assert outputs[0] == outputs[1] and outputs[1].err == ""
+    assert first.name not in outputs[1].out
+
+
+def test_cached_dataset_is_read_only(tmp_path, capsys):
+    simulate(tmp_path, capsys)
+    raw = (tmp_path / "dataset.json").read_bytes()
+    dataset = cli._decode_dataset(raw)
+    assert cli._decode_dataset(bytes(bytearray(raw))) is dataset
+    for stack in (dataset.inputs, dataset.outputs, dataset.gammas, dataset.oracle):
+        with pytest.raises(ValueError, match="read-only"):
+            stack[0] = 0.0
+    with pytest.raises(TypeError):
+        dataset.metadata["shots"] = "1"
+    assert dataset.subset(LINEAR4_LABELS).to_json()["metadata"] == dict(dataset.metadata)
 
 
 def test_pure_mixed_record_is_bad_config(tmp_path, capsys):

@@ -17,7 +17,7 @@ from helpers import (
     stochastic_records,
     va_spec,
 )
-from procmap import jsonio, records
+from procmap import cli, jsonio, records
 from procmap.cli import main
 from procmap.linear_tomo import reconstruct_linear_map
 from procmap.records import (
@@ -175,6 +175,7 @@ def test_fresh_process_output_equals_warm_in_process_output(tmp_path, capsys):
     for argv in commands:
         assert main(argv) == 0
     expected = capsys.readouterr().out
+    assert cli._decode_dataset.cache_info().hits > 0  # the warm side reuses decoded datasets too
     env = {**os.environ, "PYTHONPATH": str(Path(procmap.__file__).resolve().parents[1])}
     code = "import json, sys\nfrom procmap.cli import main\nfor argv in json.loads(sys.argv[1]):\n    main(argv)"
     proc = subprocess.run([sys.executable, "-c", code, json.dumps(commands)], capture_output=True, text=True,
