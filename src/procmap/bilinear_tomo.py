@@ -24,8 +24,8 @@ import numpy as np
 
 from . import jsonio
 from .dynamics import ZeroProbabilityOutcome
-from .errors import ProcmapError
-from .qstate import IDENTITY_2, PAULIS, pauli_decompose
+from .errors import ProcmapError, shown
+from .qstate import IDENTITY_2, PAULIS, bloch_vector
 from .records import MIXED_LABEL, NINE_STATE_LABELS, Dataset, fit
 
 CROSS_PAIRS = ((1, 2), (1, 3), (2, 3))
@@ -94,15 +94,15 @@ def solve_M_elements(dataset: Dataset) -> np.ndarray:
     mixed = MIXED_LABEL in dataset.labels
     fitted = dataset.subset(NINE_STATE_LABELS + ((MIXED_LABEL,) if mixed else ()))
     if mixed:
-        _, half_p = pauli_decompose(fitted.inputs[-1])
-        norm_sq = 4.0 * float(np.dot(half_p, half_p))
+        p = bloch_vector(fitted.inputs[-1])
+        norm_sq = float(np.dot(p, p))
         if norm_sq >= 1.0 - 1e-10:
             raise NotStrictlyMixed(
                 f"record {MIXED_LABEL!r} has input Bloch norm {np.sqrt(norm_sq):.6f}, not strictly below 1"
             )
     for label, gamma in zip(fitted.labels, fitted.gammas.tolist()):
         if gamma <= 0:
-            raise ZeroGamma(f"record {label!r} has gamma = {gamma}")
+            raise ZeroGamma(f"record {shown(label)} has gamma = {gamma}")
 
     # Nine records resolve the first nine elements; a mixed record adds the tenth, <1|M|1>.
     elements = np.einsum("ei,ik->ek", _PROBES[: len(fitted.labels)], fit(fitted, degree=2).coef)

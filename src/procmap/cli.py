@@ -2,7 +2,8 @@
 
 stdout carries JSON only: every artifact is one JSON line (`python -m json.tool FILE` indents
 it).  Human diagnostics go to stderr (ANSI-colored on a terminal unless PROCMAP_NO_COLOR is
-set).  Exit codes, each the `exit_code` of the `ProcmapError` subclasses named:
+set), one line each, and a value read from input is shown cut to a fixed size (`errors.shown`).
+Exit codes, each the `exit_code` of the `ProcmapError` subclasses named:
   0  success
   2  ScenarioError, InvalidMeasurement, NotStrictlyMixed: malformed config or dataset,
      including a matrix entry that is not a JSON number (a string or a bool), a record
@@ -224,7 +225,7 @@ def cmd_demo(args) -> int:
     artifacts = {
         "dataset.json": dataset.to_json(),
         "linear_map.json": {"map": map_to_json(lam), "diagnostics": diag},
-        "m_elements.json": _tomo_bilinear(dataset)["elements"],
+        "m_elements.json": elements_to_json(solve_M_elements(dataset)),
         "report.json": report,
         "analysis.json": analysis,
     }

@@ -13,6 +13,8 @@ from itertools import chain
 
 import numpy as np
 
+from .errors import shown
+
 
 def dumps(obj) -> str:
     """Serialize `obj` to a deterministic one-line JSON string (trailing newline)."""
@@ -38,7 +40,7 @@ def matrices_from_json(objs, names=(), shape=None) -> np.ndarray:
     """Decode `matrix_to_json` encodings, each of `shape` (by default the first's), into an (n, rows, cols) array.
 
     Entries must be finite JSON numbers.  One pass checks the entries of all matrices; only when a check
-    fails is each matrix decoded alone, so that the ValueError can lead with its name in `names`.
+    fails is each matrix decoded alone, so that the ValueError can lead with its name in `names` (read only then).
     """
     objs = list(objs)
     try:
@@ -48,11 +50,12 @@ def matrices_from_json(objs, names=(), shape=None) -> np.ndarray:
             except (KeyError, TypeError) as exc:
                 raise ValueError(f"malformed matrix JSON: {exc}") from exc
             if type(rows) is not int or type(cols) is not int or rows <= 0 or cols <= 0:
-                raise ValueError(f"matrix rows and cols must be positive JSON integers, got {rows!r} and {cols!r}")
+                raise ValueError("matrix rows and cols must be positive JSON integers, "
+                                 f"got {shown(rows)} and {shown(cols)}")
             shape = shape or (rows, cols)
             if (rows, cols) != shape or length != rows * cols:
                 raise ValueError(f"matrix shapes must all be {shape[0]}x{shape[1]} with {shape[0] * shape[1]} "
-                                 f"[re, im] pairs, got {rows}x{cols} with {length}")
+                                 f"[re, im] pairs, got {shown(rows)}x{shown(cols)} with {length}")
         datas = [obj["data"] for obj in objs]
         try:  # every per-entry pass runs in C
             lengths, flat = set(map(len, chain(*datas))), list(chain.from_iterable(chain(*datas)))
@@ -62,7 +65,7 @@ def matrices_from_json(objs, names=(), shape=None) -> np.ndarray:
             raise ValueError("matrix data entries must be [re, im] pairs")
         if not set(map(type, flat)) <= {int, float}:
             bad = next(x for x in flat if type(x) not in (int, float))
-            raise ValueError(f"matrix entries must be JSON numbers, got {bad!r}")
+            raise ValueError(f"matrix entries must be JSON numbers, got {shown(bad)}")
         try:
             values = np.fromiter(flat, float, count=len(flat))
         except OverflowError:  # an integer beyond the float range

@@ -1,9 +1,10 @@
 """Dense complex-matrix kernels and qubit-state helpers shared by all modules.
 
-All operations are pure functions on numpy arrays; `dagger`, `hermiticity_residual` and the
-Pauli and Bloch helpers also take stacks of matrices (..., n, n) and of 3-vectors (..., 3).  States
-are plain complex ndarrays and validation is explicit (call `validate_density_matrix` /
-`validate_unitary` where a guarantee is needed) so intermediate unnormalized matrices flow freely.
+All operations are pure functions on numpy arrays; `dagger`, `hermiticity_residual` and the Bloch pair
+`state_from_bloch` / `bloch_vector`, the only coordinate helpers (a qubit operator as b_j = Tr(rho sigma_j)),
+also take stacks of matrices (..., n, n) and of 3-vectors (..., 3).  States are plain complex ndarrays and
+validation is explicit (call `validate_density_matrix` / `validate_unitary` where a guarantee is needed)
+so intermediate unnormalized matrices flow freely.
 """
 
 from __future__ import annotations
@@ -39,36 +40,23 @@ def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
 
 
-def pauli_combination(a0: float, a: np.ndarray) -> np.ndarray:
-    """Hermitian combination a0*1 + sum_j a_j sigma_j; a stack of vectors a (..., 3) gives a stack of matrices."""
-    a = np.asarray(a, dtype=float)
-    out = a0 * np.broadcast_to(IDENTITY_2, a.shape[:-1] + (2, 2))
-    for j, sigma in enumerate(PAULIS):
-        out = out + a[..., j, None, None] * sigma
-    return out
-
-
 def state_from_bloch(b) -> np.ndarray:
     """Qubit state (1/2)(1 + sum_j b_j sigma_j), or a stack of them for b (..., 3); a projector when |b| = 1."""
-    return 0.5 * pauli_combination(1.0, np.asarray(b, dtype=float))
-
-
-def pauli_decompose(mat: np.ndarray) -> tuple[float, np.ndarray]:
-    """Coefficients (a0, a) with mat = a0*1 + sum_j a_j sigma_j, per matrix of a stack; each must be Hermitian."""
-    mat = np.asarray(mat, dtype=complex)
-    if mat.shape[-2:] != (2, 2):
-        raise ValueError(f"expected a 2x2 matrix, got shape {mat.shape}")
-    if hermiticity_residual(mat) > STATE_TOL:
-        raise ValueError("matrix is not Hermitian within tolerance")
-    a0 = 0.5 * np.trace(mat, axis1=-2, axis2=-1).real
-    a = np.stack([0.5 * np.trace(mat @ sigma, axis1=-2, axis2=-1).real for sigma in PAULIS], axis=-1)
-    return a0, a
+    b = np.asarray(b, dtype=float)
+    out = np.broadcast_to(IDENTITY_2, b.shape[:-1] + (2, 2))
+    for j, sigma in enumerate(PAULIS):
+        out = out + b[..., j, None, None] * sigma
+    return 0.5 * out
 
 
 def bloch_vector(rho: np.ndarray) -> np.ndarray:
-    """Bloch vector b of a qubit operator written as (1/2)(tr[rho] + b.sigma); b (..., 3) for a stack (..., 2, 2)."""
-    _, a = pauli_decompose(rho)
-    return 2.0 * a
+    """Bloch vector b_j = Tr(rho sigma_j) of a Hermitian rho = (1/2)(tr[rho] + b.sigma); b (..., 3) for a stack."""
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape[-2:] != (2, 2):
+        raise ValueError(f"expected a 2x2 matrix, got shape {rho.shape}")
+    if hermiticity_residual(rho) > STATE_TOL:
+        raise ValueError("matrix is not Hermitian within tolerance")
+    return np.einsum("...ij,kji->...k", rho, PAULIS).real  # einsum, not `@`: see bilinear_tomo._PROBES
 
 
 def hermiticity_residual(mat: np.ndarray) -> float:

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import jsonio
 from .dynamics import MAX_GAMMA
-from .errors import EXIT_MISSING_LABELS, ProcmapError
+from .errors import EXIT_MISSING_LABELS, ProcmapError, shown
 from .qstate import STATE_TOL, state_from_bloch
 
 _DIAGONAL = 1.0 / math.sqrt(2.0)
@@ -107,7 +107,7 @@ class Dataset:
         seen: set[str] = set()
         for label in self.labels:
             if label in seen:
-                raise ValueError(f"record labels must be unique; {label!r} repeats")
+                raise ValueError(f"record labels must be unique; {shown(label)} repeats")
             seen.add(label)
 
     def subset(self, labels) -> "Dataset":
@@ -141,10 +141,10 @@ class Dataset:
         gammas = [entry["gamma"] for entry in entries]
         for i, (label, gamma) in enumerate(zip(labels, gammas)):
             if type(label) is not str:
-                raise ValueError(f"record {i} has label {label!r}, not a JSON string")
+                raise ValueError(f"record {i} has label {shown(label)}, not a JSON string")
             if type(gamma) not in (int, float) or not 0.0 <= gamma <= MAX_GAMMA:
-                raise ValueError(f"record {label!r} has gamma {gamma!r}, not a JSON number in [0, 1]")
-        names = [f"record {label!r} {side}" for side in ("input", "output") for label in labels]
+                raise ValueError(f"record {shown(label)} has gamma {shown(gamma)}, not a JSON number in [0, 1]")
+        names = (f"record {shown(label)} {side}" for side in ("input", "output") for label in labels)
         mats = jsonio.matrices_from_json([e[side] for side in ("input", "output") for e in entries], names, (2, 2))
         metadata = obj.get("metadata", {})
         if not isinstance(metadata, dict):
@@ -189,7 +189,7 @@ def _check_states(labels, mats) -> None:
         ok = deviation <= STATE_TOL  # a NaN deviation fails too
         if not ok.all():
             i = int(np.argmin(ok))
-            raise ValueError(f"record {labels[i]!r} {what} (deviation {deviation[i]:.3e})")
+            raise ValueError(f"record {shown(labels[i])} {what} (deviation {deviation[i]:.3e})")
 
 
 @dataclass(frozen=True)

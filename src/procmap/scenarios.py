@@ -30,7 +30,7 @@ from . import jsonio
 from .bilinear_tomo import element_table_from_map
 from .dynamics import (ProcessSpec, build_M_from_dynamics, check_completeness, correlated_pair_state,
                        heisenberg_hamiltonian, prepare_generalized, run_process, superoperator, unitary_from_hamiltonian)
-from .errors import ProcmapError
+from .errors import ProcmapError, shown
 from .qstate import DIM_SYS, SIGMA_1, SIGMA_3, bloch_vector, state_from_bloch, tensor
 from .records import (DIRECTIONS, MIXED_LABEL, PROTOCOL_LABELS, TWELVE_STATE_LABELS, Dataset, ket_of_label,
                       state_of_label)
@@ -77,32 +77,27 @@ def _integer(obj: dict, key: str, default: int | None) -> int | None:
     if value is None and default is None:
         return None
     if type(value) is not int:
-        raise ScenarioError(f"{key} must be a JSON integer, got {value!r}")
+        raise ScenarioError(f"{key} must be a JSON integer, got {shown(value)}")
     return value
 
 
 def _finite(value, what: str) -> float:
     """`value` as a float when it is a finite JSON number (not a bool); errors name `what`."""
     if type(value) not in (int, float):
-        raise ScenarioError(f"{what} must be a JSON number, got {value!r}")
+        raise ScenarioError(f"{what} must be a JSON number, got {shown(value)}")
     try:
         number = float(value)
     except OverflowError:  # an integer beyond the float range
         number = math.inf
     if not math.isfinite(number):
-        raise ScenarioError(f"{what} must be finite, got {value}")
+        raise ScenarioError(f"{what} must be finite, got {shown(value)}")
     return number
-
-
-def _number(obj: dict, key: str, default: float) -> float:
-    """obj[key] when it is a finite JSON number (not a bool), else `default` when absent."""
-    return _finite(obj.get(key, default), key)
 
 
 def _bloch(value, what: str) -> np.ndarray:
     """A list of exactly three finite JSON numbers, as a float vector; errors name `what`."""
     if not isinstance(value, list) or len(value) != 3:
-        raise ScenarioError(f"{what} must be a list of three JSON numbers, got {value!r}")
+        raise ScenarioError(f"{what} must be a list of three JSON numbers, got {shown(value)}")
     return np.array([_finite(x, f"{what}[{i}]") for i, x in enumerate(value)])
 
 
@@ -128,7 +123,7 @@ def parse_scenario(obj: dict, name: str = "scenario") -> Scenario:
         dim_sys = _integer(obj, "dimA", 2)
         dim_env = _integer(obj, "dimB", 2)
         if dim_sys != DIM_SYS:
-            raise ScenarioError(f"dimA must be {DIM_SYS}, got {dim_sys}: every protocol is qubit-only")
+            raise ScenarioError(f"dimA must be {DIM_SYS}, got {shown(dim_sys)}: every protocol is qubit-only")
         if dim_env <= 0:
             raise ScenarioError("dimB must be positive")
 
@@ -142,16 +137,16 @@ def parse_scenario(obj: dict, name: str = "scenario") -> Scenario:
             joint = (DIM_SYS * dim_env,) * 2
             if hamiltonian.shape != joint:
                 raise ScenarioError(f"hamiltonian has shape {hamiltonian.shape}, expected {joint}")
-        t = _number(obj, "t", 0.0)
+        t = _finite(obj.get("t", 0.0), "t")
 
         g_obj = obj["gamma0"]
         if isinstance(g_obj, dict) and "bloch_a" in g_obj:
-            bloch_a, c23 = _bloch(g_obj["bloch_a"], "gamma0.bloch_a"), _number(g_obj, "c23", 0.0)
+            bloch_a, c23 = _bloch(g_obj["bloch_a"], "gamma0.bloch_a"), _finite(g_obj.get("c23", 0.0), "c23")
             # Expectations in gamma0, so at most 1; refused before correlated_pair_state can overflow with a warning.
             for key, size in (("bloch_a", math.hypot(*bloch_a)), ("c23", abs(c23))):
                 if size > 1.0:
                     raise ScenarioError(f"gamma0.{key} has size {size:.6g} above 1: gamma0 has a negative eigenvalue")
-            gamma0 = correlated_pair_state(bloch_a, c23, what="gamma0")
+            gamma0 = correlated_pair_state(bloch_a, c23)
         else:
             gamma0 = jsonio.matrix_from_json(g_obj)
         u = unitary_from_hamiltonian(hamiltonian, t)
@@ -159,15 +154,15 @@ def parse_scenario(obj: dict, name: str = "scenario") -> Scenario:
 
         protocol = str(obj.get("protocol", "verify12"))
         if protocol not in PROTOCOL_LABELS:
-            raise ScenarioError(f"unknown protocol {protocol!r}; expected one of {sorted(PROTOCOL_LABELS)}")
+            raise ScenarioError(f"unknown protocol {shown(protocol)}; expected one of {sorted(PROTOCOL_LABELS)}")
 
         prep_obj = _require_object(obj.get("preparation", {"method": "stochastic"}), "preparation")
         method = str(prep_obj.get("method", "stochastic"))
         if method not in PREPARATION_KEYS:
-            raise ScenarioError(f"unknown preparation method {method!r}")
+            raise ScenarioError(f"unknown preparation method {shown(method)}")
         unread = sorted(set(prep_obj) - PREPARATION_KEYS[method])
         if unread:
-            raise ScenarioError(f"preparation key {unread[0]!r} is not read by method {method!r}")
+            raise ScenarioError(f"preparation key {shown(unread[0])} is not read by method {method!r}")
 
         measurement = None
         generalized_labels: tuple[str, ...] = ()
@@ -331,7 +326,7 @@ DEMO_NAMES = tuple(_DEMO_METHODS)
 def demo_scenario_config(name: str) -> dict:
     """Scenario JSON for a shipped demo; raises ScenarioError on unknown names."""
     if name not in _DEMO_METHODS:
-        raise ScenarioError(f"unknown demo {name!r}; expected one of {', '.join(DEMO_NAMES)}")
+        raise ScenarioError(f"unknown demo {shown(name)}; expected one of {', '.join(DEMO_NAMES)}")
     config = {"dimA": 2, "dimB": 2, "hamiltonian": "heisenberg", "t": math.pi / 8.0,
               "gamma0": {"bloch_a": [0.0, 0.5, 0.0], "c23": 0.3},
               "preparation": {"method": _DEMO_METHODS[name]}, "protocol": "verify12"}

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import procmap
-from procmap import cli, jsonio
+from procmap import cli, dynamics, jsonio
 from procmap.bilinear_tomo import NotStrictlyMixed, ZeroGamma
 from procmap.cli import main
 from procmap.dynamics import InvalidMeasurement, ZeroProbabilityOutcome
@@ -24,7 +24,7 @@ from procmap.errors import (
     EXIT_ZERO_PROBABILITY,
 )
 from procmap.linear_tomo import NotAFrame
-from procmap.qstate import bloch_vector
+from procmap.qstate import bloch_vector, validate_density_matrix
 from procmap.records import LINEAR4_LABELS, TWELVE_STATE_LABELS, Dataset, MissingRecord, state_of_label
 from procmap.scenarios import ScenarioError, demo_scenario_config, parse_scenario, simulate_scenario
 
@@ -203,6 +203,7 @@ BAD_SCENARIOS = {
     "c23-true": {**MEASUREMENT, "gamma0": {"bloch_a": [0.0, 0.5, 0.0], "c23": True}},
     "c23-nan": {**MEASUREMENT, "gamma0": {"bloch_a": [0.0, 0.5, 0.0], "c23": float("nan")}},
     "bloch-a-not-a-state": {**MEASUREMENT, "gamma0": {"bloch_a": [0, 2.0, 0]}},
+    "bloch-a-c23-not-a-state": {**MEASUREMENT, "gamma0": {"bloch_a": [0, 0.9, 0], "c23": 0.5}},
     "bloch-a-two-entries": {**MEASUREMENT, "gamma0": {"bloch_a": [0.0, 0.5], "c23": 0.3}},
     "bloch-a-four-entries": {**MEASUREMENT, "gamma0": {"bloch_a": [0.0, 0.5, 0.0, 0.2], "c23": 0.3}},
     "bloch-a-string-and-bool": {**MEASUREMENT, "gamma0": {"bloch_a": ["0.1", False, 0], "c23": 0.3}},
@@ -270,6 +271,7 @@ BAD_SCENARIO_WORDS = {
     "c23-true": "c23 must be a JSON number",
     "c23-nan": "c23 must be finite",
     "bloch-a-not-a-state": ("negative eigenvalue", "gamma0"),
+    "bloch-a-c23-not-a-state": "gamma0 has negative eigenvalue",
     "bloch-a-two-entries": "gamma0.bloch_a must be a list of three",
     "bloch-a-four-entries": "gamma0.bloch_a must be a list of three",
     "bloch-a-string-and-bool": "gamma0.bloch_a[0] must be a JSON number",
@@ -303,6 +305,18 @@ def test_malformed_scenario_is_bad_config(case, tmp_path, capsys):
     words = BAD_SCENARIO_WORDS[case]
     assert all(word in err for word in (words if isinstance(words, tuple) else (words,))), err
     assert "set_int_max_str_digits" not in err, err  # advice no CLI user can follow
+
+
+def test_bloch_a_gamma0_is_density_checked_once(monkeypatch):
+    calls = []
+
+    def counting_check(*args, **kwargs):
+        calls.append(kwargs.get("what"))
+        return validate_density_matrix(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "validate_density_matrix", counting_check)
+    parse_scenario(MEASUREMENT)
+    assert calls == ["gamma0"]
 
 
 @pytest.mark.parametrize("command", ["simulate", "verify"])
@@ -457,6 +471,41 @@ def test_malformed_dataset_is_bad_config(edit, commands, word, tmp_path, capsys)
         code, err = run(argv, capsys)
         assert code == EXIT_BAD_CONFIG
         assert word in err, err
+
+
+HUGE = [0] * 100_000  # a value whose repr runs to about 300 kB
+
+
+@pytest.mark.parametrize(
+    "command, edit, word",
+    [
+        ("simulate", lambda sc: {**sc, "t": HUGE}, "t must be a JSON number"),
+        ("simulate", lambda sc: {**sc, "shots": HUGE}, "shots must be a JSON integer"),
+        ("simulate", lambda sc: {**sc, "mixed_bloch": HUGE}, "mixed_bloch must be a list of three"),
+        ("simulate", lambda sc: {**sc, "gamma0": {**sc["gamma0"], "bloch_a": [HUGE, 0.5, 0.0]}},
+         "gamma0.bloch_a[0] must be a JSON number"),
+        ("simulate", lambda sc: {**sc, "protocol": HUGE}, "unknown protocol"),
+        ("simulate", lambda sc: {**sc, "preparation": {"method": HUGE}}, "unknown preparation method"),
+        ("verify", lambda obj: set_label(obj, 0, HUGE), "record 0 has label"),
+        ("verify", lambda obj: set_gamma(obj, "1+", HUGE), "'1+' has gamma"),
+        ("verify", lambda obj: set_data(obj, "1+", "output", {0: [HUGE, 0.0]}),
+         "'1+' output: matrix entries must be JSON numbers"),
+        ("verify", lambda obj: set_dims(obj, "1+", HUGE, 2), "'1+' input: matrix rows and cols"),
+        ("verify", lambda obj: set_label(set_label(obj, 0, "x" * 10**6), 1, "x" * 10**6),
+         "record labels must be unique"),
+    ],
+    ids=["t", "shots", "mixed_bloch", "bloch_a-entry", "protocol", "method", "label", "gamma", "entry", "rows",
+         "repeated-label"],
+)
+def test_oversized_input_value_is_cut(command, edit, word, tmp_path, capsys):
+    if command == "simulate":
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(edit(MEASUREMENT)))
+    else:
+        path = write_dataset(tmp_path, edit(simulate(tmp_path, capsys)))
+    code, err = run([command, path], capsys)
+    assert code == EXIT_BAD_CONFIG and word in err, err[:1000]
+    assert len(err.encode()) <= 512, err[:1000]
 
 
 @pytest.mark.parametrize(

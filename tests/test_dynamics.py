@@ -53,8 +53,9 @@ def test_heisenberg_hamiltonian_matrix():
 
 def test_correlated_pair_state_valid_and_invalid():
     validate_density_matrix(correlated_pair_state([0, 0.5, 0], 0.3))
-    with pytest.raises(ValueError):
-        correlated_pair_state([0, 0.9, 0], 0.5)  # pushes an eigenvalue negative
+    not_a_state = correlated_pair_state([0, 0.9, 0], 0.5)  # unchecked: an eigenvalue is negative
+    with pytest.raises(ValueError, match="gamma0 has negative eigenvalue"):
+        ProcessSpec(u=np.eye(4, dtype=complex), gamma0=not_a_state)
 
 
 def test_unitary_from_zero_hamiltonian():

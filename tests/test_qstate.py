@@ -18,8 +18,6 @@ from procmap.qstate import (
     SIGMA_3,
     bloch_vector,
     dagger,
-    pauli_combination,
-    pauli_decompose,
     state_from_bloch,
     tensor,
     validate_density_matrix,
@@ -126,14 +124,9 @@ def test_state_from_bloch_golden():
     assert np.max(np.abs(p4 - expected)) < 1e-15
 
 
-def test_pauli_decompose_golden():
-    a0, a = pauli_decompose(SIGMA_2)
-    assert a0 == 0.0
-    assert np.allclose(a, [0, 1, 0], atol=1e-15)
-
-    a0, a = pauli_decompose(0.5 * IDENTITY_2)
-    assert abs(a0 - 0.5) < 1e-15
-    assert np.max(np.abs(a)) < 1e-15
+def test_bloch_vector_golden():
+    assert bloch_vector(SIGMA_2).tolist() == [0.0, 2.0, 0.0]
+    assert not np.any(bloch_vector(0.5 * IDENTITY_2))
 
     # Post-measurement output state of the correlated example: coefficients
     # (-c*CS, C^2, c*S^2)/... with C^2 = S^2 = CS = 1/2 and c = 0.2.
@@ -141,19 +134,24 @@ def test_pauli_decompose_golden():
     assert np.allclose(bloch_vector(q), [-0.1, 0.5, 0.1], atol=1e-15)
 
 
-def test_pauli_roundtrip():
+def test_bloch_roundtrip_over_stacks():
     rng = np.random.default_rng(5)
-    for _ in range(30):
-        a0 = rng.normal()
-        a = rng.normal(size=3)
-        back0, back = pauli_decompose(pauli_combination(a0, a))
-        assert abs(back0 - a0) < 1e-13
-        assert np.max(np.abs(back - a)) < 1e-13
+    labels = np.array([state_of_label(label) for label in ("1+", "1-", "2+", "2-", "3+", "3-", "6-")])
+    for shape in ((3,), (30, 3), (4, 5, 3)):
+        b = rng.normal(size=shape)
+        rho = state_from_bloch(b)
+        assert rho.shape == shape[:-1] + (2, 2)
+        assert np.max(np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0)) < 1e-15
+        assert np.max(np.abs(bloch_vector(rho) - b)) < 1e-13
+    for rho in (rho, labels, labels[4]):  # the protocol states hold exact and signed zeros
+        # Tr(rho sigma_j) as a matrix product and trace gives the same bits.
+        traces = [np.trace(rho @ sigma, axis1=-2, axis2=-1).real for sigma in (SIGMA_1, SIGMA_2, SIGMA_3)]
+        assert bloch_vector(rho).tobytes() == np.stack(traces, axis=-1).tobytes()
 
 
-def test_pauli_decompose_rejects_non_hermitian():
-    with pytest.raises(ValueError):
-        pauli_decompose(np.array([[0, 1], [0, 0]], dtype=complex))
+def test_bloch_vector_rejects_non_hermitian():
+    with pytest.raises(ValueError, match="not Hermitian"):
+        bloch_vector(np.array([[0, 1], [0, 0]], dtype=complex))
 
 
 def test_validators():
