@@ -69,7 +69,7 @@ def elements_to_json(elements: np.ndarray) -> dict:
         6..8  Z_jk   = <sigma_j|M|sigma_k> + <sigma_k|M|sigma_j>, jk = 12, 13, 23
         9     <1|M|1>, present when a mixed-state record resolved it
     """
-    mats = [jsonio.matrix_to_json(m) for m in elements]
+    mats = jsonio.matrices_to_json(elements)
     out = {"D": mats[0:3], "Y": mats[3:6], "Z": {f"{j}{k}": m for (j, k), m in zip(CROSS_PAIRS, mats[6:9])}}
     if len(mats) > 9:
         out["unit_unit"] = mats[9]

@@ -16,8 +16,9 @@ Exit codes, each the `exit_code` of the `ProcmapError` subclasses named:
   4  MissingRecord: missing record labels
   5  NotAFrame: input states that do not form a tomography frame
 
-`tomo` and `verify` decode and check each distinct dataset content once per process: a hit
-needs identical bytes (under any path) and shares one read-only Dataset; errors are never cached.
+`tomo` and `verify` decode and check each distinct dataset content once per process, and one that
+`simulate` wrote in this process not at all (`simulate` applies a read's checks and keeps what passes):
+a hit needs identical bytes (under any path) and shares one read-only Dataset; errors are never cached.
 
 `tomo --mode bilinear` reports its fit's deviation from the dataset's `oracle`
 table (`oracle_comparison`), which `simulate` writes for measurement preparation
@@ -74,12 +75,13 @@ def _write_file(path: str | Path, data: bytes) -> None:
         raise ProcmapError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
-def _write_output(payload: dict, out: str | None) -> None:
-    text = jsonio.dumps(payload)
+def _write_output(payload: dict, out: str | None) -> bytes:
+    data = jsonio.dumps(payload).encode()
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.write(data.decode())
     else:  # an empty --out is an unwritable path, not stdout
-        _write_file(out, text.encode())
+        _write_file(out, data)
+    return data
 
 
 def _parse_json(raw: bytes) -> dict:
@@ -99,13 +101,24 @@ def _parse_json(raw: bytes) -> dict:
     return obj
 
 
-@functools.lru_cache(maxsize=4)
+# The last 4 dataset contents this process read or wrote, least recently used first: file bytes -> Dataset.
+_datasets: dict[bytes, Dataset] = {}
+
+
+def _remember(raw: bytes, dataset: Dataset) -> Dataset:
+    _datasets[raw] = dataset
+    if len(_datasets) > 4:
+        del _datasets[next(iter(_datasets))]
+    return dataset
+
+
 def _decode_dataset(raw: bytes) -> Dataset:
-    """The read-only Dataset a file's bytes hold, once per distinct content (a failure is never cached)."""
+    """The read-only Dataset a file's bytes hold, decoded at most once per content (a failure is never cached)."""
     try:  # _parse_json's own ScenarioError is not caught here
-        return Dataset.from_json(_parse_json(raw))
+        dataset = _datasets.pop(raw, None) or Dataset.from_json(_parse_json(raw))
     except (KeyError, TypeError, ValueError) as exc:
         raise ScenarioError("malformed dataset ", f": {exc}") from exc
+    return _remember(raw, dataset)
 
 
 def _load(path: str, decode) -> tuple:
@@ -132,8 +145,15 @@ def cmd_simulate(args) -> int:
     for key in ("shots", "seed"):
         if getattr(args, key) is not None:
             obj[key] = getattr(args, key)
-    dataset = simulate_scenario(parse_scenario(obj, name=Path(args.scenario).stem), digest)
-    _write_output(dataset.to_json(), args.out)
+    scenario = parse_scenario(obj, name=Path(args.scenario).stem)
+    del obj  # nor its decoded JSON: what simulate keeps, allocated amid it, would pin that memory once freed
+    dataset = simulate_scenario(scenario, digest)
+    raw = _write_output(dataset.to_json(), args.out)
+    mats = np.concatenate((dataset.inputs, dataset.outputs))
+    try:  # a later read of these bytes in this process gets this Dataset, checked as that read would check it
+        _remember(raw, Dataset.checked(dataset.labels, dataset.gammas.tolist(), mats, dataset.metadata, dataset.oracle))
+    except ValueError:  # not kept: the read decodes the file and reports the fault
+        pass
     return EXIT_OK
 
 

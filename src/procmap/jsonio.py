@@ -23,12 +23,14 @@ def dumps(obj) -> str:
 
 def matrix_to_json(mat: np.ndarray) -> dict:
     """Encode a complex matrix as {"rows", "cols", "data": [[re, im], ...]} row-major."""
-    arr = np.asarray(mat, dtype=complex)
-    if arr.ndim != 2:
-        raise ValueError(f"expected a 2-d matrix, got shape {arr.shape}")
-    rows, cols = arr.shape
-    data = np.ascontiguousarray(arr).view(float).reshape(-1, 2).tolist()
-    return {"rows": int(rows), "cols": int(cols), "data": data}
+    return matrices_to_json(np.asarray(mat, dtype=complex)[None])[0]
+
+
+def matrices_to_json(stack) -> list[dict]:
+    """Encode an (n, rows, cols) complex stack as n `matrix_to_json` encodings, with one tolist for all entries."""
+    arr = np.ascontiguousarray(stack, dtype=complex)
+    n, rows, cols = arr.shape  # a ValueError unless the stack is 3-d
+    return [{"rows": rows, "cols": cols, "data": data} for data in arr.view(float).reshape(n, rows * cols, 2).tolist()]
 
 
 def matrix_from_json(obj: dict) -> np.ndarray:

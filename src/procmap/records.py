@@ -12,8 +12,8 @@ order; bilinear9, both labels of 1, 2, 3 and 4+, 5+, 6+; linear4, 1-, 1+, 2+,
 A `Dataset` holds its records as stacked arrays, record i being (labels[i],
 inputs[i], outputs[i], gammas[i]); `Dataset.subset` selects a protocol's records
 by label, and `fit` reads the stacks directly, factoring each distinct design once per process (a protocol
-fixes its inputs).  `Dataset.from_json` requires each label to be a JSON string and each gamma to lie in [0,
-`dynamics.MAX_GAMMA`], the preparation's own bound.
+fixes its inputs).  `Dataset.checked`, behind `Dataset.from_json`, requires string labels, each gamma in [0,
+`dynamics.MAX_GAMMA`] (the preparation's own bound) and states that `_check_states` allows.
 """
 
 from __future__ import annotations
@@ -121,12 +121,10 @@ class Dataset:
                        self.metadata, self.oracle)
 
     def to_json(self) -> dict:
-        records = zip(self.labels, self.gammas.tolist(), self.inputs, self.outputs)
+        records = zip(self.labels, self.gammas.tolist(), jsonio.matrices_to_json(self.inputs),
+                      jsonio.matrices_to_json(self.outputs))
         out = {
-            "records": [
-                {"label": label, "gamma": gamma, "input": jsonio.matrix_to_json(i), "output": jsonio.matrix_to_json(o)}
-                for label, gamma, i, o in records
-            ],
+            "records": [{"label": label, "gamma": gamma, "input": i, "output": o} for label, gamma, i, o in records],
             "metadata": {k: str(v) for k, v in self.metadata.items()},
         }
         if self.oracle is not None:
@@ -135,28 +133,35 @@ class Dataset:
 
     @staticmethod
     def from_json(obj: dict) -> "Dataset":
-        """The read-only Dataset (arrays and metadata) a JSON object holds; raises KeyError, TypeError or ValueError."""
+        """The read-only Dataset a JSON object holds, by `Dataset.checked`; raises KeyError, TypeError or ValueError."""
         entries = obj["records"]
         labels = [entry["label"] for entry in entries]
         gammas = [entry["gamma"] for entry in entries]
-        for i, (label, gamma) in enumerate(zip(labels, gammas)):
-            if type(label) is not str:
-                raise ValueError(f"record {i} has label {shown(label)}, not a JSON string")
-            if type(gamma) not in (int, float) or not 0.0 <= gamma <= MAX_GAMMA:
-                raise ValueError(f"record {shown(label)} has gamma {shown(gamma)}, not a JSON number in [0, 1]")
         names = (f"record {shown(label)} {side}" for side in ("input", "output") for label in labels)
         mats = jsonio.matrices_from_json([e[side] for side in ("input", "output") for e in entries], names, (2, 2))
         metadata = obj.get("metadata", {})
         if not isinstance(metadata, dict):
             raise ValueError(f"metadata must be a JSON object, got {type(metadata).__name__}")
-        metadata = types.MappingProxyType({str(k): str(v) for k, v in metadata.items()})
         oracle = None
         if "oracle" in obj:
             oracle = jsonio.matrices_from_json([obj["oracle"]], ["oracle"], (10, 4)).reshape(10, 2, 2)
-            oracle.flags.writeable = False
+        return Dataset.checked(labels, gammas, mats, metadata, oracle)
+
+    @staticmethod
+    def checked(labels, gammas, mats, metadata, oracle=None) -> "Dataset":
+        """The read-only Dataset of k records (labels[i], mats[i], mats[k + i], gammas[i]) if a read allows it, else
+        ValueError; `mats` (2k, 2, 2) and `oracle` become read-only in place, `metadata` a str-to-str mapping proxy."""
+        for i, (label, gamma) in enumerate(zip(labels, gammas)):
+            if type(label) is not str:
+                raise ValueError(f"record {i} has label {shown(label)}, not a JSON string")
+            if type(gamma) not in (int, float) or not 0.0 <= gamma <= MAX_GAMMA:
+                raise ValueError(f"record {shown(label)} has gamma {shown(gamma)}, not a JSON number in [0, 1]")
         _check_states(labels, mats)
         gammas = np.array(gammas, dtype=float)
         mats.flags.writeable = gammas.flags.writeable = False  # and so the views of mats below
+        if oracle is not None:
+            oracle.flags.writeable = False
+        metadata = types.MappingProxyType({str(k): str(v) for k, v in metadata.items()})
         return Dataset(tuple(labels), *mats.reshape(2, -1, 2, 2), gammas, metadata, oracle)
 
 

@@ -65,9 +65,10 @@ class Scenario:
     seed: int | None = None
 
 
-def _require_object(value, what: str) -> dict:
-    if not isinstance(value, dict):
-        raise ScenarioError(f"{what} must be a JSON object, got {type(value).__name__}")
+def _require(value, what: str, kind: str = "object"):
+    """`value` when it is a JSON `kind` ("object" or "string"); errors name `what` and its type, not the value."""
+    if not isinstance(value, {"object": dict, "string": str}[kind]):
+        raise ScenarioError(f"{what} must be a JSON {kind}, got {type(value).__name__}")
     return value
 
 
@@ -118,7 +119,7 @@ def parse_measurement(obj: dict) -> np.ndarray:
 
 def parse_scenario(obj: dict, name: str = "scenario") -> Scenario:
     """Validate and expand a scenario JSON object; raises ScenarioError."""
-    _require_object(obj, "a scenario")
+    _require(obj, "a scenario")
     try:
         dim_sys = _integer(obj, "dimA", 2)
         dim_env = _integer(obj, "dimB", 2)
@@ -152,12 +153,12 @@ def parse_scenario(obj: dict, name: str = "scenario") -> Scenario:
         u = unitary_from_hamiltonian(hamiltonian, t)
         spec = ProcessSpec(u=u, gamma0=gamma0)
 
-        protocol = str(obj.get("protocol", "verify12"))
+        protocol = _require(obj.get("protocol", "verify12"), "protocol", "string")
         if protocol not in PROTOCOL_LABELS:
             raise ScenarioError(f"unknown protocol {shown(protocol)}; expected one of {sorted(PROTOCOL_LABELS)}")
 
-        prep_obj = _require_object(obj.get("preparation", {"method": "stochastic"}), "preparation")
-        method = str(prep_obj.get("method", "stochastic"))
+        prep_obj = _require(obj.get("preparation", {"method": "stochastic"}), "preparation")
+        method = _require(prep_obj.get("method", "stochastic"), "preparation.method", "string")
         if method not in PREPARATION_KEYS:
             raise ScenarioError(f"unknown preparation method {shown(method)}")
         unread = sorted(set(prep_obj) - PREPARATION_KEYS[method])
@@ -168,7 +169,8 @@ def parse_scenario(obj: dict, name: str = "scenario") -> Scenario:
         generalized_labels: tuple[str, ...] = ()
         if method == "generalized":
             measurement = parse_measurement(prep_obj["measurement"])
-            generalized_labels = tuple(str(x) for x in prep_obj["labels"])
+            labels = enumerate(prep_obj["labels"])
+            generalized_labels = tuple(_require(x, f"preparation.labels[{i}]", "string") for i, x in labels)
             expected = PROTOCOL_LABELS[protocol]
             if sorted(generalized_labels) != sorted(expected):
                 raise ScenarioError(

@@ -11,7 +11,8 @@ verification protocol.  That fit itself, one np.linalg.lstsq per call, is
 `reference_fit`, the oracle for the once-per-design factorization in
 `records.fit`.  It also keeps the per-element paths that bulk
 operations replaced: the value-by-value JSON layout (floats by shortest
-repr), the entry-by-entry matrix encoder and decoder, the einsum contraction
+repr), the entry-by-entry matrix encoder and decoder, the record-by-record
+dataset and element-table encoders built on it, the einsum contraction
 of the process tensor, the matrix-unit loop of the fixed-environment map and
 the einsum partial trace over the environment of a fully formed U J U'.
 The matrix-unit loop is also the oracle for the fixed-environment map itself.
@@ -706,6 +707,30 @@ def reference_matrix_to_json(mat: np.ndarray) -> dict:
     arr = np.asarray(mat, dtype=complex)
     rows, cols = arr.shape
     return {"rows": rows, "cols": cols, "data": [[float(z.real), float(z.imag)] for z in arr.reshape(-1)]}
+
+
+def reference_to_json(dataset: Dataset) -> dict:
+    """Record-by-record encode of a Dataset, each matrix by `reference_matrix_to_json`."""
+    records = zip(dataset.labels, dataset.gammas.tolist(), dataset.inputs, dataset.outputs)
+    out = {
+        "records": [
+            {"label": label, "gamma": gamma, "input": reference_matrix_to_json(i), "output": reference_matrix_to_json(o)}
+            for label, gamma, i, o in records
+        ],
+        "metadata": {k: str(v) for k, v in dataset.metadata.items()},
+    }
+    if dataset.oracle is not None:
+        out["oracle"] = reference_matrix_to_json(dataset.oracle.reshape(10, 4))
+    return out
+
+
+def reference_elements_to_json(elements: np.ndarray) -> dict:
+    """Matrix-by-matrix encode of a (9, 2, 2) or (10, 2, 2) element table in `bilinear_tomo.elements_to_json` order."""
+    mats = [reference_matrix_to_json(m) for m in elements]
+    out = {"D": mats[0:3], "Y": mats[3:6], "Z": {f"{j}{k}": m for (j, k), m in zip(CROSS_PAIRS, mats[6:9])}}
+    if len(mats) > 9:
+        out["unit_unit"] = mats[9]
+    return out
 
 
 def reference_matrix_from_json(obj: dict) -> np.ndarray:

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import types
 import warnings
 from pathlib import Path
 
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 import procmap
-from procmap import cli, dynamics, jsonio
+from procmap import cli, dynamics, jsonio, records
 from procmap.bilinear_tomo import NotStrictlyMixed, ZeroGamma
 from procmap.cli import main
 from procmap.dynamics import InvalidMeasurement, ZeroProbabilityOutcome
@@ -26,7 +27,7 @@ from procmap.errors import (
 from procmap.linear_tomo import NotAFrame
 from procmap.qstate import bloch_vector, validate_density_matrix
 from procmap.records import LINEAR4_LABELS, TWELVE_STATE_LABELS, Dataset, MissingRecord, state_of_label
-from procmap.scenarios import ScenarioError, demo_scenario_config, parse_scenario, simulate_scenario
+from procmap.scenarios import DEMO_NAMES, ScenarioError, demo_scenario_config, parse_scenario, simulate_scenario
 
 
 def run(argv, capsys):
@@ -232,6 +233,11 @@ BAD_SCENARIOS = {
     },
     "bloch-a-1e308": {**MEASUREMENT, "gamma0": {"bloch_a": [1e308, 1e308, 1e308], "c23": 1e308}},
     "c23-1e308": {**MEASUREMENT, "gamma0": {"bloch_a": [0.0, 0.5, 0.0], "c23": 1e308}},
+    "protocol-null": {**MEASUREMENT, "protocol": None},
+    "method-integer": {**MEASUREMENT, "preparation": {"method": 3}},
+    "generalized-label-integer": {
+        **STOCHASTIC, "preparation": {**generalized(1.0)["preparation"], "labels": [1, *TWELVE_STATE_LABELS[1:]]},
+    },
     "kraus-1e200": {
         **STOCHASTIC,
         "preparation": {
@@ -289,6 +295,9 @@ BAD_SCENARIO_WORDS = {
     "bloch-a-1e308": ("gamma0.bloch_a", "above 1"),
     "c23-1e308": ("gamma0.c23", "above 1"),
     "kraus-1e200": "trace-preserving",
+    "protocol-null": "protocol must be a JSON string, got NoneType",
+    "method-integer": "preparation.method must be a JSON string, got int",
+    "generalized-label-integer": "preparation.labels[0] must be a JSON string, got int",
 }
 
 
@@ -484,8 +493,8 @@ HUGE = [0] * 100_000  # a value whose repr runs to about 300 kB
         ("simulate", lambda sc: {**sc, "mixed_bloch": HUGE}, "mixed_bloch must be a list of three"),
         ("simulate", lambda sc: {**sc, "gamma0": {**sc["gamma0"], "bloch_a": [HUGE, 0.5, 0.0]}},
          "gamma0.bloch_a[0] must be a JSON number"),
-        ("simulate", lambda sc: {**sc, "protocol": HUGE}, "unknown protocol"),
-        ("simulate", lambda sc: {**sc, "preparation": {"method": HUGE}}, "unknown preparation method"),
+        ("simulate", lambda sc: {**sc, "protocol": HUGE}, "protocol must be a JSON string, got list"),
+        ("simulate", lambda sc: {**sc, "preparation": {"method": HUGE}}, "preparation.method must be a JSON string, got list"),
         ("verify", lambda obj: set_label(obj, 0, HUGE), "record 0 has label"),
         ("verify", lambda obj: set_gamma(obj, "1+", HUGE), "'1+' has gamma"),
         ("verify", lambda obj: set_data(obj, "1+", "output", {0: [HUGE, 0.0]}),
@@ -835,16 +844,71 @@ def test_stored_oracle_detects_a_perturbed_record(tmp_path, capsys):
     assert json.loads(out)["oracle_comparison"]["max_element_deviation"] > 1e-4
 
 
-def test_each_dataset_content_is_decoded_once(tmp_path, capsys, monkeypatch):
+def test_each_dataset_content_is_decoded_once(tmp_path, capsys, decodes):
     simulate(tmp_path, capsys)
-    calls = []
-    from_json = Dataset.from_json
-    monkeypatch.setattr(Dataset, "from_json", staticmethod(lambda obj: calls.append(obj) or from_json(obj)))
-    cli._decode_dataset.cache_clear()
+    cli._datasets.clear()  # what simulate kept
     dataset = tmp_path / "dataset.json"
     for argv in (["tomo", dataset, "--mode", "linear"], ["tomo", dataset, "--mode", "bilinear"], ["verify", dataset]):
         assert run(argv, capsys)[0] == EXIT_OK
-    assert len(calls) == 1
+    assert len(decodes) == 1
+
+
+# Each demo exact and at 1000 shots, and a generalized preparation: what `simulate --out` keeps for later reads.
+WRITE_THROUGH = {
+    **{f"{demo}-{tag}": (demo_scenario_config(demo), extra) for demo in DEMO_NAMES
+       for tag, extra in (("exact", []), ("shots", ["--shots", "1000", "--seed", "5"]))},
+    "generalized": (generalized(1.0), []),
+}
+
+
+def simulate_write_through(case, tmp_path, capsys) -> Path:
+    config, extra = WRITE_THROUGH[case]
+    scenario, dataset = tmp_path / "scenario.json", tmp_path / "dataset.json"
+    scenario.write_text(jsonio.dumps(config))
+    assert run(["simulate", scenario, "--out", dataset, *extra], capsys) == (EXIT_OK, "")
+    return dataset
+
+
+@pytest.mark.parametrize("case", sorted(WRITE_THROUGH))
+def test_simulate_keeps_the_dataset_a_read_decodes(case, tmp_path, capsys, decodes):
+    path = simulate_write_through(case, tmp_path, capsys)
+    for argv in (["tomo", path, "--mode", "linear"], ["tomo", path, "--mode", "bilinear"], ["verify", path]):
+        assert run(argv, capsys)[0] == EXIT_OK
+    assert decodes == []
+    raw = path.read_bytes()
+    kept, decoded = cli._datasets[raw], Dataset.from_json(json.loads(raw))
+    assert list(cli._datasets) == [raw] and kept.labels == decoded.labels
+    for name in ("inputs", "outputs", "gammas", "oracle"):
+        got, want = getattr(kept, name), getattr(decoded, name)
+        if want is None:  # no oracle
+            assert got is None
+            continue
+        assert (got.tobytes(), got.dtype, got.shape) == (want.tobytes(), want.dtype, want.shape), name
+        assert not got.flags.writeable and not want.flags.writeable, name
+    assert type(kept.metadata) is type(decoded.metadata) is types.MappingProxyType
+    assert list(kept.metadata.items()) == list(decoded.metadata.items())
+
+
+@pytest.mark.parametrize("case", sorted(WRITE_THROUGH))
+def test_simulate_keeps_no_dataset_a_read_refuses(case, tmp_path, capsys, monkeypatch):
+    def refuse(labels, mats):
+        raise ValueError("record '1+' output is refused")
+
+    monkeypatch.setattr(records, "_check_states", refuse)
+    path = simulate_write_through(case, tmp_path, capsys)
+    assert cli._datasets == {}
+    diagnostic = f"error: malformed dataset {path}: record '1+' output is refused\n"
+    for argv in (["tomo", path, "--mode", "linear"], ["tomo", path, "--mode", "bilinear"], ["verify", path]):
+        assert run(argv, capsys) == (EXIT_BAD_CONFIG, diagnostic)
+
+
+def test_dataset_cache_keeps_the_four_contents_used_last(tmp_path, capsys, decodes):
+    text = jsonio.dumps(simulate(tmp_path, capsys))
+    cli._datasets.clear()
+    raws = [(text + " " * i).encode() for i in range(5)]  # five contents, one dataset
+    for i in (0, 1, 2, 3, 0, 4):  # reading 0 again leaves 1 the least recently used
+        cli._decode_dataset(raws[i])
+    assert list(cli._datasets) == [raws[2], raws[3], raws[0], raws[4]] and len(decodes) == 5
 
 
 def test_a_changed_byte_is_decoded_afresh(tmp_path, capsys):
@@ -859,8 +923,9 @@ def test_a_changed_byte_is_decoded_afresh(tmp_path, capsys):
     assert code == EXIT_OK and json.loads(out)["oracle_comparison"]["max_element_deviation"] > 1e-4
 
 
-def test_failures_are_not_cached_and_hits_do_not_depend_on_the_path(tmp_path, capsys):
+def test_failures_are_not_cached_and_hits_do_not_depend_on_the_path(tmp_path, capsys, decodes):
     good = simulate(tmp_path, capsys)
+    cli._datasets.clear()  # what simulate kept
     bad_bytes = {
         "cannot read JSON from": jsonio.dumps(good)[:-20].encode(),
         "malformed dataset": json.dumps(set_gamma(json.loads(jsonio.dumps(good)), "1+", 7.0)).encode(),
@@ -871,17 +936,16 @@ def test_failures_are_not_cached_and_hits_do_not_depend_on_the_path(tmp_path, ca
             path.write_bytes(raw)
             code, err = run(["verify", path], capsys)
             assert code == EXIT_BAD_CONFIG and err.startswith(f"error: {words} {path}"), err
-    assert cli._decode_dataset.cache_info().currsize == 0
-    cli._decode_dataset.cache_clear()
+    assert cli._datasets == {}
     first, second = tmp_path / "first.json", tmp_path / "second.json"
     for path in (first, second):
         path.write_text(jsonio.dumps(good))
+    decodes.clear()
     outputs = []
     for path in (first, second):
         assert main(["verify", str(path)]) == EXIT_OK
         outputs.append(capsys.readouterr())
-    info = cli._decode_dataset.cache_info()
-    assert (info.hits, info.misses) == (1, 1)
+    assert (2 - len(decodes), len(decodes), len(cli._datasets)) == (1, 1, 1)  # hits, misses, size
     assert outputs[0] == outputs[1] and outputs[1].err == ""
     assert first.name not in outputs[1].out
 
@@ -889,14 +953,17 @@ def test_failures_are_not_cached_and_hits_do_not_depend_on_the_path(tmp_path, ca
 def test_cached_dataset_is_read_only(tmp_path, capsys):
     simulate(tmp_path, capsys)
     raw = (tmp_path / "dataset.json").read_bytes()
-    dataset = cli._decode_dataset(raw)
-    assert cli._decode_dataset(bytes(bytearray(raw))) is dataset
-    for stack in (dataset.inputs, dataset.outputs, dataset.gammas, dataset.oracle):
-        with pytest.raises(ValueError, match="read-only"):
-            stack[0] = 0.0
-    with pytest.raises(TypeError):
-        dataset.metadata["shots"] = "1"
-    assert dataset.subset(LINEAR4_LABELS).to_json()["metadata"] == dict(dataset.metadata)
+    for kept_by_simulate in (True, False):
+        if not kept_by_simulate:
+            cli._datasets.clear()
+        dataset = cli._decode_dataset(raw)
+        assert cli._decode_dataset(bytes(bytearray(raw))) is dataset
+        for stack in (dataset.inputs, dataset.outputs, dataset.gammas, dataset.oracle):
+            with pytest.raises(ValueError, match="read-only"):
+                stack[0] = 0.0
+        with pytest.raises(TypeError):
+            dataset.metadata["shots"] = "1"
+        assert dataset.subset(LINEAR4_LABELS).to_json()["metadata"] == dict(dataset.metadata)
 
 
 def test_pure_mixed_record_is_bad_config(tmp_path, capsys):

@@ -161,7 +161,7 @@ def test_fit_does_not_depend_on_what_the_process_fitted_before(overrides):
         assert fit_bytes(fit(fitted, degree)) == cold
 
 
-def test_fresh_process_output_equals_warm_in_process_output(tmp_path, capsys):
+def test_fresh_process_output_equals_warm_in_process_output(tmp_path, capsys, decodes):
     paths = []
     for name, overrides in (("exact", {}), ("shots", {"shots": 1000, "seed": 5})):
         paths.append(tmp_path / f"{name}.json")
@@ -172,10 +172,11 @@ def test_fresh_process_output_equals_warm_in_process_output(tmp_path, capsys):
     for argv in commands * 2:  # warm every design
         assert main(argv) == 0
     capsys.readouterr()
+    decodes.clear()
     for argv in commands:
         assert main(argv) == 0
     expected = capsys.readouterr().out
-    assert cli._decode_dataset.cache_info().hits > 0  # the warm side reuses decoded datasets too
+    assert (len(decodes), len(cli._datasets)) == (0, 2)  # the warm side reuses both decoded datasets: all hits
     env = {**os.environ, "PYTHONPATH": str(Path(procmap.__file__).resolve().parents[1])}
     code = "import json, sys\nfrom procmap.cli import main\nfor argv in json.loads(sys.argv[1]):\n    main(argv)"
     proc = subprocess.run([sys.executable, "-c", code, json.dumps(commands)], capture_output=True, text=True,

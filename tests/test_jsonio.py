@@ -13,11 +13,19 @@ import struct
 import numpy as np
 import pytest
 
-from helpers import per_element_dumps, rand_density, reference_matrix_from_json, reference_matrix_to_json
+from helpers import (
+    per_element_dumps,
+    rand_density,
+    reference_elements_to_json,
+    reference_matrix_from_json,
+    reference_matrix_to_json,
+    reference_to_json,
+)
 from procmap import jsonio
+from procmap.bilinear_tomo import elements_to_json
 from procmap.cli import main
 from procmap.records import Dataset
-from procmap.scenarios import DEMO_NAMES, parse_scenario, simulate_scenario
+from procmap.scenarios import DEMO_NAMES, demo_scenario_config, parse_scenario, simulate_scenario
 
 
 def wide_scenario(dim_env: int = 64) -> dict:
@@ -239,6 +247,46 @@ def test_matrix_encode_is_bit_identical_to_loop(layout):
     got, want = jsonio.matrix_to_json(mat), reference_matrix_to_json(mat)
     assert_same_bits(got, want)
     assert np.array(got["data"]).tobytes() == np.array(want["data"]).tobytes()
+
+
+def random_stack(rng, n: int) -> np.ndarray:
+    """n random complex 2 x 2 matrices, with signed zeros in the first and last."""
+    stack = rng.standard_normal((n, 2, 2)) + 1j * rng.standard_normal((n, 2, 2))
+    stack[0, 0] = [complex(-0.0, -0.0), complex(0.0, -0.0)]
+    stack[-1, 1] = [complex(-0.0, 0.0), complex(-0.0, 5e-324)]
+    return stack
+
+
+def random_encoded_dataset(rng, oracle: bool) -> Dataset:
+    """Random records, one of them labeled "mixed", with -0.0 entries, a -0.0 and a 0 gamma, and maybe an oracle."""
+    k = int(rng.integers(4, 14))
+    gammas = rng.uniform(0.0, 1.0, k)
+    gammas[:2] = [-0.0, 0.0]
+    labels = tuple(f"r{i}" for i in range(k - 1)) + ("mixed",)
+    metadata = {"shots": str(int(rng.integers(1, 10**6))), "seed": "", "\u03b3": "\u2014"}
+    return Dataset(labels, random_stack(rng, k), random_stack(rng, k), gammas, metadata,
+                   random_stack(rng, 10) if oracle else None)
+
+
+@pytest.mark.parametrize("oracle", [True, False], ids=["oracle", "no-oracle"])
+@pytest.mark.parametrize("seed", range(4))
+def test_dataset_encode_is_byte_identical_to_record_loop(seed, oracle):
+    dataset = random_encoded_dataset(np.random.default_rng([seed, oracle]), oracle)
+    assert jsonio.dumps(dataset.to_json()) == jsonio.dumps(reference_to_json(dataset))
+
+
+@pytest.mark.parametrize("demo", DEMO_NAMES)
+@pytest.mark.parametrize("shots", [None, 1000], ids=["exact", "shots"])
+def test_simulated_dataset_encode_is_byte_identical_to_record_loop(demo, shots):
+    config = {**demo_scenario_config(demo), **({} if shots is None else {"shots": shots, "seed": 5})}
+    dataset = simulate_scenario(parse_scenario(config))
+    assert jsonio.dumps(dataset.to_json()) == jsonio.dumps(reference_to_json(dataset))
+
+
+@pytest.mark.parametrize("n", [9, 10])
+def test_element_table_encode_is_byte_identical_to_matrix_loop(n):
+    elements = random_stack(np.random.default_rng(n), n)
+    assert jsonio.dumps(elements_to_json(elements)) == jsonio.dumps(reference_elements_to_json(elements))
 
 
 def test_matrix_decode_is_bit_identical_to_loop():
