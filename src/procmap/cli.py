@@ -11,7 +11,8 @@ Exit codes, each the `exit_code` of the `ProcmapError` subclasses named:
      not UTF-8, not JSON, too deeply nested or with an integer over Python's 4,300-digit limit;
      ProcmapError itself: a --tol-linear or --tol-bilinear that is not a finite
      non-negative number, or an --out that cannot be written (a missing
-     directory, an empty path, or for `demo` an existing file)
+     directory, an empty path, or for `demo` an existing file), or a stdout that cannot be
+     written (a closed pipe, a full device, or no stdout at all)
   3  ZeroProbabilityOutcome, ZeroGamma: zero-probability preparation or record
   4  MissingRecord: missing record labels
   5  NotAFrame: input states that do not form a tomography frame
@@ -28,12 +29,18 @@ is the sha256 of the scenario file's bytes, provenance only: no command reads it
 An --out file (and each bundle file of `demo`) is overwritten in place, not atomically:
 the same inode, permission bits and links, then truncated to the new length.  A target
 that is not a regular file (/dev/null, a pipe behind /dev/stdout) is written untruncated.
+
+`run()` is the process entry point (`python -m procmap.cli` and the `procmap` script): it runs
+`main()`, freezes the heap (`gc.freeze`) and exits with the code.  `main(argv)` returns the code
+and never freezes, so an in-process caller keeps a heap the collector can still free.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
+import gc
 import json
 import math
 import os
@@ -75,10 +82,28 @@ def _write_file(path: str | Path, data: bytes) -> None:
         raise ProcmapError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
+def _write_stdout(text: str) -> None:
+    """Write `text` to stdout and flush it; a stdout that cannot take it is a ProcmapError.
+
+    After a failed write, fd 1 is pointed at /dev/null: the exit flush of what stays buffered
+    would otherwise fail again and turn the exit code into 120.
+    """
+    if sys.stdout is None:  # the interpreter started with fd 1 closed
+        raise ProcmapError(f"cannot write stdout: {os.strerror(errno.EBADF)}")
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        raise ProcmapError(f"cannot write stdout: {exc.strerror or exc}") from exc
+
+
 def _write_output(payload: dict, out: str | None) -> bytes:
     data = jsonio.dumps(payload).encode()
     if out is None:
-        sys.stdout.write(data.decode())
+        _write_stdout(data.decode())
     else:  # an empty --out is an unwritable path, not stdout
         _write_file(out, data)
     return data
@@ -259,7 +284,7 @@ def cmd_demo(args) -> int:
         "min_eigenvalue": diag["min_eigenvalue"],
         "files": ["scenario.json", *artifacts],
     }
-    sys.stdout.write(jsonio.dumps(summary))
+    _write_stdout(jsonio.dumps(summary))
     return EXIT_OK
 
 
@@ -327,5 +352,12 @@ def main(argv=None) -> int:
         return exc.exit_code
 
 
+def run() -> None:
+    """The process entry point: exit with `main()`'s code."""
+    code = main()
+    gc.freeze()  # the collections at interpreter exit then skip the heap (numpy's is most of it) it frees anyway
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

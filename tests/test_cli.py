@@ -1,8 +1,11 @@
-"""The CLI surface through `main(argv)`: exit codes, one-line diagnostics, oracle block."""
+"""The CLI surface through `main(argv)` and `python -m procmap.cli`: exit codes, one-line diagnostics, oracle block."""
 
+import errno
+import gc
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 import types
@@ -1134,3 +1137,116 @@ def test_cli_import_loads_no_hashlib():
     code = "import sys, procmap.cli; print(sorted({'hashlib', '_hashlib'} & set(sys.modules)))"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
     assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+
+
+def cli_process(argv, cwd=None, unbuffered=False, **kwargs):
+    """`python -m procmap.cli argv` in a fresh interpreter: its exit code, stdout and stderr as text."""
+    env = {**os.environ, "PYTHONPATH": str(Path(procmap.__file__).resolve().parents[1]), "COLUMNS": "80"}
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.run([sys.executable, "-m", "procmap.cli", *map(str, argv)], cwd=cwd, env=env,
+                          stderr=subprocess.PIPE, timeout=120, **kwargs)
+    return proc.returncode, (proc.stdout or b"").decode(), proc.stderr.decode()
+
+
+def in_process(argv, capsys):
+    """`main(argv)` in this interpreter: its exit code (argparse's SystemExit included), stdout and stderr."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # a usage error or -h
+        code = exc.code
+    assert gc.get_freeze_count() == 0, argv  # only run() freezes: in-process callers keep a collectable heap
+    return (code, *capsys.readouterr())
+
+
+# One command of each kind, with paths relative to the directory it runs in; their order is a chain.
+ENTRY_POINT_CASES = {
+    **{f"demo-{name}": ["demo", name, "--out", f"bundle-{name}"] for name in DEMO_NAMES},
+    "simulate": ["simulate", "scenario.json", "--out", "dataset.json"],
+    "tomo-linear": ["tomo", "dataset.json", "--mode", "linear", "--out", "linear.json"],
+    "tomo-bilinear": ["tomo", "dataset.json", "--mode", "bilinear", "--out", "bilinear.json"],
+    "verify": ["verify", "dataset.json", "--out", "report.json"],
+    "tomo-stdout": ["tomo", "dataset.json", "--mode", "bilinear"],
+    "verify-stdout": ["verify", "dataset.json"],
+    "exit-2": ["verify", "nan-gamma.json"],
+    "exit-3": ["tomo", "zero-gamma.json", "--mode", "bilinear"],
+    "exit-4": ["verify", "missing-label.json"],
+    "usage-error": ["tomo", "dataset.json"],
+    "help": ["-h"],
+}
+
+
+def test_entry_point_matches_in_process_main(tmp_path, capsys, monkeypatch):
+    # Exit code 5 (NotAFrame) has no case: the dataset checks pin every protocol input, so no file reaches it.
+    inputs = tmp_path / "inputs"
+    inputs.mkdir()
+    edits = {
+        "nan-gamma.json": lambda obj: set_gamma(obj, "2+", float("nan")),
+        "zero-gamma.json": lambda obj: set_gamma(obj, "1+", 0.0),
+        "missing-label.json": lambda obj: {**obj, "records": [r for r in obj["records"] if r["label"] != "6-"]},
+    }
+    for name, edit in edits.items():
+        (inputs / name).write_text(json.dumps(edit(simulate(inputs, capsys))))
+    (inputs / "dataset.json").unlink()
+    process, in_main = tmp_path / "process", tmp_path / "main"
+    shutil.copytree(inputs, process)
+    shutil.copytree(inputs, in_main)
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps -h to it, as in cli_process
+    expected = {case: cli_process(argv, cwd=process, stdout=subprocess.PIPE) for case, argv in ENTRY_POINT_CASES.items()}
+    monkeypatch.chdir(in_main)
+    outcomes = {case: in_process(argv, capsys) for case, argv in ENTRY_POINT_CASES.items()}
+    assert outcomes == expected
+    assert {case: code for case, (code, _, _) in outcomes.items() if code} == {
+        "exit-2": 2, "exit-3": 3, "exit-4": 4, "usage-error": 2}
+    files = sorted(p.relative_to(process) for p in process.rglob("*") if p.is_file())
+    assert files == sorted(p.relative_to(in_main) for p in in_main.rglob("*") if p.is_file())
+    assert len(files) == 4 + 4 + 3 * len(BUNDLE_FILES)
+    for name in files:
+        assert (process / name).read_bytes() == (in_main / name).read_bytes(), name
+
+
+def test_run_freezes_the_heap_and_exits_with_the_code_of_main(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["procmap", "verify", str(tmp_path / "missing.json")])
+    try:
+        with pytest.raises(SystemExit) as exit_:
+            cli.run()
+        assert (exit_.value.code, gc.get_freeze_count() > 0) == (EXIT_BAD_CONFIG, True)
+    finally:
+        gc.unfreeze()
+    assert capsys.readouterr().err.startswith("error: cannot read JSON from ")
+
+
+def closed_pipe() -> dict:
+    read, write = os.pipe()
+    os.close(read)
+    return {"stdout": write}
+
+
+# How the child's stdout fails: the errno it must report, and the subprocess.run arguments that set it up.
+STDOUT_FAULTS = {
+    "closed-pipe": (errno.EPIPE, closed_pipe),
+    "dev-full": (errno.ENOSPC, lambda: {"stdout": os.open("/dev/full", os.O_WRONLY)}),
+    "closed-fd": (errno.EBADF, lambda: {"preexec_fn": lambda: os.close(1)}),
+}
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("fault", STDOUT_FAULTS)
+@pytest.mark.parametrize(
+    "argv",
+    [["simulate", "scenario.json"], ["tomo", "dataset.json", "--mode", "linear"], ["verify", "dataset.json"],
+     ["demo", "imperfect-pin", "--out", "bundle"]],
+    ids=["simulate", "tomo", "verify", "demo"],
+)
+def test_unwritable_stdout_is_one_line_exit_2(argv, fault, unbuffered, tmp_path, capsys):
+    simulate(tmp_path, capsys)
+    error, kwargs = STDOUT_FAULTS[fault]
+    kwargs = kwargs()
+    try:
+        outcome = cli_process(argv, cwd=tmp_path, unbuffered=unbuffered, **kwargs)
+    finally:
+        if "stdout" in kwargs:
+            os.close(kwargs["stdout"])
+    assert outcome == (EXIT_BAD_CONFIG, "", f"error: cannot write stdout: {os.strerror(error)}\n")
