@@ -5,21 +5,22 @@ it).  Human diagnostics go to stderr (ANSI-colored on a terminal unless PROCMAP_
 set), one line each, and a value read from input is shown cut to a fixed size (`errors.shown`).
 Exit codes, each the `exit_code` of the `ProcmapError` subclasses named:
   0  success
-  2  ScenarioError, InvalidMeasurement, NotStrictlyMixed: malformed config or dataset,
-     including a matrix entry that is not a JSON number (a string or a bool), a record
-     state that `Dataset.from_json` does not allow, or an input file that is unreadable,
-     not UTF-8, not JSON, too deeply nested or with an integer over Python's 4,300-digit limit;
+  2  ScenarioError, InvalidMeasurement, NotStrictlyMixed: malformed config or dataset, including a matrix
+     entry that is not a JSON number (a string or a bool), a record state that `Dataset.checked` does not
+     allow (a read, or `simulate` before it writes), or an input file that is unreadable, not UTF-8,
+     not JSON, too deeply nested or with an integer over Python's 4,300-digit limit;
      ProcmapError itself: a --tol-linear or --tol-bilinear that is not a finite
      non-negative number, or an --out that cannot be written (a missing
      directory, an empty path, or for `demo` an existing file), or a stdout that cannot be
      written (a closed pipe, a full device, or no stdout at all)
   3  ZeroProbabilityOutcome, ZeroGamma: zero-probability preparation or record
   4  MissingRecord: missing record labels
-  5  NotAFrame: input states that do not form a tomography frame
+  5  NotAFrame: never from a dataset file, where every protocol record's input is its label's state within
+     `STATE_TOL`; only a Python caller of `reconstruct_linear_map` meets it
 
-`tomo` and `verify` decode and check each distinct dataset content once per process, and one that
-`simulate` wrote in this process not at all (`simulate` applies a read's checks and keeps what passes):
-a hit needs identical bytes (under any path) and shares one read-only Dataset; errors are never cached.
+`tomo` and `verify` decode and check each distinct dataset content once per process (identical bytes
+under any path share one read-only Dataset; errors are never cached), and what `simulate` wrote in this
+process not at all: `simulate` keeps the Dataset it built, checked as a read checks it, or refuses it.
 
 `tomo --mode bilinear` reports its fit's deviation from the dataset's `oracle`
 table (`oracle_comparison`), which `simulate` writes for measurement preparation
@@ -109,20 +110,27 @@ def _write_output(payload: dict, out: str | None) -> bytes:
     return data
 
 
-def _parse_json(raw: bytes) -> dict:
-    """The JSON object that `raw`, UTF-8 text, holds; a failure raises ScenarioError(before, after), see `_load`."""
+def _read(path: str) -> bytes:
+    try:
+        return Path(path).read_bytes()
+    except OSError as exc:
+        raise ScenarioError(f"cannot read JSON from {path}: {exc}") from exc
+
+
+def _parse_json(raw: bytes, path: str) -> dict:
+    """The JSON object that `raw`, the UTF-8 text of file `path`, holds; else a ScenarioError naming `path`."""
     try:
         obj = json.loads(raw.decode("utf-8"))
     except UnicodeDecodeError as exc:
-        raise ScenarioError("", f" is not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
+        raise ScenarioError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
     except json.JSONDecodeError as exc:
-        raise ScenarioError("cannot read JSON from ", f": {exc}") from exc
+        raise ScenarioError(f"cannot read JSON from {path}: {exc}") from exc
     except ValueError as exc:  # json.loads refuses an integer beyond Python's digit limit
-        raise ScenarioError("", f" holds a JSON integer of more than {sys.get_int_max_str_digits()} digits") from exc
+        raise ScenarioError(f"{path} holds a JSON integer of more than {sys.get_int_max_str_digits()} digits") from exc
     except RecursionError as exc:
-        raise ScenarioError("", " holds JSON nested too deeply to decode") from exc
+        raise ScenarioError(f"{path} holds JSON nested too deeply to decode") from exc
     if not isinstance(obj, dict):
-        raise ScenarioError("", " does not hold a JSON object")
+        raise ScenarioError(f"{path} does not hold a JSON object")
     return obj
 
 
@@ -137,24 +145,16 @@ def _remember(raw: bytes, dataset: Dataset) -> Dataset:
     return dataset
 
 
-def _decode_dataset(raw: bytes) -> Dataset:
-    """The read-only Dataset a file's bytes hold, decoded at most once per content (a failure is never cached)."""
-    try:  # _parse_json's own ScenarioError is not caught here
-        dataset = _datasets.pop(raw, None) or Dataset.from_json(_parse_json(raw))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ScenarioError("malformed dataset ", f": {exc}") from exc
+def _read_dataset(path: str) -> Dataset:
+    """The read-only Dataset file `path` holds, decoded at most once per content (a failure is never cached)."""
+    raw = _read(path)
+    dataset = _datasets.pop(raw, None)
+    if dataset is None:
+        try:  # _parse_json's own ScenarioError is not caught here
+            dataset = Dataset.from_json(_parse_json(raw, path))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ScenarioError(f"malformed dataset {path}: {exc}") from exc
     return _remember(raw, dataset)
-
-
-def _load(path: str, decode) -> tuple:
-    """The file's bytes and decode(bytes); decode's ScenarioError(before, after) becomes before + path + after."""
-    try:
-        raw = Path(path).read_bytes()
-        return raw, decode(raw)
-    except OSError as exc:
-        raise ScenarioError(f"cannot read JSON from {path}: {exc}") from exc
-    except ScenarioError as exc:
-        raise ScenarioError(path.join(exc.args)) from exc
 
 
 def _sha256(data: bytes) -> str:
@@ -164,7 +164,8 @@ def _sha256(data: bytes) -> str:
 
 
 def cmd_simulate(args) -> int:
-    raw, obj = _load(args.scenario, _parse_json)
+    raw = _read(args.scenario)
+    obj = _parse_json(raw, args.scenario)
     digest = _sha256(raw)
     del raw  # the scenario's bytes are not kept alive through the simulation
     for key in ("shots", "seed"):
@@ -173,12 +174,7 @@ def cmd_simulate(args) -> int:
     scenario = parse_scenario(obj, name=Path(args.scenario).stem)
     del obj  # nor its decoded JSON: what simulate keeps, allocated amid it, would pin that memory once freed
     dataset = simulate_scenario(scenario, digest)
-    raw = _write_output(dataset.to_json(), args.out)
-    mats = np.concatenate((dataset.inputs, dataset.outputs))
-    try:  # a later read of these bytes in this process gets this Dataset, checked as that read would check it
-        _remember(raw, Dataset.checked(dataset.labels, dataset.gammas.tolist(), mats, dataset.metadata, dataset.oracle))
-    except ValueError:  # not kept: the read decodes the file and reports the fault
-        pass
+    _remember(_write_output(dataset.to_json(), args.out), dataset)  # a later read of these bytes gets this Dataset
     return EXIT_OK
 
 
@@ -197,7 +193,7 @@ def _tomo_bilinear(dataset: Dataset) -> dict:
 
 
 def cmd_tomo(args) -> int:
-    dataset = _load(args.dataset, _decode_dataset)[1]
+    dataset = _read_dataset(args.dataset)
     payload = _tomo_linear(dataset) if args.mode == "linear" else _tomo_bilinear(dataset)
     _write_output(payload, args.out)
     return EXIT_OK
@@ -207,7 +203,7 @@ def cmd_verify(args) -> int:
     for option, tol in (("--tol-linear", args.tol_linear), ("--tol-bilinear", args.tol_bilinear)):
         if not (math.isfinite(tol) and tol >= 0):
             raise ProcmapError(f"{option} must be a finite non-negative number, got {tol}")
-    dataset = _load(args.dataset, _decode_dataset)[1]
+    dataset = _read_dataset(args.dataset)
     _write_output(classify(dataset, tol_linear=args.tol_linear, tol_bilinear=args.tol_bilinear), args.out)
     return EXIT_OK
 

@@ -12,8 +12,8 @@ order; bilinear9, both labels of 1, 2, 3 and 4+, 5+, 6+; linear4, 1-, 1+, 2+,
 A `Dataset` holds its records as stacked arrays, record i being (labels[i],
 inputs[i], outputs[i], gammas[i]); `Dataset.subset` selects a protocol's records
 by label, and `fit` reads the stacks directly, factoring each distinct design once per process (a protocol
-fixes its inputs).  `Dataset.checked`, behind `Dataset.from_json`, requires string labels, each gamma in [0,
-`dynamics.MAX_GAMMA`] (the preparation's own bound) and states that `_check_states` allows.
+fixes its inputs).  `Dataset.checked`, behind both `scenarios.simulate_scenario` and `Dataset.from_json`, requires
+string labels, each gamma in [0, `dynamics.MAX_GAMMA`] (the preparation's bound) and states `_check_states` allows.
 """
 
 from __future__ import annotations

@@ -6,9 +6,9 @@ method, and a protocol (which input labels to prepare).  `operations` gives the
 `mixed`.  Simulation is one array program over that stack, with the process layer of
 `dynamics`: it builds the process tensor M once, reads every gamma off the stack in one
 `prepare_generalized` call and every output off the stack and M in one `run_process` call;
-these arrays are the stacks of one `Dataset`.  An optional finite-shot mode degrades every
-exact probability and output to a multinomial estimate from a seeded generator, in one draw
-for the outputs.
+these arrays are the stacks of one `Dataset`, checked (`Dataset.checked`) as a read of its file is:
+a dataset no read accepts is a ScenarioError.  An optional finite-shot mode degrades every exact
+probability and output to a multinomial estimate from a seeded generator, in one draw for the outputs.
 
 The dataset holds the sha256 of the scenario file's bytes (`metadata.scenario_sha256`),
 not the file, so reproducing a dataset needs its scenario file too; nothing reads
@@ -275,7 +275,7 @@ def _degrade(sc: Scenario, labels: tuple, gammas: np.ndarray, outputs: np.ndarra
 
 
 def simulate_scenario(sc: Scenario, scenario_sha256: str = "") -> Dataset:
-    """Run the pipeline for every protocol label; `scenario_sha256` is the scenario file's digest."""
+    """The checked Dataset of every protocol label, else ScenarioError; `scenario_sha256` is the scenario's digest."""
     m = build_M_from_dynamics(sc.spec)
     labels = PROTOCOL_LABELS[sc.protocol] + ((MIXED_LABEL,) if sc.mixed_bloch is not None else ())
     s = operations(sc, labels)
@@ -297,7 +297,10 @@ def simulate_scenario(sc: Scenario, scenario_sha256: str = "") -> Dataset:
     oracle = None
     if sc.prep_method == "measurement":  # the only preparation the bi-linear map describes
         oracle = element_table_from_map(m)
-    return Dataset(labels, inputs, outputs, gammas, metadata, oracle)
+    try:  # every read of the dataset runs these checks, so simulate refuses what no read would accept
+        return Dataset.checked(labels, gammas.tolist(), np.concatenate((inputs, outputs)), metadata, oracle)
+    except ValueError as exc:
+        raise ScenarioError(f"malformed dataset: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

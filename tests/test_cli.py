@@ -894,23 +894,56 @@ def test_simulate_keeps_the_dataset_a_read_decodes(case, tmp_path, capsys, decod
 
 @pytest.mark.parametrize("case", sorted(WRITE_THROUGH))
 def test_simulate_keeps_no_dataset_a_read_refuses(case, tmp_path, capsys, monkeypatch):
+    # simulate runs the checks every read runs, so what a read refuses simulate refuses, writing and keeping nothing.
     def refuse(labels, mats):
         raise ValueError("record '1+' output is refused")
 
     monkeypatch.setattr(records, "_check_states", refuse)
-    path = simulate_write_through(case, tmp_path, capsys)
+    config, extra = WRITE_THROUGH[case]
+    scenario, path = tmp_path / "scenario.json", tmp_path / "dataset.json"
+    scenario.write_text(jsonio.dumps(config))
+    diagnostic = "error: malformed dataset: record '1+' output is refused\n"
+    assert run(["simulate", scenario, "--out", path, *extra], capsys) == (EXIT_BAD_CONFIG, diagnostic)
+    assert not path.exists() and cli._datasets == {}
+
+
+# gamma0 has the eigenvalue -2e-11, within STATE_TOL, so measuring 3- has probability 1e-11 and its output
+# Bloch z = 5: a dataset every read refuses.
+UNREADABLE_OUTPUT = {**STOCHASTIC, "t": np.pi / 4, "preparation": {"method": "measurement"},
+                     "gamma0": jsonio.matrix_to_json(np.diag([0.5, 0.5 - 1e-11, 3e-11, -2e-11]).astype(complex))}
+
+
+@pytest.mark.parametrize("out", ["absent", "existing", "stdout"])
+@pytest.mark.parametrize("where", ["process", "main"])
+def test_simulate_refuses_a_dataset_every_read_refuses(where, out, tmp_path, capsys, monkeypatch):
+    (tmp_path / "scenario.json").write_text(jsonio.dumps(UNREADABLE_OUTPUT))
+    target = tmp_path / "dataset.json"
+    if out == "existing":
+        target.write_bytes(b"an earlier artifact\n")
+    argv = ["simulate", "scenario.json", *(["--out", "dataset.json"] if out != "stdout" else [])]
+    if where == "process":
+        code, stdout, err = cli_process(argv, cwd=tmp_path, stdout=subprocess.PIPE)
+    else:
+        monkeypatch.chdir(tmp_path)
+        code, stdout, err = in_process(argv, capsys)
+    assert (code, stdout) == (EXIT_BAD_CONFIG, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and "record '3-'" in err, err
+    if out == "existing":
+        assert target.read_bytes() == b"an earlier artifact\n"
+    else:
+        assert not target.exists()
     assert cli._datasets == {}
-    diagnostic = f"error: malformed dataset {path}: record '1+' output is refused\n"
-    for argv in (["tomo", path, "--mode", "linear"], ["tomo", path, "--mode", "bilinear"], ["verify", path]):
-        assert run(argv, capsys) == (EXIT_BAD_CONFIG, diagnostic)
 
 
 def test_dataset_cache_keeps_the_four_contents_used_last(tmp_path, capsys, decodes):
     text = jsonio.dumps(simulate(tmp_path, capsys))
     cli._datasets.clear()
     raws = [(text + " " * i).encode() for i in range(5)]  # five contents, one dataset
+    paths = [tmp_path / f"{i}.json" for i in range(5)]
+    for path, raw in zip(paths, raws):
+        path.write_bytes(raw)
     for i in (0, 1, 2, 3, 0, 4):  # reading 0 again leaves 1 the least recently used
-        cli._decode_dataset(raws[i])
+        cli._read_dataset(str(paths[i]))
     assert list(cli._datasets) == [raws[2], raws[3], raws[0], raws[4]] and len(decodes) == 5
 
 
@@ -955,12 +988,15 @@ def test_failures_are_not_cached_and_hits_do_not_depend_on_the_path(tmp_path, ca
 
 def test_cached_dataset_is_read_only(tmp_path, capsys):
     simulate(tmp_path, capsys)
-    raw = (tmp_path / "dataset.json").read_bytes()
+    path, copy = tmp_path / "dataset.json", tmp_path / "copy.json"
+    raw = path.read_bytes()
+    copy.write_bytes(raw)
     for kept_by_simulate in (True, False):
         if not kept_by_simulate:
             cli._datasets.clear()
-        dataset = cli._decode_dataset(raw)
-        assert cli._decode_dataset(bytes(bytearray(raw))) is dataset
+        kept = cli._datasets.get(raw)
+        dataset = cli._read_dataset(str(path))
+        assert cli._read_dataset(str(copy)) is dataset and (kept is dataset) == kept_by_simulate
         for stack in (dataset.inputs, dataset.outputs, dataset.gammas, dataset.oracle):
             with pytest.raises(ValueError, match="read-only"):
                 stack[0] = 0.0
@@ -1172,6 +1208,7 @@ ENTRY_POINT_CASES = {
     "exit-2": ["verify", "nan-gamma.json"],
     "exit-3": ["tomo", "zero-gamma.json", "--mode", "bilinear"],
     "exit-4": ["verify", "missing-label.json"],
+    "exit-2-simulate": ["simulate", "unreadable-output.json", "--out", "refused.json"],
     "usage-error": ["tomo", "dataset.json"],
     "help": ["-h"],
 }
@@ -1189,6 +1226,7 @@ def test_entry_point_matches_in_process_main(tmp_path, capsys, monkeypatch):
     for name, edit in edits.items():
         (inputs / name).write_text(json.dumps(edit(simulate(inputs, capsys))))
     (inputs / "dataset.json").unlink()
+    (inputs / "unreadable-output.json").write_text(jsonio.dumps(UNREADABLE_OUTPUT))
     process, in_main = tmp_path / "process", tmp_path / "main"
     shutil.copytree(inputs, process)
     shutil.copytree(inputs, in_main)
@@ -1198,10 +1236,10 @@ def test_entry_point_matches_in_process_main(tmp_path, capsys, monkeypatch):
     outcomes = {case: in_process(argv, capsys) for case, argv in ENTRY_POINT_CASES.items()}
     assert outcomes == expected
     assert {case: code for case, (code, _, _) in outcomes.items() if code} == {
-        "exit-2": 2, "exit-3": 3, "exit-4": 4, "usage-error": 2}
+        "exit-2": 2, "exit-3": 3, "exit-4": 4, "exit-2-simulate": 2, "usage-error": 2}
     files = sorted(p.relative_to(process) for p in process.rglob("*") if p.is_file())
     assert files == sorted(p.relative_to(in_main) for p in in_main.rglob("*") if p.is_file())
-    assert len(files) == 4 + 4 + 3 * len(BUNDLE_FILES)
+    assert len(files) == 5 + 4 + 3 * len(BUNDLE_FILES)  # no refused.json
     for name in files:
         assert (process / name).read_bytes() == (in_main / name).read_bytes(), name
 
