@@ -7,10 +7,10 @@ Exit codes, each the `exit_code` of the `ProcmapError` subclasses named:
   0  success
   2  ScenarioError, InvalidMeasurement, NotStrictlyMixed: malformed config or dataset, including a matrix
      entry that is not a JSON number (a string or a bool), a record state that `Dataset.checked` does not
-     allow (a read, or `simulate` before it writes), or an input file that is unreadable, not UTF-8,
-     not JSON, too deeply nested or with an integer over Python's 4,300-digit limit;
-     ProcmapError itself: a --tol-linear or --tol-bilinear that is not a finite
-     non-negative number, or an --out that cannot be written (a missing
+     allow (a read, or `simulate` before it writes; an exact output that is not a state, as a tiny gamma can
+     give), or an input file that is unreadable, not UTF-8, not JSON, too deeply nested or with an integer
+     over Python's 4,300-digit limit; ProcmapError itself: a --tol-linear or --tol-bilinear that is not a
+     finite non-negative number, or an --out that cannot be written (a missing
      directory, an empty path, or for `demo` an existing file), or a stdout that cannot be
      written (a closed pipe, a full device, or no stdout at all)
   3  ZeroProbabilityOutcome, ZeroGamma: zero-probability preparation or record

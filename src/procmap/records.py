@@ -156,7 +156,7 @@ class Dataset:
                 raise ValueError(f"record {i} has label {shown(label)}, not a JSON string")
             if type(gamma) not in (int, float) or not 0.0 <= gamma <= MAX_GAMMA:
                 raise ValueError(f"record {shown(label)} has gamma {shown(gamma)}, not a JSON number in [0, 1]")
-        _check_states(labels, mats)
+        _check_states(labels, mats, exact=metadata.get("shots") == "exact")
         gammas = np.array(gammas, dtype=float)
         mats.flags.writeable = gammas.flags.writeable = False  # and so the views of mats below
         if oracle is not None:
@@ -165,13 +165,13 @@ class Dataset:
         return Dataset(tuple(labels), *mats.reshape(2, -1, 2, 2), gammas, metadata, oracle)
 
 
-def _check_states(labels, mats) -> None:
+def _check_states(labels, mats, exact: bool) -> None:
     """Raise ValueError naming a record whose input or output is not a state it may hold, within STATE_TOL.
 
     `mats` stacks the records' inputs, then their outputs, (2k, 2, 2).  A protocol label's input must
     be the projector the label prepares, and any other input a density matrix.  An output must be
     Hermitian with unit trace with each Bloch component in [-1, 1], as states and shot estimates
-    2*ups/shots - 1 are, but may leave the Bloch ball: only each component is bounded.
+    2*ups/shots - 1 are; an `exact` output must be a state too, but a shot estimate may leave the Bloch ball.
     """
     k = len(labels)
     # Any other label is compared with its own input, so only the density-matrix test can fail it.
@@ -180,15 +180,16 @@ def _check_states(labels, mats) -> None:
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow reads as an infinite deviation
         adjoint = np.abs(mats - np.conj(mats.transpose(0, 2, 1))).max(axis=(1, 2))
         hermitian_unit_trace = np.maximum(adjoint, np.abs(np.trace(mats, axis1=1, axis2=2) - 1.0))
+        z, xy = mats[:, 0, 0] - mats[:, 1, 1], 2.0 * mats[:, 0, 1]
         # For a Hermitian unit-trace qubit matrix, (|Bloch vector| - 1) / 2 is minus its lower eigenvalue.
-        negativity = (np.hypot(np.abs(mats[:k, 0, 0] - mats[:k, 1, 1]), 2.0 * np.abs(mats[:k, 0, 1])) - 1.0) / 2.0
-        z, xy = mats[k:, 0, 0] - mats[k:, 1, 1], 2.0 * mats[k:, 0, 1]
-        bloch = np.max(np.abs([z.real, xy.real, xy.imag]), axis=0) - 1.0
+        negativity = (np.hypot(np.abs(z), np.abs(xy)) - 1.0) / 2.0
+        bloch = np.max(np.abs([z.real, xy.real, xy.imag]), axis=0)[k:] - 1.0
         tests = (
             ("input is not the state its label prepares", np.abs(mats[:k] - expected).max(axis=(1, 2))),
-            ("input is not a density matrix", np.where(other, np.maximum(hermitian_unit_trace[:k], negativity), 0.0)),
+            ("input is not a density matrix", np.where(other, np.maximum(hermitian_unit_trace, negativity)[:k], 0.0)),
             ("output is not Hermitian with unit trace", hermitian_unit_trace[k:]),
             ("output has a Bloch component outside [-1, 1]", bloch),
+            ("output is not a state", np.where(exact, negativity[k:], 0.0)),
         )
     for what, deviation in tests:
         ok = deviation <= STATE_TOL  # a NaN deviation fails too

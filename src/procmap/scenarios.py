@@ -7,8 +7,8 @@ method, and a protocol (which input labels to prepare).  `operations` gives the
 `dynamics`: it builds the process tensor M once, reads every gamma off the stack in one
 `prepare_generalized` call and every output off the stack and M in one `run_process` call;
 these arrays are the stacks of one `Dataset`, checked (`Dataset.checked`) as a read of its file is:
-a dataset no read accepts is a ScenarioError.  An optional finite-shot mode degrades every exact
-probability and output to a multinomial estimate from a seeded generator, in one draw for the outputs.
+a dataset no read accepts is a ScenarioError.  An optional finite-shot mode (`_degrade`) draws, from one seeded
+generator, each preparing measurement's outcome counts as one multinomial, then each output's Pauli axes.
 
 The dataset holds the sha256 of the scenario file's bytes (`metadata.scenario_sha256`),
 not the file, so reproducing a dataset needs its scenario file too; nothing reads
@@ -32,8 +32,7 @@ from .dynamics import (ProcessSpec, build_M_from_dynamics, check_completeness, c
                        heisenberg_hamiltonian, prepare_generalized, run_process, superoperator, unitary_from_hamiltonian)
 from .errors import ProcmapError, shown
 from .qstate import DIM_SYS, SIGMA_1, SIGMA_3, bloch_vector, state_from_bloch, tensor
-from .records import (DIRECTIONS, MIXED_LABEL, PROTOCOL_LABELS, TWELVE_STATE_LABELS, Dataset, ket_of_label,
-                      state_of_label)
+from .records import MIXED_LABEL, PROTOCOL_LABELS, TWELVE_STATE_LABELS, Dataset, ket_of_label, state_of_label
 
 # Three retired names stay bound here, uncalled, so that perfbench/tracer.py can wrap them.
 apply_pin_map = prepare_stochastic = prepare_projective = prepare_generalized
@@ -247,30 +246,29 @@ def operations(sc: Scenario, labels) -> np.ndarray:
     return table[[order.index(label) for label in labels]]
 
 
+# Each record's preparing measurement, as a key its records share: generalized preparation has one, measurement
+# preparation one per direction d (labels d+, d-) and one for the mixed record.  The others always yield (gamma = 1).
+_MEASUREMENT_KEY = {"generalized": lambda label: "", "measurement": lambda label: label.rstrip("+-")}
+
+
 def _degrade(sc: Scenario, labels: tuple, gammas: np.ndarray, outputs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Multinomial estimates of the exact `gammas` and `outputs` of `labels` at sc.shots shots.
 
-    One generator, seeded with sc.seed (0 when absent), draws the outcome probabilities first, over a generalized
-    measurement's outcomes or per measured direction, then each output's three Pauli axes, record by record, and
-    last the mixed record's gamma, the probability of outcome X of the completed measurement {X, sqrt(1 - X^2)}.
+    A record's gamma is the probability of one outcome of the measurement that prepares its input, so each
+    preparing measurement's outcomes are counted in one multinomial over the outcomes its records name plus one
+    for every other outcome.  One generator, seeded with sc.seed (0 when absent), draws the measurements in label
+    order, then each output's three Pauli axes, record by record.
     """
     shots, est = sc.shots, gammas.copy()
     rng = np.random.default_rng(sc.seed if sc.seed is not None else 0)
-    if sc.prep_method == "generalized":
-        rows = [labels.index(label) for label in sc.generalized_labels]
-        # Complete only within STATE_TOL, the probabilities may sum above 1, which multinomial refuses.
-        p = gammas[rows]
-        est[rows] = rng.multinomial(shots, p / p.sum()) / shots
-    elif sc.prep_method == "measurement":
-        plus = [labels.index(f"{d}+") for d in DIRECTIONS if f"{d}+" in labels]
-        est[plus] = rng.binomial(shots, np.clip(gammas[plus], 0.0, 1.0)) / shots
-        for d in DIRECTIONS:  # a measured direction's - label takes the complement
-            if f"{d}+" in labels and f"{d}-" in labels:
-                est[labels.index(f"{d}-")] = 1.0 - est[labels.index(f"{d}+")]
+    key, measurements = _MEASUREMENT_KEY.get(sc.prep_method), {}
+    for i, label in enumerate(labels if key else ()):
+        measurements.setdefault(key(label), []).append(i)
+    for rows in measurements.values():
+        p = gammas[rows].tolist()  # complete only within STATE_TOL, p may sum above 1, which multinomial refuses
+        total = math.fsum(p)
+        est[rows] = rng.multinomial(shots, [x / max(total, 1.0) for x in p] + [max(1.0 - total, 0.0)])[:-1] / shots
     ups = rng.binomial(shots, np.clip(0.5 * (1.0 + bloch_vector(outputs)), 0.0, 1.0))
-    if MIXED_LABEL in labels:
-        mixed = labels.index(MIXED_LABEL)
-        est[mixed] = rng.binomial(shots, np.clip(gammas[mixed], 0.0, 1.0)) / shots
     return est, state_from_bloch(2.0 * ups / shots - 1.0)
 
 

@@ -40,9 +40,9 @@ def classify(
     fits over the dataset's twelve protocol records; any other record is
     ignored.  Gamma-completeness deviations are reported (and warned about
     above GAMMA_WARN_THRESHOLD) but gate only data quality, never the
-    verdict.  When every record has gamma = 1 the preparation was not
-    selective, so the completeness check does not apply and gives no
-    warnings.
+    verdict.  They are warned about only where a direction's two records are
+    one measurement's outcomes, under measurement preparation or when
+    `metadata.preparation` names none, and some record has gamma != 1.
     """
     twelve = dataset.subset(TWELVE_STATE_LABELS)
     linear = fit(twelve, degree=1).residuals
@@ -56,7 +56,7 @@ def classify(
     else:
         verdict = "Neither"
 
-    selective = bool((twelve.gammas != 1.0).any())
+    warn = dataset.metadata.get("preparation", "measurement") == "measurement" and bool((twelve.gammas != 1.0).any())
     return {
         "schema": REPORT_SCHEMA,
         "verdict": verdict,
@@ -67,6 +67,6 @@ def classify(
         "warnings": [
             f"gamma completeness violated in direction {d}: deviation {dev:+.4f}"
             for d, dev in gammas.items()
-            if selective and abs(dev) > GAMMA_WARN_THRESHOLD
+            if warn and abs(dev) > GAMMA_WARN_THRESHOLD
         ],
     }

@@ -44,10 +44,16 @@ is the only prediction from a table, read off a solved one by
 that `scenarios.simulate_scenario` replaced by one stacked call each of
 `prepare_generalized` and `run_process`, built from single-S calls and each
 label's Kraus form, so it is the bit-for-bit oracle for the stacked program and
-its table of S; `reference_shot_dataset` is the finite-shot model applied record
-by record, the oracle for its draw order.  Last is the dilation of a generalized
-measurement: a unitary on system x ancillas followed by a von Neumann readout
-of an ancilla, another independent route to `dynamics.prepare_generalized`.
+its table of S.  The shot model is one rule: each measurement that prepares
+records (`preparing_measurements`) draws its outcome counts as one multinomial,
+over the outcomes its records name plus one for the rest, then each output axis
+is one binomial count, every draw independent.  `reference_shot_dataset` applies
+it record by record, the oracle for `scenarios._degrade`'s draw order, and
+`shot_moments` is its analytic mean and covariance; `twelve_outcome_config` is a
+complete twelve-outcome measurement that exercises it.  Last is the dilation of
+a generalized measurement: a unitary on system x ancillas followed by a von
+Neumann readout of an ancilla, another independent route to
+`dynamics.prepare_generalized`.
 """
 
 from __future__ import annotations
@@ -57,6 +63,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from procmap import jsonio
 from procmap.bilinear_tomo import CROSS_PAIRS, ZeroGamma
 from procmap.dynamics import (
     ZERO_PROBABILITY_TOL,
@@ -87,7 +94,6 @@ from procmap.qstate import (
     validate_unitary,
 )
 from procmap.records import (
-    DIRECTIONS,
     MIXED_LABEL,
     PROTOCOL_LABELS,
     TWELVE_STATE_LABELS,
@@ -96,7 +102,7 @@ from procmap.records import (
     ket_of_label,
     state_of_label,
 )
-from procmap.scenarios import Scenario
+from procmap.scenarios import Scenario, demo_scenario_config
 
 SQRT2 = float(np.sqrt(2.0))
 
@@ -503,37 +509,80 @@ def reference_simulate(sc) -> Dataset:
     return Dataset(labels, inputs, outputs, gammas)
 
 
+def preparing_measurements(sc, labels) -> list[list[str]]:
+    """The labels of each measurement that prepares records of `sc`, measurements in the order of their first label.
+
+    A generalized preparation is one measurement over all its outcomes.  Measurement preparation measures each
+    direction d as {P(d+), P(d-)} and the mixed record's X as {X, sqrt(1 - X^2)}.  Stochastic and rotation-only
+    preparations measure nothing: they yield their input every time.
+    """
+    groups: dict[str, list[str]] = {}
+    for label in labels:
+        if sc.prep_method == "generalized":
+            groups.setdefault("all outcomes", []).append(label)
+        elif sc.prep_method == "measurement":
+            groups.setdefault(label if label == MIXED_LABEL else label[:-1], []).append(label)
+    return list(groups.values())
+
+
 def reference_shot_dataset(sc, exact: Dataset) -> Dataset:
     """The finite-shot dataset of `sc` from its exact dataset, record by record.
 
     The shot model drawn from one generator seeded with sc.seed (0 when absent):
-    first the outcome probabilities (one multinomial over a generalized
-    measurement's outcomes, or one binomial per measured direction, its - label
-    taking the complement), then, record by record in label order, one binomial
-    per Pauli axis of the output's Bloch vector, and last one binomial for the
-    mixed record's gamma.
+    first, measurement by measurement (`preparing_measurements`), one multinomial
+    over the outcomes its records name plus one outcome for all the others, each
+    record's gamma becoming its outcome's count over shots; then, record by record
+    in label order, one binomial per Pauli axis of the output's Bloch vector.
+    Probabilities that sum above 1 (completeness holds within STATE_TOL) are
+    scaled to sum to 1.
     """
     rng = np.random.default_rng(sc.seed if sc.seed is not None else 0)
     gammas = dict(zip(exact.labels, exact.gammas.tolist()))
-    if sc.prep_method == "generalized":
-        p = np.array([gammas[label] for label in sc.generalized_labels])
-        counts = rng.multinomial(sc.shots, p / p.sum())
-        gammas.update(zip(sc.generalized_labels, (counts / sc.shots).tolist()))
-    elif sc.prep_method == "measurement":
-        for d in DIRECTIONS:
-            if f"{d}+" in gammas:
-                ups = rng.binomial(sc.shots, min(max(gammas[f"{d}+"], 0.0), 1.0))
-                gammas[f"{d}+"] = ups / sc.shots
-                if f"{d}-" in gammas:
-                    gammas[f"{d}-"] = 1.0 - ups / sc.shots
+    for names in preparing_measurements(sc, exact.labels):
+        p = [gammas[label] for label in names]
+        total = math.fsum(p)
+        counts = rng.multinomial(sc.shots, [x / max(total, 1.0) for x in p] + [max(1.0 - total, 0.0)])
+        for label, count in zip(names, counts):
+            gammas[label] = count / sc.shots
     outputs = []
     for output in exact.outputs:
         bloch = [2.0 * rng.binomial(sc.shots, min(max(0.5 * (1.0 + b), 0.0), 1.0)) / sc.shots - 1.0
                  for b in bloch_vector(output)]
         outputs.append(state_from_bloch(bloch))
-    if MIXED_LABEL in gammas:
-        gammas[MIXED_LABEL] = rng.binomial(sc.shots, min(max(gammas[MIXED_LABEL], 0.0), 1.0)) / sc.shots
     return Dataset(exact.labels, exact.inputs, outputs, [gammas[label] for label in exact.labels])
+
+
+def shot_moments(sc, exact: Dataset) -> tuple[np.ndarray, np.ndarray]:
+    """The mean and covariance, under the shot model at sc.shots, of the vector of every record's gamma followed by
+    every record's output Bloch vector (x, y, z), records in label order.
+
+    Within a preparing measurement the counts are multinomial, so Cov(gamma_i, gamma_j) is
+    (delta_ij p_i - p_i p_j) / shots.  An output axis b is 2 u / shots - 1 for a binomial count u of
+    probability (1 + b) / 2, so Var(b) = (1 - b^2) / shots.  Every other pair is independent, and a
+    gamma that no measurement draws is exact.
+    """
+    k, shots = len(exact.labels), sc.shots
+    row = {label: i for i, label in enumerate(exact.labels)}
+    bloch = np.array([[np.trace(pauli @ output).real for pauli in PAULIS] for output in exact.outputs]).ravel()
+    cov = np.zeros((4 * k, 4 * k))
+    for names in preparing_measurements(sc, exact.labels):
+        rows = [row[label] for label in names]
+        p = exact.gammas[rows]
+        cov[np.ix_(rows, rows)] = (np.diag(p) - np.outer(p, p)) / shots
+    cov[k:, k:] = np.diag((1.0 - bloch**2) / shots)
+    return np.concatenate([exact.gammas, bloch]), cov
+
+
+def twelve_outcome_config() -> dict:
+    """The measurement demo's process prepared by a complete twelve-outcome measurement: the outcome of each
+    verify12 label has the label's projector as its Kraus operator, with weight 1/6, so gamma(d+) + gamma(d-)
+    is 1/6 in every direction d."""
+    outcomes = [{"weights": [1.0 / 6.0], "kraus": [jsonio.matrix_to_json(state_of_label(label))]}
+                for label in TWELVE_STATE_LABELS]
+    preparation = {"method": "generalized", "measurement": {"outcomes": outcomes}, "labels": list(TWELVE_STATE_LABELS)}
+    config = {**demo_scenario_config("measurement-correlated"), "preparation": preparation}
+    del config["mixed_bloch"]  # mixed_bloch requires measurement preparation
+    return config
 
 
 @dataclass(frozen=True)

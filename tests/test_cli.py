@@ -28,7 +28,7 @@ from procmap.errors import (
     EXIT_ZERO_PROBABILITY,
 )
 from procmap.linear_tomo import NotAFrame
-from procmap.qstate import bloch_vector, validate_density_matrix
+from procmap.qstate import bloch_vector, state_from_bloch, validate_density_matrix
 from procmap.records import LINEAR4_LABELS, TWELVE_STATE_LABELS, Dataset, MissingRecord, state_of_label
 from procmap.scenarios import DEMO_NAMES, ScenarioError, demo_scenario_config, parse_scenario, simulate_scenario
 
@@ -248,6 +248,19 @@ BAD_SCENARIOS = {
             "measurement": {"outcomes": [{"weights": [1.0], "kraus": [jsonio.matrix_to_json(1e200 * np.eye(2))]}] * 12},
         },
     },
+    "dimB-0": {**PINNED, "dimB": 0},
+    "heisenberg-dimB-3": {**MEASUREMENT, "dimB": 3},
+    "method-teleport": {**MEASUREMENT, "preparation": {"method": "teleport"}},
+    "generalized-labels-not-verify12": {
+        **STOCHASTIC, "preparation": {**generalized(1.0)["preparation"], "labels": ["1+", *TWELVE_STATE_LABELS[:-1]]},
+    },
+    "13-outcomes-12-labels": {
+        **STOCHASTIC,
+        "preparation": {
+            **generalized(1.0)["preparation"],
+            "measurement": {"outcomes": [{"weights": [1.0], "kraus": [jsonio.matrix_to_json(np.eye(2) / np.sqrt(13.0))]}] * 13},
+        },
+    },
 }
 
 
@@ -301,6 +314,11 @@ BAD_SCENARIO_WORDS = {
     "protocol-null": "protocol must be a JSON string, got NoneType",
     "method-integer": "preparation.method must be a JSON string, got int",
     "generalized-label-integer": "preparation.labels[0] must be a JSON string, got int",
+    "dimB-0": "dimB must be positive",
+    "heisenberg-dimB-3": '"heisenberg" keyword requires dimA = dimB = 2',
+    "method-teleport": "unknown preparation method 'teleport'",
+    "generalized-labels-not-verify12": "generalized preparation labels must cover the verify12 labels",
+    "13-outcomes-12-labels": "one label per measurement outcome is required",
 }
 
 
@@ -721,6 +739,15 @@ def test_leftover_arguments_are_reported_by_the_top_level_parser(capsys):
     assert err.endswith("procmap: error: unrecognized arguments: extra --bogus\n")
 
 
+def test_unknown_demo_is_one_line_exit_2(tmp_path, capsys, monkeypatch):
+    # The demo name parses as any string; the command refuses it before it writes a bundle.
+    monkeypatch.chdir(tmp_path)
+    code, out, err = in_process(["demo", "nope"], capsys)
+    assert (code, out, err.count("\n")) == (EXIT_BAD_CONFIG, "", 1)
+    assert err.startswith("error: unknown demo 'nope'; expected one of stochastic-heisenberg"), err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_missing_label_exits_4(tmp_path, capsys):
     obj = simulate(tmp_path, capsys)
     obj["records"] = [r for r in obj["records"] if r["label"] != "6-"]
@@ -895,7 +922,7 @@ def test_simulate_keeps_the_dataset_a_read_decodes(case, tmp_path, capsys, decod
 @pytest.mark.parametrize("case", sorted(WRITE_THROUGH))
 def test_simulate_keeps_no_dataset_a_read_refuses(case, tmp_path, capsys, monkeypatch):
     # simulate runs the checks every read runs, so what a read refuses simulate refuses, writing and keeping nothing.
-    def refuse(labels, mats):
+    def refuse(labels, mats, exact):
         raise ValueError("record '1+' output is refused")
 
     monkeypatch.setattr(records, "_check_states", refuse)
@@ -933,6 +960,45 @@ def test_simulate_refuses_a_dataset_every_read_refuses(where, out, tmp_path, cap
     else:
         assert not target.exists()
     assert cli._datasets == {}
+
+
+def not_a_state_output() -> dict:
+    """Measurement preparation on gamma0 = |0><0| (x) (1 - 1e-9) 1/2 + |1><1| (x) 1e-9 rho_B, rho_B of Bloch vector
+    1.04 (1, 1, 1) / sqrt(3), at t = pi/4.  gamma0's eigenvalue -2e-11 is within STATE_TOL; record 3- gets gamma 1e-9
+    and an output of eigenvalues -0.02 and 1.02, whose Bloch components (about 0.6 each) all lie in [-1, 1]."""
+    rho_b = state_from_bloch(1.04 * np.ones(3) / np.sqrt(3.0))
+    gamma0 = np.kron(np.diag([1.0, 0.0]), (1.0 - 1e-9) * np.eye(2) / 2.0) + np.kron(np.diag([0.0, 1.0]), 1e-9 * rho_b)
+    return {**STOCHASTIC, "t": np.pi / 4, "preparation": {"method": "measurement"},
+            "gamma0": jsonio.matrix_to_json(gamma0)}
+
+
+@pytest.mark.parametrize("where", ["process", "main"])
+def test_simulate_refuses_an_exact_output_that_is_not_a_state(where, tmp_path, capsys, monkeypatch):
+    (tmp_path / "scenario.json").write_text(jsonio.dumps(not_a_state_output()))
+    argv = ["simulate", "scenario.json", "--out", "dataset.json"]
+    if where == "process":
+        code, stdout, err = cli_process(argv, cwd=tmp_path, stdout=subprocess.PIPE)
+    else:
+        monkeypatch.chdir(tmp_path)
+        code, stdout, err = in_process(argv, capsys)
+    assert (code, stdout) == (EXIT_BAD_CONFIG, "")
+    assert err == "error: malformed dataset: record '3-' output is not a state (deviation 2.000e-02)\n", err
+    assert not (tmp_path / "dataset.json").exists()
+
+
+@pytest.mark.parametrize("shots", ["exact", "1000"])
+def test_only_an_exact_output_must_lie_in_the_bloch_ball(shots, tmp_path, capsys):
+    # A shot estimate may leave the ball; an exact output of Bloch norm 1.01 is refused by every read.
+    obj = simulate(tmp_path, capsys)
+    obj["metadata"]["shots"] = shots
+    obj["records"][0]["output"] = jsonio.matrix_to_json(state_from_bloch(1.01 * np.ones(3) / np.sqrt(3.0)))
+    path = write_dataset(tmp_path, obj)
+    for argv in (["tomo", path, "--mode", "linear"], ["tomo", path, "--mode", "bilinear"], ["verify", path]):
+        code, err = run(argv, capsys)
+        if shots == "exact":
+            assert code == EXIT_BAD_CONFIG and "record '1+' output is not a state (deviation 5.000e-03)" in err, err
+        else:
+            assert code == EXIT_OK, err
 
 
 def test_dataset_cache_keeps_the_four_contents_used_last(tmp_path, capsys, decodes):

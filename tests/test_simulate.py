@@ -6,7 +6,10 @@ only the inversion.  These tests keep M honest to the dynamics: every record's
 gamma and gamma*Q must match the joint-space route of tests/helpers.py, which
 applies the label's operation to the system factor of gamma0, conjugates by U
 and traces out the environment.  Finite-shot datasets must match the shot model
-of tests/helpers.py applied record by record, draw for draw.
+of tests/helpers.py applied record by record, draw for draw: one multinomial per
+preparing measurement, over the outcomes its records name and one for the rest,
+then one binomial per output axis.  Their sample covariance over many seeds must
+match that model's analytic covariance (`shot_moments`).
 """
 
 from dataclasses import replace
@@ -24,14 +27,18 @@ from helpers import (
     reference_dynamical_map,
     reference_shot_dataset,
     run_joint,
+    shot_moments,
+    twelve_outcome_config,
     va_spec,
 )
 from procmap.dynamics import ProcessSpec
 from procmap.linear_tomo import apply_linear_map
+from procmap.qstate import bloch_vector
 from procmap.records import TWELVE_STATE_LABELS, state_of_label
 from procmap.scenarios import (
     DEMO_NAMES,
     Scenario,
+    _degrade,
     demo_scenario_config,
     parse_scenario,
     simulate_scenario,
@@ -108,3 +115,22 @@ def test_finite_shot_datasets_match_the_per_record_shot_model(name):
         assert got.labels == want.labels
         for field in ("inputs", "outputs", "gammas"):
             assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), (field, seed)
+
+
+@pytest.mark.parametrize("name", [*DEMO_NAMES, "twelve-outcome"])
+def test_shot_noise_has_the_covariance_of_one_multinomial_per_measurement(name):
+    # 4,000 seeds at 1,000 shots: every mean and covariance entry of (gammas, output Bloch vectors) lies within
+    # 5 standard errors of the model's, the errors of a covariance entry taken as for Gaussian data.
+    config = twelve_outcome_config() if name == "twelve-outcome" else demo_scenario_config(name)
+    sc = replace(parse_scenario(config), shots=1000)
+    exact = simulate_scenario(replace(sc, shots=None))
+    draws = []
+    for seed in range(4000):
+        gammas, outputs = _degrade(replace(sc, seed=seed), exact.labels, exact.gammas, exact.outputs)
+        draws.append(np.concatenate([gammas, bloch_vector(outputs).ravel()]))
+    draws = np.array(draws)
+    mean, cov = shot_moments(sc, exact)
+    n, var = len(draws), np.diag(cov)
+    assert np.all(np.abs(draws.mean(axis=0) - mean) <= 5.0 * np.sqrt(var / n) + 1e-12)
+    sample = np.cov(draws, rowvar=False)
+    assert np.all(np.abs(sample - cov) <= 5.0 * np.sqrt((np.outer(var, var) + cov**2) / n) + 1e-12)

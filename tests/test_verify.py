@@ -10,11 +10,13 @@ from helpers import (
     measured_records,
     rand_density,
     stochastic_records,
+    twelve_outcome_config,
     va_spec,
 )
 from procmap.dynamics import ProcessSpec
 from procmap.qstate import SIGMA_1, bloch_vector, state_from_bloch, tensor
 from procmap.records import TWELVE_STATE_LABELS, Dataset, MissingRecord, state_of_label
+from procmap.scenarios import parse_scenario, simulate_scenario
 from procmap.verify import classify, gamma_completeness
 
 
@@ -154,3 +156,16 @@ def test_gamma_warning_emitted():
     gammas[records.labels.index("1+")] += 0.05
     report = classify(replace(records, gammas=gammas))
     assert any("direction 1" in w for w in report["warnings"])
+
+
+@pytest.mark.parametrize("preparation", ["generalized", "measurement", None])
+def test_gamma_warnings_only_where_a_direction_is_one_measurement(preparation):
+    # Under a complete twelve-outcome measurement each direction's gammas sum to 1/6, as they should; only the
+    # records of measurement preparation, or of an unnamed one, are pairs that must sum to 1.
+    dataset = simulate_scenario(parse_scenario(twelve_outcome_config()))
+    assert all(abs(dev + 5.0 / 6.0) < 1e-12 for dev in gamma_completeness(dataset).values())
+    metadata = {k: v for k, v in dataset.metadata.items() if k != "preparation"}
+    if preparation is not None:
+        metadata["preparation"] = preparation
+    warnings = classify(replace(dataset, metadata=metadata))["warnings"]
+    assert len(warnings) == (0 if preparation == "generalized" else 6), warnings
