@@ -8,10 +8,10 @@ Exit codes, each the `exit_code` of the `ProcmapError` subclasses named:
   2  ScenarioError, InvalidMeasurement, NotStrictlyMixed: malformed config or dataset, including a matrix
      entry that is not a JSON number (a string or a bool), a record state that `Dataset.checked` does not
      allow (a read, or `simulate` before it writes; an exact output that is not a state, as a tiny gamma can
-     give), or an input file that is unreadable, not UTF-8, not JSON, too deeply nested or with an integer
-     over Python's 4,300-digit limit; ProcmapError itself: a --tol-linear or --tol-bilinear that is not a
-     finite non-negative number, or an --out that cannot be written (a missing
-     directory, an empty path, or for `demo` an existing file), or a stdout that cannot be
+     give), an empty input path, or an input file that is unreadable, not UTF-8, not JSON, too deeply
+     nested or with an integer over Python's 4,300-digit limit; ProcmapError itself: a --tol-linear or
+     --tol-bilinear that is not a finite non-negative number, or an --out that cannot be written (a missing
+     directory, an empty path, a full device, or for `demo` an existing file), or a stdout that cannot be
      written (a closed pipe, a full device, or no stdout at all)
   3  ZeroProbabilityOutcome, ZeroGamma: zero-probability preparation or record
   4  MissingRecord: missing record labels
@@ -27,9 +27,10 @@ table (`oracle_comparison`), which `simulate` writes for measurement preparation
 only; a dataset without `oracle` gets no comparison.  `metadata.scenario_sha256`
 is the sha256 of the scenario file's bytes, provenance only: no command reads it.
 
-An --out file (and each bundle file of `demo`) is overwritten in place, not atomically:
-the same inode, permission bits and links, then truncated to the new length.  A target
-that is not a regular file (/dev/null, a pipe behind /dev/stdout) is written untruncated.
+An input file is read with `open` (an empty path is no file, not the working directory).  An --out file
+(and each bundle file of `demo`) is overwritten in place, not atomically: the same inode, permission bits
+and links, then truncated to the new length.  A target that is not a regular file (/dev/null, a pipe
+behind /dev/stdout) is written untruncated.
 
 `run()` is the process entry point (`python -m procmap.cli` and the `procmap` script): it runs
 `main()`, freezes the heap (`gc.freeze`) and exits with the code.  `main(argv)` returns the code
@@ -102,17 +103,19 @@ def _write_stdout(text: str) -> None:
 
 
 def _write_output(payload: dict, out: str | None) -> bytes:
-    data = jsonio.dumps(payload).encode()
+    text = jsonio.dumps(payload)
+    data = text.encode()
     if out is None:
-        _write_stdout(data.decode())
+        _write_stdout(text)
     else:  # an empty --out is an unwritable path, not stdout
         _write_file(out, data)
     return data
 
 
 def _read(path: str) -> bytes:
-    try:
-        return Path(path).read_bytes()
+    try:  # open, not pathlib: half the cost per read, and an empty path is no file, not "."
+        with open(path, "rb") as f:
+            return f.read()
     except OSError as exc:
         raise ScenarioError(f"cannot read JSON from {path}: {exc}") from exc
 

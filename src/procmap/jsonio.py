@@ -1,9 +1,9 @@
 """Deterministic JSON serialization and the wire encoding for complex matrices.
 
-`dumps` is the standard library's C encoder: one line, ASCII escapes, a trailing newline.
-Every float is written as its shortest repr, which parses back to the same double bit for
-bit, the sign of zero included, so repeated runs give byte-identical artifacts.  A NaN or
-infinity anywhere in the value raises ValueError.
+`dumps` is one standard-library C encoder for every call: one line, ASCII escapes, a trailing
+newline.  Every float is written as its shortest repr, which parses back to the same double bit for
+bit, the sign of zero included, so repeated runs give byte-identical artifacts.  A NaN or infinity
+raises ValueError.  It skips the cycle scan, so a payload must be a tree, as `tolist()` and literals are.
 """
 
 from __future__ import annotations
@@ -15,10 +15,12 @@ import numpy as np
 
 from .errors import shown
 
+_ENCODER = json.JSONEncoder(allow_nan=False, check_circular=False)
+
 
 def dumps(obj) -> str:
-    """Serialize `obj` to a deterministic one-line JSON string (trailing newline)."""
-    return json.dumps(obj, allow_nan=False) + "\n"
+    """Serialize `obj`, a tree, to a deterministic one-line JSON string (trailing newline)."""
+    return _ENCODER.encode(obj) + "\n"
 
 
 def matrix_to_json(mat: np.ndarray) -> dict:

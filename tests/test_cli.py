@@ -561,9 +561,12 @@ def test_tolerance_must_be_finite_and_non_negative(option, value, tmp_path, caps
         ["simulate", "{scenario}", "--out", ""],
         ["tomo", "{dataset}", "--mode", "linear", "--out", ""],
         ["demo", "imperfect-pin", "--out", ""],
+        # The open succeeds; the write fails, at the flush when the file is closed.
+        pytest.param(["verify", "{dataset}", "--out", "/dev/full"],
+                     marks=pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")),
     ],
     ids=["simulate-missing-dir", "linear-missing-dir", "bilinear-missing-dir", "verify-missing-dir",
-         "verify-directory", "demo-onto-a-file", "simulate-empty", "linear-empty", "demo-empty"],
+         "verify-directory", "demo-onto-a-file", "simulate-empty", "linear-empty", "demo-empty", "verify-full"],
 )
 def test_unwritable_out_is_bad_config(command, tmp_path, capsys, monkeypatch):
     # An empty --out is neither stdout nor the working directory.
@@ -579,8 +582,24 @@ def test_unwritable_out_is_bad_config(command, tmp_path, capsys, monkeypatch):
     code, err = run([arg.format(**paths) for arg in command], capsys)
     assert code == EXIT_BAD_CONFIG
     assert "cannot write" in err, err
+    if "/dev/full" in command:
+        assert err == f"error: cannot write /dev/full: {os.strerror(errno.ENOSPC)}\n"
     assert capsys.readouterr().out == ""
     assert sorted(tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["simulate", ""], ["tomo", "", "--mode", "linear"], ["verify", ""]],
+    ids=["simulate", "tomo", "verify"],
+)
+def test_empty_input_path_is_no_file(command, tmp_path, capsys, monkeypatch):
+    # An empty path names no file; Path("") would read it as ".", the working directory.
+    monkeypatch.chdir(tmp_path)
+    code, err = run(command, capsys)
+    assert code == EXIT_BAD_CONFIG
+    assert err.startswith("error: cannot read JSON from : ") and "Is a directory" not in err, err
+    assert capsys.readouterr().out == ""
 
 
 BUNDLE_FILES = ("scenario.json", "dataset.json", "linear_map.json", "m_elements.json", "report.json", "analysis.json")
