@@ -6,10 +6,11 @@ set), one line each, and a value read from input is shown cut to a fixed size (`
 Exit codes, each the `exit_code` of the `ProcmapError` subclasses named:
   0  success
   2  ScenarioError, InvalidMeasurement, NotStrictlyMixed: malformed config or dataset, including a matrix
-     entry that is not a JSON number (a string or a bool), a record state that `Dataset.checked` does not
-     allow (a read, or `simulate` before it writes; an exact output that is not a state, as a tiny gamma can
-     give), an empty input path, or an input file that is unreadable, not UTF-8, not JSON, too deeply
-     nested or with an integer over Python's 4,300-digit limit; ProcmapError itself: a --tol-linear or
+     entry that is not a JSON number (a string or a bool), a scenario key the parser does not read (the
+     scenario's `note` is a free-form comment), a record state that `Dataset.checked` does not allow (a
+     read, or `simulate` before it writes; an exact output that is not a state, as a tiny gamma can give),
+     an empty input path, or an input file that is unreadable, not UTF-8, not JSON, too deeply nested or
+     with an integer over Python's 4,300-digit limit; ProcmapError itself: a --tol-linear or
      --tol-bilinear that is not a finite non-negative number, or an --out that cannot be written (a missing
      directory, an empty path, a full device, or for `demo` an existing file), or a stdout that cannot be
      written (a closed pipe, a full device, or no stdout at all)
@@ -287,10 +288,6 @@ def cmd_demo(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    return _build_parsers()[0]
-
-
 def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     parser = argparse.ArgumentParser(
         prog="procmap",
@@ -331,7 +328,7 @@ _parsers = functools.cache(_build_parsers)
 
 
 def _parse_args(argv) -> argparse.Namespace:
-    """`build_parser().parse_args(argv)`, parsing a command's arguments with its own sub-parser only."""
+    """The top-level parser's `parse_args(argv)`, parsing a command's arguments with its own sub-parser only."""
     parser, commands = _parsers()
     argv = sys.argv[1:] if argv is None else argv
     if not argv or argv[0] not in commands:

@@ -1,13 +1,14 @@
 """Scenario configs, experiment simulation, and the shipped demo scenarios.
 
-A scenario bundles the process (unitary + initial joint state), a preparation
-method, and a protocol (which input labels to prepare).  `operations` gives the
-(n, 4, 4) stack of the superoperators S that prepare the protocol labels, then
-`mixed`.  Simulation is one array program over that stack, with the process layer of
-`dynamics`: it builds the process tensor M once, reads every gamma off the stack in one
-`prepare_generalized` call and every output off the stack and M in one `run_process` call;
-these arrays are the stacks of one `Dataset`, checked (`Dataset.checked`) as a read of its file is:
-a dataset no read accepts is a ScenarioError.  An optional finite-shot mode (`_degrade`) draws, from one seeded
+A scenario bundles the process (unitary + initial joint state), a preparation method, and a protocol (which input
+labels to prepare).  `parse_scenario` builds its record table once: `labels` (the protocol's, then `mixed`),
+`operations` (the (n, 4, 4) stack of the S that prepares each label on the system factor of gamma0) and `inputs`
+(the state each label names).  It refuses a key it does not read in the scenario, a Bloch-form gamma0, the
+preparation, a generalized measurement or one of its outcomes; the scenario's `note` is a free-form comment.
+Simulation is one array program over the table, with the process layer of `dynamics`: it builds the process tensor M
+once, reads every gamma off the stack in one `prepare_generalized` call and every output off the stack and M in one
+`run_process` call; these arrays are the stacks of one `Dataset`, checked (`Dataset.checked`) as a read of its file
+is: a dataset no read accepts is a ScenarioError.  An optional finite-shot mode (`_degrade`) draws, from one seeded
 generator, each preparing measurement's outcome counts as one multinomial, then each output's Pauli axes.
 
 The dataset holds the sha256 of the scenario file's bytes (`metadata.scenario_sha256`),
@@ -37,13 +38,11 @@ from .records import MIXED_LABEL, PROTOCOL_LABELS, TWELVE_STATE_LABELS, Dataset,
 # Three retired names stay bound here, uncalled, so that perfbench/tracer.py can wrap them.
 apply_pin_map = prepare_stochastic = prepare_projective = prepare_generalized
 
-# The `preparation` keys each method reads; parse_scenario rejects any other.
-PREPARATION_KEYS = {
-    "stochastic": {"method"},
-    "measurement": {"method"},
-    "rotation_only": {"method"},
-    "generalized": {"method", "measurement", "labels"},
-}
+# The keys parse_scenario reads in a scenario, whose `note` is a free-form comment, and in each method's preparation.
+SCENARIO_KEYS = {"dimA", "dimB", "hamiltonian", "t", "gamma0", "protocol", "preparation", "mixed_bloch", "shots",
+                 "seed", "note"}
+PREPARATION_KEYS = {"stochastic": {"method"}, "measurement": {"method"}, "rotation_only": {"method"},
+                    "generalized": {"method", "measurement", "labels"}}
 
 
 class ScenarioError(ProcmapError):
@@ -57,9 +56,9 @@ class Scenario:
     t: float
     protocol: str
     prep_method: str
-    measurement: np.ndarray | None = None  # the (n, 4, 4) stack of outcome superoperators, in generalized_labels order
-    generalized_labels: tuple[str, ...] = ()
-    mixed_bloch: np.ndarray | None = None
+    labels: tuple[str, ...]  # the protocol's labels, then MIXED_LABEL when the scenario names mixed_bloch
+    operations: np.ndarray  # (n, 4, 4): the S that prepares each label from the system factor of gamma0
+    inputs: np.ndarray  # (n, 2, 2): the state each label names
     shots: int | None = None
     seed: int | None = None
 
@@ -69,6 +68,14 @@ def _require(value, what: str, kind: str = "object"):
     if not isinstance(value, {"object": dict, "string": str}[kind]):
         raise ScenarioError(f"{what} must be a JSON {kind}, got {type(value).__name__}")
     return value
+
+
+def _read_keys(obj, what: str, keys) -> dict:
+    """`obj` when it is a JSON object whose every key is in `keys`; errors name `what` and its first other key."""
+    unread = [key for key in _require(obj, what) if key not in keys]
+    if unread:
+        raise ScenarioError(f"{what} key {shown(unread[0])} is not read")
+    return obj
 
 
 def _integer(obj: dict, key: str, default: int | None) -> int | None:
@@ -105,7 +112,8 @@ def parse_measurement(obj: dict) -> np.ndarray:
     """A complete measurement from its JSON (finite weights, 2x2 Kraus operators) as the (n, 4, 4) stack of its S."""
     superops = []
     with np.errstate(over="ignore", invalid="ignore"):  # an S that overflows fails the completeness check
-        for i, entry in enumerate(obj["outcomes"]):
+        for i, entry in enumerate(_read_keys(obj, "preparation.measurement", {"outcomes"})["outcomes"]):
+            _read_keys(entry, f"measurement outcome {i}", {"weights", "kraus"})
             weights = [_finite(w, f"measurement outcome {i} weight") for w in entry["weights"]]
             kraus = [jsonio.matrix_from_json(c) for c in entry["kraus"]]
             if any(c.shape != (DIM_SYS, DIM_SYS) for c in kraus):
@@ -118,7 +126,7 @@ def parse_measurement(obj: dict) -> np.ndarray:
 
 def parse_scenario(obj: dict, name: str = "scenario") -> Scenario:
     """Validate and expand a scenario JSON object; raises ScenarioError."""
-    _require(obj, "a scenario")
+    _read_keys(obj, "scenario", SCENARIO_KEYS)
     try:
         dim_sys = _integer(obj, "dimA", 2)
         dim_env = _integer(obj, "dimB", 2)
@@ -141,6 +149,7 @@ def parse_scenario(obj: dict, name: str = "scenario") -> Scenario:
 
         g_obj = obj["gamma0"]
         if isinstance(g_obj, dict) and "bloch_a" in g_obj:
+            _read_keys(g_obj, "gamma0", {"bloch_a", "c23"})
             bloch_a, c23 = _bloch(g_obj["bloch_a"], "gamma0.bloch_a"), _finite(g_obj.get("c23", 0.0), "c23")
             # Expectations in gamma0, so at most 1; refused before correlated_pair_state can overflow with a warning.
             for key, size in (("bloch_a", math.hypot(*bloch_a)), ("c23", abs(c23))):
@@ -160,31 +169,31 @@ def parse_scenario(obj: dict, name: str = "scenario") -> Scenario:
         method = _require(prep_obj.get("method", "stochastic"), "preparation.method", "string")
         if method not in PREPARATION_KEYS:
             raise ScenarioError(f"unknown preparation method {shown(method)}")
-        unread = sorted(set(prep_obj) - PREPARATION_KEYS[method])
-        if unread:
-            raise ScenarioError(f"preparation key {shown(unread[0])} is not read by method {method!r}")
+        _read_keys(prep_obj, f"{method} preparation", PREPARATION_KEYS[method])
 
-        measurement = None
-        generalized_labels: tuple[str, ...] = ()
+        labels = PROTOCOL_LABELS[protocol]
         if method == "generalized":
-            measurement = parse_measurement(prep_obj["measurement"])
-            labels = enumerate(prep_obj["labels"])
-            generalized_labels = tuple(_require(x, f"preparation.labels[{i}]", "string") for i, x in labels)
-            expected = PROTOCOL_LABELS[protocol]
-            if sorted(generalized_labels) != sorted(expected):
-                raise ScenarioError(
-                    f"generalized preparation labels must cover the {protocol} labels"
-                )
-            if len(generalized_labels) != len(measurement):
+            table = parse_measurement(prep_obj["measurement"])
+            order = tuple(_require(x, f"preparation.labels[{i}]", "string") for i, x in enumerate(prep_obj["labels"]))
+            if sorted(order) != sorted(labels):
+                raise ScenarioError(f"generalized preparation labels must cover the {protocol} labels")
+            if len(order) != len(table):
                 raise ScenarioError("one label per measurement outcome is required")
+        else:
+            table, order = _label_operations(method), TWELVE_STATE_LABELS
+        operations = table[[order.index(label) for label in labels]]
+        inputs = [state_of_label(label) for label in labels]
 
-        mixed_bloch = None
         if "mixed_bloch" in obj:
             mixed_bloch = _bloch(obj["mixed_bloch"], "mixed_bloch")
             if math.hypot(*mixed_bloch) >= 1.0:  # np.dot would overflow, with a warning, on 1e300
                 raise ScenarioError("mixed_bloch must have norm strictly below 1")
             if method != "measurement":
                 raise ScenarioError("mixed_bloch requires the measurement preparation method")
+            # The mixed record applies X = state_from_bloch(b): its eigenvalues (1 +- |b|)/2 lie in [0, 1].
+            x = state_from_bloch(mixed_bloch)
+            labels, inputs = labels + (MIXED_LABEL,), inputs + [x]
+            operations = np.concatenate([operations, [superoperator((1.0,), (x,))]])
 
         shots = _integer(obj, "shots", None)
         if shots is not None and not 0 < shots < 2**63:  # numpy draws counts as C longs
@@ -199,9 +208,9 @@ def parse_scenario(obj: dict, name: str = "scenario") -> Scenario:
             t=t,
             protocol=protocol,
             prep_method=method,
-            measurement=measurement,
-            generalized_labels=generalized_labels,
-            mixed_bloch=mixed_bloch,
+            labels=labels,
+            operations=operations,
+            inputs=np.array(inputs),
             shots=shots,
             seed=seed,
         )
@@ -230,29 +239,13 @@ def _label_operations(method: str) -> np.ndarray:
     return table
 
 
-def operations(sc: Scenario, labels) -> np.ndarray:
-    """The (n, 4, 4) stack of S of the operations on the system factor of gamma0 that prepare `labels`, in order.
-
-    A generalized measurement's stack is built at parse.  The mixed record applies X = state_from_bloch(b):
-    its eigenvalues (1 +- |b|)/2 lie in [0, 1] since |b| < 1.
-    """
-    if sc.prep_method == "generalized":
-        table, order = sc.measurement, sc.generalized_labels
-    else:
-        table, order = _label_operations(sc.prep_method), TWELVE_STATE_LABELS
-    if sc.mixed_bloch is not None:
-        table = np.concatenate([table, [superoperator((1.0,), (state_from_bloch(sc.mixed_bloch),))]])
-        order += (MIXED_LABEL,)
-    return table[[order.index(label) for label in labels]]
-
-
 # Each record's preparing measurement, as a key its records share: generalized preparation has one, measurement
 # preparation one per direction d (labels d+, d-) and one for the mixed record.  The others always yield (gamma = 1).
 _MEASUREMENT_KEY = {"generalized": lambda label: "", "measurement": lambda label: label.rstrip("+-")}
 
 
-def _degrade(sc: Scenario, labels: tuple, gammas: np.ndarray, outputs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Multinomial estimates of the exact `gammas` and `outputs` of `labels` at sc.shots shots.
+def _degrade(sc: Scenario, gammas: np.ndarray, outputs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Multinomial estimates of the exact `gammas` and `outputs` of the records `sc.labels` at sc.shots shots.
 
     A record's gamma is the probability of one outcome of the measurement that prepares its input, so each
     preparing measurement's outcomes are counted in one multinomial over the outcomes its records name plus one
@@ -262,7 +255,7 @@ def _degrade(sc: Scenario, labels: tuple, gammas: np.ndarray, outputs: np.ndarra
     shots, est = sc.shots, gammas.copy()
     rng = np.random.default_rng(sc.seed if sc.seed is not None else 0)
     key, measurements = _MEASUREMENT_KEY.get(sc.prep_method), {}
-    for i, label in enumerate(labels if key else ()):
+    for i, label in enumerate(sc.labels if key else ()):
         measurements.setdefault(key(label), []).append(i)
     for rows in measurements.values():
         p = gammas[rows].tolist()  # complete only within STATE_TOL, p may sum above 1, which multinomial refuses
@@ -273,15 +266,12 @@ def _degrade(sc: Scenario, labels: tuple, gammas: np.ndarray, outputs: np.ndarra
 
 
 def simulate_scenario(sc: Scenario, scenario_sha256: str = "") -> Dataset:
-    """The checked Dataset of every protocol label, else ScenarioError; `scenario_sha256` is the scenario's digest."""
+    """The checked Dataset of the records of `sc`, else ScenarioError; `scenario_sha256` is the scenario's digest."""
     m = build_M_from_dynamics(sc.spec)
-    labels = PROTOCOL_LABELS[sc.protocol] + ((MIXED_LABEL,) if sc.mixed_bloch is not None else ())
-    s = operations(sc, labels)
-    gammas = prepare_generalized(sc.spec.gamma0, s, label=labels)
-    outputs = run_process(m, s, gammas)
-    inputs = [state_from_bloch(sc.mixed_bloch) if label == MIXED_LABEL else state_of_label(label) for label in labels]
+    gammas = prepare_generalized(sc.spec.gamma0, sc.operations, label=sc.labels)
+    outputs = run_process(m, sc.operations, gammas)
     if sc.shots is not None:
-        gammas, outputs = _degrade(sc, labels, gammas, outputs)
+        gammas, outputs = _degrade(sc, gammas, outputs)
 
     metadata = {
         "scenario": sc.name,
@@ -296,7 +286,7 @@ def simulate_scenario(sc: Scenario, scenario_sha256: str = "") -> Dataset:
     if sc.prep_method == "measurement":  # the only preparation the bi-linear map describes
         oracle = element_table_from_map(m)
     try:  # every read of the dataset runs these checks, so simulate refuses what no read would accept
-        return Dataset.checked(labels, gammas.tolist(), np.concatenate((inputs, outputs)), metadata, oracle)
+        return Dataset.checked(sc.labels, gammas.tolist(), np.concatenate((sc.inputs, outputs)), metadata, oracle)
     except ValueError as exc:
         raise ScenarioError(f"malformed dataset: {exc}") from exc
 

@@ -1,7 +1,7 @@
 """Shared test oracles, independent of the library code paths they check.
 
-Besides scenario builders (`random_scenario`: a random verify12 scenario of any
-preparation method, its measurement mixed record at `MIXED_BLOCH`) and the
+Besides scenario builders (`random_scenario`: a parsed scenario of any protocol and
+preparation method on any process, its measurement mixed record at `MIXED_BLOCH`) and the
 hand-written Bloch vector of every protocol label (the oracle for
 `records.state_of_label`), this holds the hand-derived
 solutions that the library replaced by one least-squares fit: the
@@ -25,8 +25,8 @@ Kraus form, a pair (weights, kraus) for rho -> sum_a w_a C_a rho C_a', and a
 measurement is a tuple of such pairs.  The Kraus form is the oracle for S:
 `kraus_superoperator` (S term by term with np.kron), `effect` (sum_a w_a C_a'C_a,
 whose sum over outcomes is the completeness oracle) and `kraus_of_label`, the
-Kraus-form table of the preparations that `scenarios.operations` stacks
-as S.  `superoperators` is the library's stack of S for a Kraus-form measurement.
+Kraus-form table of the preparations whose S `scenarios.parse_scenario` stacks
+in `Scenario.operations`.  `superoperators` is the library's stack of S for a Kraus-form measurement.
 The preparation routes that `dynamics.prepare_generalized` replaced are oracles
 for it: the pin of gamma0 and the stochastic rotation of the pinned state,
 projection with the P (x) tau cross-check, the completed measurement
@@ -59,7 +59,7 @@ Neumann readout of an ancilla, another independent route to
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -102,7 +102,7 @@ from procmap.records import (
     ket_of_label,
     state_of_label,
 )
-from procmap.scenarios import Scenario, demo_scenario_config
+from procmap.scenarios import Scenario, demo_scenario_config, parse_scenario
 
 SQRT2 = float(np.sqrt(2.0))
 
@@ -192,37 +192,40 @@ def superoperators(measurement) -> np.ndarray:
     return np.array([superoperator(weights, kraus) for weights, kraus in measurement])
 
 
-def random_scenario(rng, method: str, spec: ProcessSpec, protocol: str = "verify12") -> tuple[Scenario, tuple | None]:
-    """A `protocol` scenario of `method` on `spec`, and the Kraus form of its generalized measurement (None otherwise).
+def random_scenario(rng, method: str, spec: ProcessSpec, protocol: str = "verify12") -> tuple[Scenario, dict | None]:
+    """A parsed `protocol` scenario of `method` on `spec`, and the Kraus form of each label's generalized outcome
+    (None for the other methods).
 
     A generalized scenario draws a random measurement with one outcome per label, then a shuffled label order, so
     that the label -> outcome lookup is checked too; a measurement scenario adds the mixed record of MIXED_BLOCH.
+    `parse_scenario` builds the records of a heisenberg scenario, whose process is then replaced by `spec`.
     """
-    generalized = method == "generalized"
-    labels = PROTOCOL_LABELS[protocol]
-    meas = random_measurement(rng, len(labels)) if generalized else None
-    sc = Scenario(
-        name=method,
-        spec=spec,
-        t=0.0,
-        protocol=protocol,
-        prep_method=method,
-        measurement=superoperators(meas) if generalized else None,
-        generalized_labels=tuple(rng.permutation(labels)) if generalized else (),
-        mixed_bloch=MIXED_BLOCH if method == "measurement" else None,
-    )
-    return sc, meas
+    config = {"hamiltonian": "heisenberg", "gamma0": {"bloch_a": [0.0, 0.0, 0.0]}, "protocol": protocol,
+              "preparation": {"method": method}}
+    meas = None
+    if method == "generalized":
+        labels = PROTOCOL_LABELS[protocol]
+        outcomes = random_measurement(rng, len(labels))
+        order = [str(label) for label in rng.permutation(labels)]
+        measurement = {"outcomes": [{"weights": list(weights), "kraus": jsonio.matrices_to_json(kraus)}
+                                    for weights, kraus in outcomes]}
+        config["preparation"].update(measurement=measurement, labels=order)
+        meas = dict(zip(order, outcomes))
+    if method == "measurement":
+        config["mixed_bloch"] = MIXED_BLOCH.tolist()
+    return replace(parse_scenario(config, name=method), spec=spec), meas
 
 
 def kraus_of_label(sc, label: str, measurement=None) -> tuple:
-    """The Kraus form of the operation that prepares `label` in `sc`, whose S `scenarios.operations` stacks.
+    """The Kraus form of the operation that prepares `label` in `sc`, whose S `Scenario.operations` stacks.
 
-    A scenario holds a generalized measurement only as S, so its Kraus form `measurement` is passed in.
+    A scenario holds a generalized measurement only as S, so the Kraus form of each label's outcome, `measurement`,
+    is passed in.  The mixed record applies its input X.
     """
     if sc.prep_method == "generalized":
-        return measurement[sc.generalized_labels.index(label)]
+        return measurement[label]
     if label == MIXED_LABEL:
-        return (1.0,), (state_from_bloch(sc.mixed_bloch),)
+        return (1.0,), (sc.inputs[sc.labels.index(MIXED_LABEL)],)
     if sc.prep_method == "measurement":
         return (1.0,), (state_of_label(label),)
     ket = ket_of_label(label)
@@ -487,37 +490,34 @@ def stochastic_records(spec: ProcessSpec, labels) -> Dataset:
     return Dataset(tuple(labels), inputs, outputs, gammas)
 
 
-def reference_simulate(sc) -> Dataset:
+def reference_simulate(sc, measurement=None) -> Dataset:
     """The exact dataset of `sc` by the per-label loop that `scenarios.simulate_scenario` replaced.
 
-    Label by label in protocol order, then the mixed record: the label's S from its Kraus form (a generalized
-    measurement's S read off the scenario's stack), one single-S `prepare_generalized` call for gamma and one
+    Label by label in protocol order, then the mixed record: the label's S from its Kraus form (`kraus_of_label`, a
+    generalized outcome's from `measurement`), one single-S `prepare_generalized` call for gamma and one
     `run_process` call for the output.
     """
     m = build_M_from_dynamics(sc.spec)
-    labels = PROTOCOL_LABELS[sc.protocol] + ((MIXED_LABEL,) if sc.mixed_bloch is not None else ())
     inputs, outputs, gammas = [], [], []
-    for label in labels:
-        if sc.prep_method == "generalized":
-            s = sc.measurement[sc.generalized_labels.index(label)]
-        else:
-            s = superoperator(*kraus_of_label(sc, label))
+    for label in sc.labels:
+        weights, kraus = kraus_of_label(sc, label, measurement)
+        s = superoperator(weights, kraus)
         gamma = prepare_generalized(sc.spec.gamma0, s, label=label)
-        inputs.append(state_from_bloch(sc.mixed_bloch) if label == MIXED_LABEL else state_of_label(label))
+        inputs.append(kraus[0] if label == MIXED_LABEL else state_of_label(label))
         outputs.append(run_process(m, s, gamma))
         gammas.append(gamma)
-    return Dataset(labels, inputs, outputs, gammas)
+    return Dataset(sc.labels, inputs, outputs, gammas)
 
 
-def preparing_measurements(sc, labels) -> list[list[str]]:
-    """The labels of each measurement that prepares records of `sc`, measurements in the order of their first label.
+def preparing_measurements(sc) -> list[list[str]]:
+    """The labels of each measurement that prepares the records of `sc`, in the order of their first label.
 
     A generalized preparation is one measurement over all its outcomes.  Measurement preparation measures each
     direction d as {P(d+), P(d-)} and the mixed record's X as {X, sqrt(1 - X^2)}.  Stochastic and rotation-only
     preparations measure nothing: they yield their input every time.
     """
     groups: dict[str, list[str]] = {}
-    for label in labels:
+    for label in sc.labels:
         if sc.prep_method == "generalized":
             groups.setdefault("all outcomes", []).append(label)
         elif sc.prep_method == "measurement":
@@ -538,7 +538,7 @@ def reference_shot_dataset(sc, exact: Dataset) -> Dataset:
     """
     rng = np.random.default_rng(sc.seed if sc.seed is not None else 0)
     gammas = dict(zip(exact.labels, exact.gammas.tolist()))
-    for names in preparing_measurements(sc, exact.labels):
+    for names in preparing_measurements(sc):
         p = [gammas[label] for label in names]
         total = math.fsum(p)
         counts = rng.multinomial(sc.shots, [x / max(total, 1.0) for x in p] + [max(1.0 - total, 0.0)])
@@ -565,7 +565,7 @@ def shot_moments(sc, exact: Dataset) -> tuple[np.ndarray, np.ndarray]:
     row = {label: i for i, label in enumerate(exact.labels)}
     bloch = np.array([[np.trace(pauli @ output).real for pauli in PAULIS] for output in exact.outputs]).ravel()
     cov = np.zeros((4 * k, 4 * k))
-    for names in preparing_measurements(sc, exact.labels):
+    for names in preparing_measurements(sc):
         rows = [row[label] for label in names]
         p = exact.gammas[rows]
         cov[np.ix_(rows, rows)] = (np.diag(p) - np.outer(p, p)) / shots

@@ -261,6 +261,19 @@ BAD_SCENARIOS = {
             "measurement": {"outcomes": [{"weights": [1.0], "kraus": [jsonio.matrix_to_json(np.eye(2) / np.sqrt(13.0))]}] * 13},
         },
     },
+    # A key the parser does not read: a typo would otherwise leave its default in force.
+    "top-level-typo": {**STOCHASTIC, "shot": 1000},
+    "gamma0-c32": {**MEASUREMENT, "gamma0": {"bloch_a": [0.0, 0.5, 0.0], "c23": 0.3, "c32": 0.9}},
+    "measurement-extra-key": {
+        **STOCHASTIC,
+        "preparation": {**generalized(1.0)["preparation"],
+                        "measurement": {**generalized(1.0)["preparation"]["measurement"], "complete": True}},
+    },
+    "outcome-extra-key": {
+        **STOCHASTIC,
+        "preparation": {**generalized(1.0)["preparation"],
+                        "measurement": {"outcomes": [{"weights": [1.0], "kraus": [TWELFTH], "label": "1+"}] * 12}},
+    },
 }
 
 
@@ -319,7 +332,13 @@ BAD_SCENARIO_WORDS = {
     "method-teleport": "unknown preparation method 'teleport'",
     "generalized-labels-not-verify12": "generalized preparation labels must cover the verify12 labels",
     "13-outcomes-12-labels": "one label per measurement outcome is required",
+    "top-level-typo": "scenario key 'shot' is not read",
+    "gamma0-c32": "gamma0 key 'c32' is not read",
+    "measurement-extra-key": "preparation.measurement key 'complete' is not read",
+    "outcome-extra-key": "measurement outcome 0 key 'label' is not read",
 }
+
+UNREAD_KEY_CASES = ("top-level-typo", "gamma0-c32", "measurement-extra-key", "outcome-extra-key")
 
 
 @pytest.mark.parametrize("case", sorted(BAD_SCENARIOS))
@@ -335,6 +354,17 @@ def test_malformed_scenario_is_bad_config(case, tmp_path, capsys):
     words = BAD_SCENARIO_WORDS[case]
     assert all(word in err for word in (words if isinstance(words, tuple) else (words,))), err
     assert "set_int_max_str_digits" not in err, err  # advice no CLI user can follow
+
+
+@pytest.mark.parametrize("case", UNREAD_KEY_CASES)
+def test_unread_scenario_key_writes_nothing_in_process_or_through_the_entry_point(case, tmp_path, capsys):
+    scenario, dataset = tmp_path / "bad.json", tmp_path / "dataset.json"
+    scenario.write_text(json.dumps(BAD_SCENARIOS[case]))
+    argv = ["simulate", scenario, "--out", dataset]
+    code, err = run(argv, capsys)
+    assert (code, err) == (EXIT_BAD_CONFIG, f"error: {BAD_SCENARIO_WORDS[case]}\n")
+    assert cli_process(argv, stdout=subprocess.PIPE) == (code, "", err)
+    assert not dataset.exists()
 
 
 def test_bloch_a_gamma0_is_density_checked_once(monkeypatch):
@@ -745,7 +775,7 @@ def parse_outcome(parse, argv, capsys) -> tuple:
 
 @pytest.mark.parametrize("argv", PARSE_CASES.values(), ids=PARSE_CASES)
 def test_command_parsing_matches_the_top_level_parser(argv, capsys, monkeypatch):
-    expected = parse_outcome(cli.build_parser().parse_args, argv, capsys)
+    expected = parse_outcome(cli._build_parsers()[0].parse_args, argv, capsys)
     assert parse_outcome(cli._parse_args, argv, capsys) == expected
     monkeypatch.setattr(sys, "argv", ["procmap", *argv])
     assert parse_outcome(cli._parse_args, None, capsys) == expected

@@ -1,12 +1,11 @@
 import json
 import re
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
 from helpers import (
     BLOCH_BY_LABEL,
+    MIXED_BLOCH,
     build_dilation,
     completeness_residual,
     effect,
@@ -49,8 +48,8 @@ from procmap.qstate import (
     state_from_bloch,
     tensor,
 )
-from procmap.records import MIXED_LABEL, TWELVE_STATE_LABELS, ket_of_label, state_of_label
-from procmap.scenarios import Scenario, operations, parse_measurement
+from procmap.records import MIXED_LABEL, PROTOCOL_LABELS, TWELVE_STATE_LABELS, ket_of_label, state_of_label
+from procmap.scenarios import Scenario, demo_scenario_config, parse_measurement, parse_scenario
 
 KET0 = np.array([1, 0], dtype=complex)
 P3_PLUS = np.diag([1.0, 0.0]).astype(complex)
@@ -271,9 +270,9 @@ def oracle_preparation(sc: Scenario, meas, label: str, pinned: np.ndarray):
     """The retired joint-space route of `label`: pin-then-rotate, rotation, projection or a dense map."""
     gamma0, dim_env = sc.spec.gamma0, sc.spec.dim_env
     if sc.prep_method == "generalized":
-        return prepare_dense(gamma0, dim_env, meas[sc.generalized_labels.index(label)])
+        return prepare_dense(gamma0, dim_env, meas[label])
     if label == MIXED_LABEL:
-        return prepare_dense(gamma0, dim_env, mixed_preparation_measurement(state_from_bloch(sc.mixed_bloch))[0])
+        return prepare_dense(gamma0, dim_env, mixed_preparation_measurement(state_from_bloch(MIXED_BLOCH))[0])
     target = state_of_label(label)
     if sc.prep_method == "measurement":
         return prepare_projective(gamma0, 2, dim_env, target, label=label)
@@ -290,15 +289,15 @@ def test_ket_table_gives_the_projector_in_its_gauge_and_both_operations(label):
     # The gauge: the first component of largest magnitude (equal within 1e-15 is a tie) is real and positive.
     pivot = int(np.argmax(np.abs(ket) >= np.abs(ket).max() - 1e-15))
     assert ket[pivot].imag == 0.0 and ket[pivot].real > 0.0, ket
-    sc = Scenario(name=label, spec=va_spec(), t=0.0, protocol="verify12", prep_method="rotation_only")
+    sc = parse_scenario(demo_scenario_config("imperfect-pin"))  # rotation-only preparation
     (v,) = kraus_of_label(sc, label)[1]
     assert np.max(np.abs(v.conj().T @ v - IDENTITY_2)) < 1e-15
     assert np.max(np.abs(v @ KET0 - ket)) == 0.0
     # The library's S of the rotation is V (x) conj(V): unitary, and it takes |0><0| to |t><t|.
-    rotation = operations(sc, [label])[0]
+    rotation = sc.operations[sc.labels.index(label)]
     assert np.max(np.abs(rotation.conj().T @ rotation - np.eye(4))) < 1e-15
     assert np.max(np.abs(rotation[:, 0].reshape(2, 2) - projector)) < 1e-15
-    stochastic = operations(replace(sc, prep_method="stochastic"), [label])[0]
+    stochastic = parse_scenario(demo_scenario_config("stochastic-heisenberg")).operations[sc.labels.index(label)]
     assert np.max(np.abs(stochastic - np.outer(projector.reshape(-1), IDENTITY_2.reshape(-1)))) < 1e-15
 
 
@@ -309,9 +308,8 @@ def test_primitive_matches_the_retired_routes(dim_env):
     pinned = pin(gamma0, P3_PLUS)
     for method in ("stochastic", "rotation_only", "measurement", "generalized"):
         sc, meas = random_scenario(rng, method, ProcessSpec(rand_unitary(rng, 2 * dim_env), gamma0))
-        for label in TWELVE_STATE_LABELS + ((MIXED_LABEL,) if sc.mixed_bloch is not None else ()):
+        for label, s in zip(sc.labels, sc.operations):
             # The superoperator route rounds differently from every retired route, so none matches bit for bit.
-            s = operations(sc, [label])[0]
             gamma = prepare_generalized(gamma0, s, label=label)
             want = oracle_preparation(sc, meas, label, pinned)
             assert np.max(np.abs(joint_of(s, gamma, gamma0) - want.joint)) < 1e-15, (method, label)
@@ -324,8 +322,7 @@ def test_stochastic_labels_prepare_the_projector_times_the_environment_marginal(
     rng = np.random.default_rng(70 + dim_env)
     gamma0 = rand_density(rng, 2 * dim_env)
     sc, _ = random_scenario(rng, "stochastic", ProcessSpec(rand_unitary(rng, 2 * dim_env), gamma0))
-    for label in TWELVE_STATE_LABELS:
-        s = operations(sc, [label])[0]
+    for label, s in zip(sc.labels, sc.operations):
         assert prepare_generalized(gamma0, s) == 1.0, label
         assert np.max(np.abs(joint_of(s, 1.0, gamma0) - pin(gamma0, state_of_label(label)))) < 1e-15, label
 
@@ -371,9 +368,25 @@ def test_operation_of_label_is_the_kraus_form_superoperator_bit_for_bit(dim_env)
     gamma0 = rand_density(rng, 2 * dim_env)
     for method in ("stochastic", "rotation_only", "measurement", "generalized"):
         sc, meas = random_scenario(rng, method, ProcessSpec(rand_unitary(rng, 2 * dim_env), gamma0))
-        for label in TWELVE_STATE_LABELS + ((MIXED_LABEL,) if sc.mixed_bloch is not None else ()):
+        for label, s in zip(sc.labels, sc.operations):
             want = kraus_superoperator(kraus_of_label(sc, label, meas))
-            assert operations(sc, [label])[0].tobytes() == want.tobytes(), (method, label)
+            assert s.tobytes() == want.tobytes(), (method, label)
+
+
+@pytest.mark.parametrize("method", ["stochastic", "rotation_only", "measurement", "generalized"])
+@pytest.mark.parametrize("protocol", sorted(PROTOCOL_LABELS))
+def test_parsed_record_table_is_the_kraus_form_reference_bit_for_bit(protocol, method):
+    # One record per protocol label in protocol order, then a measurement scenario's mixed record; a generalized
+    # measurement's outcomes are listed in a shuffled label order, which parse_scenario puts in protocol order.
+    sc, meas = random_scenario(np.random.default_rng(85), method, va_spec(), protocol)
+    mixed = (MIXED_LABEL,) if method == "measurement" else ()
+    assert sc.labels == PROTOCOL_LABELS[protocol] + mixed
+    assert meas is None or list(meas) != list(sc.labels)  # the outcomes' own label order is shuffled
+    want = np.array([kraus_superoperator(kraus_of_label(sc, label, meas)) for label in sc.labels])
+    assert (sc.operations.shape, sc.operations.tobytes()) == (want.shape, want.tobytes())
+    inputs = np.array([state_of_label(label) for label in PROTOCOL_LABELS[protocol]]
+                      + [state_from_bloch(MIXED_BLOCH) for _ in mixed])
+    assert (sc.inputs.shape, sc.inputs.tobytes()) == (inputs.shape, inputs.tobytes())
 
 
 def test_stacked_completeness_residual_matches_the_kraus_form():

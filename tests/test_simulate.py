@@ -49,7 +49,7 @@ METHODS = ("stochastic", "rotation_only", "measurement", "generalized")
 
 def assert_records_match_joint_route(sc: Scenario, meas=None) -> None:
     dataset = simulate_scenario(sc)
-    assert dataset.labels == TWELVE_STATE_LABELS + (("mixed",) if sc.mixed_bloch is not None else ())
+    assert dataset.labels == TWELVE_STATE_LABELS + (("mixed",) if sc.prep_method == "measurement" else ())
     for label, gamma, output in zip(dataset.labels, dataset.gammas, dataset.outputs):
         joint = prepare_joint(sc.spec.gamma0, kraus_of_label(sc, label, meas), label=label)
         assert abs(gamma - joint.gamma) <= 1e-12, label
@@ -126,7 +126,7 @@ def test_shot_noise_has_the_covariance_of_one_multinomial_per_measurement(name):
     exact = simulate_scenario(replace(sc, shots=None))
     draws = []
     for seed in range(4000):
-        gammas, outputs = _degrade(replace(sc, seed=seed), exact.labels, exact.gammas, exact.outputs)
+        gammas, outputs = _degrade(replace(sc, seed=seed), exact.gammas, exact.outputs)
         draws.append(np.concatenate([gammas, bloch_vector(outputs).ravel()]))
     draws = np.array(draws)
     mean, cov = shot_moments(sc, exact)

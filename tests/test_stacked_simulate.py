@@ -1,6 +1,6 @@
 """`simulate_scenario` as one stacked program against the per-label loop it replaced.
 
-`tests/helpers.reference_simulate` builds each label's S from its Kraus form and calls
+`tests/helpers.reference_simulate` builds each record's S from its Kraus form and calls
 `prepare_generalized` and `run_process` once per label on a single S.  The stacked
 program must give the same bytes for every preparation method, protocol and
 environment size, and `prepare_generalized` and `run_process` must treat any leading
@@ -26,8 +26,8 @@ METHODS = ("stochastic", "rotation_only", "measurement", "generalized")
 PROTOCOLS = ("linear4", "bilinear9", "verify12")
 
 
-def assert_same_bytes(sc) -> None:
-    got, want = simulate_scenario(sc), reference_simulate(sc)
+def assert_same_bytes(sc, measurement=None) -> None:
+    got, want = simulate_scenario(sc), reference_simulate(sc, measurement)
     assert got.labels == want.labels
     for field in ("inputs", "outputs", "gammas"):
         assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
@@ -40,8 +40,7 @@ def test_simulate_scenario_is_the_per_label_loop_bit_for_bit(dim_env, protocol, 
     # Generalized labels are shuffled against their outcomes; a measurement scenario adds the mixed record.
     rng = np.random.default_rng([dim_env, PROTOCOLS.index(protocol), METHODS.index(method)])
     spec = ProcessSpec(rand_unitary(rng, 2 * dim_env), rand_density(rng, 2 * dim_env))
-    sc, _ = random_scenario(rng, method, spec, protocol)
-    assert_same_bytes(sc)
+    assert_same_bytes(*random_scenario(rng, method, spec, protocol))
 
 
 @pytest.mark.parametrize("name", DEMO_NAMES)
