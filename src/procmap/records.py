@@ -14,6 +14,7 @@ inputs[i], outputs[i], gammas[i]); `Dataset.subset` selects a protocol's records
 by label, and `fit` reads the stacks directly, factoring each distinct design once per process (a protocol
 fixes its inputs).  `Dataset.checked`, behind both `scenarios.simulate_scenario` and `Dataset.from_json`, requires
 string labels, each gamma in [0, `dynamics.MAX_GAMMA`] (the preparation's bound) and states `_check_states` allows.
+`Dataset.from_json` decodes the inputs, then the outputs, then `oracle`, one matrix at a time, naming any at fault.
 """
 
 from __future__ import annotations
@@ -137,14 +138,21 @@ class Dataset:
         entries = obj["records"]
         labels = [entry["label"] for entry in entries]
         gammas = [entry["gamma"] for entry in entries]
-        names = (f"record {shown(label)} {side}" for side in ("input", "output") for label in labels)
-        mats = jsonio.matrices_from_json([e[side] for side in ("input", "output") for e in entries], names, (2, 2))
+        objs = [e[side] for side in ("input", "output") for e in entries]  # a missing side before any matrix error
+        mats = np.empty((len(objs), 2, 2), dtype=complex)
+        for i, m in enumerate(objs):
+            try:
+                mats[i] = jsonio.matrix_from_json(m, (2, 2))
+            except ValueError as exc:
+                side, j = divmod(i, len(labels))
+                raise ValueError(f"record {shown(labels[j])} {('input', 'output')[side]}: {exc}") from None
         metadata = obj.get("metadata", {})
         if not isinstance(metadata, dict):
             raise ValueError(f"metadata must be a JSON object, got {type(metadata).__name__}")
-        oracle = None
-        if "oracle" in obj:
-            oracle = jsonio.matrices_from_json([obj["oracle"]], ["oracle"], (10, 4)).reshape(10, 2, 2)
+        try:
+            oracle = jsonio.matrix_from_json(obj["oracle"], (10, 4)).reshape(10, 2, 2) if "oracle" in obj else None
+        except ValueError as exc:
+            raise ValueError(f"oracle: {exc}") from None
         return Dataset.checked(labels, gammas, mats, metadata, oracle)
 
     @staticmethod

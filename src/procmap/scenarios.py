@@ -3,8 +3,9 @@
 A scenario bundles the process (unitary + initial joint state), a preparation method, and a protocol (which input
 labels to prepare).  `parse_scenario` builds its record table once: `labels` (the protocol's, then `mixed`),
 `operations` (the (n, 4, 4) stack of the S that prepares each label on the system factor of gamma0) and `inputs`
-(the state each label names).  It refuses a key it does not read in the scenario, a Bloch-form gamma0, the
-preparation, a generalized measurement or one of its outcomes; the scenario's `note` is a free-form comment.
+(the state each label names).  It refuses a key it does not read in the scenario, a Bloch-form gamma0, a matrix
+object, the preparation, a generalized measurement or one of its outcomes; the scenario's `note` is a free-form
+comment.  A dataset stays lenient: `records.Dataset.from_json` ignores a key it does not read, in a record too.
 Simulation is one array program over the table, with the process layer of `dynamics`: it builds the process tensor M
 once, reads every gamma off the stack in one `prepare_generalized` call and every output off the stack and M in one
 `run_process` call; these arrays are the stacks of one `Dataset`, checked (`Dataset.checked`) as a read of its file
@@ -38,11 +39,13 @@ from .records import MIXED_LABEL, PROTOCOL_LABELS, TWELVE_STATE_LABELS, Dataset,
 # Three retired names stay bound here, uncalled, so that perfbench/tracer.py can wrap them.
 apply_pin_map = prepare_stochastic = prepare_projective = prepare_generalized
 
-# The keys parse_scenario reads in a scenario, whose `note` is a free-form comment, and in each method's preparation.
+# The keys parse_scenario reads in a scenario, whose `note` is a free-form comment, in each method's preparation
+# and in a matrix object.
 SCENARIO_KEYS = {"dimA", "dimB", "hamiltonian", "t", "gamma0", "protocol", "preparation", "mixed_bloch", "shots",
                  "seed", "note"}
 PREPARATION_KEYS = {"stochastic": {"method"}, "measurement": {"method"}, "rotation_only": {"method"},
                     "generalized": {"method", "measurement", "labels"}}
+MATRIX_KEYS = {"rows", "cols", "data"}
 
 
 class ScenarioError(ProcmapError):
@@ -115,7 +118,8 @@ def parse_measurement(obj: dict) -> np.ndarray:
         for i, entry in enumerate(_read_keys(obj, "preparation.measurement", {"outcomes"})["outcomes"]):
             _read_keys(entry, f"measurement outcome {i}", {"weights", "kraus"})
             weights = [_finite(w, f"measurement outcome {i} weight") for w in entry["weights"]]
-            kraus = [jsonio.matrix_from_json(c) for c in entry["kraus"]]
+            kraus = [jsonio.matrix_from_json(_read_keys(c, f"measurement outcome {i} kraus[{j}]", MATRIX_KEYS))
+                     for j, c in enumerate(entry["kraus"])]
             if any(c.shape != (DIM_SYS, DIM_SYS) for c in kraus):
                 raise ScenarioError(f"measurement Kraus operators must be {DIM_SYS}x{DIM_SYS} (dimA)")
             superops.append(superoperator(weights, kraus))
@@ -141,7 +145,7 @@ def parse_scenario(obj: dict, name: str = "scenario") -> Scenario:
                 raise ScenarioError('the "heisenberg" keyword requires dimA = dimB = 2')
             hamiltonian = heisenberg_hamiltonian()
         else:
-            hamiltonian = jsonio.matrix_from_json(ham_obj)
+            hamiltonian = jsonio.matrix_from_json(_read_keys(ham_obj, "hamiltonian", MATRIX_KEYS))
             joint = (DIM_SYS * dim_env,) * 2
             if hamiltonian.shape != joint:
                 raise ScenarioError(f"hamiltonian has shape {hamiltonian.shape}, expected {joint}")
@@ -157,7 +161,7 @@ def parse_scenario(obj: dict, name: str = "scenario") -> Scenario:
                     raise ScenarioError(f"gamma0.{key} has size {size:.6g} above 1: gamma0 has a negative eigenvalue")
             gamma0 = correlated_pair_state(bloch_a, c23)
         else:
-            gamma0 = jsonio.matrix_from_json(g_obj)
+            gamma0 = jsonio.matrix_from_json(_read_keys(g_obj, "gamma0", MATRIX_KEYS))
         u = unitary_from_hamiltonian(hamiltonian, t)
         spec = ProcessSpec(u=u, gamma0=gamma0)
 

@@ -3,6 +3,7 @@
 import errno
 import gc
 import hashlib
+import io
 import json
 import os
 import shutil
@@ -19,7 +20,7 @@ import procmap
 from procmap import cli, dynamics, jsonio, records
 from procmap.bilinear_tomo import NotStrictlyMixed, ZeroGamma
 from procmap.cli import main
-from procmap.dynamics import InvalidMeasurement, ZeroProbabilityOutcome
+from procmap.dynamics import InvalidMeasurement, ProcessSpec, ZeroProbabilityOutcome
 from procmap.errors import (
     EXIT_BAD_CONFIG,
     EXIT_MISSING_LABELS,
@@ -27,9 +28,9 @@ from procmap.errors import (
     EXIT_OK,
     EXIT_ZERO_PROBABILITY,
 )
-from procmap.linear_tomo import NotAFrame
-from procmap.qstate import bloch_vector, state_from_bloch, validate_density_matrix
-from procmap.records import LINEAR4_LABELS, TWELVE_STATE_LABELS, Dataset, MissingRecord, state_of_label
+from procmap.linear_tomo import NotAFrame, apply_linear_map, reconstruct_linear_map
+from procmap.qstate import bloch_vector, state_from_bloch, validate_density_matrix, validate_unitary
+from procmap.records import LINEAR4_LABELS, TWELVE_STATE_LABELS, Dataset, MissingRecord, fit, state_of_label
 from procmap.scenarios import DEMO_NAMES, ScenarioError, demo_scenario_config, parse_scenario, simulate_scenario
 
 
@@ -274,6 +275,16 @@ BAD_SCENARIOS = {
         "preparation": {**generalized(1.0)["preparation"],
                         "measurement": {"outcomes": [{"weights": [1.0], "kraus": [TWELFTH], "label": "1+"}] * 12}},
     },
+    "hamiltonian-extra-key": {**PINNED, "hamiltonian": {**PINNED["hamiltonian"], "hermitian": True}},
+    "gamma0-matrix-extra-key": {**PINNED, "gamma0": {**PINNED["gamma0"], "trace": 1.0}},
+    "kraus-extra-key": {
+        **STOCHASTIC,
+        "preparation": {**generalized(1.0)["preparation"], "measurement": {"outcomes": [
+            *[{"weights": [1.0], "kraus": [TWELFTH]}] * 11,
+            {"weights": [0.5, 0.5], "kraus": [TWELFTH, {**TWELFTH, "rank": 1}]},
+        ]}},
+    },
+    "hamiltonian-not-an-object": {**PINNED, "hamiltonian": "exchange"},
 }
 
 
@@ -336,9 +347,14 @@ BAD_SCENARIO_WORDS = {
     "gamma0-c32": "gamma0 key 'c32' is not read",
     "measurement-extra-key": "preparation.measurement key 'complete' is not read",
     "outcome-extra-key": "measurement outcome 0 key 'label' is not read",
+    "hamiltonian-extra-key": "hamiltonian key 'hermitian' is not read",
+    "gamma0-matrix-extra-key": "gamma0 key 'trace' is not read",
+    "kraus-extra-key": "measurement outcome 11 kraus[1] key 'rank' is not read",
+    "hamiltonian-not-an-object": "hamiltonian must be a JSON object, got str",
 }
 
-UNREAD_KEY_CASES = ("top-level-typo", "gamma0-c32", "measurement-extra-key", "outcome-extra-key")
+UNREAD_KEY_CASES = ("top-level-typo", "gamma0-c32", "measurement-extra-key", "outcome-extra-key",
+                    "hamiltonian-extra-key", "gamma0-matrix-extra-key", "kraus-extra-key")
 
 
 @pytest.mark.parametrize("case", sorted(BAD_SCENARIOS))
@@ -1271,6 +1287,60 @@ def test_each_error_carries_its_exit_code(error, code):
     assert error.exit_code == code
 
 
+def four_equal_inputs() -> Dataset:
+    """The linear protocol's labels, each record holding the input and output of 1+."""
+    state = state_of_label("1+")
+    return Dataset(LINEAR4_LABELS, [state] * 4, [state] * 4, [1.0] * 4)
+
+
+# The raise sites that no CLI input reaches, each met through the Python call that guards it.
+@pytest.mark.parametrize(
+    "call, error, words",
+    [
+        (lambda: ProcessSpec(u=np.eye(3), gamma0=np.eye(3) / 3.0), ValueError,
+         "unitary has shape (3, 3), not a multiple of the system dimension 2"),
+        (lambda: reconstruct_linear_map(four_equal_inputs()), NotAFrame,
+         "inputs are not a tomography frame (rank 1 of 4"),
+        (lambda: apply_linear_map(np.eye(4), np.eye(3) / 3.0), ValueError, "state has shape (3, 3), expected (2, 2)"),
+        (lambda: bloch_vector(np.eye(3)), ValueError, "expected a 2x2 matrix, got shape (3, 3)"),
+        (lambda: validate_density_matrix(np.ones((2, 3))), ValueError,
+         "density matrix must be square, got shape (2, 3)"),
+        (lambda: validate_unitary(np.ones((2, 3))), ValueError, "unitary must be square, got shape (2, 3)"),
+        (lambda: fit(four_equal_inputs(), degree=3), ValueError, "fit degree must be 1 or 2, got 3"),
+    ],
+    ids=["process-spec-3x3", "not-a-frame", "apply-3x3", "bloch-3x3", "density-not-square", "unitary-not-square",
+         "fit-degree-3"],
+)
+def test_api_only_guard_raises(call, error, words):
+    with pytest.raises(error) as caught:
+        call()
+    assert type(caught.value) is error and words in str(caught.value), caught.value
+    if error is NotAFrame:
+        assert caught.value.exit_code == EXIT_NOT_A_FRAME == 5
+
+
+class Terminal(io.StringIO):
+    """A stderr that says it is a terminal."""
+
+    def isatty(self) -> bool:
+        return True
+
+
+@pytest.mark.parametrize("no_color, prefix", [(None, "\x1b[31merror:\x1b[0m "), ("1", "error: ")],
+                         ids=["color", "no-color"])
+def test_diagnostic_on_a_terminal_is_red_unless_no_color(no_color, prefix, tmp_path, monkeypatch):
+    terminal = Terminal()
+    monkeypatch.setattr(sys, "stderr", terminal)
+    if no_color is None:
+        monkeypatch.delenv("PROCMAP_NO_COLOR", raising=False)
+    else:
+        monkeypatch.setenv("PROCMAP_NO_COLOR", no_color)
+    missing = tmp_path / "missing.json"
+    assert main(["verify", str(missing)]) == EXIT_BAD_CONFIG
+    text = terminal.getvalue()
+    assert text.startswith(f"{prefix}cannot read JSON from {missing}: ") and text.count("\n") == 1, text
+
+
 def test_demo_loads_no_scipy(tmp_path):
     # numpy is the only dependency; scipy may be installed, but nothing may import it.
     env = {**os.environ, "PYTHONPATH": str(Path(procmap.__file__).resolve().parents[1])}
@@ -1324,6 +1394,7 @@ ENTRY_POINT_CASES = {
     "exit-3": ["tomo", "zero-gamma.json", "--mode", "bilinear"],
     "exit-4": ["verify", "missing-label.json"],
     "exit-2-simulate": ["simulate", "unreadable-output.json", "--out", "refused.json"],
+    "exit-2-matrix": ["verify", "string-entry.json"],
     "usage-error": ["tomo", "dataset.json"],
     "help": ["-h"],
 }
@@ -1337,6 +1408,7 @@ def test_entry_point_matches_in_process_main(tmp_path, capsys, monkeypatch):
         "nan-gamma.json": lambda obj: set_gamma(obj, "2+", float("nan")),
         "zero-gamma.json": lambda obj: set_gamma(obj, "1+", 0.0),
         "missing-label.json": lambda obj: {**obj, "records": [r for r in obj["records"] if r["label"] != "6-"]},
+        "string-entry.json": lambda obj: set_data(obj, "3-", "output", {1: ["0.5", 0.0]}),
     }
     for name, edit in edits.items():
         (inputs / name).write_text(json.dumps(edit(simulate(inputs, capsys))))
@@ -1351,10 +1423,13 @@ def test_entry_point_matches_in_process_main(tmp_path, capsys, monkeypatch):
     outcomes = {case: in_process(argv, capsys) for case, argv in ENTRY_POINT_CASES.items()}
     assert outcomes == expected
     assert {case: code for case, (code, _, _) in outcomes.items() if code} == {
-        "exit-2": 2, "exit-3": 3, "exit-4": 4, "exit-2-simulate": 2, "usage-error": 2}
+        "exit-2": 2, "exit-3": 3, "exit-4": 4, "exit-2-simulate": 2, "exit-2-matrix": 2, "usage-error": 2}
+    # Decoded in both: the entry point reads the file afresh, and in process no simulate wrote these bytes.
+    assert outcomes["exit-2-matrix"][1:] == ("", "error: malformed dataset string-entry.json: "
+                                                 "record '3-' output: matrix entries must be JSON numbers, got '0.5'\n")
     files = sorted(p.relative_to(process) for p in process.rglob("*") if p.is_file())
     assert files == sorted(p.relative_to(in_main) for p in in_main.rglob("*") if p.is_file())
-    assert len(files) == 5 + 4 + 3 * len(BUNDLE_FILES)  # no refused.json
+    assert len(files) == 6 + 4 + 3 * len(BUNDLE_FILES)  # no refused.json
     for name in files:
         assert (process / name).read_bytes() == (in_main / name).read_bytes(), name
 

@@ -1,8 +1,8 @@
 """The JSON layer against its per-element oracles.
 
 Emit round-trips every value bit for bit in the oracle's one-line layout, and
-holds the bits that the indented layout it replaced held; the stacked decode
-matches its loop and names the matrix at fault.
+holds the bits that the indented layout it replaced held; decode matches its
+loop, one matrix at a time, and a dataset's decode names the matrix at fault.
 """
 
 import hashlib
@@ -24,7 +24,7 @@ from helpers import (
 from procmap import jsonio
 from procmap.bilinear_tomo import elements_to_json
 from procmap.cli import main
-from procmap.records import Dataset
+from procmap.records import Dataset, state_of_label
 from procmap.scenarios import DEMO_NAMES, demo_scenario_config, parse_scenario, simulate_scenario
 
 
@@ -306,13 +306,27 @@ def test_stacked_decode_is_bit_identical_to_one_at_a_time():
     objs = [jsonio.matrix_to_json(rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))) for _ in range(5)]
     objs[2]["data"][0] = [-0.0, 5e-324]
     objs[4]["data"][-1] = [3, -(2**60)]
-    stack = jsonio.matrices_from_json(objs)
-    assert stack.shape == (5, 3, 2)
-    assert stack.tobytes() == np.array([reference_matrix_from_json(obj) for obj in objs]).tobytes()
-    assert jsonio.matrices_from_json([], shape=(2, 2)).shape == (0, 2, 2)
-    objs[3] = jsonio.matrix_to_json(np.eye(2))  # the first matrix sets the shape
-    with pytest.raises(ValueError, match=r"^d: matrix shapes must all be 3x2 with 6 \[re, im\] pairs, got 2x2 with 4$"):
-        jsonio.matrices_from_json(objs, "abcde")
+    for obj in objs:
+        got = jsonio.matrix_from_json(obj, (3, 2))
+        assert got.shape == (3, 2) and got.tobytes() == reference_matrix_from_json(obj).tobytes()
+    with pytest.raises(ValueError, match=r"^matrix shapes must all be 3x2 with 6 \[re, im\] pairs, got 2x2 with 4$"):
+        jsonio.matrix_from_json(jsonio.matrix_to_json(np.eye(2)), (3, 2))
+    # A dataset's (2k, 2, 2) stack holds its inputs, then its outputs, each decoded alone, bit for bit.
+    config = {**demo_scenario_config("measurement-correlated"), "shots": 1000, "seed": 5}
+    obj = json.loads(jsonio.dumps(simulate_scenario(parse_scenario(config)).to_json()))
+    obj["records"][3]["output"]["data"] = [[1, 0], [-0.0, 5e-324], [-0.0, -5e-324], [0, -0.0]]  # a state
+    dataset = Dataset.from_json(obj)
+    want = [reference_matrix_from_json(e[side]) for side in ("input", "output") for e in obj["records"]]
+    assert np.concatenate((dataset.inputs, dataset.outputs)).tobytes() == np.array(want).tobytes()
+    assert dataset.oracle.tobytes() == reference_matrix_from_json(obj["oracle"]).reshape(10, 2, 2).tobytes()
+    empty = Dataset.from_json({"records": []})
+    assert empty.inputs.shape == empty.outputs.shape == (0, 2, 2)
+
+
+def exact_dataset_json() -> dict:
+    """The stochastic demo's exact dataset as its file holds it; record 2 is labeled 2+."""
+    dataset = simulate_scenario(parse_scenario(demo_scenario_config("stochastic-heisenberg")))
+    return json.loads(jsonio.dumps(dataset.to_json()))
 
 
 @pytest.mark.parametrize(
@@ -328,14 +342,35 @@ def test_stacked_decode_is_bit_identical_to_one_at_a_time():
     ids=["inf", "short-pair", "null", "short-data", "float-rows", "no-cols"],
 )
 def test_stacked_decode_names_the_matrix_at_fault(edit, words):
-    objs = [jsonio.matrix_to_json(np.eye(2)) for _ in range(4)]
-    edit(objs[2])
-    with pytest.raises(ValueError, match=r"^third: ") as caught:
-        jsonio.matrices_from_json(objs, ["first", "second", "third", "fourth"])
-    assert words in str(caught.value)
+    obj = exact_dataset_json()
+    for record, side in ((2, "output"), (5, "input"), (7, "output")):
+        edit(obj["records"][record][side])
+    with pytest.raises(ValueError) as alone:
+        jsonio.matrix_from_json(obj["records"][5]["input"], (2, 2))
+    assert words in str(alone.value) and "record" not in str(alone.value)
+    # Every input is decoded before any output, so the first matrix at fault is record 5's input.
     with pytest.raises(ValueError) as caught:
-        jsonio.matrix_from_json(objs[2])
-    assert words in str(caught.value) and "third" not in str(caught.value)
+        Dataset.from_json(obj)
+    assert str(caught.value) == f"record '3-' input: {alone.value}"
+    obj["records"][5]["input"] = jsonio.matrix_to_json(state_of_label("3-"))
+    with pytest.raises(ValueError) as caught:
+        Dataset.from_json(obj)
+    assert str(caught.value) == f"record '2+' output: {alone.value}"
+    oracle = jsonio.matrix_to_json(np.zeros((10, 4)))
+    edit(oracle)
+    with pytest.raises(ValueError) as alone:
+        jsonio.matrix_from_json(oracle, (10, 4))
+    with pytest.raises(ValueError) as caught:
+        Dataset.from_json({**exact_dataset_json(), "oracle": oracle})
+    assert str(caught.value) == f"oracle: {alone.value}"
+
+
+def test_a_missing_input_or_output_is_reported_before_any_matrix_fault():
+    obj = exact_dataset_json()
+    obj["records"][0]["input"]["data"][0] = ["0.5", 0.0]
+    del obj["records"][11]["output"]
+    with pytest.raises(KeyError, match="output"):
+        Dataset.from_json(obj)
 
 
 @pytest.mark.parametrize(
