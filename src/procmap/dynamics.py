@@ -22,19 +22,21 @@ Both take one S or a stack (..., 4, 4), so one call of each serves a whole datas
 rotation-only preparation are trace-preserving, so gamma = 1; von Neumann measurement projects; a
 generalized measurement is an (n, 4, 4) stack of S, one per outcome, whose summed effect
 `check_completeness` checks.  Also provides the exchange-coupling Hamiltonian and the correlated
-pair state of the shipped scenarios.
+pair state of the shipped scenarios.  H's Hermiticity check and read-only eigenbasis, and gamma0's density check,
+are each kept for one process, by exact bytes, shape and dtype (`qstate.array_key`); an input that raised is never kept.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import EXIT_ZERO_PROBABILITY, ProcmapError
-from .qstate import (DIM_SYS, PAULIS, STATE_TOL, UNITARY_TOL, dagger, hermiticity_residual, tensor,
-                     validate_density_matrix, validate_unitary)
+from .qstate import (DIM_SYS, PAULIS, STATE_TOL, UNITARY_TOL, array_key, dagger, hermiticity_residual, keyed_array,
+                     read_only, tensor, validate_density_matrix, validate_unitary)
 
 ZERO_PROBABILITY_TOL = 1e-12
 # The largest outcome probability a preparation may have; the allowance above 1 is for rounding only.
@@ -69,19 +71,24 @@ class ProcessSpec:
         if self.gamma0.shape != self.u.shape:
             raise ValueError(f"gamma0 has shape {self.gamma0.shape}, expected {self.u.shape}")
         validate_unitary(self.u)
-        validate_density_matrix(self.gamma0, what="gamma0")
+        _checked_state(*array_key(self.gamma0))
 
     @property
     def dim_env(self) -> int:
         return self.u.shape[0] // DIM_SYS
 
 
+@functools.lru_cache(maxsize=1)
+def _checked_state(*key) -> None:
+    validate_density_matrix(keyed_array(*key), what="gamma0")
+
+
+_HEISENBERG = sum((tensor(sigma, sigma) for sigma in PAULIS), np.zeros((4, 4), complex))  # onto zeros, in Pauli order
+
+
 def heisenberg_hamiltonian() -> np.ndarray:
     """Two-qubit exchange coupling sum_j sigma_j (x) sigma_j."""
-    h = np.zeros((4, 4), dtype=complex)
-    for sigma in PAULIS:
-        h += tensor(sigma, sigma)
-    return h
+    return _HEISENBERG.copy()
 
 
 def correlated_pair_state(bloch_a, c23: float) -> np.ndarray:
@@ -98,11 +105,17 @@ def correlated_pair_state(bloch_a, c23: float) -> np.ndarray:
     return 0.25 * gamma
 
 
+@functools.lru_cache(maxsize=1)
+def _eigenbasis(*key) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only eigenvalues and eigenvectors of the h of `key`; ValueError unless h is Hermitian (no NaN)."""
+    if not hermiticity_residual(h := keyed_array(*key)) <= 1e-10:
+        raise ValueError("hamiltonian is not Hermitian within tolerance")
+    return tuple(map(read_only, np.linalg.eigh(h)))
+
+
 def unitary_from_hamiltonian(h: np.ndarray, t: float) -> np.ndarray:
     """exp(-i h t) computed through the Hermitian eigendecomposition of h; `ProcessSpec` checks that it is unitary."""
-    if hermiticity_residual(h) > 1e-10:
-        raise ValueError("hamiltonian is not Hermitian within tolerance")
-    w, v = np.linalg.eigh(h)
+    w, v = _eigenbasis(*array_key(h))
     if not math.isfinite(float(np.max(np.abs(w))) * abs(t)):  # Python floats overflow to inf without a warning
         raise ValueError(f"hamiltonian eigenvalues times t = {t!r} are not finite")
     return (v * np.exp(-1j * w * t)) @ dagger(v)

@@ -4,7 +4,7 @@ All operations are pure functions on numpy arrays; `dagger`, `hermiticity_residu
 `state_from_bloch` / `bloch_vector`, the only coordinate helpers (a qubit operator as b_j = Tr(rho sigma_j)),
 also take stacks of matrices (..., n, n) and of 3-vectors (..., 3).  States are plain complex ndarrays and
 validation is explicit (call `validate_density_matrix` / `validate_unitary` where a guarantee is needed)
-so intermediate unnormalized matrices flow freely.
+so intermediate unnormalized matrices flow freely.  `array_key`, `keyed_array` and `read_only` serve the caches.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ def bloch_vector(rho: np.ndarray) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape[-2:] != (2, 2):
         raise ValueError(f"expected a 2x2 matrix, got shape {rho.shape}")
-    if hermiticity_residual(rho) > STATE_TOL:
+    if not hermiticity_residual(rho) <= STATE_TOL:
         raise ValueError("matrix is not Hermitian within tolerance")
     return np.einsum("...ij,kji->...k", rho, PAULIS).real  # einsum, not `@`: see bilinear_tomo._PROBES
 
@@ -64,20 +64,40 @@ def hermiticity_residual(mat: np.ndarray) -> float:
     return float(np.max(np.abs(mat - dagger(mat)))) if mat.size else 0.0
 
 
+def read_only(a: np.ndarray) -> np.ndarray:
+    """`a`, after marking it read-only: for an array that a cache hands to every caller."""
+    a.flags.writeable = False
+    return a
+
+
+def array_key(a) -> tuple[bytes, tuple[int, ...], str]:
+    """Array `a` as a cache key: its bytes, shape and dtype; `keyed_array(*key)` is a read-only copy of `a`."""
+    a = np.asarray(a)
+    return a.tobytes(), a.shape, a.dtype.str
+
+
+def keyed_array(data: bytes, shape: tuple[int, ...], dtype: str) -> np.ndarray:
+    return np.frombuffer(data, dtype).reshape(shape)
+
+
 def validate_density_matrix(rho: np.ndarray, what: str = "density matrix") -> None:
-    """Raise ValueError, naming `what`, unless rho is Hermitian, unit-trace, and positive within STATE_TOL."""
+    """Raise ValueError, naming `what`, unless rho is Hermitian, unit-trace, and positive within STATE_TOL (no NaN)."""
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError(f"{what} must be square, got shape {rho.shape}")
     res = hermiticity_residual(rho)
-    if res > STATE_TOL:
+    if not res <= STATE_TOL:
         raise ValueError(f"{what} not Hermitian (residual {res:.3e})")
     tr = np.trace(rho)
-    if abs(tr - 1.0) > STATE_TOL:
+    if not abs(tr - 1.0) <= STATE_TOL:
         raise ValueError(f"{what} trace {tr:.12g} != 1")
-    w = np.linalg.eigvalsh(0.5 * (rho + dagger(rho)))
-    if w[0] < -STATE_TOL:
-        raise ValueError(f"{what} has negative eigenvalue {w[0]:.3e}")
+    herm = 0.5 * (rho + dagger(rho))
+    try:  # a Cholesky factor of herm + (STATE_TOL / 2) 1 proves positivity, and unlike `@` slows no later JSON work
+        np.linalg.cholesky(herm + 0.5 * STATE_TOL * np.eye(len(herm)))
+    except np.linalg.LinAlgError:  # else the smallest eigenvalue decides
+        w = np.linalg.eigvalsh(herm)
+        if not w[0] >= -STATE_TOL:
+            raise ValueError(f"{what} has negative eigenvalue {w[0]:.3e}") from None
 
 
 def validate_unitary(u: np.ndarray) -> None:

@@ -30,7 +30,7 @@ import numpy as np
 from . import jsonio
 from .dynamics import MAX_GAMMA
 from .errors import EXIT_MISSING_LABELS, ProcmapError, shown
-from .qstate import STATE_TOL, state_from_bloch
+from .qstate import STATE_TOL, read_only, state_from_bloch
 
 _DIAGONAL = 1.0 / math.sqrt(2.0)
 DIRECTIONS = {
@@ -250,5 +250,4 @@ def _factor(design: bytes, shape: tuple[int, int]) -> tuple[np.ndarray, int, flo
     u, s, vh = np.linalg.svd(np.frombuffer(design, dtype=complex).reshape(shape), full_matrices=False)
     rank = int(np.count_nonzero(s > np.finfo(float).eps * max(shape) * s.max(initial=0.0)))
     pinv = np.einsum("ji,j,kj->ik", np.conj(vh[:rank]), 1.0 / s[:rank], np.conj(u[:, :rank]))
-    pinv.flags.writeable = False
-    return pinv, rank, float(s[0] / s[rank - 1]) if rank else math.inf
+    return read_only(pinv), rank, float(s[0] / s[rank - 1]) if rank else math.inf

@@ -11,6 +11,8 @@ once, reads every gamma off the stack in one `prepare_generalized` call and ever
 `run_process` call; these arrays are the stacks of one `Dataset`, checked (`Dataset.checked`) as a read of its file
 is: a dataset no read accepts is a ScenarioError.  An optional finite-shot mode (`_degrade`) draws, from one seeded
 generator, each preparing measurement's outcome counts as one multinomial, then each output's Pauli axes.
+Each protocol's input stack is a table per label tuple.  A Bloch-form gamma0, per (bloch_a, c23), and the gammas, by
+the exact bytes of gamma0 and of `operations` and the labels, are kept read-only for one process, never on a raise.
 
 The dataset holds the sha256 of the scenario file's bytes (`metadata.scenario_sha256`),
 not the file, so reproducing a dataset needs its scenario file too; nothing reads
@@ -33,7 +35,7 @@ from .bilinear_tomo import element_table_from_map
 from .dynamics import (ProcessSpec, build_M_from_dynamics, check_completeness, correlated_pair_state,
                        heisenberg_hamiltonian, prepare_generalized, run_process, superoperator, unitary_from_hamiltonian)
 from .errors import ProcmapError, shown
-from .qstate import DIM_SYS, SIGMA_1, SIGMA_3, bloch_vector, state_from_bloch, tensor
+from .qstate import DIM_SYS, SIGMA_1, SIGMA_3, array_key, bloch_vector, keyed_array, read_only, state_from_bloch, tensor
 from .records import MIXED_LABEL, PROTOCOL_LABELS, TWELVE_STATE_LABELS, Dataset, ket_of_label, state_of_label
 
 # Three retired names stay bound here, uncalled, so that perfbench/tracer.py can wrap them.
@@ -104,11 +106,19 @@ def _finite(value, what: str) -> float:
     return number
 
 
-def _bloch(value, what: str) -> np.ndarray:
-    """A list of exactly three finite JSON numbers, as a float vector; errors name `what`."""
+def _bloch(value, what: str) -> tuple[float, float, float]:
+    """A list of exactly three finite JSON numbers, as floats; errors name `what`."""
     if not isinstance(value, list) or len(value) != 3:
         raise ScenarioError(f"{what} must be a list of three JSON numbers, got {shown(value)}")
-    return np.array([_finite(x, f"{what}[{i}]") for i, x in enumerate(value)])
+    return tuple(_finite(x, f"{what}[{i}]") for i, x in enumerate(value))
+
+
+def _matrix(obj, what: str) -> np.ndarray:
+    """The matrix object `obj` decoded by `jsonio.matrix_from_json`; a ValueError it raises names `what` first."""
+    try:
+        return jsonio.matrix_from_json(_read_keys(obj, what, MATRIX_KEYS))
+    except ValueError as exc:
+        raise ValueError(f"{what}: {exc}") from None
 
 
 def parse_measurement(obj: dict) -> np.ndarray:
@@ -118,8 +128,7 @@ def parse_measurement(obj: dict) -> np.ndarray:
         for i, entry in enumerate(_read_keys(obj, "preparation.measurement", {"outcomes"})["outcomes"]):
             _read_keys(entry, f"measurement outcome {i}", {"weights", "kraus"})
             weights = [_finite(w, f"measurement outcome {i} weight") for w in entry["weights"]]
-            kraus = [jsonio.matrix_from_json(_read_keys(c, f"measurement outcome {i} kraus[{j}]", MATRIX_KEYS))
-                     for j, c in enumerate(entry["kraus"])]
+            kraus = [_matrix(c, f"measurement outcome {i} kraus[{j}]") for j, c in enumerate(entry["kraus"])]
             if any(c.shape != (DIM_SYS, DIM_SYS) for c in kraus):
                 raise ScenarioError(f"measurement Kraus operators must be {DIM_SYS}x{DIM_SYS} (dimA)")
             superops.append(superoperator(weights, kraus))
@@ -145,7 +154,7 @@ def parse_scenario(obj: dict, name: str = "scenario") -> Scenario:
                 raise ScenarioError('the "heisenberg" keyword requires dimA = dimB = 2')
             hamiltonian = heisenberg_hamiltonian()
         else:
-            hamiltonian = jsonio.matrix_from_json(_read_keys(ham_obj, "hamiltonian", MATRIX_KEYS))
+            hamiltonian = _matrix(ham_obj, "hamiltonian")
             joint = (DIM_SYS * dim_env,) * 2
             if hamiltonian.shape != joint:
                 raise ScenarioError(f"hamiltonian has shape {hamiltonian.shape}, expected {joint}")
@@ -159,9 +168,9 @@ def parse_scenario(obj: dict, name: str = "scenario") -> Scenario:
             for key, size in (("bloch_a", math.hypot(*bloch_a)), ("c23", abs(c23))):
                 if size > 1.0:
                     raise ScenarioError(f"gamma0.{key} has size {size:.6g} above 1: gamma0 has a negative eigenvalue")
-            gamma0 = correlated_pair_state(bloch_a, c23)
+            gamma0 = _bloch_state(bloch_a, c23)
         else:
-            gamma0 = jsonio.matrix_from_json(_read_keys(g_obj, "gamma0", MATRIX_KEYS))
+            gamma0 = _matrix(g_obj, "gamma0")
         u = unitary_from_hamiltonian(hamiltonian, t)
         spec = ProcessSpec(u=u, gamma0=gamma0)
 
@@ -185,8 +194,7 @@ def parse_scenario(obj: dict, name: str = "scenario") -> Scenario:
                 raise ScenarioError("one label per measurement outcome is required")
         else:
             table, order = _label_operations(method), TWELVE_STATE_LABELS
-        operations = table[[order.index(label) for label in labels]]
-        inputs = [state_of_label(label) for label in labels]
+        operations, inputs = table[[order.index(label) for label in labels]], _label_inputs(labels)
 
         if "mixed_bloch" in obj:
             mixed_bloch = _bloch(obj["mixed_bloch"], "mixed_bloch")
@@ -196,7 +204,7 @@ def parse_scenario(obj: dict, name: str = "scenario") -> Scenario:
                 raise ScenarioError("mixed_bloch requires the measurement preparation method")
             # The mixed record applies X = state_from_bloch(b): its eigenvalues (1 +- |b|)/2 lie in [0, 1].
             x = state_from_bloch(mixed_bloch)
-            labels, inputs = labels + (MIXED_LABEL,), inputs + [x]
+            labels, inputs = labels + (MIXED_LABEL,), np.concatenate([inputs, [x]])
             operations = np.concatenate([operations, [superoperator((1.0,), (x,))]])
 
         shots = _integer(obj, "shots", None)
@@ -206,22 +214,23 @@ def parse_scenario(obj: dict, name: str = "scenario") -> Scenario:
         if seed is not None and seed < 0:
             raise ScenarioError("seed must be non-negative")
 
-        return Scenario(
-            name=name,
-            spec=spec,
-            t=t,
-            protocol=protocol,
-            prep_method=method,
-            labels=labels,
-            operations=operations,
-            inputs=np.array(inputs),
-            shots=shots,
-            seed=seed,
-        )
+        return Scenario(name=name, spec=spec, t=t, protocol=protocol, prep_method=method, labels=labels,
+                        operations=operations, inputs=inputs, shots=shots, seed=seed)
     except ProcmapError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ScenarioError(f"malformed scenario: {exc}") from exc
+
+
+@functools.lru_cache(maxsize=1)
+def _bloch_state(bloch_a: tuple[float, float, float], c23: float) -> np.ndarray:
+    return read_only(correlated_pair_state(bloch_a, c23))
+
+
+@functools.cache
+def _label_inputs(labels: tuple[str, ...]) -> np.ndarray:
+    """The read-only (n, 2, 2) stack of the state each of `labels` names."""
+    return read_only(np.array([state_of_label(label) for label in labels]))
 
 
 @functools.cache
@@ -238,9 +247,7 @@ def _label_operations(method: str) -> np.ndarray:
         kraus = {"measurement": [state_of_label(label)], "stochastic": [np.outer(ket, e) for e in np.eye(DIM_SYS)],
                  "rotation_only": [np.array([[t0, -np.conj(t1)], [t1, np.conj(t0)]])]}[method]
         superops.append(superoperator((1.0,) * len(kraus), kraus))
-    table = np.array(superops)
-    table.flags.writeable = False
-    return table
+    return read_only(np.array(superops))
 
 
 # Each record's preparing measurement, as a key its records share: generalized preparation has one, measurement
@@ -269,10 +276,16 @@ def _degrade(sc: Scenario, gammas: np.ndarray, outputs: np.ndarray) -> tuple[np.
     return est, state_from_bloch(2.0 * ups / shots - 1.0)
 
 
+@functools.lru_cache(maxsize=1)
+def _gammas(gamma0: tuple, operations: tuple, labels: tuple[str, ...]) -> np.ndarray:
+    """The read-only gamma of each of `labels`, from the `array_key` of gamma0 and of its operations stack."""
+    return read_only(prepare_generalized(keyed_array(*gamma0), keyed_array(*operations), label=labels))
+
+
 def simulate_scenario(sc: Scenario, scenario_sha256: str = "") -> Dataset:
     """The checked Dataset of the records of `sc`, else ScenarioError; `scenario_sha256` is the scenario's digest."""
     m = build_M_from_dynamics(sc.spec)
-    gammas = prepare_generalized(sc.spec.gamma0, sc.operations, label=sc.labels)
+    gammas = _gammas(array_key(sc.spec.gamma0), array_key(sc.operations), sc.labels)
     outputs = run_process(m, sc.operations, gammas)
     if sc.shots is not None:
         gammas, outputs = _degrade(sc, gammas, outputs)

@@ -1,19 +1,22 @@
 """Every test starts with procmap's per-process caches empty.
 
 A test that replaces a layer (with monkeypatch) must see that layer run, not an
-answer cached by an earlier test from the same deterministic demo bytes.
+answer cached by an earlier test from the same deterministic demo bytes: each
+of `helpers.PROCESS_CACHES` is cleared, and so is the CLI's dataset cache.
 A test that asks for `decodes` sees each dataset read that missed the CLI's cache.
 """
 
 import pytest
 
-from procmap import cli, records
+from helpers import PROCESS_CACHES
+from procmap import cli
 from procmap.records import Dataset
 
 
 @pytest.fixture(autouse=True)
 def empty_caches():
-    records._factor.cache_clear()
+    for cache in PROCESS_CACHES:
+        cache.cache_clear()
     cli._datasets.clear()
 
 

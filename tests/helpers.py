@@ -53,7 +53,8 @@ it record by record, the oracle for `scenarios._degrade`'s draw order, and
 complete twelve-outcome measurement that exercises it.  Last is the dilation of
 a generalized measurement: a unitary on system x ancillas followed by a von
 Neumann readout of an ancilla, another independent route to
-`dynamics.prepare_generalized`.
+`dynamics.prepare_generalized`.  `PROCESS_CACHES` lists the caches that keep
+process data from one call to the next, which the tests clear.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from procmap import jsonio
+from procmap import dynamics, jsonio, records, scenarios
 from procmap.bilinear_tomo import CROSS_PAIRS, ZeroGamma
 from procmap.dynamics import (
     ZERO_PROBABILITY_TOL,
@@ -127,6 +128,11 @@ A2_DEMO = 0.5
 C23_DEMO = 0.3
 # The input of the mixed record that `random_scenario` adds to a measurement scenario.
 MIXED_BLOCH = np.array([0.3, -0.2, 0.4])
+
+# Every functools cache in procmap that keeps process data (a design, H, gamma0, a Bloch-form gamma0, a protocol's
+# inputs, gammas) from one call to the next.
+PROCESS_CACHES = (records._factor, dynamics._eigenbasis, dynamics._checked_state, scenarios._bloch_state,
+                  scenarios._label_inputs, scenarios._gammas)
 
 
 def rand_unitary(rng, d: int) -> np.ndarray:

@@ -20,7 +20,7 @@ import procmap
 from procmap import cli, dynamics, jsonio, records
 from procmap.bilinear_tomo import NotStrictlyMixed, ZeroGamma
 from procmap.cli import main
-from procmap.dynamics import InvalidMeasurement, ProcessSpec, ZeroProbabilityOutcome
+from procmap.dynamics import InvalidMeasurement, ProcessSpec, ZeroProbabilityOutcome, unitary_from_hamiltonian
 from procmap.errors import (
     EXIT_BAD_CONFIG,
     EXIT_MISSING_LABELS,
@@ -176,6 +176,33 @@ def excluding(bad_labels):
     return {**STOCHASTIC, "gamma0": {"bloch_a": [0.0, 0.0, 1.0], "c23": 0.0}, "preparation": preparation}
 
 
+def in_field(field: str, matrix: dict) -> dict:
+    """A scenario with `matrix` as the imperfect-pin demo's hamiltonian or gamma0, or, for "kraus", as outcome 0's
+    Kraus operator of `generalized(1.0)`."""
+    if field != "kraus":
+        return {**PINNED, field: matrix}
+    config = generalized(1.0)
+    outcomes = [{"weights": [1.0], "kraus": [matrix]}, *config["preparation"]["measurement"]["outcomes"][1:]]
+    return {**config, "preparation": {**config["preparation"], "measurement": {"outcomes": outcomes}}}
+
+
+# Each matrix field of a scenario, its name in a diagnostic and its well-formed matrix.
+MATRIX_FIELDS = {"hamiltonian": ("hamiltonian", PINNED["hamiltonian"]), "gamma0": ("gamma0", PINNED["gamma0"]),
+                 "kraus": ("measurement outcome 0 kraus[0]", TWELFTH)}
+# Each decode fault of an n x n matrix: its data made from the well-formed data, and the decoder's message.
+MATRIX_FAULTS = {
+    "string-entry": (lambda data: [["0.5", 0.0], *data[1:]],
+                     lambda n: "matrix entries must be JSON numbers, got '0.5'"),
+    "inf-entry": (lambda data: [[float("inf"), 0.0], *data[1:]], lambda n: "matrix JSON contains non-finite values"),
+    "short-data": (lambda data: data[:-1],
+                   lambda n: f"matrix shapes must all be {n}x{n} with {n * n} [re, im] pairs, got {n}x{n} with {n * n - 1}"),
+}
+# Each (field, fault) as its malformed scenario and its whole diagnostic, which names the field.
+MATRIX_CASES = {f"{field}-{fault}": (in_field(field, {**matrix, "data": spoil(matrix["data"])}),
+                                     f"malformed scenario: {name}: {message(matrix['rows'])}")
+                for field, (name, matrix) in MATRIX_FIELDS.items() for fault, (spoil, message) in MATRIX_FAULTS.items()}
+
+
 # Each malformed scenario as a JSON value, or as the file's text when json cannot write it.
 BAD_SCENARIOS = {
     "top-level-array": [STOCHASTIC],
@@ -219,10 +246,7 @@ BAD_SCENARIOS = {
     "weight-nan": generalized(float("nan")),
     "weight-string": generalized("0.5", "0.5"),
     "gamma-above-one": gamma_above_one(),
-    "hamiltonian-string-entry": {
-        **PINNED,
-        "hamiltonian": {**PINNED["hamiltonian"], "data": [["0.5", 0.0]] + PINNED["hamiltonian"]["data"][1:]},
-    },
+    **{case: config for case, (config, _) in MATRIX_CASES.items()},
     "kraus-1x1": {
         **STOCHASTIC,
         "preparation": {
@@ -328,7 +352,7 @@ BAD_SCENARIO_WORDS = {
     "weight-nan": "weight must be finite",
     "weight-string": "weight must be a JSON number",
     "gamma-above-one": ("preparation 1+", "above 1"),
-    "hamiltonian-string-entry": "entries must be JSON numbers",
+    **{case: diagnostic for case, (_, diagnostic) in MATRIX_CASES.items()},
     "kraus-1x1": "Kraus operators must be 2x2",
     "hamiltonian-1e300-t-1e10": ("hamiltonian eigenvalues times t", "not finite"),
     "hamiltonian-off-diagonal-1e308": ("hamiltonian eigenvalues times t", "not finite"),
@@ -1307,9 +1331,17 @@ def four_equal_inputs() -> Dataset:
          "density matrix must be square, got shape (2, 3)"),
         (lambda: validate_unitary(np.ones((2, 3))), ValueError, "unitary must be square, got shape (2, 3)"),
         (lambda: fit(four_equal_inputs(), degree=3), ValueError, "fit degree must be 1 or 2, got 3"),
+        # A NaN matrix fails the first tolerance test, not inside numpy's eigensolver.
+        (lambda: validate_density_matrix(np.full((2, 2), np.nan)), ValueError,
+         "density matrix not Hermitian (residual nan)"),
+        (lambda: ProcessSpec(u=np.eye(4), gamma0=np.full((4, 4), np.nan)), ValueError,
+         "gamma0 not Hermitian (residual nan)"),
+        (lambda: unitary_from_hamiltonian(np.full((4, 4), np.nan), 1.0), ValueError,
+         "hamiltonian is not Hermitian within tolerance"),
+        (lambda: bloch_vector(np.full((2, 2), np.nan)), ValueError, "matrix is not Hermitian within tolerance"),
     ],
     ids=["process-spec-3x3", "not-a-frame", "apply-3x3", "bloch-3x3", "density-not-square", "unitary-not-square",
-         "fit-degree-3"],
+         "fit-degree-3", "density-nan", "process-spec-gamma0-nan", "hamiltonian-nan", "bloch-nan"],
 )
 def test_api_only_guard_raises(call, error, words):
     with pytest.raises(error) as caught:
