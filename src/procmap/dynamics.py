@@ -22,8 +22,8 @@ Both take one S or a stack (..., 4, 4), so one call of each serves a whole datas
 rotation-only preparation are trace-preserving, so gamma = 1; von Neumann measurement projects; a
 generalized measurement is an (n, 4, 4) stack of S, one per outcome, whose summed effect
 `check_completeness` checks.  Also provides the exchange-coupling Hamiltonian and the correlated
-pair state of the shipped scenarios.  H's Hermiticity check and read-only eigenbasis, and gamma0's density check,
-are each kept for one process, by exact bytes, shape and dtype (`qstate.array_key`); an input that raised is never kept.
+pair state of the shipped scenarios.  H's Hermiticity check and eigenbasis, and gamma0's density check and gamma0 over
+its trace, are kept read-only for one process, by exact bytes, shape and dtype (`qstate.array_key`), never on a raise.
 """
 
 from __future__ import annotations
@@ -35,8 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EXIT_ZERO_PROBABILITY, ProcmapError
-from .qstate import (DIM_SYS, PAULIS, STATE_TOL, UNITARY_TOL, array_key, dagger, hermiticity_residual, keyed_array,
-                     read_only, tensor, validate_density_matrix, validate_unitary)
+from .qstate import (DIM_SYS, IDENTITY_2, PAULIS, SIGMA_2, SIGMA_3, STATE_TOL, UNITARY_TOL, array_key, dagger,
+                     hermiticity_residual, keyed_array, read_only, tensor, validate_density_matrix, validate_unitary)
 
 ZERO_PROBABILITY_TOL = 1e-12
 # The largest outcome probability a preparation may have; the allowance above 1 is for rounding only.
@@ -57,9 +57,9 @@ class InvalidMeasurement(ProcmapError):
 class ProcessSpec:
     """An unknown process: joint unitary u on (qubit) system x environment, initial state gamma0.
 
-    The environment's size is read off u.  Construction raises ValueError unless
-    u is unitary on a space whose size is a multiple of DIM_SYS, and gamma0 is a
-    density matrix of the same size.
+    The environment's size is read off u.  Construction raises ValueError unless u is unitary on a space whose size
+    is a multiple of DIM_SYS, and gamma0 is a density matrix of the same size, which it then holds read-only and
+    divided by its trace: Tr(S M) is then 1, the gamma of every trace-preserving preparation.
     """
 
     u: np.ndarray
@@ -71,7 +71,7 @@ class ProcessSpec:
         if self.gamma0.shape != self.u.shape:
             raise ValueError(f"gamma0 has shape {self.gamma0.shape}, expected {self.u.shape}")
         validate_unitary(self.u)
-        _checked_state(*array_key(self.gamma0))
+        object.__setattr__(self, "gamma0", _checked_state(*array_key(self.gamma0)))
 
     @property
     def dim_env(self) -> int:
@@ -79,8 +79,10 @@ class ProcessSpec:
 
 
 @functools.lru_cache(maxsize=1)
-def _checked_state(*key) -> None:
-    validate_density_matrix(keyed_array(*key), what="gamma0")
+def _checked_state(*key) -> np.ndarray:
+    """The read-only gamma0 of `key` over its trace (undivided at trace 1: zeros keep their sign), if it is a state."""
+    validate_density_matrix(gamma0 := keyed_array(*key), what="gamma0")
+    return gamma0 if (tr := np.trace(gamma0).real) == 1.0 else read_only(gamma0 / tr)
 
 
 _HEISENBERG = sum((tensor(sigma, sigma) for sigma in PAULIS), np.zeros((4, 4), complex))  # onto zeros, in Pauli order
@@ -91,18 +93,17 @@ def heisenberg_hamiltonian() -> np.ndarray:
     return _HEISENBERG.copy()
 
 
+_PAIR_TERMS = (tensor(IDENTITY_2, IDENTITY_2), *(tensor(s, IDENTITY_2) for s in PAULIS), tensor(SIGMA_2, SIGMA_3))
+
+
 def correlated_pair_state(bloch_a, c23: float) -> np.ndarray:
-    """Two-qubit operator (1/4)(1x1 + sum_j a_j sigma_j x 1 + c23 sigma_2 x sigma_3), unchecked.
+    """Two-qubit operator (1/4)(1x1 + sum_j a_j sigma_j x 1 + c23 sigma_2 x sigma_3), unchecked, summed in that order.
 
     `ProcessSpec` checks that it is a state, separable but classically correlated with the environment for c23 != 0.
     """
-    bloch_a = np.asarray(bloch_a, dtype=float)
-    eye = np.eye(2, dtype=complex)
-    gamma = tensor(eye, eye).astype(complex)
-    for a_j, sigma in zip(bloch_a, PAULIS):
-        gamma += a_j * tensor(sigma, eye)
-    gamma += c23 * tensor(PAULIS[1], PAULIS[2])
-    return 0.25 * gamma
+    a1, a2, a3 = map(float, bloch_a)
+    one, s1, s2, s3, s23 = _PAIR_TERMS
+    return 0.25 * (one + a1 * s1 + a2 * s2 + a3 * s3 + c23 * s23)
 
 
 @functools.lru_cache(maxsize=1)
@@ -210,7 +211,7 @@ def run_process(m: np.ndarray, s: np.ndarray, gamma: float | np.ndarray) -> np.n
     off = np.flatnonzero(np.abs(trace - gamma) > 1e-12)
     if off.size:
         got, want = np.ravel(trace)[off[0]].real, np.ravel(gamma)[off[0]]
-        raise ValueError(f"Tr(S M) = {got:.6e} differs from the preparation's gamma {want:.6e}")
+        raise ValueError(f"Tr(S M) = {got:.6e} differs from the preparation's gamma {want:.6e} by {got - want:.3e}")
     if hermiticity_residual(gq) > 1e-12:
         raise ValueError("process output lost hermiticity")
     # Divide by the trace of gamma*Q itself: dividing by gamma would leave Tr Q off by about 1e-8 at gamma ~ 1e-9.

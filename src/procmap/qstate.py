@@ -4,7 +4,8 @@ All operations are pure functions on numpy arrays; `dagger`, `hermiticity_residu
 `state_from_bloch` / `bloch_vector`, the only coordinate helpers (a qubit operator as b_j = Tr(rho sigma_j)),
 also take stacks of matrices (..., n, n) and of 3-vectors (..., 3).  States are plain complex ndarrays and
 validation is explicit (call `validate_density_matrix` / `validate_unitary` where a guarantee is needed)
-so intermediate unnormalized matrices flow freely.  `array_key`, `keyed_array` and `read_only` serve the caches.
+so intermediate unnormalized matrices flow freely.  `array_key` and `keyed_array` serve the process caches of
+`dynamics` and `scenarios`; `read_only` marks what a cache or a constant table hands to every caller.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ def hermiticity_residual(mat: np.ndarray) -> float:
 
 
 def read_only(a: np.ndarray) -> np.ndarray:
-    """`a`, after marking it read-only: for an array that a cache hands to every caller."""
+    """`a`, after marking it read-only: for an array that a cache or a constant table hands to every caller."""
     a.flags.writeable = False
     return a
 

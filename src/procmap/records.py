@@ -8,7 +8,8 @@ Each label's ket |t> (`ket_of_label`) is the half-angle closed form of its Bloch
 computed once, in the gauge where the first component of largest magnitude is real and positive.
 `PROTOCOL_LABELS` names the protocols: verify12, all twelve labels in pair
 order; bilinear9, both labels of 1, 2, 3 and 4+, 5+, 6+; linear4, 1-, 1+, 2+,
-3+.  A bi-linear dataset may add a record labeled `MIXED_LABEL`.
+3+; `PROTOCOL_INPUTS` holds each one's read-only stack of input states.
+A bi-linear dataset may add a record labeled `MIXED_LABEL`.
 A `Dataset` holds its records as stacked arrays, record i being (labels[i],
 inputs[i], outputs[i], gammas[i]); `Dataset.subset` selects a protocol's records
 by label, and `fit` reads the stacks directly, factoring each distinct design once per process (a protocol
@@ -55,6 +56,7 @@ PROTOCOL_LABELS = {
 # Each label's Bloch vector; 0.0 - b, not -b, so that a zero component stays +0.0.
 _BLOCH = {f"{d}{s}": np.array(b) if s == "+" else 0.0 - np.array(b) for d, b in DIRECTIONS.items() for s in "+-"}
 _STATES = {label: state_from_bloch(b) for label, b in _BLOCH.items()}
+PROTOCOL_INPUTS = {name: read_only(np.array([_STATES[x] for x in labels])) for name, labels in PROTOCOL_LABELS.items()}
 
 # Each label's half-angle ket, its first component of largest magnitude (the first when z >= 0) real and positive.
 _KETS = {label: np.array([math.sqrt((1 + z) / 2), complex(x, y) / math.sqrt(2 * (1 + z))]) if z >= 0

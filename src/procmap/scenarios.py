@@ -3,16 +3,16 @@
 A scenario bundles the process (unitary + initial joint state), a preparation method, and a protocol (which input
 labels to prepare).  `parse_scenario` builds its record table once: `labels` (the protocol's, then `mixed`),
 `operations` (the (n, 4, 4) stack of the S that prepares each label on the system factor of gamma0) and `inputs`
-(the state each label names).  It refuses a key it does not read in the scenario, a Bloch-form gamma0, a matrix
-object, the preparation, a generalized measurement or one of its outcomes; the scenario's `note` is a free-form
-comment.  A dataset stays lenient: `records.Dataset.from_json` ignores a key it does not read, in a record too.
-Simulation is one array program over the table, with the process layer of `dynamics`: it builds the process tensor M
-once, reads every gamma off the stack in one `prepare_generalized` call and every output off the stack and M in one
-`run_process` call; these arrays are the stacks of one `Dataset`, checked (`Dataset.checked`) as a read of its file
-is: a dataset no read accepts is a ScenarioError.  An optional finite-shot mode (`_degrade`) draws, from one seeded
-generator, each preparing measurement's outcome counts as one multinomial, then each output's Pauli axes.
-Each protocol's input stack is a table per label tuple.  A Bloch-form gamma0, per (bloch_a, c23), and the gammas, by
-the exact bytes of gamma0 and of `operations` and the labels, are kept read-only for one process, never on a raise.
+(the state each label names, from `records.PROTOCOL_INPUTS`).  It refuses a key it does not read in the scenario, a
+Bloch-form gamma0, a matrix object, the preparation, a generalized measurement or one of its outcomes; the
+scenario's `note` is a free-form comment.  A dataset stays lenient: `records.Dataset.from_json` ignores a key it does
+not read, in a record too.  Simulation is one array program over the table, with the process layer of `dynamics`: it
+builds the process tensor M once, reads every gamma off the stack in one `prepare_generalized` call and every output
+off the stack and M in one `run_process` call; these arrays are the stacks of one `Dataset`, checked
+(`Dataset.checked`) as a read of its file is: a dataset no read accepts is a ScenarioError.  An optional finite-shot
+mode (`_degrade`) draws, from one seeded generator, each preparing measurement's outcome counts as one multinomial,
+then each output's Pauli axes.  Each method's stack of S is built once.  The gammas, by the exact bytes of gamma0
+and of `operations` and the labels, are kept read-only for one process, never on a raise.
 
 The dataset holds the sha256 of the scenario file's bytes (`metadata.scenario_sha256`),
 not the file, so reproducing a dataset needs its scenario file too; nothing reads
@@ -36,7 +36,8 @@ from .dynamics import (ProcessSpec, build_M_from_dynamics, check_completeness, c
                        heisenberg_hamiltonian, prepare_generalized, run_process, superoperator, unitary_from_hamiltonian)
 from .errors import ProcmapError, shown
 from .qstate import DIM_SYS, SIGMA_1, SIGMA_3, array_key, bloch_vector, keyed_array, read_only, state_from_bloch, tensor
-from .records import MIXED_LABEL, PROTOCOL_LABELS, TWELVE_STATE_LABELS, Dataset, ket_of_label, state_of_label
+from .records import (MIXED_LABEL, PROTOCOL_INPUTS, PROTOCOL_LABELS, TWELVE_STATE_LABELS, Dataset, ket_of_label,
+                      state_of_label)
 
 # Three retired names stay bound here, uncalled, so that perfbench/tracer.py can wrap them.
 apply_pin_map = prepare_stochastic = prepare_projective = prepare_generalized
@@ -168,7 +169,7 @@ def parse_scenario(obj: dict, name: str = "scenario") -> Scenario:
             for key, size in (("bloch_a", math.hypot(*bloch_a)), ("c23", abs(c23))):
                 if size > 1.0:
                     raise ScenarioError(f"gamma0.{key} has size {size:.6g} above 1: gamma0 has a negative eigenvalue")
-            gamma0 = _bloch_state(bloch_a, c23)
+            gamma0 = correlated_pair_state(bloch_a, c23)
         else:
             gamma0 = _matrix(g_obj, "gamma0")
         u = unitary_from_hamiltonian(hamiltonian, t)
@@ -194,7 +195,7 @@ def parse_scenario(obj: dict, name: str = "scenario") -> Scenario:
                 raise ScenarioError("one label per measurement outcome is required")
         else:
             table, order = _label_operations(method), TWELVE_STATE_LABELS
-        operations, inputs = table[[order.index(label) for label in labels]], _label_inputs(labels)
+        operations, inputs = table[[order.index(label) for label in labels]], PROTOCOL_INPUTS[protocol]
 
         if "mixed_bloch" in obj:
             mixed_bloch = _bloch(obj["mixed_bloch"], "mixed_bloch")
@@ -220,17 +221,6 @@ def parse_scenario(obj: dict, name: str = "scenario") -> Scenario:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ScenarioError(f"malformed scenario: {exc}") from exc
-
-
-@functools.lru_cache(maxsize=1)
-def _bloch_state(bloch_a: tuple[float, float, float], c23: float) -> np.ndarray:
-    return read_only(correlated_pair_state(bloch_a, c23))
-
-
-@functools.cache
-def _label_inputs(labels: tuple[str, ...]) -> np.ndarray:
-    """The read-only (n, 2, 2) stack of the state each of `labels` names."""
-    return read_only(np.array([state_of_label(label) for label in labels]))
 
 
 @functools.cache
@@ -286,7 +276,10 @@ def simulate_scenario(sc: Scenario, scenario_sha256: str = "") -> Dataset:
     """The checked Dataset of the records of `sc`, else ScenarioError; `scenario_sha256` is the scenario's digest."""
     m = build_M_from_dynamics(sc.spec)
     gammas = _gammas(array_key(sc.spec.gamma0), array_key(sc.operations), sc.labels)
-    outputs = run_process(m, sc.operations, gammas)
+    try:
+        outputs = run_process(m, sc.operations, gammas)
+    except ValueError as exc:
+        raise ScenarioError(f"malformed scenario: {exc}") from exc
     if sc.shots is not None:
         gammas, outputs = _degrade(sc, gammas, outputs)
 

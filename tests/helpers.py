@@ -53,8 +53,9 @@ it record by record, the oracle for `scenarios._degrade`'s draw order, and
 complete twelve-outcome measurement that exercises it.  Last is the dilation of
 a generalized measurement: a unitary on system x ancillas followed by a von
 Neumann readout of an ancilla, another independent route to
-`dynamics.prepare_generalized`.  `PROCESS_CACHES` lists the caches that keep
-process data from one call to the next, which the tests clear.
+`dynamics.prepare_generalized`.  `reference_pair_state` is the term-by-term loop that
+`dynamics.correlated_pair_state` replaced by a sum of constant terms.  `PROCESS_CACHES` lists
+the caches that keep process data from one call to the next, which the tests clear.
 """
 
 from __future__ import annotations
@@ -129,10 +130,8 @@ C23_DEMO = 0.3
 # The input of the mixed record that `random_scenario` adds to a measurement scenario.
 MIXED_BLOCH = np.array([0.3, -0.2, 0.4])
 
-# Every functools cache in procmap that keeps process data (a design, H, gamma0, a Bloch-form gamma0, a protocol's
-# inputs, gammas) from one call to the next.
-PROCESS_CACHES = (records._factor, dynamics._eigenbasis, dynamics._checked_state, scenarios._bloch_state,
-                  scenarios._label_inputs, scenarios._gammas)
+# Every functools cache in procmap that keeps process data (a design, H, gamma0, gammas) from one call to the next.
+PROCESS_CACHES = (records._factor, dynamics._eigenbasis, dynamics._checked_state, scenarios._gammas)
 
 
 def rand_unitary(rng, d: int) -> np.ndarray:
@@ -297,6 +296,17 @@ def closed_form_lambda_m(t: float, a2: float, c23: float) -> np.ndarray:
         ],
         dtype=complex,
     )
+
+
+def reference_pair_state(bloch_a, c23: float) -> np.ndarray:
+    """`dynamics.correlated_pair_state` term by term, each tensor product formed as it is added."""
+    bloch_a = np.asarray(bloch_a, dtype=float)
+    eye = np.eye(2, dtype=complex)
+    gamma = tensor(eye, eye).astype(complex)
+    for a_j, sigma in zip(bloch_a, PAULIS):
+        gamma += a_j * tensor(sigma, eye)
+    gamma += c23 * tensor(PAULIS[1], PAULIS[2])
+    return 0.25 * gamma
 
 
 def va_spec(t: float = T_DEMO, a2: float = A2_DEMO, c23: float = C23_DEMO) -> ProcessSpec:

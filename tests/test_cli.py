@@ -5,6 +5,7 @@ import gc
 import hashlib
 import io
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -17,19 +18,22 @@ import numpy as np
 import pytest
 
 import procmap
-from procmap import cli, dynamics, jsonio, records
+from procmap import cli, dynamics, jsonio, records, scenarios
 from procmap.bilinear_tomo import NotStrictlyMixed, ZeroGamma
 from procmap.cli import main
-from procmap.dynamics import InvalidMeasurement, ProcessSpec, ZeroProbabilityOutcome, unitary_from_hamiltonian
+from procmap.dynamics import (MAX_GAMMA, InvalidMeasurement, ProcessSpec, ZeroProbabilityOutcome,
+                              unitary_from_hamiltonian)
 from procmap.errors import (
     EXIT_BAD_CONFIG,
     EXIT_MISSING_LABELS,
     EXIT_NOT_A_FRAME,
     EXIT_OK,
     EXIT_ZERO_PROBABILITY,
+    SHOWN_MAX,
+    shown,
 )
 from procmap.linear_tomo import NotAFrame, apply_linear_map, reconstruct_linear_map
-from procmap.qstate import bloch_vector, state_from_bloch, validate_density_matrix, validate_unitary
+from procmap.qstate import STATE_TOL, bloch_vector, state_from_bloch, validate_density_matrix, validate_unitary
 from procmap.records import LINEAR4_LABELS, TWELVE_STATE_LABELS, Dataset, MissingRecord, fit, state_of_label
 from procmap.scenarios import DEMO_NAMES, ScenarioError, demo_scenario_config, parse_scenario, simulate_scenario
 
@@ -241,6 +245,8 @@ BAD_SCENARIOS = {
     "bloch-a-string-and-bool": {**MEASUREMENT, "gamma0": {"bloch_a": ["0.1", False, 0], "c23": 0.3}},
     "mixed-bloch-string-and-bool": {**MEASUREMENT, "mixed_bloch": ["0.1", False, 0]},
     "mixed-bloch-1e300": {**MEASUREMENT, "mixed_bloch": [1e300, 0, 0]},
+    "mixed-bloch-norm-1": {**MEASUREMENT, "mixed_bloch": [1.0, 0.0, 0.0]},
+    "shots-0": {**STOCHASTIC, "shots": 0},
     "t-integer-beyond-float": {**MEASUREMENT, "t": 10**400},
     "t-5000-digits": '{"t": ' + "1" * 5000 + "}",
     "weight-nan": generalized(float("nan")),
@@ -347,6 +353,8 @@ BAD_SCENARIO_WORDS = {
     "bloch-a-string-and-bool": "gamma0.bloch_a[0] must be a JSON number",
     "mixed-bloch-string-and-bool": "mixed_bloch[0] must be a JSON number",
     "mixed-bloch-1e300": "mixed_bloch must have norm strictly below 1",
+    "mixed-bloch-norm-1": "mixed_bloch must have norm strictly below 1",
+    "shots-0": "shots must be positive",
     "t-integer-beyond-float": "t must be finite",
     "t-5000-digits": ("bad.json", "more than 4300 digits"),
     "weight-nan": "weight must be finite",
@@ -440,6 +448,12 @@ def test_deeply_nested_json_is_bad_config(argv, tmp_path, capsys):
 
 def test_complete_generalized_measurement_simulates(tmp_path, capsys):
     simulate(tmp_path, capsys, demo="stochastic-heisenberg", **generalized(0.5, 0.5))
+
+
+def test_zero_kraus_weight_simulates(tmp_path, capsys):
+    # Weights must be nonnegative, not positive: a zero-weight Kraus operator adds nothing to its outcome.
+    obj = simulate(tmp_path, capsys, demo="stochastic-heisenberg", **generalized(1.0, 0.0))
+    assert obj["records"][0]["gamma"] == pytest.approx(1.0 / 12.0, abs=1e-15)
 
 
 def test_rounded_projector_measurement_simulates(tmp_path, capsys):
@@ -617,6 +631,36 @@ def test_tolerance_must_be_finite_and_non_negative(option, value, tmp_path, caps
     code, err = run(["verify", tmp_path / "dataset.json", option, value], capsys)
     assert code == EXIT_BAD_CONFIG
     assert option in err, err
+
+
+@pytest.mark.parametrize("option", ["--tol-linear", "--tol-bilinear"])
+def test_zero_tolerance_is_accepted(option, tmp_path, capsys):
+    simulate(tmp_path, capsys)
+    report = tmp_path / "report.json"
+    assert run(["verify", tmp_path / "dataset.json", option, "0", "--out", report], capsys) == (EXIT_OK, "")
+    assert json.loads(report.read_text())["thresholds"][option.removeprefix("--tol-")] == 0.0
+
+
+@pytest.mark.parametrize("digits", [SHOWN_MAX, SHOWN_MAX + 1])
+def test_a_value_shown_in_shown_max_characters_prints_whole(digits, tmp_path, capsys):
+    # Both integers show in SHOWN_MAX characters: the first whole, the second as its two ends around "...".
+    t = 10 ** (digits - 1)
+    scenario = tmp_path / "big.json"
+    scenario.write_text(json.dumps({**MEASUREMENT, "t": t}))
+    code, err = run(["simulate", scenario], capsys)
+    assert (code, len(shown(t))) == (EXIT_BAD_CONFIG, SHOWN_MAX)
+    assert (str(t) in err, "..." in err) == ((True, False) if digits == SHOWN_MAX else (False, True)), err
+
+
+@pytest.mark.parametrize("above", [False, True], ids=["MAX_GAMMA", "next-double-up"])
+def test_dataset_gamma_of_max_gamma_is_accepted(above, tmp_path, capsys):
+    gamma = math.nextafter(MAX_GAMMA, 2.0) if above else MAX_GAMMA
+    path = write_dataset(tmp_path, set_gamma(simulate(tmp_path, capsys, demo="stochastic-heisenberg"), "1+", gamma))
+    code, err = run(["verify", path], capsys)
+    if above:
+        assert code == EXIT_BAD_CONFIG and f"record '1+' has gamma {gamma!r}, not a JSON number in [0, 1]" in err, err
+    else:
+        assert (code, err) == (EXIT_OK, "")
 
 
 @pytest.mark.parametrize(
@@ -1051,6 +1095,16 @@ def test_simulate_refuses_a_dataset_every_read_refuses(where, out, tmp_path, cap
     assert cli._datasets == {}
 
 
+def simulate_where(where, config, tmp_path, capsys, monkeypatch):
+    """Exit code, stdout and stderr of `simulate` on `config`, in a fresh interpreter or through `main`."""
+    (tmp_path / "scenario.json").write_text(jsonio.dumps(config))
+    argv = ["simulate", "scenario.json", "--out", "dataset.json"]
+    if where == "process":
+        return cli_process(argv, cwd=tmp_path, stdout=subprocess.PIPE)
+    monkeypatch.chdir(tmp_path)
+    return in_process(argv, capsys)
+
+
 def not_a_state_output() -> dict:
     """Measurement preparation on gamma0 = |0><0| (x) (1 - 1e-9) 1/2 + |1><1| (x) 1e-9 rho_B, rho_B of Bloch vector
     1.04 (1, 1, 1) / sqrt(3), at t = pi/4.  gamma0's eigenvalue -2e-11 is within STATE_TOL; record 3- gets gamma 1e-9
@@ -1063,16 +1117,73 @@ def not_a_state_output() -> dict:
 
 @pytest.mark.parametrize("where", ["process", "main"])
 def test_simulate_refuses_an_exact_output_that_is_not_a_state(where, tmp_path, capsys, monkeypatch):
-    (tmp_path / "scenario.json").write_text(jsonio.dumps(not_a_state_output()))
-    argv = ["simulate", "scenario.json", "--out", "dataset.json"]
-    if where == "process":
-        code, stdout, err = cli_process(argv, cwd=tmp_path, stdout=subprocess.PIPE)
-    else:
-        monkeypatch.chdir(tmp_path)
-        code, stdout, err = in_process(argv, capsys)
-    assert (code, stdout) == (EXIT_BAD_CONFIG, "")
-    assert err == "error: malformed dataset: record '3-' output is not a state (deviation 2.000e-02)\n", err
+    err = "error: malformed dataset: record '3-' output is not a state (deviation 2.000e-02)\n"
+    assert simulate_where(where, not_a_state_output(), tmp_path, capsys, monkeypatch) == (EXIT_BAD_CONFIG, "", err)
     assert not (tmp_path / "dataset.json").exists()
+
+
+def pinned_with(gamma0: np.ndarray, method: str) -> dict:
+    """The imperfect-pin demo process with `gamma0`, prepared by `method`."""
+    return {**PINNED, "gamma0": jsonio.matrix_to_json(gamma0), "preparation": {"method": method}}
+
+
+PINNED_GAMMA0 = jsonio.matrix_from_json(PINNED["gamma0"])
+FIXED_METHODS = ("stochastic", "rotation_only", "measurement")
+
+
+@pytest.mark.parametrize("where", ["process", "main"])
+@pytest.mark.parametrize("method", FIXED_METHODS)
+@pytest.mark.parametrize("eps", [5e-11, -5e-11])
+def test_gamma0_trace_within_state_tol_simulates_as_the_unit_trace(eps, method, where, tmp_path, capsys, monkeypatch):
+    # Tr gamma0 = 1 + eps passes the density check; gamma0 is divided by it there, so a trace-preserving preparation's
+    # gamma = 1 matches Tr(S M) within run_process's 1e-12, and every record is the unscaled process's.
+    config = pinned_with((1.0 + eps) * PINNED_GAMMA0, method)
+    assert simulate_where(where, config, tmp_path, capsys, monkeypatch) == (EXIT_OK, "", "")
+    got = Dataset.from_json(json.loads((tmp_path / "dataset.json").read_text()))
+    want = simulate_scenario(parse_scenario(pinned_with(PINNED_GAMMA0, method)))
+    np.testing.assert_allclose(got.gammas, want.gammas, rtol=0.0, atol=1e-15)
+    np.testing.assert_allclose(got.outputs, want.outputs, rtol=0.0, atol=1e-14)
+
+
+def largest_accepted(check: str) -> np.ndarray:
+    """A gamma0 whose `check` deviation (trace, Hermiticity or eigenvalue) is 0.99 STATE_TOL, the others about 0."""
+    d = 0.99 * STATE_TOL
+    if check == "trace":
+        return (1.0 + d) * PINNED_GAMMA0
+    if check == "hermiticity":
+        return PINNED_GAMMA0 + d * np.outer(np.eye(4)[0], np.eye(4)[1])
+    rng = np.random.default_rng(3)
+    q, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+    gamma0 = (q * [-d, 0.2 + d, 0.3, 0.5]) @ q.conj().T
+    return 0.5 * (gamma0 + gamma0.conj().T)
+
+
+@pytest.mark.parametrize("where", ["process", "main"])
+@pytest.mark.parametrize("method", FIXED_METHODS)
+@pytest.mark.parametrize("check", ["trace", "hermiticity", "eigenvalue"])
+def test_each_gamma0_check_at_its_largest_accepted_deviation_simulates(check, method, where, tmp_path, capsys,
+                                                                         monkeypatch):
+    gamma0 = largest_accepted(check)
+    validate_density_matrix(gamma0)
+    config = pinned_with(gamma0, method)
+    assert simulate_where(where, config, tmp_path, capsys, monkeypatch) == (EXIT_OK, "", "")
+
+
+@pytest.mark.parametrize("where", ["simulate_scenario", "main"])
+def test_a_run_process_failure_is_one_line_naming_the_difference(where, tmp_path, capsys, monkeypatch):
+    # Every gamma 5e-11 above Tr(S M): the one-line diagnostic prints the difference, not two equal rounded values.
+    prepare = scenarios.prepare_generalized
+    monkeypatch.setattr(scenarios, "prepare_generalized", lambda *args, **kwargs: prepare(*args, **kwargs) + 5e-11)
+    config = pinned_with(PINNED_GAMMA0, "stochastic")
+    want = ("malformed scenario: Tr(S M) = 1.000000e+00 differs from the preparation's gamma 1.000000e+00 "
+            "by -5.000e-11")
+    if where == "simulate_scenario":
+        with pytest.raises(ScenarioError) as caught:
+            simulate_scenario(parse_scenario(config))
+        assert str(caught.value) == want
+    else:
+        assert simulate_where(where, config, tmp_path, capsys, monkeypatch) == (EXIT_BAD_CONFIG, "", f"error: {want}\n")
+        assert not (tmp_path / "dataset.json").exists()
 
 
 @pytest.mark.parametrize("shots", ["exact", "1000"])
@@ -1218,7 +1329,8 @@ def simulate_shots(tmp_path, capsys, shots, seed, name):
     return out.read_text()
 
 
-@pytest.mark.parametrize("shots, code", [(2**63 - 1, EXIT_OK), (2**70, EXIT_BAD_CONFIG)], ids=["2**63-1", "2**70"])
+@pytest.mark.parametrize("shots, code", [(2**63 - 1, EXIT_OK), (2**70, EXIT_BAD_CONFIG), (0, EXIT_BAD_CONFIG)],
+                         ids=["2**63-1", "2**70", "0"])
 def test_shot_override_fits_the_binomial_sampler(shots, code, tmp_path, capsys):
     scenario = tmp_path / "scenario.json"
     scenario.write_text(jsonio.dumps(demo_scenario_config("measurement-correlated")))

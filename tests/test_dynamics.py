@@ -13,6 +13,7 @@ from helpers import (
     rand_density,
     rand_unitary,
     reference_dynamical_map,
+    reference_pair_state,
     va_spec,
 )
 from procmap.dynamics import (
@@ -49,6 +50,15 @@ def test_heisenberg_hamiltonian_matrix():
     assert np.max(np.abs(h - h.conj().T)) == 0
     # eigenvalues: triplet +1 (x3), singlet -3
     assert np.allclose(np.sort(np.linalg.eigvalsh(h)), [-3, 1, 1, 1], atol=1e-12)
+
+
+def test_correlated_pair_state_is_the_term_by_term_sum_bit_for_bit():
+    # Zeros of either sign, negative and positive components, and sizes above 1 (unchecked operators).
+    rng = np.random.default_rng(36)
+    values = np.concatenate([[0.0, -0.0, 1.0, -1.0], rng.uniform(-1.5, 1.5, 60)])
+    for _ in range(12_000):
+        bloch_a, c23 = tuple(rng.choice(values, 3).tolist()), float(rng.choice(values))  # floats, as parsed
+        assert correlated_pair_state(bloch_a, c23).tobytes() == reference_pair_state(bloch_a, c23).tobytes()
 
 
 def test_correlated_pair_state_valid_and_invalid():

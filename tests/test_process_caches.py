@@ -1,10 +1,12 @@
 """What procmap keeps for one process across a sweep in t, and the positivity screen of the density check.
 
-H's eigenbasis, gamma0's density check, a Bloch-form gamma0, a protocol's inputs and the gammas do not depend on
-t; a sweep must write what a cold process writes, a failure must never be kept, and what is kept is read-only.
+H's eigenbasis, gamma0's density check and the gammas do not depend on t; a sweep must write what a cold process
+writes, a failure must never be kept, and what is kept, like a protocol's inputs, is read-only.
 """
 
+import ast
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from procmap import dynamics, jsonio, scenarios
 from procmap.cli import main
 from procmap.dynamics import ProcessSpec, ZeroProbabilityOutcome, heisenberg_hamiltonian, unitary_from_hamiltonian
 from procmap.qstate import STATE_TOL, array_key, validate_density_matrix
+from procmap.records import PROTOCOL_INPUTS
 from procmap.scenarios import DEMO_NAMES, demo_scenario_config, parse_scenario, simulate_scenario
 
 
@@ -31,9 +34,42 @@ def test_a_sweep_in_t_writes_what_a_cold_process_writes(tmp_path):
         return out.read_bytes()
 
     warm = [dataset(*case, cold=False) for case in cases]
-    for cache in (dynamics._eigenbasis, dynamics._checked_state, scenarios._bloch_state, scenarios._gammas):
+    for cache in (dynamics._eigenbasis, dynamics._checked_state, scenarios._gammas):
         assert cache.cache_info().hits > 0, cache
     assert warm == [dataset(*case, cold=True) for case in cases]
+
+
+# The functools caches that keep no process data, so that no test clears them: each name with its reason.
+CONSTANT_CACHES = {
+    "scenarios._label_operations": "a constant table per preparation method, built lazily so that tomo and verify "
+                                   "processes do not pay for it at import",
+    "cli._parsers": "the argparse parsers, which hold no input",
+}
+CACHE_DECORATORS = {"functools.cache", "functools.lru_cache", "cache", "lru_cache"}
+
+
+def _is_cache(node: ast.expr) -> bool:
+    """Whether `node` is functools.cache or functools.lru_cache, called (with options) or not."""
+    return ast.unparse(node.func if isinstance(node, ast.Call) else node) in CACHE_DECORATORS
+
+
+def cached_functions() -> set[str]:
+    """"module.name" of each function in procmap decorated with, or wrapped by, functools.cache or lru_cache."""
+    names = set()
+    for path in Path(dynamics.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(map(_is_cache, node.decorator_list)):
+                names.add(f"{path.stem}.{node.name}")
+            elif isinstance(node, ast.Assign) and isinstance(node.value, ast.Call) and _is_cache(node.value.func):
+                names.update(f"{path.stem}.{target.id}" for target in node.targets if isinstance(target, ast.Name))
+    return names
+
+
+def test_every_cache_is_cleared_by_the_tests_or_named_with_a_reason():
+    cleared = {f"{cache.__module__.removeprefix('procmap.')}.{cache.__name__}" for cache in PROCESS_CACHES}
+    assert cleared == {"records._factor", "dynamics._eigenbasis", "dynamics._checked_state", "scenarios._gammas"}
+    assert not cleared & CONSTANT_CACHES.keys()
+    assert cached_functions() == cleared | CONSTANT_CACHES.keys()
 
 
 def zero_probability_scenario() -> dict:
@@ -69,15 +105,15 @@ def test_every_kept_array_is_read_only():
         simulate_scenario(sc)
         h = heisenberg_hamiltonian() if config["hamiltonian"] == "heisenberg" else jsonio.matrix_from_json(
             config["hamiltonian"])
-        kept = [*dynamics._eigenbasis(*array_key(h)), scenarios._label_inputs(sc.labels[:12]),
+        kept = [*dynamics._eigenbasis(*array_key(h)), sc.spec.gamma0, PROTOCOL_INPUTS[sc.protocol],
                 scenarios._gammas(array_key(sc.spec.gamma0), array_key(sc.operations), sc.labels)]
-        if "bloch_a" in config["gamma0"]:
-            kept.append(sc.spec.gamma0)  # the kept Bloch-form gamma0
         assert scenarios._gammas.cache_info().hits == DEMO_NAMES.index(demo) + 1
         for array in kept:
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array.flat[0] = 0.0
+    divided = ProcessSpec(u=np.eye(4), gamma0=(1.0 + 5e-11) * np.eye(4) / 4).gamma0  # the kept gamma0 over its trace
+    assert not divided.flags.writeable and np.trace(divided) == 1.0
     h = heisenberg_hamiltonian()
     h[0, 0] = 7.0  # a copy of the kept constant
     assert heisenberg_hamiltonian()[0, 0] == 1.0
